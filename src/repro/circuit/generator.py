@@ -20,6 +20,7 @@ Generation is fully deterministic for a given :class:`CircuitSpec`.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List
 
@@ -77,10 +78,24 @@ class CircuitSpec:
             raise ValueError("locality must be within [0, 1]")
 
 
-def _sample_gate_type(rng: np.random.Generator) -> GateType:
-    names = [t for t, _ in _GATE_MIX]
+_GATE_TYPES = [t for t, _ in _GATE_MIX]
+
+
+def _gate_cdf() -> List[float]:
+    # Built exactly as ``Generator.choice(p=...)`` builds its CDF, so one
+    # ``rng.random()`` draw plus ``bisect_right`` picks the same type from
+    # the same RNG stream, draw for draw.
     weights = np.array([w for _, w in _GATE_MIX])
-    return names[int(rng.choice(len(names), p=weights / weights.sum()))]
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+_GATE_CDF = _gate_cdf()
+
+
+def _sample_gate_type(rng: np.random.Generator) -> GateType:
+    return _GATE_TYPES[bisect_right(_GATE_CDF, rng.random())]
 
 
 def generate_circuit(spec: CircuitSpec) -> Circuit:
@@ -165,18 +180,15 @@ def generate_circuit(spec: CircuitSpec) -> Circuit:
             circuit.add_gate(ff_name, GateType.DFF, [source])
             unused.pop(source, None)
 
-    # Primary outputs: requested count plus anything still unread.
+    # Primary outputs: requested count (the latest gates) plus anything
+    # still unread.  Both lists are duplicate-free and disjoint.
     n_outputs = spec.n_primary_outputs or max(1, spec.n_gates // 8)
-    candidates = [g for g in reversed(gate_names) if g not in circuit.primary_outputs]
-    chosen: List[str] = []
-    for net in candidates:
-        if len(chosen) >= n_outputs:
-            break
-        chosen.append(net)
-    leftover = [net for net in unused if net in circuit.gates and net not in chosen]
+    chosen = gate_names[::-1][:n_outputs]
+    chosen_set = set(chosen)
+    gates = circuit.gates
+    leftover = [net for net in unused if net in gates and net not in chosen_set]
     for net in chosen + sorted(leftover):
-        if net not in circuit.primary_outputs:
-            circuit.add_output(net)
+        circuit.add_output(net)
 
     circuit.validate()
     return circuit

@@ -15,7 +15,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from hashlib import blake2b
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.circuit.gates import GateType
 
@@ -56,43 +57,48 @@ class Circuit:
         self.name = name
         self._inputs: List[str] = []
         self._outputs: List[str] = []
+        # Membership only (never iterated): the lists above keep the order.
+        self._input_set: Set[str] = set()
+        self._output_set: Set[str] = set()
         self._gates: Dict[str, Gate] = {}
+        self._changed()
+
+    def _changed(self) -> None:
+        """Drop every cache derived from the structure."""
         self._order_cache: Optional[List[str]] = None
+        self._flip_flop_cache: Optional[List[Gate]] = None
+        self._n_gates_cache: Optional[int] = None
         self._structure_token: Optional[object] = None
         self._structure_digest: Optional[str] = None
 
     # -- construction -----------------------------------------------------
     def add_input(self, name: str) -> None:
         """Declare a primary input net."""
-        if name in self._inputs:
+        if name in self._input_set:
             raise CircuitError(f"duplicate primary input {name!r}")
         if name in self._gates:
             raise CircuitError(f"net {name!r} already driven by a gate")
         self._inputs.append(name)
-        self._order_cache = None
-        self._structure_token = None
-        self._structure_digest = None
+        self._input_set.add(name)
+        self._changed()
 
     def add_output(self, name: str) -> None:
         """Declare a primary output net (must be driven by a PI or a gate)."""
-        if name in self._outputs:
+        if name in self._output_set:
             raise CircuitError(f"duplicate primary output {name!r}")
         self._outputs.append(name)
-        self._order_cache = None
-        self._structure_token = None
-        self._structure_digest = None
+        self._output_set.add(name)
+        self._changed()
 
     def add_gate(self, output: str, gate_type: GateType, inputs: Sequence[str]) -> Gate:
         """Add a gate driving net ``output``; returns the created gate."""
         if output in self._gates:
             raise CircuitError(f"net {output!r} already driven by a gate")
-        if output in self._inputs:
+        if output in self._input_set:
             raise CircuitError(f"net {output!r} is a primary input")
         gate = Gate(output=output, gate_type=gate_type, inputs=tuple(inputs))
         self._gates[output] = gate
-        self._order_cache = None
-        self._structure_token = None
-        self._structure_digest = None
+        self._changed()
         return gate
 
     # -- basic views ---------------------------------------------------------
@@ -107,14 +113,26 @@ class Circuit:
         return list(self._outputs)
 
     @property
-    def gates(self) -> Dict[str, Gate]:
-        """Mapping from driven net name to gate (copy; safe to iterate)."""
-        return dict(self._gates)
+    def gates(self) -> Mapping[str, Gate]:
+        """Mapping from driven net name to gate, in insertion order.
+
+        A read-only live view, not a copy: it rejects assignment and
+        reflects gates added later.  Take ``dict(circuit.gates)`` to keep a
+        snapshot while the circuit grows.
+        """
+        return MappingProxyType(self._gates)
+
+    def _flip_flops(self) -> List[Gate]:
+        if self._flip_flop_cache is None:
+            self._flip_flop_cache = [
+                g for g in self._gates.values() if g.gate_type.is_sequential
+            ]
+        return self._flip_flop_cache
 
     @property
     def flip_flops(self) -> List[Gate]:
         """All DFF gates, in insertion order."""
-        return [g for g in self._gates.values() if g.gate_type.is_sequential]
+        return list(self._flip_flops())
 
     @property
     def combinational_gates(self) -> List[Gate]:
@@ -128,12 +146,14 @@ class Circuit:
     @property
     def n_gates(self) -> int:
         """Number of combinational gates (the paper's "# Gates" metric)."""
-        return len(self.combinational_gates)
+        if self._n_gates_cache is None:
+            self._n_gates_cache = len(self.combinational_gates)
+        return self._n_gates_cache
 
     @property
     def n_flip_flops(self) -> int:
         """Number of D flip-flops (scan cells in the full-scan view)."""
-        return len(self.flip_flops)
+        return len(self._flip_flops())
 
     def get_gate(self, net: str) -> Gate:
         """Return the gate driving ``net``.
@@ -145,7 +165,7 @@ class Circuit:
 
     def is_primary_input(self, net: str) -> bool:
         """``True`` if ``net`` is a declared primary input."""
-        return net in self._inputs
+        return net in self._input_set
 
     def nets(self) -> List[str]:
         """Every net name: primary inputs first, then gate outputs."""
@@ -155,12 +175,12 @@ class Circuit:
     @property
     def combinational_inputs(self) -> List[str]:
         """Pins a test cube assigns: primary inputs, then flip-flop outputs."""
-        return self._inputs + [ff.output for ff in self.flip_flops]
+        return self._inputs + [ff.output for ff in self._flip_flops()]
 
     @property
     def combinational_outputs(self) -> List[str]:
         """Observable nets: primary outputs, then flip-flop data inputs."""
-        return self._outputs + [ff.inputs[0] for ff in self.flip_flops]
+        return self._outputs + [ff.inputs[0] for ff in self._flip_flops()]
 
     @property
     def n_test_pins(self) -> int:
@@ -197,7 +217,7 @@ class Circuit:
         if self._order_cache is not None:
             return list(self._order_cache)
 
-        sources = set(self._inputs) | {ff.output for ff in self.flip_flops}
+        sources = set(self._inputs) | {ff.output for ff in self._flip_flops()}
         comb = {
             name: gate
             for name, gate in self._gates.items()
@@ -269,7 +289,7 @@ class Circuit:
     def levelize(self) -> Dict[str, int]:
         """Logic depth of every net (sources at level 0)."""
         levels: Dict[str, int] = {net: 0 for net in self._inputs}
-        for ff in self.flip_flops:
+        for ff in self._flip_flops():
             levels[ff.output] = 0
         for name in self.topological_order():
             gate = self._gates[name]

@@ -34,13 +34,17 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.intervals import ToggleInterval
+from repro.core.intervals import ExtractionResult, ToggleInterval
 
 IntervalLike = ToggleInterval
+
+#: A BCP instance: toggle intervals as objects, or an extraction whose
+#: interval arrays are used directly (no objects are built).
+Intervals = Union[Sequence[IntervalLike], ExtractionResult]
 
 
 class InfeasibleColoringError(RuntimeError):
@@ -71,13 +75,20 @@ class BCPSolution:
         return self.peak == self.lower_bound
 
 
-def _interval_arrays(intervals: Sequence[IntervalLike]) -> tuple:
-    starts = np.array([iv.start for iv in intervals], dtype=np.int64)
-    ends = np.array([iv.end for iv in intervals], dtype=np.int64)
+def _check_arrays(starts: np.ndarray, ends: np.ndarray) -> None:
     if starts.size and (starts > ends).any():
         raise ValueError("every interval must satisfy start <= end")
     if starts.size and (starts < 0).any():
         raise ValueError("interval starts must be non-negative")
+
+
+def _interval_arrays(intervals: Intervals) -> Tuple[np.ndarray, np.ndarray]:
+    if isinstance(intervals, ExtractionResult):
+        starts, ends = intervals.starts, intervals.ends
+    else:
+        starts = np.array([iv.start for iv in intervals], dtype=np.int64)
+        ends = np.array([iv.end for iv in intervals], dtype=np.int64)
+    _check_arrays(starts, ends)
     return starts, ends
 
 
@@ -102,14 +113,17 @@ def _window_table(starts: np.ndarray, ends: np.ndarray) -> tuple:
     return unique_starts, unique_ends, table
 
 
-def bcp_lower_bound(intervals: Sequence[IntervalLike]) -> int:
+def bcp_lower_bound(intervals: Intervals) -> int:
     """Algorithm 1: lower bound on the bottleneck of any valid colouring.
 
     Returns 0 for an empty instance.
     """
-    if not intervals:
+    return _lower_bound(*_interval_arrays(intervals))
+
+
+def _lower_bound(starts: np.ndarray, ends: np.ndarray) -> int:
+    if starts.size == 0:
         return 0
-    starts, ends = _interval_arrays(intervals)
     unique_starts, unique_ends, table = _window_table(starts, ends)
     widths = unique_ends[None, :] - unique_starts[:, None] + 1
     valid = widths >= 1
@@ -119,7 +133,7 @@ def bcp_lower_bound(intervals: Sequence[IntervalLike]) -> int:
 
 
 def weighted_lower_bound(
-    intervals: Sequence[IntervalLike],
+    intervals: Intervals,
     base_loads: np.ndarray,
 ) -> int:
     """Lower bound (in fact the exact optimum) of the base-load-aware BCP.
@@ -154,10 +168,7 @@ def weighted_peak_bound(
     ends = np.asarray(ends, dtype=np.int64)
     if starts.size == 0:
         return base_peak
-    if (starts > ends).any():
-        raise ValueError("every interval must satisfy start <= end")
-    if (starts < 0).any():
-        raise ValueError("interval starts must be non-negative")
+    _check_arrays(starts, ends)
     if base.size <= int(ends.max()):
         raise ValueError("base_loads shorter than the largest interval end")
     unique_starts, unique_ends, table = _window_table(starts, ends)
@@ -172,7 +183,7 @@ def weighted_peak_bound(
 
 
 def greedy_coloring(
-    intervals: Sequence[IntervalLike],
+    intervals: Intervals,
     capacity: Union[int, np.ndarray],
     n_colors: Optional[int] = None,
 ) -> np.ndarray:
@@ -193,11 +204,19 @@ def greedy_coloring(
             its window under the given capacities.  With ``capacity`` equal
             to the corresponding lower bound this never happens.
     """
-    k = len(intervals)
-    colors = np.full(k, -1, dtype=np.int64)
-    if k == 0:
-        return colors
     starts, ends = _interval_arrays(intervals)
+    return _greedy(starts, ends, capacity, n_colors)
+
+
+def _greedy(
+    starts: np.ndarray,
+    ends: np.ndarray,
+    capacity: Union[int, np.ndarray],
+    n_colors: Optional[int] = None,
+) -> np.ndarray:
+    k = int(starts.size)
+    if k == 0:
+        return np.full(0, -1, dtype=np.int64)
     max_end = int(ends.max())
     if n_colors is None:
         n_colors = max_end + 1
@@ -209,40 +228,35 @@ def greedy_coloring(
         capacities = np.asarray(capacity, dtype=np.int64)
         if capacities.shape[0] < n_colors:
             raise ValueError("capacity array shorter than the number of colours")
-    if (capacities < 0).any():
-        capacities = np.clip(capacities, 0, None)
-
-    order = np.argsort(starts, kind="stable")
+    # The sweep is sequential; plain lists keep its per-step cost low.
+    budgets = np.clip(capacities, 0, None).tolist()
+    order = np.argsort(starts, kind="stable").tolist()
+    start_of = starts.tolist()
+    end_of = ends.tolist()
+    colors = [-1] * k
     heap: list = []
     cursor = 0
     for color in range(max_end + 1):
-        while cursor < k and starts[order[cursor]] == color:
-            idx = int(order[cursor])
-            heapq.heappush(heap, (int(ends[idx]), idx))
+        while cursor < k and start_of[order[cursor]] == color:
+            idx = order[cursor]
+            heapq.heappush(heap, (end_of[idx], idx))
             cursor += 1
-        budget = int(capacities[color])
-        taken = 0
-        while heap and taken < budget:
-            __, idx = heapq.heappop(heap)
-            colors[idx] = color
-            taken += 1
+        for __ in range(min(budgets[color], len(heap))):
+            colors[heapq.heappop(heap)[1]] = color
         if heap and heap[0][0] <= color:
             raise InfeasibleColoringError(
                 f"interval ending at boundary {heap[0][0]} missed its deadline at colour {color}"
             )
     if heap or cursor < k:
         raise InfeasibleColoringError("some intervals were never released or coloured")
-    return colors
+    return np.array(colors, dtype=np.int64)
 
 
 def _histogram(colors: np.ndarray, n_colors: int) -> np.ndarray:
-    histogram = np.zeros(n_colors, dtype=np.int64)
-    if colors.size:
-        np.add.at(histogram, colors, 1)
-    return histogram
+    return np.bincount(colors, minlength=n_colors).astype(np.int64)
 
 
-def solve_bcp(intervals: Sequence[IntervalLike], n_colors: Optional[int] = None) -> BCPSolution:
+def solve_bcp(intervals: Intervals, n_colors: Optional[int] = None) -> BCPSolution:
     """Solve the pure (paper) BCP optimally.
 
     The achieved peak always equals :func:`bcp_lower_bound`, which is the
@@ -251,22 +265,22 @@ def solve_bcp(intervals: Sequence[IntervalLike], n_colors: Optional[int] = None)
     starts, ends = _interval_arrays(intervals)
     if n_colors is None:
         n_colors = int(ends.max()) + 1 if ends.size else 0
-    lower = bcp_lower_bound(intervals)
-    if not intervals:
+    if starts.size == 0:
         return BCPSolution(
             colors=np.zeros(0, dtype=np.int64),
             histogram=np.zeros(n_colors, dtype=np.int64),
             peak=0,
             lower_bound=0,
         )
-    colors = greedy_coloring(intervals, lower, n_colors=n_colors)
+    lower = _lower_bound(starts, ends)
+    colors = _greedy(starts, ends, lower, n_colors=n_colors)
     histogram = _histogram(colors, n_colors)
     peak = int(histogram.max()) if histogram.size else 0
     return BCPSolution(colors=colors, histogram=histogram, peak=peak, lower_bound=lower)
 
 
 def solve_weighted_bcp(
-    intervals: Sequence[IntervalLike],
+    intervals: Intervals,
     base_loads: np.ndarray,
 ) -> BCPSolution:
     """Solve the base-load-aware BCP optimally.
@@ -274,9 +288,10 @@ def solve_weighted_bcp(
     The reported ``peak`` is ``max_c (base_c + h_c)`` — the true peak input
     toggle count of the filled pattern set for the given ordering.
     """
+    starts, ends = _interval_arrays(intervals)
     base = np.asarray(base_loads, dtype=np.int64)
     n_colors = base.shape[0]
-    if not intervals:
+    if starts.size == 0:
         peak = int(base.max()) if base.size else 0
         return BCPSolution(
             colors=np.zeros(0, dtype=np.int64),
@@ -284,13 +299,13 @@ def solve_weighted_bcp(
             peak=peak,
             lower_bound=peak,
         )
-    bound = weighted_lower_bound(intervals, base)
+    bound = weighted_peak_bound(starts, ends, base)
     colors: Optional[np.ndarray] = None
     # The bound is exact (Hall's condition over contiguous windows), so the
     # first iteration succeeds; the loop is purely defensive.
-    for candidate in range(bound, bound + len(intervals) + 1):
+    for candidate in range(bound, bound + starts.size + 1):
         try:
-            colors = greedy_coloring(intervals, candidate - base, n_colors=n_colors)
+            colors = _greedy(starts, ends, candidate - base, n_colors=n_colors)
             break
         except InfeasibleColoringError:
             continue

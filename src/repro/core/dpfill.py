@@ -116,9 +116,9 @@ def dp_fill(
         extraction = extract_intervals(patterns)
 
     if account_base_toggles:
-        solution = solve_weighted_bcp(extraction.intervals, extraction.base_toggles)
+        solution = solve_weighted_bcp(extraction, extraction.base_toggles)
     else:
-        solution = solve_bcp(extraction.intervals, n_colors=extraction.n_boundaries)
+        solution = solve_bcp(extraction, n_colors=extraction.n_boundaries)
 
     pin_filled = apply_assignment(extraction, solution.colors)
     filled = patterns.filled(pin_filled.T)
@@ -136,7 +136,7 @@ def dp_fill(
         peak_toggles=achieved,
         lower_bound=solution.lower_bound,
         base_peak=extraction.base_peak,
-        interval_count=len(extraction.intervals),
+        interval_count=extraction.n_intervals,
         boundary_profile=profile,
         solution=solution,
         account_base_toggles=account_base_toggles,

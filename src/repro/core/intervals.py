@@ -29,11 +29,12 @@ Per row, the specified bits split the pattern axis into stretches:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.cubes.bits import BIT_DTYPE, X, ZERO
+from repro.cubes.bits import X, ZERO
 from repro.cubes.cube import TestSet
 
 
@@ -71,12 +72,111 @@ class ToggleInterval:
         return self.end - self.start + 1
 
 
+def fill_runs(
+    out: np.ndarray,
+    rows: np.ndarray,
+    starts: Union[int, np.ndarray],
+    stops: Union[int, np.ndarray],
+    values: np.ndarray,
+) -> None:
+    """``out[rows[i], starts[i]:stops[i]] = values[i]`` for every run, in one pass.
+
+    ``starts`` and ``stops`` may be scalars shared by every run; empty runs
+    are skipped.
+    """
+    starts = np.broadcast_to(starts, rows.shape)
+    lengths = np.broadcast_to(stops, rows.shape) - starts
+    total = int(lengths.sum())
+    if total == 0:
+        return
+    # Cell j of the concatenated runs sits at its run's flat start plus
+    # j minus the number of cells in the runs before it.
+    shift = rows * out.shape[1] + starts - (np.cumsum(lengths) - lengths)
+    np.put(out, np.arange(total) + np.repeat(shift, lengths), np.repeat(values, lengths))
+
+
+class Stretches:
+    """The don't-care stretches of a 0/1/X matrix, classified in one vectorised pass.
+
+    Each row is read left to right.  Two consecutive specified bits of a
+    row form a *pair*; the stretch between them is columns
+    ``left + 1 .. right - 1`` (empty when the bits are adjacent).  Pairs
+    are kept in row-major, left-to-right order, which is the order the
+    per-row loops of the paper's preprocessing discover them in.  The X
+    runs before a row's first and after its last specified bit, and the
+    all-X rows, are the *ends* (:meth:`fill_ends`).
+
+    Attributes:
+        shape: ``(n_rows, n_cols)`` of the classified matrix.
+        rows / left / right: row, left column and right column of every pair.
+        left_values / right_values: the two specified values of every pair.
+    """
+
+    def __init__(
+        self, shape: Tuple[int, int], rows: np.ndarray, cols: np.ndarray, vals: np.ndarray
+    ) -> None:
+        self.shape = shape
+        self._bits = (rows, cols, vals)
+        self._same_row = rows[1:] == rows[:-1]
+        same = self._same_row
+        self.rows = rows[:-1][same]
+        self.left = cols[:-1][same]
+        self.right = cols[1:][same]
+        self.left_values = vals[:-1][same]
+        self.right_values = vals[1:][same]
+
+    @classmethod
+    def of(cls, matrix: np.ndarray) -> "Stretches":
+        """Classify every stretch of ``matrix`` (rows are read left to right)."""
+        rows, cols = np.nonzero(matrix != X)
+        return cls(matrix.shape, rows, cols, matrix[rows, cols])
+
+    @property
+    def free(self) -> np.ndarray:
+        """Pairs bounding a ``0X..X1`` / ``1X..X0`` stretch: one toggle, free position."""
+        return (self.left_values != self.right_values) & (self.right > self.left + 1)
+
+    @property
+    def held(self) -> np.ndarray:
+        """Pairs bounding a ``0X..X0`` / ``1X..X1`` stretch: held at that value."""
+        return (self.left_values == self.right_values) & (self.right > self.left + 1)
+
+    def base_toggles(self) -> np.ndarray:
+        """Per-boundary count of adjacent specified bits that differ."""
+        fixed = (self.left_values != self.right_values) & (self.right == self.left + 1)
+        n_boundaries = max(self.shape[1] - 1, 0)
+        return np.bincount(self.left[fixed], minlength=n_boundaries).astype(np.int64)
+
+    def fill_ends(self, out: np.ndarray) -> None:
+        """Hold every leading/trailing X run at its nearest specified value.
+
+        All-X rows become zero (holding one constant is as good as the other).
+        """
+        rows, cols, vals = self._bits
+        first = np.ones(rows.size, dtype=bool)
+        first[1:] = ~self._same_row
+        last = np.ones(rows.size, dtype=bool)
+        last[:-1] = ~self._same_row
+        specified = np.zeros(self.shape[0], dtype=bool)
+        specified[rows] = True
+        out[~specified] = ZERO
+        fill_runs(out, rows[first], 0, cols[first], vals[first])
+        fill_runs(out, rows[last], cols[last] + 1, self.shape[1], vals[last])
+
+
 @dataclass
 class ExtractionResult:
     """Output of :func:`extract_intervals`.
 
+    The toggle intervals are held as arrays, one entry per interval in
+    row-major discovery order; :attr:`intervals` builds the
+    :class:`ToggleInterval` objects on first access only.
+
     Attributes:
-        intervals: the toggle intervals, in row-major discovery order.
+        rows: pin row of every interval.
+        left_cols / right_cols: columns of the specified bits around it.
+        left_values: value (0/1) of the left specified bit (the right one
+            is always the other value).
         base_toggles: per-boundary count of unavoidable toggles coming from
             adjacent specified bits that differ (length ``n_patterns - 1``).
         prefilled: pin-major matrix with every preprocessing fill applied.
@@ -85,11 +185,50 @@ class ExtractionResult:
         n_pins: number of pin rows.
     """
 
-    intervals: List[ToggleInterval]
+    rows: np.ndarray
+    left_cols: np.ndarray
+    right_cols: np.ndarray
+    left_values: np.ndarray
     base_toggles: np.ndarray
     prefilled: np.ndarray
     n_patterns: int
     n_pins: int
+
+    @property
+    def starts(self) -> np.ndarray:
+        """First candidate boundary of every interval."""
+        return self.left_cols
+
+    @property
+    def ends(self) -> np.ndarray:
+        """Last candidate boundary of every interval."""
+        return self.right_cols - 1
+
+    @property
+    def n_intervals(self) -> int:
+        """Number of toggle intervals."""
+        return int(self.rows.size)
+
+    @cached_property
+    def intervals(self) -> List[ToggleInterval]:
+        """The toggle intervals as objects, in row-major discovery order."""
+        return [
+            ToggleInterval(
+                start=left,
+                end=right - 1,
+                row=row,
+                left_col=left,
+                right_col=right,
+                left_value=value,
+                right_value=1 - value,
+            )
+            for row, left, right, value in zip(
+                self.rows.tolist(),
+                self.left_cols.tolist(),
+                self.right_cols.tolist(),
+                self.left_values.tolist(),
+            )
+        ]
 
     @property
     def n_boundaries(self) -> int:
@@ -111,8 +250,7 @@ class ExtractionPlan:
     invariant structure once (row id, original column and value of every
     specified bit, in row-major order) so the interval arrays of **any**
     permutation of the same cube set can be derived with a handful of
-    vectorised NumPy passes instead of re-running the python preprocessing
-    loop of :func:`extract_intervals` from scratch.
+    vectorised NumPy passes instead of re-extracting the permuted set.
 
     This is what lets the I-Ordering search evaluate each candidate
     interleave size ``k`` without re-extracting; together with
@@ -161,12 +299,6 @@ class ExtractionPlan:
                 convention of :meth:`TestSet.reordered`); ``None`` evaluates
                 the plan's own order.
         """
-        n_boundaries = max(self.n_patterns - 1, 0)
-        base = np.zeros(n_boundaries, dtype=np.int64)
-        empty = np.zeros(0, dtype=np.int64)
-        if self.spec_rows.size < 2:
-            return empty, empty, base
-
         if permutation is None:
             rows, cols, vals = self.spec_rows, self.spec_cols, self.spec_vals
         else:
@@ -183,19 +315,18 @@ class ExtractionPlan:
             order = np.lexsort((cols, self.spec_rows))
             rows, cols, vals = self.spec_rows[order], cols[order], self.spec_vals[order]
 
-        toggles = (rows[1:] == rows[:-1]) & (vals[1:] != vals[:-1])
-        adjacent = cols[1:] == cols[:-1] + 1
-        np.add.at(base, cols[:-1][toggles & adjacent], 1)
-        free = toggles & ~adjacent
-        return cols[:-1][free], cols[1:][free] - 1, base
+        stretches = Stretches((self.n_pins, self.n_patterns), rows, cols, vals)
+        free = stretches.free
+        return stretches.left[free], stretches.right[free] - 1, stretches.base_toggles()
 
 
 def extract_intervals(patterns: TestSet) -> ExtractionResult:
     """Preprocess a cube set and extract its BCP instance.
 
     The function implements the preprocessing loop and the interval-creation
-    loop of §V-C verbatim, plus the (implicit in the paper) handling of
-    leading/trailing X runs and all-X rows, which never need to toggle.
+    loop of §V-C — vectorised over every row at once by :class:`Stretches` —
+    plus the (implicit in the paper) handling of leading/trailing X runs and
+    all-X rows, which never need to toggle.
 
     Args:
         patterns: the *ordered* cube set.  Ordering matters; run an ordering
@@ -205,53 +336,28 @@ def extract_intervals(patterns: TestSet) -> ExtractionResult:
         An :class:`ExtractionResult` whose ``prefilled`` matrix contains X
         bits only inside the returned intervals.
     """
-    pin = patterns.pin_matrix().astype(BIT_DTYPE)
+    pin = patterns.pin_matrix()
     n_pins, n_patterns = pin.shape
-    n_boundaries = max(n_patterns - 1, 0)
-    base = np.zeros(n_boundaries, dtype=np.int64)
-    intervals: List[ToggleInterval] = []
-
-    for row in range(n_pins):
-        bits = pin[row]
-        specified = np.flatnonzero(bits != X)
-        if specified.size == 0:
-            # An all-X row can be held constant; zero is as good as one.
-            bits[:] = ZERO
-            continue
-        first, last = int(specified[0]), int(specified[-1])
-        # Leading and trailing X runs never need to toggle.
-        if first > 0:
-            bits[:first] = bits[first]
-        if last < n_patterns - 1:
-            bits[last + 1 :] = bits[last]
-        for left, right in zip(specified[:-1], specified[1:]):
-            left, right = int(left), int(right)
-            left_value, right_value = int(bits[left]), int(bits[right])
-            if right == left + 1:
-                if left_value != right_value:
-                    base[left] += 1
-                continue
-            if left_value == right_value:
-                # 0X..X0 / 1X..X1: fill with the common value (zero toggles).
-                bits[left + 1 : right] = left_value
-            else:
-                # 0X..X1 / 1X..X0: exactly one toggle, position free in
-                # boundaries [left, right - 1].
-                intervals.append(
-                    ToggleInterval(
-                        start=left,
-                        end=right - 1,
-                        row=row,
-                        left_col=left,
-                        right_col=right,
-                        left_value=left_value,
-                        right_value=right_value,
-                    )
-                )
-
+    stretches = Stretches.of(pin)
+    stretches.fill_ends(pin)
+    # 0X..X0 / 1X..X1: fill with the common value (zero toggles).
+    held = stretches.held
+    fill_runs(
+        pin,
+        stretches.rows[held],
+        stretches.left[held] + 1,
+        stretches.right[held],
+        stretches.left_values[held],
+    )
+    # 0X..X1 / 1X..X0: exactly one toggle, position free in boundaries
+    # [left, right - 1].
+    free = stretches.free
     return ExtractionResult(
-        intervals=intervals,
-        base_toggles=base,
+        rows=stretches.rows[free],
+        left_cols=stretches.left[free],
+        right_cols=stretches.right[free],
+        left_values=stretches.left_values[free],
+        base_toggles=stretches.base_toggles(),
         prefilled=pin,
         n_patterns=n_patterns,
         n_pins=n_pins,
@@ -277,17 +383,23 @@ def apply_assignment(extraction: ExtractionResult, colors: np.ndarray) -> np.nda
         ValueError: if an assigned colour falls outside its interval, or if
             any X bit remains after reconstruction.
     """
-    if len(colors) != len(extraction.intervals):
+    colors = np.asarray(colors, dtype=np.int64)
+    if colors.shape != (extraction.n_intervals,):
         raise ValueError("one colour per interval is required")
+    starts, ends = extraction.starts, extraction.ends
+    outside = (colors < starts) | (colors > ends)
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise ValueError(f"colour {colors[i]} outside interval [{starts[i]}, {ends[i]}]")
     filled = extraction.prefilled.copy()
-    for interval, color in zip(extraction.intervals, colors):
-        color = int(color)
-        if not interval.start <= color <= interval.end:
-            raise ValueError(
-                f"colour {color} outside interval [{interval.start}, {interval.end}]"
-            )
-        filled[interval.row, interval.left_col : color + 1] = interval.left_value
-        filled[interval.row, color + 1 : interval.right_col] = interval.right_value
-    if (filled == X).any():
+    # The X cells left after preprocessing are exactly the interval
+    # interiors, and row-major order visits them interval by interval.
+    cells = np.flatnonzero(filled == X)
+    gaps = extraction.right_cols - extraction.left_cols - 1
+    if cells.size != int(gaps.sum()):
         raise ValueError("reconstruction left unspecified bits behind")
+    owner = np.repeat(np.arange(gaps.size), gaps)
+    left_values = extraction.left_values[owner]
+    past_toggle = cells % extraction.n_patterns > colors[owner]
+    np.put(filled, cells, np.where(past_toggle, 1 - left_values, left_values))
     return filled

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.intervals import Stretches, fill_runs
 from repro.cubes.bits import BIT_DTYPE, ONE, X, ZERO
 from repro.cubes.cube import TestSet
 from repro.filling.base import Filler, register_filler
@@ -73,23 +74,10 @@ class MinimumTransitionFill(Filler):
 
     def fill(self, patterns: TestSet) -> TestSet:
         data = patterns.matrix.copy()
-        n_patterns, n_pins = data.shape
-        for row in range(n_patterns):
-            bits = data[row]
-            specified = np.flatnonzero(bits != X)
-            if specified.size == 0:
-                bits[:] = ZERO
-                continue
-            # Fill the leading X run from the first specified bit, then sweep
-            # left to right propagating the last seen value.
-            first = int(specified[0])
-            bits[:first] = bits[first]
-            last_value = bits[first]
-            for col in range(first + 1, n_pins):
-                if bits[col] == X:
-                    bits[col] = last_value
-                else:
-                    last_value = bits[col]
+        stretches = Stretches.of(data)
+        stretches.fill_ends(data)
+        # Every inner X run takes the specified value on its left.
+        fill_runs(data, stretches.rows, stretches.left + 1, stretches.right, stretches.left_values)
         return patterns.filled(data)
 
 

@@ -20,15 +20,19 @@ follows the description given in §III and Fig. 1 of the DP-fill paper:
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.cubes.bits import BIT_DTYPE, X, ZERO
+from repro.core.intervals import Stretches, fill_runs
+from repro.cubes.bits import X
 from repro.cubes.cube import TestSet
 from repro.filling.base import Filler, register_filler
 
 _SQUEEZE_MODES = ("middle", "left", "right")
+
+#: Phase 1's surviving X bits: ``(rows, x_cols, left_values, right_values)``.
+Choices = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 class XStatFill(Filler):
@@ -48,44 +52,34 @@ class XStatFill(Filler):
         self.squeeze = squeeze
 
     # -- phase 1 -------------------------------------------------------------
-    def _squeeze_position(self, left: int, right: int) -> int:
-        """Column index of the X that survives phase 1 for a gap (left, right)."""
+    def _squeeze_position(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """Column index of the X that survives phase 1 for gaps (left, right)."""
         if self.squeeze == "left":
             return left + 1
         if self.squeeze == "right":
             return right - 1
         return (left + right) // 2
 
-    def _phase1(self, pin: np.ndarray) -> List[Tuple[int, int, int, int]]:
+    def _phase1(self, pin: np.ndarray) -> Choices:
         """Shrink every stretch; return the surviving binary choices.
 
-        Each returned tuple is ``(row, x_col, left_value, right_value)`` for a
-        surviving X at ``x_col`` whose neighbours are already specified.
+        The choices are ``(rows, x_cols, left_values, right_values)`` arrays,
+        one entry per surviving X whose neighbours are already specified, in
+        row-major, left-to-right order.
         """
-        n_pins, n_patterns = pin.shape
-        choices: List[Tuple[int, int, int, int]] = []
-        for row in range(n_pins):
-            bits = pin[row]
-            specified = np.flatnonzero(bits != X)
-            if specified.size == 0:
-                bits[:] = ZERO
-                continue
-            first, last = int(specified[0]), int(specified[-1])
-            bits[:first] = bits[first]
-            bits[last + 1 :] = bits[last]
-            for left, right in zip(specified[:-1], specified[1:]):
-                left, right = int(left), int(right)
-                if right == left + 1:
-                    continue
-                left_value, right_value = int(bits[left]), int(bits[right])
-                if left_value == right_value:
-                    bits[left + 1 : right] = left_value
-                    continue
-                keep = self._squeeze_position(left, right)
-                bits[left + 1 : keep] = left_value
-                bits[keep + 1 : right] = right_value
-                choices.append((row, keep, left_value, right_value))
-        return choices
+        stretches = Stretches.of(pin)
+        stretches.fill_ends(pin)
+        rows, left, right = stretches.rows, stretches.left, stretches.right
+        left_values, right_values = stretches.left_values, stretches.right_values
+        held = stretches.held
+        fill_runs(pin, rows[held], left[held] + 1, right[held], left_values[held])
+        free = stretches.free
+        rows, left, right = rows[free], left[free], right[free]
+        left_values, right_values = left_values[free], right_values[free]
+        keep = self._squeeze_position(left, right)
+        fill_runs(pin, rows, left + 1, keep, left_values)
+        fill_runs(pin, rows, keep + 1, right, right_values)
+        return rows, keep, left_values, right_values
 
     # -- phase 2 ----------------------------------------------------------------
     @staticmethod
@@ -98,36 +92,35 @@ class XStatFill(Filler):
         fixed = (left != X) & (right != X) & (left != right)
         return np.count_nonzero(fixed, axis=0).astype(np.int64)
 
-    def _phase2(self, pin: np.ndarray, choices: List[Tuple[int, int, int, int]]) -> None:
+    def _phase2(self, pin: np.ndarray, choices: Choices) -> None:
         """Resolve every surviving X greedily against the running profile."""
+        rows, cols, left_values, right_values = choices
+        if rows.size == 0:
+            return
         profile = self._base_profile(pin)
         # Most constrained first: choices whose two candidate boundaries are
         # already the most loaded are resolved before the flexible ones.
-        def pressure(choice: Tuple[int, int, int, int]) -> int:
-            __, col, __, __ = choice
-            return int(max(profile[col - 1], profile[col]))
-
-        for row, col, left_value, right_value in sorted(choices, key=pressure, reverse=True):
-            load_if_left = profile[col]          # X takes left value -> toggle at boundary col
-            load_if_right = profile[col - 1]     # X takes right value -> toggle at boundary col-1
-            if load_if_left <= load_if_right:
-                pin[row, col] = left_value
-                profile[col] += 1
+        # Ties keep phase 1's order (a stable sort).
+        pressure = np.maximum(profile[cols - 1], profile[cols])
+        order = np.argsort(-pressure, kind="stable")
+        # The greedy is sequential; plain lists keep its per-step cost low.
+        load = profile.tolist()
+        takes_left = np.zeros(rows.size, dtype=bool)
+        for i, col in zip(order.tolist(), cols[order].tolist()):
+            # Left value: toggle at boundary col; right value: at col - 1.
+            if load[col] <= load[col - 1]:
+                takes_left[i] = True
+                load[col] += 1
             else:
-                pin[row, col] = right_value
-                profile[col - 1] += 1
+                load[col - 1] += 1
+        pin[rows, cols] = np.where(takes_left, left_values, right_values)
 
     # -- driver -----------------------------------------------------------------
     def fill(self, patterns: TestSet) -> TestSet:
-        pin = patterns.pin_matrix().astype(BIT_DTYPE)
+        pin = patterns.pin_matrix()
         if pin.size == 0:
             return patterns.filled(patterns.matrix.copy())
-        choices = self._phase1(pin)
-        if pin.shape[1] >= 2:
-            self._phase2(pin, choices)
-        else:
-            for row, col, left_value, __ in choices:  # pragma: no cover - defensive
-                pin[row, col] = left_value
+        self._phase2(pin, self._phase1(pin))
         return patterns.filled(pin.T)
 
 

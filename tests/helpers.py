@@ -1,15 +1,19 @@
-"""Shared test utilities: brute-force reference solvers and cube builders.
+"""Shared test utilities: brute-force and reference solvers, cube builders.
 
 The brute-force solvers are deliberately tiny and obviously correct; they
 exist so the optimised implementations can be checked against exhaustive
 search on small instances (unit tests pin specific cases, hypothesis tests
 sweep random ones).
+
+The ``reference_*`` functions are the straightforward per-row loops the
+vectorised stretch kernels replaced.  They are the oracles of the
+differential tests in ``test_kernels.py``.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -115,3 +119,124 @@ def random_small_cube_set(
     for row, col in positions[: min(n_x, len(positions))]:
         data[row, col] = X
     return TestSet.from_matrix(data)
+
+
+# -- reference implementations (per-row loops) ---------------------------------
+def reference_extract_intervals(
+    patterns: TestSet,
+) -> Tuple[List[ToggleInterval], np.ndarray, np.ndarray]:
+    """``(intervals, base_toggles, prefilled)`` of §V-C, one row at a time."""
+    pin = patterns.pin_matrix()
+    n_pins, n_patterns = pin.shape
+    base = np.zeros(max(n_patterns - 1, 0), dtype=np.int64)
+    intervals: List[ToggleInterval] = []
+    for row in range(n_pins):
+        bits = pin[row]
+        specified = np.flatnonzero(bits != X)
+        if specified.size == 0:
+            bits[:] = ZERO
+            continue
+        first, last = int(specified[0]), int(specified[-1])
+        bits[:first] = bits[first]
+        bits[last + 1 :] = bits[last]
+        for left, right in zip(specified[:-1].tolist(), specified[1:].tolist()):
+            left_value, right_value = int(bits[left]), int(bits[right])
+            if right == left + 1:
+                if left_value != right_value:
+                    base[left] += 1
+                continue
+            if left_value == right_value:
+                bits[left + 1 : right] = left_value
+            else:
+                intervals.append(
+                    ToggleInterval(
+                        start=left,
+                        end=right - 1,
+                        row=row,
+                        left_col=left,
+                        right_col=right,
+                        left_value=left_value,
+                        right_value=right_value,
+                    )
+                )
+    return intervals, base, pin
+
+
+def reference_apply_assignment(
+    intervals: Sequence[ToggleInterval], prefilled: np.ndarray, colors: Sequence[int]
+) -> np.ndarray:
+    """Reconstruct a pin matrix interval by interval (§V-D)."""
+    filled = prefilled.copy()
+    for interval, color in zip(intervals, colors):
+        filled[interval.row, interval.left_col : int(color) + 1] = interval.left_value
+        filled[interval.row, int(color) + 1 : interval.right_col] = interval.right_value
+    return filled
+
+
+def reference_mt_fill(matrix: np.ndarray) -> np.ndarray:
+    """MT-fill: every X takes the nearest earlier specified bit of its pattern."""
+    data = matrix.copy()
+    for bits in data:
+        specified = np.flatnonzero(bits != X)
+        if specified.size == 0:
+            bits[:] = ZERO
+            continue
+        first = int(specified[0])
+        bits[:first] = bits[first]
+        last_value = bits[first]
+        for col in range(first + 1, bits.size):
+            if bits[col] == X:
+                bits[col] = last_value
+            else:
+                last_value = bits[col]
+    return data
+
+
+def reference_xstat_phase1(
+    pin: np.ndarray, squeeze: str
+) -> Tuple[np.ndarray, List[Tuple[int, int, int, int]]]:
+    """XStat phase 1 on a copy of ``pin``: ``(shrunk pin, [(row, x_col, lv, rv)])``."""
+    pin = pin.copy()
+    choices: List[Tuple[int, int, int, int]] = []
+    for row in range(pin.shape[0]):
+        bits = pin[row]
+        specified = np.flatnonzero(bits != X)
+        if specified.size == 0:
+            bits[:] = ZERO
+            continue
+        first, last = int(specified[0]), int(specified[-1])
+        bits[:first] = bits[first]
+        bits[last + 1 :] = bits[last]
+        for left, right in zip(specified[:-1].tolist(), specified[1:].tolist()):
+            if right == left + 1:
+                continue
+            left_value, right_value = int(bits[left]), int(bits[right])
+            if left_value == right_value:
+                bits[left + 1 : right] = left_value
+                continue
+            keep = {"left": left + 1, "right": right - 1}.get(squeeze, (left + right) // 2)
+            bits[left + 1 : keep] = left_value
+            bits[keep + 1 : right] = right_value
+            choices.append((row, keep, left_value, right_value))
+    return pin, choices
+
+
+def reference_xstat_fill(patterns: TestSet, squeeze: str) -> np.ndarray:
+    """Full XStat fill (phase 1, then the greedy phase 2); pattern-major result."""
+    pin, choices = reference_xstat_phase1(patterns.pin_matrix(), squeeze)
+    if pin.shape[1] < 2:
+        return pin.T
+    left, right = pin[:, :-1], pin[:, 1:]
+    profile = np.count_nonzero((left != X) & (right != X) & (left != right), axis=0)
+
+    def pressure(choice: Tuple[int, int, int, int]) -> int:
+        return int(max(profile[choice[1] - 1], profile[choice[1]]))
+
+    for row, col, left_value, right_value in sorted(choices, key=pressure, reverse=True):
+        if profile[col] <= profile[col - 1]:
+            pin[row, col] = left_value
+            profile[col] += 1
+        else:
+            pin[row, col] = right_value
+            profile[col - 1] += 1
+    return pin.T

@@ -7,7 +7,8 @@ import pytest
 
 from repro.circuit.bench_format import BenchParseError, parse_bench, write_bench
 from repro.circuit.gates import GateType, controlling_value, evaluate_bool, evaluate_ternary
-from repro.circuit.library import b01_like_fsm, c17, ripple_counter, toy_pipeline
+from repro.benchmarks_data.profiles import default_benchmark_names
+from repro.circuit.library import b01_like_fsm, c17, itc99_like, ripple_counter, toy_pipeline
 from repro.circuit.netlist import Circuit, CircuitError, Gate
 from repro.cubes.bits import ONE, X, ZERO
 
@@ -95,6 +96,79 @@ class TestCircuitConstruction:
     def test_gate_arity_enforced(self):
         with pytest.raises(ValueError):
             Gate(output="g", gate_type=GateType.AND, inputs=("a",))
+
+    def test_duplicate_ports_rejected(self):
+        circuit = Circuit()
+        circuit.add_input("a")
+        circuit.add_gate("g", GateType.NOT, ["a"])
+        circuit.add_output("g")
+        with pytest.raises(CircuitError):
+            circuit.add_input("a")
+        with pytest.raises(CircuitError):
+            circuit.add_input("g")
+        with pytest.raises(CircuitError):
+            circuit.add_output("g")
+
+    def test_is_primary_input(self):
+        circuit = toy_pipeline()
+        assert all(circuit.is_primary_input(net) for net in circuit.primary_inputs)
+        assert not any(circuit.is_primary_input(net) for net in circuit.gates)
+        assert not circuit.is_primary_input("no-such-net")
+
+    def test_gates_is_a_read_only_live_view(self):
+        circuit = Circuit()
+        circuit.add_input("a")
+        gate = circuit.add_gate("g", GateType.NOT, ["a"])
+        gates = circuit.gates
+        with pytest.raises(TypeError):
+            gates["h"] = gate
+        with pytest.raises(TypeError):
+            del gates["g"]
+        circuit.add_gate("h", GateType.BUF, ["g"])
+        assert list(gates) == ["g", "h"]
+
+    def test_cached_views_follow_mutation(self):
+        circuit = Circuit()
+        circuit.add_input("a")
+        circuit.add_gate("g", GateType.NOT, ["a"])
+        assert circuit.n_gates == 1 and circuit.flip_flops == []
+        circuit.add_gate("q", GateType.DFF, ["g"])
+        circuit.add_gate("h", GateType.AND, ["a", "q"])
+        assert circuit.n_gates == 2 and circuit.n_flip_flops == 1
+        assert circuit.combinational_inputs == ["a", "q"]
+        assert circuit.combinational_outputs == ["g"]
+        circuit.flip_flops.clear()  # a copy: the cache is unaffected
+        assert [ff.output for ff in circuit.flip_flops] == ["q"]
+
+
+#: ``itc99_like(name, seed=0).structure_digest()`` pinned for every default
+#: profile and for full-scale b17: circuit generation must reproduce every
+#: netlist gate for gate (the cube cache and the golden report depend on it).
+NETLIST_DIGESTS = {
+    "b01": "8c2571466eb7b74e0e84876e05278a7a",
+    "b02": "e88233acdc932b9a9ac8ae77ebb445c7",
+    "b03": "028d4d36f5b9e39c3d140860afb576c8",
+    "b04": "a0fa6683d883247e4806328f3bb57303",
+    "b05": "277e253d2e9142670fe2586b18301239",
+    "b06": "814cdf39b426d7bbf2fc684ff34d38eb",
+    "b07": "52027185fa9050438b4a0ccf62bf6ec1",
+    "b08": "82cc19fd4426cdf6dee898ce23ed2472",
+    "b09": "c79c55fd0db8c6792ec3741a186c3b6b",
+    "b10": "93f047839e61e55ea781dfc2c84cc241",
+    "b11": "499b796be80980efd6a2bc93fe9cc3fc",
+    "b12": "d4462f4fbbecb12d0d2843398d1ae90c",
+    "b13": "7f2d9423fb856252ba78b4a2360f0c2a",
+    "b17": "86b528ac3d32c3bf6b2f4d8bf93a004a",
+}
+
+
+def test_netlist_digests_cover_every_default_profile():
+    assert set(default_benchmark_names()) <= set(NETLIST_DIGESTS)
+
+
+@pytest.mark.parametrize("name", sorted(NETLIST_DIGESTS))
+def test_generated_netlists_are_pinned(name):
+    assert itc99_like(name, seed=0).structure_digest() == NETLIST_DIGESTS[name]
 
 
 class TestCircuitAnalysis:

@@ -482,16 +482,24 @@ class TestHistory:
         assert len(obs_history.load_history(str(ledger))) == 1
 
     def test_repo_ledger_matches_committed_bench(self):
-        """The seeded repo ledger must contain the committed bench artifact."""
+        """The committed ledger parses and its newest entry is comparable.
+
+        Only committed state is read: ``BENCH_engine.json`` is a build
+        artifact (gitignored), so it is absent on a clean checkout.
+        """
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         ledger = os.path.join(root, "BENCH_history.jsonl")
-        bench_path = os.path.join(root, "BENCH_engine.json")
+        with open(ledger, encoding="utf-8") as handle:
+            lines = [line for line in handle if line.strip()]
         history = obs_history.load_history(ledger)
-        assert history, "BENCH_history.jsonl missing or empty"
-        with open(bench_path, encoding="utf-8") as handle:
-            bench = json.load(handle)
-        keys = {(r.get("git_sha"), r.get("timestamp")) for r in history}
-        assert (bench["git_sha"], bench["timestamp"]) in keys
+        assert history and len(history) == len(lines), "a ledger line does not parse"
+        latest = history[-1]
+        for key in ("git_sha", "timestamp", "profiles"):
+            assert key in latest, key
+        assert latest["profiles"]
+        for entry in latest["profiles"].values():
+            assert any(key in entry for key in obs_history.COMPARE_KEYS)
+        obs_history.render_compare(history)
 
 
 # -- CLI surface --------------------------------------------------------------
