@@ -1,28 +1,29 @@
 """Micro-benchmarks of the core algorithms (no circuits involved).
 
 These are not tied to a specific paper table; they quantify the claimed
-complexities — the ``O(k log k)`` greedy colouring, the ``O(k^2)`` lower
-bound and the end-to-end DP-fill — on synthetic cube sets of increasing size,
-and they back the scalability statement in the README.
+complexities — the ``O(k log k)`` greedy colouring, the ``O(k^2)``-time
+lower bound and the end-to-end DP-fill — on synthetic cube sets of
+increasing size, and they back the scalability statement in the README.
+The greedy-tour section times the ISA/XStat orderings against
+``tests/helpers.py::reference_nn_tour``, so run it from the repository root
+with ``PYTHONPATH=src:.``.
 """
 
 from __future__ import annotations
 
 import time
-from typing import List
 
-import numpy as np
 import pytest
 
 from repro.core.bcp import bcp_lower_bound, solve_bcp, solve_weighted_bcp
 from repro.core.dpfill import dp_fill
 from repro.core.intervals import extract_intervals
 from repro.core.ordering import interleaved_ordering
-from repro.cubes.bits import X
 from repro.cubes.cube import TestSet
 from repro.cubes.generator import CubeSetSpec, generate_cube_set
 from repro.orderings.isa import ISAOrdering
 from repro.orderings.xstat_ordering import XStatOrdering
+from tests.helpers import reference_nn_tour
 
 
 def _cube_set(n_pins: int, n_patterns: int, seed: int = 1):
@@ -95,86 +96,53 @@ def test_bench_ordering_search_reused(benchmark, n_pins, n_patterns):
     assert result.peak is not None
 
 
-# -- greedy NN tours: hoisted-plane GEMV vs per-step boolean masks ----------
-def _nn_tour_masks(patterns: TestSet, distance: str) -> List[int]:
-    """The pre-hoisting greedy tour: fresh boolean ``(n, pins)`` masks per step.
-
-    This is what :class:`XStatOrdering` / :class:`ISAOrdering` cost before
-    the specified-plane decomposition was hoisted out of the loop; the
-    benchmark keeps it as the baseline the hoist is measured against, and
-    the orderings must reproduce its tours bit for bit.
-    """
-    n = len(patterns)
-    data = patterns.matrix
-    specified = data != X
-    visited = np.zeros(n, dtype=bool)
-    current = int(np.argmin(patterns.x_counts_per_pattern()))
-    permutation = [current]
-    visited[current] = True
-    for __ in range(n - 1):
-        both = specified & specified[current][None, :]
-        differs = (data != data[current]) & both
-        if distance == "xstat":
-            hard = differs.sum(axis=1).astype(np.float64)
-            soft = (~both).sum(axis=1).astype(np.float64)
-            cost = hard + 0.5 * soft
-            cost[visited] = np.inf
-        else:
-            cost = np.count_nonzero(differs, axis=1).astype(np.int64)
-            cost[visited] = np.iinfo(np.int64).max
-        nxt = int(np.argmin(cost))
-        permutation.append(nxt)
-        visited[nxt] = True
-        current = nxt
-    return permutation
-
-
+# -- greedy NN tours: pairwise distance matrix vs per-step boolean masks ---
 _ORDERINGS = {"xstat": XStatOrdering, "isa": ISAOrdering}
 
 
 @pytest.mark.parametrize("distance", sorted(_ORDERINGS))
 @pytest.mark.parametrize("n_pins,n_patterns", [(100, 80), (300, 200)])
-def test_bench_nn_tour_masks(benchmark, n_pins, n_patterns, distance):
-    """Baseline: per-step boolean-mask distance evaluation."""
+def test_benchreference_nn_tour(benchmark, n_pins, n_patterns, distance):
+    """Baseline: per-step boolean-mask distance evaluation (``reference_nn_tour``)."""
     cubes = _cube_set(n_pins, n_patterns)
-    permutation = benchmark(lambda: _nn_tour_masks(cubes, distance))
+    permutation = benchmark(lambda: reference_nn_tour(cubes, distance))
     assert len(permutation) == n_patterns
 
 
 @pytest.mark.parametrize("distance", sorted(_ORDERINGS))
 @pytest.mark.parametrize("n_pins,n_patterns", [(100, 80), (300, 200)])
-def test_bench_nn_tour_planes(benchmark, n_pins, n_patterns, distance):
-    """Default path: hoisted indicator planes, one GEMV per step."""
+def test_bench_nn_tour_matrix(benchmark, n_pins, n_patterns, distance):
+    """Default path: one GEMM builds the pairwise distance matrix, then the tour."""
     cubes = _cube_set(n_pins, n_patterns)
     result = benchmark(lambda: _ORDERINGS[distance]().order(cubes))
-    assert result.permutation == _nn_tour_masks(cubes, distance)
+    assert result.permutation == reference_nn_tour(cubes, distance)
 
 
 def _nn_tour_report() -> float:
     """Standalone section: time both tour formulations, return worst speedup."""
     sizes = [(100, 80), (300, 200), (600, 400)]
-    print("\ngreedy NN tours (xstat / isa): boolean masks vs hoisted planes")
-    print(f"{'cube set':>12} {'dist':>6} {'masks (ms)':>11} {'planes (ms)':>12} {'speedup':>8}")
+    print("\ngreedy NN tours (xstat / isa): boolean masks vs pairwise matrix")
+    print(f"{'cube set':>12} {'dist':>6} {'masks (ms)':>11} {'matrix (ms)':>12} {'speedup':>8}")
     print("-" * 54)
     worst = float("inf")
     for n_pins, n_patterns in sizes:
         cubes = _cube_set(n_pins, n_patterns)
         for distance, ordering_cls in sorted(_ORDERINGS.items()):
-            baseline_perm = _nn_tour_masks(cubes, distance)
+            baseline_perm = reference_nn_tour(cubes, distance)
             assert ordering_cls().order(cubes).permutation == baseline_perm, distance
-            t_masks = t_planes = float("inf")
+            t_masks = t_matrix = float("inf")
             for _ in range(3):
                 start = time.perf_counter()
-                _nn_tour_masks(cubes, distance)
+                reference_nn_tour(cubes, distance)
                 t_masks = min(t_masks, time.perf_counter() - start)
                 start = time.perf_counter()
                 ordering_cls().order(cubes)
-                t_planes = min(t_planes, time.perf_counter() - start)
-            speedup = t_masks / t_planes
+                t_matrix = min(t_matrix, time.perf_counter() - start)
+            speedup = t_masks / t_matrix
             worst = min(worst, speedup)
             print(
                 f"{n_pins:>5}x{n_patterns:<6} {distance:>6} {t_masks * 1000:>11.1f} "
-                f"{t_planes * 1000:>12.1f} {speedup:>7.1f}x"
+                f"{t_matrix * 1000:>12.1f} {speedup:>7.1f}x"
             )
     return worst
 
@@ -215,7 +183,7 @@ def main() -> int:
         code = 1
     worst_tour = _nn_tour_report()
     if worst_tour < 1.0:
-        print("WARNING: hoisted-plane NN tour slower than the boolean-mask loop")
+        print("WARNING: pairwise-matrix NN tour slower than the boolean-mask loop")
         code = 1
     return code
 

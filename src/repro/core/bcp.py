@@ -28,6 +28,11 @@ The paper's DP-fill uses the unweighted solver; :func:`repro.core.dpfill.dp_fill
 defaults to the weighted solver so that its output is optimal for the true
 peak-input-toggle objective, and can be switched back for a literal
 reproduction.
+
+Both bounds come from one kernel, :func:`_window_bound`.  It visits the
+``O(k^2)`` windows of the paper's table in row blocks of unique starts, so
+its memory is ``O(block x k)`` (the block capped by ``_BLOCK_CELLS``)
+rather than the whole ``k x k`` table.
 """
 
 from __future__ import annotations
@@ -92,25 +97,69 @@ def _interval_arrays(intervals: Intervals) -> Tuple[np.ndarray, np.ndarray]:
     return starts, ends
 
 
-def _window_table(starts: np.ndarray, ends: np.ndarray) -> tuple:
-    """Compressed-coordinate table ``T[a, b]`` of intervals inside window
-    ``[unique_starts[a], unique_ends[b]]``.
+#: Cells (block rows x end columns) one block of the window-bound sweep holds;
+#: it caps the kernel's memory at ``O(block x k)`` instead of a ``k x k`` table.
+_BLOCK_CELLS = 1 << 14
 
-    Only windows whose left edge is some interval's start and whose right
-    edge is some interval's end can maximise the bound, so the compression is
-    lossless while keeping the table ``O(k^2)`` as in the paper.
+
+def _window_bound(starts: np.ndarray, ends: np.ndarray, base: np.ndarray) -> int:
+    """``max`` over windows ``[i, j]`` of ``ceil((T(i, j) + base[i..j].sum()) / (j - i + 1))``.
+
+    ``T(i, j)`` counts the intervals inside the window.  Only windows whose
+    left edge is some interval's start and whose right edge is some
+    interval's end can maximise the ratio, so ``i`` runs over the unique
+    starts and ``j`` over the unique ends.  The sweep takes blocks of unique
+    starts from last to first.  Each block counts only its own intervals,
+    sums them over its rows on top of a carried per-end count of every later
+    start, and prefix-sums along the ends.  Columns whose end lies before the
+    block's first start hold no interval and are skipped.  The remaining
+    windows with ``j < i`` contain no interval and a non-positive base, so
+    clipping their width to 1 keeps them from setting the maximum.
+
+    ``base`` is the non-negative per-colour load (zeros for the paper's
+    unweighted bound).  Every ratio is a small-integer quotient, so float64
+    with the ``1e-12`` guard gives the exact ceiling.
     """
-    unique_starts = np.unique(starts)
-    unique_ends = np.unique(ends)
-    start_idx = np.searchsorted(unique_starts, starts)
-    end_idx = np.searchsorted(unique_ends, ends)
-    count = np.zeros((unique_starts.size, unique_ends.size), dtype=np.int64)
-    np.add.at(count, (start_idx, end_idx), 1)
-    # T[a, b] = number of intervals with start >= unique_starts[a] and
-    # end <= unique_ends[b]: suffix-sum along starts, prefix-sum along ends.
-    table = np.cumsum(count[::-1, :], axis=0)[::-1, :]
-    table = np.cumsum(table, axis=1)
-    return unique_starts, unique_ends, table
+    unique_starts, start_idx = np.unique(starts, return_inverse=True)
+    unique_ends, end_idx = np.unique(ends, return_inverse=True)
+    order = np.argsort(start_idx, kind="stable")
+    start_idx, end_idx = start_idx[order], end_idx[order]
+    n_ends = unique_ends.size
+    # Per-end increments of the window base: their prefix sum along the ends
+    # is ``prefix[end + 1]``; each row then subtracts ``prefix[start]``.
+    prefix = np.concatenate(([0], np.cumsum(base)))
+    end_load = np.diff(prefix[unique_ends + 1], prepend=0)
+    start_load = prefix[unique_starts]
+
+    height = max(1, _BLOCK_CELLS // n_ends)
+    carry = np.zeros(n_ends, dtype=np.int64)  # per-end count of intervals past the block
+    best = 0.0
+    hi = unique_starts.size
+    while hi > 0:
+        lo = max(hi - height, 0)
+        first, last = np.searchsorted(start_idx, [lo, hi])
+        # Rows run from the block's last start (row 0) to its first; columns
+        # from the first end at or after the block's first start.  Columns
+        # from ``clear`` on end at or after every start of the block.
+        col, clear = np.searchsorted(unique_ends, unique_starts[[lo, hi - 1]])
+        n_rows, n_cols = hi - lo, n_ends - col
+        cells = np.bincount(
+            ((hi - 1) - start_idx[first:last]) * n_cols + (end_idx[first:last] - col),
+            minlength=n_rows * n_cols,
+        ).reshape(n_rows, n_cols)
+        load = end_load[col:].copy()
+        load[0] = prefix[unique_ends[col] + 1]  # the skipped columns' base too
+        cells[0] += carry[col:] + load
+        for row in range(1, n_rows):
+            cells[row] += cells[row - 1]
+        carry[col:] = cells[-1] - load
+        cells[:, 0] -= start_load[lo:hi][::-1]
+        np.cumsum(cells, axis=1, out=cells)
+        widths = (unique_ends[col:] + 1)[None, :] - unique_starts[lo:hi][::-1, None]
+        np.maximum(widths[:, : clear - col], 1, out=widths[:, : clear - col])
+        best = max(best, float((cells / widths).max()))
+        hi = lo
+    return int(np.ceil(best - 1e-12))
 
 
 def bcp_lower_bound(intervals: Intervals) -> int:
@@ -124,12 +173,7 @@ def bcp_lower_bound(intervals: Intervals) -> int:
 def _lower_bound(starts: np.ndarray, ends: np.ndarray) -> int:
     if starts.size == 0:
         return 0
-    unique_starts, unique_ends, table = _window_table(starts, ends)
-    widths = unique_ends[None, :] - unique_starts[:, None] + 1
-    valid = widths >= 1
-    ratios = np.zeros_like(table, dtype=np.float64)
-    ratios[valid] = table[valid] / widths[valid]
-    return int(np.ceil(ratios.max() - 1e-12)) if ratios.size else 0
+    return _window_bound(starts, ends, np.zeros(int(ends.max()) + 1, dtype=np.int64))
 
 
 def weighted_lower_bound(
@@ -140,8 +184,8 @@ def weighted_lower_bound(
 
     Args:
         intervals: the toggle intervals.
-        base_loads: per-colour unavoidable load, length at least
-            ``max(end) + 1``.
+        base_loads: non-negative per-colour unavoidable load, length at
+            least ``max(end) + 1``.
 
     Returns:
         ``max(max base load, max over windows of
@@ -171,15 +215,9 @@ def weighted_peak_bound(
     _check_arrays(starts, ends)
     if base.size <= int(ends.max()):
         raise ValueError("base_loads shorter than the largest interval end")
-    unique_starts, unique_ends, table = _window_table(starts, ends)
-    prefix = np.concatenate(([0], np.cumsum(base)))
-    window_base = prefix[unique_ends + 1][None, :] - prefix[unique_starts][:, None]
-    widths = unique_ends[None, :] - unique_starts[:, None] + 1
-    valid = widths >= 1
-    ratios = np.zeros_like(table, dtype=np.float64)
-    ratios[valid] = (table[valid] + window_base[valid]) / widths[valid]
-    window_bound = int(np.ceil(ratios.max() - 1e-12)) if ratios.size else 0
-    return max(base_peak, window_bound)
+    if (base < 0).any():
+        raise ValueError("base_loads must be non-negative")
+    return max(base_peak, _window_bound(starts, ends, base))
 
 
 def greedy_coloring(

@@ -8,16 +8,18 @@ and disagree — exactly the toggles that no later X-fill can avoid.
 
 The tour is greedy: start from the cube with the most specified bits (the
 hardest to place anywhere) and repeatedly append the unvisited cube with the
-smallest conflict distance to the current one.  The specified-plane work is
-hoisted out of the loop (see :mod:`repro.orderings.xstat_ordering`): the
-conflict counts of one step are a single matrix–vector product over the
-pre-computed 0/1 indicator planes — exact, as integer counts stay far below
-float32's 2**24 ceiling — so the tour is bit-identical to the direct
-boolean-mask formulation at a fraction of its per-step cost.  Complexity
-stays ``O(n^2 * m)`` but with a BLAS constant.
+smallest conflict distance to the current one.  The whole ``n x n`` conflict
+matrix is built once, with one GEMM over the 0/1 indicator planes of the
+specified bits (see :func:`conflict_matrix`); the tour then only scans one
+row per step.  Every entry is an integer far below float32's 2**24 ceiling,
+so the matrix is exact in any summation order and the tour equals the
+direct boolean-mask formulation.  Complexity is ``O(n^2 * m)`` in one BLAS
+call plus ``O(n^2)`` for the tour.
 """
 
 from __future__ import annotations
+
+from typing import List, Tuple
 
 import numpy as np
 
@@ -25,6 +27,39 @@ from repro.core.ordering import OrderingResult
 from repro.cubes.bits import ONE, ZERO
 from repro.cubes.cube import TestSet
 from repro.orderings.base import Ordering, register_ordering
+
+
+def indicator_planes(patterns: TestSet) -> Tuple[np.ndarray, np.ndarray]:
+    """float32 ``(specified-one, specified-zero)`` planes of the cube matrix."""
+    data = patterns.matrix
+    return (data == ONE).astype(np.float32), (data == ZERO).astype(np.float32)
+
+
+def conflict_matrix(ones: np.ndarray, zeros: np.ndarray) -> np.ndarray:
+    """Pairwise conflict counts ``ones @ zeros.T + zeros @ ones.T`` (float32, exact)."""
+    conflicts = ones @ zeros.T
+    conflicts += conflicts.T.copy()
+    return conflicts
+
+
+def greedy_tour(distance: np.ndarray, start: int) -> List[int]:
+    """Nearest-neighbour tour over a pairwise distance matrix from ``start``.
+
+    Each step appends the unvisited cube nearest the current one; ``argmin``
+    breaks ties towards the lowest index.
+    """
+    n = distance.shape[0]
+    unvisited = np.zeros(n, dtype=distance.dtype)  # 0, or inf once visited
+    row = np.empty(n, dtype=distance.dtype)
+    permutation = [start]
+    unvisited[start] = np.inf
+    current = start
+    for __ in range(n - 1):
+        np.add(distance[current], unvisited, out=row)
+        current = int(np.argmin(row))
+        permutation.append(current)
+        unvisited[current] = np.inf
+    return permutation
 
 
 class ISAOrdering(Ordering):
@@ -36,34 +71,8 @@ class ISAOrdering(Ordering):
         n = len(patterns)
         if n <= 2:
             return OrderingResult(ordered=patterns.copy(), permutation=list(range(n)))
-
-        data = patterns.matrix
-        x_counts = patterns.x_counts_per_pattern()
-
-        # conflicts(i | c) = ones_i . zeros_c + zeros_i . ones_c: both
-        # specified and disagreeing, as one GEMV over the stacked planes
-        # (float32 counts are exact — integer sums far below 2**24).
-        n_pins = data.shape[1]
-        ones_plane = (data == ONE).astype(np.float32)
-        zeros_plane = (data == ZERO).astype(np.float32)
-        planes = np.concatenate([ones_plane, zeros_plane], axis=1)
-
-        visited = np.zeros(n, dtype=bool)
-        current = int(np.argmin(x_counts))
-        permutation = [current]
-        visited[current] = True
-
-        weights = np.empty(2 * n_pins, dtype=np.float32)
-        for __ in range(n - 1):
-            weights[:n_pins] = zeros_plane[current]
-            weights[n_pins:] = ones_plane[current]
-            conflicts = planes @ weights
-            conflicts[visited] = np.inf
-            nxt = int(np.argmin(conflicts))
-            permutation.append(nxt)
-            visited[nxt] = True
-            current = nxt
-
+        distance = conflict_matrix(*indicator_planes(patterns))
+        permutation = greedy_tour(distance, int(np.argmin(patterns.x_counts_per_pattern())))
         return OrderingResult(ordered=patterns.reordered(permutation), permutation=permutation)
 
 

@@ -13,15 +13,14 @@ most specified cube.  Compared with the ISA reconstruction (which only counts
 hard conflicts), the statistical distance also penalises placing two X-poor
 cubes next to each other, which is the behaviour the X-Stat paper describes.
 
-The specified-plane work is hoisted out of the tour loop: the cube matrix is
-decomposed once into 0/1 indicator planes (specified-one, specified-zero,
-specified) and each greedy step reduces to a single matrix–vector product
-over the stacked planes instead of materialising several boolean ``(n,
-pins)`` temporaries per step.  All products are exact small-integer (and
-half-integer) sums — every term is a multiple of 0.5 far below float32's
-2**24 integer ceiling — so the selected tour is bit-identical to the direct
-formulation; ``benchmarks/bench_core.py`` keeps the direct loops around as
-the baseline and asserts exactly that before timing the win.
+The distance matrix is built once for the whole set: the ISA conflict
+matrix (:func:`repro.orderings.isa.conflict_matrix`) plus one more GEMM,
+``0.5 * (m - spec @ spec.T)`` for the pins where at least one cube holds an
+X.  Every entry is a multiple of 0.5 far below float32's 2**24 integer
+ceiling, so the matrix is exact in any summation order and the tour
+(:func:`repro.orderings.isa.greedy_tour`) equals the direct boolean-mask
+formulation that ``tests/helpers.py::reference_nn_tour`` keeps as the
+oracle.
 """
 
 from __future__ import annotations
@@ -29,9 +28,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.ordering import OrderingResult
-from repro.cubes.bits import ONE, ZERO
 from repro.cubes.cube import TestSet
 from repro.orderings.base import Ordering, register_ordering
+from repro.orderings.isa import conflict_matrix, greedy_tour, indicator_planes
 
 
 class XStatOrdering(Ordering):
@@ -44,39 +43,17 @@ class XStatOrdering(Ordering):
         if n <= 2:
             return OrderingResult(ordered=patterns.copy(), permutation=list(range(n)))
 
-        data = patterns.matrix
-        n_pins = data.shape[1]
-        x_counts = patterns.x_counts_per_pattern()
-
-        # Hoisted plane decomposition: expected(i | c) = hard + 0.5 * soft
+        # expected(i, c) = hard + 0.5 * soft
         #   hard = ones_i . zeros_c + zeros_i . ones_c   (specified and differ)
         #   soft = n_pins - spec_i . spec_c              (at least one X)
-        # which is one GEMV over the stacked planes per tour step.  float32
-        # is exact here — every term is a multiple of 0.5 and every partial
-        # sum is far below 2**24 — and halves the memory traffic of the
-        # n-by-3m sweep each step performs.
-        ones_plane = (data == ONE).astype(np.float32)
-        zeros_plane = (data == ZERO).astype(np.float32)
-        spec_plane = ones_plane + zeros_plane
-        planes = np.concatenate([ones_plane, zeros_plane, spec_plane], axis=1)
-
-        visited = np.zeros(n, dtype=bool)
-        current = int(np.argmin(x_counts))
-        permutation = [current]
-        visited[current] = True
-
-        weights = np.empty(3 * n_pins, dtype=np.float32)
-        for __ in range(n - 1):
-            weights[:n_pins] = zeros_plane[current]
-            weights[n_pins : 2 * n_pins] = ones_plane[current]
-            np.multiply(spec_plane[current], -0.5, out=weights[2 * n_pins :])
-            expected = planes @ weights + 0.5 * n_pins
-            expected[visited] = np.inf
-            nxt = int(np.argmin(expected))
-            permutation.append(nxt)
-            visited[nxt] = True
-            current = nxt
-
+        ones, zeros = indicator_planes(patterns)
+        spec = ones + zeros
+        distance = conflict_matrix(ones, zeros)
+        soft = spec @ spec.T
+        soft -= spec.shape[1]
+        soft *= -0.5  # now 0.5 * soft
+        distance += soft
+        permutation = greedy_tour(distance, int(np.argmin(patterns.x_counts_per_pattern())))
         return OrderingResult(ordered=patterns.reordered(permutation), permutation=permutation)
 
 

@@ -5,15 +5,16 @@ exist so the optimised implementations can be checked against exhaustive
 search on small instances (unit tests pin specific cases, hypothesis tests
 sweep random ones).
 
-The ``reference_*`` functions are the straightforward per-row loops the
-vectorised stretch kernels replaced.  They are the oracles of the
-differential tests in ``test_kernels.py``.
+The ``reference_*`` functions are the straightforward formulations the fast
+kernels replaced: per-row loops for the stretch kernels, the dense window
+table for the BCP bound and the per-step boolean masks for the greedy tours.
+They are the oracles of the differential tests in ``test_kernels.py``.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -240,3 +241,66 @@ def reference_xstat_fill(patterns: TestSet, squeeze: str) -> np.ndarray:
             pin[row, col] = right_value
             profile[col - 1] += 1
     return pin.T
+
+
+def reference_window_bound(
+    starts: np.ndarray, ends: np.ndarray, base: Optional[np.ndarray] = None
+) -> int:
+    """Algorithm 1 on the dense ``unique starts x unique ends`` window table.
+
+    Without ``base`` this is :func:`repro.core.bcp.bcp_lower_bound`; with it,
+    :func:`repro.core.bcp.weighted_peak_bound` (the larger of the base peak
+    and every window's ``ceil((T + window base) / width)``).
+    """
+    starts = np.asarray(starts, dtype=np.int64)
+    ends = np.asarray(ends, dtype=np.int64)
+    base_peak = int(base.max()) if base is not None and base.size else 0
+    if starts.size == 0:
+        return base_peak
+    unique_starts = np.unique(starts)
+    unique_ends = np.unique(ends)
+    count = np.zeros((unique_starts.size, unique_ends.size), dtype=np.int64)
+    cells = (np.searchsorted(unique_starts, starts), np.searchsorted(unique_ends, ends))
+    np.add.at(count, cells, 1)
+    # T[a, b]: intervals with start >= unique_starts[a] and end <= unique_ends[b].
+    table = np.cumsum(np.cumsum(count[::-1, :], axis=0)[::-1, :], axis=1)
+    if base is not None:
+        prefix = np.concatenate(([0], np.cumsum(base)))
+        table = table + prefix[unique_ends + 1][None, :] - prefix[unique_starts][:, None]
+    widths = unique_ends[None, :] - unique_starts[:, None] + 1
+    valid = widths >= 1
+    ratios = np.zeros(table.shape, dtype=np.float64)
+    ratios[valid] = table[valid] / widths[valid]
+    return max(base_peak, int(np.ceil(ratios.max() - 1e-12)))
+
+
+def reference_nn_tour(patterns: TestSet, distance: str) -> List[int]:
+    """Greedy nearest-neighbour tour with fresh boolean ``(n, pins)`` masks per step.
+
+    ``distance`` is ``"isa"`` (conflict count) or ``"xstat"`` (expected
+    toggles).  The tour starts at the most specified cube and breaks ties
+    towards the lowest index.
+    """
+    n = len(patterns)
+    data = patterns.matrix
+    specified = data != X
+    visited = np.zeros(n, dtype=bool)
+    current = int(np.argmin(patterns.x_counts_per_pattern()))
+    permutation = [current]
+    visited[current] = True
+    for __ in range(n - 1):
+        both = specified & specified[current][None, :]
+        differs = (data != data[current]) & both
+        if distance == "xstat":
+            hard = differs.sum(axis=1).astype(np.float64)
+            soft = (~both).sum(axis=1).astype(np.float64)
+            cost = hard + 0.5 * soft
+            cost[visited] = np.inf
+        else:
+            cost = np.count_nonzero(differs, axis=1).astype(np.int64)
+            cost[visited] = np.iinfo(np.int64).max
+        nxt = int(np.argmin(cost))
+        permutation.append(nxt)
+        visited[nxt] = True
+        current = nxt
+    return permutation

@@ -1,29 +1,41 @@
-"""Differential tests: the vectorised stretch kernels against the per-row loops.
+"""Differential tests: the fast kernels against their references in ``helpers.py``.
 
-Every kernel must agree with its reference in ``helpers.py`` bit for bit:
-interval order and fields, base toggles, the prefilled matrix, XStat's
-phase-1 choices (whose order breaks phase 2's ties), MT fill, and the
-reconstruction of a colour assignment.
+Every kernel must agree with its reference bit for bit: interval order and
+fields, base toggles, the prefilled matrix, XStat's phase-1 choices (whose
+order breaks phase 2's ties), MT fill, the reconstruction of a colour
+assignment, the row-blocked BCP window bound and the ISA/XStat tours.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.bcp import greedy_coloring, solve_weighted_bcp
+from repro.core import bcp
+from repro.core.bcp import (
+    InfeasibleColoringError,
+    bcp_lower_bound,
+    greedy_coloring,
+    solve_weighted_bcp,
+    weighted_peak_bound,
+)
 from repro.core.intervals import ExtractionPlan, apply_assignment, extract_intervals
 from repro.cubes.bits import X
 from repro.cubes.cube import TestSet
 from repro.filling.simple import MinimumTransitionFill
 from repro.filling.xstat import XStatFill
+from repro.orderings.isa import ISAOrdering
+from repro.orderings.xstat_ordering import XStatOrdering
 from tests.helpers import (
     cube_set_from_rows,
+    make_interval,
     reference_apply_assignment,
     reference_extract_intervals,
     reference_mt_fill,
+    reference_nn_tour,
+    reference_window_bound,
     reference_xstat_fill,
     reference_xstat_phase1,
 )
@@ -151,3 +163,107 @@ def test_extraction_and_object_intervals_colour_identically(medium_synthetic_set
     from_objects = solve_weighted_bcp(result.intervals, result.base_toggles)
     np.testing.assert_array_equal(from_arrays.colors, from_objects.colors)
     assert from_arrays.peak == from_objects.peak
+
+
+# -- BCP window bound: row-blocked sweep vs the dense table -----------------
+#: Block budgets from one cell (a block per unique start) to the default.
+BLOCK_BUDGETS = [1, 5, 64, bcp._BLOCK_CELLS]
+
+
+@st.composite
+def bcp_instances(draw):
+    """Interval arrays plus base loads with duplicate starts and ends,
+    point intervals, and bases whose peak may exceed every window."""
+    n_colors = draw(st.integers(min_value=1, max_value=30))
+    k = draw(st.integers(min_value=0, max_value=60))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    # Few distinct starts and lengths make duplicate starts, ends and windows.
+    starts = rng.choice(rng.integers(0, n_colors, size=draw(st.integers(1, 6))), size=k)
+    lengths = rng.choice([0, 0, 1, 2, 5, n_colors], size=k)
+    ends = np.minimum(starts + lengths, n_colors - 1)
+    base = rng.integers(0, draw(st.sampled_from([1, 2, 4, 9])), size=n_colors)
+    if draw(st.booleans()):
+        base[rng.integers(0, n_colors)] += draw(st.integers(min_value=0, max_value=40))
+    return starts.astype(np.int64), ends.astype(np.int64), base.astype(np.int64)
+
+
+@pytest.mark.parametrize("budget", BLOCK_BUDGETS)
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(instance=bcp_instances())
+def test_window_bound_matches_dense_table(monkeypatch, budget, instance):
+    monkeypatch.setattr(bcp, "_BLOCK_CELLS", budget)
+    starts, ends, base = instance
+    assert weighted_peak_bound(starts, ends, base) == reference_window_bound(starts, ends, base)
+    intervals = [make_interval(int(s), int(e)) for s, e in zip(starts, ends)]
+    assert bcp_lower_bound(intervals) == reference_window_bound(starts, ends)
+
+
+def test_window_bound_rejects_negative_base():
+    with pytest.raises(ValueError, match="non-negative"):
+        weighted_peak_bound(np.array([0]), np.array([1]), np.array([1, -1]))
+
+
+def check_bound_is_exact(starts, ends, base) -> None:
+    """``_greedy`` meets the bound, and fails one below it (Hall's condition)."""
+    bound = weighted_peak_bound(starts, ends, base)
+    n_colors = base.size
+    colors = bcp._greedy(starts, ends, bound - base, n_colors=n_colors)
+    assert ((colors >= starts) & (colors <= ends)).all()
+    assert int((np.bincount(colors, minlength=n_colors) + base).max()) <= bound
+    if bound > int(base.max()):
+        with pytest.raises(InfeasibleColoringError):
+            bcp._greedy(starts, ends, bound - 1 - base, n_colors=n_colors)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_window_bound_is_exact_on_extracted_sets(monkeypatch, seed):
+    """Instances far beyond ``brute_force_bcp``: cube sets of 40-120 patterns."""
+    monkeypatch.setattr(bcp, "_BLOCK_CELLS", 97)
+    rng = np.random.default_rng(seed)
+    data = rng.integers(0, 2, size=(int(rng.integers(40, 121)), 30)).astype(np.int8)
+    data[rng.random(data.shape) < 0.85] = X
+    result = extract_intervals(TestSet.from_matrix(data))
+    check_bound_is_exact(result.starts, result.ends, result.base_toggles)
+    zero = np.zeros_like(result.base_toggles)
+    check_bound_is_exact(result.starts, result.ends, zero)
+    assert weighted_peak_bound(result.starts, result.ends, zero) == bcp_lower_bound(result)
+
+
+@settings(max_examples=100, deadline=None)
+@given(instance=bcp_instances())
+def test_window_bound_is_exact(instance):
+    check_bound_is_exact(*instance)
+
+
+# -- greedy nearest-neighbour tours: distance matrix vs per-step masks ------
+@st.composite
+def tour_sets(draw) -> TestSet:
+    """Cube sets with duplicate cubes, all-X cubes and one-pin or n <= 3 shapes."""
+    data = draw(cube_sets()).matrix.copy()
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if draw(st.booleans()):
+        data = np.concatenate([data, data[rng.integers(0, data.shape[0], size=4)]])
+    if draw(st.booleans()):
+        data[rng.integers(0, data.shape[0])] = X
+    return TestSet.from_matrix(data[rng.permutation(data.shape[0])])
+
+
+def check_tours(patterns: TestSet) -> None:
+    n = len(patterns)
+    for distance, ordering in (("isa", ISAOrdering()), ("xstat", XStatOrdering())):
+        # Sets of one or two cubes keep their order.
+        expected = list(range(n)) if n <= 2 else reference_nn_tour(patterns, distance)
+        assert ordering.order(patterns).permutation == expected, distance
+
+
+@settings(max_examples=200, deadline=None)
+@given(patterns=tour_sets())
+def test_tours_match_reference(patterns):
+    check_tours(patterns)
+
+
+@pytest.mark.parametrize("rows", [["0"], ["01X"], ["XXX"], ["0X1", "1X0"]])
+def test_tours_on_tiny_sets(rows):
+    check_tours(cube_set_from_rows(rows))
