@@ -15,7 +15,7 @@ over a pluggable backend (see :mod:`repro.engine.backend`): ``"packed"``
 grades faults on the compiled bit-parallel engine (64 patterns per machine
 word, cone-restricted re-evaluation, real fault dropping, and an automatic
 lanes/words execution-mode switch for wide pattern sets — see
-:mod:`repro.engine.fault` and ``REPRO_FAULT_MODE``), ``"sharded"`` fans that
+:mod:`repro.engine.fault` and ``REPRO_FAULT_MODE``), ``"cluster"`` fans that
 out across worker processes, and ``"naive"`` keeps the original
 dict-walking implementation as the reference oracle.  All produce
 bit-identical results; the default is resolved through the backend registry

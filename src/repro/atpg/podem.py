@@ -86,7 +86,7 @@ def _flush_podem_telemetry(result: PodemResult) -> None:
     schedulers prefetch speculatively (a dropped fault may run in a worker
     yet never be fetched) and stale-lease retries can execute a task twice;
     counting consumed results keeps ``podem.*`` exactly equal across the
-    single-process, sharded and cluster paths, because all of them consume
+    single-process and cluster paths, because all of them consume
     the same bit-identical per-fault results exactly once.
     """
     if not obs.enabled():

@@ -14,10 +14,11 @@ see :func:`~repro.engine.fault.packed_first_detects_faults`), grading 64
 remaining faults per machine word per cube instead of looping the python
 interpreter over every fault.
 
-Generation can fan out across the shared worker pool: the collapsed fault
-list is partitioned into chunks and each worker runs the compiled ternary
-PODEM engine on its shard (:class:`~repro.engine.sharded.ShardedPodemScheduler`),
-with detected-fault drops broadcast between chunk submissions.  Because
+Generation can fan out across worker processes: the collapsed fault list
+is partitioned into chunks and each worker runs the compiled ternary PODEM
+engine on its chunk (:class:`~repro.cluster.atpg.ClusterPodemScheduler`,
+over the shared spawn pool or the cluster backend's transport), with
+detected-fault drops broadcast between chunk submissions.  Because
 per-fault PODEM runs are deterministic and the driver merges strictly in
 fault-list order — consuming the dropping RNG in that same order — the
 resulting :class:`ATPGResult` is bit-identical to a serial run for any
@@ -39,8 +40,9 @@ from repro.circuit.netlist import Circuit
 from repro.cubes.bits import BIT_DTYPE, X
 from repro.cubes.cube import TestCube, TestSet
 from repro.cluster.atpg import ClusterPodemScheduler
+from repro.cluster.backend import ClusterBackend
 from repro.engine.backend import SimulationBackend
-from repro.engine.sharded import ShardedPodemScheduler, parse_jobs, resolve_jobs
+from repro.engine.pool import parse_jobs, resolve_jobs
 
 
 @dataclass
@@ -90,9 +92,10 @@ def _random_fill(cube: TestCube, rng: np.random.Generator) -> np.ndarray:
 
 #: Fault lists below this size always generate inline: shipping the compiled
 #: program and paying per-chunk IPC cannot amortise over a handful of PODEM
-#: runs (the fault-sim analogue is ``ShardedFaultSimulator``'s chunk-plan
-#: minimums).  Results are identical either way — this only bounds overhead.
-MIN_SHARDED_PODEM_FAULTS = 32
+#: runs (the fault-sim analogue is the chunk-plan minimums of
+#: :func:`~repro.cluster.protocol.plan_chunks`).  Results are identical
+#: either way — this only bounds overhead.
+MIN_POOLED_PODEM_FAULTS = 32
 
 
 def _podem_scheduler(
@@ -101,37 +104,33 @@ def _podem_scheduler(
     """Build a pooled PODEM scheduler, or ``None`` for serial generation.
 
     Pooled generation engages for an explicit ``jobs`` > 1, or — mirroring
-    how fault simulation fans out — automatically when the resolved backend
-    is the sharded or cluster one.  It requires the compiled implication
-    engine (the workers run it); with the dict reference in effect
-    generation stays serial regardless of ``jobs``.  The sharded backend
-    schedules on the shared spawn pool; the cluster backend schedules over
-    its resolved transport (``REPRO_TRANSPORT``).
+    how fault simulation fans out — automatically under the cluster backend.
+    It requires the compiled implication engine (the workers run it); with
+    the dict reference in effect generation stays serial regardless of
+    ``jobs``.  The cluster backend schedules over its resolved transport
+    (``REPRO_TRANSPORT``); every other backend over the ``mp`` transport,
+    i.e. the shared spawn pool.
     """
     if engine.implementation != "compiled":
         return None
-    backend_name = engine.backend.name
+    is_cluster = isinstance(engine.backend, ClusterBackend)
     if jobs is None:
-        if backend_name not in ("sharded", "cluster"):
+        if not is_cluster:
             return None
-        jobs = resolve_jobs(getattr(engine.backend, "jobs", None))
+        jobs = resolve_jobs(engine.backend.jobs)
     else:
         jobs = parse_jobs(jobs)
-    if jobs <= 1 or len(faults) < MIN_SHARDED_PODEM_FAULTS:
+    if jobs <= 1 or len(faults) < MIN_POOLED_PODEM_FAULTS:
         return None
     program = engine.program
-    kwargs = dict(
+    scheduler = ClusterPodemScheduler(
+        program,
         sites=[program.net_index[fault.net] for fault in faults],
         stuck_values=[fault.stuck_value for fault in faults],
         backtrack_limit=engine.backtrack_limit,
+        transport=engine.backend.transport if is_cluster else "mp",
         jobs=jobs,
     )
-    if backend_name == "cluster":
-        scheduler: ClusterPodemScheduler = ClusterPodemScheduler(
-            program, transport=getattr(engine.backend, "transport", None), **kwargs
-        )
-    else:
-        scheduler = ShardedPodemScheduler(program, **kwargs)
     return scheduler if scheduler.pooled else None
 
 
@@ -145,7 +144,6 @@ def generate_test_cubes(
     jobs: Optional[int] = None,
     backend: Union[str, SimulationBackend, None] = None,
     atpg_mode: Optional[str] = None,
-    drop_fault_mode: Optional[str] = None,
 ) -> ATPGResult:
     """Generate a stuck-at test-cube set for ``circuit``.
 
@@ -161,24 +159,14 @@ def generate_test_cubes(
             disabled every target fault gets its own cube.
         seed: seed for the random fill used during dropping.
         jobs: worker processes for cube generation; ``None`` fans out only
-            under the sharded or cluster backends (resolving through
-            ``REPRO_JOBS``), ``1`` forces a serial run.  Results are
-            bit-identical for every value and every cluster transport.
+            under the cluster backend (resolving through ``REPRO_JOBS``),
+            ``1`` forces a serial run.  Results are bit-identical for every
+            value and every cluster transport.
         backend: simulation backend for PODEM and the dropping fault sim
             (registry default when omitted).
         atpg_mode: PODEM implication implementation (``"auto"`` / ``"dict"``
             / ``"compiled"``); ``None`` resolves through ``REPRO_ATPG_MODE``
             and the backend preference.
-        drop_fault_mode: grading mode for the dropping fault simulator.
-            Each drop sweep grades **one** filled cube against the whole
-            remaining fault list — the many-faults/few-patterns shape — so
-            under the default ``None`` (env / ``auto``) the packed backends
-            collapse this historical one-fault-at-a-time tail with the
-            fault-parallel kernel (``"faults"``,
-            :func:`~repro.engine.fault.packed_first_detects_faults`).
-            Forcing ``"lanes"`` restores the per-fault sweep; results are
-            bit-identical either way (the benchmark's PODEM A/B relies on
-            that).
 
     Returns:
         An :class:`ATPGResult` whose ``cubes`` are in generation order.
@@ -192,7 +180,7 @@ def generate_test_cubes(
         circuit, backtrack_limit=backtrack_limit, backend=backend, mode=atpg_mode
     )
     simulator = (
-        FaultSimulator(circuit, backend=backend, fault_mode=drop_fault_mode)
+        FaultSimulator(circuit, backend=backend)
         if drop_with_fault_sim
         else None
     )

@@ -5,17 +5,18 @@ chunks, pattern shards, PODEM chunks and experiment-runner cells — out over
 pluggable transports:
 
 * ``local`` — in-process execution (tests, semantics oracle);
-* ``mp`` — the shared spawn-safe process pool (the sharded backend's pool
-  behind the transport interface);
+* ``mp`` — the shared spawn-safe process pool of :mod:`repro.engine.pool`
+  behind the transport interface (the default, and the transport every
+  ``jobs > 1`` run of the other backends pins);
 * ``queue`` — a file-backed task queue with lease/heartbeat retry and a
   ``python -m repro.cluster.worker`` entrypoint so workers can join from
   other hosts or containers over a shared filesystem.
 
-Importing this package registers the ``"cluster"`` simulation backend
-(``REPRO_BACKEND=cluster``); results are bit-identical to the ``packed``,
-``sharded`` and ``naive`` backends for every transport, worker count,
-failure pattern and task arrival order — the protocol's merges are
-order-independent and idempotent by construction
+Importing this package (or :mod:`repro.engine`, which imports it) registers
+the ``"cluster"`` simulation backend (``REPRO_BACKEND=cluster``); results
+are bit-identical to the ``packed`` and ``naive`` backends for every
+transport, worker count, failure pattern and task arrival order — the
+protocol's merges are order-independent and idempotent by construction
 (:mod:`repro.cluster.protocol`).
 
 The runtime is hardened for real fleets: failing tasks get a bounded retry
@@ -27,10 +28,10 @@ harness (:mod:`repro.cluster.chaos`, ``REPRO_CHAOS``) injects worker
 kills, stalls and corrupt results deterministically to prove all of it.
 """
 
-# Fully initialise the engine package first: repro.engine.sharded and the
-# cluster submodules import each other's siblings, and this ordering keeps
-# every cross-import hitting an already-complete module regardless of
-# whether ``repro.engine`` or ``repro.cluster`` is imported first.
+# Fully initialise the engine package first: it imports this package at its
+# end (registering the cluster backend), and this ordering keeps every
+# cross-import hitting an already-complete module regardless of whether
+# ``repro.engine`` or ``repro.cluster`` is imported first.
 import repro.engine  # noqa: F401  (import order, see above)
 
 from repro.cluster.atpg import ClusterPodemScheduler

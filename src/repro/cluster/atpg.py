@@ -10,13 +10,13 @@ fault-list order — so the driver's :class:`~repro.atpg.tpg.ATPGResult` is
 bit-identical to a serial run for any worker count, arrival order or
 retried task.
 
-The sharded backend's :class:`~repro.engine.sharded.ShardedPodemScheduler`
-is a thin subclass pinning the transport to the shared spawn pool; the
-``cluster`` backend uses this class directly with whatever transport is
-resolved.  Whenever no transport can be used — or one fails mid-run — the
-scheduler degrades to running the same compiled engine inline, result for
-result (already-buffered results stay valid because per-fault runs are
-deterministic).
+Every pooled generation run uses this class: the ``cluster`` backend with
+whatever transport it resolves, every other backend with the ``mp``
+transport over the shared spawn pool (see :func:`repro.atpg.tpg._podem_scheduler`).
+A transport that fails mid-run steps down the degradation ladder; whenever
+no transport can be used the scheduler runs the same compiled engine
+inline, result for result (already-buffered results stay valid because
+per-fault runs are deterministic).
 """
 
 from __future__ import annotations
@@ -66,9 +66,6 @@ class ClusterPodemScheduler:
             journals never leak across circuits.
     """
 
-    #: ``stats["mode"]`` value while results come from the transport.
-    POOLED_MODE = "cluster"
-
     def __init__(
         self,
         program: CompiledCircuit,
@@ -85,6 +82,9 @@ class ClusterPodemScheduler:
         self.stuck_values = [1 if value else 0 for value in stuck_values]
         self.backtrack_limit = int(backtrack_limit)
         self.transport = transport
+        # A caller-pinned transport instance is used as is: it is never
+        # discarded and never degrades (its replacement is not ours to choose).
+        self._pinned = isinstance(transport, Transport)
         self.jobs = resolve_jobs(jobs)
         self._engine: Optional[CompiledTernaryPodem] = None
         self._buffer: Dict[int, RawPodemResult] = {}
@@ -113,28 +113,19 @@ class ClusterPodemScheduler:
         chunks = [(lo, min(lo + chunk, n_faults)) for lo in range(0, n_faults, chunk)]
         if len(chunks) <= 1:
             return  # a single chunk gains nothing from shipping
-        transport_obj = self._make_transport(self.jobs)
-        if transport_obj is None:
-            return
+        try:
+            transport_obj = (
+                transport
+                if self._pinned
+                else resolve_transport(transport, jobs=self.jobs)
+            )
+        except TransportError:
+            return  # no transport: generate inline
         self._transport = transport_obj
         self._pending = deque(chunks)
-        self.stats["mode"] = self.POOLED_MODE
+        self.stats["mode"] = "cluster"
         self.stats["transport"] = transport_obj.name
         self._base_task = podem_base_task(program, self.backtrack_limit)
-
-    def _make_transport(self, jobs: int) -> Optional[Transport]:
-        """Resolve the transport, or ``None`` to generate inline."""
-        if isinstance(self.transport, Transport):
-            return self.transport
-        try:
-            return resolve_transport(self.transport, jobs=jobs)
-        except TransportError:
-            return None
-
-    def _failed(self) -> None:
-        """Hook invoked when the transport dies mid-run."""
-        if self._transport is not None and not isinstance(self.transport, Transport):
-            discard_transport(self._transport)
 
     @property
     def pooled(self) -> bool:
@@ -183,7 +174,13 @@ class ClusterPodemScheduler:
                     for index, raw in zip(positions, cached):
                         self._buffer[index] = raw
                     continue
-            task_id = self._transport.submit(task)
+            try:
+                task_id = self._transport.submit(task)
+            except Exception:
+                # The chunk is neither pending nor in flight any more: put
+                # it back so the next rung still owes its faults.
+                self._pending.appendleft(positions)
+                raise
             self._inflight[task_id] = positions
             if self._journal is not None:
                 self._keys[task_id] = key
@@ -231,7 +228,11 @@ class ClusterPodemScheduler:
                 # Degrade visibly: the cause (task id, transport, traceback)
                 # goes to the event log before the next rung takes over.
                 current_name = getattr(self._transport, "name", None)
-                next_name = self._next_rung(current_name)
+                next_name = (
+                    None
+                    if self._pinned or current_name is None
+                    else degraded_transport_name(current_name)
+                )
                 replacement: Optional[Transport] = None
                 if next_name is not None:
                     try:
@@ -247,7 +248,8 @@ class ClusterPodemScheduler:
                     error=repr(err),
                     traceback=traceback.format_exc(),
                 )
-                self._failed()
+                if not self._pinned:
+                    discard_transport(self._transport)
                 if replacement is None:
                     self._transport = None
                     self._inflight.clear()
@@ -273,14 +275,3 @@ class ClusterPodemScheduler:
                 self._transport = replacement
                 self.stats["transport"] = replacement.name
                 self.stats["degraded_from"] = current_name
-
-    def _next_rung(self, current_name: Optional[str]) -> Optional[str]:
-        """Hook: next transport down the degradation ladder, or ``None``.
-
-        Caller-pinned transport instances never degrade (their replacement
-        is not this scheduler's to choose); the sharded subclass pins the
-        ladder shut the same way.
-        """
-        if isinstance(self.transport, Transport) or current_name is None:
-            return None
-        return degraded_transport_name(current_name)

@@ -1,7 +1,7 @@
 """The shared submit/collect loop every cluster consumer drives.
 
 :func:`stream_tasks` is the one scheduling loop behind cluster fault
-simulation, cluster/sharded PODEM generation and the experiment runner's
+simulation, pooled PODEM generation and the experiment runner's
 cell fan-out.  It pulls *units* (chunk bounds, shard ranges, cells) from an
 iterator, encodes each to a task **at submission time** — which is what
 makes detected-fault broadcasts and adaptive chunk sizing work: a unit

@@ -2,17 +2,17 @@
 
 :func:`run_fault_plan` executes a sharding plan from
 :func:`repro.cluster.protocol.plan_chunks` over any transport: it is the
-single scheduling/merging path behind both the ``sharded`` backend (mp
-transport over the shared pool) and the ``cluster`` backend (any
-transport), so the detected-fault broadcast, the deterministic min-merge
-and the adaptive chunk sizing exist exactly once.
+single scheduling/merging path behind every multi-process fault-simulation
+run (the ``cluster`` backend, over ``mp`` — the shared spawn pool — or any
+other transport), so the detected-fault broadcast, the deterministic
+min-merge and the adaptive chunk sizing exist exactly once.
 
 :class:`ClusterFaultSimulator` is the ``cluster`` backend's fault
-simulator: resolve a transport, run the plan, fall back to the in-process
-packed implementation whenever the transport cannot be built or fails
-mid-run — results are bit-identical to ``packed``/``naive`` in every case,
-for any worker count, any task arrival order, and any number of retried
-tasks.
+simulator: resolve a transport, run the plan, step down the degradation
+ladder when a transport fails mid-run, and fall back to the in-process
+packed implementation whenever no transport can be built — results are
+bit-identical to ``packed``/``naive`` in every case, for any worker count,
+any task arrival order, and any number of retried tasks.
 """
 
 from __future__ import annotations
@@ -297,32 +297,6 @@ class ClusterFaultSimulator:
         stats["mode"] = "inline"
         return result
 
-    def _resolve_transport(self, jobs: int) -> Transport:
-        """Hook: the transport a run schedules on (subclasses pin one).
-
-        Raises:
-            TransportError: no transport can be built — run inline.
-        """
-        if isinstance(self.transport, Transport):
-            return self.transport
-        return resolve_transport(self.transport, jobs=jobs)
-
-    def _discard_failed(self, transport: Transport) -> None:
-        """Hook: drop a transport that failed mid-run."""
-        if not isinstance(self.transport, Transport):
-            discard_transport(transport)
-
-    def _next_rung(self, current_name: str) -> Optional[str]:
-        """Hook: next transport down the degradation ladder, or ``None``.
-
-        Caller-pinned transport instances never degrade — the replacement
-        is not this simulator's to choose (and tests rely on a failing
-        pinned transport dropping straight to inline).
-        """
-        if isinstance(self.transport, Transport):
-            return None
-        return degraded_transport_name(current_name)
-
     def _make_chunker(
         self, plan: Tuple[str, List[Tuple[int, int]]], n_faults: int
     ) -> Optional[AdaptiveChunker]:
@@ -369,8 +343,15 @@ class ClusterFaultSimulator:
         )
         if plan is None:
             return self._run_inline(patterns, faults, drop_detected, stats)
+        # A caller-pinned transport instance is used as is: it is never
+        # discarded and never degrades (its replacement is not ours to choose).
+        pinned = isinstance(self.transport, Transport)
         try:
-            transport = self._resolve_transport(jobs)
+            transport = (
+                self.transport
+                if pinned
+                else resolve_transport(self.transport, jobs=jobs)
+            )
         except TransportError:
             return self._run_inline(patterns, faults, drop_detected, stats)
         sites = [self.program.row_of(f.net) for f in faults]
@@ -424,7 +405,7 @@ class ClusterFaultSimulator:
                 # failure goes to the event log with task id, transport
                 # name and traceback before the next attempt engages.
                 failed_name = getattr(err, "transport", None) or transport.name
-                next_name = self._next_rung(transport.name)
+                next_name = None if pinned else degraded_transport_name(transport.name)
                 obs.event(
                     "transport_failed",
                     transport=failed_name,
@@ -434,7 +415,8 @@ class ClusterFaultSimulator:
                     error=repr(err),
                     traceback=traceback.format_exc(),
                 )
-                self._discard_failed(transport)
+                if not pinned:
+                    discard_transport(transport)
                 if next_name is None:
                     return self._run_inline(patterns, faults, drop_detected, stats)
                 obs.event(
@@ -451,7 +433,7 @@ class ClusterFaultSimulator:
                 retries_before = getattr(transport, "retries", 0)
         stats["transport"] = transport.name
         stats["retries"] = getattr(transport, "retries", 0) - retries_before
-        if not transport.persistent and not isinstance(self.transport, Transport):
+        if not transport.persistent and not pinned:
             transport.close()
         result = _assemble(faults, first, n_patterns)
         if obs.enabled():

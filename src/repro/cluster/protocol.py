@@ -2,9 +2,9 @@
 
 Everything a worker needs to execute one unit of simulation work — and
 everything a parent needs to plan, encode and deterministically merge those
-units — lives here, in one module consumed by both the in-process sharded
-backend (:mod:`repro.engine.sharded`) and the queue-backed cluster executor
-(:mod:`repro.cluster`).  The three work-unit kinds:
+units — lives here, in one module consumed by every cluster transport
+(:mod:`repro.cluster.transport`) and worker (:mod:`repro.cluster.worker`).
+The three work-unit kinds:
 
 * ``"simulate"`` — grade a chunk of faults over a pattern range on the
   compiled program (fault-list chunks and pattern-block shards both encode

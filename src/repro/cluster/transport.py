@@ -7,9 +7,8 @@ executor schedules :mod:`repro.cluster.protocol` task dicts:
   Zero setup, fully deterministic; the transport of choice for tests and
   the semantics oracle for the other two.
 * ``"mp"`` — tasks ride the shared spawn-safe process pool
-  (:mod:`repro.engine.pool`) that the sharded backend already uses.  This
-  is the refactor of the PR 2 pool behind the transport interface: same
-  pool, same lifecycle, same inline-fallback conditions.
+  (:mod:`repro.engine.pool`): same pool, same lifecycle and same
+  inline-fallback conditions for every multi-process run in the package.
 * ``"queue"`` — a file-backed task queue in a *spool directory*.  The
   parent enqueues task files; workers — local subprocesses spawned by the
   transport, or ``python -m repro.cluster.worker --spool DIR`` processes
@@ -267,23 +266,23 @@ class LocalTransport(Transport):
 
 # -- mp ----------------------------------------------------------------------
 class MpTransport(Transport):
-    """The shared spawn-pool behind the transport interface.
+    """The shared spawn-pool (:func:`repro.engine.pool.worker_pool`) behind
+    the transport interface, sized by ``jobs``.
 
-    Accepts an existing pool (the sharded backend passes the one it resolved
-    itself, keeping its monkeypatchable ``worker_pool`` seam intact) or
-    resolves one from ``jobs``.
+    Raises:
+        TransportError: when the pool is unavailable (``jobs <= 1``, inside
+            a pool worker, or spawn failed) — callers run inline.
     """
 
     name = "mp"
 
-    def __init__(self, pool=None, jobs: Optional[int] = None) -> None:
-        if pool is None:
-            jobs = resolve_jobs(jobs)
-            pool = worker_pool(jobs)
+    def __init__(self, jobs: Optional[int] = None) -> None:
+        jobs = resolve_jobs(jobs)
+        pool = worker_pool(jobs)
         if pool is None:
             raise TransportError("worker pool unavailable (jobs<=1 or spawn failed)")
         self._pool = pool
-        self.workers = jobs or getattr(pool, "_processes", 0) or 0
+        self.workers = jobs
         self._inflight: "deque[Tuple[str, object]]" = deque()
         self._counter = 0
 
@@ -1158,9 +1157,10 @@ def resolve_transport(
 def discard_transport(transport: Transport) -> None:
     """Drop a failed transport so the next run starts fresh.
 
-    A broken mp transport poisons the shared pool (mirroring the sharded
-    backend's behaviour); a broken queue transport is closed and evicted
-    from the shared set so the next resolution builds a new spool.
+    A broken mp transport poisons the shared pool (later pool requests in
+    this process get ``None`` and run inline); a broken queue transport is
+    closed and evicted from the shared set so the next resolution builds a
+    new spool.
     """
     if isinstance(transport, MpTransport):
         from repro.engine.pool import discard_broken_pool

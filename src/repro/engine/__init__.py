@@ -6,7 +6,10 @@ with 64 patterns per machine word (:mod:`repro.engine.packed`), and grades
 fault lists with cone-restricted re-evaluation and real fault dropping
 (:mod:`repro.engine.fault`).  :mod:`repro.engine.backend` exposes the
 registry through which the ATPG, power and experiment layers pick an
-implementation without changing their public APIs.
+implementation without changing their public APIs.  Importing the package
+also imports :mod:`repro.cluster`, which registers the ``cluster`` backend —
+the one multi-process path, over the shared pool of :mod:`repro.engine.pool`
+or any other cluster transport.
 """
 
 from repro.engine.backend import (
@@ -34,7 +37,6 @@ from repro.engine.fault import (
     NaiveFaultSimulator,
     PackedFaultSimulator,
     fault_lane_mask,
-    fault_mode_uses_words,
     resolve_fault_mode,
     resolve_grading_kernel,
 )
@@ -51,11 +53,8 @@ from repro.engine.ternary import (
     CompiledTernaryPodem,
     resolve_atpg_mode,
 )
-from repro.engine.sharded import (
+from repro.engine.pool import (
     JOBS_ENV_VAR,
-    ShardedBackend,
-    ShardedFaultSimulator,
-    ShardedPodemScheduler,
     default_jobs,
     parse_jobs,
     resolve_jobs,
@@ -86,16 +85,12 @@ __all__ = [
     "PackedBackend",
     "PackedFaultSimulator",
     "PackedLogicSimulator",
-    "ShardedBackend",
-    "ShardedFaultSimulator",
-    "ShardedPodemScheduler",
     "SimulationBackend",
     "available_backends",
     "compile_circuit",
     "default_backend_name",
     "default_jobs",
     "fault_lane_mask",
-    "fault_mode_uses_words",
     "get_backend",
     "pack_patterns",
     "parse_jobs",
@@ -111,3 +106,7 @@ __all__ = [
     "unpack_values",
     "worker_pool",
 ]
+
+# Registers the "cluster" backend.  Last, because repro.cluster imports
+# this package's submodules, which are complete by now.
+import repro.cluster  # noqa: F401

@@ -109,7 +109,7 @@ class CompiledCircuit:
         n_inputs: number of test-pin rows (they are rows ``0..n_inputs-1``).
         node_ops / node_out / node_level: per-node opcode, output row, level
             — the canonical flat-array form of the program (compact,
-            picklable; what a future sharded backend would ship to workers).
+            picklable; what the cluster transports ship to workers).
         fanin_ptr / fanin_idx: CSR fan-in rows per node (same canonical form).
         output_rows: rows of the observable outputs, in
             :attr:`Circuit.combinational_outputs` order (may repeat).

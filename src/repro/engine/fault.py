@@ -158,18 +158,6 @@ def resolve_grading_kernel(mode: str, n_patterns: int, n_faults: int) -> str:
     return "lanes"
 
 
-def fault_mode_uses_words(mode: str, n_patterns: int) -> bool:
-    """Whether ``mode`` grades ``n_patterns`` patterns on the word table.
-
-    Retained shim over :func:`resolve_grading_kernel` for callers that only
-    care about the good-machine representation (the word table vs big-int
-    lanes; the ``faults`` kernel reads the lanes representation).
-    """
-    if mode == "auto":
-        return n_patterns > LANE_MODE_MAX_PATTERNS
-    return mode == "words"
-
-
 def fault_lane_mask(n_lanes: int) -> int:
     """Valid-lane mask for a fault word holding ``n_lanes`` packed faults.
 
@@ -469,7 +457,7 @@ def packed_first_detects(
     """First-detecting pattern index per fault site over a pattern range.
 
     This is the work unit shared by :class:`PackedFaultSimulator` (which runs
-    it over the full pattern range) and the sharded backend's worker
+    it over the full pattern range) and the cluster backend's worker
     processes (which run it over fault-list chunks or pattern-block shards
     and merge the results deterministically).
 

@@ -1,13 +1,12 @@
 """Worker-count resolution and the shared spawn-safe process pool.
 
-Every multi-process execution path in the package — the sharded fault-sim
-backend, sharded PODEM generation, the experiment runner's parallel cells and
-the cluster executor's ``mp`` transport — sizes itself through the same
-resolution chain (explicit argument > :func:`set_default_jobs` >
-``REPRO_JOBS`` > ``os.cpu_count()``) and shares one lazily created
-spawn-context pool.  Keeping the lifecycle here, below both
-:mod:`repro.engine.sharded` and :mod:`repro.cluster`, lets either layer use
-the pool without importing the other.
+Every multi-process execution path in the package — pooled fault
+simulation, pooled PODEM generation and the experiment runner's parallel
+cells, all of them :mod:`repro.cluster` transports — sizes itself through
+the same resolution chain (explicit argument > :func:`set_default_jobs` >
+``REPRO_JOBS`` > ``os.cpu_count()``), and the ``mp`` transport shares one
+lazily created spawn-context pool.  The lifecycle lives here, in the
+engine layer below :mod:`repro.cluster`, which builds on it.
 
 The pool is created on first use and shut down cleanly at interpreter exit.
 Whenever a pool cannot be used — ``jobs=1``, running inside a pool worker

@@ -29,7 +29,7 @@ same backtrack bookkeeping — so the generated cubes, the
 detected/untestable/aborted classification and even the decision/backtrack
 counters are bit-identical; ``tests/test_ternary.py`` asserts this on every
 benchmark profile.  The engine works purely on rows and integers (no
-:mod:`repro.atpg` types), so the sharded backend can ship it to worker
+:mod:`repro.atpg` types), so the cluster transports can ship it to worker
 processes alongside the compiled program.
 
 The ``(backtracks, decisions)`` pair still rides in the raw result tuple —
@@ -40,7 +40,7 @@ it is both the backtrack-limit input and part of the cross-process payload
 the search.  Distributed schedulers prefetch speculatively and stale-lease
 retries may run a fault twice, so recording inside ``run()`` would
 double-count; recording at consumption keeps the counters exactly equal
-across the single-process, sharded and cluster paths.
+across the single-process and cluster paths.
 
 A generated cube is not the end of the pipeline: the ATPG driver
 immediately fault-simulates a filled copy of it against the remaining fault

@@ -297,7 +297,7 @@ def env_snapshot() -> Dict[str, str]:
 BACKEND = declare(
     "REPRO_BACKEND",
     parse_string,
-    "Simulation backend (`naive`/`packed`/`sharded`/`cluster`); validated "
+    "Simulation backend (`naive`/`packed`/`cluster`); validated "
     "against the backend registry at resolution time.",
     default=None,
     default_doc="`packed`",
@@ -306,8 +306,8 @@ BACKEND = declare(
 JOBS = declare(
     "REPRO_JOBS",
     parse_jobs,
-    "Worker count for the shared spawn pool and every sharded/cluster "
-    "execution path (integer >= 1).",
+    "Worker count for the shared spawn pool and every cluster execution "
+    "path (integer >= 1).",
     default=None,
     default_doc="`os.cpu_count()`",
 )

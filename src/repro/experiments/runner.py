@@ -14,21 +14,18 @@ Parallel scheduling
 -------------------
 With ``--jobs N`` (or ``REPRO_JOBS``) the runner splits the work into
 independent *cells* — one (artifact, benchmark) pair each, plus whole-artifact
-cells for the figures' cross-benchmark parts — and schedules them on the same
-spawn-safe process pool the sharded simulation backend uses.  Cells are
-submitted all at once so the pool load-balances across artefacts, and merged
-back **in deterministic cell order**, so the report text is byte-identical to
-a serial run.  Any cell that fails in a worker (or a pool that cannot be
-created at all) falls back to in-process execution; parallelism is purely a
+cells for the figures' cross-benchmark parts — and submits them all at once
+as cluster work units (:func:`repro.cluster.protocol.cell_task`), so the
+workers load-balance across artefacts.  The cells ride the ``mp`` transport
+(the shared spawn-safe process pool of :mod:`repro.engine.pool`); under
+``--backend cluster`` they ride the resolved transport instead
+(``--transport`` / ``REPRO_TRANSPORT``), e.g. ``queue`` spools them to
+``python -m repro.cluster.worker`` processes that may live on other hosts.
+Results merge back **in deterministic cell order**, so the report text is
+byte-identical to a serial run for every transport, worker count or retried
+task.  Any cell that fails in a worker re-runs in process, and a transport
+that cannot be built at all means a serial run; parallelism is purely a
 scheduling concern and can never change results.
-
-Under ``--backend cluster`` the same cells become cluster work units and go
-over the resolved transport instead (``--transport`` /
-``REPRO_TRANSPORT``): ``mp`` reproduces the pool behaviour, ``queue``
-spools the cells to ``python -m repro.cluster.worker`` processes that may
-live on other hosts.  The merge stays in deterministic cell order, so the
-report text remains byte-identical for every transport, worker count or
-retried task.
 
 Robustness knobs: ``--resume RUN_DIR`` checkpoints completed cells into a
 durable journal and replays them on the next invocation, so a run killed
@@ -47,7 +44,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro import envvars
 from repro.cluster.checkpoint import MISSING, RunJournal, resolve_journal
-from repro.cluster.protocol import cell_task, unwrap_payload
+from repro.cluster.protocol import cell_task
 from repro.cluster.transport import (
     TransportError,
     TransportTaskError,
@@ -63,12 +60,7 @@ from repro.engine.backend import (
     get_backend,
     set_default_backend,
 )
-from repro.engine.pool import CHUNK_TIMEOUT as _CHUNK_TIMEOUT
-from repro.engine.sharded import (
-    parse_jobs,
-    set_default_jobs,
-    worker_pool,
-)
+from repro.engine.pool import CHUNK_TIMEOUT as _CHUNK_TIMEOUT, parse_jobs, set_default_jobs
 from repro.experiments import figure1, figure2, table1, table2, table3, table4, table5, table6
 from repro.experiments.report import TableResult, render_table
 from repro.experiments.workloads import default_workload_names
@@ -148,25 +140,6 @@ def _run_cell(cell: Cell, seed: int) -> List[TableResult]:
         return _collect(artifact, names, seed)
 
 
-def _cell_worker(payload: Tuple[Cell, int, str, bool]):
-    """Pool task wrapper: pin the worker's backend, then run the cell.
-
-    With tracing requested (the parent's flag, or ``REPRO_TRACE`` inherited
-    by the spawned worker), the cell runs inside a telemetry capture and the
-    snapshot rides back in the same envelope the cluster protocol uses —
-    the parent strips it with :func:`repro.cluster.protocol.unwrap_payload`.
-    """
-    cell, seed, backend_name, trace = payload
-    if default_backend_name() != backend_name:
-        set_default_backend(backend_name)
-    if not (trace or obs.enabled()):
-        return _run_cell(cell, seed)
-    capture = obs.task_capture()
-    with capture:
-        result = _run_cell(cell, seed)
-    return {"__repro_obs__": capture.snapshot(), "payload": result}
-
-
 def _merge_cells(artifact: str, parts: List[List[TableResult]]) -> List[TableResult]:
     """Merge cell outputs back into the serial run's tables, byte-identically.
 
@@ -211,57 +184,6 @@ def _journal_put(journal: Optional[RunJournal], key: str, part) -> None:
         journal.put(key, part)
 
 
-def _run_all_parallel(
-    artifacts: List[str],
-    names: Optional[List[str]],
-    seed: int,
-    pool,
-    journal: Optional[RunJournal] = None,
-) -> Dict[str, List[TableResult]]:
-    """Schedule every cell of every artefact on the pool, merge in order."""
-    resolved = list(names or default_workload_names())
-    backend_name = default_backend_name()
-    trace = obs.enabled()
-    counter = iter(range(1 << 30))
-    submitted = []
-    for artifact in artifacts:
-        entries = []
-        for cell in _cells_for(artifact, resolved):
-            key = _cell_key(cell, seed, backend_name)
-            cached = _journal_hit(journal, key)
-            if cached is not MISSING:
-                entries.append((cell, key, None, cached))
-                continue
-            handle = pool.apply_async(
-                _cell_worker, ((cell, seed, backend_name, trace),)
-            )
-            entries.append((cell, key, (f"cell-{next(counter):06d}", handle), None))
-        submitted.append((artifact, entries))
-
-    results: Dict[str, List[TableResult]] = {}
-    for artifact, cells in submitted:
-        parts: List[List[TableResult]] = []
-        for cell, key, pending, cached in cells:
-            if pending is None:
-                parts.append(cached)
-                continue
-            cell_id, handle = pending
-            try:
-                # The timeout guards against a silently lost task (a worker
-                # killed mid-cell is respawned by the pool but its task
-                # never completes); it lands in the inline fallback below.
-                part = unwrap_payload(cell_id, handle.get(timeout=_CHUNK_TIMEOUT))
-            except Exception as err:
-                # Worker-side failure (unpicklable custom backend, dead
-                # worker, ...): redo just this cell in process.
-                obs.event("cell_inline_fallback", cell=cell_id, detail=repr(err))
-                part = _run_cell(cell, seed)
-            _journal_put(journal, key, part)
-            parts.append(part)
-        results[artifact] = _merge_cells(artifact, parts)
-    return results
-
-
 def _run_all_transport(
     artifacts: List[str],
     names: Optional[List[str]],
@@ -271,19 +193,22 @@ def _run_all_transport(
 ) -> Optional[Dict[str, List[TableResult]]]:
     """Schedule every cell as a cluster work unit; merge in cell order.
 
-    Cells are submitted eagerly (they are independent — no broadcast to
-    respect), collected in whatever order the transport completes them, and
-    merged in the fixed cell order, so the report is byte-identical to a
-    serial run.  A cell whose task fails (poisoned worker, lost lease past
-    the retry budget) is re-run in process; if the transport cannot be
-    built at all, ``None`` lets the caller fall back to the pool path.
+    The cells ride the ``mp`` transport, or under the cluster backend the
+    resolved one.  They are submitted eagerly (they are independent — no
+    broadcast to respect), collected in whatever order the transport
+    completes them, and merged in the fixed cell order, so the report is
+    byte-identical to a serial run.  A cell whose task fails (poisoned
+    worker, lost lease past the retry budget) is re-run in process; if the
+    transport cannot be built at all, ``None`` lets the caller run serially.
     """
+    backend_name = default_backend_name()
     try:
-        transport = resolve_transport(None, jobs=jobs)
+        transport = resolve_transport(
+            None if backend_name == "cluster" else "mp", jobs=jobs
+        )
     except TransportError:
         return None
     resolved = list(names or default_workload_names())
-    backend_name = default_backend_name()
     submitted: List[Tuple[str, List[Tuple[Cell, str, Optional[str]]]]] = []
     replayed: Dict[str, List[TableResult]] = {}
     keys: Dict[str, str] = {}
@@ -383,9 +308,9 @@ def run_all(
         seed: workload seed.
         jobs: worker processes for the cell scheduler; ``1`` runs serially.
             Under the cluster backend the cells ride the resolved cluster
-            transport; otherwise they ride the shared process pool.  Tables
-            are identical every way — parallel cells are merged in
-            deterministic order.
+            transport; otherwise the ``mp`` transport (the shared process
+            pool).  Tables are identical every way — parallel cells are
+            merged in deterministic order.
         resume: run directory (or open
             :class:`~repro.cluster.checkpoint.RunJournal`) holding the
             ``cells`` checkpoint journal.  Completed cells found there are
@@ -398,13 +323,9 @@ def run_all(
     owns_journal = journal is not None and not isinstance(resume, RunJournal)
     try:
         if jobs > 1:
-            if default_backend_name() == "cluster":
-                results = _run_all_transport(selected, names, seed, jobs, journal)
-                if results is not None:
-                    return results
-            pool = worker_pool(jobs)
-            if pool is not None:
-                return _run_all_parallel(selected, names, seed, pool, journal)
+            results = _run_all_transport(selected, names, seed, jobs, journal)
+            if results is not None:
+                return results
         if journal is not None:
             return _run_all_serial_journaled(selected, names, seed, journal)
         return {artifact: _collect(artifact, names, seed) for artifact in selected}
@@ -466,10 +387,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=_jobs_argument,
         default=None,
-        help="worker processes for independent (artifact x benchmark) cells "
-        "and the sharded backend, including its sharded PODEM cube "
-        "generation (default: REPRO_JOBS or 1; report text is byte-identical "
-        "to a serial run)",
+        help="worker processes for independent (artifact x benchmark) cells, "
+        "and under --backend cluster for fault-simulation chunks and PODEM "
+        "cube generation too (default: REPRO_JOBS or 1; report text is "
+        "byte-identical to a serial run)",
     )
     parser.add_argument(
         "--transport",

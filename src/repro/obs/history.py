@@ -25,7 +25,7 @@ HISTORY_FILE = "BENCH_history.jsonl"
 #: Per-profile speedup keys compared between consecutive ledger entries.
 COMPARE_KEYS = (
     "fault_speedup_packed_vs_naive",
-    "fault_speedup_sharded_vs_packed",
+    "fault_speedup_cluster_vs_packed",
 )
 
 #: Flag when a speedup falls below this fraction of the previous entry.
@@ -62,9 +62,6 @@ def fold_bench(bench: Mapping[str, Any]) -> Dict[str, Any]:
         "atpg_compiled_speedup": ((bench.get("atpg") or {}).get("largest") or {}).get(
             "compiled_speedup"
         ),
-        "cluster_mp_vs_sharded_slowdown": (bench.get("cluster") or {}).get(
-            "mp_vs_sharded_slowdown"
-        ),
         "obs_overhead_pct": ((bench.get("obs") or {}).get("overhead") or {}).get(
             "enabled_overhead_pct"
         ),
@@ -74,7 +71,7 @@ def fold_bench(bench: Mapping[str, Any]) -> Dict[str, Any]:
         "timestamp": bench.get("timestamp", "unknown"),
         "bench_schema": bench.get("schema"),
         "python": bench.get("python"),
-        "sharded_jobs": bench.get("sharded_jobs"),
+        "cluster_jobs": bench.get("cluster_jobs"),
         "available_cores": bench.get("available_cores"),
         "profiles": profiles,
         "gates": gates,

@@ -70,7 +70,7 @@ COUNTER_PREFIXES: Dict[str, str] = {
 }
 
 #: The scheduling-invariant subset: these must sum to identical values across
-#: every backend (naive/packed/sharded/cluster) and transport
+#: every backend (naive/packed/cluster) and transport
 #: (local/mp/queue), including under chaos.  The counter-parity suite
 #: (tests/test_obs.py) compares exactly this set.
 DETERMINISTIC = frozenset(

@@ -29,7 +29,6 @@ RECAP_KINDS = (
     "transport_degraded",
     "transport_failed",
     "transport_lost",
-    "cell_inline_fallback",
 )
 
 #: Cap per-kind detail lines so a chaotic run stays readable.

@@ -1,10 +1,11 @@
 """Sharded ATPG determinism: cube generation must be jobs-invariant.
 
 ``generate_test_cubes`` may fan the per-fault PODEM runs out across the
-shared worker pool; the contract is that the full :class:`ATPGResult` —
-cube matrix, cube names/order, fault->cube-index map, untestable/aborted
-classification — is *byte-identical* for every ``jobs`` value, under the
-sharded backend, and on the inline-fallback path when no pool can be used.
+shared worker pool (the cluster scheduler over the ``mp`` transport); the
+contract is that the full :class:`ATPGResult` — cube matrix, cube
+names/order, fault->cube-index map, untestable/aborted classification — is
+*byte-identical* for every ``jobs`` value, under the cluster backend pinned
+to ``mp``, and on the inline-fallback path when no pool can be used.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from repro.atpg.podem import PodemEngine
 from repro.atpg.tpg import _podem_scheduler, generate_test_cubes
 from repro.circuit.generator import CircuitSpec, generate_circuit
 from repro.circuit.library import b01_like_fsm, c17
+from repro.cluster import ClusterBackend, ClusterPodemScheduler
 from repro.engine.backend import get_backend
-from repro.engine.sharded import ShardedPodemScheduler
-import repro.engine.sharded as sharded_module
+import repro.cluster.transport as transport_module
 
 
 #: The medium circuit's ATPG knobs, shared by baseline and sharded runs (the
@@ -60,9 +61,12 @@ class TestJobsInvariance:
 
     def test_sharded_backend_matches_packed(self, medium_circuit, medium_baseline):
         result = generate_test_cubes(
-            medium_circuit, backend="sharded", jobs=2, **MEDIUM_KWARGS
+            medium_circuit,
+            backend=ClusterBackend(transport="mp"),
+            jobs=2,
+            **MEDIUM_KWARGS,
         )
-        _assert_same_atpg(medium_baseline, result, "sharded backend")
+        _assert_same_atpg(medium_baseline, result, "cluster backend over mp")
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_max_patterns_cap_is_jobs_invariant(self, jobs, medium_circuit):
@@ -85,7 +89,7 @@ class TestJobsInvariance:
         _assert_same_atpg(baseline, result, jobs)
 
     def test_dict_mode_ignores_jobs(self):
-        """The dict reference has no sharded path; jobs must not change it."""
+        """The dict reference has no pooled path; jobs must not change it."""
         circuit = b01_like_fsm()
         baseline = generate_test_cubes(circuit, seed=2, atpg_mode="dict")
         result = generate_test_cubes(circuit, seed=2, atpg_mode="dict", jobs=4)
@@ -97,20 +101,21 @@ class TestInlineFallback:
         self, monkeypatch, medium_circuit, medium_baseline
     ):
         """With no pool the scheduler runs the same engine in process."""
-        monkeypatch.setattr(sharded_module, "worker_pool", lambda jobs: None)
+        monkeypatch.setattr(transport_module, "worker_pool", lambda jobs: None)
         result = generate_test_cubes(medium_circuit, jobs=4, **MEDIUM_KWARGS)
         _assert_same_atpg(medium_baseline, result, "inline fallback")
 
     def test_scheduler_inline_fetch_matches_engine(self, monkeypatch):
-        monkeypatch.setattr(sharded_module, "worker_pool", lambda jobs: None)
+        monkeypatch.setattr(transport_module, "worker_pool", lambda jobs: None)
         circuit = b01_like_fsm()
         program = get_backend("packed").compiled_program(circuit)
         faults = collapse_faults(circuit)
-        scheduler = ShardedPodemScheduler(
+        scheduler = ClusterPodemScheduler(
             program,
             sites=[program.net_index[f.net] for f in faults],
             stuck_values=[f.stuck_value for f in faults],
             backtrack_limit=100,
+            transport="mp",
             jobs=4,
         )
         assert not scheduler.pooled
@@ -148,15 +153,16 @@ class TestSchedulerMachinery:
 
     def test_drop_broadcast_skips_submissions(self, monkeypatch):
         """Dropped faults submitted later are omitted from their chunks."""
-        monkeypatch.setattr(sharded_module, "worker_pool", lambda jobs: None)
+        monkeypatch.setattr(transport_module, "worker_pool", lambda jobs: None)
         circuit = b01_like_fsm()
         program = get_backend("packed").compiled_program(circuit)
         faults = collapse_faults(circuit)
-        scheduler = ShardedPodemScheduler(
+        scheduler = ClusterPodemScheduler(
             program,
             sites=[program.net_index[f.net] for f in faults],
             stuck_values=[f.stuck_value for f in faults],
             backtrack_limit=100,
+            transport="mp",
             jobs=2,
         )
         # Inline mode: drops simply mean the index is never fetched.

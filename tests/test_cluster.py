@@ -1,6 +1,6 @@
 """Tests for the queue-backed distributed executor (``repro.cluster``).
 
-The contract mirrors the sharded backend's: *bit-for-bit parity* with the
+The contract is the packed engine's: *bit-for-bit parity* with the
 packed/naive reference — same detection maps, same first-detecting pattern
 indices, same fault order — regardless of transport (``local`` / ``mp`` /
 ``queue``), worker count, task arrival order, duplicate deliveries or
@@ -631,6 +631,27 @@ class TestBackendRegistration:
         second = backend.logic_simulator(circuit)
         assert isinstance(first, ClusterFaultSimulator)
         assert first.program is second.program
+
+    def test_engine_import_registers_cluster(self):
+        # repro.engine imports repro.cluster for its registration side
+        # effect; a fresh interpreter proves nothing else has to.
+        src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        code = (
+            "import sys, repro.engine\n"
+            "from repro.engine.backend import available_backends, get_backend\n"
+            "assert type(get_backend('cluster')).__name__ == 'ClusterBackend'\n"
+            "print(available_backends(), 'repro.cluster' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=src_dir)
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        ).stdout
+        assert out.strip() == "['cluster', 'naive', 'packed'] True"
 
     def test_env_var_resolves_cluster(self, monkeypatch):
         from repro.engine.backend import BACKEND_ENV_VAR, default_backend_name

@@ -1,11 +1,12 @@
 """Cluster ATPG determinism: cube generation over any transport.
 
 ``generate_test_cubes`` under the cluster backend fans per-fault PODEM runs
-over the resolved transport; the contract is the sharded suite's, extended
-across transports: the full :class:`~repro.atpg.tpg.ATPGResult` — cube
-matrix, cube names/order, fault->cube-index map, untestable/aborted
-classification — is *byte-identical* to a serial run for every transport,
-worker count, arrival order and injected failure.
+over the resolved transport; the contract is the pooled ``mp`` suite's
+(``tests/test_atpg_sharded.py``), extended across transports: the full
+:class:`~repro.atpg.tpg.ATPGResult` — cube matrix, cube names/order,
+fault->cube-index map, untestable/aborted classification — is
+*byte-identical* to a serial run for every transport, worker count,
+arrival order and injected failure.
 """
 
 from __future__ import annotations
@@ -158,6 +159,51 @@ class TestSchedulerMachinery:
             assert backtracks == expected.backtracks, fault
         assert scheduler.stats["mode"] == "inline"
         assert not scheduler.pooled
+
+    def test_failed_submit_degrades_without_losing_the_chunk(
+        self, monkeypatch, medium_circuit
+    ):
+        """A chunk whose submit raises is re-run on the next rung down."""
+        import repro.cluster.atpg as cluster_atpg
+
+        class SubmitOnceTransport(LocalTransport):
+            name = "mp"
+
+            def __init__(self):
+                super().__init__()
+                self.submits = 0
+
+            def submit(self, task):
+                self.submits += 1
+                if self.submits > 1:
+                    raise ValueError("Pool not running")
+                return super().submit(task)
+
+        monkeypatch.setattr(
+            cluster_atpg,
+            "resolve_transport",
+            lambda spec=None, jobs=None: (
+                SubmitOnceTransport() if spec == "mp" else LocalTransport()
+            ),
+        )
+        program = get_backend("cluster").compiled_program(medium_circuit)
+        faults = collapse_faults(medium_circuit)
+        scheduler = ClusterPodemScheduler(
+            program,
+            sites=[program.net_index[f.net] for f in faults],
+            stuck_values=[f.stuck_value for f in faults],
+            backtrack_limit=20,
+            transport="mp",
+            jobs=2,
+        )
+        engine = PodemEngine(medium_circuit, backtrack_limit=20, mode="compiled")
+        for index, fault in enumerate(faults):
+            expected = engine.generate(fault)
+            status, bits, backtracks, _ = scheduler.fetch(index)
+            assert status == expected.status, fault
+            assert backtracks == expected.backtracks, fault
+        assert scheduler.stats["degraded_from"] == "mp"
+        assert scheduler.stats["transport"] == "local"
 
     def test_dict_mode_never_schedules(self):
         circuit = b01_like_fsm()

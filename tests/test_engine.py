@@ -27,7 +27,6 @@ from repro.engine import (
     NaiveFaultSimulator,
     PackedFaultSimulator,
     PackedLogicSimulator,
-    ShardedFaultSimulator,
     SimulationBackend,
     available_backends,
     compile_circuit,
@@ -37,6 +36,7 @@ from repro.engine import (
     resolve_fault_mode,
     set_default_backend,
 )
+from repro.cluster import ClusterFaultSimulator
 from repro.engine.backend import BACKEND_ENV_VAR, _REGISTRY
 from repro.engine.packed import (
     evaluate_words,
@@ -256,8 +256,13 @@ class TestFaultModes:
             results[f"packed-{mode}"] = PackedFaultSimulator(circuit, mode=mode).run(
                 patterns, faults
             )
-            results[f"sharded-{mode}"] = ShardedFaultSimulator(
-                circuit, jobs=2, min_chunk_faults=2, chunks_per_worker=2, mode=mode
+            results[f"cluster-mp-{mode}"] = ClusterFaultSimulator(
+                circuit,
+                transport="mp",
+                jobs=2,
+                min_chunk_faults=2,
+                chunks_per_worker=2,
+                mode=mode,
             ).run(patterns, faults)
         for key, result in results.items():
             assert (
@@ -307,7 +312,7 @@ class TestFaultModes:
         with pytest.raises(ValueError, match="unknown fault mode"):
             PackedFaultSimulator(c17(), mode="simd")
         with pytest.raises(ValueError, match="unknown fault mode"):
-            ShardedFaultSimulator(c17(), mode="simd")
+            ClusterFaultSimulator(c17(), mode="simd")
         monkeypatch.setenv(FAULT_MODE_ENV_VAR, "turbo")
         with pytest.raises(ValueError, match="unknown fault mode"):
             resolve_fault_mode()
@@ -325,7 +330,9 @@ class TestDuplicateFaults:
         for simulator in (
             NaiveFaultSimulator(circuit),
             PackedFaultSimulator(circuit, mode=mode),
-            ShardedFaultSimulator(circuit, jobs=2, min_chunk_faults=2, mode=mode),
+            ClusterFaultSimulator(
+                circuit, transport="mp", jobs=2, min_chunk_faults=2, mode=mode
+            ),
         ):
             res_dup = simulator.run(patterns, duplicated)
             res_base = simulator.run(patterns, base)

@@ -5,9 +5,9 @@ pattern once over the union of the packed faults' cones, so the contract
 is the same bit-for-bit parity bar the lanes and words kernels already
 clear: identical detection maps, identical first-detecting pattern
 indices, identical fault order — against the naive reference, across
-every benchmark profile, on every backend (packed / sharded / cluster
-over local, mp and queue transports, including a chaos-seeded kill), and
-through PODEM's fault-dropping sweep where the kernel collapses the
+every benchmark profile, on every backend (packed / cluster over local,
+mp and queue transports, including a chaos-seeded kill), and through
+PODEM's fault-dropping sweep where the kernel collapses the
 historical one-fault-at-a-time tail.
 """
 
@@ -32,7 +32,6 @@ from repro.engine import (
     LANE_MODE_MAX_PATTERNS,
     NaiveFaultSimulator,
     PackedFaultSimulator,
-    ShardedFaultSimulator,
     fault_lane_mask,
     resolve_grading_kernel,
 )
@@ -143,18 +142,6 @@ class TestBenchmarkProfileParity:
 class TestForcedFaultsMode:
     """REPRO_FAULT_MODE=faults must hold on every distributed backend."""
 
-    def test_sharded_honours_env(self, monkeypatch):
-        monkeypatch.setenv(FAULT_MODE_ENV_VAR, "faults")
-        circuit = b01_like_fsm()
-        patterns = _patterns(circuit, 100, seed=3)
-        faults = full_fault_list(circuit)
-        simulator = ShardedFaultSimulator(
-            circuit, jobs=2, min_chunk_faults=2, chunks_per_worker=2
-        )
-        result = simulator.run(patterns, faults)
-        assert simulator.mode == "faults"
-        _assert_same(NaiveFaultSimulator(circuit).run(patterns, faults), result)
-
     @pytest.mark.parametrize("transport", ["local", "mp"])
     def test_cluster_honours_env(self, monkeypatch, transport):
         monkeypatch.setenv(FAULT_MODE_ENV_VAR, "faults")
@@ -212,12 +199,15 @@ class TestPodemFaultPackedDrop:
         assert a.aborted_faults == b.aborted_faults, context
         assert a.total_faults == b.total_faults, context
 
-    def test_atpg_result_byte_identical_across_drop_modes(self):
+    def test_atpg_result_byte_identical_across_drop_modes(self, monkeypatch):
         circuit = build_workload("b10").circuit
         kwargs = dict(max_faults=150, backtrack_limit=15, seed=0)
-        lanes = generate_test_cubes(circuit, drop_fault_mode="lanes", **kwargs)
-        faults_mode = generate_test_cubes(circuit, drop_fault_mode="faults", **kwargs)
+        monkeypatch.delenv(FAULT_MODE_ENV_VAR, raising=False)
         default = generate_test_cubes(circuit, **kwargs)
+        monkeypatch.setenv(FAULT_MODE_ENV_VAR, "lanes")
+        lanes = generate_test_cubes(circuit, **kwargs)
+        monkeypatch.setenv(FAULT_MODE_ENV_VAR, "faults")
+        faults_mode = generate_test_cubes(circuit, **kwargs)
         assert len(lanes.cubes) > 4
         self._assert_results_identical(lanes, faults_mode, "lanes vs faults")
         self._assert_results_identical(lanes, default, "lanes vs default")

@@ -4,7 +4,11 @@ The files under ``tests/data/`` hold the report body (every rendered table,
 i.e. the text between the header and the runtime line) for the default
 profiles and for ``REPRO_INCLUDE_LARGE=1`` (the large profiles, scaled).
 A change that moves every backend together cannot hide from this test the
-way it can from the cross-backend parity suites.  A change that alters the
+way it can from the cross-backend parity suites.  On the default profiles
+the same file also locks the multi-process paths: ``--jobs 2`` (cells over
+the ``mp`` transport) and ``--backend cluster --transport local`` (fault
+chunks and PODEM chunks over a transport, on any machine with more than
+one core).  A change that alters the
 report on purpose regenerates both files and says why.
 """
 
@@ -14,17 +18,42 @@ from pathlib import Path
 
 import pytest
 
+from repro.engine.pool import shutdown_worker_pool
 from repro.experiments import runner
 from repro.experiments.workloads import build_workload
 
 DATA = Path(__file__).parent / "data"
 
 
+PACKED = ["--backend", "packed"]
+
+
 @pytest.mark.parametrize(
-    "golden, include_large",
-    [("golden_report_default.txt", False), ("golden_report_large.txt", True)],
+    "golden, include_large, args",
+    [
+        pytest.param(
+            "golden_report_default.txt", False, PACKED, id="golden_report_default.txt-False"
+        ),
+        pytest.param(
+            "golden_report_large.txt", True, PACKED, id="golden_report_large.txt-True"
+        ),
+        pytest.param(
+            "golden_report_default.txt",
+            False,
+            PACKED + ["--jobs", "2"],
+            id="golden_report_default.txt-jobs2",
+        ),
+        pytest.param(
+            "golden_report_default.txt",
+            False,
+            ["--backend", "cluster", "--transport", "local"],
+            id="golden_report_default.txt-cluster-local",
+        ),
+    ],
 )
-def test_report_body_matches_golden(golden, include_large, tmp_path, monkeypatch, capsys):
+def test_report_body_matches_golden(
+    golden, include_large, args, tmp_path, monkeypatch, capsys
+):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     if include_large:
         monkeypatch.setenv("REPRO_INCLUDE_LARGE", "1")
@@ -32,12 +61,15 @@ def test_report_body_matches_golden(golden, include_large, tmp_path, monkeypatch
         monkeypatch.delenv("REPRO_INCLUDE_LARGE", raising=False)
     monkeypatch.delenv("REPRO_FULL_SCALE", raising=False)
     out = tmp_path / "report.txt"
-    # Build every workload from scratch: cold cube cache, no in-process reuse.
+    # Build every workload from scratch: cold cube cache, no in-process reuse,
+    # and pool workers spawned under this environment.
     build_workload.cache_clear()
+    shutdown_worker_pool()
     try:
-        assert runner.main(["--seed", "0", "--backend", "packed", "--out", str(out)]) == 0
+        assert runner.main(["--seed", "0", *args, "--out", str(out)]) == 0
     finally:
         build_workload.cache_clear()
+        shutdown_worker_pool()
     capsys.readouterr()
     header, body = out.read_text().split("\n\n", 1)
     assert header.startswith("DP-fill reproduction - experiment report")

@@ -4,7 +4,7 @@ The observability contract mirrors the engine's determinism contract: with
 tracing on, the *scheduling-independent* counters — cone evaluations, run /
 pattern / fault / detection totals, PODEM backtracks and decisions — must
 sum to identical values whichever backend executed the run
-(naive / packed / sharded / cluster) and whichever transport carried the
+(naive / packed / cluster) and whichever transport carried the
 work units (local / mp / queue), including under injected worker kills,
 stale leases and duplicate deliveries.  Scheduling-dependent counters
 (``fault_sim.blocks``, ``fault_sim.dropped_block_evaluations``) are
@@ -349,7 +349,7 @@ class TestDistributedTelemetryParity:
             )
         )
 
-    @pytest.mark.parametrize("backend", ["sharded", "cluster"])
+    @pytest.mark.parametrize("backend", ["cluster"])
     def test_backend_counters_match_packed(self, backend):
         circuit = _medium_circuit()
         patterns = _patterns(circuit)

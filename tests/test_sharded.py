@@ -1,13 +1,18 @@
-"""Tests for the sharded multi-process fault-simulation backend.
+"""Tests for sharded fault simulation over the shared process pool.
 
-The contract is the same as the packed engine's: *bit-for-bit parity* with
-the naive reference — same detection maps, same first-detecting pattern
+Every multi-process run in the package is the cluster backend's plan —
+fault-list chunks or pattern-block shards — executed over a transport; this
+suite pins the ``mp`` transport (the shared spawn pool of
+:mod:`repro.engine.pool`) that every ``jobs > 1`` run uses by default.  The
+contract is the same as the packed engine's: *bit-for-bit parity* with the
+naive reference — same detection maps, same first-detecting pattern
 indices, same fault order — regardless of how the work is partitioned
 across worker processes, which sharding strategy is picked, or whether the
 pool exists at all.  On top of parity, the suite checks the scale-out
 machinery itself: shard-boundary fault dropping (the detected-fault
-broadcast), the jobs=1 / broken-pool inline fallback, worker-count
-resolution, and the experiment runner's deterministic ``--jobs`` merge.
+broadcast), the jobs=1 inline fallback, worker-count resolution, the
+experiment runner's deterministic ``--jobs`` merge, and that the retired
+``sharded`` backend name is rejected.
 """
 
 from __future__ import annotations
@@ -22,16 +27,15 @@ from repro.circuit.gates import GateType
 from repro.circuit.generator import CircuitSpec, generate_circuit
 from repro.circuit.library import b01_like_fsm, c17
 from repro.circuit.netlist import Circuit
+from repro.cluster import ClusterBackend, ClusterFaultSimulator
 from repro.cubes.cube import TestSet
 from repro.engine import (
     NaiveFaultSimulator,
     PackedFaultSimulator,
-    ShardedBackend,
-    ShardedFaultSimulator,
     available_backends,
     get_backend,
 )
-from repro.engine.sharded import (
+from repro.engine.pool import (
     JOBS_ENV_VAR,
     default_jobs,
     parse_jobs,
@@ -46,12 +50,17 @@ def _random_patterns(circuit, n_patterns: int, seed: int = 0) -> np.ndarray:
     return rng.integers(0, 2, size=(n_patterns, circuit.n_test_pins)).astype(np.int8)
 
 
-def _pooled_simulator(circuit, **kwargs) -> ShardedFaultSimulator:
-    """A sharded simulator with knobs forcing real pool dispatch."""
+def _mp_simulator(circuit, **kwargs) -> ClusterFaultSimulator:
+    """A fault simulator sharding over the shared pool (``mp`` transport)."""
+    return ClusterFaultSimulator(circuit, transport="mp", **kwargs)
+
+
+def _pooled_simulator(circuit, **kwargs) -> ClusterFaultSimulator:
+    """An ``mp`` simulator with knobs forcing real pool dispatch."""
     kwargs.setdefault("jobs", 2)
     kwargs.setdefault("min_chunk_faults", 2)
     kwargs.setdefault("chunks_per_worker", 2)
-    return ShardedFaultSimulator(circuit, **kwargs)
+    return _mp_simulator(circuit, **kwargs)
 
 
 def _and_circuit() -> Circuit:
@@ -123,7 +132,8 @@ class TestShardedParity:
         circuit = generate_circuit(CircuitSpec("facade", 8, 6, 200, seed=21))
         patterns = TestSet.from_matrix(_random_patterns(circuit, 70, seed=2))
         faults = collapse_faults(circuit)
-        res_sharded = FaultSimulator(circuit, backend="sharded").run(patterns, faults)
+        backend = ClusterBackend(transport="mp", jobs=2)
+        res_sharded = FaultSimulator(circuit, backend=backend).run(patterns, faults)
         res_packed = FaultSimulator(circuit, backend="packed").run(patterns, faults)
         assert list(res_sharded.detected.items()) == list(res_packed.detected.items())
         assert res_sharded.undetected == res_packed.undetected
@@ -152,9 +162,7 @@ class TestShardBoundaryDropping:
         matrix[0] = [1, 1]  # pattern 0 detects out/s-a-0
         patterns = TestSet.from_matrix(matrix)
         faults = [StuckAtFault("out", 0)]
-        simulator = ShardedFaultSimulator(
-            circuit, jobs=2, block_patterns=8, chunks_per_worker=8
-        )
+        simulator = _mp_simulator(circuit, jobs=2, block_patterns=8, chunks_per_worker=8)
         result = simulator.run(patterns, faults)
         stats = simulator.last_run_stats
         if stats["mode"] == "inline":
@@ -176,7 +184,7 @@ class TestShardBoundaryDropping:
         matrix[0] = [1, 1]  # pattern 0 detects out/s-a-0
         patterns = TestSet.from_matrix(matrix)
         faults = [StuckAtFault("out", 0)]
-        simulator = ShardedFaultSimulator(
+        simulator = _mp_simulator(
             circuit, jobs=2, block_patterns=64, chunks_per_worker=8, mode="words"
         )
         result = simulator.run(patterns, faults)
@@ -194,9 +202,7 @@ class TestShardBoundaryDropping:
         circuit = _and_circuit()
         patterns = TestSet.from_matrix(_random_patterns(circuit, 256, seed=4))
         faults = [StuckAtFault("out", 0), StuckAtFault("out", 1)]
-        simulator = ShardedFaultSimulator(
-            circuit, jobs=2, block_patterns=8, chunks_per_worker=8
-        )
+        simulator = _mp_simulator(circuit, jobs=2, block_patterns=8, chunks_per_worker=8)
         result = simulator.run(patterns, faults, drop_detected=False)
         stats = simulator.last_run_stats
         if stats["mode"] == "inline":
@@ -213,7 +219,7 @@ class TestFallbacks:
         circuit = c17()
         patterns = TestSet.from_matrix(_random_patterns(circuit, 65, seed=1))
         faults = full_fault_list(circuit)
-        simulator = ShardedFaultSimulator(circuit, jobs=1)
+        simulator = _mp_simulator(circuit, jobs=1)
         result = simulator.run(patterns, faults)
         assert simulator.last_run_stats["mode"] == "inline"
         packed = PackedFaultSimulator(circuit).run(patterns, faults)
@@ -223,7 +229,7 @@ class TestFallbacks:
         circuit = c17()
         patterns = TestSet.from_matrix(_random_patterns(circuit, 65, seed=1))
         faults = full_fault_list(circuit)
-        simulator = ShardedFaultSimulator(circuit, jobs=1, mode="words")
+        simulator = _mp_simulator(circuit, jobs=1, mode="words")
         result = simulator.run(patterns, faults)
         assert simulator.last_run_stats["mode"] == "inline"
         assert simulator.last_run_stats["fault_mode"] == "words"
@@ -235,7 +241,7 @@ class TestFallbacks:
         # not worth a single pickle round trip.
         circuit = c17()
         patterns = TestSet.from_matrix(_random_patterns(circuit, 16, seed=1))
-        simulator = ShardedFaultSimulator(circuit, jobs=4)
+        simulator = _mp_simulator(circuit, jobs=4)
         simulator.run(patterns, full_fault_list(circuit)[:4])
         assert simulator.last_run_stats["mode"] == "inline"
 
@@ -298,22 +304,31 @@ class TestJobsResolution:
 
 
 class TestBackendRegistration:
-    def test_sharded_backend_registered(self):
-        assert "sharded" in available_backends()
-        backend = get_backend("sharded")
-        assert isinstance(backend, ShardedBackend)
+    def test_sharded_backend_name_rejected(self, monkeypatch, capsys):
+        # Sharding is the cluster backend's job; the old name is gone and
+        # fails with the registry's ordinary unknown-backend error.
+        from repro.engine.backend import BACKEND_ENV_VAR
+        from repro.experiments.runner import main
+
+        assert "sharded" not in available_backends()
+        with pytest.raises(KeyError, match="unknown backend 'sharded'"):
+            get_backend("sharded")
+        monkeypatch.setenv(BACKEND_ENV_VAR, "sharded")
+        assert main(["--artifacts", "1", "--benchmarks", "b01"]) == 2
+        assert "unknown backend 'sharded'" in capsys.readouterr().err
 
     def test_fault_simulator_shares_compiled_program(self):
         circuit = c17()
-        backend = get_backend("sharded")
+        backend = ClusterBackend(transport="mp")
         first = backend.fault_simulator(circuit)
         second = backend.logic_simulator(circuit)
-        assert isinstance(first, ShardedFaultSimulator)
+        assert isinstance(first, ClusterFaultSimulator)
+        assert first.transport == "mp"
         assert first.program is second.program
 
     def test_sharded_and_packed_share_program_shape(self):
         circuit = c17()
-        sharded = get_backend("sharded").fault_simulator(circuit)
+        sharded = ClusterBackend(transport="mp").fault_simulator(circuit)
         packed = get_backend("packed").fault_simulator(circuit)
         assert sharded.program.net_names == packed.program.net_names
 

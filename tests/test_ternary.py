@@ -259,7 +259,7 @@ class TestModeResolution:
         circuit = c17()
         assert PodemEngine(circuit, backend="naive").implementation == "dict"
         assert PodemEngine(circuit, backend="packed").implementation == "compiled"
-        assert PodemEngine(circuit, backend="sharded").implementation == "compiled"
+        assert PodemEngine(circuit, backend="cluster").implementation == "compiled"
 
     def test_explicit_mode_beats_backend(self):
         circuit = c17()

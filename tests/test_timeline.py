@@ -386,26 +386,25 @@ class TestTop:
 
 # -- bench history ledger -----------------------------------------------------
 class TestHistory:
-    def _bench(self, sha, stamp, packed=12.0, sharded=3.0):
+    def _bench(self, sha, stamp, packed=12.0, cluster=3.0):
         return {
-            "schema": 6,
+            "schema": 7,
             "git_sha": sha,
             "timestamp": stamp,
             "python": "3.x",
-            "sharded_jobs": 4,
+            "cluster_jobs": 4,
             "available_cores": 8,
             "profiles": [
                 {
                     "circuit": "b12",
                     "seconds": {"packed": {"fault": 0.5}},
                     "fault_speedup_packed_vs_naive": packed,
-                    "fault_speedup_sharded_vs_packed": sharded,
+                    "fault_speedup_cluster_vs_packed": cluster,
                 }
             ],
             "fault_modes": {"words_gate_speedup": 2.0},
             "fault_parallel": {"faults_gate_speedup": 2.0},
             "atpg": {"largest": {"compiled_speedup": 10.0}},
-            "cluster": {"mp_vs_sharded_slowdown": 1.2},
             "obs": {"overhead": {"enabled_overhead_pct": 0.5}},
         }
 
