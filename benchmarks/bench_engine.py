@@ -123,9 +123,8 @@ ATPG_BENCH_BACKTRACKS = 15
 #: largest profile (the ATPG acceptance gate).
 ATPG_GATE_SPEEDUP = 3.0
 
-#: Transports the standalone cluster sweep times (queue spawns two local
-#: worker processes, exercising the full spool/lease path).
-CLUSTER_TRANSPORTS = ["local", "mp", "queue"]
+#: Transports the standalone cluster sweep times.
+CLUSTER_TRANSPORTS = ["local", "mp"]
 
 #: Tracing may cost at most this much on the largest profile's packed fault
 #: kernel, enabled vs disabled (the observability acceptance gate).
@@ -635,10 +634,9 @@ def _cluster_sweep(jobs: int, largest_row: dict) -> dict:
 
     Parity against the packed reference is asserted before any timing is
     reported; each transport's time is reported against the packed
-    backend's (informational).  The queue transport spools tasks to two
-    ``repro.cluster.worker`` subprocesses (full lease/heartbeat path).
+    backend's (informational).
     """
-    from repro.cluster import ClusterFaultSimulator, QueueTransport
+    from repro.cluster import ClusterFaultSimulator
 
     name = largest_row["circuit"]
     workload = build_workload(name)
@@ -654,34 +652,22 @@ def _cluster_sweep(jobs: int, largest_row: dict) -> dict:
     print(header)
     print("-" * len(header))
     timings: Dict[str, float] = {}
-    queue_transport = None
-    try:
-        for transport_name in CLUSTER_TRANSPORTS:
-            if transport_name == "queue":
-                queue_transport = QueueTransport(workers=2, jobs=jobs)
-                transport = queue_transport
-            else:
-                transport = transport_name
-            t_cluster, result = _time_best(
-                lambda t=transport: lambda: ClusterFaultSimulator(
-                    circuit, transport=t, jobs=jobs, program=program
-                ).run(patterns, faults),
-                repeats=2,
-            )
-            assert list(reference.detected.items()) == list(result.detected.items()), (
-                transport_name
-            )
-            assert reference.undetected == result.undetected, transport_name
-            timings[transport_name] = t_cluster
-            print(
-                f"{transport_name:>10} {t_cluster * 1000:>11.1f} "
-                f"{packed_seconds / t_cluster:>9.2f}x"
-            )
-    finally:
-        # A failed parity assert must not leak the spawned queue workers
-        # (they only exit on the stop file / spool removal).
-        if queue_transport is not None:
-            queue_transport.close()
+    for transport_name in CLUSTER_TRANSPORTS:
+        t_cluster, result = _time_best(
+            lambda t=transport_name: lambda: ClusterFaultSimulator(
+                circuit, transport=t, jobs=jobs, program=program
+            ).run(patterns, faults),
+            repeats=2,
+        )
+        assert list(reference.detected.items()) == list(result.detected.items()), (
+            transport_name
+        )
+        assert reference.undetected == result.undetected, transport_name
+        timings[transport_name] = t_cluster
+        print(
+            f"{transport_name:>10} {t_cluster * 1000:>11.1f} "
+            f"{packed_seconds / t_cluster:>9.2f}x"
+        )
     return {
         "circuit": name,
         "jobs": jobs,

@@ -1,7 +1,7 @@
 """R1 — determinism lint for result-bearing modules.
 
 The paper's reproduction contract is bit-identical output across backends,
-transports and retry schedules.  Three static patterns break that contract
+transports, worker counts and task arrival orders.  Three static patterns break that contract
 and all have slipped into similar codebases before:
 
 * drawing from the **unseeded global RNG** (``random.shuffle`` /
@@ -17,7 +17,7 @@ The rule is scoped to the modules whose output is part of the determinism
 contract (engine, cubes, ATPG, fill/ordering/power pipeline, circuit
 builders, and the cluster protocol/merge layer).  Telemetry and forensic
 timestamps live outside that scope on purpose: ``repro.obs`` event
-timestamps and retry bookkeeping never feed result payloads.
+timestamps never feed result payloads.
 
 ``time.perf_counter`` / ``time.monotonic`` are allowed — timing
 measurements are reported as measurements, not merged into results.
@@ -155,7 +155,8 @@ def check_determinism(module: ModuleInfo, ctx: AnalysisContext) -> Iterator[Find
                     "R1",
                     node.lineno,
                     "entropy read os.urandom in a deterministic module; derive "
-                    "bits from a seeded hash (see cluster.chaos) instead",
+                    "bits from a seeded np.random.default_rng or a content "
+                    "hash (hashlib.blake2b) instead",
                 )
             elif head == "uuid" and tail in ENTROPY_UUID_ATTRS:
                 yield module.finding(

@@ -1,13 +1,13 @@
 """R6 — no silent broad exception handlers.
 
 A bare ``except:`` or ``except Exception:`` that swallows the error is
-how distributed runs turn into silent hangs or quietly-wrong answers:
-the failure evidence evaporates exactly when it is needed.  Inside
+how pooled runs turn into silent hangs or quietly-wrong answers: the
+failure evidence evaporates exactly when it is needed.  Inside
 ``src/repro`` every broad handler must do one of:
 
 * **re-raise** (possibly after cleanup/annotation);
 * **record the failure** through telemetry (``obs.event(...)``), so the
-  spool's event log and quarantine forensics still see it;
+  run's event log and ``python -m repro.obs report`` still see it;
 * carry an explicit inline suppression — ``# repro: allow[R6] <why>`` —
   turning the decision to swallow into a reviewed, documented one.
 

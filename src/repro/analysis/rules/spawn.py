@@ -1,11 +1,11 @@
 """R4 — spawn/pickle safety for cluster task handlers and pool functions.
 
-Queue workers are separate *spawned* processes: a task handler reaches
-them by name (``module:qualname`` import) and pool-submitted callables
+The ``mp`` transport's pool workers are *spawned* processes: a task
+handler reaches them through the module-level dispatch table
+(``execute_task`` looks the kind up by name) and pool-submitted callables
 reach them by pickle.  Both break on closures, lambdas and
-locally-defined functions — and break only on spawn-start platforms
-(macOS/Windows) or only under the queue transport, which is exactly the
-kind of latent portability bug a static pass should catch on Linux CI.
+locally-defined functions — and a spawn-only failure is exactly the kind
+of latent portability bug a static pass should catch before it ships.
 
 Checks:
 

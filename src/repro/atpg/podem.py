@@ -82,12 +82,12 @@ def _flush_podem_telemetry(result: PodemResult) -> None:
     """Fold one PODEM outcome into the ``podem.*`` obs counters.
 
     Counters are recorded at the *consumption* point — where a result is
-    handed to the caller — never inside the search itself.  Distributed
+    handed to the caller — never inside the search itself.  Pooled
     schedulers prefetch speculatively (a dropped fault may run in a worker
-    yet never be fetched) and stale-lease retries can execute a task twice;
-    counting consumed results keeps ``podem.*`` exactly equal across the
-    single-process and cluster paths, because all of them consume
-    the same bit-identical per-fault results exactly once.
+    yet never be fetched) and a failed pooled run re-executes in-flight
+    faults inline; counting consumed results keeps ``podem.*`` exactly
+    equal across the single-process and cluster paths, because all of them
+    consume the same bit-identical per-fault results exactly once.
     """
     if not obs.enabled():
         return

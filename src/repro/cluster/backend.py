@@ -4,7 +4,7 @@ Registers ``"cluster"`` in the engine's backend registry so every existing
 surface — ``FaultSimulator``, ``PowerEstimator``, ``generate_test_cubes``,
 the experiment runner — can fan work out over a cluster transport with
 nothing but ``REPRO_BACKEND=cluster`` (and optionally
-``REPRO_TRANSPORT=local|mp|queue[:spool]``).  Logic simulation stays in
+``REPRO_TRANSPORT=local|mp``).  Logic simulation stays in
 process (one compiled pass — shipping it out would cost more than it
 saves); fault simulation fans out through
 :class:`~repro.cluster.fault_sim.ClusterFaultSimulator`, and the ATPG
@@ -27,7 +27,7 @@ class ClusterBackend(PackedBackend):
     """Backend pairing the packed logic simulator with cluster fault grading.
 
     Args:
-        transport: transport spec pinned for every simulator this backend
+        transport: transport name pinned for every simulator this backend
             builds; ``None`` resolves per run (``REPRO_TRANSPORT`` /
             runner ``--transport``).
         jobs: worker count pinned likewise (``None``: ``REPRO_JOBS``).

@@ -12,18 +12,15 @@ order.
 Arrival order is whatever the transport produces; correctness comes from
 the merge callbacks being order-independent and idempotent
 (:mod:`repro.cluster.protocol`).  Results for unknown task ids — duplicate
-deliveries a retrying transport could not dedupe itself — are discarded
-here, making the loop safe over any transport.
+deliveries — are discarded here, making the loop safe over any transport.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
-from repro.cluster.checkpoint import MISSING, RunJournal
 from repro.cluster.transport import Transport
 from repro.engine.pool import CHUNK_TIMEOUT
-from repro.obs import recorder as obs
 
 _DONE = object()
 
@@ -35,8 +32,6 @@ def stream_tasks(
     on_result: Callable[[object, object], None],
     max_inflight: int,
     timeout: float = CHUNK_TIMEOUT,
-    journal: Optional[RunJournal] = None,
-    task_key: Optional[Callable[[Dict[str, object]], str]] = None,
 ) -> int:
     """Run every unit through the transport; returns the task count.
 
@@ -51,17 +46,8 @@ def stream_tasks(
         max_inflight: submission window; small enough that late-built tasks
             benefit from broadcasts, large enough to keep workers busy.
         timeout: per-collect timeout handed to the transport.
-        journal: optional checkpoint journal.  A built task whose content
-            key is already journalled replays its recorded payload straight
-            into ``on_result`` without touching the transport; every task
-            that does execute has its payload journalled on arrival.  The
-            idempotent order-independent merges are what make replayed and
-            freshly executed results freely interleavable.
-        task_key: task dict -> stable content key (required with
-            ``journal``); see :func:`repro.cluster.checkpoint.task_key`.
     """
     inflight: Dict[str, object] = {}
-    keys: Dict[str, str] = {}
     submitted = 0
     exhausted = False
     while True:
@@ -74,17 +60,7 @@ def stream_tasks(
             if built is None:
                 continue
             task, meta = built
-            if journal is not None:
-                key = task_key(task)
-                cached = journal.get(key)
-                if cached is not MISSING:
-                    obs.counter("cluster.tasks_replayed")
-                    submitted += 1
-                    on_result(meta, cached)
-                    continue
             task_id = transport.submit(task)
-            if journal is not None:
-                keys[task_id] = key
             inflight[task_id] = meta
             submitted += 1
         if not inflight:
@@ -95,7 +71,4 @@ def stream_tasks(
         meta = inflight.pop(task_id, _DONE)
         if meta is _DONE:
             continue  # duplicate delivery of an already-merged task
-        if journal is not None:
-            obs.counter("cluster.tasks_executed")
-            journal.put(keys.pop(task_id), payload)
         on_result(meta, payload)

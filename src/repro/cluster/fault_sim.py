@@ -3,16 +3,15 @@
 :func:`run_fault_plan` executes a sharding plan from
 :func:`repro.cluster.protocol.plan_chunks` over any transport: it is the
 single scheduling/merging path behind every multi-process fault-simulation
-run (the ``cluster`` backend, over ``mp`` — the shared spawn pool — or any
-other transport), so the detected-fault broadcast, the deterministic
-min-merge and the adaptive chunk sizing exist exactly once.
+run (the ``cluster`` backend, over ``mp`` — the shared spawn pool — or the
+in-process ``local`` transport), so the detected-fault broadcast, the
+deterministic min-merge and the adaptive chunk sizing exist exactly once.
 
 :class:`ClusterFaultSimulator` is the ``cluster`` backend's fault
-simulator: resolve a transport, run the plan, step down the degradation
-ladder when a transport fails mid-run, and fall back to the in-process
-packed implementation whenever no transport can be built — results are
-bit-identical to ``packed``/``naive`` in every case, for any worker count,
-any task arrival order, and any number of retried tasks.
+simulator: resolve a transport, run the plan, and fall back to the
+in-process packed implementation whenever no transport can be built or the
+transport fails mid-run — results are bit-identical to ``packed``/``naive``
+in every case, for any worker count and any task arrival order.
 """
 
 from __future__ import annotations
@@ -36,12 +35,9 @@ from repro.cluster.protocol import (
     simulate_base_task,
     simulate_task,
 )
-from repro.cluster.checkpoint import resolve_journal, task_key
 from repro.cluster.transport import (
-    QuarantineError,
     Transport,
     TransportError,
-    degraded_transport_name,
     discard_transport,
     resolve_transport,
 )
@@ -86,8 +82,6 @@ def run_fault_plan(
     chunker: Optional[AdaptiveChunker] = None,
     max_inflight: Optional[int] = None,
     timeout: float = CHUNK_TIMEOUT,
-    journal=None,
-    journal_salt: str = "",
 ) -> List[Optional[int]]:
     """Execute one sharding plan over ``transport``; first-detect per fault.
 
@@ -117,10 +111,7 @@ def run_fault_plan(
     stats["mode"] = mode
     stats["fault_mode"] = base_task["fault_mode"]
     if max_inflight is None:
-        # Fallback only — callers should size the window from the resolved
-        # jobs count: transport.workers is 0 for an external queue spool
-        # whose workers join from other hosts.
-        max_inflight = max(2, getattr(transport, "workers", 0) + 2)
+        max_inflight = max(2, transport.workers + 2)
 
     if mode == "fault-chunks":
         units: Iterator[Tuple[int, int]] = (
@@ -181,20 +172,7 @@ def run_fault_plan(
 
         units = iter(chunks)
 
-    stream_tasks(
-        transport,
-        units,
-        build_task,
-        on_result,
-        max_inflight,
-        timeout,
-        journal=journal,
-        task_key=(
-            (lambda task: task_key(task, salt=journal_salt))
-            if journal is not None
-            else None
-        ),
-    )
+    stream_tasks(transport, units, build_task, on_result, max_inflight, timeout)
     if shadow is not None:
         shadow.verify(first)
     return first
@@ -205,8 +183,8 @@ class ClusterFaultSimulator:
 
     Args:
         circuit: circuit under test (compiled here if no ``program`` given).
-        transport: transport spec (``"local"`` / ``"mp"`` / ``"queue[:dir]"``),
-            a ready :class:`~repro.cluster.transport.Transport` instance, or
+        transport: transport name (``"local"`` / ``"mp"``), a ready
+            :class:`~repro.cluster.transport.Transport` instance, or
             ``None`` to resolve through ``REPRO_TRANSPORT`` at run time.
         jobs: worker count; ``None`` resolves through
             :func:`~repro.engine.pool.resolve_jobs` at run time.
@@ -221,11 +199,6 @@ class ClusterFaultSimulator:
         chunk_plan: ``"adaptive"`` (default; chunk sizes follow measured
             cone cost) or ``"static"`` (the fixed equal-count plan);
             ``None`` resolves through ``REPRO_CHUNK_PLAN``.
-        resume: run directory (or :class:`~repro.cluster.checkpoint.RunJournal`)
-            to checkpoint completed chunk results into and replay them from;
-            forces the static chunk plan so a resumed run re-derives the
-            exact same chunk boundaries (adaptive sizing depends on feedback
-            arrival timing, which no journal can reproduce).
     """
 
     def __init__(
@@ -239,16 +212,12 @@ class ClusterFaultSimulator:
         min_chunk_faults: int = MIN_CHUNK_FAULTS,
         mode: Optional[str] = None,
         chunk_plan: Optional[str] = None,
-        resume=None,
     ) -> None:
         self.circuit = circuit
         self.transport = transport
         self.jobs = jobs
         self.mode = resolve_fault_mode(mode)
-        self.resume = resume
-        self.chunk_plan = (
-            "static" if resume is not None else resolve_chunk_plan(chunk_plan)
-        )
+        self.chunk_plan = resolve_chunk_plan(chunk_plan)
         self.block_patterns = (
             max(1, int(block_patterns)) if block_patterns is not None else None
         )
@@ -256,7 +225,6 @@ class ClusterFaultSimulator:
         self.chunks_per_worker = max(1, int(chunks_per_worker))
         self.min_chunk_faults = max(1, int(min_chunk_faults))
         self._inline: Optional[PackedFaultSimulator] = None
-        self._journal = None  # lazily resolved once; reused across runs
         self.last_run_stats: Dict[str, object] = self._fresh_stats(1)
 
     @staticmethod
@@ -268,7 +236,6 @@ class ClusterFaultSimulator:
             jobs=jobs,
             chunks=0,
             shard_dropped_evaluations=0,
-            retries=0,
         )
         return stats
 
@@ -344,7 +311,7 @@ class ClusterFaultSimulator:
         if plan is None:
             return self._run_inline(patterns, faults, drop_detected, stats)
         # A caller-pinned transport instance is used as is: it is never
-        # discarded and never degrades (its replacement is not ours to choose).
+        # discarded (its replacement is not ours to choose).
         pinned = isinstance(self.transport, Transport)
         try:
             transport = (
@@ -356,85 +323,39 @@ class ClusterFaultSimulator:
             return self._run_inline(patterns, faults, drop_detected, stats)
         sites = [self.program.row_of(f.net) for f in faults]
         stuck_values = [1 if f.stuck_value else 0 for f in faults]
-        if self.resume is not None and self._journal is None:
-            self._journal = resolve_journal(self.resume, "fault_sim")
-        journal = self._journal
-        journal_salt = (
-            f"{self.circuit.structure_digest()}|{self.mode}|{drop_detected}"
-            if journal is not None
-            else ""
-        )
-        retries_before = getattr(transport, "retries", 0)
-        while True:
-            try:
-                with obs.span(f"fault_sim/{self.program.name}/schedule"):
-                    first = run_fault_plan(
-                        transport,
-                        self.program,
-                        plan,
-                        patterns,
-                        sites,
-                        stuck_values,
-                        kernel,
-                        block_patterns,
-                        drop_detected,
-                        stats,
-                        chunker=self._make_chunker(plan, len(faults)),
-                        # Size the submission window from the jobs count, not
-                        # the transport's local worker tally — an external
-                        # queue spool reports 0 local workers while remote
-                        # ones serve it.
-                        max_inflight=max(2, jobs + 2),
-                        journal=journal,
-                        journal_salt=journal_salt,
-                    )
-                break
-            except QuarantineError:
-                # The retry/quarantine ladder already ran this task inline
-                # and it still failed: no healthier transport can save a
-                # poisoned task, so the structured report propagates.
-                raise
-            except Exception as err:
-                # A failed transport must never cost correctness.  Step one
-                # rung down the degradation ladder (queue -> mp -> local)
-                # and redo the run — min-merge idempotence makes a partial
-                # first-detect vector safe to discard — or, off the bottom
-                # of the ladder (or for a caller-pinned transport instance,
-                # whose replacement is not ours to choose), redo it in
-                # process.  The cause is never swallowed either way: the
-                # failure goes to the event log with task id, transport
-                # name and traceback before the next attempt engages.
-                failed_name = getattr(err, "transport", None) or transport.name
-                next_name = None if pinned else degraded_transport_name(transport.name)
-                obs.event(
-                    "transport_failed",
-                    transport=failed_name,
-                    task_id=getattr(err, "task_id", None),
-                    consumer="fault_sim",
-                    fallback=next_name or "inline",
-                    error=repr(err),
-                    traceback=traceback.format_exc(),
+        try:
+            with obs.span(f"fault_sim/{self.program.name}/schedule"):
+                first = run_fault_plan(
+                    transport,
+                    self.program,
+                    plan,
+                    patterns,
+                    sites,
+                    stuck_values,
+                    kernel,
+                    block_patterns,
+                    drop_detected,
+                    stats,
+                    chunker=self._make_chunker(plan, len(faults)),
+                    max_inflight=max(2, jobs + 2),
                 )
-                if not pinned:
-                    discard_transport(transport)
-                if next_name is None:
-                    return self._run_inline(patterns, faults, drop_detected, stats)
-                obs.event(
-                    "transport_degraded",
-                    consumer="fault_sim",
-                    from_transport=transport.name,
-                    to_transport=next_name,
-                )
-                stats["degraded_from"] = transport.name
-                try:
-                    transport = resolve_transport(next_name, jobs=jobs)
-                except (TransportError, ValueError):
-                    return self._run_inline(patterns, faults, drop_detected, stats)
-                retries_before = getattr(transport, "retries", 0)
+        except Exception as err:
+            # A failed transport must never cost correctness: discard the
+            # partial first-detect vector and redo the run in process.  The
+            # cause goes to the event log before the inline run engages.
+            obs.event(
+                "transport_failed",
+                transport=getattr(err, "transport", None) or transport.name,
+                task_id=getattr(err, "task_id", None),
+                consumer="fault_sim",
+                fallback="inline",
+                error=repr(err),
+                traceback=traceback.format_exc(),
+            )
+            if not pinned:
+                discard_transport(transport, err)
+            return self._run_inline(patterns, faults, drop_detected, stats)
         stats["transport"] = transport.name
-        stats["retries"] = getattr(transport, "retries", 0) - retries_before
-        if not transport.persistent and not pinned:
-            transport.close()
         result = _assemble(faults, first, n_patterns)
         if obs.enabled():
             # Kernel counters (blocks / cone_evaluations / ...) arrived via

@@ -3,7 +3,7 @@
 Everything a worker needs to execute one unit of simulation work — and
 everything a parent needs to plan, encode and deterministically merge those
 units — lives here, in one module consumed by every cluster transport
-(:mod:`repro.cluster.transport`) and worker (:mod:`repro.cluster.worker`).
+(:mod:`repro.cluster.transport`).
 The three work-unit kinds:
 
 * ``"simulate"`` — grade a chunk of faults over a pattern range on the
@@ -14,16 +14,17 @@ The three work-unit kinds:
 
 Tasks are plain picklable dicts with a ``"kind"`` key; :func:`execute_task`
 is the single dispatch point every transport calls, so a task produces the
-same payload whether it runs in the parent process, in a spawn-pool worker,
-or in a ``python -m repro.cluster.worker`` process on another host.
+same payload whether it runs in the parent process or in a spawn-pool
+worker.
 
 **Determinism.**  Per-task results are pure functions of the task dict, and
 the merges are order-independent: fault chunks are disjoint (scatter),
 pattern shards min-merge first-detect indices (:func:`min_merge`), PODEM
 results are consumed strictly in fault-list order, and runner cells merge in
 fixed cell order.  Duplicate delivery of a task is therefore harmless — the
-re-executed task returns identical bytes and the merge is idempotent — which
-is what lets the queue transport retry lost leases without coordination.
+re-executed task returns identical bytes and the merge is idempotent — and
+the ``REPRO_SANITIZE`` shadow replay checks the order independence at run
+time.
 
 **Adaptive chunk sizing.**  Fault cones differ wildly in size, so equal-count
 fault chunks load-balance poorly.  :class:`AdaptiveChunker` sizes each
@@ -86,10 +87,6 @@ CHUNK_PLAN_ENV_VAR = envvars.CHUNK_PLAN.name
 
 CHUNK_PLANS = envvars.CHUNK_PLANS
 
-#: Environment variable marking a process as a cluster worker; simulators
-#: inside a worker always run inline (never nest executors).
-WORKER_ENV_VAR = envvars.CLUSTER_WORKER.name
-
 _in_worker_context = 0
 
 
@@ -109,15 +106,11 @@ def resolve_chunk_plan(plan: Optional[str] = None) -> str:
 def in_worker_context() -> bool:
     """Whether this code is already running inside some task executor.
 
-    True in spawn-pool workers (detected via ``multiprocessing``), in
-    ``python -m repro.cluster.worker`` processes (env var), and while the
-    parent itself is executing a task inline (local transport or queue
-    self-drain).  Work scheduled from such a context must run inline —
-    executors never nest.
+    True in spawn-pool workers (detected via ``multiprocessing``) and while
+    the parent itself is executing a task inline (local transport).  Work
+    scheduled from such a context must run inline — executors never nest.
     """
     if _in_worker_context > 0:
-        return True
-    if envvars.CLUSTER_WORKER.is_set():
         return True
     import multiprocessing
 
@@ -382,31 +375,11 @@ def run_cell(task: Dict[str, object]):
 def echo(task: Dict[str, object]) -> object:
     """Execute an ``"echo"`` task: return its payload (diagnostics/tests).
 
-    Failure hooks for exercising the retry/quarantine machinery: ``fail``
-    raises unconditionally; ``attempt_marker`` (a file path) counts
-    executions durably across processes, and ``fail_until_attempt`` raises
-    while the recorded execution count is below the threshold — a task that
-    deterministically fails N-1 times, then succeeds.
+    ``fail`` makes the task raise instead — a worker-side failure on demand
+    for exercising the inline fallbacks.
     """
-    import time
-
-    seconds = task.get("sleep", 0)
-    if seconds:
-        time.sleep(seconds)
-    attempt = 0
-    marker = task.get("attempt_marker")
-    if marker:
-        with open(marker, "a", encoding="utf-8") as handle:
-            handle.write("x\n")
-        with open(marker, "r", encoding="utf-8") as handle:
-            attempt = sum(1 for _ in handle)
     if task.get("fail"):
         raise RuntimeError(f"echo task failed on request: {task['fail']}")
-    threshold = task.get("fail_until_attempt")
-    if threshold is not None and attempt < int(threshold):
-        raise RuntimeError(
-            f"echo task failing until attempt {threshold} (attempt {attempt})"
-        )
     return task.get("payload")
 
 
@@ -447,11 +420,11 @@ def unwrap_payload(task_id: object, payload: object) -> object:
     """Strip a telemetry envelope from one result payload.
 
     Absorbs the captured snapshot into the active recorder — deduped by
-    task id, so re-delivered queue results and stale-lease re-executions
-    can never double-count — and returns the bare payload.  Payloads
-    without an envelope (tracing off, pre-telemetry workers) pass through
-    untouched; envelopes from tracing-enabled workers are stripped even
-    when the parent traces nothing (the null recorder drops the snapshot).
+    task id, so a re-delivered result can never double-count — and returns
+    the bare payload.  Payloads without an envelope (tracing off) pass
+    through untouched; envelopes from tracing-enabled workers are stripped
+    even when the parent traces nothing (the null recorder drops the
+    snapshot).
     """
     if isinstance(payload, dict) and OBS_PAYLOAD_KEY in payload:
         obs.absorb_task(task_id, payload[OBS_PAYLOAD_KEY])
@@ -593,7 +566,7 @@ def min_merge(
     Taking the minimum detecting index per fault is commutative, associative
     and idempotent, so the merged result is independent of task arrival
     order and unaffected by duplicate deliveries — the properties the
-    lease-retrying queue transport relies on.  Fault-chunk results (disjoint
+    ``REPRO_SANITIZE`` shadow replay checks.  Fault-chunk results (disjoint
     positions) reduce to a plain scatter under the same operation.
     """
     for index, found in zip(positions, chunk_first):
@@ -602,10 +575,6 @@ def min_merge(
 
 
 def merge_chunk_stats(stats: Dict[str, object], chunk_stats: Dict[str, int]) -> None:
-    """Accumulate one chunk's work counters into the run's stats.
-
-    Missing keys count as zero so journaled chunk results recorded before a
-    counter existed still replay cleanly.
-    """
+    """Accumulate one chunk's work counters into the run's stats."""
     for key in CHUNK_STAT_KEYS:
-        stats[key] += chunk_stats.get(key, 0)
+        stats[key] += chunk_stats[key]

@@ -5,10 +5,10 @@ simulation, pooled PODEM generation and the experiment runner's parallel
 cells, all of them :mod:`repro.cluster` transports — sizes itself through
 the same resolution chain (explicit argument > :func:`set_default_jobs` >
 ``REPRO_JOBS`` > ``os.cpu_count()``), and the ``mp`` transport shares one
-lazily created spawn-context pool.  The lifecycle lives here, in the
-engine layer below :mod:`repro.cluster`, which builds on it.
+lazily created spawn-context pool per worker count.  The lifecycle lives
+here, in the engine layer below :mod:`repro.cluster`, which builds on it.
 
-The pool is created on first use and shut down cleanly at interpreter exit.
+A pool is created on first use and shut down cleanly at interpreter exit.
 Whenever a pool cannot be used — ``jobs=1``, running inside a pool worker
 already, spawn failure, workers that cannot import the package — callers
 receive ``None`` and must fall back to in-process execution, so results
@@ -20,7 +20,7 @@ from __future__ import annotations
 import atexit
 import multiprocessing
 import os
-from typing import Optional
+from typing import Dict, Optional
 
 from repro import envvars
 from repro.envvars import parse_jobs
@@ -75,8 +75,11 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
 
 
 # -- worker pool -------------------------------------------------------------
-_pool = None
-_pool_jobs = 0
+#: jobs -> live pool.  Pools are keyed by size so a caller asking for a
+#: different worker count gets its own pool instead of resizing one that
+#: another consumer (e.g. the PODEM scheduler next to the dropping fault
+#: simulator) still has tasks in flight on.
+_pools: Dict[int, object] = {}
 _pool_broken = False
 
 
@@ -108,23 +111,24 @@ def _spawn_main_is_safe() -> bool:
 
 
 def worker_pool(jobs: int):
-    """The shared spawn-context process pool, or ``None`` for inline mode.
+    """The shared spawn-context pool of ``jobs`` workers, or ``None``.
 
     ``None`` is returned — and callers must fall back to in-process
     execution — when ``jobs <= 1``, when called from inside a pool worker
-    (never nest pools), or when pool creation failed once already.
+    (never nest pools), or when a pool failed once already.  A live pool is
+    never terminated to serve a request for another size.
     """
-    global _pool, _pool_jobs, _pool_broken
+    global _pool_broken
     jobs = max(1, int(jobs))
     if jobs <= 1 or _pool_broken:
         return None
     if multiprocessing.parent_process() is not None:
         return None
-    if _pool is not None and _pool_jobs == jobs:
-        return _pool
+    pool = _pools.get(jobs)
+    if pool is not None:
+        return pool
     if not _spawn_main_is_safe():
         return None
-    shutdown_worker_pool()
 
     # Spawned children re-import this module from scratch; when the package
     # is only importable through the parent's sys.path (the usual
@@ -150,22 +154,25 @@ def worker_pool(jobs: int):
             os.environ.pop("PYTHONPATH", None)
         else:
             os.environ["PYTHONPATH"] = previous
-    _pool, _pool_jobs = pool, jobs
+    _pools[jobs] = pool
     return pool
 
 
 def shutdown_worker_pool() -> None:
-    """Terminate the shared pool (registered with :mod:`atexit`)."""
-    global _pool, _pool_jobs
-    if _pool is not None:
-        _pool.terminate()
-        _pool.join()
-        _pool = None
-        _pool_jobs = 0
+    """Terminate every shared pool (registered with :mod:`atexit`)."""
+    while _pools:
+        _, pool = _pools.popitem()
+        pool.terminate()
+        pool.join()
 
 
 def discard_broken_pool() -> None:
-    """Drop the pool after a task failure so the next run starts fresh."""
+    """Terminate the pools after a pool failure (a lost task, a pool that
+    stopped running) and run inline for the rest of the process.
+
+    A task that merely raised in its worker is not a pool failure and must
+    not land here: the pool that ran it is healthy.
+    """
     global _pool_broken
     shutdown_worker_pool()
     _pool_broken = True

@@ -37,8 +37,8 @@ it is both the backtrack-limit input and part of the cross-process payload
 — but it is no longer the telemetry channel: :mod:`repro.obs` records the
 ``podem.*`` counters at the point a result is *consumed*
 (:meth:`repro.atpg.podem.PodemEngine.result_from_raw`), never here inside
-the search.  Distributed schedulers prefetch speculatively and stale-lease
-retries may run a fault twice, so recording inside ``run()`` would
+the search.  Pooled schedulers prefetch speculatively and a failed pooled
+run re-executes faults inline, so recording inside ``run()`` would
 double-count; recording at consumption keeps the counters exactly equal
 across the single-process and cluster paths.
 

@@ -35,14 +35,12 @@ __all__ = [
     "env_snapshot",
     "render_table",
     "parse_jobs",
-    "parse_lease_timeout",
-    "parse_task_retries",
-    "parse_nonneg_int",
     "parse_flag",
     "parse_choice",
     "FAULT_MODES",
     "ATPG_MODES",
     "CHUNK_PLANS",
+    "TRANSPORTS",
 ]
 
 
@@ -71,58 +69,6 @@ def parse_jobs(value: object, source: str = "jobs") -> int:
     if jobs < 1:
         raise ValueError(f"{source} must be a positive integer, got {value!r}")
     return jobs
-
-
-def parse_nonneg_int(value: object, source: str = "value") -> int:
-    """Parse an integer >= 0 with the same strictness as :func:`parse_jobs`.
-
-    Raises:
-        ValueError: for non-integer or negative values.
-    """
-    try:
-        parsed = int(str(value).strip())
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"{source} must be a non-negative integer, got {value!r}"
-        ) from None
-    if parsed < 0:
-        raise ValueError(f"{source} must be a non-negative integer, got {value!r}")
-    return parsed
-
-
-def parse_task_retries(value: object, source: str = "task retries") -> int:
-    """Parse a retry budget, rejecting anything but an integer >= 0.
-
-    Every surface the budget can arrive from (env var, transport argument,
-    python callers) gets the same clear error instead of an opaque failure
-    deep in the retry path.
-
-    Raises:
-        ValueError: for non-integer or negative values.
-    """
-    return parse_nonneg_int(value, source=source)
-
-
-def parse_lease_timeout(value: object, source: str = "lease timeout") -> float:
-    """Parse a lease timeout, rejecting anything but a positive number.
-
-    A mistyped timeout must fail loudly at configuration time, not as a
-    mysterious hang or instant-retry storm mid-run.
-
-    Raises:
-        ValueError: for non-numeric or non-positive values.
-    """
-    try:
-        timeout = float(str(value).strip())
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"{source} must be a positive number of seconds, got {value!r}"
-        ) from None
-    if not timeout > 0:
-        raise ValueError(
-            f"{source} must be a positive number of seconds, got {value!r}"
-        )
-    return timeout
 
 
 _TRUE_TOKENS = frozenset({"1", "true", "yes", "on"})
@@ -164,8 +110,9 @@ def parse_choice(
     def parser(value: object, source: str = label) -> str:
         token = str(value).strip()
         if token not in choices:
+            origin = f"{source}: " if source != label else ""
             raise ValueError(
-                f"unknown {label} {token!r}; choose from {choices}"
+                f"{origin}unknown {label} {token!r}; choose from {choices}"
             )
         return token
 
@@ -183,6 +130,7 @@ def parse_string(value: object, source: str = "value") -> str:
 FAULT_MODES = ("auto", "lanes", "words", "faults")
 ATPG_MODES = ("auto", "dict", "compiled")
 CHUNK_PLANS = ("adaptive", "static")
+TRANSPORTS = ("local", "mp")
 
 
 # -- the registry ------------------------------------------------------------
@@ -334,46 +282,11 @@ ATPG_MODE = declare(
 
 TRANSPORT = declare(
     "REPRO_TRANSPORT",
-    parse_string,
-    "Cluster transport spec (`local` / `mp` / `queue` / `queue:<spool "
-    "dir>`); validated when the transport is resolved.",
+    parse_choice(TRANSPORTS, "transport"),
+    "Cluster transport: `mp` (the shared spawn pool) or `local` "
+    "(in-process).",
     default=None,
     default_doc="`mp`",
-)
-
-QUEUE_DIR = declare(
-    "REPRO_QUEUE_DIR",
-    parse_string,
-    "Queue-transport spool directory to attach to (shared filesystem).",
-    default=None,
-    default_doc="fresh temp spool",
-)
-
-QUEUE_WORKERS = declare(
-    "REPRO_QUEUE_WORKERS",
-    parse_nonneg_int,
-    "Queue workers spawned by the parent (integer >= 0; 0 relies on "
-    "external workers joining the spool).",
-    default=None,
-    default_doc="jobs count",
-)
-
-LEASE_TIMEOUT = declare(
-    "REPRO_LEASE_TIMEOUT",
-    parse_lease_timeout,
-    "Seconds without a heartbeat before a claimed queue task's lease "
-    "expires and the task is re-enqueued (positive number).",
-    default=None,
-    default_doc="`15.0`",
-)
-
-TASK_RETRIES = declare(
-    "REPRO_TASK_RETRIES",
-    parse_task_retries,
-    "Per-task retry budget before a failing task is quarantined and "
-    "re-run inline (integer >= 0).",
-    default=None,
-    default_doc="`3`",
 )
 
 CHUNK_PLAN = declare(
@@ -383,25 +296,6 @@ CHUNK_PLAN = declare(
     "`static` (fixed equal-count).",
     default=None,
     default_doc="`adaptive`",
-)
-
-CHAOS = declare(
-    "REPRO_CHAOS",
-    parse_string,
-    "Seeded chaos spec `seed:kind=rate,...` (kinds: kill/stall/corrupt/"
-    "dup/enospc) armed inside queue workers; parsed by "
-    "`repro.cluster.chaos.parse_chaos_spec`.",
-    default=None,
-    default_doc="unset (chaos off)",
-)
-
-CLUSTER_WORKER = declare(
-    "REPRO_CLUSTER_WORKER",
-    parse_string,
-    "Internal: set by `repro.cluster.worker` processes so nested "
-    "simulators always run inline (never nest executors).",
-    default=None,
-    default_doc="unset",
 )
 
 TRACE = declare(

@@ -19,19 +19,12 @@ as cluster work units (:func:`repro.cluster.protocol.cell_task`), so the
 workers load-balance across artefacts.  The cells ride the ``mp`` transport
 (the shared spawn-safe process pool of :mod:`repro.engine.pool`); under
 ``--backend cluster`` they ride the resolved transport instead
-(``--transport`` / ``REPRO_TRANSPORT``), e.g. ``queue`` spools them to
-``python -m repro.cluster.worker`` processes that may live on other hosts.
+(``--transport`` / ``REPRO_TRANSPORT``: ``mp`` or the in-process ``local``).
 Results merge back **in deterministic cell order**, so the report text is
-byte-identical to a serial run for every transport, worker count or retried
-task.  Any cell that fails in a worker re-runs in process, and a transport
-that cannot be built at all means a serial run; parallelism is purely a
-scheduling concern and can never change results.
-
-Robustness knobs: ``--resume RUN_DIR`` checkpoints completed cells into a
-durable journal and replays them on the next invocation, so a run killed
-halfway re-executes only the remainder (and still prints a byte-identical
-report); ``--lease-timeout`` tunes how long the queue transport waits
-before re-enqueuing a claimed-but-unfinished task.
+byte-identical to a serial run for every transport and worker count.  Any
+cell that fails in a worker re-runs in process, and a transport that cannot
+be built at all means a serial run; parallelism is purely a scheduling
+concern and can never change results.
 """
 
 from __future__ import annotations
@@ -39,19 +32,16 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from hashlib import blake2b
 from typing import Dict, List, Optional, Tuple
 
 from repro import envvars
-from repro.cluster.checkpoint import MISSING, RunJournal, resolve_journal
 from repro.cluster.protocol import cell_task
 from repro.cluster.transport import (
     TransportError,
     TransportTaskError,
-    parse_lease_timeout,
-    parse_transport_spec,
+    default_transport_name,
+    parse_transport,
     resolve_transport,
-    set_default_lease_timeout,
     set_default_transport,
 )
 from repro.engine.backend import (
@@ -118,17 +108,6 @@ def _cells_for(artifact: str, names: List[str]) -> List[Cell]:
     return [("whole", artifact, None)]
 
 
-def _cell_key(cell: Cell, seed: int, backend_name: str) -> str:
-    """Checkpoint key for one cell: pure content, no run-local identifiers.
-
-    The cell tuple already carries the artefact and benchmark names, so two
-    runs with the same benchmarks, seed and backend agree on every key and a
-    ``--resume`` journal replays across processes.
-    """
-    blob = repr((cell, seed, backend_name)).encode("utf-8")
-    return blake2b(blob, digest_size=16).hexdigest()
-
-
 def _run_cell(cell: Cell, seed: int) -> List[TableResult]:
     """Execute one cell (in a worker or, as fallback, in process)."""
     kind, artifact, names = cell
@@ -167,29 +146,11 @@ def _merge_cells(artifact: str, parts: List[List[TableResult]]) -> List[TableRes
     return parts[0]
 
 
-def _journal_hit(journal: Optional[RunJournal], key: str):
-    """Replay a journalled cell, counting it; ``MISSING`` on miss."""
-    if journal is None:
-        return MISSING
-    cached = journal.get(key)
-    if cached is not MISSING:
-        obs.counter("runner.cells_replayed")
-    return cached
-
-
-def _journal_put(journal: Optional[RunJournal], key: str, part) -> None:
-    """Durably record one completed cell, counting it."""
-    obs.counter("runner.cells_executed")
-    if journal is not None:
-        journal.put(key, part)
-
-
 def _run_all_transport(
     artifacts: List[str],
     names: Optional[List[str]],
     seed: int,
     jobs: int,
-    journal: Optional[RunJournal] = None,
 ) -> Optional[Dict[str, List[TableResult]]]:
     """Schedule every cell as a cluster work unit; merge in cell order.
 
@@ -197,9 +158,9 @@ def _run_all_transport(
     resolved one.  They are submitted eagerly (they are independent — no
     broadcast to respect), collected in whatever order the transport
     completes them, and merged in the fixed cell order, so the report is
-    byte-identical to a serial run.  A cell whose task fails (poisoned
-    worker, lost lease past the retry budget) is re-run in process; if the
-    transport cannot be built at all, ``None`` lets the caller run serially.
+    byte-identical to a serial run.  A cell whose task fails is re-run in
+    process; if the transport cannot be built at all, ``None`` lets the
+    caller run serially.
     """
     backend_name = default_backend_name()
     try:
@@ -209,22 +170,13 @@ def _run_all_transport(
     except TransportError:
         return None
     resolved = list(names or default_workload_names())
-    submitted: List[Tuple[str, List[Tuple[Cell, str, Optional[str]]]]] = []
-    replayed: Dict[str, List[TableResult]] = {}
-    keys: Dict[str, str] = {}
+    submitted: List[Tuple[str, List[Tuple[Cell, str]]]] = []
     pending = set()
     for artifact in artifacts:
         entries = []
         for cell in _cells_for(artifact, resolved):
-            key = _cell_key(cell, seed, backend_name)
-            cached = _journal_hit(journal, key)
-            if cached is not MISSING:
-                replayed[key] = cached
-                entries.append((cell, key, None))
-                continue
             task_id = transport.submit(cell_task(cell, seed, backend_name))
-            keys[task_id] = key
-            entries.append((cell, key, task_id))
+            entries.append((cell, task_id))
             pending.add(task_id)
         submitted.append((artifact, entries))
 
@@ -245,50 +197,13 @@ def _run_all_transport(
         if task_id in pending:
             pending.discard(task_id)
             collected[task_id] = payload
-            _journal_put(journal, keys[task_id], payload)
 
     results: Dict[str, List[TableResult]] = {}
     for artifact, entries in submitted:
-        parts = []
-        for cell, key, task_id in entries:
-            if task_id is None:
-                parts.append(replayed[key])
-            elif task_id in collected:
-                parts.append(collected[task_id])
-            else:
-                part = _run_cell(cell, seed)
-                _journal_put(journal, key, part)
-                parts.append(part)
-        results[artifact] = _merge_cells(artifact, parts)
-    return results
-
-
-def _run_all_serial_journaled(
-    artifacts: List[str],
-    names: Optional[List[str]],
-    seed: int,
-    journal: RunJournal,
-) -> Dict[str, List[TableResult]]:
-    """Serial run with per-cell checkpointing (``--resume`` at ``--jobs 1``).
-
-    Decomposes into the same cells the parallel paths use so a journal
-    written at any job count replays at any other; the merge keeps the
-    report byte-identical to the plain serial path.
-    """
-    resolved = list(names or default_workload_names())
-    backend_name = default_backend_name()
-    results: Dict[str, List[TableResult]] = {}
-    for artifact in artifacts:
-        parts: List[List[TableResult]] = []
-        for cell in _cells_for(artifact, resolved):
-            key = _cell_key(cell, seed, backend_name)
-            cached = _journal_hit(journal, key)
-            if cached is not MISSING:
-                parts.append(cached)
-                continue
-            part = _run_cell(cell, seed)
-            _journal_put(journal, key, part)
-            parts.append(part)
+        parts = [
+            collected[task_id] if task_id in collected else _run_cell(cell, seed)
+            for cell, task_id in entries
+        ]
         results[artifact] = _merge_cells(artifact, parts)
     return results
 
@@ -298,7 +213,6 @@ def run_all(
     names: Optional[List[str]] = None,
     seed: int = 0,
     jobs: int = 1,
-    resume=None,
 ) -> Dict[str, List[TableResult]]:
     """Run the requested artefacts and return their tables keyed by artefact id.
 
@@ -311,27 +225,13 @@ def run_all(
             transport; otherwise the ``mp`` transport (the shared process
             pool).  Tables are identical every way — parallel cells are
             merged in deterministic order.
-        resume: run directory (or open
-            :class:`~repro.cluster.checkpoint.RunJournal`) holding the
-            ``cells`` checkpoint journal.  Completed cells found there are
-            replayed instead of re-executed and newly completed cells are
-            appended, so a run killed halfway resumes with only the
-            remainder — and the report stays byte-identical.
     """
     selected = list(artifacts or ARTIFACTS)
-    journal = resolve_journal(resume, "cells")
-    owns_journal = journal is not None and not isinstance(resume, RunJournal)
-    try:
-        if jobs > 1:
-            results = _run_all_transport(selected, names, seed, jobs, journal)
-            if results is not None:
-                return results
-        if journal is not None:
-            return _run_all_serial_journaled(selected, names, seed, journal)
-        return {artifact: _collect(artifact, names, seed) for artifact in selected}
-    finally:
-        if owns_journal:
-            journal.close()
+    if jobs > 1:
+        results = _run_all_transport(selected, names, seed, jobs)
+        if results is not None:
+            return results
+    return {artifact: _collect(artifact, names, seed) for artifact in selected}
 
 
 def _jobs_argument(text: str) -> int:
@@ -343,18 +243,9 @@ def _jobs_argument(text: str) -> int:
 
 
 def _transport_argument(text: str) -> str:
-    """argparse type for ``--transport``: validate the spec eagerly."""
+    """argparse type for ``--transport``: validate the name eagerly."""
     try:
-        parse_transport_spec(text)
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(err.args[0]) from None
-    return text
-
-
-def _lease_timeout_argument(text: str) -> float:
-    """argparse type for ``--lease-timeout``: strict positive number."""
-    try:
-        return parse_lease_timeout(text, source="--lease-timeout")
+        return parse_transport(text)
     except ValueError as err:
         raise argparse.ArgumentTypeError(err.args[0]) from None
 
@@ -396,25 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--transport",
         type=_transport_argument,
         default=None,
-        help="cluster transport for --backend cluster: local, mp, queue or "
-        "queue:<spool dir> (default: REPRO_TRANSPORT or 'mp'; results and "
-        "report text are identical for every transport)",
-    )
-    parser.add_argument(
-        "--lease-timeout",
-        type=_lease_timeout_argument,
-        default=None,
-        help="queue-transport lease timeout in seconds before an unfinished "
-        "task is re-enqueued (default: REPRO_LEASE_TIMEOUT or 15)",
-    )
-    parser.add_argument(
-        "--resume",
-        default="",
-        metavar="RUN_DIR",
-        help="checkpoint completed (artifact x benchmark) cells into this "
-        "run directory and replay any found there, so a killed run "
-        "re-executes only the remainder; the report is byte-identical "
-        "either way",
+        help="cluster transport for --backend cluster: mp (the shared "
+        "process pool) or local (in process) (default: REPRO_TRANSPORT or "
+        "'mp'; results and report text are identical for every transport)",
     )
     parser.add_argument(
         "--metrics",
@@ -450,22 +325,20 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 2
     previous_backend = set_default_backend(args.backend) if args.backend else None
     try:
-        # Fail fast on a mistyped REPRO_BACKEND before any output is produced
-        # (and before any process-wide override is applied, so the early
-        # return leaks nothing).  Only the env-var path can fail here: a
-        # --backend value was already validated by argparse choices.
+        # Fail fast on a mistyped REPRO_BACKEND / REPRO_TRANSPORT before any
+        # output is produced (and before any process-wide override is
+        # applied, so the early return leaks nothing).  Only the env-var
+        # paths can fail here: --backend / --transport values were already
+        # validated by argparse.
         get_backend()
-    except KeyError as err:
+        if args.transport is None:
+            default_transport_name()
+    except (KeyError, ValueError) as err:
         print(f"dpfill-experiments: error: {err.args[0]}", file=sys.stderr)
         return 2
     previous_jobs = set_default_jobs(args.jobs) if args.jobs is not None else None
     previous_transport = (
         set_default_transport(args.transport) if args.transport is not None else None
-    )
-    previous_lease = (
-        set_default_lease_timeout(args.lease_timeout)
-        if args.lease_timeout is not None
-        else None
     )
     metrics_path = obs_metrics.resolve_metrics_path(args.metrics or None)
     trace_path = args.trace_out or None
@@ -486,9 +359,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     try:
         start = time.perf_counter()
-        results = run_all(
-            artifacts, names, seed=args.seed, jobs=jobs, resume=args.resume or None
-        )
+        results = run_all(artifacts, names, seed=args.seed, jobs=jobs)
         elapsed = time.perf_counter() - start
         for artifact in artifacts:
             for table in results[artifact]:
@@ -501,8 +372,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             set_default_jobs(previous_jobs)
         if args.transport is not None:
             set_default_transport(previous_transport)
-        if args.lease_timeout is not None:
-            set_default_lease_timeout(previous_lease)
 
     report = "\n".join(lines)
     print(report)

@@ -32,7 +32,6 @@ from repro.obs.recorder import (
     enabled,
     event,
     reset,
-    set_event_file,
     set_worker,
     snapshot,
     span,
@@ -62,7 +61,6 @@ __all__ = [
     "metrics_payload",
     "reset",
     "resolve_metrics_path",
-    "set_event_file",
     "set_worker",
     "snapshot",
     "span",

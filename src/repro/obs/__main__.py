@@ -5,13 +5,9 @@ Subcommands:
 * ``export-trace METRICS.json -o trace.json`` — Chrome trace-event JSON
   from a schema-2 metrics artifact; open at https://ui.perfetto.dev (one
   track per worker, task ids in the event args).
-* ``report METRICS.json [--spool DIR]`` — human run report: per-kernel
-  span table, per-worker utilization/idle gaps, straggler and
-  critical-path summary, retry/quarantine/degradation recap.  ``--spool``
-  merges the durable per-worker event logs so retried tasks are attributed
-  to the worker that last claimed them (even one that was SIGKILLed).
-* ``top --spool DIR`` — live per-worker claimed/done/failed counts and
-  rates tailed from the spool's event logs.
+* ``report METRICS.json`` — human run report: per-kernel span table,
+  per-worker utilization/idle gaps, straggler and critical-path summary,
+  and a recap of transport failures and their fallbacks.
 * ``history append|compare`` — fold ``BENCH_engine.json`` into the
   ``BENCH_history.jsonl`` ledger / flag per-profile speedup regressions.
 """
@@ -20,15 +16,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import List, Optional
 
 from repro.obs import history as obs_history
-from repro.obs import recorder
 from repro.obs import report as obs_report
 from repro.obs import timeline
-from repro.obs import top as obs_top
 
 
 def _load_payload(path: str) -> dict:
@@ -37,17 +30,6 @@ def _load_payload(path: str) -> dict:
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: not a metrics JSON object")
     return payload
-
-
-def _spool_events(spool: str) -> List[dict]:
-    events: List[dict] = []
-    events_dir = os.path.join(spool, obs_top.EVENTS_SUBDIR)
-    if not os.path.isdir(events_dir):
-        return events
-    for name in sorted(os.listdir(events_dir)):
-        if name.endswith(".jsonl"):
-            events.extend(recorder.read_events(os.path.join(events_dir, name)))
-    return events
 
 
 def _cmd_export_trace(args: argparse.Namespace) -> int:
@@ -66,26 +48,8 @@ def _cmd_export_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    extra = None
-    if os.path.isdir(args.metrics):
-        # A run/spool directory: report over its durable event logs alone.
-        payload: dict = {"schema": None, "enabled": None, "events": []}
-        extra = _spool_events(args.metrics)
-        if not extra:
-            print(f"report: no event logs under {args.metrics}", file=sys.stderr)
-            return 1
-    else:
-        payload = _load_payload(args.metrics)
-        if args.spool:
-            extra = _spool_events(args.spool)
-    print(obs_report.render_report(payload, extra_events=extra))
+    print(obs_report.render_report(_load_payload(args.metrics)))
     return 0
-
-
-def _cmd_top(args: argparse.Namespace) -> int:
-    return obs_top.run_top(
-        args.spool, interval=args.interval, iterations=args.iterations
-    )
 
 
 def _cmd_history(args: argparse.Namespace) -> int:
@@ -127,32 +91,10 @@ def build_parser() -> argparse.ArgumentParser:
     export.set_defaults(func=_cmd_export_trace)
 
     report = sub.add_parser(
-        "report", help="print a human run report from a metrics file or run dir"
+        "report", help="print a human run report from a metrics file"
     )
-    report.add_argument(
-        "metrics", help="metrics JSON file, or a spool/run directory of event logs"
-    )
-    report.add_argument(
-        "--spool",
-        default="",
-        help="also merge per-worker event logs from this spool directory",
-    )
+    report.add_argument("metrics", help="metrics JSON file")
     report.set_defaults(func=_cmd_report)
-
-    top = sub.add_parser(
-        "top", help="live per-worker counts/rates tailed from a queue spool"
-    )
-    top.add_argument("--spool", required=True, help="spool directory to tail")
-    top.add_argument(
-        "--interval", type=float, default=2.0, help="refresh seconds (default 2)"
-    )
-    top.add_argument(
-        "--iterations",
-        type=int,
-        default=None,
-        help="stop after N refreshes (default: run until interrupted)",
-    )
-    top.set_defaults(func=_cmd_top)
 
     hist = sub.add_parser(
         "history", help="bench-history ledger: append / compare"

@@ -47,13 +47,9 @@ COUNTERS: Dict[str, str] = {
     "podem.faults": "faults handed to the PODEM search.",
     "podem.backtracks": "PODEM decision backtracks.",
     "podem.decisions": "PODEM PI decisions (including retried ones).",
-    "cluster.tasks_replayed": "task results served from a checkpoint journal.",
-    "cluster.tasks_executed": "task results computed fresh (not replayed).",
     "cluster.sanitize_checks": (
         "shadow re-merges performed by the REPRO_SANITIZE order sanitizer."
     ),
-    "runner.cells_replayed": "experiment cells served from checkpoint.",
-    "runner.cells_executed": "experiment cells computed fresh.",
     "obs.events_dropped": "telemetry events discarded at the ring-buffer cap.",
     "obs.intervals_dropped": (
         "timeline span intervals discarded at the ring-buffer cap "
@@ -70,9 +66,9 @@ COUNTER_PREFIXES: Dict[str, str] = {
 }
 
 #: The scheduling-invariant subset: these must sum to identical values across
-#: every backend (naive/packed/cluster) and transport
-#: (local/mp/queue), including under chaos.  The counter-parity suite
-#: (tests/test_obs.py) compares exactly this set.
+#: every backend (naive/packed/cluster) and transport (local/mp), including
+#: duplicate deliveries.  The counter-parity suite (tests/test_obs.py)
+#: compares exactly this set.
 DETERMINISTIC = frozenset(
     {
         "fault_sim.cone_evaluations",

@@ -17,7 +17,7 @@ Schema (``"schema": 2``)::
          "count": 4, "total_s": 1.25, "max_s": 0.42},
         ...
       ],
-      "events": [{"ts": ..., "kind": "lease_expired", ...}, ...],
+      "events": [{"ts": ..., "kind": "transport_failed", ...}, ...],
       "intervals": [                # timeline tier (REPRO_TIMELINE/--trace-out)
         {"path": ..., "start_s": ..., "dur_s": ...,
          "pid": ..., "worker": ..., "task": ...},

@@ -18,26 +18,23 @@ Three primitives:
   (``fault_sim/b12/words/grade``).  Nested use is fine; each span records
   into a flat ``path -> [count, total_s, max_s]`` table, which merges
   deterministically across processes (sum counts and totals, max the max).
-* **events** — typed, timestamped records for cluster lifecycle (task
-  claimed, lease expired, retried, duplicate dropped, worker joined/died,
-  transport failures).  Events can additionally be appended as JSON lines to
-  a file (:func:`set_event_file`) so distributed workers leave a durable
-  log in the queue spool.
+* **events** — typed, timestamped records for cluster lifecycle (a task
+  that failed in its worker, a transport that failed and the fallback that
+  took over, a pool that could not start).
 
 Cross-process flow: a worker executes a task inside :func:`task_capture`,
 which swaps in a fresh recorder for the duration and returns its snapshot;
 the snapshot rides back in the result payload and the parent merges it with
-:func:`absorb_task`.  Absorption dedupes by task id, so duplicate deliveries
-(retried queue tasks, stale-lease re-executions, speculative work) can never
-double-count — exactly mirroring the idempotent result merge.
+:func:`absorb_task`.  Absorption dedupes by task id, so a duplicate delivery
+can never double-count — exactly mirroring the idempotent result merge.
 
 **Clock anchoring.**  Each recorder pairs one ``time.time()`` wall anchor
 with a ``time.perf_counter()`` reading at construction.  Span durations are
 still measured on the monotonic clock, but every published timestamp —
 event ``ts`` fields and timeline interval starts alike — is the anchor plus
 a monotonic offset, so one recorder's events and intervals share a single
-axis and intervals captured by queue workers on other hosts merge onto the
-parent's wall axis (to NTP accuracy).
+axis and intervals captured by pool workers merge onto the parent's wall
+axis.
 
 **Timeline tier.**  With the timeline on (``REPRO_TIMELINE=1`` or
 :func:`enable_timeline`; requires tracing), every closed span additionally
@@ -50,7 +47,6 @@ task id, and feed ``python -m repro.obs export-trace`` / ``report``.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
@@ -113,9 +109,6 @@ class NullRecorder:
     def reset(self) -> None:
         return None
 
-    def set_event_file(self, path: Optional[str]) -> None:
-        return None
-
     def set_worker(self, label: Optional[str]) -> None:
         return None
 
@@ -157,11 +150,10 @@ class Recorder:
         self._spans: Dict[str, List[float]] = {}
         self._events: List[Dict[str, Any]] = []
         self._seen_tasks: set = set()
-        self._event_file: Optional[str] = None
         # One wall reading paired with one monotonic reading: the per-process
         # clock anchor.  Everything published (event ts, interval starts) is
         # anchor + perf_counter offset, so spans and events share one axis
-        # and cross-host intervals merge onto the parent's wall clock.
+        # and worker intervals merge onto the parent's wall clock.
         self._anchor_wall = time.time()
         self._anchor_perf = time.perf_counter()
         self._pid = os.getpid()
@@ -247,21 +239,6 @@ class Recorder:
                 self._counters["obs.events_dropped"] = (
                     self._counters.get("obs.events_dropped", 0) + 1
                 )
-            path = self._event_file
-        if path is not None:
-            self._append_event_line(path, record)
-
-    @staticmethod
-    def _append_event_line(path: str, record: Mapping[str, Any]) -> None:
-        try:
-            with open(path, "a", encoding="utf-8") as handle:
-                handle.write(json.dumps(record, default=repr) + "\n")
-        except OSError:
-            pass  # a vanished spool must not take the run down with it
-
-    def set_event_file(self, path: Optional[str]) -> None:
-        with self._lock:
-            self._event_file = path
 
     # -- snapshots / merging ----------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
@@ -294,8 +271,8 @@ class Recorder:
 
         Returns ``True`` if the snapshot was merged, ``False`` if it was a
         duplicate (same task id already absorbed) or empty.  Dedupe by task
-        id mirrors the idempotent result merge: re-delivered queue results
-        and re-executed stale-lease tasks cannot double-count.
+        id mirrors the idempotent result merge: a re-delivered result cannot
+        double-count.
         """
         if not snapshot:
             return False
@@ -421,10 +398,6 @@ def reset() -> None:
     _active.reset()
 
 
-def set_event_file(path: Optional[str]) -> None:
-    _active.set_event_file(path)
-
-
 def set_worker(label: Optional[str]) -> None:
     """Attribute the active recorder's intervals to a worker id."""
     _active.set_worker(label)
@@ -441,47 +414,6 @@ def timeline_enabled() -> bool:
     return _active.enabled and _active.timeline
 
 
-def events_mentioning(task_id: object) -> List[Dict[str, Any]]:
-    """Recorded events whose ``task_id`` field matches (empty when disabled).
-
-    Used by the quarantine writer to attach a task's telemetry trail (lease
-    expiries, retries, worker-side failures) to its post-mortem directory.
-    """
-    if not _active.enabled:
-        return []
-    return [
-        record
-        for record in _active.snapshot().get("events", [])
-        if record.get("task_id") == task_id
-    ]
-
-
-def read_events(path: str) -> List[Dict[str, Any]]:
-    """Read a JSONL event file, tolerating a torn final line.
-
-    Worker event logs are plain appends with no atomicity guarantee; a
-    worker killed mid-write (chaos, SIGKILL tests, real crashes) leaves a
-    truncated last record.  Unparseable lines are skipped so post-mortem
-    tooling can always read what *did* land.
-    """
-    records: List[Dict[str, Any]] = []
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    continue
-                if isinstance(record, dict):
-                    records.append(record)
-    except OSError:
-        return records
-    return records
-
-
 class task_capture:
     """Capture telemetry for one task into a private recorder.
 
@@ -490,10 +422,9 @@ class task_capture:
     ``cap.snapshot()`` then yields the task's own counters/spans/events,
     ready to ship back in a result payload.  Captures nest (LIFO).
 
-    The capture recorder inherits worker attribution and (unless ``timeline``
-    forces it) the timeline tier from the recorder it displaces, so a queue
-    worker's per-task snapshots stay attributed to the worker id its serve
-    loop registered with :func:`set_worker`."""
+    The capture recorder inherits worker attribution (:func:`set_worker`)
+    and (unless ``timeline`` forces it) the timeline tier from the recorder
+    it displaces."""
 
     def __init__(self, timeline: Optional[bool] = None) -> None:
         self._recorder = Recorder(timeline=timeline)

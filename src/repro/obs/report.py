@@ -1,37 +1,21 @@
 """Human run reports from a metrics payload (``python -m repro.obs report``).
 
-Answers the questions a slow distributed run raises: where did wall-clock
-go per kernel, which worker was the straggler, how long did the parent sit
-idle, and what did the retry/quarantine/degradation machinery actually do.
-Input is a schema-2 metrics artifact (``--metrics`` / ``REPRO_METRICS``)
-and, optionally, the durable per-worker event logs from a queue spool —
-the spool logs carry worker-side ``task_claimed`` records that let the
-report name *which worker* a retried task last died on, even when that
-worker was SIGKILLed before it could report anything else.
+Answers the questions a slow pooled run raises: where did wall-clock go
+per kernel, which worker was the straggler, how long did the parent sit
+idle, and which transports failed and fell back in process.  Input is a
+schema-2 metrics artifact (``--metrics`` / ``REPRO_METRICS``).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Sequence
 
 from repro.obs import timeline
 
-#: Event kinds recapped in detail (the reliability machinery's decisions).
-RECAP_KINDS = (
-    "lease_expired",
-    "task_retried",
-    "task_retry_scheduled",
-    "task_quarantined",
-    "task_recovered_inline",
-    "duplicate_result_dropped",
-    "result_corrupt",
-    "chaos_injected",
-    "transport_degraded",
-    "transport_failed",
-    "transport_lost",
-)
+#: Event kinds recapped in detail (the fallback machinery's decisions).
+RECAP_KINDS = ("transport_failed", "transport_lost")
 
-#: Cap per-kind detail lines so a chaotic run stays readable.
+#: Cap per-kind detail lines so a failure-heavy run stays readable.
 MAX_DETAIL_LINES = 8
 
 
@@ -54,31 +38,12 @@ def _fmt_s(seconds: float) -> str:
     return f"{seconds * 1000.0:.1f}ms"
 
 
-def _task_claimants(events: Sequence[Mapping[str, Any]]) -> Dict[Any, List[str]]:
-    """task id -> workers that claimed it, in claim order (deduped)."""
-    claimants: Dict[Any, List[str]] = {}
-    for record in events:
-        if record.get("kind") != "task_claimed":
-            continue
-        task_id = record.get("task_id")
-        worker = record.get("worker")
-        if task_id is None or worker is None:
-            continue
-        seen = claimants.setdefault(task_id, [])
-        if worker not in seen:
-            seen.append(worker)
-    return claimants
-
-
-def _describe(record: Mapping[str, Any], claimants: Mapping[Any, List[str]]) -> str:
+def _describe(record: Mapping[str, Any]) -> str:
     parts: List[str] = []
     task_id = record.get("task_id")
     if task_id is not None:
         parts.append(f"task {task_id}")
-        workers = claimants.get(task_id)
-        if workers:
-            parts.append(f"last claimed by {workers[-1]}")
-    for field in ("worker", "fault", "attempt", "transport", "to", "reason", "detail"):
+    for field in ("transport", "detail"):
         value = record.get(field)
         if value is not None:
             parts.append(f"{field}={value}")
@@ -175,31 +140,20 @@ def _events_section(
         "events: "
         + ", ".join(f"{kind} x{n}" for kind, n in sorted(counts.items()))
     )
-    claimants = _task_claimants(events)
     for kind in RECAP_KINDS:
         matching = [r for r in events if r.get("kind") == kind]
         if not matching:
             continue
         lines.append(f"  {kind} ({len(matching)}):")
         for record in matching[:MAX_DETAIL_LINES]:
-            lines.append(f"    - {_describe(record, claimants)}")
+            lines.append(f"    - {_describe(record)}")
         if len(matching) > MAX_DETAIL_LINES:
             lines.append(f"    ... and {len(matching) - MAX_DETAIL_LINES} more")
 
 
-def render_report(
-    payload: Mapping[str, Any],
-    extra_events: Optional[Iterable[Mapping[str, Any]]] = None,
-) -> str:
-    """Render the run report for one metrics payload.
-
-    Args:
-        payload: a metrics artifact dict (schema 1 or 2) or recorder
-            snapshot.
-        extra_events: additional event records to merge into the recap —
-            typically the durable per-worker JSONL logs read from a queue
-            spool, which carry claims the parent never saw.
-    """
+def render_report(payload: Mapping[str, Any]) -> str:
+    """Render the run report for one metrics payload (a metrics artifact
+    dict of schema 1 or 2, or a recorder snapshot)."""
     lines: List[str] = ["repro.obs run report", "=" * 21]
     meta = payload.get("meta") or {}
     for key in ("tool", "circuit", "artifacts", "benchmarks", "jobs", "seed", "elapsed_s"):
@@ -235,8 +189,6 @@ def render_report(
     lines.append("")
 
     events: List[Mapping[str, Any]] = list(payload.get("events") or [])
-    if extra_events:
-        events.extend(extra_events)
     events.sort(key=lambda r: (r.get("ts") or 0.0))
     _events_section(events, lines)
     return "\n".join(lines)

@@ -1,13 +1,13 @@
-"""Tests for the queue-backed distributed executor (``repro.cluster``).
+"""Tests for the chunked cluster executor (``repro.cluster``).
 
 The contract is the packed engine's: *bit-for-bit parity* with the
 packed/naive reference — same detection maps, same first-detecting pattern
-indices, same fault order — regardless of transport (``local`` / ``mp`` /
-``queue``), worker count, task arrival order, duplicate deliveries or
-injected worker failures.  On top of parity, the suite checks the cluster
-machinery itself: the shared protocol (chunk planning, adaptive sizing,
-idempotent min-merge), the spool-queue lease/retry mechanics, the worker
-entrypoint, backend registration and the runner's ``--transport`` flag.
+indices, same fault order — regardless of transport (``local`` / ``mp``),
+worker count, task arrival order, duplicate deliveries or failed tasks.  On
+top of parity, the suite checks the cluster machinery itself: the shared
+protocol (chunk planning, adaptive sizing, idempotent min-merge), the
+inline fallback, backend registration and the runner's ``--transport``
+flag.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
-import time
 
 import numpy as np
 import pytest
@@ -28,24 +27,22 @@ from repro.circuit.generator import CircuitSpec, generate_circuit
 from repro.circuit.library import b01_like_fsm, c17
 from repro.cluster import (
     CHUNK_PLAN_ENV_VAR,
-    QUEUE_DIR_ENV_VAR,
     TRANSPORT_ENV_VAR,
     AdaptiveChunker,
     ClusterBackend,
     ClusterFaultSimulator,
     LocalTransport,
-    QueueTransport,
+    MpTransport,
     TransportError,
     TransportTaskError,
     default_transport_name,
-    parse_transport_spec,
+    parse_transport,
     plan_chunks,
     resolve_chunk_plan,
     resolve_transport,
     set_default_transport,
 )
 from repro.cluster.protocol import worker_context
-from repro.cluster.transport import claim_task, write_result
 from repro.engine import NaiveFaultSimulator, PackedFaultSimulator, available_backends, get_backend
 
 
@@ -155,17 +152,19 @@ class TestAdaptiveChunker:
 # -- transport resolution ----------------------------------------------------
 class TestTransportResolution:
     def test_parse_specs(self):
-        assert parse_transport_spec("local") == ("local", None)
-        assert parse_transport_spec("mp") == ("mp", None)
-        assert parse_transport_spec("queue:/var/spool/x") == ("queue", "/var/spool/x")
+        assert parse_transport("local") == "local"
+        assert parse_transport(" mp ") == "mp"
+        with pytest.raises(ValueError, match="unknown transport 'queue'"):
+            parse_transport("queue")
 
-    def test_unknown_transport_rejected(self):
+    def test_unknown_transport_rejected(self, monkeypatch):
         with pytest.raises(ValueError, match="unknown transport"):
-            parse_transport_spec("bogus")
-        with pytest.raises(ValueError, match="spool dir"):
-            parse_transport_spec("local:/tmp/x")
+            parse_transport("bogus")
         with pytest.raises(ValueError, match="unknown transport"):
             set_default_transport("bogus")
+        monkeypatch.setenv(TRANSPORT_ENV_VAR, "queue")
+        with pytest.raises(ValueError, match="REPRO_TRANSPORT: unknown transport"):
+            default_transport_name()
 
     def test_env_var_sets_default(self, monkeypatch):
         monkeypatch.setenv(TRANSPORT_ENV_VAR, "local")
@@ -173,17 +172,13 @@ class TestTransportResolution:
         assert isinstance(resolve_transport(jobs=2), LocalTransport)
 
     def test_set_default_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(TRANSPORT_ENV_VAR, "queue")
+        monkeypatch.setenv(TRANSPORT_ENV_VAR, "mp")
         previous = set_default_transport("local")
         try:
             assert default_transport_name() == "local"
         finally:
             set_default_transport(previous)
-        assert default_transport_name() == "queue"
-
-    def test_queue_dir_env_feeds_spec(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(QUEUE_DIR_ENV_VAR, str(tmp_path / "spool"))
-        assert parse_transport_spec("queue") == ("queue", str(tmp_path / "spool"))
+        assert default_transport_name() == "mp"
 
 
 # -- parity ------------------------------------------------------------------
@@ -267,7 +262,7 @@ class TestLocalTransportParity:
 
     def test_duplicate_deliveries_are_idempotent(self):
         class DuplicatingTransport(LocalTransport):
-            """Delivers every result twice (queue-retry double execution)."""
+            """Delivers every result twice (a duplicate delivery)."""
 
             def __init__(self):
                 super().__init__()
@@ -320,101 +315,20 @@ class TestMpTransportParity:
         _assert_same(res_packed, res_cluster)
 
 
-def _queue_transport(tmp_path=None, **kwargs):
-    kwargs.setdefault("jobs", 2)
-    kwargs.setdefault("lease_timeout", 5.0)
-    kwargs.setdefault("poll_interval", 0.01)
-    return QueueTransport(**kwargs)
-
-
-class TestQueueTransportParity:
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_parity_with_spawned_workers(self, workers):
-        circuit = b01_like_fsm()
-        patterns = _patterns(circuit, 120, seed=5)
-        faults = collapse_faults(circuit)
-        reference = _packed_reference(circuit, patterns, faults)
-        transport = _queue_transport(workers=workers)
-        try:
-            simulator = _forced_simulator(circuit, transport=transport, jobs=max(2, workers))
-            result = simulator.run(patterns, faults)
-            assert simulator.last_run_stats["transport"] == "queue"
-            _assert_same(reference, result, workers)
-        finally:
-            transport.close()
-
-    def test_zero_workers_self_drains(self):
-        circuit = c17()
-        patterns = _patterns(circuit, 100, seed=3)
-        faults = full_fault_list(circuit)
-        reference = _packed_reference(circuit, patterns, faults)
-        transport = _queue_transport(workers=0, self_drain_after=0.05)
-        try:
-            simulator = _forced_simulator(circuit, transport=transport)
-            result = simulator.run(patterns, faults)
-            _assert_same(reference, result, "self-drain")
-            assert transport.drained > 0
-        finally:
-            transport.close()
-
-
-class TestQueueChannels:
-    def test_concurrent_channels_do_not_steal_results(self, tmp_path):
-        """Two consumers multiplexed over one spool (the ATPG shape: PODEM
-        scheduler + dropping fault sim) must each get exactly their own
-        results, regardless of which consumer's polling drained the tasks."""
-        transport = QueueTransport(
-            spool=str(tmp_path / "spool"),
-            workers=0,
-            jobs=2,
-            lease_timeout=2.0,
-            poll_interval=0.01,
-            self_drain_after=0.01,
-        )
-        try:
-            ch1 = transport.channel()
-            ch2 = transport.channel()
-            id1 = ch1.submit({"kind": "echo", "payload": "one"})
-            id2 = ch2.submit({"kind": "echo", "payload": "two"})
-            # ch1 polls first; its drain may well execute ch2's task too,
-            # but it must only ever *consume* its own result.
-            assert ch1.next_result(timeout=10.0) == (id1, "one")
-            assert ch2.next_result(timeout=10.0) == (id2, "two")
-        finally:
-            transport.close()
-
-    def test_resolved_transports_are_channels_over_one_spool(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(QUEUE_DIR_ENV_VAR, str(tmp_path / "spool"))
-        monkeypatch.setenv("REPRO_QUEUE_WORKERS", "0")
-        first = resolve_transport("queue", jobs=2)
-        second = resolve_transport("queue", jobs=2)
-        try:
-            assert first is not second  # private bookkeeping per consumer
-            assert first.parent is second.parent  # one spool, one worker set
-        finally:
-            from repro.cluster.transport import discard_transport
-
-            discard_transport(first)
-
-    def test_atpg_with_dropping_over_queue_matches_serial(self, monkeypatch, tmp_path):
-        """The end-to-end shape of the multiplexing bug: cube generation
-        under the cluster backend with fault-sim dropping, over one shared
-        queue spool, must be byte-identical to the serial run."""
+class TestSharedPool:
+    def test_atpg_with_dropping_over_shared_pool_matches_serial(self):
+        """Two consumers share one pool: cube generation under the cluster
+        backend runs the PODEM scheduler and the dropping fault simulator
+        on the ``mp`` pool at the same time, and must be byte-identical to
+        the serial run."""
         from repro.atpg.tpg import generate_test_cubes
 
-        monkeypatch.setenv(QUEUE_DIR_ENV_VAR, str(tmp_path / "spool"))
-        monkeypatch.setenv("REPRO_QUEUE_WORKERS", "2")
         circuit = generate_circuit(CircuitSpec("queue_atpg", 10, 14, 260, seed=3))
         kwargs = dict(max_faults=64, backtrack_limit=20, seed=2)
         baseline = generate_test_cubes(circuit, **kwargs)
-        previous = set_default_transport("queue")
-        try:
-            result = generate_test_cubes(circuit, backend="cluster", jobs=2, **kwargs)
-        finally:
-            set_default_transport(previous)
-            from repro.cluster.transport import shutdown_shared_transports
-
-            shutdown_shared_transports()
+        result = generate_test_cubes(
+            circuit, backend=ClusterBackend(transport="mp"), jobs=2, **kwargs
+        )
         assert np.array_equal(baseline.cubes.matrix, result.cubes.matrix)
         assert list(baseline.detected_faults.items()) == list(
             result.detected_faults.items()
@@ -423,127 +337,21 @@ class TestQueueChannels:
         assert baseline.aborted_faults == result.aborted_faults
 
 
-class TestExternalSpoolLifecycle:
-    def test_close_leaves_external_spool_usable(self, tmp_path):
-        """Closing a parent attached to an external spool must not write a
-        stop file — other parents and future runs still use that spool."""
-        spool = str(tmp_path / "spool")
-        first = QueueTransport(spool=spool, workers=0, jobs=2, self_drain_after=0.01)
-        first.close()
-        assert not os.path.exists(os.path.join(spool, "stop"))
-        second = QueueTransport(
-            spool=spool, workers=0, jobs=2, poll_interval=0.01, self_drain_after=0.01
-        )
-        try:
-            task_id = second.submit({"kind": "echo", "payload": 5})
-            assert second.next_result(timeout=10.0) == (task_id, 5)
-        finally:
-            second.close()
-
-    def test_stale_stop_file_cleared_on_attach(self, tmp_path):
-        spool = tmp_path / "spool"
-        spool.mkdir()
-        (spool / "stop").write_text("stop\n")
-        transport = QueueTransport(spool=str(spool), workers=0, jobs=2)
-        try:
-            assert not (spool / "stop").exists()
-        finally:
-            transport.close()
-
-    def test_bad_queue_workers_env_rejected_clearly(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(QUEUE_DIR_ENV_VAR, str(tmp_path / "spool"))
-        monkeypatch.setenv("REPRO_QUEUE_WORKERS", "two")
-        with pytest.raises(ValueError, match="REPRO_QUEUE_WORKERS must be"):
-            resolve_transport("queue", jobs=2)
-
-
 class TestQueueFailureInjection:
-    def test_stale_claim_is_reenqueued(self, tmp_path):
-        """A claim whose lease never beats (claimant died) is retried."""
-        transport = QueueTransport(
-            spool=str(tmp_path / "spool"),
-            workers=0,
-            jobs=2,
-            lease_timeout=0.3,
-            poll_interval=0.01,
-            self_drain_after=0.05,
-        )
+    def test_poisoned_task_raises_task_error(self):
         try:
-            task_id = transport.submit({"kind": "echo", "payload": 42})
-            # Simulate a worker that claimed the task and died on the spot:
-            # the task file moves to claimed/ and no lease is ever written.
-            claimed = claim_task(transport.spool)
-            assert claimed is not None and claimed[0] == task_id
-            got_id, value = transport.next_result(timeout=20.0)
-            assert (got_id, value) == (task_id, 42)
-            assert transport.retries == 1
-        finally:
-            transport.close()
-
-    def test_worker_killed_mid_task_is_recovered(self, tmp_path):
-        """SIGKILL a worker while it executes; the lease expires, the task
-        is re-enqueued and the run still completes with the right answer."""
-        transport = QueueTransport(
-            spool=str(tmp_path / "spool"),
-            workers=1,
-            jobs=1,
-            lease_timeout=1.0,
-            poll_interval=0.02,
-        )
-        try:
-            task_id = transport.submit({"kind": "echo", "payload": 7, "sleep": 0.6})
-            claimed_dir = os.path.join(transport.spool, "claimed")
-            deadline = time.time() + 30.0
-            while time.time() < deadline:
-                if any(n.endswith(".task") for n in os.listdir(claimed_dir)):
-                    break
-                time.sleep(0.01)
-            else:
-                pytest.fail("worker never claimed the task")
-            transport._procs[0].kill()
-            got_id, value = transport.next_result(timeout=30.0)
-            assert (got_id, value) == (task_id, 7)
-            assert transport.retries >= 1
-        finally:
-            transport.close()
-
-    def test_duplicate_result_files_consumed_once(self, tmp_path):
-        transport = QueueTransport(
-            spool=str(tmp_path / "spool"),
-            workers=0,
-            jobs=2,
-            lease_timeout=1.0,
-            poll_interval=0.01,
-            self_drain_after=0.01,
-        )
-        try:
-            task_id = transport.submit({"kind": "echo", "payload": "x"})
-            # A retried task's two executions both publish: write one result
-            # up front, let the self-drain write the other.
-            write_result(transport.spool, task_id, ("ok", "x"))
-            got_id, value = transport.next_result(timeout=10.0)
-            assert (got_id, value) == (task_id, "x")
-            with pytest.raises((TransportError,)):
-                transport.next_result(timeout=0.1)  # nothing outstanding
-        finally:
-            transport.close()
-
-    def test_poisoned_task_raises_task_error(self, tmp_path):
-        transport = QueueTransport(
-            spool=str(tmp_path / "spool"),
-            workers=0,
-            jobs=2,
-            lease_timeout=1.0,
-            poll_interval=0.01,
-            self_drain_after=0.01,
-        )
-        try:
-            task_id = transport.submit({"kind": "no-such-kind"})
-            with pytest.raises(TransportTaskError) as excinfo:
-                transport.next_result(timeout=10.0)
-            assert excinfo.value.task_id == task_id
-        finally:
-            transport.close()
+            transport = MpTransport(jobs=2)
+        except TransportError:
+            pytest.skip("worker pool unavailable in this environment")
+        task_id = transport.submit({"kind": "no-such-kind"})
+        with pytest.raises(TransportTaskError) as excinfo:
+            transport.next_result(timeout=30.0)
+        assert excinfo.value.task_id == task_id
+        assert excinfo.value.transport == "mp"
+        assert "no-such-kind" in str(excinfo.value)
+        # A task that raised leaves the pool healthy for the next run.
+        follow_up = transport.submit({"kind": "echo", "payload": 7})
+        assert transport.next_result(timeout=30.0) == (follow_up, 7)
 
     def test_failed_transport_falls_back_inline(self):
         class ExplodingTransport(LocalTransport):
@@ -557,66 +365,6 @@ class TestQueueFailureInjection:
         result = simulator.run(patterns, faults)
         assert simulator.last_run_stats["mode"] == "inline"
         _assert_same(_packed_reference(circuit, patterns, faults), result)
-
-
-class TestWorkerEntrypoint:
-    def test_external_worker_serves_spool(self, tmp_path):
-        spool = str(tmp_path / "spool")
-        transport = QueueTransport(
-            spool=spool,
-            workers=0,
-            jobs=2,
-            lease_timeout=5.0,
-            poll_interval=0.02,
-            self_drain_after=10.0,
-        )
-        env = dict(os.environ)
-        src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        parts = [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
-        if src_dir not in parts:
-            env["PYTHONPATH"] = os.pathsep.join([src_dir] + parts)
-        proc = subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro.cluster.worker",
-                "--spool",
-                spool,
-                "--max-tasks",
-                "2",
-                "--poll",
-                "0.02",
-                "--heartbeat",
-                "0.2",
-                "--idle-exit",
-                "30",
-            ],
-            env=env,
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-        )
-        try:
-            # Wait for the worker's liveness heartbeat: until it lands the
-            # parent (rightly) assumes no workers exist and would drain the
-            # queue itself.
-            workers_dir = os.path.join(spool, "workers")
-            deadline = time.time() + 30.0
-            while time.time() < deadline and not os.listdir(workers_dir):
-                time.sleep(0.02)
-            assert os.listdir(workers_dir), "worker never heartbeated"
-            ids = [transport.submit({"kind": "echo", "payload": i}) for i in range(2)]
-            got = {}
-            for _ in ids:
-                task_id, value = transport.next_result(timeout=60.0)
-                got[task_id] = value
-            assert got == {ids[0]: 0, ids[1]: 1}
-            assert transport.drained == 0  # the external worker did the work
-            assert proc.wait(timeout=30) == 0  # --max-tasks 2 exits cleanly
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait(timeout=10)
-            transport.close()
 
 
 class TestBackendRegistration:
@@ -684,6 +432,15 @@ class TestRunnerTransport:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--transport", "bogus"])
         assert "unknown transport" in capsys.readouterr().err
+
+    def test_bad_transport_env_rejected_before_running(self, monkeypatch, capsys):
+        from repro.experiments.runner import main
+
+        monkeypatch.setenv(TRANSPORT_ENV_VAR, "queue")
+        assert main(["--artifacts", "1", "--benchmarks", "b01"]) == 2
+        captured = capsys.readouterr()
+        assert "REPRO_TRANSPORT: unknown transport 'queue'" in captured.err
+        assert captured.out == ""
 
     def test_cluster_report_matches_serial(self, tmp_path):
         from repro.experiments.runner import main

@@ -29,16 +29,6 @@ class TestParsers:
         with pytest.raises(ValueError, match="REPRO_JOBS"):
             envvars.parse_jobs("zero", source="REPRO_JOBS")
 
-    def test_parse_nonneg_int(self):
-        assert envvars.parse_nonneg_int("0", "REPRO_QUEUE_WORKERS") == 0
-        with pytest.raises(ValueError, match="REPRO_QUEUE_WORKERS"):
-            envvars.parse_nonneg_int("-1", "REPRO_QUEUE_WORKERS")
-
-    def test_parse_lease_timeout_positive_number(self):
-        assert envvars.parse_lease_timeout("2.5") == 2.5
-        with pytest.raises(ValueError, match="positive number"):
-            envvars.parse_lease_timeout("0")
-
     @pytest.mark.parametrize(
         "token,expected",
         [("1", True), ("true", True), ("YES", True), ("on", True),
@@ -82,14 +72,12 @@ class TestRegistry:
     def test_known_knobs_present(self):
         expected = {
             "REPRO_BACKEND", "REPRO_JOBS", "REPRO_FAULT_MODE",
-            "REPRO_ATPG_MODE", "REPRO_TRANSPORT", "REPRO_QUEUE_DIR",
-            "REPRO_QUEUE_WORKERS", "REPRO_LEASE_TIMEOUT",
-            "REPRO_TASK_RETRIES", "REPRO_CHUNK_PLAN", "REPRO_CHAOS",
-            "REPRO_CLUSTER_WORKER", "REPRO_TRACE", "REPRO_METRICS",
+            "REPRO_ATPG_MODE", "REPRO_TRANSPORT", "REPRO_CHUNK_PLAN",
+            "REPRO_TRACE", "REPRO_TIMELINE", "REPRO_METRICS",
             "REPRO_SANITIZE", "REPRO_CACHE_DIR", "REPRO_INCLUDE_LARGE",
             "REPRO_FULL_SCALE", "REPRO_BENCH_FULL",
         }
-        assert expected <= set(envvars.REGISTRY)
+        assert expected == set(envvars.REGISTRY)
 
 
 class TestResolution:

@@ -5,23 +5,20 @@ tracing on, the *scheduling-independent* counters — cone evaluations, run /
 pattern / fault / detection totals, PODEM backtracks and decisions — must
 sum to identical values whichever backend executed the run
 (naive / packed / cluster) and whichever transport carried the
-work units (local / mp / queue), including under injected worker kills,
-stale leases and duplicate deliveries.  Scheduling-dependent counters
+work units (local / mp), including under duplicate deliveries.
+Scheduling-dependent counters
 (``fault_sim.blocks``, ``fault_sim.dropped_block_evaluations``) are
 deliberately outside that set.
 
 On top of parity, the suite checks the recorder itself (null/enabled paths,
-span merging, task-snapshot dedupe, the JSONL event file), the metrics
-artifact writer, the runner's ``--metrics`` flag and the queue transport's
-lifecycle event records.
+span merging, task-snapshot dedupe), the metrics artifact writer, the
+runner's ``--metrics`` flag and the failure events the transports and
+their inline fallbacks record.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -33,16 +30,11 @@ from repro.circuit.library import b01_like_fsm
 from repro.cluster import (
     ClusterFaultSimulator,
     LocalTransport,
-    QueueTransport,
+    MpTransport,
+    TransportError,
     TransportTaskError,
 )
 from repro.cluster.protocol import execute_task, unwrap_payload, worker_context
-from repro.cluster.transport import (
-    STOP_FILE,
-    claim_task,
-    spool_events_dir,
-    write_atomic,
-)
 from repro.engine import NaiveFaultSimulator, PackedFaultSimulator, get_backend
 from repro.obs import manifest as obs_manifest
 from repro.obs import metrics as obs_metrics
@@ -196,24 +188,6 @@ class TestRecorder:
         assert len(snap["events"]) == obs.MAX_EVENTS
         assert snap["counters"]["obs.events_dropped"] == 25
 
-    def test_event_file_appends_jsonl(self, tmp_path):
-        obs.enable()
-        path = tmp_path / "events" / "w-1.jsonl"
-        path.parent.mkdir()
-        obs.set_event_file(str(path))
-        obs.event("task_claimed", task_id="t1")
-        obs.event("task_done", task_id="t1")
-        lines = [json.loads(line) for line in path.read_text().splitlines()]
-        assert [line["kind"] for line in lines] == ["task_claimed", "task_done"]
-        assert all(line["task_id"] == "t1" for line in lines)
-
-    def test_event_file_errors_are_swallowed(self, tmp_path):
-        obs.enable()
-        obs.set_event_file(str(tmp_path / "no" / "such" / "dir" / "e.jsonl"))
-        obs.event("kind")  # must not raise
-        assert obs.snapshot()["events"][0]["kind"] == "kind"
-
-
 # -- metrics artifacts -------------------------------------------------------
 class TestMetrics:
     def test_resolve_path_precedence(self, monkeypatch):
@@ -226,7 +200,7 @@ class TestMetrics:
     def test_write_metrics_schema(self, tmp_path):
         obs.enable()
         obs.counter("fault_sim.runs")
-        obs.event("lease_expired", task_id="t9")
+        obs.event("transport_failed", task_id="t9")
         with obs.span("fault_sim/c/grade"):
             pass
         path = tmp_path / "sub" / "metrics.json"
@@ -238,7 +212,7 @@ class TestMetrics:
         assert on_disk["counters"] == {"fault_sim.runs": 1}
         (span,) = on_disk["spans"]
         assert span["path"] == "fault_sim/c/grade" and span["count"] == 1
-        assert on_disk["events"][0]["kind"] == "lease_expired"
+        assert on_disk["events"][0]["kind"] == "transport_failed"
         assert on_disk["meta"]["tool"] == "test"
         # Schema 2: the meta block snapshots every set REPRO_* knob, and
         # truncated records whether any ring-buffer cap dropped data.
@@ -373,27 +347,11 @@ class TestDistributedTelemetryParity:
         )
         assert _parity_subset(counters) == reference
 
-    def test_queue_counters_match_packed(self):
-        circuit = _medium_circuit()
-        patterns = _patterns(circuit)
-        faults = collapse_faults(circuit)
-        reference = self._reference(circuit, patterns, faults)
-        obs.enable()
-        transport = QueueTransport(
-            workers=2, jobs=2, lease_timeout=5.0, poll_interval=0.01
-        )
-        try:
-            _forced_simulator(circuit, transport=transport).run(patterns, faults)
-            counters = obs.snapshot()["counters"]
-        finally:
-            transport.close()
-        assert _parity_subset(counters) == reference
-
     def test_duplicate_deliveries_do_not_double_count(self):
         class EnvelopeDuplicatingTransport(LocalTransport):
             """Delivers every *raw* result envelope twice — the snapshot
-            rides through ``unwrap_payload`` twice, like a retried queue
-            task whose both executions published."""
+            rides through ``unwrap_payload`` twice, like a task executed
+            twice whose both results arrived."""
 
             def __init__(self):
                 super().__init__()
@@ -421,95 +379,19 @@ class TestDistributedTelemetryParity:
         )
         assert _parity_subset(counters) == reference
 
-    def test_worker_kill_counters_stay_exact(self, tmp_path):
-        """SIGKILL a queue worker while the run is in flight; the retried
-        work units must not double-count (task-id dedupe)."""
-        circuit = _medium_circuit()
-        patterns = _patterns(circuit)
-        faults = collapse_faults(circuit)
-        reference = self._reference(circuit, patterns, faults)
-        obs.enable()
-        transport = QueueTransport(
-            spool=str(tmp_path / "spool"),
-            workers=2,
-            jobs=2,
-            lease_timeout=1.0,
-            poll_interval=0.02,
-        )
-        outcome = {}
-
-        def run():
-            outcome["result"] = _forced_simulator(circuit, transport=transport).run(
-                patterns, faults
-            )
-
-        try:
-            thread = threading.Thread(target=run)
-            thread.start()
-            claimed_dir = os.path.join(transport.spool, "claimed")
-            deadline = time.time() + 30.0
-            while time.time() < deadline and not outcome:
-                if any(n.endswith(".task") for n in os.listdir(claimed_dir)):
-                    break
-                time.sleep(0.005)
-            transport._procs[0].kill()
-            thread.join(timeout=60.0)
-            assert not thread.is_alive()
-            counters = obs.snapshot()["counters"]
-        finally:
-            transport.close()
-        reference_result = PackedFaultSimulator(circuit).run(patterns, faults)
-        assert list(reference_result.detected.items()) == list(
-            outcome["result"].detected.items()
-        )
-        assert _parity_subset(counters) == reference
-
-
-# -- queue lifecycle events --------------------------------------------------
+# -- transport failure events ------------------------------------------------
 class TestQueueEvents:
-    def test_stale_lease_emits_expiry_and_retry(self, tmp_path):
+    def test_poisoned_task_event_carries_traceback(self):
         obs.enable()
-        transport = QueueTransport(
-            spool=str(tmp_path / "spool"),
-            workers=0,
-            jobs=2,
-            lease_timeout=0.3,
-            poll_interval=0.01,
-            self_drain_after=0.05,
-        )
         try:
-            task_id = transport.submit({"kind": "echo", "payload": 42})
-            # A claimant that dies on the spot: claimed, no lease ever beats.
-            claimed = claim_task(transport.spool)
-            assert claimed is not None and claimed[0] == task_id
-            assert transport.next_result(timeout=20.0) == (task_id, 42)
-            assert transport.retries == 1
-        finally:
-            transport.close()
-        kinds = {event["kind"] for event in obs.snapshot()["events"]}
-        assert "lease_expired" in kinds and "task_retried" in kinds
-        for event in obs.snapshot()["events"]:
-            if event["kind"] in ("lease_expired", "task_retried"):
-                assert event["task_id"] == task_id
-
-    def test_poisoned_task_event_carries_traceback(self, tmp_path):
-        obs.enable()
-        transport = QueueTransport(
-            spool=str(tmp_path / "spool"),
-            workers=0,
-            jobs=2,
-            lease_timeout=1.0,
-            poll_interval=0.01,
-            self_drain_after=0.01,
-        )
-        try:
-            task_id = transport.submit({"kind": "no-such-kind"})
-            with pytest.raises(TransportTaskError) as excinfo:
-                transport.next_result(timeout=10.0)
-        finally:
-            transport.close()
+            transport = MpTransport(jobs=2)
+        except TransportError:
+            pytest.skip("worker pool unavailable in this environment")
+        task_id = transport.submit({"kind": "no-such-kind"})
+        with pytest.raises(TransportTaskError) as excinfo:
+            transport.next_result(timeout=30.0)
         assert excinfo.value.task_id == task_id
-        assert excinfo.value.transport == "queue"
+        assert excinfo.value.transport == "mp"
         failures = [
             event
             for event in obs.snapshot()["events"]
@@ -539,54 +421,6 @@ class TestQueueEvents:
         assert failures[0]["consumer"] == "fault_sim"
         assert failures[0]["fallback"] == "inline"
         assert "transport lost" in failures[0]["traceback"]
-
-    def test_worker_writes_jsonl_event_log(self, tmp_path):
-        """A spawned queue worker leaves a durable per-worker JSONL log in
-        the spool (tracing propagates via REPRO_TRACE to the subprocess)."""
-        obs.enable()
-        transport = QueueTransport(
-            spool=str(tmp_path / "spool"),
-            workers=1,
-            jobs=1,
-            lease_timeout=5.0,
-            poll_interval=0.02,
-        )
-        try:
-            task_id = transport.submit({"kind": "echo", "payload": "hi"})
-            assert transport.next_result(timeout=30.0) == (task_id, "hi")
-            events_dir = spool_events_dir(transport.spool)
-            # Ask the worker to exit via the stop file (close() SIGTERMs,
-            # which would race the final worker_exit line) and wait for its
-            # clean shutdown before reading the log.
-            write_atomic(os.path.join(transport.spool, STOP_FILE), b"stop\n")
-            deadline = time.time() + 10.0
-            logs = []
-            while time.time() < deadline:
-                logs = [
-                    os.path.join(events_dir, name)
-                    for name in os.listdir(events_dir)
-                    if name.endswith(".jsonl")
-                ]
-                if logs and any(
-                    '"worker_exit"' in open(path, encoding="utf-8").read()
-                    for path in logs
-                ):
-                    break
-                time.sleep(0.05)
-        finally:
-            transport.close()
-        assert logs, "worker left no event log"
-        lines = [
-            json.loads(line)
-            for path in logs
-            for line in open(path, encoding="utf-8").read().splitlines()
-        ]
-        kinds = [line["kind"] for line in lines]
-        assert "worker_joined" in kinds
-        assert "task_claimed" in kinds and "task_done" in kinds
-        assert "worker_exit" in kinds
-        claims = [line for line in lines if line["kind"] == "task_claimed"]
-        assert any(line["task_id"] == task_id for line in claims)
 
 
 # -- runner integration ------------------------------------------------------

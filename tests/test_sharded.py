@@ -259,6 +259,42 @@ class TestFallbacks:
         assert with_drop.undetected == without_drop.undetected
 
 
+class TestPoolSharing:
+    def test_explicit_jobs_podem_then_pooled_fault_sim_stay_pooled(self, monkeypatch):
+        """An explicit ``jobs`` that differs from ``REPRO_JOBS`` must not
+        resize the shared pool under another consumer's in-flight tasks:
+        PODEM over 3 workers interleaves with the dropping fault simulator
+        over the environment's 2, and a later fault simulation still pools."""
+        from repro.atpg.tpg import generate_test_cubes
+        from repro.obs import recorder as obs
+
+        monkeypatch.setenv(JOBS_ENV_VAR, "2")
+        circuit = generate_circuit(CircuitSpec("pool_share", 10, 14, 260, seed=3))
+        kwargs = dict(max_faults=90, backtrack_limit=20, seed=2)
+        serial = generate_test_cubes(circuit, jobs=1, backend="packed", **kwargs)
+        faults = collapse_faults(circuit)
+        patterns = TestSet.from_matrix(_random_patterns(circuit, 64, seed=1))
+        obs.enable()
+        try:
+            pooled = generate_test_cubes(
+                circuit, backend=ClusterBackend(transport="mp"), jobs=3, **kwargs
+            )
+            simulator = _pooled_simulator(circuit, jobs=None)
+            result = simulator.run(patterns, faults)
+            kinds = [event["kind"] for event in obs.snapshot()["events"]]
+        finally:
+            obs.disable()
+        assert "pool_unavailable" not in kinds
+        assert "transport_failed" not in kinds
+        assert simulator.last_run_stats["mode"] == "fault-chunks"
+        assert np.array_equal(serial.cubes.matrix, pooled.cubes.matrix)
+        assert list(serial.detected_faults.items()) == list(
+            pooled.detected_faults.items()
+        )
+        reference = PackedFaultSimulator(circuit).run(patterns, faults)
+        assert list(result.detected.items()) == list(reference.detected.items())
+
+
 class TestJobsResolution:
     def test_env_var_sets_default(self, monkeypatch):
         monkeypatch.setenv(JOBS_ENV_VAR, "3")

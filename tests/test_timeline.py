@@ -1,13 +1,13 @@
 """Timeline tier tests: clock anchoring, interval recording, trace export,
-run reports, live top, and the bench-history ledger.
+run reports, and the bench-history ledger.
 
 The timeline contract extends the counter-parity contract one axis further:
-span *intervals* recorded in queue workers on other processes must merge
-onto the parent's wall-clock axis (per-recorder clock anchor), dedupe by
-task id like counters, and export as Chrome trace-event JSON whose per-
-worker tracks a viewer can read directly.  The run report and ``top`` are
-pure consumers of the same payloads/event logs, and the history ledger
-turns ``BENCH_engine.json`` overwrites into an append-only trajectory.
+span *intervals* recorded in pool workers must merge onto the parent's
+wall-clock axis (per-recorder clock anchor), dedupe by task id like
+counters, and export as Chrome trace-event JSON whose per-worker tracks a
+viewer can read directly.  The run report is a pure consumer of the same
+payloads, and the history ledger turns ``BENCH_engine.json`` overwrites
+into an append-only trajectory.
 """
 
 from __future__ import annotations
@@ -18,15 +18,11 @@ import time
 
 import pytest
 
-from repro.cluster import QueueTransport
-from repro.cluster.chaos import CHAOS_ENV_VAR
 from repro.obs import __main__ as obs_cli
 from repro.obs import history as obs_history
-from repro.obs import metrics as obs_metrics
 from repro.obs import recorder as obs
 from repro.obs import report as obs_report
 from repro.obs import timeline
-from repro.obs import top as obs_top
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -291,97 +287,6 @@ class TestRunReport:
         text = obs_report.render_report(payload)
         assert "tool: golden" in text
         assert "makespan" not in text
-
-    def test_chaos_queue_run_names_killed_worker(self, tmp_path, monkeypatch):
-        """The acceptance bar: a chaos-killed worker's retried task is
-        attributed to that worker by merging the spool's durable logs."""
-        monkeypatch.setenv(CHAOS_ENV_VAR, "1:kill=1.0")
-        obs.enable()
-        obs.enable_timeline()
-        spool = str(tmp_path / "spool")
-        transport = QueueTransport(
-            spool=spool,
-            workers=1,
-            jobs=2,
-            lease_timeout=1.0,
-            poll_interval=0.01,
-            self_drain_after=0.5,
-        )
-        try:
-            task_id = transport.submit({"kind": "echo", "payload": 21})
-            assert transport.next_result(timeout=60.0) == (task_id, 21)
-            assert transport.retries >= 1
-        finally:
-            transport.close()
-        metrics_path = tmp_path / "metrics.json"
-        obs_metrics.write_metrics(str(metrics_path), meta={"tool": "chaos-test"})
-        obs.disable()
-
-        # The dead worker's log survives it; its id is in the filename.
-        events_dir = os.path.join(spool, "events")
-        logs = [n for n in os.listdir(events_dir) if n.endswith(".jsonl")]
-        assert logs
-        killed_worker = logs[0][: -len(".jsonl")]
-
-        code = obs_cli.main(["report", str(metrics_path), "--spool", spool])
-        assert code == 0
-        payload = json.loads(metrics_path.read_text())
-        extra = obs_cli._spool_events(spool)
-        text = obs_report.render_report(payload, extra_events=extra)
-        assert "task_retried" in text
-        assert f"last claimed by {killed_worker}" in text
-        assert "chaos_injected" in text
-
-    def test_report_cli_on_spool_directory_alone(self, tmp_path):
-        spool = tmp_path / "spool"
-        events = spool / "events"
-        events.mkdir(parents=True)
-        (events / "w-1.jsonl").write_text(
-            json.dumps({"ts": 1.0, "kind": "task_claimed", "task_id": "t-1"})
-            + "\n"
-            + json.dumps({"ts": 2.0, "kind": "task_done", "task_id": "t-1"})
-            + "\n"
-        )
-        assert obs_cli.main(["report", str(spool)]) == 0
-        assert obs_cli.main(["report", str(tmp_path / "empty")]) == 2
-
-
-# -- live top -----------------------------------------------------------------
-class TestTop:
-    def _seed_spool(self, spool):
-        events = spool / "events"
-        events.mkdir(parents=True)
-        for sub in obs_top.QUEUE_SUBDIRS:
-            (spool / sub).mkdir(exist_ok=True)
-        (events / "w-7.jsonl").write_text(
-            json.dumps({"ts": 1.0, "kind": "task_claimed", "task_id": "t-1"})
-            + "\n"
-            + json.dumps({"ts": 2.0, "kind": "task_done", "task_id": "t-1"})
-            + "\n"
-            + json.dumps({"ts": 3.0, "kind": "worker_exit", "reason": "stop_file"})
-            + "\n"
-        )
-
-    def test_spool_snapshot_tallies(self, tmp_path):
-        spool = tmp_path / "spool"
-        self._seed_spool(spool)
-        snap = obs_top.spool_snapshot(str(spool))
-        stats = snap["workers"]["w-7"]
-        assert stats["task_claimed"] == 1
-        assert stats["task_done"] == 1
-        assert stats["exit_reason"] == "stop_file"
-        assert snap["depths"]["tasks"] == 0
-
-    def test_run_top_one_iteration(self, tmp_path):
-        spool = tmp_path / "spool"
-        self._seed_spool(spool)
-        lines = []
-        assert obs_top.run_top(str(spool), iterations=1, out=lines.append) == 0
-        text = "\n".join(lines)
-        assert "w-7" in text and "exit:sto" in text
-
-    def test_run_top_missing_spool(self, tmp_path):
-        assert obs_top.run_top(str(tmp_path / "nope"), iterations=1) == 1
 
 
 # -- bench history ledger -----------------------------------------------------
