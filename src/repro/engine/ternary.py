@@ -14,14 +14,18 @@ program of :mod:`repro.engine.compile`:
 * the good and faulty machines are two flat per-row lists over the compiled
   program; the fault site row is forced to the stuck code exactly like the
   packed fault simulator forces its lanes.
-* implication is **incremental**: assigning (or retracting) one test pin
-  re-evaluates only that pin's fanout cone — the same cached
-  :meth:`~repro.engine.compile.CompiledCircuit.cone` indices the fault
-  simulator uses — instead of the whole circuit.
-* the D-frontier is extracted array-wise from the *fault cone* only (a D can
-  only originate at the fault site, so no gate outside the cone ever
-  qualifies), and X-path reachability is one reverse-topological sweep over
-  the cone instead of a breadth-first search per frontier gate.
+* implication is **event-driven**: assigning one test pin evaluates only
+  gates with an input that really changed, popped in topological order from
+  a heap, and a gate's readers are queued only when its own good or faulty
+  code changed.
+* every changed row goes on a **trail** as ``(row, old_good, old_faulty)``;
+  a backtrack restores the rows from the trail, last change first, instead
+  of re-implying the retracted pins.
+* the set of rows carrying a D is kept up to date wherever a code changes,
+  so :meth:`~CompiledTernaryPodem.detected` is a set test and the
+  D-frontier is the readers of those rows whose output is still X.  The
+  X-path check visits frontier gates in objective order and answers each
+  with a depth-first search that memoises rows known to reach no output.
 
 The decision procedure itself (:meth:`CompiledTernaryPodem.run`) mirrors the
 dict reference step for step — same objective selection, same backtrace,
@@ -54,6 +58,7 @@ run wide instead of one-at-a-time.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro import envvars
@@ -118,15 +123,15 @@ def bit_of_code(code: int) -> int:
 
 
 class CompiledTernaryPodem:
-    """PODEM over the compiled program with incremental ternary implication.
+    """PODEM over the compiled program with event-driven ternary implication.
 
     One engine instance serves any number of faults on its circuit: state is
     rebuilt per fault from a cached all-X good-machine baseline, then every
-    decision/backtrack updates only the changed pin's fanout cone.
+    decision re-evaluates only the gates whose inputs really changed, and
+    every backtrack restores the changed rows from the trail.
 
     Args:
-        program: compiled circuit (shared with the packed fault simulator,
-            so the per-row cone cache is shared too).
+        program: compiled circuit (shared with the packed fault simulator).
         backtrack_limit: abort threshold, as in the dict reference.
     """
 
@@ -134,6 +139,7 @@ class CompiledTernaryPodem:
         self.program = program
         self.backtrack_limit = backtrack_limit
         self._node_prog = program.node_prog
+        self._readers = program.reader_lists
         self._n_inputs = program.n_inputs
         self._observable = program._observable_set
         self._levels = program.node_levels
@@ -142,74 +148,59 @@ class CompiledTernaryPodem:
         # Per-fault state, (re)built by reset().
         self._good: List[int] = []
         self._faulty: List[int] = []
-        self._d_rows: Set[int] = set()
+        self._d_rows: Set[int] = set()  # every row carrying a D
+        self._trail: List[Tuple[int, int, int]] = []
         self._site_row = -1
         self._stuck_bit = 0
         self._stuck_code = T_ZERO
-        self._site_cone = None
 
     # -- kernel ------------------------------------------------------------
-    def _eval_single(self, positions, vals: List[int]) -> None:
-        """Evaluate ``positions`` (topological) on one machine's value list.
+    def _set_row(self, row: int, g: int, f: int) -> None:
+        """Write ``(g, f)`` to ``row`` and propagate the change downstream."""
+        old_g = self._good[row]
+        old_f = self._faulty[row]
+        if g == old_g and f == old_f:
+            return
+        self._trail.append((row, old_g, old_f))
+        self._good[row] = g
+        self._faulty[row] = f
+        if (g ^ f) == 3:
+            self._d_rows.add(row)
+        else:
+            self._d_rows.discard(row)
+        self._propagate(self._readers[row])
+
+    def _propagate(self, seeds) -> None:
+        """Event-driven evaluation from the node positions ``seeds``.
+
+        Positions are popped in topological order from a heap, and a gate's
+        readers are queued only when its good or faulty code really changed.
+        A gate queued by several changed inputs comes off the heap as a run
+        of equal positions and is evaluated once.  Every changed row is
+        pushed on the trail and its D membership refreshed; the fault site
+        row is forced to the stuck code, matching how the dict reference
+        overrides the faulty machine.
 
         Inline opcode dispatch on purpose, mirroring ``packed_first_detects``
         (see the note there): the two-plane ops are a handful of integer
         instructions each, and routing them through a shared helper
-        measurably slows the hot path.  The fault site row is forced to the
-        stuck code, matching how the dict reference overrides the faulty
-        machine at the site.
+        measurably slows the hot path.
         """
         node_prog = self._node_prog
-        site = self._site_row
-        stuck = self._stuck_code
-        for pos in positions:
-            op, out, src = node_prog[pos]
-            if op == OP_AND or op == OP_NAND:
-                a = vals[src[0]]
-                for r in src[1:]:
-                    b = vals[r]
-                    a = (a & b & 2) | ((a | b) & 1)
-                if op == OP_NAND:
-                    a = ((a & 1) << 1) | (a >> 1)
-            elif op == OP_OR or op == OP_NOR:
-                a = vals[src[0]]
-                for r in src[1:]:
-                    b = vals[r]
-                    a = ((a | b) & 2) | (a & b & 1)
-                if op == OP_NOR:
-                    a = ((a & 1) << 1) | (a >> 1)
-            elif op == OP_XOR or op == OP_XNOR:
-                a = vals[src[0]]
-                for r in src[1:]:
-                    b = vals[r]
-                    a = 3 if (a == 3 or b == 3) else 1 + ((a ^ b) >> 1)
-                if op == OP_XNOR:
-                    a = ((a & 1) << 1) | (a >> 1)
-            elif op == OP_NOT:
-                a = vals[src[0]]
-                a = ((a & 1) << 1) | (a >> 1)
-            elif op == OP_BUF:
-                a = vals[src[0]]
-            elif op == OP_CONST0:
-                a = T_ZERO
-            else:  # OP_CONST1
-                a = T_ONE
-            vals[out] = a if out != site else stuck
-
-    def _eval_pair(self, positions) -> None:
-        """Evaluate ``positions`` on the good and faulty machines together.
-
-        Also maintains the detected-output set: any written row that is
-        observable has its D membership refreshed.
-        """
-        node_prog = self._node_prog
+        readers = self._readers
         good = self._good
         faulty = self._faulty
         site = self._site_row
         stuck = self._stuck_code
-        observable = self._observable
         d_rows = self._d_rows
-        for pos in positions:
+        trail = self._trail
+        heap = sorted(seeds)
+        last = -1
+        while heap:
+            pos = heappop(heap)
+            if pos == last:
+                continue
+            last = pos
             op, out, src = node_prog[pos]
             if op == OP_AND or op == OP_NAND:
                 g = good[src[0]]
@@ -258,13 +249,19 @@ class CompiledTernaryPodem:
                 g = f = T_ONE
             if out == site:
                 f = stuck
+            old_g = good[out]
+            old_f = faulty[out]
+            if g == old_g and f == old_f:
+                continue
+            trail.append((out, old_g, old_f))
             good[out] = g
             faulty[out] = f
-            if out in observable:
-                if (g ^ f) == 3:
-                    d_rows.add(out)
-                else:
-                    d_rows.discard(out)
+            if (g ^ f) == 3:
+                d_rows.add(out)
+            elif (old_g ^ old_f) == 3:
+                d_rows.discard(out)
+            for reader in readers[out]:
+                heappush(heap, reader)
 
     # -- per-fault state ---------------------------------------------------
     def reset(self, site_row: int, stuck_value: int) -> None:
@@ -274,45 +271,56 @@ class CompiledTernaryPodem:
             site_row: value-table row of the fault site.
             stuck_value: 0 or 1.
         """
-        program = self.program
         if self._base_good is None:
-            base = [T_X] * program.n_nets
             self._site_row = -1  # no forcing during the baseline pass
-            self._eval_single(range(len(self._node_prog)), base)
-            self._base_good = base
+            self._good = [T_X] * self.program.n_nets
+            self._faulty = [T_X] * self.program.n_nets
+            self._propagate(range(len(self._node_prog)))
+            self._base_good = self._good
         self._site_row = site_row
         self._stuck_bit = 1 if stuck_value else 0
         self._stuck_code = T_ONE if stuck_value else T_ZERO
-        self._site_cone = program.cone(site_row)
-        good = self._good = list(self._base_good)
-        faulty = self._faulty = list(self._base_good)
-        faulty[site_row] = self._stuck_code
-        self._eval_single(self._site_cone.positions, faulty)
-        d_rows = self._d_rows = set()
-        for row in self._observable:
-            if (good[row] ^ faulty[row]) == 3:
-                d_rows.add(row)
+        base = self._base_good
+        self._good = list(base)
+        self._faulty = list(base)
+        self._d_rows = set()
+        self._trail = []
+        self._set_row(site_row, base[site_row], self._stuck_code)
+        self._trail.clear()  # the fault's all-X state is the floor of undo()
 
     def assign(self, pin_row: int, value: Optional[int]) -> None:
         """Set a test pin to 0/1 (or back to X with ``None``) and re-imply.
 
-        Only the pin's fanout cone is re-evaluated; everything else is
-        untouched by construction.
+        Only gates downstream of a row that really changed are evaluated.
+        Every changed row is recorded on the trail, so :meth:`undo` can
+        restore the state from before this call.
         """
         code = T_X if value is None else _CODE_OF_BIT[value]
-        self._good[pin_row] = code
-        self._faulty[pin_row] = self._stuck_code if pin_row == self._site_row else code
-        if pin_row in self._observable:
-            if (self._good[pin_row] ^ self._faulty[pin_row]) == 3:
-                self._d_rows.add(pin_row)
+        self._set_row(pin_row, code, self._stuck_code if pin_row == self._site_row else code)
+
+    def trail_mark(self) -> int:
+        """Current trail position, for a later :meth:`undo`."""
+        return len(self._trail)
+
+    def undo(self, mark: int) -> None:
+        """Restore every row changed since ``mark`` (last change first)."""
+        trail = self._trail
+        good = self._good
+        faulty = self._faulty
+        d_rows = self._d_rows
+        for row, g, f in reversed(trail[mark:]):
+            good[row] = g
+            faulty[row] = f
+            if (g ^ f) == 3:
+                d_rows.add(row)
             else:
-                self._d_rows.discard(pin_row)
-        self._eval_pair(self.program.cone(pin_row).positions)
+                d_rows.discard(row)
+        del trail[mark:]
 
     @property
     def detected(self) -> bool:
         """Whether any observable row currently carries a D."""
-        return bool(self._d_rows)
+        return not self._d_rows.isdisjoint(self._observable)
 
     def machine_codes(self) -> Tuple[List[int], List[int]]:
         """Copies of the (good, faulty) per-row ternary codes (for tests)."""
@@ -320,58 +328,59 @@ class CompiledTernaryPodem:
 
     # -- analysis ----------------------------------------------------------
     def d_frontier(self) -> List[int]:
-        """Node positions whose output is still X/X but an input carries a D.
+        """Node positions whose output is still X but an input carries a D.
 
-        Restricted to the fault cone — a D can only originate at the fault
-        site, so nothing outside the cone ever qualifies; the relative order
-        is topological, matching the dict reference's full-circuit walk.
+        The candidates are the readers of the rows currently carrying a D,
+        in position (topological) order, matching the dict reference's
+        full-circuit walk.  An output that is X in either machine cannot
+        carry a D itself.
         """
+        readers = self._readers
+        candidates: Set[int] = set()
+        for row in self._d_rows:
+            candidates.update(readers[row])
         node_prog = self._node_prog
         good = self._good
         faulty = self._faulty
         frontier: List[int] = []
-        for pos in self._site_cone.positions:
-            _, out, src = node_prog[pos]
-            g = good[out]
-            f = faulty[out]
-            if (g ^ f) == 3:
-                continue  # output already carries the D
-            if g != 3 and f != 3:
-                continue  # fully specified without a D: the path died here
-            for r in src:
-                if (good[r] ^ faulty[r]) == 3:
-                    frontier.append(pos)
-                    break
+        for pos in sorted(candidates):
+            out = node_prog[pos][1]
+            if good[out] == T_X or faulty[out] == T_X:
+                frontier.append(pos)
         return frontier
 
-    def _x_path_reach(self) -> Set[int]:
-        """Rows (within the fault cone) from which an X-path reaches an output.
+    def _x_path_exists(self, row: int, dead: Set[int]) -> bool:
+        """Whether an X-path leads from ``row`` to an observable row.
 
-        One reverse-topological sweep replaces the reference's per-gate BFS:
-        a row reaches an output iff it is observable itself, or some reader's
-        output row is still *unblocked* (X in either machine, or carrying a
-        D) and reaches an output.
+        Depth-first over readers whose output is still *unblocked* (X in
+        either machine, or carrying a D), as the reference's search.
+        ``dead`` memoises rows already shown to reach no output under the
+        current state; a failed search adds every row it visited.
         """
+        observable = self._observable
+        if row in observable:
+            return True
         node_prog = self._node_prog
+        readers = self._readers
         good = self._good
         faulty = self._faulty
-        observable = self._observable
-        readers = self.program.reader_lists
-        reach: Set[int] = set()
-        for pos in reversed(self._site_cone.positions):
-            out = node_prog[pos][1]
-            if out in observable:
-                reach.add(out)
-                continue
-            for reader_pos in readers[out]:
-                o = node_prog[reader_pos][1]
-                if o in reach:
-                    g = good[o]
-                    f = faulty[o]
-                    if g == 3 or f == 3 or (g ^ f) == 3:
-                        reach.add(out)
-                        break
-        return reach
+        seen = {row}
+        stack = [row]
+        while stack:
+            for reader_pos in readers[stack.pop()]:
+                out = node_prog[reader_pos][1]
+                if out in seen or out in dead:
+                    continue
+                g = good[out]
+                f = faulty[out]
+                if g != T_X and f != T_X and (g ^ f) != 3:
+                    continue
+                if out in observable:
+                    return True
+                seen.add(out)
+                stack.append(out)
+        dead |= seen
+        return False
 
     def choose_objective(self) -> Optional[Tuple[int, int]]:
         """Next ``(row, value)`` objective, or ``None`` for a dead branch."""
@@ -386,19 +395,20 @@ class CompiledTernaryPodem:
         if not frontier:
             return None
         frontier.sort(key=self._levels.__getitem__, reverse=True)
-        reach = self._x_path_reach()
         node_prog = self._node_prog
+        dead: Set[int] = set()
         for pos in frontier:
             op, out, src = node_prog[pos]
-            if out not in reach:
-                continue
             for r in src:
                 if good[r] == T_X:
-                    if op == OP_OR or op == OP_NOR:
-                        value = 0  # non-controlling value of OR-like gates
-                    else:
-                        value = 1  # AND-like gates, and XOR-like "any definite value"
-                    return r, value
+                    break
+            else:
+                continue
+            if not self._x_path_exists(out, dead):
+                continue
+            if op == OP_OR or op == OP_NOR:
+                return r, 0  # non-controlling value of OR-like gates
+            return r, 1  # AND-like gates, and XOR-like "any definite value"
         return None
 
     def backtrace(self, row: int, value: int) -> Optional[Tuple[int, int]]:
@@ -436,7 +446,8 @@ class CompiledTernaryPodem:
 
         The control flow is a line-for-line mirror of the dict reference's
         ``generate`` loop, with the full re-implication replaced by the
-        incremental cone updates of :meth:`assign`.
+        event-driven :meth:`assign` on a decision and a trail :meth:`undo`
+        on a retraction or a flip.
 
         Returns:
             ``(status, cube_bits, backtracks, decisions)`` with ``status``
@@ -446,12 +457,12 @@ class CompiledTernaryPodem:
         """
         self.reset(site_row, stuck_value)
         assignment: Dict[int, int] = {}
-        decisions: List[List[int]] = []  # [pin_row, value, exhausted]
+        decisions: List[List[int]] = []  # [pin_row, value, exhausted, trail mark]
         backtracks = 0
         total_decisions = 0
 
         while True:
-            if self._d_rows:
+            if self.detected:
                 bits = [2] * self._n_inputs
                 for pin, value in assignment.items():
                     bits[pin] = value
@@ -465,22 +476,24 @@ class CompiledTernaryPodem:
             if next_assignment is None:
                 # Dead branch: undo decisions until one still has an untried value.
                 while decisions and decisions[-1][2]:
-                    pin, __, __ = decisions.pop()
+                    pin, __, __, mark = decisions.pop()
                     assignment.pop(pin, None)
-                    self.assign(pin, None)
+                    self.undo(mark)
                 if not decisions:
                     return "untestable", None, backtracks, total_decisions
                 backtracks += 1
                 if backtracks > self.backtrack_limit:
                     return "aborted", None, backtracks, total_decisions
-                decisions[-1][1] ^= 1
-                decisions[-1][2] = True
-                assignment[decisions[-1][0]] = decisions[-1][1]
-                self.assign(decisions[-1][0], decisions[-1][1])
+                last = decisions[-1]
+                last[1] ^= 1
+                last[2] = True
+                assignment[last[0]] = last[1]
+                self.undo(last[3])
+                self.assign(last[0], last[1])
                 continue
 
             pin, value = next_assignment
             assignment[pin] = value
-            decisions.append([pin, value, False])
+            decisions.append([pin, value, False, self.trail_mark()])
             total_decisions += 1
             self.assign(pin, value)

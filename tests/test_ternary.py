@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.atpg.collapse import collapse_faults
 from repro.atpg.fault_sim import FaultSimulator
@@ -151,11 +153,95 @@ class TestImplicationParity:
                 program.net_names[node_prog[pos][1]] for pos in engine.d_frontier()
             ]
             assert frontier == frontier_ref, fault
-            reach = engine._x_path_reach()
+            dead = set()  # shared across queries, as choose_objective shares it
             for name in frontier_ref:
-                assert (program.net_index[name] in reach) == reference._x_path_exists(
-                    name, good_ref, faulty_ref
-                ), (fault, name)
+                assert engine._x_path_exists(
+                    program.net_index[name], dead
+                ) == reference._x_path_exists(name, good_ref, faulty_ref), (fault, name)
+
+
+class TestTrailUndo:
+    """Decide / flip / retract through the trail, as ``run()`` does.
+
+    A retraction may undo several decisions at once, and each sequence ends
+    by retracting the remaining pins out of order through ``assign``.
+    After every step the engine state must equal a fresh ``reset`` plus a
+    replay of the live assignment, and the dict reference's full implication.
+    """
+
+    @staticmethod
+    def _check(engine, replay, reference, program, fault, stack):
+        replay.reset(program.net_index[fault.net], fault.stuck_value)
+        for pin, value, _ in stack:
+            replay.assign(pin, value)
+        assert engine.machine_codes() == replay.machine_codes(), (fault, stack)
+        assert engine.detected == replay.detected, (fault, stack)
+        assert engine.d_frontier() == replay.d_frontier(), (fault, stack)
+
+        assigned = {program.net_names[pin]: value for pin, value, _ in stack}
+        good_ref, faulty_ref = reference._imply(assigned, fault)
+        good, faulty = engine.machine_codes()
+        for net, row in program.net_index.items():
+            assert bit_of_code(good[row]) == good_ref[net], (fault, stack, net)
+            assert bit_of_code(faulty[row]) == faulty_ref[net], (fault, stack, net)
+        assert engine.detected == reference._detected(good_ref, faulty_ref), (fault, stack)
+        node_prog = program.node_prog
+        frontier = [program.net_names[node_prog[pos][1]] for pos in engine.d_frontier()]
+        assert frontier == reference._d_frontier(good_ref, faulty_ref), (fault, stack)
+
+    @pytest.mark.parametrize("make_circuit", CIRCUITS)
+    def test_lifo_sequences_match_replay_and_reference(self, make_circuit, rng):
+        circuit = make_circuit()
+        reference = DictPodemEngine(circuit)
+        program = get_backend("packed").compiled_program(circuit)
+        engine = CompiledTernaryPodem(program)
+        replay = CompiledTernaryPodem(program)
+        pins = [program.net_index[pin] for pin in circuit.combinational_inputs]
+        for fault in _sample_faults(circuit, 8):
+            engine.reset(program.net_index[fault.net], fault.stuck_value)
+            stack = []  # [pin_row, value, trail mark], like run()'s decisions
+            for _ in range(3 * len(pins)):
+                used = {pin for pin, _, _ in stack}
+                free = [pin for pin in pins if pin not in used]
+                move = int(rng.integers(0, 3))
+                if stack and (move == 0 or not free):  # retract the last few decisions
+                    depth = len(stack) - int(rng.integers(1, min(3, len(stack)) + 1))
+                    engine.undo(stack[depth][2])
+                    del stack[depth:]
+                elif stack and move == 1:  # flip the last decision
+                    stack[-1][1] ^= 1
+                    engine.undo(stack[-1][2])
+                    engine.assign(stack[-1][0], stack[-1][1])
+                else:  # decide a free pin
+                    pin = free[int(rng.integers(0, len(free)))]
+                    stack.append([pin, int(rng.integers(0, 2)), engine.trail_mark()])
+                    engine.assign(pin, stack[-1][1])
+                self._check(engine, replay, reference, program, fault, stack)
+            # Retractions outside the trail, in any order, must also hold.
+            while stack:
+                pin, _, _ = stack.pop(int(rng.integers(0, len(stack))))
+                engine.assign(pin, None)
+                self._check(engine, replay, reference, program, fault, stack)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n_inputs=st.integers(min_value=1, max_value=6),
+    n_ffs=st.integers(min_value=0, max_value=6),
+    n_gates=st.integers(min_value=1, max_value=40),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_podem_dict_and_compiled_agree_on_random_circuits(n_inputs, n_ffs, n_gates, seed):
+    """Property: identical PODEM results on random circuits at limits 0/1/15."""
+    circuit = generate_circuit(CircuitSpec("fuzz", n_inputs, n_ffs, n_gates, seed=seed))
+    faults = collapse_faults(circuit)
+    for limit in (0, 1, 15):
+        dict_engine = PodemEngine(circuit, backtrack_limit=limit, mode="dict")
+        compiled = PodemEngine(circuit, backtrack_limit=limit, mode="compiled")
+        for fault in faults:
+            _assert_same_result(
+                dict_engine.generate(fault), compiled.generate(fault), (limit, fault)
+            )
 
 
 class TestPodemParity:
