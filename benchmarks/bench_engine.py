@@ -1,4 +1,4 @@
-"""Naive vs packed vs cluster simulation-backend benchmarks.
+"""Naive vs packed simulation-backend benchmarks.
 
 Two entry points:
 
@@ -8,9 +8,8 @@ Two entry points:
 * ``PYTHONPATH=src python benchmarks/bench_engine.py`` — a standalone
   speedup report (wall-clock, a fresh simulator per run, resolved through
   the backend registry exactly like production callers; the packed
-  backend's compile-once program cache and the cluster backend's persistent
-  worker pool — the ``mp`` transport, pinned for the whole run — are
-  therefore in play, as designed) used to record the headline numbers in
+  backend's compile-once program cache is therefore in play, as designed)
+  used to record the headline numbers in
   ``CHANGES.md``.  Results are asserted identical
   between all backends before any timing is reported, and the full timing
   table is also written to ``BENCH_engine.json`` (per profile, per backend,
@@ -32,10 +31,6 @@ Acceptance gates:
 
 * packed must be at least 5x faster than naive on the largest profile (the
   engine-subsystem gate);
-* cluster (over ``mp``) must be at least 2x faster than packed with 4
-  workers — enforced only when the machine actually has 4+ cores (process
-  parallelism cannot beat a serial run on fewer), reported informationally
-  otherwise;
 * the ``words`` fault mode must be at least 1.5x faster than ``lanes`` on a
   >= 4096-pattern profile (single-core SIMD throughput, so always enforced);
 * the ``faults`` kernel must be at least 2x faster than the best of lanes
@@ -71,7 +66,6 @@ from repro import envvars
 from repro.atpg.collapse import collapse_faults
 from repro.atpg.podem import PodemEngine
 from repro.atpg.tpg import generate_test_cubes
-from repro.cluster import set_default_transport
 from repro.core.dpfill import dp_fill
 from repro.cubes.cube import TestSet
 from repro.engine.backend import get_backend
@@ -82,14 +76,13 @@ from repro.engine.fault import (
     resolve_grading_kernel,
 )
 from repro.engine.packed import LANE_MODE_MAX_PATTERNS
-from repro.engine.pool import JOBS_ENV_VAR, parse_jobs, set_default_jobs
 from repro.experiments.workloads import Workload, build_workload, default_workload_names
 from repro.obs import metrics as obs_metrics
 from repro.obs import timeline as obs_timeline
 from repro.obs import recorder as obs
 from repro.power.estimator import PowerEstimator
 
-BACKENDS = ["naive", "packed", "cluster"]
+BACKENDS = ["naive", "packed"]
 
 #: Profile and pattern widths for the lanes-vs-words fault-mode sweep.  The
 #: widths straddle the auto-mode crossover (LANE_MODE_MAX_PATTERNS = 4096);
@@ -109,10 +102,6 @@ FAULT_PARALLEL_GATE_SPEEDUP = 2.0
 #: Fault cap for the PODEM end-to-end A/B (the workload builder's value).
 FAULT_PARALLEL_ATPG_FAULTS = 150
 
-#: Workers the standalone cluster benchmark runs with (the acceptance gate
-#: is defined at 4 workers); override with REPRO_JOBS.
-BENCH_JOBS = 4
-
 #: ATPG sweep knobs: faults per profile (stratified sample of the collapsed
 #: list — the dict reference needs tens of seconds per hundred faults on the
 #: largest profile, which is the point of the sweep) and the PODEM backtrack
@@ -122,9 +111,6 @@ ATPG_BENCH_BACKTRACKS = 15
 #: Compiled ternary PODEM must beat the dict reference by this factor on the
 #: largest profile (the ATPG acceptance gate).
 ATPG_GATE_SPEEDUP = 3.0
-
-#: Transports the standalone cluster sweep times.
-CLUSTER_TRANSPORTS = ["local", "mp"]
 
 #: Tracing may cost at most this much on the largest profile's packed fault
 #: kernel, enabled vs disabled (the observability acceptance gate).
@@ -276,29 +262,25 @@ def _available_cores() -> int:
 
 def _write_json(
     rows: List[dict],
-    jobs: int,
     largest: dict,
     fault_modes: dict,
     fault_parallel: dict,
     atpg: dict,
-    cluster: dict,
     obs_section: dict,
 ) -> None:
     payload = {
-        "schema": 7,
+        "schema": 8,
         "git_sha": _git_sha(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "python": sys.version.split()[0],
         "cpu_count": os.cpu_count(),
         "available_cores": _available_cores(),
-        "cluster_jobs": jobs,
         "backends": list(BACKENDS),
         "profiles": rows,
         "largest": largest,
         "fault_modes": fault_modes,
         "fault_parallel": fault_parallel,
         "atpg": atpg,
-        "cluster": cluster,
         "obs": obs_section,
     }
     BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
@@ -484,7 +466,6 @@ def _fault_parallel_sweep() -> dict:
         max_faults=FAULT_PARALLEL_ATPG_FAULTS,
         backtrack_limit=ATPG_BENCH_BACKTRACKS,
         seed=0,
-        jobs=1,
     )
     with _forced_fault_mode("lanes"):
         t_lanes, res_lanes = _time_best(
@@ -523,13 +504,12 @@ def _fault_parallel_sweep() -> dict:
     }
 
 
-def _atpg_sweep(jobs: int) -> dict:
-    """Time dict vs compiled PODEM per profile; pooled generation on the largest.
+def _atpg_sweep() -> dict:
+    """Time dict vs compiled PODEM per profile.
 
     Parity — statuses, cubes, decision/backtrack counters — is asserted
-    before any timing is reported, and the pooled cube-generation run (the
-    cluster backend over ``mp``) must be byte-identical to the serial one.
-    Returns the machine-readable section for ``BENCH_engine.json``.
+    before any timing is reported.  Returns the machine-readable section
+    for ``BENCH_engine.json``.
     """
     names = bench_names()
     print("\nPODEM test generation (dict reference vs compiled ternary engine):")
@@ -588,31 +568,6 @@ def _atpg_sweep(jobs: int) -> dict:
         f"{largest_row['compiled_speedup']:.1f}x vs dict "
         f"(gate: >= {ATPG_GATE_SPEEDUP:.0f}x)"
     )
-
-    # Pooled generation: the full driver (PODEM + dropping) serial vs cluster.
-    circuit = build_workload(largest_row["circuit"]).circuit
-    atpg_kwargs = dict(
-        max_faults=96, backtrack_limit=ATPG_BENCH_BACKTRACKS, seed=0
-    )
-    t_serial, serial = _time_best(
-        lambda: lambda: generate_test_cubes(circuit, jobs=1, **atpg_kwargs), repeats=2
-    )
-    t_pooled, pooled = _time_best(
-        lambda: lambda: generate_test_cubes(
-            circuit, jobs=jobs, backend="cluster", **atpg_kwargs
-        ),
-        repeats=2,
-    )
-    assert np.array_equal(serial.cubes.matrix, pooled.cubes.matrix)
-    assert serial.cubes.names == pooled.cubes.names
-    assert list(serial.detected_faults.items()) == list(pooled.detected_faults.items())
-    assert serial.untestable_faults == pooled.untestable_faults
-    assert serial.aborted_faults == pooled.aborted_faults
-    pooled_speedup = t_serial / t_pooled
-    print(
-        f"cluster generation on {largest_row['circuit']}: serial {t_serial * 1000:.0f}ms, "
-        f"{jobs} workers {t_pooled * 1000:.0f}ms ({pooled_speedup:.1f}x, byte-identical)"
-    )
     return {
         "backtrack_limit": ATPG_BENCH_BACKTRACKS,
         "profiles": rows,
@@ -620,59 +575,6 @@ def _atpg_sweep(jobs: int) -> dict:
             "circuit": largest_row["circuit"],
             "compiled_speedup": largest_row["compiled_speedup"],
         },
-        "cluster_generation": {
-            "circuit": largest_row["circuit"],
-            "jobs": jobs,
-            "seconds": {"serial": t_serial, "cluster": t_pooled},
-            "speedup": pooled_speedup,
-        },
-    }
-
-
-def _cluster_sweep(jobs: int, largest_row: dict) -> dict:
-    """Time the cluster backend's transports on the largest profile.
-
-    Parity against the packed reference is asserted before any timing is
-    reported; each transport's time is reported against the packed
-    backend's (informational).
-    """
-    from repro.cluster import ClusterFaultSimulator
-
-    name = largest_row["circuit"]
-    workload = build_workload(name)
-    circuit = workload.circuit
-    patterns = _filled_patterns(workload)
-    faults = collapse_faults(circuit)
-    program = get_backend("packed").compiled_program(circuit)
-    reference = PackedFaultSimulator(circuit, program=program).run(patterns, faults)
-    packed_seconds = largest_row["seconds"]["packed"]["fault"]
-
-    print(f"\ncluster transports on {name} ({jobs} jobs, vs packed):")
-    header = f"{'transport':>10} {'fault (ms)':>11} {'vs packed':>10}"
-    print(header)
-    print("-" * len(header))
-    timings: Dict[str, float] = {}
-    for transport_name in CLUSTER_TRANSPORTS:
-        t_cluster, result = _time_best(
-            lambda t=transport_name: lambda: ClusterFaultSimulator(
-                circuit, transport=t, jobs=jobs, program=program
-            ).run(patterns, faults),
-            repeats=2,
-        )
-        assert list(reference.detected.items()) == list(result.detected.items()), (
-            transport_name
-        )
-        assert reference.undetected == result.undetected, transport_name
-        timings[transport_name] = t_cluster
-        print(
-            f"{transport_name:>10} {t_cluster * 1000:>11.1f} "
-            f"{packed_seconds / t_cluster:>9.2f}x"
-        )
-    return {
-        "circuit": name,
-        "jobs": jobs,
-        "seconds": timings,
-        "packed_seconds": packed_seconds,
     }
 
 
@@ -814,22 +716,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     metrics_path = obs_metrics.resolve_metrics_path(args.metrics or None)
     trace_path = args.trace_out or None
-    env = os.environ.get(JOBS_ENV_VAR, "").strip()
-    jobs = parse_jobs(env, source=JOBS_ENV_VAR) if env else BENCH_JOBS
-    previous_jobs = set_default_jobs(jobs)
-    previous_transport = set_default_transport("mp")
-    try:
-        return _main(jobs, metrics_path, trace_path)
-    finally:
-        set_default_jobs(previous_jobs)
-        set_default_transport(previous_transport)
-
-
-def _main(
-    jobs: int,
-    metrics_path: Optional[str] = None,
-    trace_path: Optional[str] = None,
-) -> int:
     names: List[str] = bench_names()
     rows: List[dict] = []
     for name in names:
@@ -871,14 +757,12 @@ def _main(
                 "seconds": timings,
                 "fault_speedup_packed_vs_naive": timings["naive"]["fault"]
                 / timings["packed"]["fault"],
-                "fault_speedup_cluster_vs_packed": timings["packed"]["fault"]
-                / timings["cluster"]["fault"],
             }
         )
 
     header = (
         f"{'circuit':>8} {'gates':>6} {'pats':>5} {'faults':>6} "
-        f"{'fault n/p/c (ms)':>26} {'p/n speedup':>11} {'c/p speedup':>11}"
+        f"{'fault n/p (ms)':>17} {'p/n speedup':>11}"
     )
     print(header)
     print("-" * len(header))
@@ -886,49 +770,31 @@ def _main(
     for row in rows:
         fn = row["seconds"]["naive"]["fault"] * 1000
         fp = row["seconds"]["packed"]["fault"] * 1000
-        fc = row["seconds"]["cluster"]["fault"] * 1000
         marker = "  <- largest" if row["circuit"] == largest_row["circuit"] else ""
         print(
             f"{row['circuit']:>8} {row['gates']:>6} {row['patterns']:>5} {row['faults']:>6} "
-            f"{fn:>8.1f}/{fp:<8.1f}/{fc:<8.1f} "
-            f"{row['fault_speedup_packed_vs_naive']:>10.1f}x "
-            f"{row['fault_speedup_cluster_vs_packed']:>10.1f}x{marker}"
+            f"{fn:>8.1f}/{fp:<8.1f} "
+            f"{row['fault_speedup_packed_vs_naive']:>10.1f}x{marker}"
         )
 
     packed_speedup = largest_row["fault_speedup_packed_vs_naive"]
-    cluster_speedup = largest_row["fault_speedup_cluster_vs_packed"]
-    cores = _available_cores()
     largest = {
         "circuit": largest_row["circuit"],
         "fault_speedup_packed_vs_naive": packed_speedup,
-        "fault_speedup_cluster_vs_packed": cluster_speedup,
     }
     print(
-        f"\nlargest profile ({largest_row['circuit']}): packed {packed_speedup:.1f}x vs naive, "
-        f"cluster {cluster_speedup:.1f}x vs packed ({jobs} workers, {cores} cores available)"
+        f"\nlargest profile ({largest_row['circuit']}): packed {packed_speedup:.1f}x vs naive"
     )
     fault_modes = _fault_mode_sweep()
     fault_parallel = _fault_parallel_sweep()
-    atpg = _atpg_sweep(jobs)
-    cluster = _cluster_sweep(jobs, largest_row)
+    atpg = _atpg_sweep()
     obs_section = _obs_sweep(largest_row, metrics_path, trace_path)
-    _write_json(
-        rows, jobs, largest, fault_modes, fault_parallel, atpg, cluster, obs_section
-    )
+    _write_json(rows, largest, fault_modes, fault_parallel, atpg, obs_section)
 
     code = 0
     if packed_speedup < 5.0:
         print("WARNING: packed below the 5x acceptance threshold")
         code = 1
-    if cores >= 4:
-        if cluster_speedup < 2.0:
-            print("WARNING: cluster below the 2x acceptance threshold")
-            code = 1
-    elif cluster_speedup < 2.0:
-        print(
-            f"note: cluster gate not enforced — {cores} core(s) available, "
-            "process parallelism cannot beat a serial run here"
-        )
     if fault_modes["words_gate_speedup"] < FAULT_MODE_GATE_SPEEDUP:
         print(
             f"WARNING: words fault mode below the {FAULT_MODE_GATE_SPEEDUP}x "

@@ -1,4 +1,4 @@
-"""Project-specific static analysis and runtime sanitizers.
+"""Project-specific static analysis.
 
 ``python -m repro.analysis [--format human|json] [--baseline FILE]
 [paths...]`` runs six AST rules encoding the invariants the dynamic
@@ -17,9 +17,9 @@ parity suites can only spot-check:
 * **R6 silent except** — broad handlers re-raise, emit ``obs.event``,
   or carry a documented suppression.
 
-:mod:`repro.analysis.sanitizer` is the runtime half: under
-``REPRO_SANITIZE=1`` the cluster's merge is shadow-replayed in
-adversarial envelope orders and must reproduce the live result exactly.
+The dynamic half of the contract is the parity and golden-report suites:
+naive and packed grading agree bit for bit, and the runner's pooled cells
+merge in fixed cell order, so the report is byte-identical to a serial run.
 """
 
 from repro.analysis.core import (
@@ -30,19 +30,15 @@ from repro.analysis.core import (
     run_analysis,
 )
 from repro.analysis.registry import RULES, all_rules, project_rule, rule
-from repro.analysis.sanitizer import MergeShadow, SanitizerError, shadow_for
 
 __all__ = [
     "AnalysisContext",
     "AnalysisReport",
     "Finding",
-    "MergeShadow",
     "ModuleInfo",
     "RULES",
-    "SanitizerError",
     "all_rules",
     "project_rule",
     "rule",
     "run_analysis",
-    "shadow_for",
 ]

@@ -1,7 +1,7 @@
 """R1 — determinism lint for result-bearing modules.
 
 The paper's reproduction contract is bit-identical output across backends,
-transports, worker counts and task arrival orders.  Three static patterns break that contract
+worker counts and task arrival orders.  Three static patterns break that contract
 and all have slipped into similar codebases before:
 
 * drawing from the **unseeded global RNG** (``random.shuffle`` /
@@ -15,7 +15,7 @@ and all have slipped into similar codebases before:
 
 The rule is scoped to the modules whose output is part of the determinism
 contract (engine, cubes, ATPG, fill/ordering/power pipeline, circuit
-builders, and the cluster protocol/merge layer).  Telemetry and forensic
+generation, and the cluster task protocol).  Telemetry and forensic
 timestamps live outside that scope on purpose: ``repro.obs`` event
 timestamps never feed result payloads.
 
@@ -47,9 +47,6 @@ CRITICAL_PACKAGES = {
 #: Individual modules outside those packages that also carry it.
 CRITICAL_MODULES = {
     ("cluster", "protocol.py"),
-    ("cluster", "fault_sim.py"),
-    ("cluster", "atpg.py"),
-    ("cluster", "executor.py"),
 }
 
 #: ``random.<attr>`` uses that are fine: seeded/explicit instances.

@@ -15,11 +15,11 @@ over a pluggable backend (see :mod:`repro.engine.backend`): ``"packed"``
 grades faults on the compiled bit-parallel engine (64 patterns per machine
 word, cone-restricted re-evaluation, real fault dropping, and an automatic
 lanes/words execution-mode switch for wide pattern sets — see
-:mod:`repro.engine.fault` and ``REPRO_FAULT_MODE``), ``"cluster"`` fans that
-out across worker processes, and ``"naive"`` keeps the original
-dict-walking implementation as the reference oracle.  All produce
-bit-identical results; the default is resolved through the backend registry
-(``REPRO_BACKEND`` environment variable, ``packed`` otherwise).
+:mod:`repro.engine.fault` and ``REPRO_FAULT_MODE``), and ``"naive"`` keeps
+the original dict-walking implementation as the reference oracle.  Both run
+in process and produce bit-identical results; the default is resolved
+through the backend registry (``REPRO_BACKEND`` environment variable,
+``packed`` otherwise).
 """
 
 from __future__ import annotations

@@ -51,7 +51,7 @@ from repro.cubes.bits import ONE, X, ZERO
 from repro.cubes.cube import TestCube
 from repro.engine.backend import SimulationBackend, get_backend
 from repro.engine.compile import compile_circuit
-from repro.engine.ternary import CompiledTernaryPodem, RawPodemResult, resolve_atpg_mode
+from repro.engine.ternary import CompiledTernaryPodem, resolve_atpg_mode
 from repro.obs import recorder as obs
 
 
@@ -85,13 +85,8 @@ class PodemResult:
 def _flush_podem_telemetry(result: PodemResult) -> None:
     """Fold one PODEM outcome into the ``podem.*`` obs counters.
 
-    Counters are recorded at the *consumption* point — where a result is
-    handed to the caller — never inside the search itself.  Pooled
-    schedulers prefetch speculatively (a dropped fault may run in a worker
-    yet never be fetched) and a failed pooled run re-executes in-flight
-    faults inline; counting consumed results keeps ``podem.*`` exactly
-    equal across the single-process and cluster paths, because all of them
-    consume the same bit-identical per-fault results exactly once.
+    Counters are recorded where a result is handed to the caller, never
+    inside the search itself, so both implementations count alike.
     """
     if not obs.enabled():
         return
@@ -355,12 +350,9 @@ class PodemEngine:
             return result
         site_row = self.program.net_index[fault.net]
         with obs.span(f"atpg/{self.circuit.name}/podem"):
-            raw = self._impl.run(site_row, fault.stuck_value)
-        return self.result_from_raw(fault, raw)
-
-    def result_from_raw(self, fault: StuckAtFault, raw: RawPodemResult) -> PodemResult:
-        """Wrap a raw compiled-engine result (e.g. from a pool worker)."""
-        status, bits, backtracks, decisions = raw
+            status, bits, backtracks, decisions = self._impl.run(
+                site_row, fault.stuck_value
+            )
         cube = TestCube(list(bits), name=fault.name) if status == "detected" else None
         result = PodemResult(fault, status, cube, backtracks, decisions)
         _flush_podem_telemetry(result)

@@ -14,21 +14,15 @@ see :func:`~repro.engine.fault.packed_first_detects_faults`), grading 64
 remaining faults per machine word per cube instead of looping the python
 interpreter over every fault.
 
-Generation can fan out across worker processes: the collapsed fault list
-is partitioned into chunks and each worker runs the compiled ternary PODEM
-engine on its chunk (:class:`~repro.cluster.atpg.ClusterPodemScheduler`,
-over the shared spawn pool or the cluster backend's transport), with
-detected-fault drops broadcast between chunk submissions.  Because
-per-fault PODEM runs are deterministic and the driver merges strictly in
-fault-list order — consuming the dropping RNG in that same order — the
-resulting :class:`ATPGResult` is bit-identical to a serial run for any
-``jobs`` value, including the inline fallback when no pool is available.
+PODEM runs serially, in fault-list order, in the calling process: the
+experiment runner's ``--jobs N`` parallelises whole (artifact x benchmark)
+cells instead, so one circuit's cubes are always generated by one engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
@@ -39,10 +33,7 @@ from repro.atpg.podem import PodemEngine
 from repro.circuit.netlist import Circuit
 from repro.cubes.bits import BIT_DTYPE, X
 from repro.cubes.cube import TestCube, TestSet
-from repro.cluster.atpg import ClusterPodemScheduler
-from repro.cluster.backend import ClusterBackend
 from repro.engine.backend import SimulationBackend
-from repro.engine.pool import parse_jobs, resolve_jobs
 
 
 @dataclass
@@ -90,50 +81,6 @@ def _random_fill(cube: TestCube, rng: np.random.Generator) -> np.ndarray:
     return bits
 
 
-#: Fault lists below this size always generate inline: shipping the compiled
-#: program and paying per-chunk IPC cannot amortise over a handful of PODEM
-#: runs (the fault-sim analogue is the chunk-plan minimums of
-#: :func:`~repro.cluster.protocol.plan_chunks`).  Results are identical
-#: either way — this only bounds overhead.
-MIN_POOLED_PODEM_FAULTS = 32
-
-
-def _podem_scheduler(
-    engine: PodemEngine, faults: Sequence[StuckAtFault], jobs: Optional[int]
-) -> Optional[ClusterPodemScheduler]:
-    """Build a pooled PODEM scheduler, or ``None`` for serial generation.
-
-    Pooled generation engages for an explicit ``jobs`` > 1, or — mirroring
-    how fault simulation fans out — automatically under the cluster backend.
-    It requires the compiled implication engine (the workers run it); with
-    the dict reference in effect generation stays serial regardless of
-    ``jobs``.  The cluster backend schedules over its resolved transport
-    (``REPRO_TRANSPORT``); every other backend over the ``mp`` transport,
-    i.e. the shared spawn pool.
-    """
-    if engine.implementation != "compiled":
-        return None
-    is_cluster = isinstance(engine.backend, ClusterBackend)
-    if jobs is None:
-        if not is_cluster:
-            return None
-        jobs = resolve_jobs(engine.backend.jobs)
-    else:
-        jobs = parse_jobs(jobs)
-    if jobs <= 1 or len(faults) < MIN_POOLED_PODEM_FAULTS:
-        return None
-    program = engine.program
-    scheduler = ClusterPodemScheduler(
-        program,
-        sites=[program.net_index[fault.net] for fault in faults],
-        stuck_values=[fault.stuck_value for fault in faults],
-        backtrack_limit=engine.backtrack_limit,
-        transport=engine.backend.transport if is_cluster else "mp",
-        jobs=jobs,
-    )
-    return scheduler if scheduler.pooled else None
-
-
 def generate_test_cubes(
     circuit: Circuit,
     max_faults: Optional[int] = None,
@@ -141,7 +88,6 @@ def generate_test_cubes(
     backtrack_limit: int = 100,
     drop_with_fault_sim: bool = True,
     seed: int = 0,
-    jobs: Optional[int] = None,
     backend: Union[str, SimulationBackend, None] = None,
     atpg_mode: Optional[str] = None,
 ) -> ATPGResult:
@@ -158,10 +104,6 @@ def generate_test_cubes(
             drop the other faults it detects (the standard ATPG flow).  When
             disabled every target fault gets its own cube.
         seed: seed for the random fill used during dropping.
-        jobs: worker processes for cube generation; ``None`` fans out only
-            under the cluster backend (resolving through ``REPRO_JOBS``),
-            ``1`` forces a serial run.  Results are bit-identical for every
-            value and every cluster transport.
         backend: simulation backend for PODEM and the dropping fault sim
             (registry default when omitted).
         atpg_mode: PODEM implication implementation (``"auto"`` / ``"dict"``
@@ -184,7 +126,6 @@ def generate_test_cubes(
         if drop_with_fault_sim
         else None
     )
-    scheduler = _podem_scheduler(engine, faults, jobs)
     rng = np.random.default_rng(seed)
 
     result = ATPGResult(
@@ -194,17 +135,13 @@ def generate_test_cubes(
     )
     cube_list: List[TestCube] = []
     remaining: Dict[StuckAtFault, None] = dict.fromkeys(faults)
-    index_of = {fault: index for index, fault in enumerate(faults)}
 
-    for index, fault in enumerate(faults):
+    for fault in faults:
         if fault not in remaining:
             continue
         if max_patterns is not None and len(cube_list) >= max_patterns:
             break
-        if scheduler is not None:
-            podem = engine.result_from_raw(fault, scheduler.fetch(index))
-        else:
-            podem = engine.generate(fault)
+        podem = engine.generate(fault)
         if podem.status == "untestable":
             result.untestable_faults.append(fault)
             remaining.pop(fault, None)
@@ -227,8 +164,6 @@ def generate_test_cubes(
             for dropped in sim.detected:
                 result.detected_faults[dropped] = cube_index
                 remaining.pop(dropped, None)
-                if scheduler is not None:
-                    scheduler.drop(index_of[dropped])
 
     result.cubes = TestSet(cube_list) if cube_list else TestSet([])
     return result

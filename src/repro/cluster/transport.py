@@ -1,18 +1,13 @@
-"""Transports moving cluster work units to their executors.
+"""Transports carrying the experiment runner's cells to their executors.
 
-A *transport* is a tiny submit/collect interface over which the cluster
-executor schedules :mod:`repro.cluster.protocol` task dicts:
+A *transport* is a tiny submit/collect interface over
+:mod:`repro.cluster.protocol` task dicts:
 
-* ``"local"`` — tasks execute in-process, one per :meth:`next_result` call.
-  Zero setup, fully deterministic; the transport of choice for tests and
-  the semantics oracle for ``mp`` (``order="lifo"`` collects out of order).
-* ``"mp"`` — tasks ride the shared spawn-safe process pool
-  (:mod:`repro.engine.pool`): same pool, same lifecycle and same
-  inline-fallback conditions for every multi-process run in the package.
-
-Transport resolution mirrors the backend registry: explicit argument >
-:func:`set_default_transport` (the runner's ``--transport`` flag) >
-``REPRO_TRANSPORT`` environment variable > ``"mp"``.
+* :class:`MpTransport` — tasks ride the shared spawn-safe process pool
+  (:mod:`repro.engine.pool`).  This is what ``run_all(jobs > 1)`` builds.
+* :class:`LocalTransport` — tasks execute in-process, one per
+  :meth:`~Transport.next_result` call.  It is the tests' deterministic
+  fake for ``mp`` (``order="lifo"`` collects out of order on purpose).
 """
 
 from __future__ import annotations
@@ -21,8 +16,7 @@ import multiprocessing
 from collections import deque
 from typing import Dict, Optional, Tuple
 
-from repro import envvars
-from repro.cluster.protocol import execute_task, unwrap_payload, worker_context
+from repro.cluster.protocol import execute_task, unwrap_payload
 from repro.engine.pool import (
     CHUNK_TIMEOUT,
     discard_broken_pool,
@@ -30,15 +24,6 @@ from repro.engine.pool import (
     worker_pool,
 )
 from repro.obs import recorder as obs
-
-#: Environment variable selecting the cluster transport (``local`` / ``mp``).
-TRANSPORT_ENV_VAR = envvars.TRANSPORT.name
-
-TRANSPORTS = envvars.TRANSPORTS
-
-DEFAULT_TRANSPORT_NAME = "mp"
-
-_default_name: Optional[str] = None
 
 
 class TransportError(RuntimeError):
@@ -71,14 +56,10 @@ class Transport:
     """Submit/collect interface every transport implements.
 
     Results may come back in any order; consumers must key merges on the
-    returned task id and be order-independent — the protocol layer's
-    merges are.
+    returned task id (the runner merges cells in fixed cell order).
     """
 
     name: str = "?"
-
-    #: Worker processes serving this transport (0 = the parent itself).
-    workers: int = 0
 
     def submit(self, task: Dict[str, object]) -> str:
         """Enqueue one task; returns its id."""
@@ -124,9 +105,7 @@ class LocalTransport(Transport):
         task_id, task = (
             self._pending.popleft() if self._order == "fifo" else self._pending.pop()
         )
-        with worker_context():
-            payload = execute_task(task)
-        return task_id, unwrap_payload(task_id, payload)
+        return task_id, unwrap_payload(task_id, execute_task(task))
 
 
 # -- mp ----------------------------------------------------------------------
@@ -147,7 +126,6 @@ class MpTransport(Transport):
         if pool is None:
             raise TransportError("worker pool unavailable (jobs<=1 or spawn failed)")
         self._pool = pool
-        self.workers = jobs
         self._inflight: "deque[Tuple[str, object]]" = deque()
         self._counter = 0
 
@@ -191,63 +169,6 @@ class MpTransport(Transport):
                 transport=self.name,
             ) from err
         return task_id, unwrap_payload(task_id, payload)
-
-
-# -- resolution --------------------------------------------------------------
-def default_transport_name() -> str:
-    """The transport used when none is requested explicitly.
-
-    Raises:
-        ValueError: for an unknown ``REPRO_TRANSPORT`` value (the message
-            names the variable).
-    """
-    if _default_name is not None:
-        return _default_name
-    return envvars.TRANSPORT.read() or DEFAULT_TRANSPORT_NAME
-
-
-def parse_transport(name: str) -> str:
-    """Validate a transport name.
-
-    Raises:
-        ValueError: for names outside :data:`TRANSPORTS`.
-    """
-    name = str(name).strip()
-    if name not in TRANSPORTS:
-        raise ValueError(f"unknown transport {name!r}; choose from {TRANSPORTS}")
-    return name
-
-
-def set_default_transport(name: Optional[str]) -> Optional[str]:
-    """Set (or with ``None`` clear) the process-wide default transport.
-
-    Returns:
-        The previous override, so callers can restore it (the experiment
-        runner's ``--transport`` flag uses this exactly like ``--backend``).
-
-    Raises:
-        ValueError: for unknown transport names.
-    """
-    global _default_name
-    previous = _default_name
-    _default_name = parse_transport(name) if name is not None else None
-    return previous
-
-
-def resolve_transport(
-    name: Optional[str] = None, jobs: Optional[int] = None
-) -> Transport:
-    """Build the transport for ``name`` (default: :func:`default_transport_name`).
-
-    Raises:
-        ValueError: for unknown transport names.
-        TransportError: when the transport cannot be built (the mp pool is
-            unavailable) — callers fall back to inline execution.
-    """
-    name = parse_transport(name or default_transport_name())
-    if name == "local":
-        return LocalTransport()
-    return MpTransport(jobs=jobs)
 
 
 def discard_transport(transport: Transport, err: BaseException) -> None:

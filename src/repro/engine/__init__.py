@@ -6,10 +6,10 @@ with 64 patterns per machine word (:mod:`repro.engine.packed`), and grades
 fault lists with cone-restricted re-evaluation and real fault dropping
 (:mod:`repro.engine.fault`).  :mod:`repro.engine.backend` exposes the
 registry through which the ATPG, power and experiment layers pick an
-implementation without changing their public APIs.  Importing the package
-also imports :mod:`repro.cluster`, which registers the ``cluster`` backend —
-the one multi-process path, over the shared pool of :mod:`repro.engine.pool`
-or any other cluster transport.
+implementation without changing their public APIs: ``naive`` (the
+dict-walking reference) or ``packed``, both in process.
+:mod:`repro.engine.pool` sizes and owns the shared spawn pool that the
+experiment runner's ``--jobs N`` cells ride (see :mod:`repro.cluster`).
 """
 
 from repro.engine.backend import (
@@ -106,7 +106,3 @@ __all__ = [
     "unpack_values",
     "worker_pool",
 ]
-
-# Registers the "cluster" backend.  Last, because repro.cluster imports
-# this package's submodules, which are complete by now.
-import repro.cluster  # noqa: F401

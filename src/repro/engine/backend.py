@@ -4,9 +4,8 @@ A *backend* bundles a logic-simulator and a fault-simulator factory under a
 name.  Consumers (``FaultSimulator``, ``PowerEstimator``, the experiment
 runner) resolve a backend by name through :func:`get_backend` instead of
 hard-wiring a simulator class, so swapping the whole simulation substrate —
-or registering a new one, as :mod:`repro.cluster` does for the
-multi-process ``cluster`` backend — is a one-line change that leaves every
-public API untouched.
+or registering a new one with :func:`register_backend` — is a one-line
+change that leaves every public API untouched.
 
 Resolution order for the backend name:
 

@@ -223,11 +223,7 @@ def _flush_run_telemetry(
     Kernels accumulate into plain dicts exactly as before (the hot loops
     never touch obs); top-level ``run()`` methods flush once per run, so
     the disabled path costs one predicate and the enabled path a handful
-    of dict merges.  Distributed runs flush kernel stats worker-side per
-    chunk instead (see :func:`repro.cluster.protocol.simulate_chunk`) and
-    only the result-level counters here in the parent, keeping counter
-    totals comparable — and for the scheduling-invariant counters
-    identical — across backends.
+    of dict merges.
     """
     if not obs.enabled():
         return
@@ -456,10 +452,7 @@ def packed_first_detects(
 ) -> List[Optional[int]]:
     """First-detecting pattern index per fault site over a pattern range.
 
-    This is the work unit shared by :class:`PackedFaultSimulator` (which runs
-    it over the full pattern range) and the cluster backend's worker
-    processes (which run it over fault-list chunks or pattern-block shards
-    and merge the results deterministically).
+    :class:`PackedFaultSimulator` runs it over the full pattern range.
 
     Args:
         program: compiled circuit.

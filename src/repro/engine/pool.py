@@ -1,18 +1,19 @@
 """Worker-count resolution and the shared spawn-safe process pool.
 
-Every multi-process execution path in the package — pooled fault
-simulation, pooled PODEM generation and the experiment runner's parallel
-cells, all of them :mod:`repro.cluster` transports — sizes itself through
-the same resolution chain (explicit argument > :func:`set_default_jobs` >
-``REPRO_JOBS`` > ``os.cpu_count()``), and the ``mp`` transport shares one
-lazily created spawn-context pool per worker count.  The lifecycle lives
-here, in the engine layer below :mod:`repro.cluster`, which builds on it.
+The one multi-process path in the package is the experiment runner's
+``--jobs N``: its (artifact x benchmark) cells ride an
+:class:`~repro.cluster.transport.MpTransport` over the pool kept here.  The
+worker count resolves through one chain (explicit argument >
+:func:`set_default_jobs` > ``REPRO_JOBS`` > ``os.cpu_count()``), and one
+lazily created spawn-context pool is kept per worker count.  Fault grading
+and PODEM never use the pool.
 
 A pool is created on first use and shut down cleanly at interpreter exit.
 Whenever a pool cannot be used — ``jobs=1``, running inside a pool worker
-already, spawn failure, workers that cannot import the package — callers
-receive ``None`` and must fall back to in-process execution, so results
-never depend on the environment being pool-friendly.
+already, spawn failure, workers that cannot import the package, or a pool
+retired by :func:`discard_broken_pool` — callers receive ``None`` and must
+fall back to in-process execution, so results never depend on the
+environment being pool-friendly.
 """
 
 from __future__ import annotations
@@ -77,8 +78,7 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
 # -- worker pool -------------------------------------------------------------
 #: jobs -> live pool.  Pools are keyed by size so a caller asking for a
 #: different worker count gets its own pool instead of resizing one that
-#: another consumer (e.g. the PODEM scheduler next to the dropping fault
-#: simulator) still has tasks in flight on.
+#: may still have tasks in flight.
 _pools: Dict[int, object] = {}
 _pool_broken = False
 

@@ -33,18 +33,12 @@ same backtrack bookkeeping — so the generated cubes, the
 detected/untestable/aborted classification and even the decision/backtrack
 counters are bit-identical; ``tests/test_ternary.py`` asserts this on every
 benchmark profile.  The engine works purely on rows and integers (no
-:mod:`repro.atpg` types), so the cluster transports can ship it to worker
-processes alongside the compiled program.
+:mod:`repro.atpg` types).
 
-The ``(backtracks, decisions)`` pair still rides in the raw result tuple —
-it is both the backtrack-limit input and part of the cross-process payload
-— but it is no longer the telemetry channel: :mod:`repro.obs` records the
-``podem.*`` counters at the point a result is *consumed*
-(:meth:`repro.atpg.podem.PodemEngine.result_from_raw`), never here inside
-the search.  Pooled schedulers prefetch speculatively and a failed pooled
-run re-executes faults inline, so recording inside ``run()`` would
-double-count; recording at consumption keeps the counters exactly equal
-across the single-process and cluster paths.
+The ``(backtracks, decisions)`` pair rides in the raw result tuple, but it
+is not the telemetry channel: :mod:`repro.obs` records the ``podem.*``
+counters where :meth:`repro.atpg.podem.PodemEngine.generate` hands a result
+to its caller, never here inside the search.
 
 A generated cube is not the end of the pipeline: the ATPG driver
 immediately fault-simulates a filled copy of it against the remaining fault
@@ -95,7 +89,7 @@ _BIT_OF_CODE = (None, 0, 1, 2)
 
 #: Raw engine result: ``(status, cube_bits, backtracks, decisions)`` with
 #: ``cube_bits`` a 0/1/2 list over the test-pin rows (``None`` unless
-#: detected).  This is what pool workers pickle back to the parent.
+#: detected).
 RawPodemResult = Tuple[str, Optional[List[int]], int, int]
 
 

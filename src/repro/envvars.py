@@ -39,8 +39,6 @@ __all__ = [
     "parse_choice",
     "FAULT_MODES",
     "ATPG_MODES",
-    "CHUNK_PLANS",
-    "TRANSPORTS",
 ]
 
 
@@ -129,8 +127,6 @@ def parse_string(value: object, source: str = "value") -> str:
 #: Canonical choice sets (single source; domain modules re-export these).
 FAULT_MODES = ("auto", "lanes", "words", "faults")
 ATPG_MODES = ("auto", "dict", "compiled")
-CHUNK_PLANS = ("adaptive", "static")
-TRANSPORTS = ("local", "mp")
 
 
 # -- the registry ------------------------------------------------------------
@@ -245,7 +241,7 @@ def env_snapshot() -> Dict[str, str]:
 BACKEND = declare(
     "REPRO_BACKEND",
     parse_string,
-    "Simulation backend (`naive`/`packed`/`cluster`); validated "
+    "Simulation backend (`naive`/`packed`); validated "
     "against the backend registry at resolution time.",
     default=None,
     default_doc="`packed`",
@@ -254,8 +250,8 @@ BACKEND = declare(
 JOBS = declare(
     "REPRO_JOBS",
     parse_jobs,
-    "Worker count for the shared spawn pool and every cluster execution "
-    "path (integer >= 1).",
+    "Worker count for the shared spawn pool that the experiment runner's "
+    "cells ride (integer >= 1).",
     default=None,
     default_doc="`os.cpu_count()`",
 )
@@ -278,24 +274,6 @@ ATPG_MODE = declare(
     "`auto` (compiled on compiled backends).",
     default=None,
     default_doc="`auto`",
-)
-
-TRANSPORT = declare(
-    "REPRO_TRANSPORT",
-    parse_choice(TRANSPORTS, "transport"),
-    "Cluster transport: `mp` (the shared spawn pool) or `local` "
-    "(in-process).",
-    default=None,
-    default_doc="`mp`",
-)
-
-CHUNK_PLAN = declare(
-    "REPRO_CHUNK_PLAN",
-    parse_choice(CHUNK_PLANS, "chunk plan"),
-    "Fault-chunk sizing: `adaptive` (sized from measured cone cost) or "
-    "`static` (fixed equal-count).",
-    default=None,
-    default_doc="`adaptive`",
 )
 
 TRACE = declare(
@@ -325,16 +303,6 @@ METRICS = declare(
     "(implies tracing in the experiment runner).",
     default=None,
     default_doc="unset (no artifact)",
-)
-
-SANITIZE = declare(
-    "REPRO_SANITIZE",
-    parse_flag,
-    "Arm the runtime determinism sanitizer: shadow re-merge of cluster "
-    "results in reversed/shuffled envelope order, asserting bit-identical "
-    "output (see `repro.analysis.sanitizer`).",
-    default=False,
-    default_doc="`0`",
 )
 
 

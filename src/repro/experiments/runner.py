@@ -15,16 +15,16 @@ Parallel scheduling
 With ``--jobs N`` (or ``REPRO_JOBS``) the runner splits the work into
 independent *cells* — one (artifact, benchmark) pair each, plus whole-artifact
 cells for the figures' cross-benchmark parts — and submits them all at once
-as cluster work units (:func:`repro.cluster.protocol.cell_task`), so the
-workers load-balance across artefacts.  The cells ride the ``mp`` transport
-(the shared spawn-safe process pool of :mod:`repro.engine.pool`); under
-``--backend cluster`` they ride the resolved transport instead
-(``--transport`` / ``REPRO_TRANSPORT``: ``mp`` or the in-process ``local``).
-Results merge back **in deterministic cell order**, so the report text is
-byte-identical to a serial run for every transport and worker count.  Any
-cell that fails in a worker re-runs in process, and a transport that cannot
-be built at all means a serial run; parallelism is purely a scheduling
-concern and can never change results.
+as tasks (:func:`repro.cluster.protocol.cell_task`) to an
+:class:`~repro.cluster.transport.MpTransport` — the shared spawn-safe process
+pool of :mod:`repro.engine.pool` — so the workers load-balance across
+artefacts.  Fault grading and PODEM inside a cell run in process.  Results
+merge back **in deterministic cell order**, so the report text is
+byte-identical to a serial run for every worker count.  Any cell that fails
+in a worker re-runs in process; a lost transport retires the pool and
+re-runs its pending cells in process; and a pool that cannot be built at
+all means a serial run.  Parallelism is purely a scheduling concern and can
+never change results.
 """
 
 from __future__ import annotations
@@ -37,12 +37,10 @@ from typing import Dict, List, Optional, Tuple
 from repro import envvars
 from repro.cluster.protocol import cell_task
 from repro.cluster.transport import (
+    MpTransport,
     TransportError,
     TransportTaskError,
-    default_transport_name,
-    parse_transport,
-    resolve_transport,
-    set_default_transport,
+    discard_transport,
 )
 from repro.engine.backend import (
     available_backends,
@@ -152,21 +150,19 @@ def _run_all_transport(
     seed: int,
     jobs: int,
 ) -> Optional[Dict[str, List[TableResult]]]:
-    """Schedule every cell as a cluster work unit; merge in cell order.
+    """Schedule every cell on the ``mp`` transport; merge in cell order.
 
-    The cells ride the ``mp`` transport, or under the cluster backend the
-    resolved one.  They are submitted eagerly (they are independent — no
-    broadcast to respect), collected in whatever order the transport
-    completes them, and merged in the fixed cell order, so the report is
-    byte-identical to a serial run.  A cell whose task fails is re-run in
-    process; if the transport cannot be built at all, ``None`` lets the
-    caller run serially.
+    The cells are submitted eagerly (they are independent), collected in
+    whatever order the transport completes them, and merged in the fixed
+    cell order, so the report is byte-identical to a serial run.  A cell
+    whose task fails is re-run in process.  A lost transport retires the
+    shared pool, so later runs in this process go serial at once, and its
+    pending cells re-run in process.  If the pool cannot be built at all,
+    ``None`` lets the caller run serially.
     """
     backend_name = default_backend_name()
     try:
-        transport = resolve_transport(
-            None if backend_name == "cluster" else "mp", jobs=jobs
-        )
+        transport = MpTransport(jobs=jobs)
     except TransportError:
         return None
     resolved = list(names or default_workload_names())
@@ -191,8 +187,10 @@ def _run_all_transport(
                 continue
             break
         except Exception as err:
-            # Transport gone: every still-pending cell re-runs inline.
+            # Transport gone: retire its pool, and every still-pending cell
+            # re-runs inline.
             obs.event("transport_lost", detail=repr(err))
+            discard_transport(transport, err)
             break
         if task_id in pending:
             pending.discard(task_id)
@@ -221,10 +219,9 @@ def run_all(
         names: benchmark names (default benchmark list).
         seed: workload seed.
         jobs: worker processes for the cell scheduler; ``1`` runs serially.
-            Under the cluster backend the cells ride the resolved cluster
-            transport; otherwise the ``mp`` transport (the shared process
-            pool).  Tables are identical every way — parallel cells are
-            merged in deterministic order.
+            The cells ride the ``mp`` transport (the shared process pool).
+            Tables are identical either way — parallel cells are merged in
+            deterministic order.
     """
     selected = list(artifacts or ARTIFACTS)
     if jobs > 1:
@@ -238,14 +235,6 @@ def _jobs_argument(text: str) -> int:
     """argparse type for ``--jobs``: a clear CLI error instead of a traceback."""
     try:
         return parse_jobs(text, source="--jobs")
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(err.args[0]) from None
-
-
-def _transport_argument(text: str) -> str:
-    """argparse type for ``--transport``: validate the name eagerly."""
-    try:
-        return parse_transport(text)
     except ValueError as err:
         raise argparse.ArgumentTypeError(err.args[0]) from None
 
@@ -278,24 +267,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=_jobs_argument,
         default=None,
-        help="worker processes for independent (artifact x benchmark) cells, "
-        "and under --backend cluster for fault-simulation chunks and PODEM "
-        "cube generation too (default: REPRO_JOBS or 1; report text is "
-        "byte-identical to a serial run)",
-    )
-    parser.add_argument(
-        "--transport",
-        type=_transport_argument,
-        default=None,
-        help="cluster transport for --backend cluster: mp (the shared "
-        "process pool) or local (in process) (default: REPRO_TRANSPORT or "
-        "'mp'; results and report text are identical for every transport)",
+        help="worker processes for independent (artifact x benchmark) cells "
+        "(default: REPRO_JOBS or 1; report text is byte-identical to a "
+        "serial run)",
     )
     parser.add_argument(
         "--metrics",
         default="",
         help="write a telemetry metrics JSON (counters, per-kernel span "
-        "timings, cluster event log) to this path after the run; implies "
+        "timings, event log) to this path after the run; implies "
         "tracing for the run (default: REPRO_METRICS if set)",
     )
     parser.add_argument(
@@ -325,21 +305,15 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 2
     previous_backend = set_default_backend(args.backend) if args.backend else None
     try:
-        # Fail fast on a mistyped REPRO_BACKEND / REPRO_TRANSPORT before any
-        # output is produced (and before any process-wide override is
-        # applied, so the early return leaks nothing).  Only the env-var
-        # paths can fail here: --backend / --transport values were already
-        # validated by argparse.
+        # Fail fast on a mistyped REPRO_BACKEND before any output is
+        # produced (and before any process-wide override is applied, so the
+        # early return leaks nothing).  Only the env-var path can fail here:
+        # a --backend value was already validated by argparse.
         get_backend()
-        if args.transport is None:
-            default_transport_name()
     except (KeyError, ValueError) as err:
         print(f"dpfill-experiments: error: {err.args[0]}", file=sys.stderr)
         return 2
     previous_jobs = set_default_jobs(args.jobs) if args.jobs is not None else None
-    previous_transport = (
-        set_default_transport(args.transport) if args.transport is not None else None
-    )
     metrics_path = obs_metrics.resolve_metrics_path(args.metrics or None)
     trace_path = args.trace_out or None
     enabled_here = False
@@ -370,8 +344,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             set_default_backend(previous_backend)
         if args.jobs is not None:
             set_default_jobs(previous_jobs)
-        if args.transport is not None:
-            set_default_transport(previous_transport)
 
     report = "\n".join(lines)
     print(report)

@@ -23,10 +23,7 @@ from typing import Any, Dict, List, Mapping, Tuple
 HISTORY_FILE = "BENCH_history.jsonl"
 
 #: Per-profile speedup keys compared between consecutive ledger entries.
-COMPARE_KEYS = (
-    "fault_speedup_packed_vs_naive",
-    "fault_speedup_cluster_vs_packed",
-)
+COMPARE_KEYS = ("fault_speedup_packed_vs_naive",)
 
 #: Flag when a speedup falls below this fraction of the previous entry.
 #: Generous on purpose: shared CI runners are noisy; the ledger exists to
@@ -71,7 +68,6 @@ def fold_bench(bench: Mapping[str, Any]) -> Dict[str, Any]:
         "timestamp": bench.get("timestamp", "unknown"),
         "bench_schema": bench.get("schema"),
         "python": bench.get("python"),
-        "cluster_jobs": bench.get("cluster_jobs"),
         "available_cores": bench.get("available_cores"),
         "profiles": profiles,
         "gates": gates,

@@ -9,7 +9,7 @@ tail is data-dependent).  The static analyzer's obs-counter rule (R5 in
 counter-parity suite sources its scheduling-invariant key set from
 :data:`DETERMINISTIC` — so a new counter cannot ship without a name that
 parses, a doc line, and a decision about whether it must be
-backend/transport invariant.
+backend invariant.
 
 Grammar: ``<subsystem>.<dotted_lowercase_path>`` where the subsystem is one
 of ``fault_sim``, ``podem``, ``cluster``, ``runner`` or ``obs``.  Span paths
@@ -37,8 +37,7 @@ COUNTERS: Dict[str, str] = {
         "cone evaluations skipped by fault dropping (scheduling-dependent)."
     ),
     "fault_sim.fault_words": (
-        "fault words packed by the fault-parallel kernel (64 lanes each; "
-        "word packing follows chunk boundaries, so scheduling-dependent)."
+        "fault words packed by the fault-parallel kernel (64 lanes each)."
     ),
     "fault_sim.runs": "complete fault-simulation runs.",
     "fault_sim.patterns": "test patterns graded, summed over runs.",
@@ -47,9 +46,6 @@ COUNTERS: Dict[str, str] = {
     "podem.faults": "faults handed to the PODEM search.",
     "podem.backtracks": "PODEM decision backtracks.",
     "podem.decisions": "PODEM PI decisions (including retried ones).",
-    "cluster.sanitize_checks": (
-        "shadow re-merges performed by the REPRO_SANITIZE order sanitizer."
-    ),
     "obs.events_dropped": "telemetry events discarded at the ring-buffer cap.",
     "obs.intervals_dropped": (
         "timeline span intervals discarded at the ring-buffer cap "
@@ -65,9 +61,8 @@ COUNTER_PREFIXES: Dict[str, str] = {
     "fault_sim.": "fault-simulator stat dicts forwarded via add_counters(prefix=...).",
 }
 
-#: The scheduling-invariant subset: these must sum to identical values across
-#: every backend (naive/packed/cluster) and transport (local/mp), including
-#: duplicate deliveries.  The counter-parity suite (tests/test_obs.py)
+#: The scheduling-invariant subset: these must sum to identical values on
+#: both backends (naive/packed).  The counter-parity suite (tests/test_obs.py)
 #: compares exactly this set.
 DETERMINISTIC = frozenset(
     {

@@ -4,7 +4,7 @@ from repro.obs import recorder as obs
 
 
 def emit(result, circuit_name):
-    obs.counter("cluster.sanitize_checks")
+    obs.counter("obs.events_dropped")
     obs.counter(f"podem.status.{result.status}")  # declared dynamic family
     obs.add_counters(result.stats, prefix="fault_sim.")
     obs.add_counters(

@@ -121,11 +121,11 @@ class TestAcceptance:
         assert report.findings == [], "\n".join(
             f.render() for f in report.findings
         )
-        # The deliberate allows (uuid cache key, workload cache) are visible
-        # as suppressions, not silently absent.
+        # The deliberate allows (the workload cache) are visible as
+        # suppressions, not silently absent.
         assert sorted(
             (f.rule, Path(f.path).name) for f in report.suppressed
-        ) == [("R1", "protocol.py"), ("R6", "workloads.py"), ("R6", "workloads.py")]
+        ) == [("R6", "workloads.py"), ("R6", "workloads.py")]
 
     def test_deleting_tail_mask_fails_the_pass(self, tmp_path):
         """The real word-table consumer minus its tail_mask application."""

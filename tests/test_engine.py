@@ -36,7 +36,6 @@ from repro.engine import (
     resolve_fault_mode,
     set_default_backend,
 )
-from repro.cluster import ClusterFaultSimulator
 from repro.engine.backend import BACKEND_ENV_VAR, _REGISTRY
 from repro.engine.packed import (
     evaluate_words,
@@ -256,14 +255,6 @@ class TestFaultModes:
             results[f"packed-{mode}"] = PackedFaultSimulator(circuit, mode=mode).run(
                 patterns, faults
             )
-            results[f"cluster-mp-{mode}"] = ClusterFaultSimulator(
-                circuit,
-                transport="mp",
-                jobs=2,
-                min_chunk_faults=2,
-                chunks_per_worker=2,
-                mode=mode,
-            ).run(patterns, faults)
         for key, result in results.items():
             assert (
                 list(result.detected.items()) == list(reference.detected.items())
@@ -311,8 +302,6 @@ class TestFaultModes:
     def test_unknown_mode_rejected(self, monkeypatch):
         with pytest.raises(ValueError, match="unknown fault mode"):
             PackedFaultSimulator(c17(), mode="simd")
-        with pytest.raises(ValueError, match="unknown fault mode"):
-            ClusterFaultSimulator(c17(), mode="simd")
         monkeypatch.setenv(FAULT_MODE_ENV_VAR, "turbo")
         with pytest.raises(ValueError, match="unknown fault mode"):
             resolve_fault_mode()
@@ -330,9 +319,6 @@ class TestDuplicateFaults:
         for simulator in (
             NaiveFaultSimulator(circuit),
             PackedFaultSimulator(circuit, mode=mode),
-            ClusterFaultSimulator(
-                circuit, transport="mp", jobs=2, min_chunk_faults=2, mode=mode
-            ),
         ):
             res_dup = simulator.run(patterns, duplicated)
             res_base = simulator.run(patterns, base)

@@ -72,9 +72,8 @@ class TestRegistry:
     def test_known_knobs_present(self):
         expected = {
             "REPRO_BACKEND", "REPRO_JOBS", "REPRO_FAULT_MODE",
-            "REPRO_ATPG_MODE", "REPRO_TRANSPORT", "REPRO_CHUNK_PLAN",
-            "REPRO_TRACE", "REPRO_TIMELINE", "REPRO_METRICS",
-            "REPRO_SANITIZE", "REPRO_CACHE_DIR", "REPRO_INCLUDE_LARGE",
+            "REPRO_ATPG_MODE", "REPRO_TRACE", "REPRO_TIMELINE",
+            "REPRO_METRICS", "REPRO_CACHE_DIR", "REPRO_INCLUDE_LARGE",
             "REPRO_FULL_SCALE", "REPRO_BENCH_FULL",
         }
         assert expected == set(envvars.REGISTRY)
@@ -110,12 +109,6 @@ class TestResolution:
         assert envvars.CACHE_DIR.read() == "/tmp/cache"
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         assert envvars.CACHE_DIR.read() == ".repro_cache"
-
-    def test_sanitize_flag(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-        assert envvars.SANITIZE.read() is False
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        assert envvars.SANITIZE.read() is True
 
 
 class TestTable:

@@ -5,9 +5,7 @@ pattern once over the union of the packed faults' cones, so the contract
 is the same bit-for-bit parity bar the lanes and words kernels already
 clear: identical detection maps, identical first-detecting pattern
 indices, identical fault order — against the naive reference, across
-every benchmark profile, on every backend (packed / cluster over the local
-and mp transports, including a worker that fails a task), and through
-PODEM's fault-dropping sweep where the kernel collapses the
+every benchmark profile, and through PODEM's fault-dropping sweep where the kernel collapses the
 historical one-fault-at-a-time tail.
 """
 
@@ -20,8 +18,6 @@ from repro.atpg.collapse import collapse_faults
 from repro.atpg.faults import full_fault_list
 from repro.atpg.tpg import generate_test_cubes
 from repro.circuit.generator import CircuitSpec, generate_circuit
-from repro.circuit.library import b01_like_fsm
-from repro.cluster import ClusterFaultSimulator, MpTransport, TransportError
 from repro.cubes.cube import TestSet
 from repro.engine import (
     FAULT_MODE_ENV_VAR,
@@ -136,58 +132,6 @@ class TestBenchmarkProfileParity:
                     patterns, faults, drop_detected=drop
                 )
                 _assert_same(reference, result, (name, mode, drop))
-
-
-class TestForcedFaultsMode:
-    """REPRO_FAULT_MODE=faults must hold on every distributed backend."""
-
-    @pytest.mark.parametrize("transport", ["local", "mp"])
-    def test_cluster_honours_env(self, monkeypatch, transport):
-        monkeypatch.setenv(FAULT_MODE_ENV_VAR, "faults")
-        circuit = b01_like_fsm()
-        patterns = _patterns(circuit, 100, seed=3)
-        faults = collapse_faults(circuit)
-        simulator = ClusterFaultSimulator(
-            circuit, transport=transport, jobs=2, min_chunk_faults=2, chunks_per_worker=2
-        )
-        result = simulator.run(patterns, faults)
-        assert simulator.mode == "faults"
-        if transport == "mp" and simulator.last_run_stats["mode"] == "inline":
-            pytest.skip("worker pool unavailable in this environment")
-        reference = PackedFaultSimulator(circuit, mode="lanes").run(patterns, faults)
-        _assert_same(reference, result, transport)
-
-    def test_cluster_queue_with_chaos_kill(self, monkeypatch):
-        """A pool worker fails one chunk mid-run; the run finishes in
-        process, fault-packed, bit-identical to the lanes reference."""
-
-        class FailingThirdTask(MpTransport):
-            def submit(self, task):
-                if self._counter == 2:
-                    task = {"kind": "echo", "fail": "injected worker failure"}
-                return super().submit(task)
-
-        monkeypatch.setenv(FAULT_MODE_ENV_VAR, "faults")
-        circuit = b01_like_fsm()
-        patterns = _patterns(circuit, 100, seed=3)
-        faults = collapse_faults(circuit)
-        reference = PackedFaultSimulator(circuit, mode="lanes").run(patterns, faults)
-        try:
-            transport = FailingThirdTask(jobs=2)
-        except TransportError:
-            pytest.skip("worker pool unavailable in this environment")
-        simulator = ClusterFaultSimulator(
-            circuit,
-            transport=transport,
-            jobs=2,
-            min_chunk_faults=2,
-            chunks_per_worker=2,
-        )
-        result = simulator.run(patterns, faults)
-        assert simulator.mode == "faults"
-        assert simulator.last_run_stats["mode"] == "inline"
-        assert simulator.last_run_stats["fault_mode"] == "faults"
-        _assert_same(reference, result, "worker failure")
 
 
 class TestPodemFaultPackedDrop:

@@ -5,11 +5,11 @@ i.e. the text between the header and the runtime line) for the default
 profiles and for ``REPRO_INCLUDE_LARGE=1`` (the large profiles, scaled).
 A change that moves every backend together cannot hide from this test the
 way it can from the cross-backend parity suites.  On the default profiles
-the same file also locks the multi-process paths: ``--jobs 2`` (cells over
-the ``mp`` transport) and ``--backend cluster --transport local`` (fault
-chunks and PODEM chunks over a transport, on any machine with more than
-one core).  A change that alters the
-report on purpose regenerates both files and says why.
+the same file also locks the multi-process path: ``--jobs 2`` with the cells
+over the ``mp`` transport, and ``--jobs 2`` over an in-process transport that
+collects newest-first, so out-of-order cell merging is locked on any
+machine.  A change that alters the report on purpose regenerates both files
+and says why.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cluster import LocalTransport
 from repro.engine.pool import shutdown_worker_pool
 from repro.experiments import runner
 from repro.experiments.workloads import build_workload
@@ -28,32 +29,49 @@ DATA = Path(__file__).parent / "data"
 PACKED = ["--backend", "packed"]
 
 
+def _lifo_transport(jobs=None):
+    """Stand-in for the ``mp`` transport: in process, newest cell first."""
+    return LocalTransport(order="lifo")
+
+
 @pytest.mark.parametrize(
-    "golden, include_large, args",
+    "golden, include_large, args, lifo",
     [
         pytest.param(
-            "golden_report_default.txt", False, PACKED, id="golden_report_default.txt-False"
+            "golden_report_default.txt",
+            False,
+            PACKED,
+            False,
+            id="golden_report_default.txt-False",
         ),
         pytest.param(
-            "golden_report_large.txt", True, PACKED, id="golden_report_large.txt-True"
+            "golden_report_large.txt",
+            True,
+            PACKED,
+            False,
+            id="golden_report_large.txt-True",
         ),
         pytest.param(
             "golden_report_default.txt",
             False,
             PACKED + ["--jobs", "2"],
+            False,
             id="golden_report_default.txt-jobs2",
         ),
         pytest.param(
             "golden_report_default.txt",
             False,
-            ["--backend", "cluster", "--transport", "local"],
-            id="golden_report_default.txt-cluster-local",
+            PACKED + ["--jobs", "2"],
+            True,
+            id="golden_report_default.txt-jobs2-lifo",
         ),
     ],
 )
 def test_report_body_matches_golden(
-    golden, include_large, args, tmp_path, monkeypatch, capsys
+    golden, include_large, args, lifo, tmp_path, monkeypatch, capsys
 ):
+    if lifo:
+        monkeypatch.setattr(runner, "MpTransport", _lifo_transport)
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     if include_large:
         monkeypatch.setenv("REPRO_INCLUDE_LARGE", "1")

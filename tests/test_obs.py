@@ -4,16 +4,14 @@ The observability contract mirrors the engine's determinism contract: with
 tracing on, the *scheduling-independent* counters — cone evaluations, run /
 pattern / fault / detection totals, PODEM backtracks and decisions — must
 sum to identical values whichever backend executed the run
-(naive / packed / cluster) and whichever transport carried the
-work units (local / mp), including under duplicate deliveries.
-Scheduling-dependent counters
+(naive / packed).  Scheduling-dependent counters
 (``fault_sim.blocks``, ``fault_sim.dropped_block_evaluations``) are
 deliberately outside that set.
 
 On top of parity, the suite checks the recorder itself (null/enabled paths,
 span merging, task-snapshot dedupe), the metrics artifact writer, the
-runner's ``--metrics`` flag and the failure events the transports and
-their inline fallbacks record.
+runner's ``--metrics`` flag and the failure events the ``mp`` transport and
+the runner's inline fallback record.
 """
 
 from __future__ import annotations
@@ -28,14 +26,14 @@ from repro.atpg.podem import PodemEngine
 from repro.circuit.generator import CircuitSpec, generate_circuit
 from repro.circuit.library import b01_like_fsm
 from repro.cluster import (
-    ClusterFaultSimulator,
     LocalTransport,
     MpTransport,
     TransportError,
     TransportTaskError,
+    execute_task,
+    unwrap_payload,
 )
-from repro.cluster.protocol import execute_task, unwrap_payload, worker_context
-from repro.engine import NaiveFaultSimulator, PackedFaultSimulator, get_backend
+from repro.engine import NaiveFaultSimulator, PackedFaultSimulator
 from repro.obs import manifest as obs_manifest
 from repro.obs import metrics as obs_metrics
 from repro.obs import recorder as obs
@@ -62,7 +60,7 @@ def _patterns(circuit, n=160, seed=1):
     )
 
 
-#: Counters that must be exactly equal across every backend and transport —
+#: Counters that must be exactly equal across both backends —
 #: sourced from the declared manifest so the parity contract and the static
 #: analyzer's R5 rule cannot drift apart.  Scheduling-dependent counters
 #: (blocks, dropped_block_evaluations) are outside DETERMINISTIC by design;
@@ -84,13 +82,6 @@ def _traced_counters(run):
 
 def _parity_subset(counters):
     return {key: counters.get(key) for key in PARITY_KEYS}
-
-
-def _forced_simulator(circuit, **kwargs):
-    kwargs.setdefault("jobs", 2)
-    kwargs.setdefault("min_chunk_faults", 2)
-    kwargs.setdefault("chunks_per_worker", 2)
-    return ClusterFaultSimulator(circuit, **kwargs)
 
 
 # -- recorder primitives -----------------------------------------------------
@@ -314,46 +305,51 @@ class TestEngineTelemetry:
         assert obs.snapshot()["counters"] == {}
 
 
-# -- cross-backend / cross-transport parity ----------------------------------
+# -- distributed counters ----------------------------------------------------
 class TestDistributedTelemetryParity:
-    def _reference(self, circuit, patterns, faults):
-        return _parity_subset(
-            _traced_counters(
-                lambda: PackedFaultSimulator(circuit).run(patterns, faults)
+    """Runner cells over a transport report the serial run's counters.
+
+    Each run starts from an empty cube cache, so the cells do real ATPG and
+    fault grading.  The pool's workers keep cube caches of their own (their
+    work depends on cache warmth), so counter parity is pinned over the
+    in-process ``LocalTransport``, which still rides the task envelope and
+    its per-task-id absorb.
+    """
+
+    def _cold_counters(self, tmp_path, monkeypatch, tag, jobs):
+        from repro.experiments.runner import run_all
+        from repro.experiments.workloads import build_workload
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / tag))
+        build_workload.cache_clear()
+        try:
+            return _traced_counters(
+                lambda: run_all(["1"], ["b01", "b03"], seed=0, jobs=jobs)
             )
-        )
+        finally:
+            build_workload.cache_clear()
 
-    @pytest.mark.parametrize("backend", ["cluster"])
-    def test_backend_counters_match_packed(self, backend):
-        circuit = _medium_circuit()
-        patterns = _patterns(circuit)
-        faults = collapse_faults(circuit)
-        reference = self._reference(circuit, patterns, faults)
-        counters = _traced_counters(
-            lambda: get_backend(backend).fault_simulator(circuit).run(patterns, faults)
-        )
-        assert _parity_subset(counters) == reference
+    def _assert_parity(self, tmp_path, monkeypatch, make_transport):
+        from repro.experiments import runner
 
-    @pytest.mark.parametrize("transport", ["local", "mp"])
-    def test_transport_counters_match_packed(self, transport):
-        circuit = _medium_circuit()
-        patterns = _patterns(circuit)
-        faults = collapse_faults(circuit)
-        reference = self._reference(circuit, patterns, faults)
-        counters = _traced_counters(
-            lambda: _forced_simulator(circuit, transport=transport).run(
-                patterns, faults
-            )
-        )
-        assert _parity_subset(counters) == reference
+        reference = self._cold_counters(tmp_path, monkeypatch, "serial", 1)
+        assert reference.get("fault_sim.runs", 0) >= 2
+        monkeypatch.setattr(runner, "MpTransport", make_transport)
+        counters = self._cold_counters(tmp_path, monkeypatch, "cells", 2)
+        assert _parity_subset(counters) == _parity_subset(reference)
 
-    def test_duplicate_deliveries_do_not_double_count(self):
+    @pytest.mark.parametrize("transport", ["local"])
+    def test_transport_counters_match_packed(self, transport, tmp_path, monkeypatch):
+        assert transport == LocalTransport.name
+        self._assert_parity(tmp_path, monkeypatch, lambda jobs=None: LocalTransport())
+
+    def test_duplicate_deliveries_do_not_double_count(self, tmp_path, monkeypatch):
         class EnvelopeDuplicatingTransport(LocalTransport):
             """Delivers every *raw* result envelope twice — the snapshot
             rides through ``unwrap_payload`` twice, like a task executed
             twice whose both results arrived."""
 
-            def __init__(self):
+            def __init__(self, jobs=None):
                 super().__init__()
                 self._replay = None
 
@@ -363,21 +359,12 @@ class TestDistributedTelemetryParity:
                     self._replay = None
                     return task_id, unwrap_payload(task_id, payload)
                 task_id, task = self._pending.popleft()
-                with worker_context():
-                    payload = execute_task(task)
+                payload = execute_task(task)
                 self._replay = (task_id, payload)
                 return task_id, unwrap_payload(task_id, payload)
 
-        circuit = _medium_circuit()
-        patterns = _patterns(circuit)
-        faults = collapse_faults(circuit)
-        reference = self._reference(circuit, patterns, faults)
-        counters = _traced_counters(
-            lambda: _forced_simulator(
-                circuit, transport=EnvelopeDuplicatingTransport()
-            ).run(patterns, faults)
-        )
-        assert _parity_subset(counters) == reference
+        self._assert_parity(tmp_path, monkeypatch, EnvelopeDuplicatingTransport)
+
 
 # -- transport failure events ------------------------------------------------
 class TestQueueEvents:
@@ -400,27 +387,32 @@ class TestQueueEvents:
         assert failures and failures[0]["task_id"] == task_id
         assert "no-such-kind" in failures[0]["traceback"]
 
-    def test_transport_failure_event_before_inline_fallback(self):
+    def test_transport_failure_event_before_inline_fallback(self, monkeypatch):
+        from repro.experiments import runner
+        from repro.experiments.report import render_table
+
         class ExplodingTransport(LocalTransport):
+            def __init__(self, jobs=None):
+                super().__init__()
+
             def next_result(self, timeout=30.0):
                 raise RuntimeError("transport lost")
 
-        circuit = b01_like_fsm()
-        patterns = _patterns(circuit, 64)
-        faults = collapse_faults(circuit)
+        serial = runner.run_all(["1"], ["b01"], seed=0, jobs=1)
+        monkeypatch.setattr(runner, "MpTransport", ExplodingTransport)
         obs.enable()
-        simulator = _forced_simulator(circuit, transport=ExplodingTransport())
-        simulator.run(patterns, faults)
-        assert simulator.last_run_stats["mode"] == "inline"
+        result = runner.run_all(["1"], ["b01"], seed=0, jobs=2)
         failures = [
             event
             for event in obs.snapshot()["events"]
-            if event["kind"] == "transport_failed"
+            if event["kind"] == "transport_lost"
         ]
-        assert failures
-        assert failures[0]["consumer"] == "fault_sim"
-        assert failures[0]["fallback"] == "inline"
-        assert "transport lost" in failures[0]["traceback"]
+        assert len(failures) == 1
+        assert "transport lost" in failures[0]["detail"]
+        # Every pending cell re-ran inline: the tables are the serial ones.
+        assert [render_table(t) for t in result["1"]] == [
+            render_table(t) for t in serial["1"]
+        ]
 
 
 # -- runner integration ------------------------------------------------------

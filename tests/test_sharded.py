@@ -1,18 +1,16 @@
-"""Tests for sharded fault simulation over the shared process pool.
+"""Tests for in-process fault grading, worker counts and ``--jobs`` cells.
 
-Every multi-process run in the package is the cluster backend's plan —
-fault-list chunks or pattern-block shards — executed over a transport; this
-suite pins the ``mp`` transport (the shared spawn pool of
-:mod:`repro.engine.pool`) that every ``jobs > 1`` run uses by default.  The
-contract is the same as the packed engine's: *bit-for-bit parity* with the
-naive reference — same detection maps, same first-detecting pattern
-indices, same fault order — regardless of how the work is partitioned
-across worker processes, which sharding strategy is picked, or whether the
-pool exists at all.  On top of parity, the suite checks the scale-out
-machinery itself: shard-boundary fault dropping (the detected-fault
-broadcast), the jobs=1 inline fallback, worker-count resolution, the
-experiment runner's deterministic ``--jobs`` merge, and that the retired
-``sharded`` backend name is rejected.
+Every ``jobs > 1`` run in the package is the experiment runner's cells over
+the shared spawn pool of :mod:`repro.engine.pool`; fault grading and PODEM
+always run in process.  The detection-map contract the multi-process
+grading path used to carry is now the in-process facade's alone:
+*bit-for-bit parity* with the naive reference — same detection maps, same
+first-detecting pattern indices, same fault order — for every grading
+kernel, pattern-count word boundary and dropping setting.  On top of
+parity, the suite checks worker-count resolution, that the pool refuses a
+single worker, that ``jobs=1`` never builds a transport, the runner's
+deterministic ``--jobs`` merge, and that the retired ``sharded`` and
+``cluster`` backend names are rejected.
 """
 
 from __future__ import annotations
@@ -23,11 +21,8 @@ import pytest
 from repro.atpg.collapse import collapse_faults
 from repro.atpg.fault_sim import FaultSimulator
 from repro.atpg.faults import StuckAtFault, full_fault_list
-from repro.circuit.gates import GateType
 from repro.circuit.generator import CircuitSpec, generate_circuit
 from repro.circuit.library import b01_like_fsm, c17
-from repro.circuit.netlist import Circuit
-from repro.cluster import ClusterBackend, ClusterFaultSimulator
 from repro.cubes.cube import TestSet
 from repro.engine import (
     NaiveFaultSimulator,
@@ -50,30 +45,6 @@ def _random_patterns(circuit, n_patterns: int, seed: int = 0) -> np.ndarray:
     return rng.integers(0, 2, size=(n_patterns, circuit.n_test_pins)).astype(np.int8)
 
 
-def _mp_simulator(circuit, **kwargs) -> ClusterFaultSimulator:
-    """A fault simulator sharding over the shared pool (``mp`` transport)."""
-    return ClusterFaultSimulator(circuit, transport="mp", **kwargs)
-
-
-def _pooled_simulator(circuit, **kwargs) -> ClusterFaultSimulator:
-    """An ``mp`` simulator with knobs forcing real pool dispatch."""
-    kwargs.setdefault("jobs", 2)
-    kwargs.setdefault("min_chunk_faults", 2)
-    kwargs.setdefault("chunks_per_worker", 2)
-    return _mp_simulator(circuit, **kwargs)
-
-
-def _and_circuit() -> Circuit:
-    """Two-input AND with one output: a fault with a huge pattern set."""
-    circuit = Circuit("and2")
-    circuit.add_input("a")
-    circuit.add_input("b")
-    circuit.add_gate("out", GateType.AND, ["a", "b"])
-    circuit.add_output("out")
-    circuit.validate()
-    return circuit
-
-
 CIRCUITS = [
     pytest.param(lambda: c17(), id="c17"),
     pytest.param(lambda: b01_like_fsm(), id="b01_fsm"),
@@ -94,54 +65,29 @@ class TestShardedParity:
         patterns = TestSet.from_matrix(_random_patterns(circuit, n_patterns, seed=9))
         faults = full_fault_list(circuit)
         naive = NaiveFaultSimulator(circuit).run(patterns, faults, drop_detected=drop)
-        sharded = _pooled_simulator(circuit, mode=fault_mode).run(
-            patterns, faults, drop_detected=drop
-        )
+        simulator = FaultSimulator(circuit, backend="packed", fault_mode=fault_mode)
+        result = simulator.run(patterns, faults, drop_detected=drop)
+        assert simulator.last_run_stats["fault_mode"] == fault_mode
         # Bit-for-bit: same faults, same first-detecting indices, same order.
-        assert list(naive.detected.items()) == list(sharded.detected.items())
-        assert naive.undetected == sharded.undetected
-        assert naive.coverage == sharded.coverage
+        assert list(naive.detected.items()) == list(result.detected.items())
+        assert naive.undetected == result.undetected
+        assert naive.coverage == result.coverage
 
     def test_wide_pattern_set_grades_on_words_in_auto_mode(self):
         circuit = c17()
         patterns = TestSet.from_matrix(_random_patterns(circuit, 4160, seed=3))
         faults = full_fault_list(circuit)
-        simulator = _pooled_simulator(circuit, mode="auto")
+        simulator = FaultSimulator(circuit, backend="packed", fault_mode="auto")
         result = simulator.run(patterns, faults)
         assert simulator.last_run_stats["fault_mode"] == "words"
         reference = PackedFaultSimulator(circuit, mode="lanes").run(patterns, faults)
         assert list(result.detected.items()) == list(reference.detected.items())
         assert result.undetected == reference.undetected
 
-    def test_fault_chunk_mode_actually_shards(self):
-        circuit = generate_circuit(CircuitSpec("chunky", 8, 6, 200, seed=21))
-        patterns = TestSet.from_matrix(_random_patterns(circuit, 130, seed=2))
-        faults = collapse_faults(circuit)
-        simulator = _pooled_simulator(circuit)
-        result = simulator.run(patterns, faults)
-        stats = simulator.last_run_stats
-        if stats["mode"] == "inline":
-            pytest.skip("worker pool unavailable in this environment")
-        assert stats["mode"] == "fault-chunks"
-        assert stats["chunks"] > 1
-        packed = PackedFaultSimulator(circuit).run(patterns, faults)
-        assert list(result.detected.items()) == list(packed.detected.items())
-        assert result.undetected == packed.undetected
-
-    def test_facade_resolves_sharded_backend(self):
-        circuit = generate_circuit(CircuitSpec("facade", 8, 6, 200, seed=21))
-        patterns = TestSet.from_matrix(_random_patterns(circuit, 70, seed=2))
-        faults = collapse_faults(circuit)
-        backend = ClusterBackend(transport="mp", jobs=2)
-        res_sharded = FaultSimulator(circuit, backend=backend).run(patterns, faults)
-        res_packed = FaultSimulator(circuit, backend="packed").run(patterns, faults)
-        assert list(res_sharded.detected.items()) == list(res_packed.detected.items())
-        assert res_sharded.undetected == res_packed.undetected
-
     def test_empty_pattern_set(self):
         circuit = c17()
         faults = full_fault_list(circuit)
-        result = _pooled_simulator(circuit).run(TestSet([]), faults)
+        result = FaultSimulator(circuit, backend="packed").run(TestSet([]), faults)
         assert result.detected_count == 0
         assert result.undetected == list(faults)
 
@@ -149,101 +95,21 @@ class TestShardedParity:
         circuit = c17()
         patterns = TestSet.from_matrix(_random_patterns(circuit, 8, seed=0))
         ghost = StuckAtFault("no_such_net", 0)
-        result = _pooled_simulator(circuit).run(patterns, [ghost])
+        result = FaultSimulator(circuit, backend="packed").run(patterns, [ghost])
         assert result.undetected == [ghost]
 
 
-class TestShardBoundaryDropping:
-    """Block-wise fault dropping must survive shard boundaries."""
-
-    def test_pattern_shards_broadcast_detected_faults(self):
-        circuit = _and_circuit()
-        matrix = _random_patterns(circuit, 256, seed=3)
-        matrix[0] = [1, 1]  # pattern 0 detects out/s-a-0
-        patterns = TestSet.from_matrix(matrix)
-        faults = [StuckAtFault("out", 0)]
-        simulator = _mp_simulator(circuit, jobs=2, block_patterns=8, chunks_per_worker=8)
-        result = simulator.run(patterns, faults)
-        stats = simulator.last_run_stats
-        if stats["mode"] == "inline":
-            pytest.skip("worker pool unavailable in this environment")
-        assert stats["mode"] == "pattern-shards"
-        assert stats["chunks"] > 2
-        # The fault is detected at pattern 0; every shard submitted after
-        # that result returned must have been told to skip it entirely.
-        assert stats["shard_dropped_evaluations"] > 0
-        # ...and the deterministic min-merge still reports the true first
-        # detection, identical to the serial backends.
-        packed = PackedFaultSimulator(circuit, block_patterns=8).run(patterns, faults)
-        assert list(result.detected.items()) == list(packed.detected.items())
-        assert result.detected[faults[0]] == 0
-
-    def test_pattern_shards_broadcast_in_words_mode(self):
-        circuit = _and_circuit()
-        matrix = _random_patterns(circuit, 1024, seed=3)
-        matrix[0] = [1, 1]  # pattern 0 detects out/s-a-0
-        patterns = TestSet.from_matrix(matrix)
-        faults = [StuckAtFault("out", 0)]
-        simulator = _mp_simulator(
-            circuit, jobs=2, block_patterns=64, chunks_per_worker=8, mode="words"
-        )
-        result = simulator.run(patterns, faults)
-        stats = simulator.last_run_stats
-        if stats["mode"] == "inline":
-            pytest.skip("worker pool unavailable in this environment")
-        assert stats["mode"] == "pattern-shards"
-        assert stats["fault_mode"] == "words"
-        assert stats["shard_dropped_evaluations"] > 0
-        packed = PackedFaultSimulator(circuit, mode="lanes").run(patterns, faults)
-        assert list(result.detected.items()) == list(packed.detected.items())
-        assert result.detected[faults[0]] == 0
-
-    def test_pattern_shards_without_dropping_keep_parity(self):
-        circuit = _and_circuit()
-        patterns = TestSet.from_matrix(_random_patterns(circuit, 256, seed=4))
-        faults = [StuckAtFault("out", 0), StuckAtFault("out", 1)]
-        simulator = _mp_simulator(circuit, jobs=2, block_patterns=8, chunks_per_worker=8)
-        result = simulator.run(patterns, faults, drop_detected=False)
-        stats = simulator.last_run_stats
-        if stats["mode"] == "inline":
-            pytest.skip("worker pool unavailable in this environment")
-        assert stats["shard_dropped_evaluations"] == 0
-        packed = PackedFaultSimulator(circuit, block_patterns=8).run(
-            patterns, faults, drop_detected=False
-        )
-        assert list(result.detected.items()) == list(packed.detected.items())
-
-
 class TestFallbacks:
-    def test_jobs_1_runs_inline(self):
-        circuit = c17()
-        patterns = TestSet.from_matrix(_random_patterns(circuit, 65, seed=1))
-        faults = full_fault_list(circuit)
-        simulator = _mp_simulator(circuit, jobs=1)
-        result = simulator.run(patterns, faults)
-        assert simulator.last_run_stats["mode"] == "inline"
-        packed = PackedFaultSimulator(circuit).run(patterns, faults)
-        assert list(result.detected.items()) == list(packed.detected.items())
+    def test_jobs_1_runs_inline(self, monkeypatch):
+        from repro.experiments import runner
+        from repro.experiments.report import render_table
 
-    def test_inline_fallback_respects_words_mode(self):
-        circuit = c17()
-        patterns = TestSet.from_matrix(_random_patterns(circuit, 65, seed=1))
-        faults = full_fault_list(circuit)
-        simulator = _mp_simulator(circuit, jobs=1, mode="words")
-        result = simulator.run(patterns, faults)
-        assert simulator.last_run_stats["mode"] == "inline"
-        assert simulator.last_run_stats["fault_mode"] == "words"
-        packed = PackedFaultSimulator(circuit, mode="lanes").run(patterns, faults)
-        assert list(result.detected.items()) == list(packed.detected.items())
+        def no_transport(jobs=None):
+            raise AssertionError("jobs=1 must not build a transport")
 
-    def test_small_workloads_stay_inline_despite_jobs(self):
-        # Default knobs: a handful of faults over a handful of patterns is
-        # not worth a single pickle round trip.
-        circuit = c17()
-        patterns = TestSet.from_matrix(_random_patterns(circuit, 16, seed=1))
-        simulator = _mp_simulator(circuit, jobs=4)
-        simulator.run(patterns, full_fault_list(circuit)[:4])
-        assert simulator.last_run_stats["mode"] == "inline"
+        monkeypatch.setattr(runner, "MpTransport", no_transport)
+        result = runner.run_all(["1"], ["b01"], seed=0, jobs=1)
+        assert [render_table(table) for table in result["1"]]
 
     def test_worker_pool_refuses_single_job(self):
         assert worker_pool(1) is None
@@ -252,47 +118,11 @@ class TestFallbacks:
         circuit = generate_circuit(CircuitSpec("dropflag", 8, 6, 150, seed=7))
         patterns = TestSet.from_matrix(_random_patterns(circuit, 200, seed=7))
         faults = collapse_faults(circuit)
-        simulator = _pooled_simulator(circuit)
+        simulator = FaultSimulator(circuit, backend="packed")
         with_drop = simulator.run(patterns, faults, drop_detected=True)
         without_drop = simulator.run(patterns, faults, drop_detected=False)
         assert list(with_drop.detected.items()) == list(without_drop.detected.items())
         assert with_drop.undetected == without_drop.undetected
-
-
-class TestPoolSharing:
-    def test_explicit_jobs_podem_then_pooled_fault_sim_stay_pooled(self, monkeypatch):
-        """An explicit ``jobs`` that differs from ``REPRO_JOBS`` must not
-        resize the shared pool under another consumer's in-flight tasks:
-        PODEM over 3 workers interleaves with the dropping fault simulator
-        over the environment's 2, and a later fault simulation still pools."""
-        from repro.atpg.tpg import generate_test_cubes
-        from repro.obs import recorder as obs
-
-        monkeypatch.setenv(JOBS_ENV_VAR, "2")
-        circuit = generate_circuit(CircuitSpec("pool_share", 10, 14, 260, seed=3))
-        kwargs = dict(max_faults=90, backtrack_limit=20, seed=2)
-        serial = generate_test_cubes(circuit, jobs=1, backend="packed", **kwargs)
-        faults = collapse_faults(circuit)
-        patterns = TestSet.from_matrix(_random_patterns(circuit, 64, seed=1))
-        obs.enable()
-        try:
-            pooled = generate_test_cubes(
-                circuit, backend=ClusterBackend(transport="mp"), jobs=3, **kwargs
-            )
-            simulator = _pooled_simulator(circuit, jobs=None)
-            result = simulator.run(patterns, faults)
-            kinds = [event["kind"] for event in obs.snapshot()["events"]]
-        finally:
-            obs.disable()
-        assert "pool_unavailable" not in kinds
-        assert "transport_failed" not in kinds
-        assert simulator.last_run_stats["mode"] == "fault-chunks"
-        assert np.array_equal(serial.cubes.matrix, pooled.cubes.matrix)
-        assert list(serial.detected_faults.items()) == list(
-            pooled.detected_faults.items()
-        )
-        reference = PackedFaultSimulator(circuit).run(patterns, faults)
-        assert list(result.detected.items()) == list(reference.detected.items())
 
 
 class TestJobsResolution:
@@ -340,33 +170,27 @@ class TestJobsResolution:
 
 
 class TestBackendRegistration:
-    def test_sharded_backend_name_rejected(self, monkeypatch, capsys):
-        # Sharding is the cluster backend's job; the old name is gone and
-        # fails with the registry's ordinary unknown-backend error.
+    @pytest.mark.parametrize("name", ["sharded", "cluster"])
+    def test_sharded_backend_name_rejected(self, name, monkeypatch, capsys):
+        # Fault grading runs in process on naive/packed; the retired
+        # multi-process backend names fail with the registry's ordinary
+        # unknown-backend error, at the CLI before any output.
         from repro.engine.backend import BACKEND_ENV_VAR
         from repro.experiments.runner import main
 
-        assert "sharded" not in available_backends()
-        with pytest.raises(KeyError, match="unknown backend 'sharded'"):
-            get_backend("sharded")
-        monkeypatch.setenv(BACKEND_ENV_VAR, "sharded")
+        assert name not in available_backends()
+        with pytest.raises(KeyError, match=f"unknown backend '{name}'"):
+            get_backend(name)
+        monkeypatch.setenv(BACKEND_ENV_VAR, name)
         assert main(["--artifacts", "1", "--benchmarks", "b01"]) == 2
-        assert "unknown backend 'sharded'" in capsys.readouterr().err
-
-    def test_fault_simulator_shares_compiled_program(self):
-        circuit = c17()
-        backend = ClusterBackend(transport="mp")
-        first = backend.fault_simulator(circuit)
-        second = backend.logic_simulator(circuit)
-        assert isinstance(first, ClusterFaultSimulator)
-        assert first.transport == "mp"
-        assert first.program is second.program
-
-    def test_sharded_and_packed_share_program_shape(self):
-        circuit = c17()
-        sharded = ClusterBackend(transport="mp").fault_simulator(circuit)
-        packed = get_backend("packed").fault_simulator(circuit)
-        assert sharded.program.net_names == packed.program.net_names
+        captured = capsys.readouterr()
+        assert f"unknown backend '{name}'" in captured.err
+        assert captured.out == ""
+        monkeypatch.delenv(BACKEND_ENV_VAR)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--backend", name, "--artifacts", "1", "--benchmarks", "b01"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestRunnerJobs:

@@ -291,20 +291,18 @@ class TestRunReport:
 
 # -- bench history ledger -----------------------------------------------------
 class TestHistory:
-    def _bench(self, sha, stamp, packed=12.0, cluster=3.0):
+    def _bench(self, sha, stamp, packed=12.0):
         return {
-            "schema": 7,
+            "schema": 8,
             "git_sha": sha,
             "timestamp": stamp,
             "python": "3.x",
-            "cluster_jobs": 4,
             "available_cores": 8,
             "profiles": [
                 {
                     "circuit": "b12",
                     "seconds": {"packed": {"fault": 0.5}},
                     "fault_speedup_packed_vs_naive": packed,
-                    "fault_speedup_cluster_vs_packed": cluster,
                 }
             ],
             "fault_modes": {"words_gate_speedup": 2.0},
