@@ -16,12 +16,8 @@ Two entry points:
   plus speedups and the git SHA) so the perf trajectory is machine-readable
   from PR 2 onward.
 
-The standalone mode also sweeps the packed fault-grading *modes* — big-int
-``lanes`` vs the vectorised uint64 ``words`` table — across pattern widths
-on one profile, records the lanes→words crossover in ``BENCH_engine.json``
-and prints where ``mode="auto"`` switches relative to the measured one.
-A second sweep covers the fault-parallel ``faults`` kernel (64 faults per
-uint64 word) three ways against lanes and words on the
+The standalone mode also sweeps the fault-parallel ``faults`` kernel (64
+faults per word) against pattern-parallel ``lanes`` on the
 many-faults/few-patterns shapes it is designed for, per profile, records
 where ``auto`` switches kernels, and times PODEM end to end with the
 fault-packed drop sweep on vs off (byte-identical ``ATPGResult``s asserted
@@ -31,11 +27,9 @@ Acceptance gates:
 
 * packed must be at least 5x faster than naive on the largest profile (the
   engine-subsystem gate);
-* the ``words`` fault mode must be at least 1.5x faster than ``lanes`` on a
-  >= 4096-pattern profile (single-core SIMD throughput, so always enforced);
-* the ``faults`` kernel must be at least 2x faster than the best of lanes
-  and words on the largest profile's many-faults/few-patterns shape
-  (single-core lane packing, so always enforced);
+* the ``faults`` kernel must be at least 2x faster than ``lanes`` on the
+  largest profile's many-faults/few-patterns shape (single-core lane
+  packing, so always enforced);
 * telemetry (``repro.obs``) may cost at most 2% on the largest profile's
   packed fault kernel — measured with tracing *enabled* vs disabled, which
   bounds the disabled-mode overhead from above (the disabled path runs a
@@ -75,7 +69,6 @@ from repro.engine.fault import (
     PackedFaultSimulator,
     resolve_grading_kernel,
 )
-from repro.engine.packed import LANE_MODE_MAX_PATTERNS
 from repro.experiments.workloads import Workload, build_workload, default_workload_names
 from repro.obs import metrics as obs_metrics
 from repro.obs import timeline as obs_timeline
@@ -84,20 +77,15 @@ from repro.power.estimator import PowerEstimator
 
 BACKENDS = ["naive", "packed"]
 
-#: Profile and pattern widths for the lanes-vs-words fault-mode sweep.  The
-#: widths straddle the auto-mode crossover (LANE_MODE_MAX_PATTERNS = 4096);
-#: the >= 1.5x acceptance gate applies at the widths past it.
-FAULT_MODE_PROFILE = "b08"
-FAULT_MODE_WIDTHS = [512, 1024, 2048, 4096, 8192]
-FAULT_MODE_GATE_SPEEDUP = 1.5
-
 #: Pattern widths for the fault-parallel kernel sweep: the
 #: many-faults/few-patterns shapes the ``faults`` kernel is designed for
 #: (PODEM's drop sweep grades a single filled cube), the auto-threshold
 #: edge, and two widths past the crossover back to lanes.
 FAULT_PARALLEL_WIDTHS = [1, 4, 8, 32]
-#: ``faults`` must beat the best of lanes/words by this factor on the
-#: largest profile's many-faults/few-patterns shape.
+#: Profile for the pytest-benchmark kernel comparison.
+FAULT_PARALLEL_PROFILE = "b08"
+#: ``faults`` must beat lanes by this factor on the largest profile's
+#: many-faults/few-patterns shape.
 FAULT_PARALLEL_GATE_SPEEDUP = 2.0
 #: Fault cap for the PODEM end-to-end A/B (the workload builder's value).
 FAULT_PARALLEL_ATPG_FAULTS = 150
@@ -169,22 +157,10 @@ def _wide_patterns(circuit, n_patterns: int) -> TestSet:
     )
 
 
-@pytest.mark.parametrize("fault_mode", ["lanes", "words"])
-@pytest.mark.parametrize("n_patterns", [1024, 4096])
-def test_bench_fault_mode(benchmark, n_patterns, fault_mode):
-    workload = build_workload(FAULT_MODE_PROFILE)
-    patterns = _wide_patterns(workload.circuit, n_patterns)
-    faults = collapse_faults(workload.circuit)
-    program = get_backend("packed").compiled_program(workload.circuit)
-    simulator = PackedFaultSimulator(workload.circuit, program=program, mode=fault_mode)
-    result = benchmark(lambda: simulator.run(patterns, faults))
-    assert result.n_patterns == n_patterns
-
-
-@pytest.mark.parametrize("fault_mode", ["lanes", "words", "faults"])
+@pytest.mark.parametrize("fault_mode", ["lanes", "faults"])
 def test_bench_fault_parallel_shape(benchmark, fault_mode):
     # The many-faults/few-patterns shape the fault-parallel kernel targets.
-    workload = build_workload(FAULT_MODE_PROFILE)
+    workload = build_workload(FAULT_PARALLEL_PROFILE)
     patterns = _wide_patterns(workload.circuit, 8)
     faults = collapse_faults(workload.circuit)
     program = get_backend("packed").compiled_program(workload.circuit)
@@ -263,13 +239,12 @@ def _available_cores() -> int:
 def _write_json(
     rows: List[dict],
     largest: dict,
-    fault_modes: dict,
     fault_parallel: dict,
     atpg: dict,
     obs_section: dict,
 ) -> None:
     payload = {
-        "schema": 8,
+        "schema": 9,
         "git_sha": _git_sha(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "python": sys.version.split()[0],
@@ -278,87 +253,12 @@ def _write_json(
         "backends": list(BACKENDS),
         "profiles": rows,
         "largest": largest,
-        "fault_modes": fault_modes,
         "fault_parallel": fault_parallel,
         "atpg": atpg,
         "obs": obs_section,
     }
     BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"\nwrote {BENCH_JSON.resolve()}")
-
-
-def _fault_mode_sweep() -> dict:
-    """Time lanes vs words fault grading across pattern widths (one profile).
-
-    Parity between the modes is asserted before any timing is reported.
-    Returns the machine-readable section for ``BENCH_engine.json``: one row
-    per width plus the measured lanes->words crossover (the smallest width
-    where words wins) alongside the built-in auto-mode threshold.
-    """
-    workload = build_workload(FAULT_MODE_PROFILE)
-    circuit = workload.circuit
-    faults = collapse_faults(circuit)
-    program = get_backend("packed").compiled_program(circuit)
-
-    print(
-        f"\nfault-grading modes on {FAULT_MODE_PROFILE} "
-        f"({circuit.n_gates} gates, {len(faults)} faults):"
-    )
-    header = f"{'patterns':>8} {'lanes (ms)':>11} {'words (ms)':>11} {'words speedup':>13}"
-    print(header)
-    print("-" * len(header))
-    rows: List[dict] = []
-    for n_patterns in FAULT_MODE_WIDTHS:
-        patterns = _wide_patterns(circuit, n_patterns)
-        timings: Dict[str, float] = {}
-        results = {}
-        for fault_mode in ("lanes", "words"):
-            t_mode, res = _time_best(
-                lambda mode=fault_mode: lambda: PackedFaultSimulator(
-                    circuit, program=program, mode=mode
-                ).run(patterns, faults),
-                repeats=2,
-            )
-            timings[fault_mode] = t_mode
-            results[fault_mode] = res
-        assert list(results["lanes"].detected.items()) == list(
-            results["words"].detected.items()
-        ), n_patterns
-        assert results["lanes"].undetected == results["words"].undetected, n_patterns
-        speedup = timings["lanes"] / timings["words"]
-        rows.append(
-            {
-                "patterns": n_patterns,
-                "seconds": {"lanes": timings["lanes"], "words": timings["words"]},
-                "words_speedup": speedup,
-            }
-        )
-        print(
-            f"{n_patterns:>8} {timings['lanes'] * 1000:>11.1f} "
-            f"{timings['words'] * 1000:>11.1f} {speedup:>12.2f}x"
-        )
-
-    crossover = next(
-        (row["patterns"] for row in rows if row["words_speedup"] >= 1.0), None
-    )
-    gate_rows = [
-        row for row in rows if row["patterns"] >= LANE_MODE_MAX_PATTERNS
-    ]
-    gate_row = max(gate_rows, key=lambda row: row["words_speedup"])
-    print(
-        f"measured lanes->words crossover: {crossover} patterns "
-        f"(auto mode switches above {LANE_MODE_MAX_PATTERNS}); "
-        f"best words speedup past the threshold: {gate_row['words_speedup']:.2f}x "
-        f"at {gate_row['patterns']} patterns"
-    )
-    return {
-        "profile": FAULT_MODE_PROFILE,
-        "widths": rows,
-        "crossover_patterns": crossover,
-        "auto_threshold_patterns": LANE_MODE_MAX_PATTERNS,
-        "gate_patterns": gate_row["patterns"],
-        "words_gate_speedup": gate_row["words_speedup"],
-    }
 
 
 @contextmanager
@@ -376,9 +276,9 @@ def _forced_fault_mode(mode: str):
 
 
 def _fault_parallel_sweep() -> dict:
-    """Three-way kernel sweep on the many-faults/few-patterns shapes.
+    """Two-way kernel sweep on the many-faults/few-patterns shapes.
 
-    For every benchmark profile, time ``lanes`` vs ``words`` vs ``faults``
+    For every benchmark profile, time ``lanes`` vs ``faults``
     across :data:`FAULT_PARALLEL_WIDTHS` over the full collapsed fault list
     (parity asserted before any timing is reported), record which kernel
     ``auto`` resolves at each width, and finish with a PODEM end-to-end A/B:
@@ -388,10 +288,10 @@ def _fault_parallel_sweep() -> dict:
     for ``BENCH_engine.json``.
     """
     names = bench_names()
-    print("\nfault-parallel kernel (64 faults/word) vs lanes/words, per profile:")
+    print("\nfault-parallel kernel (64 faults/word) vs lanes, per profile:")
     header = (
         f"{'circuit':>8} {'faults':>6} {'pats':>5} {'lanes (ms)':>11} "
-        f"{'words (ms)':>11} {'faults (ms)':>12} {'vs best':>8} {'auto':>7}"
+        f"{'faults (ms)':>12} {'vs lanes':>8} {'auto':>7}"
     )
     print(header)
     print("-" * len(header))
@@ -406,7 +306,7 @@ def _fault_parallel_sweep() -> dict:
             patterns = _wide_patterns(circuit, n_patterns)
             timings: Dict[str, float] = {}
             results = {}
-            for kernel in ("lanes", "words", "faults"):
+            for kernel in ("lanes", "faults"):
                 t_kernel, res = _time_best(
                     lambda mode=kernel: lambda: PackedFaultSimulator(
                         circuit, program=program, mode=mode
@@ -415,29 +315,26 @@ def _fault_parallel_sweep() -> dict:
                 )
                 timings[kernel] = t_kernel
                 results[kernel] = res
-            for kernel in ("words", "faults"):
-                assert list(results["lanes"].detected.items()) == list(
-                    results[kernel].detected.items()
-                ), (name, n_patterns, kernel)
-                assert results["lanes"].undetected == results[kernel].undetected, (
-                    name,
-                    n_patterns,
-                    kernel,
-                )
-            best_pattern_packed = min(timings["lanes"], timings["words"])
-            speedup = best_pattern_packed / timings["faults"]
+            assert list(results["lanes"].detected.items()) == list(
+                results["faults"].detected.items()
+            ), (name, n_patterns)
+            assert results["lanes"].undetected == results["faults"].undetected, (
+                name,
+                n_patterns,
+            )
+            speedup = timings["lanes"] / timings["faults"]
             auto_kernel = resolve_grading_kernel("auto", n_patterns, len(faults))
             widths.append(
                 {
                     "patterns": n_patterns,
                     "seconds": dict(timings),
-                    "faults_speedup_vs_best": speedup,
+                    "faults_speedup_vs_lanes": speedup,
                     "auto_kernel": auto_kernel,
                 }
             )
             print(
                 f"{name:>8} {len(faults):>6} {n_patterns:>5} "
-                f"{timings['lanes'] * 1000:>11.1f} {timings['words'] * 1000:>11.1f} "
+                f"{timings['lanes'] * 1000:>11.1f} "
                 f"{timings['faults'] * 1000:>12.1f} {speedup:>7.2f}x {auto_kernel:>7}"
             )
         rows.append(
@@ -451,10 +348,10 @@ def _fault_parallel_sweep() -> dict:
 
     largest = max(rows, key=lambda row: row["gates"])
     gate_widths = [w for w in largest["widths"] if w["auto_kernel"] == "faults"]
-    gate_row = max(gate_widths, key=lambda w: w["faults_speedup_vs_best"])
+    gate_row = max(gate_widths, key=lambda w: w["faults_speedup_vs_lanes"])
     print(
         f"largest profile ({largest['circuit']}): faults kernel "
-        f"{gate_row['faults_speedup_vs_best']:.2f}x vs best of lanes/words at "
+        f"{gate_row['faults_speedup_vs_lanes']:.2f}x vs lanes at "
         f"{gate_row['patterns']} patterns "
         f"(gate: >= {FAULT_PARALLEL_GATE_SPEEDUP:.0f}x; auto picks faults up to "
         f"{FAULTS_MODE_MAX_PATTERNS} patterns)"
@@ -494,7 +391,7 @@ def _fault_parallel_sweep() -> dict:
         "auto_max_patterns": FAULTS_MODE_MAX_PATTERNS,
         "gate_circuit": largest["circuit"],
         "gate_patterns": gate_row["patterns"],
-        "faults_gate_speedup": gate_row["faults_speedup_vs_best"],
+        "faults_gate_speedup": gate_row["faults_speedup_vs_lanes"],
         "podem_drop": {
             "circuit": largest["circuit"],
             "max_faults": FAULT_PARALLEL_ATPG_FAULTS,
@@ -785,28 +682,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(
         f"\nlargest profile ({largest_row['circuit']}): packed {packed_speedup:.1f}x vs naive"
     )
-    fault_modes = _fault_mode_sweep()
     fault_parallel = _fault_parallel_sweep()
     atpg = _atpg_sweep()
     obs_section = _obs_sweep(largest_row, metrics_path, trace_path)
-    _write_json(rows, largest, fault_modes, fault_parallel, atpg, obs_section)
+    _write_json(rows, largest, fault_parallel, atpg, obs_section)
 
     code = 0
     if packed_speedup < 5.0:
         print("WARNING: packed below the 5x acceptance threshold")
         code = 1
-    if fault_modes["words_gate_speedup"] < FAULT_MODE_GATE_SPEEDUP:
-        print(
-            f"WARNING: words fault mode below the {FAULT_MODE_GATE_SPEEDUP}x "
-            f"acceptance threshold on every >= {LANE_MODE_MAX_PATTERNS}-pattern "
-            "profile"
-        )
-        code = 1
     if fault_parallel["faults_gate_speedup"] < FAULT_PARALLEL_GATE_SPEEDUP:
         print(
             f"WARNING: faults kernel below the {FAULT_PARALLEL_GATE_SPEEDUP:.0f}x "
-            "acceptance threshold vs the best pattern-packed kernel on the "
-            "largest profile's many-faults/few-patterns shape"
+            "acceptance threshold vs lanes on the largest profile's "
+            "many-faults/few-patterns shape"
         )
         code = 1
     if atpg["largest"]["compiled_speedup"] < ATPG_GATE_SPEEDUP:

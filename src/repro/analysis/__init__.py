@@ -6,8 +6,8 @@ parity suites can only spot-check:
 
 * **R1 determinism** — no unseeded RNGs, wall-clock reads or set-order
   iteration in result-bearing modules;
-* **R2 tail-mask** — word-table consumers outside ``engine/packed.py``
-  must self-mask (``n_patterns``) or apply ``tail_mask``;
+* **R2 tail-mask** — fault-word lane arithmetic (``FAULT_WORD_LANES``)
+  must apply ``fault_lane_mask`` to the last, partly populated word;
 * **R3 envvar registry** — every ``REPRO_*`` read resolves to a
   declaration in :mod:`repro.envvars`; the README table must match;
 * **R4 spawn safety** — task handlers and pool callables must be

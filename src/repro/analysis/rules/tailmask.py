@@ -1,33 +1,17 @@
-"""R2 — tail-mask enforcement for word-table consumers.
+"""R2 — tail-mask enforcement for fault-word consumers.
 
-The packed engine stores 64 patterns per ``uint64`` word, so the last
-word of every table carries garbage bits whenever ``n_patterns % 64 !=
-0``.  Consuming a word table without masking that tail yields phantom
-detections — at exactly one pattern-count residue, which is why the
-dynamic suites historically missed it.
-
-Two tail-safe idioms exist, and every consumption site outside
-``repro/engine/packed.py`` (which owns the helpers) must use one:
-
-* **self-masked tables**: call ``evaluate_words(program, words,
-  n_patterns)`` with the pattern count, so the table comes back with its
-  tail already zeroed;
-* **explicit masking**: functions that do their own word-level tail
-  arithmetic (reference ``WORD_BITS`` while holding a word-table
-  parameter) must apply ``tail_mask`` themselves.
-
-Deleting the ``tail_mask`` application from a consumer — or dropping the
-``n_patterns`` argument from an ``evaluate_words`` call — makes this rule
-fire; the fixture suite demonstrates both.
-
-The fault-parallel kernel has the same hazard on the *fault* axis: 64
-faults per word means the last fault word of a run usually has unpopulated
-lanes, and a detection word consumed without
+The fault-parallel grading kernel packs 64 faults per word, one bit-lane
+each, so the last fault word of a run usually has unpopulated lanes.  A
+detection word consumed without
 :func:`~repro.engine.fault.fault_lane_mask` scatters tail-lane garbage
-onto faults that do not exist.  Functions that do fault-word lane
-arithmetic (reference ``FAULT_WORD_LANES`` while holding a fault-list
-parameter) must therefore apply ``fault_lane_mask``; the fixture corpus
-carries a firing and a quiet case for this arm too.
+onto faults that do not exist — at exactly one fault-count residue, which
+is why the dynamic suites can miss it.
+
+Functions that do fault-word lane arithmetic (reference
+``FAULT_WORD_LANES`` while holding a fault-list parameter) must therefore
+apply ``fault_lane_mask``.  Deleting the ``fault_lane_mask`` application
+from ``packed_first_detects_faults`` makes this rule fire; the fixture
+corpus carries a firing and a quiet case.
 """
 
 from __future__ import annotations
@@ -38,17 +22,9 @@ from typing import Iterator, Set
 from repro.analysis.core import AnalysisContext, Finding, ModuleInfo
 from repro.analysis.registry import rule
 
-#: Parameter names that mark a function as consuming a packed word table.
-WORD_TABLE_PARAMS = {"good", "good_table", "words", "word_table", "input_words"}
-
 #: Parameter names that mark a function as grading a packed fault list
 #: (the fault-parallel kernel's signature family).
 FAULT_LIST_PARAMS = {"sites", "fault_sites", "faults", "stuck_values"}
-
-
-def _is_packed_module(module: ModuleInfo) -> bool:
-    parts = module.repro_parts()
-    return tuple(parts[-2:]) == ("engine", "packed.py")
 
 
 def _names_in(node: ast.AST) -> Set[str]:
@@ -61,79 +37,29 @@ def _names_in(node: ast.AST) -> Set[str]:
     return names
 
 
-def _callee_name(call: ast.Call) -> str:
-    func = call.func
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return ""
-
-
-def _passes_n_patterns(call: ast.Call) -> bool:
-    if len(call.args) >= 3:
-        return True
-    return any(kw.arg == "n_patterns" for kw in call.keywords)
-
-
 @rule("R2", "tail-mask")
-def check_tail_mask(module: ModuleInfo, ctx: AnalysisContext) -> Iterator[Finding]:
-    """Flag word-table consumption that can leak tail-word garbage bits."""
-    if _is_packed_module(module):
-        return
-
-    scopes = [module.tree] + [
-        node
-        for node in ast.walk(module.tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    ]
-    scope_names = {id(scope): _names_in(scope) for scope in scopes}
-
+def check_fault_lane_mask(module: ModuleInfo, ctx: AnalysisContext) -> Iterator[Finding]:
+    """Flag fault-word lane arithmetic that can leak unpopulated tail lanes."""
     for node in ast.walk(module.tree):
-        if isinstance(node, ast.Call) and _callee_name(node) == "evaluate_words":
-            if _passes_n_patterns(node):
-                continue
-            scope = module.enclosing_function(node) or module.tree
-            if "tail_mask" in scope_names[id(scope)]:
-                continue
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        params = {
+            arg.arg
+            for arg in list(node.args.args)
+            + list(node.args.posonlyargs)
+            + list(node.args.kwonlyargs)
+        }
+        names = _names_in(node)
+        if (
+            params & FAULT_LIST_PARAMS
+            and "FAULT_WORD_LANES" in names
+            and "fault_lane_mask" not in names
+        ):
             yield module.finding(
                 "R2",
                 node.lineno,
-                "evaluate_words called without n_patterns and no tail_mask in "
-                "scope: the table's last word carries garbage bits past the "
-                "pattern count",
+                f"function {node.name} packs faults into lane words "
+                "(FAULT_WORD_LANES) without applying fault_lane_mask: "
+                "unpopulated tail lanes of the last fault word scatter "
+                "detections onto nonexistent faults",
             )
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            params = {
-                arg.arg
-                for arg in list(node.args.args)
-                + list(node.args.posonlyargs)
-                + list(node.args.kwonlyargs)
-            }
-            names = scope_names[id(node)]
-            if (
-                params & WORD_TABLE_PARAMS
-                and "WORD_BITS" in names
-                and "tail_mask" not in names
-            ):
-                yield module.finding(
-                    "R2",
-                    node.lineno,
-                    f"function {node.name} consumes a word table and does "
-                    "word-level arithmetic (WORD_BITS) without applying "
-                    "tail_mask: garbage bits in the last word become phantom "
-                    "detections",
-                )
-            if (
-                params & FAULT_LIST_PARAMS
-                and "FAULT_WORD_LANES" in names
-                and "fault_lane_mask" not in names
-            ):
-                yield module.finding(
-                    "R2",
-                    node.lineno,
-                    f"function {node.name} packs faults into lane words "
-                    "(FAULT_WORD_LANES) without applying fault_lane_mask: "
-                    "unpopulated tail lanes of the last fault word scatter "
-                    "detections onto nonexistent faults",
-                )

@@ -12,9 +12,9 @@ after X-filling" integration tests both come from here.
 
 Since the engine subsystem landed, :class:`FaultSimulator` is a thin facade
 over a pluggable backend (see :mod:`repro.engine.backend`): ``"packed"``
-grades faults on the compiled bit-parallel engine (64 patterns per machine
-word, cone-restricted re-evaluation, real fault dropping, and an automatic
-lanes/words execution-mode switch for wide pattern sets — see
+grades faults on the compiled bit-parallel engine (cone-restricted
+re-evaluation on big-int lanes, real fault dropping, and an automatic switch
+to the fault-parallel kernel for many-faults/few-patterns runs — see
 :mod:`repro.engine.fault` and ``REPRO_FAULT_MODE``), and ``"naive"`` keeps
 the original dict-walking implementation as the reference oracle.  Both run
 in process and produce bit-identical results; the default is resolved
@@ -46,7 +46,7 @@ class FaultSimulator:
             :class:`~repro.engine.backend.SimulationBackend` instance; the
             registry default applies when omitted.
         fault_mode: force the packed grading mode (``"auto"``/``"lanes"``/
-            ``"words"``/``"faults"``) on backends that grade through the
+            ``"faults"``) on backends that grade through the
             packed kernels; ``None`` keeps the backend's own resolution
             (``REPRO_FAULT_MODE``, else per-shape ``auto``).  The naive
             reference has a single kernel and ignores the knob.

@@ -8,7 +8,7 @@ every other fault it happens to detect.  The order in which cubes are emitted
 
 Each drop sweep grades one filled cube against *all* remaining faults — the
 shape where pattern-parallel kernels degenerate to one fault at a time.
-Under the packed backends the sweep therefore runs the fault-parallel
+Under the packed backend the sweep therefore runs the fault-parallel
 fault-word kernel (``mode="auto"`` resolves to ``"faults"`` for this shape;
 see :func:`~repro.engine.fault.packed_first_detects_faults`), grading 64
 remaining faults per machine word per cube instead of looping the python

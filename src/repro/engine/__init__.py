@@ -2,10 +2,11 @@
 
 The engine compiles a :class:`~repro.circuit.netlist.Circuit` once into a
 flat array program (:mod:`repro.engine.compile`), evaluates it bit-parallel
-with 64 patterns per machine word (:mod:`repro.engine.packed`), and grades
-fault lists with cone-restricted re-evaluation and real fault dropping
-(:mod:`repro.engine.fault`).  :mod:`repro.engine.backend` exposes the
-registry through which the ATPG, power and experiment layers pick an
+with one big-int lane per net holding every pattern
+(:mod:`repro.engine.packed`), and grades fault lists with cone-restricted
+re-evaluation and real fault dropping, one fault per pass on pattern lanes
+(``lanes``) or 64 faults per word (``faults``) (:mod:`repro.engine.fault`).
+:mod:`repro.engine.backend` exposes the registry through which the ATPG, power and experiment layers pick an
 implementation without changing their public APIs: ``naive`` (the
 dict-walking reference) or ``packed``, both in process.
 :mod:`repro.engine.pool` sizes and owns the shared spawn pool that the
@@ -32,7 +33,6 @@ from repro.engine.fault import (
     FAULT_WORD_LANES,
     FAULTS_MODE_MAX_PATTERNS,
     FAULTS_MODE_MIN_FAULTS,
-    WORD_DROP_BLOCK_PATTERNS,
     FaultSimulationResult,
     NaiveFaultSimulator,
     PackedFaultSimulator,
@@ -40,13 +40,7 @@ from repro.engine.fault import (
     resolve_fault_mode,
     resolve_grading_kernel,
 )
-from repro.engine.packed import (
-    LANE_MODE_MAX_PATTERNS,
-    PackedLogicSimulator,
-    pack_patterns,
-    tail_mask,
-    unpack_values,
-)
+from repro.engine.packed import PackedLogicSimulator
 from repro.engine.ternary import (
     ATPG_MODE_ENV_VAR,
     ATPG_MODES,
@@ -75,8 +69,6 @@ __all__ = [
     "FAULTS_MODE_MAX_PATTERNS",
     "FAULTS_MODE_MIN_FAULTS",
     "JOBS_ENV_VAR",
-    "LANE_MODE_MAX_PATTERNS",
-    "WORD_DROP_BLOCK_PATTERNS",
     "CompiledCircuit",
     "CompiledTernaryPodem",
     "FaultSimulationResult",
@@ -92,7 +84,6 @@ __all__ = [
     "default_jobs",
     "fault_lane_mask",
     "get_backend",
-    "pack_patterns",
     "parse_jobs",
     "register_backend",
     "resolve_atpg_mode",
@@ -102,7 +93,5 @@ __all__ = [
     "set_default_backend",
     "set_default_jobs",
     "shutdown_worker_pool",
-    "tail_mask",
-    "unpack_values",
     "worker_pool",
 ]

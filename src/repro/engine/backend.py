@@ -78,7 +78,7 @@ class NaiveBackend(SimulationBackend):
 
 
 class PackedBackend(SimulationBackend):
-    """Compiled bit-packed engine (64 patterns per machine word).
+    """Compiled bit-packed engine (one big-int lane of patterns per net).
 
     Each circuit is compiled exactly once per process: the compiled program
     (and with it the fault-cone cache) is shared by every simulator built

@@ -10,16 +10,16 @@ levelised program over integer *rows*:
 * every evaluated gate becomes a *node*: an integer opcode, a CSR-style
   fan-in slice (``fanin_ptr`` / ``fanin_idx``) of source rows, and the row it
   writes;
-* nodes carry their logic level, and nodes of the same ``(level, opcode,
-  arity)`` are pre-grouped so a vectorised evaluator can process a whole
-  group with one NumPy call;
+* nodes carry their logic level (the ternary PODEM engine ranks its
+  D-frontier by it);
 * a fan-out map (``reader_lists``: row -> node positions reading it) records
   which nodes read every row — the basis for the cone-restricted fault
   simulator.
 
 Nothing here evaluates anything: the compiled program is consumed by
-:mod:`repro.engine.packed` (bit-parallel logic simulation) and
-:mod:`repro.engine.fault` (fault simulation).  The design follows the
+:mod:`repro.engine.packed` (bit-parallel logic simulation),
+:mod:`repro.engine.fault` (fault simulation) and :mod:`repro.engine.ternary`
+(compiled PODEM).  The design follows the
 compile-once / run-tight-loops idiom of optimisation modelling libraries:
 simulation never touches gate objects or name dictionaries again.
 """
@@ -60,27 +60,6 @@ _OPCODE_OF: Dict[GateType, int] = {
     GateType.CONST1: OP_CONST1,
 }
 
-#: Opcodes whose result is the complement of the accumulated reduction.
-INVERTING_OPS = frozenset((OP_NOT, OP_NAND, OP_NOR, OP_XNOR))
-
-
-@dataclass(frozen=True)
-class LevelGroup:
-    """Nodes of one ``(level, opcode, arity)`` class, for vectorised evaluation.
-
-    Attributes:
-        level: logic level shared by every node in the group.
-        op: shared opcode.
-        out_rows: value-table rows the group writes, shape ``(n,)``.
-        in_rows: source rows, shape ``(n, arity)`` (empty for constants).
-    """
-
-    level: int
-    op: int
-    out_rows: np.ndarray
-    in_rows: np.ndarray
-
-
 @dataclass(frozen=True)
 class Cone:
     """The downstream combinational cone of one fault site.
@@ -113,7 +92,6 @@ class CompiledCircuit:
         fanin_ptr / fanin_idx: CSR fan-in rows per node (same canonical form).
         output_rows: rows of the observable outputs, in
             :attr:`Circuit.combinational_outputs` order (may repeat).
-        groups: level/op/arity node groups in evaluation order.
     """
 
     name: str
@@ -126,7 +104,6 @@ class CompiledCircuit:
     fanin_ptr: np.ndarray
     fanin_idx: np.ndarray
     output_rows: np.ndarray
-    groups: List[LevelGroup]
     # Plain-python mirrors of the arrays above, used by the hot loops: the
     # lane evaluator iterates ``node_prog`` (scalar indexing of python lists
     # beats numpy scalar indexing by ~10x), the cone BFS walks
@@ -248,23 +225,6 @@ def compile_circuit(circuit: Circuit) -> CompiledCircuit:
     for pos in range(n_nodes):
         out_node[int(node_out[pos])] = pos
 
-    # Level/op/arity groups, in level order (ties broken deterministically).
-    buckets: Dict[Tuple[int, int, int], List[int]] = {}
-    for pos in range(n_nodes):
-        key = (int(node_level[pos]), int(node_ops[pos]), len(node_prog[pos][2]))
-        buckets.setdefault(key, []).append(pos)
-    groups: List[LevelGroup] = []
-    for (level, op, arity) in sorted(buckets):
-        positions = buckets[(level, op, arity)]
-        out_rows = node_out[positions]
-        if arity:
-            in_rows = np.asarray(
-                [node_prog[pos][2] for pos in positions], dtype=np.int32
-            )
-        else:
-            in_rows = np.zeros((len(positions), 0), dtype=np.int32)
-        groups.append(LevelGroup(level=level, op=op, out_rows=out_rows, in_rows=in_rows))
-
     # Fan-out: row -> node positions reading it (combinational readers only;
     # flip-flops are not nodes, so cone propagation naturally stops there).
     reader_lists: List[List[int]] = [[] for _ in net_names]
@@ -283,7 +243,6 @@ def compile_circuit(circuit: Circuit) -> CompiledCircuit:
         fanin_ptr=fanin_ptr,
         fanin_idx=fanin_idx,
         output_rows=output_rows,
-        groups=groups,
         node_prog=node_prog,
         reader_lists=reader_lists,
         node_levels=node_levels,

@@ -10,21 +10,17 @@ observable-difference detection semantics as the original
 * a fault is detected at the first pattern where any observable net (primary
   output or flip-flop data input) differs from the good machine.
 
-**Grading modes.**  Like the packed logic simulator, the packed fault path
-has several execution strategies sharing the compiled program and producing
-bit-identical results:
+**Grading modes.**  The packed fault path has two kernels sharing the
+compiled program and the big-int good machine
+(:func:`~repro.engine.packed.evaluate_lanes`), producing bit-identical
+results:
 
-* ``"lanes"`` — good machine and faulty cones on arbitrary-width python
-  big-ints (:func:`packed_first_detects`).  Minimal per-op dispatch; wins
-  for the narrow pattern sets ATPG grading uses.
-* ``"words"`` — good machine cached as a dense ``(n_nets, n_words)``
-  ``uint64`` table, faulty cones re-simulated word-wise with vectorised
-  NumPy bitwise ops and detection words diffed at the observables under an
-  explicit last-word mask (:func:`packed_first_detects_words`).  NumPy's
-  per-call overhead is amortised over many words, so this wins once pattern
-  sets grow wide (thousands of patterns — the fill-sweep / figure-2 shapes).
-* ``"faults"`` — the *fault-parallel* dual of lanes: 64 faults per uint64
-  word, one bit-lane each (:func:`packed_first_detects_faults`).  Each
+* ``"lanes"`` — *pattern-parallel*: each fault's cone is re-evaluated on
+  arbitrary-width python big-ints, one bit per pattern
+  (:func:`packed_first_detects`).  Minimal per-op dispatch; this carries
+  every pattern width.
+* ``"faults"`` — the *fault-parallel* dual of lanes: 64 faults per word,
+  one bit-lane each (:func:`packed_first_detects_faults`).  Each
   pattern is replayed once through the union of the packed faults' cones
   with every fault site forced in its own lane, and one XOR against the
   broadcast good-machine value recovers all 64 detection bits at once.
@@ -34,9 +30,7 @@ bit-identical results:
   remaining fault list).
 
 ``mode="auto"`` (the default) picks the kernel from the run shape
-(:func:`resolve_grading_kernel`): ``words`` above
-:data:`~repro.engine.packed.LANE_MODE_MAX_PATTERNS` patterns exactly like
-the logic simulator, ``faults`` for pattern sets at most
+(:func:`resolve_grading_kernel`): ``faults`` for pattern sets at most
 :data:`FAULTS_MODE_MAX_PATTERNS` wide against at least
 :data:`FAULTS_MODE_MIN_FAULTS` faults, ``lanes`` otherwise; the
 ``REPRO_FAULT_MODE`` environment variable forces a mode process-wide
@@ -81,30 +75,16 @@ from repro.engine.compile import (
     OP_XOR,
     compile_circuit,
 )
-from repro.engine.packed import (
-    LANE_MODE_MAX_PATTERNS,
-    WORD_BITS,
-    evaluate_lanes,
-    evaluate_words,
-    pack_lanes,
-    pack_patterns,
-    tail_mask,
-)
+from repro.engine.packed import evaluate_lanes, pack_lanes
 
-#: Patterns per fault-dropping block.  Two packed words: wide enough that the
-#: per-block bookkeeping is negligible, narrow enough that a fault detected
-#: by the early patterns skips most of a large pattern set.
+#: Patterns per fault-dropping block: wide enough that the per-block
+#: bookkeeping is negligible, narrow enough that a fault detected by the
+#: early patterns skips most of a large pattern set.  Results are
+#: block-size-invariant — blocking only bounds skippable work.
 DROP_BLOCK_PATTERNS = 128
 
-#: Default fault-dropping block in ``"words"`` mode.  NumPy's ~µs per-call
-#: dispatch must be amortised over many 64-bit words per cone op, so word
-#: blocks are much wider than lane blocks (64 words here; narrower blocks
-#: measurably lose to lanes, wider ones starve fault dropping).  Results are
-#: block-size-invariant either way — blocking only bounds skippable work.
-WORD_DROP_BLOCK_PATTERNS = 4096
-
 #: Faults per packed fault word in ``"faults"`` mode — one bit-lane each.
-FAULT_WORD_LANES = WORD_BITS
+FAULT_WORD_LANES = 64
 
 #: ``auto`` considers the fault-parallel kernel only for pattern sets at
 #: most this wide.  The fault-packed word must replay every pattern one at
@@ -141,18 +121,13 @@ def resolve_fault_mode(mode: Optional[str] = None) -> str:
 
 
 def resolve_grading_kernel(mode: str, n_patterns: int, n_faults: int) -> str:
-    """The concrete kernel (``lanes``/``words``/``faults``) a run grades on.
+    """The concrete kernel (``lanes``/``faults``) a run grades on.
 
-    ``auto`` resolves from the run shape: the word table wins wide pattern
-    sets, the fault-packed kernel wins many-faults/few-patterns shapes, and
-    big-int lanes take everything in between.  Distributed parents resolve
-    once with the full run shape and ship the resolved kernel to every
-    chunk, so chunking never changes the kernel (or the results).
+    ``auto`` resolves from the run shape: the fault-packed kernel wins
+    many-faults/few-patterns shapes, and big-int lanes take everything else.
     """
     if mode != "auto":
         return mode
-    if n_patterns > LANE_MODE_MAX_PATTERNS:
-        return "words"
     if n_patterns <= FAULTS_MODE_MAX_PATTERNS and n_faults >= FAULTS_MODE_MIN_FAULTS:
         return "faults"
     return "lanes"
@@ -161,8 +136,7 @@ def resolve_grading_kernel(mode: str, n_patterns: int, n_faults: int) -> str:
 def fault_lane_mask(n_lanes: int) -> int:
     """Valid-lane mask for a fault word holding ``n_lanes`` packed faults.
 
-    The fault-axis dual of :func:`~repro.engine.packed.tail_mask`: the last
-    fault word of a run usually holds fewer than
+    The last fault word of a run usually holds fewer than
     :data:`FAULT_WORD_LANES` faults, and every detection word must be
     masked to the populated lanes before lanes are mapped back to faults —
     an unmasked tail lane would scatter a detection onto a fault that does
@@ -446,13 +420,9 @@ def packed_first_detects(
     stuck_values: Sequence[int],
     block_patterns: int = DROP_BLOCK_PATTERNS,
     drop_detected: bool = True,
-    pattern_start: int = 0,
-    pattern_stop: Optional[int] = None,
     stats: Optional[Dict[str, int]] = None,
 ) -> List[Optional[int]]:
-    """First-detecting pattern index per fault site over a pattern range.
-
-    :class:`PackedFaultSimulator` runs it over the full pattern range.
+    """First-detecting pattern index per fault site.
 
     Args:
         program: compiled circuit.
@@ -464,37 +434,29 @@ def packed_first_detects(
         stuck_values: stuck value (0/1) per fault, aligned with ``sites``.
         block_patterns: patterns per fault-dropping block.
         drop_detected: skip a fault's cone in blocks after its detecting one.
-        pattern_start / pattern_stop: half-open pattern range to simulate
-            (defaults to the full range).  Returned indices stay absolute.
         stats: optional counter dict updated in place (``blocks``,
             ``cone_evaluations``, ``dropped_block_evaluations``).
 
     Returns:
-        One entry per fault: the absolute index of the first detecting
-        pattern inside the range, or ``None``.
+        One entry per fault: the index of the first detecting pattern, or
+        ``None``.
     """
     if stats is None:
         stats = _new_stats()
-    if pattern_stop is None:
-        pattern_stop = n_patterns
     n_faults = len(sites)
     first_detect: List[Optional[int]] = [None] * n_faults
-    range_width = pattern_stop - pattern_start
-    if range_width <= 0 or n_faults == 0:
+    if n_patterns <= 0 or n_faults == 0:
         return first_detect
 
     # Blocking only pays off when dropping can skip later blocks; run a
     # single full-width pass otherwise (results are block-size-invariant).
-    block_size = max(1, int(block_patterns)) if drop_detected else range_width
-    blocks = [
-        range(s, min(s + block_size, pattern_stop))
-        for s in range(pattern_start, pattern_stop, block_size)
-    ]
+    block_size = max(1, int(block_patterns)) if drop_detected else n_patterns
+    blocks = _blocks(n_patterns, block_size)
     # Pre-serialise the good lanes when blocks fall on byte boundaries:
     # slicing a byte window per block is O(block) per net instead of the
     # O(n_patterns) a full-lane `>> start` costs, keeping good-block
     # extraction linear in the pattern count across all blocks.
-    byte_aligned = block_size % 8 == 0 and pattern_start % 8 == 0 and len(blocks) > 1
+    byte_aligned = block_size % 8 == 0 and len(blocks) > 1
     if byte_aligned:
         total_bytes = (n_patterns + 7) // 8
         good_bytes = [lane.to_bytes(total_bytes, "little") for lane in good]
@@ -536,8 +498,8 @@ def packed_first_detects(
             # purpose (the faulty-dict overlay lookup per source is the
             # hot path; an indirection-parameterised shared interpreter
             # measurably slows it).  Any opcode change must be mirrored
-            # in evaluate_lanes/evaluate_words; the every-gate-type
-            # parity tests in tests/test_engine.py catch divergence.
+            # in evaluate_lanes; the every-gate-type parity tests in
+            # tests/test_engine.py catch divergence.
             for pos in cone.positions:
                 op, out, src = node_prog[pos]
                 if op == OP_AND or op == OP_NAND:
@@ -590,184 +552,6 @@ def packed_first_detects(
     return first_detect
 
 
-def packed_first_detects_words(
-    program,
-    good: np.ndarray,
-    n_patterns: int,
-    sites: Sequence[Optional[int]],
-    stuck_values: Sequence[int],
-    block_patterns: int = WORD_DROP_BLOCK_PATTERNS,
-    drop_detected: bool = True,
-    pattern_start: int = 0,
-    pattern_stop: Optional[int] = None,
-    stats: Optional[Dict[str, int]] = None,
-) -> List[Optional[int]]:
-    """Word-table counterpart of :func:`packed_first_detects`.
-
-    The good machine is a cached ``(n_nets, n_words)`` ``uint64`` table
-    (:func:`~repro.engine.packed.evaluate_words`); each fault's cone is
-    re-simulated word-wise with vectorised NumPy bitwise ops over the block's
-    word slice, and detection words are diffed at the observable rows under
-    an explicit validity mask — :func:`~repro.engine.packed.tail_mask` for
-    the last word plus range masks for non-word-aligned shard boundaries —
-    so tail garbage can never read as a detection.  Same arguments, return
-    value and fault-dropping semantics as the lanes version; first-detect
-    indices are bit-identical.
-
-    Args:
-        good: good-machine word table covering all ``n_patterns`` patterns.
-        block_patterns: rounded up to whole 64-pattern words; word blocks
-            default much wider than lane blocks (NumPy dispatch amortises
-            across the words of a block).
-        (remaining arguments: see :func:`packed_first_detects`)
-    """
-    if stats is None:
-        stats = _new_stats()
-    if pattern_stop is None:
-        pattern_stop = n_patterns
-    n_faults = len(sites)
-    first_detect: List[Optional[int]] = [None] * n_faults
-    if pattern_stop - pattern_start <= 0 or n_faults == 0:
-        return first_detect
-
-    ones = np.uint64(0xFFFFFFFFFFFFFFFF)
-    word_lo = pattern_start // WORD_BITS
-    word_hi = -(-pattern_stop // WORD_BITS)
-    # Per-word validity masks over [pattern_start, pattern_stop): interior
-    # words are fully valid; the boundary words mask off out-of-range bits
-    # (the global tail is one such boundary whenever pattern_stop ==
-    # n_patterns does not fill its last word).
-    valid = np.full(word_hi - word_lo, ones, dtype=np.uint64)
-    head_bits = pattern_start - word_lo * WORD_BITS
-    if head_bits:
-        valid[0] &= np.uint64(~((1 << head_bits) - 1) & 0xFFFFFFFFFFFFFFFF)
-    if pattern_stop < word_hi * WORD_BITS:
-        valid[-1] &= tail_mask(pattern_stop)
-
-    block_words = -(-max(1, int(block_patterns)) // WORD_BITS)
-    if not drop_detected:
-        block_words = word_hi - word_lo  # single full-width pass
-    stuck_flags = [bool(value) for value in stuck_values]
-    node_prog = program.node_prog
-    for block_lo in range(word_lo, word_hi, block_words):
-        block_hi = min(block_lo + block_words, word_hi)
-        stats["blocks"] += 1
-        width = block_hi - block_lo
-        good_block = good[:, block_lo:block_hi]
-        valid_block = valid[block_lo - word_lo : block_hi - word_lo]
-        forced_zeros = np.zeros(width, dtype=np.uint64)
-        forced_ones = np.full(width, ones, dtype=np.uint64)
-        pending = 0
-        for index in range(n_faults):
-            row = sites[index]
-            if row is None:
-                continue
-            if first_detect[index] is not None:
-                if drop_detected:
-                    stats["dropped_block_evaluations"] += 1
-                    continue
-            cone = program.cone(row)
-            if not cone.detect_rows and not cone.site_observable:
-                continue  # structurally unobservable: undetected, no work
-            stats["cone_evaluations"] += 1
-            forced = forced_ones if stuck_flags[index] else forced_zeros
-            faulty: Dict[int, np.ndarray] = {row: forced}
-            fget = faulty.get
-            # Overlay values are either fresh arrays or read-only views of
-            # the good table / forced constants; every in-place op below
-            # runs only after `fresh` proves the accumulator was allocated
-            # by this gate, so shared storage is never mutated.  Opcode
-            # dispatch mirrors packed_first_detects (see the note there).
-            for pos in cone.positions:
-                op, out, src = node_prog[pos]
-                if op == OP_AND or op == OP_NAND:
-                    v = fget(src[0])
-                    acc = good_block[src[0]] if v is None else v
-                    fresh = False
-                    for r in src[1:]:
-                        v = fget(r)
-                        operand = good_block[r] if v is None else v
-                        if fresh:
-                            np.bitwise_and(acc, operand, out=acc)
-                        else:
-                            acc = acc & operand
-                            fresh = True
-                    if op == OP_NAND:
-                        acc = (
-                            np.bitwise_xor(acc, ones, out=acc)
-                            if fresh
-                            else acc ^ ones
-                        )
-                elif op == OP_OR or op == OP_NOR:
-                    v = fget(src[0])
-                    acc = good_block[src[0]] if v is None else v
-                    fresh = False
-                    for r in src[1:]:
-                        v = fget(r)
-                        operand = good_block[r] if v is None else v
-                        if fresh:
-                            np.bitwise_or(acc, operand, out=acc)
-                        else:
-                            acc = acc | operand
-                            fresh = True
-                    if op == OP_NOR:
-                        acc = (
-                            np.bitwise_xor(acc, ones, out=acc)
-                            if fresh
-                            else acc ^ ones
-                        )
-                elif op == OP_XOR or op == OP_XNOR:
-                    v = fget(src[0])
-                    acc = good_block[src[0]] if v is None else v
-                    fresh = False
-                    for r in src[1:]:
-                        v = fget(r)
-                        operand = good_block[r] if v is None else v
-                        if fresh:
-                            np.bitwise_xor(acc, operand, out=acc)
-                        else:
-                            acc = acc ^ operand
-                            fresh = True
-                    if op == OP_XNOR:
-                        acc = (
-                            np.bitwise_xor(acc, ones, out=acc)
-                            if fresh
-                            else acc ^ ones
-                        )
-                elif op == OP_NOT:
-                    v = fget(src[0])
-                    acc = (good_block[src[0]] if v is None else v) ^ ones
-                elif op == OP_BUF:
-                    v = fget(src[0])
-                    acc = good_block[src[0]] if v is None else v
-                elif op == OP_CONST0:
-                    acc = forced_zeros
-                else:  # OP_CONST1
-                    acc = forced_ones
-                faulty[out] = acc
-            diff = (good_block[row] ^ forced) if cone.site_observable else None
-            for obs in cone.detect_rows:
-                delta = faulty[obs] ^ good_block[obs]
-                if diff is None:
-                    diff = delta
-                else:
-                    np.bitwise_or(diff, delta, out=diff)
-            np.bitwise_and(diff, valid_block, out=diff)
-            nonzero = np.nonzero(diff)[0]
-            if nonzero.size:
-                if first_detect[index] is None:
-                    word = int(nonzero[0])
-                    bits = int(diff[word])
-                    first_detect[index] = (block_lo + word) * WORD_BITS + (
-                        (bits & -bits).bit_length() - 1
-                    )
-            else:
-                pending += 1
-        if drop_detected and pending == 0:
-            break
-    return first_detect
-
-
 def packed_first_detects_faults(
     program,
     good: Sequence[int],
@@ -776,8 +560,6 @@ def packed_first_detects_faults(
     stuck_values: Sequence[int],
     block_patterns: int = DROP_BLOCK_PATTERNS,
     drop_detected: bool = True,
-    pattern_start: int = 0,
-    pattern_stop: Optional[int] = None,
     stats: Optional[Dict[str, int]] = None,
 ) -> List[Optional[int]]:
     """Fault-parallel counterpart of :func:`packed_first_detects`.
@@ -793,7 +575,7 @@ def packed_first_detects_faults(
     of the detect rows attributes detections to the right lanes by
     construction.  Because patterns are visited in ascending order, the
     first pattern whose diff word sets a lane *is* that fault's
-    first-detecting pattern — bit-identical to the lanes/words kernels.
+    first-detecting pattern — bit-identical to the lanes kernel.
 
     Fault sites driven by gates inside the union cone (one packed fault
     upstream of another's site) are re-forced lane-wise after the driving
@@ -803,7 +585,7 @@ def packed_first_detects_faults(
 
     Fault dropping works on the same :data:`DROP_BLOCK_PATTERNS` blocks as
     the lanes kernel — ``cone_evaluations`` counts one per still-undetected
-    fault per block, identical across kernels and chunkings — and a fully
+    fault per block, identical across kernels — and a fully
     detected fault word stops replaying patterns immediately.
 
     Args: see :func:`packed_first_detects`; ``good`` is the same big-int
@@ -812,12 +594,9 @@ def packed_first_detects_faults(
     """
     if stats is None:
         stats = _new_stats()
-    if pattern_stop is None:
-        pattern_stop = n_patterns
     n_faults = len(sites)
     first_detect: List[Optional[int]] = [None] * n_faults
-    range_width = pattern_stop - pattern_start
-    if range_width <= 0 or n_faults == 0:
+    if n_patterns <= 0 or n_faults == 0:
         return first_detect
 
     # Only gradeable faults occupy lanes; unknown nets and structurally
@@ -834,14 +613,11 @@ def packed_first_detects_faults(
     if not gradeable:
         return first_detect
 
-    block_size = max(1, int(block_patterns)) if drop_detected else range_width
-    blocks = [
-        range(s, min(s + block_size, pattern_stop))
-        for s in range(pattern_start, pattern_stop, block_size)
-    ]
+    block_size = max(1, int(block_patterns)) if drop_detected else n_patterns
+    blocks = _blocks(n_patterns, block_size)
     # Same pre-serialisation trick as the lanes kernel: byte-window slices
     # keep good-block extraction linear in the pattern count across blocks.
-    byte_aligned = block_size % 8 == 0 and pattern_start % 8 == 0 and len(blocks) > 1
+    byte_aligned = block_size % 8 == 0 and len(blocks) > 1
     if byte_aligned:
         total_bytes = (n_patterns + 7) // 8
         good_bytes = [lane.to_bytes(total_bytes, "little") for lane in good]
@@ -849,8 +625,7 @@ def packed_first_detects_faults(
     stuck_flags = [bool(value) for value in stuck_values]
     node_prog = program.node_prog
     full = fault_lane_mask(FAULT_WORD_LANES)
-    # `blocks` reports pattern blocks processed, like the pattern-packed
-    # kernels: the word that survives furthest defines how much of the
+    # `blocks` reports pattern blocks processed, like the lanes kernel: the word that survives furthest defines how much of the
     # pattern axis was walked (a no-drop run is one full-width block).
     blocks_processed = 0
     for word_lo in range(0, len(gradeable), FAULT_WORD_LANES):
@@ -979,41 +754,32 @@ class PackedFaultSimulator:
     """Bit-packed fault simulator over the compiled program.
 
     The cone of each fault is compiled once into flat ``(op, out_row,
-    src_rows)`` triples and re-evaluated per fault-dropping block, either on
-    big-int lanes (a handful of C-level big-int bitwise ops per block — no
-    gate objects, no name dictionaries, no NumPy dispatch) or on the NumPy
-    uint64 word table for wide pattern sets; see the module docstring for
-    the mode trade-off.
+    src_rows)`` triples and re-evaluated per fault-dropping block on big-int
+    lanes (a handful of C-level big-int bitwise ops per block — no gate
+    objects, no name dictionaries, no NumPy dispatch), one fault per pass
+    (``lanes``) or 64 faults per pass (``faults``); see the module docstring
+    for the mode trade-off.
 
     Args:
         circuit: circuit under test (compiled here if no ``program`` given).
-        block_patterns: fault-dropping block size; defaults per kernel
-            (:data:`DROP_BLOCK_PATTERNS` for lanes/faults,
-            :data:`WORD_DROP_BLOCK_PATTERNS` for words).
+        block_patterns: fault-dropping block size.
         program: reuse an already-compiled program for ``circuit``.
-        mode: ``"auto"``, ``"lanes"``, ``"words"`` or ``"faults"``; ``None``
+        mode: ``"auto"``, ``"lanes"`` or ``"faults"``; ``None``
             resolves through :func:`resolve_fault_mode` (``REPRO_FAULT_MODE``).
     """
 
     def __init__(
         self,
         circuit: Circuit,
-        block_patterns: Optional[int] = None,
+        block_patterns: int = DROP_BLOCK_PATTERNS,
         program: "Optional[object]" = None,
         mode: Optional[str] = None,
     ) -> None:
         self.circuit = circuit
         self.mode = resolve_fault_mode(mode)
-        self.block_patterns = (
-            max(1, int(block_patterns)) if block_patterns is not None else None
-        )
+        self.block_patterns = max(1, int(block_patterns))
         self.program = program if program is not None else compile_circuit(circuit)
         self.last_run_stats: Dict[str, int] = _new_stats()
-
-    def _block_patterns_for(self, kernel: str) -> int:
-        if self.block_patterns is not None:
-            return self.block_patterns
-        return WORD_DROP_BLOCK_PATTERNS if kernel == "words" else DROP_BLOCK_PATTERNS
 
     def run(
         self,
@@ -1037,43 +803,22 @@ class PackedFaultSimulator:
         # detected (matching the naive simulator's empty-cone behaviour).
         sites: List[Optional[int]] = [program.row_of(f.net) for f in faults]
         stuck_values = [1 if f.stuck_value else 0 for f in faults]
-        if kernel == "words":
-            with obs.span(f"logic_sim/{program.name}/words"):
-                good_table = evaluate_words(
-                    program, pack_patterns(matrix), n_patterns
-                )
-            with obs.span(f"fault_sim/{program.name}/words/grade"):
-                first_detect = packed_first_detects_words(
-                    program,
-                    good_table,
-                    n_patterns,
-                    sites,
-                    stuck_values,
-                    block_patterns=self._block_patterns_for(kernel),
-                    drop_detected=drop_detected,
-                    stats=stats,
-                )
-        else:
-            # The lanes and faults kernels share the big-int good machine.
-            full_mask = (1 << n_patterns) - 1
-            with obs.span(f"logic_sim/{program.name}/{kernel}"):
-                good = evaluate_lanes(program, pack_lanes(matrix), full_mask)
-            grade = (
-                packed_first_detects_faults
-                if kernel == "faults"
-                else packed_first_detects
+        # The lanes and faults kernels share the big-int good machine.
+        full_mask = (1 << n_patterns) - 1
+        with obs.span(f"logic_sim/{program.name}/{kernel}"):
+            good = evaluate_lanes(program, pack_lanes(matrix), full_mask)
+        grade = packed_first_detects_faults if kernel == "faults" else packed_first_detects
+        with obs.span(f"fault_sim/{program.name}/{kernel}/grade"):
+            first_detect = grade(
+                program,
+                good,
+                n_patterns,
+                sites,
+                stuck_values,
+                block_patterns=self.block_patterns,
+                drop_detected=drop_detected,
+                stats=stats,
             )
-            with obs.span(f"fault_sim/{program.name}/{kernel}/grade"):
-                first_detect = grade(
-                    program,
-                    good,
-                    n_patterns,
-                    sites,
-                    stuck_values,
-                    block_patterns=self._block_patterns_for(kernel),
-                    drop_detected=drop_detected,
-                    stats=stats,
-                )
         result = _assemble(faults, first_detect, n_patterns)
         _flush_run_telemetry(stats, result)
         return result

@@ -1,26 +1,20 @@
 """Bit-parallel (pattern-packed) logic simulation over a compiled program.
 
-Patterns are packed 64 per ``uint64`` machine word: bit ``j`` of word ``w``
-holds pattern ``w * 64 + j``, so one bitwise instruction evaluates a gate for
-64 patterns at once.  :class:`PackedLogicSimulator` exposes the same surface
-as :class:`repro.circuit.simulator.LogicSimulator` (``simulate`` /
+Each net's values for a whole pattern set are packed into one arbitrary-width
+python integer (a "lane"): bit ``j`` of the lane holds pattern ``j``, so one
+bitwise instruction evaluates a gate for every pattern at once.  CPython
+big-int bitwise ops run in C over 30-bit limbs with ~100 ns dispatch, which
+beats NumPy's ~1 µs per-call overhead by an order of magnitude at the pattern
+widths the reproduction produces (one to a few thousand patterns).
+:class:`PackedLogicSimulator` exposes the same surface as
+:class:`repro.circuit.simulator.LogicSimulator` (``simulate`` /
 ``observe_outputs`` / ``gate_activity``) and is value-identical to it, which
 the engine parity tests assert bit-for-bit.
 
-Two execution strategies share the compiled program:
-
-* ``"lanes"`` — each net's packed words are fused into one arbitrary-width
-  python integer ("lane").  CPython big-int bitwise ops run in C over 30-bit
-  limbs with ~100 ns dispatch, which beats NumPy's ~1 µs per-call overhead by
-  an order of magnitude for the narrow pattern sets (tens to a few thousand
-  patterns) ATPG grading uses.  This is the fault-simulation workhorse.
-* ``"words"`` — a dense ``(n_nets, n_words)`` ``uint64`` table evaluated with
-  vectorised NumPy bitwise ops over the pre-grouped ``(level, op, arity)``
-  node classes.  Per-call overhead is amortised across every gate of a
-  group, so this wins once pattern sets grow wide (SIMD over many words).
-
-``mode="auto"`` (the default) picks lanes below
-:data:`LANE_MODE_MAX_PATTERNS` and words above.
+Inverting ops XOR against ``(1 << n_patterns) - 1``, so no lane ever holds a
+bit beyond the pattern count.  The fault-grading kernels in
+:mod:`repro.engine.fault` evaluate the good machine with the same
+:func:`evaluate_lanes`.
 """
 
 from __future__ import annotations
@@ -34,11 +28,9 @@ from repro.circuit.simulator import check_pattern_matrix
 from repro.cubes.cube import TestSet
 from repro.engine.compile import (
     CompiledCircuit,
-    INVERTING_OPS,
     OP_AND,
     OP_BUF,
     OP_CONST0,
-    OP_CONST1,
     OP_NAND,
     OP_NOR,
     OP_NOT,
@@ -48,66 +40,13 @@ from repro.engine.compile import (
     compile_circuit,
 )
 
-#: ``mode="auto"`` switches from big-int lanes to the NumPy word table above
-#: this many patterns (lanes win on dispatch overhead, words win on SIMD).
-LANE_MODE_MAX_PATTERNS = 4096
-
-WORD_BITS = 64
-
-_ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-
-def tail_mask(n_patterns: int) -> np.uint64:
-    """Valid-bit mask for the last word of an ``n_patterns``-wide table.
-
-    Bit ``j`` is set iff pattern ``(n_words - 1) * 64 + j`` exists; the mask
-    is all ones when the pattern count fills its last word exactly.  Every
-    word-table consumer ANDs the last word with this before interpreting its
-    bits, so garbage produced there (inverting ops complement *all* 64 bits)
-    can never be misread as pattern data.
-    """
-    remainder = n_patterns % WORD_BITS
-    if remainder == 0:
-        return _ALL_ONES
-    return np.uint64((1 << remainder) - 1)
-
 
 # -- packing ---------------------------------------------------------------
-def pack_patterns(matrix: np.ndarray) -> np.ndarray:
-    """Pack a ``(n_patterns, n_pins)`` bool matrix into uint64 words.
-
-    Returns a ``(n_pins, n_words)`` ``uint64`` array with bit ``j`` of word
-    ``w`` holding pattern ``w * 64 + j`` (little-endian bit order).
-    """
-    n_patterns, n_pins = matrix.shape
-    n_words = (n_patterns + WORD_BITS - 1) // WORD_BITS
-    packed_bytes = np.packbits(matrix.T, axis=1, bitorder="little")
-    padded = np.zeros((n_pins, n_words * 8), dtype=np.uint8)
-    padded[:, : packed_bytes.shape[1]] = packed_bytes
-    return padded.view("<u8")
-
-
-def unpack_values(words: np.ndarray, n_patterns: int) -> np.ndarray:
-    """Unpack a ``(rows, n_words)`` uint64 table to ``(rows, n_patterns)`` bool.
-
-    Tail-safe by construction: unpacked column ``j`` is bit ``j % 64`` of
-    word ``j // 64``, so the ``:n_patterns`` slice drops exactly the bits
-    :func:`tail_mask` would zero — garbage beyond the pattern count never
-    reaches the bool matrix, even from a table that escaped the producers'
-    masking.
-    """
-    if words.size == 0:
-        return np.zeros((words.shape[0], n_patterns), dtype=bool)
-    as_bytes = np.ascontiguousarray(words.astype("<u8", copy=False)).view(np.uint8)
-    bits = np.unpackbits(as_bytes, axis=1, bitorder="little")
-    return bits[:, :n_patterns].astype(bool)
-
-
 def pack_lanes(matrix: np.ndarray) -> List[int]:
     """Pack each column of a bool matrix into one python big-int lane.
 
-    Bit ``j`` of lane ``p`` is pattern ``j`` of pin ``p`` — the same bit
-    order as :func:`pack_patterns`, just without the 64-bit word seams.
+    Bit ``j`` of lane ``p`` is pattern ``j`` of pin ``p`` (little-endian
+    bit order).
     """
     packed_bytes = np.packbits(matrix.T, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed_bytes]
@@ -174,61 +113,11 @@ def evaluate_lanes(
     return values
 
 
-# -- word-table evaluation -------------------------------------------------
-def evaluate_words(
-    program: CompiledCircuit,
-    packed_inputs: np.ndarray,
-    n_patterns: Optional[int] = None,
-) -> np.ndarray:
-    """Evaluate the compiled program over a uint64 word table.
-
-    Args:
-        program: compiled circuit.
-        packed_inputs: ``(n_inputs, n_words)`` uint64 array from
-            :func:`pack_patterns`.
-        n_patterns: number of patterns the words hold; defaults to the full
-            ``n_words * 64``.
-
-    Returns:
-        The full ``(n_nets, n_words)`` value table.  Bits beyond
-        ``n_patterns`` in the last word are zeroed (:func:`tail_mask`), so
-        the table is safe to diff or unpack without further masking.
-    """
-    n_words = packed_inputs.shape[1]
-    table = np.zeros((program.n_nets, n_words), dtype=np.uint64)
-    table[: program.n_inputs] = packed_inputs
-    ones = np.uint64(0xFFFFFFFFFFFFFFFF)
-    for group in program.groups:
-        op = group.op
-        if op == OP_CONST0:
-            continue  # table rows start zeroed
-        if op == OP_CONST1:
-            table[group.out_rows] = ones
-            continue
-        gathered = table[group.in_rows]  # (n_gates, arity, n_words)
-        if op in (OP_AND, OP_NAND):
-            result = np.bitwise_and.reduce(gathered, axis=1)
-        elif op in (OP_OR, OP_NOR):
-            result = np.bitwise_or.reduce(gathered, axis=1)
-        elif op in (OP_XOR, OP_XNOR):
-            result = np.bitwise_xor.reduce(gathered, axis=1)
-        else:  # BUF / NOT
-            result = gathered[:, 0]
-        if op in INVERTING_OPS:
-            result = ~result
-        table[group.out_rows] = result
-    if n_words and n_patterns is not None and n_patterns < n_words * WORD_BITS:
-        table[:, -1] &= tail_mask(n_patterns)
-    return table
-
-
 class PackedLogicSimulator:
     """Bit-parallel two-valued simulator (drop-in for ``LogicSimulator``).
 
     Args:
         circuit: circuit to simulate; compiled once at construction.
-        mode: ``"auto"`` (default), ``"lanes"`` or ``"words"`` — see the
-            module docstring for the trade-off.
         program: reuse an already-compiled program for ``circuit`` (the
             packed backend shares one per circuit); compiled here if omitted.
     """
@@ -236,33 +125,21 @@ class PackedLogicSimulator:
     def __init__(
         self,
         circuit: Circuit,
-        mode: str = "auto",
         program: Optional[CompiledCircuit] = None,
     ) -> None:
-        if mode not in ("auto", "lanes", "words"):
-            raise ValueError(f"unknown packed mode {mode!r}")
         self.circuit = circuit
-        self.mode = mode
         self.program = program if program is not None else compile_circuit(circuit)
 
     # -- internals ---------------------------------------------------------
-    def _use_lanes(self, n_patterns: int) -> bool:
-        if self.mode == "auto":
-            return n_patterns <= LANE_MODE_MAX_PATTERNS
-        return self.mode == "lanes"
-
     def _value_matrix(self, patterns: np.ndarray) -> np.ndarray:
         """Full ``(n_nets, n_patterns)`` bool value table for ``patterns``."""
         matrix = check_pattern_matrix(patterns, self.program.n_inputs)
         n_patterns = matrix.shape[0]
         if n_patterns == 0:
             return np.zeros((self.program.n_nets, 0), dtype=bool)
-        if self._use_lanes(n_patterns):
-            mask = (1 << n_patterns) - 1
-            lanes = evaluate_lanes(self.program, pack_lanes(matrix), mask)
-            return lanes_to_matrix(lanes, n_patterns)
-        table = evaluate_words(self.program, pack_patterns(matrix), n_patterns)
-        return unpack_values(table, n_patterns)
+        mask = (1 << n_patterns) - 1
+        lanes = evaluate_lanes(self.program, pack_lanes(matrix), mask)
+        return lanes_to_matrix(lanes, n_patterns)
 
     # -- LogicSimulator-compatible surface ---------------------------------
     def simulate(self, patterns: np.ndarray) -> Dict[str, np.ndarray]:

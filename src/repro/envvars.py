@@ -125,7 +125,7 @@ def parse_string(value: object, source: str = "value") -> str:
 
 
 #: Canonical choice sets (single source; domain modules re-export these).
-FAULT_MODES = ("auto", "lanes", "words", "faults")
+FAULT_MODES = ("auto", "lanes", "faults")
 ATPG_MODES = ("auto", "dict", "compiled")
 
 
@@ -260,9 +260,8 @@ FAULT_MODE = declare(
     "REPRO_FAULT_MODE",
     parse_choice(FAULT_MODES, "fault mode"),
     "Packed fault-grading strategy: pattern-parallel big-int `lanes`, "
-    "vectorised `words`, fault-parallel `faults` (64 faults per word), or "
-    "`auto` (words above 4096 patterns, faults for many-faults/few-patterns "
-    "shapes, lanes otherwise).",
+    "fault-parallel `faults` (64 faults per word), or `auto` (faults for "
+    "many-faults/few-patterns shapes, lanes otherwise).",
     default=None,
     default_doc="`auto`",
 )

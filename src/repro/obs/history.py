@@ -50,9 +50,6 @@ def fold_bench(bench: Mapping[str, Any]) -> Dict[str, Any]:
         }
         profiles[circuit] = entry
     gates = {
-        "words_gate_speedup": (bench.get("fault_modes") or {}).get(
-            "words_gate_speedup"
-        ),
         "faults_gate_speedup": (bench.get("fault_parallel") or {}).get(
             "faults_gate_speedup"
         ),

@@ -13,7 +13,7 @@ Schema (``"schema": 2``)::
       "truncated": false,           # did a ring buffer drop events/intervals?
       "counters": {"fault_sim.cone_evaluations": 123, ...},
       "spans": [                    # sorted by path
-        {"path": "fault_sim/b12/words/grade",
+        {"path": "fault_sim/b12/lanes/grade",
          "count": 4, "total_s": 1.25, "max_s": 0.42},
         ...
       ],

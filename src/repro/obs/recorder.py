@@ -15,7 +15,7 @@ Three primitives:
   :func:`add_counters`, which keeps the enabled path cheap and the disabled
   path free.
 * **spans** — wall-clock timers keyed by a stable ``/``-separated path
-  (``fault_sim/b12/words/grade``).  Nested use is fine; each span records
+  (``fault_sim/b12/lanes/grade``).  Nested use is fine; each span records
   into a flat ``path -> [count, total_s, max_s]`` table, which merges
   deterministically across processes (sum counts and totals, max the max).
 * **events** — typed, timestamped records for cluster lifecycle (a task

@@ -14,7 +14,7 @@ def emit(result, circuit_name):
         }
     )
     obs.counter("obs.intervals_dropped")  # timeline ring-buffer overflow
-    with obs.span(f"fault_sim/{circuit_name}/words/grade"):
+    with obs.span(f"fault_sim/{circuit_name}/lanes/grade"):
         pass
     with obs.span("runner/table1/collect"):
         pass

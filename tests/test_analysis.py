@@ -3,7 +3,7 @@
 Covers the rule fixtures (one firing and one quiet module per rule under
 ``tests/analysis_fixtures/``), inline-suppression and baseline round
 trips, the CLI contract (exit codes, JSON format), the acceptance
-demonstrations — deleting a ``tail_mask`` application or adding an
+demonstrations — deleting a ``fault_lane_mask`` application or adding an
 undeclared ``REPRO_*`` read must make the pass fail — and the gate the
 CI job enforces: ``src/`` analyzes to zero unsuppressed findings.
 """
@@ -45,7 +45,6 @@ class TestRuleFixtures:
         "bad,good,rule",
         [
             ("r1_unseeded.py", "r1_seeded.py", "R1"),
-            ("r2_unmasked.py", "r2_masked.py", "R2"),
             ("r2_fault_tail_unmasked.py", "r2_fault_tail_masked.py", "R2"),
             ("r3_direct_read.py", "r3_registry.py", "R3"),
             ("r4_closure.py", "r4_module_level.py", "R4"),
@@ -70,15 +69,6 @@ class TestRuleFixtures:
         assert "uuid.uuid4" in text
         assert "os.urandom" in text
         assert "iteration over a set" in text
-
-    def test_r2_catches_both_consumption_shapes(self, fixture_report):
-        messages = [
-            f.message
-            for f in fixture_report.findings
-            if f.path.endswith("r2_unmasked.py")
-        ]
-        assert any("without n_patterns" in m for m in messages)
-        assert any("WORD_BITS" in m for m in messages)
 
     def test_r2_catches_fault_word_tail_lanes(self, fixture_report):
         messages = [
@@ -128,24 +118,24 @@ class TestAcceptance:
         ) == [("R6", "workloads.py"), ("R6", "workloads.py")]
 
     def test_deleting_tail_mask_fails_the_pass(self, tmp_path):
-        """The real word-table consumer minus its tail_mask application."""
+        """The real fault-word kernel minus its fault_lane_mask applications."""
         source = (ROOT / "src" / "repro" / "engine" / "fault.py").read_text()
-        assert "&= tail_mask(pattern_stop)" in source
-        stripped = source.replace("valid[-1] &= tail_mask(pattern_stop)", "pass")
-        # tail_mask must be gone from the consumer entirely (the import
-        # alone does not mask anything, but it would satisfy a name scan).
-        stripped = "\n".join(
-            line
-            for line in stripped.splitlines()
-            if "tail_mask" not in line
+        head, sep, body = source.partition("def packed_first_detects_faults(")
+        assert sep, "fault.py must define packed_first_detects_faults"
+        kernel, nxt, tail = body.partition("\ndef ")
+        assert "fault_lane_mask(" in kernel
+        # Strip every fault_lane_mask line from the kernel only; the helper's
+        # own definition and its other callers stay untouched.
+        kernel = "\n".join(
+            line for line in kernel.splitlines() if "fault_lane_mask" not in line
         )
         target = tmp_path / "repro" / "engine" / "fault.py"
         target.parent.mkdir(parents=True)
-        target.write_text(stripped)
+        target.write_text(head + sep + kernel + nxt + tail)
         report = run_analysis([target], tmp_path)
         r2 = [f for f in report.findings if f.rule == "R2"]
-        assert r2, "removing tail_mask from fault.py must trip R2"
-        assert any("packed_first_detects_words" in f.message for f in r2)
+        assert r2, "removing fault_lane_mask from fault.py must trip R2"
+        assert any("packed_first_detects_faults" in f.message for f in r2)
 
     def test_undeclared_env_read_fails_the_pass(self, tmp_path):
         target = tmp_path / "repro" / "newmod.py"

@@ -4,8 +4,8 @@ The contract under test is *bit-for-bit parity*: on any circuit and any
 fully specified pattern set, the packed backend must produce exactly the
 same net values, fault-detection maps (including first-detecting pattern
 indices) and power figures as the naive reference implementation — across
-both packed execution strategies and including pattern counts that are not
-a multiple of the 64-bit word size.
+both packed grading kernels (``lanes`` and ``faults``) and including pattern
+counts that straddle the byte and fault-dropping block seams.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from repro.cubes.cube import TestSet
 from repro.engine import (
     DROP_BLOCK_PATTERNS,
     FAULT_MODE_ENV_VAR,
-    LANE_MODE_MAX_PATTERNS,
+    FAULTS_MODE_MAX_PATTERNS,
     NaiveFaultSimulator,
     PackedFaultSimulator,
     PackedLogicSimulator,
@@ -37,12 +37,7 @@ from repro.engine import (
     set_default_backend,
 )
 from repro.engine.backend import BACKEND_ENV_VAR, _REGISTRY
-from repro.engine.packed import (
-    evaluate_words,
-    pack_patterns,
-    tail_mask,
-    unpack_values,
-)
+from repro.engine.packed import evaluate_lanes, lanes_to_matrix, pack_lanes
 from repro.power.estimator import PowerEstimator
 
 def all_gate_types_circuit():
@@ -50,8 +45,8 @@ def all_gate_types_circuit():
 
     The random generator never emits CONST gates and c17 is NAND-only, so
     this is the circuit that catches a divergent opcode among the three
-    dispatch sites (``evaluate_lanes``, ``evaluate_words`` and the inline
-    cone interpreter in ``PackedFaultSimulator``).
+    dispatch sites (``evaluate_lanes`` and the inline cone interpreters of
+    the ``lanes`` and ``faults`` grading kernels).
     """
     from repro.circuit.gates import GateType
     from repro.circuit.netlist import Circuit
@@ -98,8 +93,8 @@ CIRCUITS = [
     ),
 ]
 
-#: Pattern counts straddling the 64-bit word boundary (the packed engine's
-#: natural edge) plus the single-pattern and multi-word cases.
+#: Pattern counts straddling byte and 64-pattern boundaries plus the
+#: single-pattern and wider cases.
 PATTERN_COUNTS = [1, 7, 63, 64, 65, 130]
 
 
@@ -133,20 +128,22 @@ class TestCompile:
     def test_pack_unpack_roundtrip_odd_width(self):
         rng = np.random.default_rng(2)
         matrix = rng.integers(0, 2, size=(130, 9)).astype(bool)
-        words = pack_patterns(matrix)
-        assert words.dtype == np.uint64 and words.shape == (9, 3)
-        assert np.array_equal(unpack_values(words, 130), matrix.T)
+        lanes = pack_lanes(matrix)
+        assert len(lanes) == 9 and all(lane < (1 << 130) for lane in lanes)
+        assert lanes[0] == sum(int(bit) << j for j, bit in enumerate(matrix[:, 0]))
+        assert np.array_equal(lanes_to_matrix(lanes, 130), matrix.T)
 
 
 class TestLogicParity:
+    # One packed representation (big-int lanes); the axis keeps its id.
     @pytest.mark.parametrize("make_circuit", CIRCUITS)
     @pytest.mark.parametrize("n_patterns", PATTERN_COUNTS)
-    @pytest.mark.parametrize("mode", ["lanes", "words"])
-    def test_simulate_matches_naive(self, make_circuit, n_patterns, mode):
+    @pytest.mark.parametrize("representation", ["lanes"])
+    def test_simulate_matches_naive(self, make_circuit, n_patterns, representation):
         circuit = make_circuit()
         patterns = _random_patterns(circuit, n_patterns, seed=n_patterns)
         naive = LogicSimulator(circuit).simulate(patterns)
-        packed = PackedLogicSimulator(circuit, mode=mode).simulate(patterns)
+        packed = PackedLogicSimulator(circuit).simulate(patterns)
         assert list(naive) == list(packed)  # same nets, same order
         for net in naive:
             assert np.array_equal(naive[net], packed[net]), net
@@ -196,40 +193,33 @@ class TestLogicParity:
 
 
 class TestTailMasking:
-    """No word-table consumer may ever read the garbage tail of a last word."""
-
-    def test_tail_mask_values(self):
-        assert int(tail_mask(1)) == 1
-        assert int(tail_mask(63)) == (1 << 63) - 1
-        assert int(tail_mask(64)) == (1 << 64) - 1
-        assert int(tail_mask(65)) == 1
-        assert int(tail_mask(130)) == 3
+    """No lane may ever carry a bit beyond the pattern count."""
 
     @pytest.mark.parametrize("n_patterns", [1, 63, 65, 130])
-    def test_evaluate_words_zeroes_tail_bits(self, n_patterns):
-        # all_gate_types_circuit is full of inverting ops, which complement
-        # all 64 bits of a word — exactly the producers of tail garbage.
+    def test_evaluate_lanes_zeroes_tail_bits(self, n_patterns):
+        # all_gate_types_circuit is full of inverting ops and a CONST1, the
+        # only producers that could set bits past the pattern count.
         circuit = all_gate_types_circuit()
         matrix = _random_patterns(circuit, n_patterns, seed=3).astype(bool)
-        table = evaluate_words(compile_circuit(circuit), pack_patterns(matrix), n_patterns)
-        beyond = ~np.uint64(tail_mask(n_patterns))
-        assert not np.any(table[:, -1] & beyond)
+        mask = (1 << n_patterns) - 1
+        lanes = evaluate_lanes(compile_circuit(circuit), pack_lanes(matrix), mask)
+        assert all(0 <= lane <= mask for lane in lanes)
+        assert any(lane == mask for lane in lanes)  # the CONST1 row
 
-    def test_unpack_values_masks_unsanitised_tables(self):
-        # Even a table that somehow kept its garbage unpacks clean.
-        dirty = np.full((3, 2), np.uint64(0xFFFFFFFFFFFFFFFF), dtype=np.uint64)
-        values = unpack_values(dirty, 70)
+    def test_lanes_to_matrix_masks_unsanitised_lanes(self):
+        # A lane with set bits past the pattern count (but inside its last
+        # byte) still unpacks to exactly n_patterns columns.
+        dirty = [(1 << 72) - 1] * 3
+        values = lanes_to_matrix(dirty, 70)
         assert values.shape == (3, 70)
         assert values.all()
-        assert np.array_equal(dirty, np.full((3, 2), np.uint64(0xFFFFFFFFFFFFFFFF)))
 
 
 class TestFaultModes:
-    """Lane- and word-mode grading must be bit-identical on every backend.
+    """Every packed grading mode must be bit-identical to the naive reference.
 
-    Pattern counts cover the word-boundary edges (1, 63, 64, 65) and a
-    multi-word count past the auto-mode crossover (4097), where tail-bit
-    handling and the words path actually engage.
+    Pattern counts cover the 64-pattern edges (1, 63, 64, 65) and a wide
+    set (4097) with a ragged last fault-dropping block.
     """
 
     #: Small circuits keep the 4097-pattern naive reference affordable.
@@ -251,7 +241,7 @@ class TestFaultModes:
         faults = full_fault_list(circuit)
         reference = NaiveFaultSimulator(circuit).run(patterns, faults)
         results = {}
-        for mode in ("lanes", "words", "faults"):
+        for mode in ("lanes", "faults", "auto"):
             results[f"packed-{mode}"] = PackedFaultSimulator(circuit, mode=mode).run(
                 patterns, faults
             )
@@ -262,24 +252,25 @@ class TestFaultModes:
             assert result.undetected == reference.undetected, (key, n_patterns)
 
     def test_auto_mode_switches_at_lane_threshold(self):
-        circuit = c17()
+        # Above FAULTS_MODE_MAX_PATTERNS, auto grades on lanes at any width.
+        circuit = generate_circuit(CircuitSpec("auto_switch", 6, 4, 60, seed=11))
         simulator = PackedFaultSimulator(circuit, mode="auto")
         faults = full_fault_list(circuit)
-        narrow = TestSet.from_matrix(_random_patterns(circuit, 70, seed=0))
-        simulator.run(narrow, faults)
-        assert simulator.last_run_stats["fault_mode"] == "lanes"
-        wide = TestSet.from_matrix(
-            _random_patterns(circuit, LANE_MODE_MAX_PATTERNS + 1, seed=0)
-        )
-        simulator.run(wide, faults)
-        assert simulator.last_run_stats["fault_mode"] == "words"
+        for n_patterns, kernel in [
+            (FAULTS_MODE_MAX_PATTERNS, "faults"),
+            (FAULTS_MODE_MAX_PATTERNS + 1, "lanes"),
+            (4097, "lanes"),
+        ]:
+            patterns = TestSet.from_matrix(_random_patterns(circuit, n_patterns))
+            simulator.run(patterns, faults)
+            assert simulator.last_run_stats["fault_mode"] == kernel, n_patterns
 
-    def test_words_mode_drops_across_blocks(self):
-        # Word-mode dropping must skip cone work, like the lanes path does.
+    def test_faults_mode_drops_across_blocks(self):
+        # Fault-parallel dropping must skip cone work, like the lanes path does.
         circuit = generate_circuit(CircuitSpec("word_drop", 8, 6, 120, seed=1))
         patterns = TestSet.from_matrix(_random_patterns(circuit, 300, seed=1))
         faults = full_fault_list(circuit)
-        simulator = PackedFaultSimulator(circuit, mode="words", block_patterns=64)
+        simulator = PackedFaultSimulator(circuit, mode="faults", block_patterns=64)
         result = simulator.run(patterns, faults, drop_detected=True)
         stats = dict(simulator.last_run_stats)
         assert stats["blocks"] > 1
@@ -288,29 +279,35 @@ class TestFaultModes:
         assert list(result.detected.items()) == list(reference.detected.items())
 
     def test_env_var_forces_mode(self, monkeypatch):
-        monkeypatch.setenv(FAULT_MODE_ENV_VAR, "words")
+        # Two faults would resolve to lanes under auto.
+        monkeypatch.setenv(FAULT_MODE_ENV_VAR, "faults")
         simulator = PackedFaultSimulator(c17())
-        assert simulator.mode == "words"
+        assert simulator.mode == "faults"
         patterns = TestSet.from_matrix(_random_patterns(c17(), 8, seed=0))
         simulator.run(patterns, full_fault_list(c17())[:2])
-        assert simulator.last_run_stats["fault_mode"] == "words"
+        assert simulator.last_run_stats["fault_mode"] == "faults"
 
     def test_explicit_mode_beats_env(self, monkeypatch):
-        monkeypatch.setenv(FAULT_MODE_ENV_VAR, "words")
+        monkeypatch.setenv(FAULT_MODE_ENV_VAR, "faults")
         assert PackedFaultSimulator(c17(), mode="lanes").mode == "lanes"
 
     def test_unknown_mode_rejected(self, monkeypatch):
-        with pytest.raises(ValueError, match="unknown fault mode"):
-            PackedFaultSimulator(c17(), mode="simd")
-        monkeypatch.setenv(FAULT_MODE_ENV_VAR, "turbo")
-        with pytest.raises(ValueError, match="unknown fault mode"):
-            resolve_fault_mode()
+        # "words" (the retired uint64 word-table kernel) stays rejected.
+        for mode in ("simd", "words"):
+            with pytest.raises(ValueError, match="unknown fault mode"):
+                PackedFaultSimulator(c17(), mode=mode)
+            with pytest.raises(ValueError, match="unknown fault mode"):
+                FaultSimulator(c17(), backend="packed", fault_mode=mode)
+        for mode in ("turbo", "words"):
+            monkeypatch.setenv(FAULT_MODE_ENV_VAR, mode)
+            with pytest.raises(ValueError, match="unknown fault mode"):
+                resolve_fault_mode()
 
 
 class TestDuplicateFaults:
     """Duplicate faults must collapse to one entry, not skew coverage."""
 
-    @pytest.mark.parametrize("mode", ["lanes", "words", "faults"])
+    @pytest.mark.parametrize("mode", ["lanes", "faults"])
     def test_duplicates_counted_once(self, mode):
         circuit = c17()
         patterns = TestSet.from_matrix(_random_patterns(circuit, 40, seed=5))
@@ -421,9 +418,7 @@ class TestFaultDropping:
     @pytest.mark.parametrize("simulator_cls", [NaiveFaultSimulator, PackedFaultSimulator])
     def test_dropping_skips_cone_evaluations(self, simulator_cls):
         circuit, patterns, faults = self._setup()
-        # Pin the block size: the packed words mode defaults to much wider
-        # blocks, which would fit this whole pattern set into one.
-        simulator = simulator_cls(circuit, block_patterns=DROP_BLOCK_PATTERNS)
+        simulator = simulator_cls(circuit)
         with_drop = simulator.run(patterns, faults, drop_detected=True)
         stats_drop = dict(simulator.last_run_stats)
         without_drop = simulator.run(patterns, faults, drop_detected=False)

@@ -1,9 +1,9 @@
 """Tests for the fault-parallel grading kernel (``mode="faults"``).
 
-The kernel packs 64 faults per ``uint64`` lane word and replays each
-pattern once over the union of the packed faults' cones, so the contract
-is the same bit-for-bit parity bar the lanes and words kernels already
-clear: identical detection maps, identical first-detecting pattern
+The kernel packs 64 faults per big-int word, one bit-lane each, and
+replays each pattern once over the union of the packed faults' cones, so
+the contract is the same bit-for-bit parity bar the lanes kernel already
+clears: identical detection maps, identical first-detecting pattern
 indices, identical fault order — against the naive reference, across
 every benchmark profile, and through PODEM's fault-dropping sweep where the kernel collapses the
 historical one-fault-at-a-time tail.
@@ -24,7 +24,6 @@ from repro.engine import (
     FAULT_WORD_LANES,
     FAULTS_MODE_MAX_PATTERNS,
     FAULTS_MODE_MIN_FAULTS,
-    LANE_MODE_MAX_PATTERNS,
     NaiveFaultSimulator,
     PackedFaultSimulator,
     fault_lane_mask,
@@ -57,7 +56,7 @@ def _assert_same(reference, result, context=""):
 
 
 class TestFaultLaneMask:
-    """The fault-axis dual of tail_mask: unpopulated lanes never grade."""
+    """The last fault word's unpopulated lanes never grade."""
 
     def test_values(self):
         assert fault_lane_mask(1) == 1
@@ -75,16 +74,13 @@ class TestFaultLaneMask:
 class TestKernelResolution:
     """The auto heuristic picks the kernel from the run's (patterns, faults) shape."""
 
-    @pytest.mark.parametrize("mode", ["lanes", "words", "faults"])
+    @pytest.mark.parametrize("mode", ["lanes", "faults"])
     def test_explicit_mode_passes_through(self, mode):
         assert resolve_grading_kernel(mode, 1, 10_000) == mode
         assert resolve_grading_kernel(mode, 10_000, 1) == mode
 
-    def test_wide_pattern_sets_go_to_words(self):
-        assert (
-            resolve_grading_kernel("auto", LANE_MODE_MAX_PATTERNS + 1, 100_000)
-            == "words"
-        )
+    def test_wide_pattern_sets_stay_on_lanes(self):
+        assert resolve_grading_kernel("auto", 4097, 100_000) == "lanes"
 
     def test_many_faults_few_patterns_goes_to_faults(self):
         assert (
@@ -114,7 +110,7 @@ class TestKernelResolution:
 
 
 class TestBenchmarkProfileParity:
-    """naive × lanes × words × faults over every benchmark profile."""
+    """naive × lanes × faults × auto over every benchmark profile."""
 
     @pytest.mark.parametrize("name", default_workload_names())
     def test_four_way_parity(self, name):
@@ -126,7 +122,7 @@ class TestBenchmarkProfileParity:
         faults = _sample_faults(circuit, cap)
         patterns = _patterns(circuit, 45, seed=7)
         reference = NaiveFaultSimulator(circuit).run(patterns, faults)
-        for mode in ("lanes", "words", "faults"):
+        for mode in ("lanes", "faults", "auto"):
             for drop in (True, False):
                 result = PackedFaultSimulator(circuit, mode=mode).run(
                     patterns, faults, drop_detected=drop

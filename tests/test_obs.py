@@ -120,7 +120,7 @@ class TestRecorder:
     def test_add_counters_skips_labels(self):
         obs.enable()
         obs.add_counters(
-            {"cone_evaluations": 7, "mode": "words", "pooled": True},
+            {"cone_evaluations": 7, "mode": "lanes", "pooled": True},
             prefix="fault_sim.",
         )
         counters = obs.snapshot()["counters"]
@@ -246,10 +246,9 @@ class TestEngineTelemetry:
         )
         assert _parity_subset(naive) == _parity_subset(packed)
 
-    @pytest.mark.parametrize("fault_mode", ["lanes", "words", "faults"])
+    @pytest.mark.parametrize("fault_mode", ["lanes", "faults"])
     def test_fault_modes_match(self, fault_mode):
-        # cone_evaluations is kernel-granularity-dependent (lanes counts one
-        # per fault x block, the words table one per fault), so it is only
+        # cone_evaluations is kernel-specific work accounting, so it is only
         # comparable between runs using the same mode; the run totals are
         # mode-invariant.
         circuit = _medium_circuit()

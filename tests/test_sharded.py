@@ -6,7 +6,7 @@ always run in process.  The detection-map contract the multi-process
 grading path used to carry is now the in-process facade's alone:
 *bit-for-bit parity* with the naive reference — same detection maps, same
 first-detecting pattern indices, same fault order — for every grading
-kernel, pattern-count word boundary and dropping setting.  On top of
+kernel, 64-pattern boundary and dropping setting.  On top of
 parity, the suite checks worker-count resolution, that the pool refuses a
 single worker, that ``jobs=1`` never builds a transport, the runner's
 deterministic ``--jobs`` merge, and that the retired ``sharded`` and
@@ -26,7 +26,6 @@ from repro.circuit.library import b01_like_fsm, c17
 from repro.cubes.cube import TestSet
 from repro.engine import (
     NaiveFaultSimulator,
-    PackedFaultSimulator,
     available_backends,
     get_backend,
 )
@@ -59,7 +58,7 @@ class TestShardedParity:
     @pytest.mark.parametrize("make_circuit", CIRCUITS)
     @pytest.mark.parametrize("n_patterns", [1, 63, 64, 65, 130])
     @pytest.mark.parametrize("drop", [True, False])
-    @pytest.mark.parametrize("fault_mode", ["lanes", "words", "faults"])
+    @pytest.mark.parametrize("fault_mode", ["lanes", "faults"])
     def test_detection_map_parity(self, make_circuit, n_patterns, drop, fault_mode):
         circuit = make_circuit()
         patterns = TestSet.from_matrix(_random_patterns(circuit, n_patterns, seed=9))
@@ -73,14 +72,15 @@ class TestShardedParity:
         assert naive.undetected == result.undetected
         assert naive.coverage == result.coverage
 
-    def test_wide_pattern_set_grades_on_words_in_auto_mode(self):
+    def test_wide_pattern_set_grades_on_lanes_in_auto_mode(self):
+        # Wider than any workload's pattern set; auto still grades on lanes.
         circuit = c17()
         patterns = TestSet.from_matrix(_random_patterns(circuit, 4160, seed=3))
         faults = full_fault_list(circuit)
         simulator = FaultSimulator(circuit, backend="packed", fault_mode="auto")
         result = simulator.run(patterns, faults)
-        assert simulator.last_run_stats["fault_mode"] == "words"
-        reference = PackedFaultSimulator(circuit, mode="lanes").run(patterns, faults)
+        assert simulator.last_run_stats["fault_mode"] == "lanes"
+        reference = NaiveFaultSimulator(circuit).run(patterns, faults)
         assert list(result.detected.items()) == list(reference.detected.items())
         assert result.undetected == reference.undetected
 

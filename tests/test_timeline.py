@@ -293,7 +293,7 @@ class TestRunReport:
 class TestHistory:
     def _bench(self, sha, stamp, packed=12.0):
         return {
-            "schema": 8,
+            "schema": 9,
             "git_sha": sha,
             "timestamp": stamp,
             "python": "3.x",
@@ -305,7 +305,6 @@ class TestHistory:
                     "fault_speedup_packed_vs_naive": packed,
                 }
             ],
-            "fault_modes": {"words_gate_speedup": 2.0},
             "fault_parallel": {"faults_gate_speedup": 2.0},
             "atpg": {"largest": {"compiled_speedup": 10.0}},
             "obs": {"overhead": {"enabled_overhead_pct": 0.5}},
