@@ -311,7 +311,10 @@ class Circuit:
 
     def fanout_counts(self) -> Dict[str, int]:
         """Number of readers of every net (primary outputs count as one reader)."""
-        counts = {net: len(readers) for net, readers in self.fanout_map().items()}
+        counts = dict.fromkeys(self.nets(), 0)
+        for gate in self._gates.values():
+            for net in gate.inputs:
+                counts[net] = counts.get(net, 0) + 1
         for net in self._outputs:
             counts[net] = counts.get(net, 0) + 1
         return counts

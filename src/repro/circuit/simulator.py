@@ -20,7 +20,7 @@ directly.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Sequence
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -127,7 +127,7 @@ class LogicSimulator:
         values = self.simulate(patterns)
         return {net: arr[1:] != arr[:-1] for net, arr in values.items()}
 
-    def net_value_matrix(self, patterns: np.ndarray) -> "tuple[List[str], np.ndarray]":
+    def net_value_matrix(self, patterns: np.ndarray) -> Tuple[List[str], np.ndarray]:
         """All net values as ``(names, (n_nets, n_patterns) bool matrix)``.
 
         Row order is the simulation order (test pins, then topological gate

@@ -24,7 +24,7 @@ engine tests and as an escape hatch (``REPRO_BACKEND=naive``).
 from __future__ import annotations
 
 import weakref
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro import envvars
 from repro.circuit.netlist import Circuit

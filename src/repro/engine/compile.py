@@ -87,9 +87,9 @@ class CompiledCircuit:
         net_index: net name -> row index.
         n_inputs: number of test-pin rows (they are rows ``0..n_inputs-1``).
         node_ops / node_out / node_level: per-node opcode, output row, level
-            — the canonical flat-array form of the program (compact and
-            picklable).
-        fanin_ptr / fanin_idx: CSR fan-in rows per node (same canonical form).
+            — the flat-array form of the program (compact and picklable),
+            derived from the python lists below.
+        fanin_ptr / fanin_idx: CSR fan-in rows per node (same array form).
         output_rows: rows of the observable outputs, in
             :attr:`Circuit.combinational_outputs` order (may repeat).
     """
@@ -104,7 +104,8 @@ class CompiledCircuit:
     fanin_ptr: np.ndarray
     fanin_idx: np.ndarray
     output_rows: np.ndarray
-    # Plain-python mirrors of the arrays above, used by the hot loops: the
+    # The plain-python form of the program, from which compile_circuit
+    # derives the arrays above; the hot loops use it directly: the
     # lane evaluator iterates ``node_prog`` (scalar indexing of python lists
     # beats numpy scalar indexing by ~10x), the cone BFS walks
     # ``reader_lists`` (row -> node positions reading that row), and the
@@ -181,67 +182,58 @@ def compile_circuit(circuit: Circuit) -> CompiledCircuit:
     circuit.validate()
     inputs = circuit.combinational_inputs
     order = circuit.topological_order()
-    levels = circuit.levelize()
 
-    net_names: List[str] = list(inputs) + list(order)
+    net_names: List[str] = inputs + order
     net_index: Dict[str, int] = {net: row for row, net in enumerate(net_names)}
     n_inputs = len(inputs)
 
-    n_nodes = len(order)
-    node_ops = np.zeros(n_nodes, dtype=np.int32)
-    node_out = np.zeros(n_nodes, dtype=np.int32)
-    node_level = np.zeros(n_nodes, dtype=np.int32)
-    fanin_ptr = np.zeros(n_nodes + 1, dtype=np.int32)
-    fanin_rows: List[int] = []
-
-    for pos, name in enumerate(order):
-        gate = circuit.get_gate(name)
-        op = _OPCODE_OF.get(gate.gate_type)
-        if op is None:  # pragma: no cover - Circuit.validate forbids this
-            raise ValueError(f"cannot compile gate type {gate.gate_type}")
-        src = tuple(net_index[net] for net in gate.inputs)
-        node_ops[pos] = op
-        node_out[pos] = net_index[name]
-        node_level[pos] = levels.get(name, 0)
-        fanin_ptr[pos + 1] = fanin_ptr[pos] + len(src)
-        fanin_rows.extend(src)
-
-    fanin_idx = np.asarray(fanin_rows, dtype=np.int32)
-    # The python mirror is *derived* from the canonical arrays so the two
-    # program representations cannot drift apart.
-    node_prog: List[Tuple[int, int, Tuple[int, ...]]] = [
-        (
-            int(node_ops[pos]),
-            int(node_out[pos]),
-            tuple(int(row) for row in fanin_idx[fanin_ptr[pos] : fanin_ptr[pos + 1]]),
-        )
-        for pos in range(n_nodes)
-    ]
-    output_rows = np.asarray(
-        [net_index[net] for net in circuit.combinational_outputs], dtype=np.int32
-    )
-    node_levels = [int(node_level[pos]) for pos in range(n_nodes)]
+    # The python lists are the source: they are built in one pass over the
+    # gates, and the NumPy arrays are derived from them, so the two program
+    # representations cannot drift apart.  A node's level is
+    # ``1 + max(level of its fan-in rows)`` with test pins at level 0, the
+    # definition of :meth:`Circuit.levelize`.
+    node_prog: List[Tuple[int, int, Tuple[int, ...]]] = []
+    node_levels: List[int] = []
+    row_level = [0] * len(net_names)
     out_node = [-1] * len(net_names)
-    for pos in range(n_nodes):
-        out_node[int(node_out[pos])] = pos
-
     # Fan-out: row -> node positions reading it (combinational readers only;
     # flip-flops are not nodes, so cone propagation naturally stops there).
     reader_lists: List[List[int]] = [[] for _ in net_names]
-    for pos, (_, _, src) in enumerate(node_prog):
+    fanin_ends = [0]
+    fanin_rows: List[int] = []
+    get_gate = circuit.get_gate
+    index_of = net_index.__getitem__
+    level_of = row_level.__getitem__
+    for pos, name in enumerate(order):
+        gate = get_gate(name)
+        op = _OPCODE_OF.get(gate.gate_type)
+        if op is None:  # pragma: no cover - Circuit.validate forbids this
+            raise ValueError(f"cannot compile gate type {gate.gate_type}")
+        src = tuple(map(index_of, gate.inputs))
+        out = net_index[name]
+        level = 1 + max(map(level_of, src), default=0)
+        row_level[out] = level
+        node_prog.append((op, out, src))
+        node_levels.append(level)
+        out_node[out] = pos
         for row in src:
             reader_lists[row].append(pos)
+        fanin_rows.extend(src)
+        fanin_ends.append(len(fanin_rows))
 
+    output_rows = np.asarray(
+        [net_index[net] for net in circuit.combinational_outputs], dtype=np.int32
+    )
     return CompiledCircuit(
         name=circuit.name,
         net_names=net_names,
         net_index=net_index,
         n_inputs=n_inputs,
-        node_ops=node_ops,
-        node_out=node_out,
-        node_level=node_level,
-        fanin_ptr=fanin_ptr,
-        fanin_idx=fanin_idx,
+        node_ops=np.array([node[0] for node in node_prog], dtype=np.int32),
+        node_out=np.array([node[1] for node in node_prog], dtype=np.int32),
+        node_level=np.array(node_levels, dtype=np.int32),
+        fanin_ptr=np.array(fanin_ends, dtype=np.int32),
+        fanin_idx=np.array(fanin_rows, dtype=np.int32),
         output_rows=output_rows,
         node_prog=node_prog,
         reader_lists=reader_lists,

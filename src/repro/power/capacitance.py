@@ -94,17 +94,21 @@ def extract_capacitances(
             fills/orderings see identical weights).
     """
     rng = np.random.default_rng(seed)
+    nets = circuit.nets()
     fanout = circuit.fanout_counts()
-    capacitances: Dict[str, float] = {}
-    for net in circuit.nets():
-        readers = max(1, fanout.get(net, 0))
-        gate_load = technology.gate_input_cap_ff * readers
-        wire_lottery = 1.0 + technology.wire_variation * (2.0 * rng.random() - 1.0)
-        wire_load = (
-            technology.base_wire_cap_ff
-            + technology.wire_cap_per_fanout_ff * (readers ** 1.15)
-        ) * wire_lottery
-        capacitances[net] = gate_load + wire_load
+    readers = np.maximum(np.array([fanout.get(net, 0) for net in nets], dtype=np.int64), 1)
+    # Fan-out counts take few distinct values: raising each one with python's
+    # ``**`` keeps the scalar libm ``pow`` rounding exactly, which NumPy's
+    # vectorised ``power`` does not promise.
+    distinct, slot = np.unique(readers, return_inverse=True)
+    spread = np.array([int(count) ** 1.15 for count in distinct], dtype=np.float64)[slot]
+    # One draw of ``len(nets)`` doubles is the same stream as one draw per net.
+    wire_lottery = 1.0 + technology.wire_variation * (2.0 * rng.random(len(nets)) - 1.0)
+    gate_load = technology.gate_input_cap_ff * readers
+    wire_load = (
+        technology.base_wire_cap_ff + technology.wire_cap_per_fanout_ff * spread
+    ) * wire_lottery
+    capacitances: Dict[str, float] = dict(zip(nets, (gate_load + wire_load).tolist()))
     return CapacitanceModel(
         circuit_name=circuit.name,
         technology=technology,

@@ -9,7 +9,7 @@ dynamic power is proportional to.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -66,6 +66,50 @@ class SwitchingActivity:
         return float(np.corrcoef(a, b)[0, 1])
 
 
+#: Value-table rows one block of :func:`switching_profile` holds; it caps the
+#: kernel's memory at ``O(block x patterns)`` instead of a float table as
+#: large as the whole ``n_nets x n_patterns`` value table.
+_BLOCK_ROWS = 512
+
+
+def switching_profile(
+    values: np.ndarray, caps: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Per-boundary toggle counts and switched capacitance of a value table.
+
+    Args:
+        values: ``(n_nets, n_patterns)`` bool net values, one row per net.
+        caps: per-row capacitances (fF); the switched capacitance is skipped
+            (``None``) when omitted.
+
+    Returns:
+        ``(toggles, switched)``: int64 nets toggling at each boundary and the
+        capacitance-weighted toggles, float64 or ``None``.
+
+    The value table is walked in blocks of ``_BLOCK_ROWS`` rows, so no table
+    of toggles or products as large as ``values`` is ever built.  The result
+    is bit-identical to the dense ``(T * caps[:, None]).sum(axis=0)``: NumPy
+    sums axis 0 of a C-ordered table row by row, so each block adds the
+    running total into its first product row and then sums its rows in the
+    same order.  A single boundary column is summed pairwise instead, so a
+    two-pattern table is taken in one block (it is one float per net).
+    """
+    n_rows, n_patterns = values.shape
+    n_boundaries = max(n_patterns - 1, 0)
+    toggles = np.zeros(n_boundaries, dtype=np.int64)
+    switched = None if caps is None else np.zeros(n_boundaries, dtype=np.float64)
+    height = _BLOCK_ROWS if n_boundaries > 1 else max(n_rows, 1)
+    for lo in range(0, n_rows, height):
+        block = values[lo : lo + height]
+        flips = block[:, 1:] != block[:, :-1]
+        toggles += np.count_nonzero(flips, axis=0)
+        if caps is not None:
+            weighted = flips * caps[lo : lo + height, None]
+            weighted[0] += switched
+            switched = weighted.sum(axis=0)
+    return toggles, switched
+
+
 def weighted_switching_activity(
     circuit: Circuit,
     patterns: TestSet,
@@ -85,8 +129,31 @@ def weighted_switching_activity(
             exposing ``net_value_matrix`` (both built-in backends do) skip
             the per-net dictionary round trip entirely.
 
+    Memory: beyond the simulator's ``(n_nets, n_patterns)`` bool value table,
+    the toggles and switched capacitance take ``O(_BLOCK_ROWS x n_patterns)``
+    (see :func:`switching_profile`).
+
     Raises:
         ValueError: if the pattern set still contains X bits.
+    """
+
+    def caps_of(nets: List[str]) -> np.ndarray:
+        return (capacitance or extract_capacitances(circuit)).as_array(nets)
+
+    return switching_activity(circuit, patterns, caps_of, simulator)
+
+
+def switching_activity(
+    circuit: Circuit,
+    patterns: TestSet,
+    caps_of: Callable[[List[str]], np.ndarray],
+    simulator: Optional[object] = None,
+) -> SwitchingActivity:
+    """:func:`weighted_switching_activity` with the capacitances as a callable.
+
+    ``caps_of(nets)`` returns the capacitance array of ``nets`` in the given
+    (simulator row) order; :class:`~repro.power.estimator.PowerEstimator`
+    passes one that resolves the array once and reuses it.
     """
     if not patterns.is_fully_specified():
         raise ValueError("switching activity requires fully specified patterns")
@@ -97,7 +164,6 @@ def weighted_switching_activity(
         check_pattern_matrix(patterns.matrix, circuit.n_test_pins)
         empty = np.zeros(0)
         return SwitchingActivity(circuit.name, empty.astype(np.int64), empty, empty.astype(np.int64))
-    capacitance = capacitance or extract_capacitances(circuit)
     if simulator is None:
         simulator = get_backend().logic_simulator(circuit)
 
@@ -109,11 +175,7 @@ def weighted_switching_activity(
         nets = list(values.keys())
         value_matrix = np.vstack([values[net] for net in nets])
 
-    toggle_matrix = value_matrix[:, 1:] != value_matrix[:, :-1]
-    caps = capacitance.as_array(nets)
-
-    toggles_per_boundary = toggle_matrix.sum(axis=0).astype(np.int64)
-    switched_cap = (toggle_matrix * caps[:, None]).sum(axis=0)
+    toggles_per_boundary, switched_cap = switching_profile(value_matrix, caps_of(nets))
 
     pin_matrix = patterns.matrix
     input_toggles = np.count_nonzero(pin_matrix[1:] != pin_matrix[:-1], axis=1).astype(np.int64)

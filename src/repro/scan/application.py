@@ -29,6 +29,7 @@ from repro.circuit.netlist import Circuit
 from repro.cubes.cube import TestSet
 from repro.cubes.metrics import toggle_profile
 from repro.engine.backend import get_backend
+from repro.power.switching import switching_profile
 from repro.scan.chain import ScanConfiguration, build_scan_chains
 
 
@@ -127,9 +128,7 @@ class ScanTestApplication:
         matrix_getter = getattr(self._simulator, "net_value_matrix", None)
         if matrix_getter is not None:
             _, values = matrix_getter(patterns.matrix)
-            if values.size == 0:
-                return np.zeros(max(len(patterns) - 1, 0), dtype=np.int64)
-            return (values[:, 1:] != values[:, :-1]).sum(axis=0).astype(np.int64)
+            return switching_profile(values)[0]
         activity = self._simulator.gate_activity(patterns.matrix)
         if not activity:
             return np.zeros(max(len(patterns) - 1, 0), dtype=np.int64)

@@ -9,18 +9,24 @@ The ``reference_*`` functions are the straightforward formulations the fast
 kernels replaced: per-row loops for the stretch kernels, the dense window
 table for the BCP bound and the per-step boolean masks for the greedy tours.
 They are the oracles of the differential tests in ``test_kernels.py``.
+The compile, capacitance and switching references are the per-gate,
+per-net and dense formulations of the circuit and power layers, the oracles
+of ``test_differential_fuzz.py``.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.circuit.netlist import Circuit
 from repro.core.intervals import ToggleInterval
 from repro.cubes.bits import ONE, X, ZERO
 from repro.cubes.cube import TestSet
+from repro.engine.compile import _OPCODE_OF, CompiledCircuit
+from repro.power.capacitance import TechnologyParameters
 
 
 def brute_force_min_peak(patterns: TestSet) -> int:
@@ -304,3 +310,102 @@ def reference_nn_tour(patterns: TestSet, distance: str) -> List[int]:
         visited[nxt] = True
         current = nxt
     return permutation
+
+
+def reference_compile_circuit(circuit: Circuit) -> CompiledCircuit:
+    """Compile with per-gate array stores and :meth:`Circuit.levelize`.
+
+    The python lists are derived from the arrays here, the reverse of
+    :func:`repro.engine.compile.compile_circuit`.
+    """
+    circuit.validate()
+    inputs = circuit.combinational_inputs
+    order = circuit.topological_order()
+    levels = circuit.levelize()
+    net_names = list(inputs) + list(order)
+    net_index = {net: row for row, net in enumerate(net_names)}
+    n_nodes = len(order)
+    node_ops = np.zeros(n_nodes, dtype=np.int32)
+    node_out = np.zeros(n_nodes, dtype=np.int32)
+    node_level = np.zeros(n_nodes, dtype=np.int32)
+    fanin_ptr = np.zeros(n_nodes + 1, dtype=np.int32)
+    fanin_rows: List[int] = []
+    for pos, name in enumerate(order):
+        gate = circuit.get_gate(name)
+        src = tuple(net_index[net] for net in gate.inputs)
+        node_ops[pos] = _OPCODE_OF[gate.gate_type]
+        node_out[pos] = net_index[name]
+        node_level[pos] = levels.get(name, 0)
+        fanin_ptr[pos + 1] = fanin_ptr[pos] + len(src)
+        fanin_rows.extend(src)
+    fanin_idx = np.asarray(fanin_rows, dtype=np.int32)
+    node_prog = [
+        (
+            int(node_ops[pos]),
+            int(node_out[pos]),
+            tuple(int(row) for row in fanin_idx[fanin_ptr[pos] : fanin_ptr[pos + 1]]),
+        )
+        for pos in range(n_nodes)
+    ]
+    output_rows = np.asarray(
+        [net_index[net] for net in circuit.combinational_outputs], dtype=np.int32
+    )
+    out_node = [-1] * len(net_names)
+    for pos in range(n_nodes):
+        out_node[int(node_out[pos])] = pos
+    reader_lists: List[List[int]] = [[] for _ in net_names]
+    for pos, (_, _, src) in enumerate(node_prog):
+        for row in src:
+            reader_lists[row].append(pos)
+    return CompiledCircuit(
+        name=circuit.name,
+        net_names=net_names,
+        net_index=net_index,
+        n_inputs=len(inputs),
+        node_ops=node_ops,
+        node_out=node_out,
+        node_level=node_level,
+        fanin_ptr=fanin_ptr,
+        fanin_idx=fanin_idx,
+        output_rows=output_rows,
+        node_prog=node_prog,
+        reader_lists=reader_lists,
+        node_levels=[int(level) for level in node_level],
+        out_node=out_node,
+        _observable_set=frozenset(int(r) for r in output_rows),
+    )
+
+
+def reference_capacitances(
+    circuit: Circuit, technology: TechnologyParameters, seed: int
+) -> Dict[str, float]:
+    """Per-net scalar loop of the synthetic extraction: one ``rng.random()`` per net.
+
+    Fan-out counts come from :meth:`Circuit.fanout_map` (reader lists, plus
+    one per primary output) rather than :meth:`Circuit.fanout_counts`.
+    """
+    rng = np.random.default_rng(seed)
+    fanout = {net: len(readers) for net, readers in circuit.fanout_map().items()}
+    for net in circuit.primary_outputs:
+        fanout[net] = fanout.get(net, 0) + 1
+    capacitances: Dict[str, float] = {}
+    for net in circuit.nets():
+        readers = max(1, fanout.get(net, 0))
+        gate_load = technology.gate_input_cap_ff * readers
+        wire_lottery = 1.0 + technology.wire_variation * (2.0 * rng.random() - 1.0)
+        wire_load = (
+            technology.base_wire_cap_ff
+            + technology.wire_cap_per_fanout_ff * (readers ** 1.15)
+        ) * wire_lottery
+        capacitances[net] = gate_load + wire_load
+    return capacitances
+
+
+def reference_switching(values: np.ndarray, caps: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Dense toggle table and its capacitance-weighted column sums.
+
+    Returns ``(toggles, switched)`` per boundary, the quantities
+    :func:`repro.power.switching.switching_profile` computes in row blocks.
+    """
+    toggles = values[:, 1:] != values[:, :-1]
+    return toggles.sum(axis=0).astype(np.int64), (toggles * caps[:, None]).sum(axis=0)

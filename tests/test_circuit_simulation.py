@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import typing
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,6 +62,12 @@ class TestLogicSimulator:
         pattern = np.ones((5, circuit.n_test_pins), dtype=np.int8)
         activity = simulator.gate_activity(pattern)
         assert all(not arr.any() for arr in activity.values())
+
+    def test_annotations_resolve(self):
+        # Every name in the (postponed) annotations must be importable from
+        # the module, or introspection raises NameError.
+        hints = typing.get_type_hints(LogicSimulator.net_value_matrix)
+        assert hints["return"] == typing.Tuple[typing.List[str], np.ndarray]
 
 
 class TestThreeValuedSimulator:

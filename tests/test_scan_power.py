@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from repro.cubes.generator import generate_cube_set_like, random_fully_specified
 from repro.filling import get_filler
 from repro.power.capacitance import TechnologyParameters, extract_capacitances
 from repro.power.estimator import PowerEstimator
+from repro.power import switching
 from repro.power.switching import weighted_switching_activity
 from repro.scan.application import ScanTestApplication
 from repro.scan.chain import build_scan_chains
@@ -175,3 +178,21 @@ class TestSwitchingAndPower:
         zero = estimator.estimate(get_filler("0-fill").fill(cubes))
         optimal = estimator.estimate(get_filler("DP-fill").fill(cubes))
         assert optimal.peak_power_uw <= zero.peak_power_uw
+
+    def test_estimate_memory_is_bounded_by_the_value_table(self):
+        """An estimate streams the switched capacitance in row blocks: its
+        traced peak stays within a small multiple of the bool value table
+        (a dense float toggle table alone would be 8x)."""
+        circuit = itc99_like("b14")
+        n_nets, n_patterns = len(circuit.nets()), 512
+        assert n_nets > switching._BLOCK_ROWS
+        patterns = random_fully_specified_set(circuit.n_test_pins, n_patterns, seed=1)
+        estimator = PowerEstimator(circuit)
+        estimator.estimate(patterns)  # compile, resolve caps: not the estimate's cost
+        tracemalloc.start()
+        try:
+            estimator.estimate(patterns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * n_nets * n_patterns
