@@ -54,11 +54,8 @@ def full_fault_list(circuit: Circuit) -> List[StuckAtFault]:
     not modelled separately — they are equivalent to faults on their output
     nets in the full-scan methodology.
     """
-    nets: List[str] = list(circuit.primary_inputs)
-    for gate in circuit.gates.values():
-        nets.append(gate.output)
     faults: List[StuckAtFault] = []
-    for net in nets:
+    for net in circuit.nets():
         faults.append(StuckAtFault(net=net, stuck_value=ZERO))
         faults.append(StuckAtFault(net=net, stuck_value=ONE))
     return faults

@@ -56,20 +56,32 @@ class GateType(enum.Enum):
     @property
     def is_sequential(self) -> bool:
         """``True`` for state elements (DFFs)."""
-        return self is GateType.DFF
+        return self in _SEQUENTIAL
 
     @property
     def is_source(self) -> bool:
         """``True`` for gates with no logic inputs (primary inputs, constants)."""
-        return self in (GateType.INPUT, GateType.CONST0, GateType.CONST1)
+        return self in _SOURCES
 
     def arity_ok(self, n_inputs: int) -> bool:
         """Check whether ``n_inputs`` is a legal fan-in for this gate type."""
-        if self.is_source:
-            return n_inputs == 0
-        if self in (GateType.BUF, GateType.NOT, GateType.DFF):
-            return n_inputs == 1
-        return n_inputs >= 2
+        fixed = _FIXED_ARITY.get(self)
+        return n_inputs >= 2 if fixed is None else n_inputs == fixed
+
+
+# Plain set and dict lookups: enum-attribute comparisons made these
+# predicates a measurable share of building a full-scale netlist.
+_SEQUENTIAL = frozenset({GateType.DFF})
+_SOURCES = frozenset({GateType.INPUT, GateType.CONST0, GateType.CONST1})
+#: Fan-in of the fixed-arity types; every other type takes two or more.
+_FIXED_ARITY = {
+    GateType.INPUT: 0,
+    GateType.CONST0: 0,
+    GateType.CONST1: 0,
+    GateType.BUF: 1,
+    GateType.NOT: 1,
+    GateType.DFF: 1,
+}
 
 
 def evaluate_bool(gate_type: GateType, inputs: Sequence[np.ndarray]) -> np.ndarray:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -99,21 +99,27 @@ def _sample_gate_type(rng: np.random.Generator) -> GateType:
 
 
 def generate_circuit(spec: CircuitSpec) -> Circuit:
-    """Generate a validated synthetic circuit matching ``spec``."""
-    rng = np.random.default_rng(spec.seed)
-    circuit = Circuit(name=spec.name)
+    """Generate a validated synthetic circuit matching ``spec``.
 
-    pi_names = [f"pi{i}" for i in range(spec.n_primary_inputs)]
-    ff_names = [f"ff{i}" for i in range(spec.n_flip_flops)]
-    for net in pi_names:
-        circuit.add_input(net)
+    The loop works on integer net ids — primary inputs first, then
+    flip-flop outputs, then gate outputs in creation order — and hands the
+    finished columns to :meth:`Circuit.from_columns`, which checks them once.
+    """
+    rng = np.random.default_rng(spec.seed)
+    n_sources = spec.n_primary_inputs + spec.n_flip_flops
+    net_names = (
+        [f"pi{i}" for i in range(spec.n_primary_inputs)]
+        + [f"ff{i}" for i in range(spec.n_flip_flops)]
+        + [f"g{i}" for i in range(spec.n_gates)]
+    )
+    pi_ids = list(range(spec.n_primary_inputs))
+    ff_ids = list(range(spec.n_primary_inputs, n_sources))
 
     # Flip-flop outputs act as sources; their D inputs are wired at the end.
     # ``unused`` is kept as an insertion-ordered dict so generation stays
-    # deterministic across processes (set iteration order would depend on the
-    # randomised string hash seed).
-    sources: List[str] = pi_names + ff_names
-    available: List[str] = list(sources)
+    # deterministic across processes.
+    sources: List[int] = list(range(n_sources))
+    available: List[int] = list(sources)
     # Nets from completed layers that nothing reads yet.  Freshly created
     # gates only become eligible once their layer closes, so the forced
     # consumption below cannot create gate-to-next-gate chains.
@@ -125,17 +131,18 @@ def generate_circuit(spec: CircuitSpec) -> Circuit:
     # long chain.  Layer L draws most of its fan-in from layer L-1.
     depth_target = max(5, min(60, round(3.2 * np.log2(max(spec.n_gates, 2)))))
     layer_width = max(1, -(-spec.n_gates // depth_target))  # ceil division
-    previous_layer: List[str] = list(sources)
-    current_layer: List[str] = []
+    previous_layer: List[int] = list(sources)
+    current_layer: List[int] = []
 
-    gate_names: List[str] = []
-    for index in range(spec.n_gates):
+    gate_types: List[GateType] = []
+    gate_fanins: List[Tuple[int, ...]] = []
+    for net in range(n_sources, n_sources + spec.n_gates):
         gate_type = _sample_gate_type(rng)
         if gate_type in (GateType.NOT, GateType.BUF):
             fanin = 1
         else:
             fanin = int(rng.integers(2, 5)) if rng.random() < 0.25 else 2
-        inputs: List[str] = []
+        inputs: List[int] = []
         # First, consume completed-layer nets nobody reads yet so nothing is
         # left floating.
         while unused and len(inputs) < fanin:
@@ -156,15 +163,14 @@ def generate_circuit(spec: CircuitSpec) -> Circuit:
         if len(inputs) == 1 and gate_type not in (GateType.NOT, GateType.BUF):
             # Not enough distinct driver nets yet; degrade to an inverter.
             gate_type = GateType.NOT
-        name = f"g{index}"
-        circuit.add_gate(name, gate_type, inputs)
-        for net in inputs:
-            unused.pop(net, None)
-            fresh_unused.pop(net, None)
-        available.append(name)
-        fresh_unused[name] = None
-        gate_names.append(name)
-        current_layer.append(name)
+        gate_types.append(gate_type)
+        gate_fanins.append(tuple(inputs))
+        for source in inputs:
+            unused.pop(source, None)
+            fresh_unused.pop(source, None)
+        available.append(net)
+        fresh_unused[net] = None
+        current_layer.append(net)
         if len(current_layer) >= layer_width:
             previous_layer = current_layer
             current_layer = []
@@ -173,25 +179,34 @@ def generate_circuit(spec: CircuitSpec) -> Circuit:
     unused.update(fresh_unused)
 
     # Wire flip-flop D inputs from late gates so state feedback spans the logic.
-    if spec.n_flip_flops:
-        tail = gate_names[-max(spec.n_flip_flops * 2, 8):]
-        for ff_name in ff_names:
-            source = tail[int(rng.integers(0, len(tail)))] if tail else pi_names[0]
-            circuit.add_gate(ff_name, GateType.DFF, [source])
-            unused.pop(source, None)
+    gate_ids = range(n_sources, n_sources + spec.n_gates)
+    tail = gate_ids[-max(spec.n_flip_flops * 2, 8):]
+    for __ in ff_ids:
+        source = tail[int(rng.integers(0, len(tail)))]
+        gate_types.append(GateType.DFF)
+        gate_fanins.append((source,))
+        unused.pop(source, None)
 
     # Primary outputs: requested count (the latest gates) plus anything
-    # still unread.  Both lists are duplicate-free and disjoint.
+    # still unread, by name.  Both lists are duplicate-free and disjoint.
+    # A primary input is left unread only when there are more sources than
+    # gate input slots (a handful of gates); it is observed directly then.
     n_outputs = spec.n_primary_outputs or max(1, spec.n_gates // 8)
-    chosen = gate_names[::-1][:n_outputs]
+    chosen = list(gate_ids[::-1][:n_outputs])
     chosen_set = set(chosen)
-    gates = circuit.gates
-    leftover = [net for net in unused if net in gates and net not in chosen_set]
-    for net in chosen + sorted(leftover):
-        circuit.add_output(net)
+    leftover = sorted(
+        (net for net in unused if net not in chosen_set), key=net_names.__getitem__
+    )
 
-    circuit.validate()
-    return circuit
+    return Circuit.from_columns(
+        spec.name,
+        net_names,
+        inputs=pi_ids,
+        gate_net=list(gate_ids) + ff_ids,
+        gate_type=gate_types,
+        gate_fanin=gate_fanins,
+        outputs=chosen + leftover,
+    )
 
 
 def scaled_spec(

@@ -2,11 +2,17 @@
 
 The naive simulators walk gate objects and per-net dictionaries on every
 evaluation.  This module compiles a validated circuit **once** into a flat,
-levelised program over integer *rows*:
+levelised program over integer *rows*, reading the circuit's integer columns
+(:meth:`Circuit.columns`) directly — a row is a permutation of a net id, so
+no gate object or name lookup is involved:
 
 * every net gets a row in a dense value table — test pins (primary inputs
   followed by flip-flop outputs) occupy rows ``0 .. n_inputs-1``, then every
-  combinational gate output in topological order;
+  combinational gate output in :meth:`Circuit.topological_order` (Kahn's
+  algorithm with a name-sorted ready queue).  This row order is a contract:
+  it fixes the float summation order of the power layer and the compiled
+  PODEM's tie-breaks, so compiling in generation order instead would change
+  reported numbers;
 * every evaluated gate becomes a *node*: an integer opcode, a CSR-style
   fan-in slice (``fanin_ptr`` / ``fanin_idx``) of source rows, and the row it
   writes;
@@ -59,6 +65,9 @@ _OPCODE_OF: Dict[GateType, int] = {
     GateType.CONST0: OP_CONST0,
     GateType.CONST1: OP_CONST1,
 }
+# Keyed by member name: a str key hashes in C, a GateType key through
+# Enum.__hash__, once per node of a full-scale netlist.
+_OPCODE_OF_NAME: Dict[str, int] = {kind.name: op for kind, op in _OPCODE_OF.items()}
 
 @dataclass(frozen=True)
 class Cone:
@@ -174,18 +183,33 @@ class CompiledCircuit:
 def compile_circuit(circuit: Circuit) -> CompiledCircuit:
     """Compile a validated circuit into a :class:`CompiledCircuit`.
 
-    The compilation order matches :class:`~repro.circuit.simulator.LogicSimulator`
-    exactly — test pins first, then :meth:`Circuit.topological_order` — so
-    value tables produced from the compiled program are row-compatible with
-    the naive simulator's net dictionary (same nets, same order).
+    The program is built from :meth:`Circuit.columns`.  The row order
+    matches :class:`~repro.circuit.simulator.LogicSimulator` exactly — test
+    pins first, then :meth:`Circuit.topological_order` — so value tables
+    produced from the compiled program are row-compatible with the naive
+    simulator's net dictionary (same nets, same order); see the module
+    docstring for why no other order will do.
     """
-    circuit.validate()
-    inputs = circuit.combinational_inputs
-    order = circuit.topological_order()
+    columns = circuit.columns()
+    names, gate_net = columns.net_names, columns.gate_net
+    pins, order = columns.test_pins, columns.order
+    n_inputs = len(pins)
+    n_rows = n_inputs + len(order)
 
-    net_names: List[str] = inputs + order
-    net_index: Dict[str, int] = {net: row for row, net in enumerate(net_names)}
-    n_inputs = len(inputs)
+    # Net id -> row.  Every id a node reads or the outputs observe is a test
+    # pin or a combinational gate output, so each lookup hits a row.  Rows
+    # and node positions each come from one list of int objects, which every
+    # structure below shares instead of boxing its own copies.
+    rows = list(range(n_rows))
+    positions = list(range(len(order)))
+    row_of = [-1] * len(names)
+    for net, row in zip(pins, rows):
+        row_of[net] = row
+    for index, row in zip(order, rows[n_inputs:]):
+        row_of[gate_net[index]] = row
+    net_names: List[str] = [names[net] for net in pins]
+    net_names.extend([names[gate_net[index]] for index in order])
+    net_index: Dict[str, int] = dict(zip(net_names, rows))
 
     # The python lists are the source: they are built in one pass over the
     # gates, and the NumPy arrays are derived from them, so the two program
@@ -194,36 +218,32 @@ def compile_circuit(circuit: Circuit) -> CompiledCircuit:
     # definition of :meth:`Circuit.levelize`.
     node_prog: List[Tuple[int, int, Tuple[int, ...]]] = []
     node_levels: List[int] = []
-    row_level = [0] * len(net_names)
-    out_node = [-1] * len(net_names)
+    row_level = [0] * n_rows
+    out_node = [-1] * n_inputs + positions
     # Fan-out: row -> node positions reading it (combinational readers only;
     # flip-flops are not nodes, so cone propagation naturally stops there).
-    reader_lists: List[List[int]] = [[] for _ in net_names]
+    reader_lists: List[List[int]] = [[] for _ in range(n_rows)]
     fanin_ends = [0]
     fanin_rows: List[int] = []
-    get_gate = circuit.get_gate
-    index_of = net_index.__getitem__
+    gate_type, gate_fanin = columns.gate_type, columns.gate_fanin
+    opcode_of = _OPCODE_OF_NAME.get
+    row_of_net = row_of.__getitem__
     level_of = row_level.__getitem__
-    for pos, name in enumerate(order):
-        gate = get_gate(name)
-        op = _OPCODE_OF.get(gate.gate_type)
+    for pos, index, out in zip(positions, order, rows[n_inputs:]):
+        op = opcode_of(gate_type[index]._name_)
         if op is None:  # pragma: no cover - Circuit.validate forbids this
-            raise ValueError(f"cannot compile gate type {gate.gate_type}")
-        src = tuple(map(index_of, gate.inputs))
-        out = net_index[name]
+            raise ValueError(f"cannot compile gate type {gate_type[index]}")
+        src = tuple(map(row_of_net, gate_fanin[index]))
         level = 1 + max(map(level_of, src), default=0)
         row_level[out] = level
         node_prog.append((op, out, src))
         node_levels.append(level)
-        out_node[out] = pos
         for row in src:
             reader_lists[row].append(pos)
         fanin_rows.extend(src)
         fanin_ends.append(len(fanin_rows))
 
-    output_rows = np.asarray(
-        [net_index[net] for net in circuit.combinational_outputs], dtype=np.int32
-    )
+    output_rows = np.asarray([row_of[net] for net in columns.observed], dtype=np.int32)
     return CompiledCircuit(
         name=circuit.name,
         net_names=net_names,

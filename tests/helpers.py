@@ -9,19 +9,20 @@ The ``reference_*`` functions are the straightforward formulations the fast
 kernels replaced: per-row loops for the stretch kernels, the dense window
 table for the BCP bound and the per-step boolean masks for the greedy tours.
 They are the oracles of the differential tests in ``test_kernels.py``.
-The compile, capacitance and switching references are the per-gate,
-per-net and dense formulations of the circuit and power layers, the oracles
-of ``test_differential_fuzz.py``.
+The topological-order, compile, capacitance and switching references are
+the name-keyed, per-gate, per-net and dense formulations of the circuit and
+power layers, the oracles of ``test_differential_fuzz.py``.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.circuit.netlist import Circuit
+from repro.circuit.netlist import Circuit, CircuitError
 from repro.core.intervals import ToggleInterval
 from repro.cubes.bits import ONE, X, ZERO
 from repro.cubes.cube import TestSet
@@ -312,16 +313,62 @@ def reference_nn_tour(patterns: TestSet, distance: str) -> List[int]:
     return permutation
 
 
-def reference_compile_circuit(circuit: Circuit) -> CompiledCircuit:
-    """Compile with per-gate array stores and :meth:`Circuit.levelize`.
+def reference_topological_order(circuit: Circuit) -> List[str]:
+    """Kahn's algorithm over net names: the name-keyed formulation.
 
-    The python lists are derived from the arrays here, the reverse of
+    The initial ready queue is sorted by name and dependents join it in
+    insertion order, first-in first-out — the order
+    :meth:`Circuit.topological_order` must reproduce from integer ids.
+    """
+    gates = circuit.gates
+    sources = set(circuit.primary_inputs) | {ff.output for ff in circuit.flip_flops}
+    comb = {
+        name: gate
+        for name, gate in gates.items()
+        if not gate.gate_type.is_sequential
+    }
+    indegree: Dict[str, int] = {}
+    dependents: Dict[str, List[str]] = {}
+    for name, gate in comb.items():
+        count = 0
+        for net in gate.inputs:
+            if net in comb:
+                dependents.setdefault(net, []).append(name)
+                count += 1
+            elif net not in sources and net not in gates:
+                raise CircuitError(f"gate {name!r} reads undriven net {net!r}")
+        indegree[name] = count
+
+    ready = deque(sorted(name for name, deg in indegree.items() if deg == 0))
+    order: List[str] = []
+    while ready:
+        name = ready.popleft()
+        order.append(name)
+        for dependent in dependents.get(name, []):
+            indegree[dependent] -= 1
+            if indegree[dependent] == 0:
+                ready.append(dependent)
+    if len(order) != len(comb):
+        raise CircuitError("combinational logic contains a cycle")
+    return order
+
+
+def reference_compile_circuit(circuit: Circuit) -> CompiledCircuit:
+    """Compile by net name, with per-gate array stores.
+
+    The row order comes from :func:`reference_topological_order` and the
+    levels from a name-keyed walk of it, so nothing is shared with the
+    id-based :meth:`Circuit.columns` path.  The python lists are derived
+    from the arrays here, the reverse of
     :func:`repro.engine.compile.compile_circuit`.
     """
     circuit.validate()
     inputs = circuit.combinational_inputs
-    order = circuit.topological_order()
-    levels = circuit.levelize()
+    order = reference_topological_order(circuit)
+    levels: Dict[str, int] = dict.fromkeys(inputs, 0)
+    for name in order:
+        gate = circuit.get_gate(name)
+        levels[name] = 1 + max((levels.get(net, 0) for net in gate.inputs), default=0)
     net_names = list(inputs) + list(order)
     net_index = {net: row for row, net in enumerate(net_names)}
     n_nodes = len(order)

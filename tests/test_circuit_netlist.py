@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import functools
+from hashlib import blake2b
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from repro.benchmarks_data.profiles import default_benchmark_names
 from repro.circuit.library import b01_like_fsm, c17, itc99_like, ripple_counter, toy_pipeline
 from repro.circuit.netlist import Circuit, CircuitError, Gate
 from repro.cubes.bits import ONE, X, ZERO
+from repro.engine.compile import compile_circuit
 
 
 class TestGateTypes:
@@ -27,6 +31,20 @@ class TestGateTypes:
         assert GateType.NOT.arity_ok(1) and not GateType.NOT.arity_ok(2)
         assert GateType.AND.arity_ok(3) and not GateType.AND.arity_ok(1)
         assert GateType.INPUT.arity_ok(0) and not GateType.INPUT.arity_ok(1)
+        # Every type and arity against the predicates written as comparisons
+        # with the enum members, as they were before the table lookups.
+        for gate_type in GateType:
+            is_source = gate_type in (GateType.INPUT, GateType.CONST0, GateType.CONST1)
+            assert gate_type.is_source is is_source, gate_type
+            assert gate_type.is_sequential is (gate_type is GateType.DFF), gate_type
+            for n_inputs in range(5):
+                if is_source:
+                    expected = n_inputs == 0
+                elif gate_type in (GateType.BUF, GateType.NOT, GateType.DFF):
+                    expected = n_inputs == 1
+                else:
+                    expected = n_inputs >= 2
+                assert gate_type.arity_ok(n_inputs) is expected, (gate_type, n_inputs)
 
     def test_controlling_values(self):
         assert controlling_value(GateType.AND) == ZERO
@@ -127,6 +145,46 @@ class TestCircuitConstruction:
         circuit.add_gate("h", GateType.BUF, ["g"])
         assert list(gates) == ["g", "h"]
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (dict(net_names=["a", "a", "g"]), "duplicate net name"),
+            (dict(inputs=[0, 0]), "duplicate primary input"),
+            (dict(gate_net=[1, 1], gate_type=[GateType.NOT] * 2, gate_fanin=[(0,)] * 2),
+             "already driven"),
+            (dict(gate_net=[0], gate_fanin=[(0,)]), "is a primary input"),
+            (dict(gate_type=[GateType.AND]), "cannot take 1 inputs"),
+            (dict(gate_fanin=[(2,)]), "reads undriven net 'b'"),
+            (dict(outputs=[2]), "primary output 'b' is undriven"),
+            (dict(outputs=[1, 1]), "duplicate primary output"),
+            (dict(gate_fanin=[(1,)]), "cycle"),
+            (dict(gate_fanin=[(3,)]), "out of range"),
+            (dict(gate_type=[]), "differ in length"),
+        ],
+    )
+    def test_from_columns_runs_every_check(self, change, message):
+        # A valid base: input a (id 0) drives g = NOT(a) (id 1), observed.
+        columns = dict(
+            net_names=["a", "g", "b"],
+            inputs=[0],
+            gate_net=[1],
+            gate_type=[GateType.NOT],
+            gate_fanin=[(0,)],
+            outputs=[1],
+        )
+        Circuit.from_columns("ok", **columns).validate()
+        columns.update(change)
+        with pytest.raises(CircuitError, match=message):
+            Circuit.from_columns("bad", **columns)
+
+    def test_bulk_built_circuit_materialises_gates_on_demand(self):
+        circuit = itc99_like("b05", seed=0)
+        circuit.structure_digest()
+        compile_circuit(circuit)
+        assert circuit._gate_cache == {}  # columns only, up to here
+        gate = circuit.get_gate("g7")
+        assert circuit.gates["g7"] is gate and list(circuit._gate_cache) == [7]
+
     def test_cached_views_follow_mutation(self):
         circuit = Circuit()
         circuit.add_input("a")
@@ -142,8 +200,9 @@ class TestCircuitConstruction:
 
 
 #: ``itc99_like(name, seed=0).structure_digest()`` pinned for every default
-#: profile and for full-scale b17: circuit generation must reproduce every
-#: netlist gate for gate (the cube cache and the golden report depend on it).
+#: profile and for full-scale b17 and b18: circuit generation must reproduce
+#: every netlist gate for gate (the cube cache and the golden report depend
+#: on it).
 NETLIST_DIGESTS = {
     "b01": "8c2571466eb7b74e0e84876e05278a7a",
     "b02": "e88233acdc932b9a9ac8ae77ebb445c7",
@@ -159,7 +218,23 @@ NETLIST_DIGESTS = {
     "b12": "d4462f4fbbecb12d0d2843398d1ae90c",
     "b13": "7f2d9423fb856252ba78b4a2360f0c2a",
     "b17": "86b528ac3d32c3bf6b2f4d8bf93a004a",
+    "b18": "11e70646778ad7985df3440111be9006",
 }
+
+#: blake2b-16 of ``"|".join(itc99_like(name, seed=0).topological_order())``
+#: for full-size circuits.  The order fixes the compiled row order, hence
+#: the float summation order of the power layer and PODEM's tie-breaks.
+TOPO_ORDER_DIGESTS = {
+    "b14": "fe3b774b6a26bdc691350d85a184b4dd",
+    "b17": "f314314696921e2d7a75b32009e1645c",
+    "b18": "2b35f30aa12ad4bdfc54290d97990a29",
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _generated(name: str) -> Circuit:
+    """Each pinned circuit is generated once per module."""
+    return itc99_like(name, seed=0)
 
 
 def test_netlist_digests_cover_every_default_profile():
@@ -168,7 +243,13 @@ def test_netlist_digests_cover_every_default_profile():
 
 @pytest.mark.parametrize("name", sorted(NETLIST_DIGESTS))
 def test_generated_netlists_are_pinned(name):
-    assert itc99_like(name, seed=0).structure_digest() == NETLIST_DIGESTS[name]
+    assert _generated(name).structure_digest() == NETLIST_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(TOPO_ORDER_DIGESTS))
+def test_topological_orders_are_pinned(name):
+    order = "|".join(_generated(name).topological_order())
+    assert blake2b(order.encode(), digest_size=16).hexdigest() == TOPO_ORDER_DIGESTS[name]
 
 
 class TestCircuitAnalysis:

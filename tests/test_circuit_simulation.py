@@ -131,12 +131,21 @@ class TestCircuitGenerator:
         a, b = generate_circuit(spec), generate_circuit(spec)
         assert [g.inputs for g in a.gates.values()] == [g.inputs for g in b.gates.values()]
 
-    def test_no_floating_nets(self):
-        spec = CircuitSpec(name="gen", n_primary_inputs=6, n_flip_flops=4, n_gates=60, seed=2)
-        circuit = generate_circuit(spec)
-        counts = circuit.fanout_counts()
-        for net in circuit.nets():
-            assert counts.get(net, 0) >= 1, f"net {net} is floating"
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n_inputs=st.integers(min_value=1, max_value=8),
+        n_ffs=st.integers(min_value=0, max_value=10),
+        n_gates=st.integers(min_value=1, max_value=120),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_no_floating_nets(self, n_inputs, n_ffs, n_gates, seed):
+        circuit = generate_circuit(CircuitSpec("gen", n_inputs, n_ffs, n_gates, seed=seed))
+        counts = circuit.fanout_counts()  # a primary output counts as one reader
+        assert [net for net in circuit.nets() if counts[net] < 1] == []
+        outputs = circuit.primary_outputs
+        assert len(set(outputs)) == len(outputs)
+        for gate in circuit.gates.values():
+            assert len(set(gate.inputs)) == len(gate.inputs), gate
 
     def test_depth_is_realistic(self):
         circuit = generate_circuit(

@@ -8,11 +8,19 @@ simulators are the reference: the packed logic simulator and every packed
 grading mode (``lanes``, ``faults``, ``auto``) must reproduce their values,
 detection order, first-detecting indices and undetected lists exactly.
 
+The packed grading kernels must also agree on their work counters: the
+fault-parallel ``faults`` kernel evaluates exactly as many cones as the
+``lanes`` kernel, and no kernel reports a negative dropped count.
+
 The circuit build and power layers are checked against the exact references
-in ``tests/helpers.py``: the compiled program field for field, the
-capacitance extraction net for net, and the blocked switching kernel against
-the dense toggle table, with the block height forced to 1 and 7 so every
-block seam is crossed.
+in ``tests/helpers.py``: the topological order against the name-keyed Kahn,
+the compiled program field for field, the capacitance extraction net for
+net, and the blocked switching kernel against the dense toggle table, with
+the block height forced to 1 and 7 so every block seam is crossed.  The
+columnar netlist is checked against itself across construction paths: a
+bulk-built circuit (generator or :meth:`Circuit.from_columns`), a
+gate-by-gate ``add_gate`` rebuild and a ``.bench`` round trip must agree on
+every derived view, although they number their nets differently.
 """
 
 from __future__ import annotations
@@ -21,12 +29,15 @@ import dataclasses
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.atpg.faults import full_fault_list
+from repro.circuit.bench_format import parse_bench, write_bench
 from repro.circuit.gates import GateType
 from repro.circuit.generator import CircuitSpec, generate_circuit
+from repro.circuit.library import b01_like_fsm, c17, ripple_counter
 from repro.circuit.netlist import Circuit
 from repro.circuit.simulator import LogicSimulator
 from repro.cubes.cube import TestSet
@@ -36,7 +47,12 @@ from repro.power import switching
 from repro.power.capacitance import TechnologyParameters, extract_capacitances
 from repro.power.estimator import PowerEstimator
 from repro.scan.application import ScanTestApplication
-from tests.helpers import reference_capacitances, reference_compile_circuit, reference_switching
+from tests.helpers import (
+    reference_capacitances,
+    reference_compile_circuit,
+    reference_switching,
+    reference_topological_order,
+)
 
 #: Pattern counts on either side of every packing and blocking seam.
 SEAM_WIDTHS = [1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 191, 192, 193, 255, 256, 257]
@@ -45,16 +61,18 @@ SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 @st.composite
-def circuits(draw):
-    return generate_circuit(
-        CircuitSpec(
-            "fuzz",
-            n_primary_inputs=draw(st.integers(1, 8)),
-            n_flip_flops=draw(st.integers(0, 8)),
-            n_gates=draw(st.integers(1, 120)),
-            seed=draw(SEEDS),
-        )
+def specs(draw):
+    return CircuitSpec(
+        "fuzz",
+        n_primary_inputs=draw(st.integers(1, 8)),
+        n_flip_flops=draw(st.integers(0, 8)),
+        n_gates=draw(st.integers(1, 120)),
+        seed=draw(SEEDS),
     )
+
+
+def circuits():
+    return specs().map(generate_circuit)
 
 
 def _patterns(circuit, n_patterns: int, seed: int) -> np.ndarray:
@@ -98,12 +116,16 @@ def test_packed_grading_matches_naive(
     )
     faults = [every_fault[int(i)] for i in picks]
     reference = NaiveFaultSimulator(circuit).run(patterns, faults, drop_detected=drop)
+    cones = {}
     for mode in ("lanes", "faults", "auto"):
-        result = PackedFaultSimulator(circuit, mode=mode).run(
-            patterns, faults, drop_detected=drop
-        )
+        simulator = PackedFaultSimulator(circuit, mode=mode)
+        result = simulator.run(patterns, faults, drop_detected=drop)
         assert list(result.detected.items()) == list(reference.detected.items()), mode
         assert result.undetected == reference.undetected, mode
+        cones[mode] = simulator.last_run_stats["cone_evaluations"]
+        assert simulator.last_run_stats["dropped_block_evaluations"] >= 0, mode
+    # One cone evaluation per still-undetected fault per block, in both kernels.
+    assert cones["faults"] == cones["lanes"]
 
 
 #: Block heights of the switching kernel: one row, a prime that leaves a
@@ -127,6 +149,93 @@ def test_compile_matches_reference(circuit):
     reference = reference_compile_circuit(circuit)
     for field in dataclasses.fields(reference):
         _assert_identical(getattr(program, field.name), getattr(reference, field.name), field.name)
+
+
+def _assert_same_program(circuit, reference):
+    program = compile_circuit(circuit)
+    for field in dataclasses.fields(reference):
+        _assert_identical(getattr(program, field.name), getattr(reference, field.name), field.name)
+
+
+def _netlist_views(circuit):
+    """Every derived view of a circuit, by name (net ids never appear)."""
+    observed = circuit.combinational_outputs
+    return {
+        "primary_inputs": circuit.primary_inputs,
+        "primary_outputs": circuit.primary_outputs,
+        "nets": circuit.nets(),
+        "gates": [(g.output, g.gate_type, g.inputs) for g in circuit.gates.values()],
+        "gate_lookup": [circuit.get_gate(net) for net in circuit.gates],
+        "flip_flops": circuit.flip_flops,
+        "combinational_gates": circuit.combinational_gates,
+        "counts": (circuit.n_gates, circuit.n_flip_flops, circuit.n_test_pins),
+        "combinational_inputs": circuit.combinational_inputs,
+        "combinational_outputs": observed,
+        "topological_order": circuit.topological_order(),
+        "levelize": list(circuit.levelize().items()),
+        "fanout_map": list(circuit.fanout_map().items()),
+        "fanout_counts": list(circuit.fanout_counts().items()),
+        "transitive_fanin": [circuit.transitive_fanin(net) for net in observed],
+        "is_primary_input": [circuit.is_primary_input(net) for net in circuit.nets()],
+        "stats": circuit.stats(),
+        "structure_digest": circuit.structure_digest(),
+    }
+
+
+def _rebuild_gate_by_gate(circuit):
+    rebuilt = Circuit(circuit.name)
+    for net in circuit.primary_inputs:
+        rebuilt.add_input(net)
+    for gate in circuit.gates.values():
+        rebuilt.add_gate(gate.output, gate.gate_type, gate.inputs)
+    for net in circuit.primary_outputs:
+        rebuilt.add_output(net)
+    rebuilt.validate()
+    return rebuilt
+
+
+def _rebuild_in_bulk(circuit):
+    # Number the nets backwards, so no id agrees with the source circuit's.
+    names = circuit.nets()[::-1]
+    net_id = {net: i for i, net in enumerate(names)}
+    gates = list(circuit.gates.values())
+    return Circuit.from_columns(
+        circuit.name,
+        names,
+        inputs=[net_id[net] for net in circuit.primary_inputs],
+        gate_net=[net_id[g.output] for g in gates],
+        gate_type=[g.gate_type for g in gates],
+        gate_fanin=[tuple(net_id[net] for net in g.inputs) for g in gates],
+        outputs=[net_id[net] for net in circuit.primary_outputs],
+    )
+
+
+def _assert_construction_paths_agree(circuit):
+    reference = reference_compile_circuit(circuit)
+    assert circuit.topological_order() == reference_topological_order(circuit)
+    views = _netlist_views(circuit)
+    for rebuilt in (
+        _rebuild_gate_by_gate(circuit),
+        _rebuild_in_bulk(circuit),
+        parse_bench(write_bench(circuit), name=circuit.name),
+    ):
+        assert _netlist_views(rebuilt) == views
+        _assert_same_program(rebuilt, reference)
+    _assert_same_program(circuit, reference)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=specs())
+def test_construction_paths_agree_on_generated_circuits(spec):
+    _assert_construction_paths_agree(generate_circuit(spec))
+
+
+@pytest.mark.parametrize("build", [c17, b01_like_fsm, ripple_counter])
+def test_construction_paths_agree_on_library_circuits(build):
+    # b01_like_fsm and ripple_counter read flip-flop outputs before adding
+    # the flip-flops: the gate-by-gate path must number those nets on first
+    # mention and still agree with the bulk path.
+    _assert_construction_paths_agree(build())
 
 
 def test_compile_matches_reference_with_constants():
