@@ -1,17 +1,15 @@
 """Project-specific static analysis.
 
 ``python -m repro.analysis [--format human|json] [--baseline FILE]
-[paths...]`` runs six AST rules encoding the invariants the dynamic
+[paths...]`` runs five AST rules encoding the invariants the dynamic
 parity suites can only spot-check:
 
 * **R1 determinism** — no unseeded RNGs, wall-clock reads or set-order
   iteration in result-bearing modules;
-* **R2 tail-mask** — fault-word lane arithmetic (``FAULT_WORD_LANES``)
-  must apply ``fault_lane_mask`` to the last, partly populated word;
 * **R3 envvar registry** — every ``REPRO_*`` read resolves to a
   declaration in :mod:`repro.envvars`; the README table must match;
-* **R4 spawn safety** — task handlers and pool callables must be
-  module-level and importable under spawn;
+* **R4 spawn safety** — pool-submitted callables must be module-level
+  and importable under spawn;
 * **R5 obs grammar** — counters/spans must parse and be declared in
   :mod:`repro.obs.manifest`;
 * **R6 silent except** — broad handlers re-raise, emit ``obs.event``,

@@ -11,8 +11,8 @@ stripped source line)`` — so a baseline entry survives unrelated edits
 that shift line numbers, but is invalidated when the offending line
 itself changes.
 
-Inline suppression: a comment ``# repro: allow[R2]`` (or
-``allow[R2,R6]``, or ``allow[*]``) on the finding's line or the line
+Inline suppression: a comment ``# repro: allow[R3]`` (or
+``allow[R3,R6]``, or ``allow[*]``) on the finding's line or the line
 directly above silences the named rules at that site.  Suppressions are
 counted and reported, never silently dropped.
 """

@@ -15,9 +15,9 @@ and all have slipped into similar codebases before:
 
 The rule is scoped to the modules whose output is part of the determinism
 contract (engine, cubes, ATPG, fill/ordering/power pipeline, circuit
-generation, and the cluster task protocol).  Telemetry and forensic
-timestamps live outside that scope on purpose: ``repro.obs`` event
-timestamps never feed result payloads.
+generation, and the experiment runner that merges pooled cells).
+Telemetry and forensic timestamps live outside that scope on purpose:
+``repro.obs`` event timestamps never feed result payloads.
 
 ``time.perf_counter`` / ``time.monotonic`` are allowed — timing
 measurements are reported as measurements, not merged into results.
@@ -46,7 +46,7 @@ CRITICAL_PACKAGES = {
 
 #: Individual modules outside those packages that also carry it.
 CRITICAL_MODULES = {
-    ("cluster", "protocol.py"),
+    ("experiments", "runner.py"),
 }
 
 #: ``random.<attr>`` uses that are fine: seeded/explicit instances.

@@ -1,10 +1,10 @@
 """R5 — telemetry name grammar and the counters manifest.
 
-Counter parity across backends/transports is only checkable when both
-sides emit the *same names*; a typo'd counter silently becomes a new
+Counter parity across backends and worker counts is only checkable when
+both sides emit the *same names*; a typo'd counter silently becomes a new
 key and the parity suite compares ``None == None``.  So every emitted
 name must be declared in :mod:`repro.obs.manifest` and parse under the
-counter grammar ``(fault_sim|podem|cluster|runner|obs).<path>``.
+counter grammar ``(fault_sim|podem|runner|obs).<path>``.
 
 Checked emission shapes:
 
@@ -67,7 +67,7 @@ def _check_counter_name(module: ModuleInfo, node: ast.AST) -> Iterator[Finding]:
                 "R5",
                 node.lineno,
                 f"counter name {head!r} violates the grammar "
-                "(fault_sim|podem|cluster|runner|obs).<dotted_path>",
+                "(fault_sim|podem|runner|obs).<dotted_path>",
             )
         elif not manifest.is_declared(head):
             yield module.finding(

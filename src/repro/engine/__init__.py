@@ -10,7 +10,8 @@ re-evaluation and real fault dropping, one fault per pass on pattern lanes
 implementation without changing their public APIs: ``naive`` (the
 dict-walking reference) or ``packed``, both in process.
 :mod:`repro.engine.pool` sizes and owns the shared spawn pool that the
-experiment runner's ``--jobs N`` cells ride (see :mod:`repro.cluster`).
+experiment runner's ``--jobs N`` cells run on (see
+:mod:`repro.experiments.runner`).
 """
 
 from repro.engine.backend import (

@@ -1,11 +1,11 @@
 """Worker-count resolution and the shared spawn-safe process pool.
 
 The one multi-process path in the package is the experiment runner's
-``--jobs N``: its (artifact x benchmark) cells ride an
-:class:`~repro.cluster.transport.MpTransport` over the pool kept here.  The
-worker count resolves through one chain (explicit argument >
-:func:`set_default_jobs` > ``REPRO_JOBS`` > ``os.cpu_count()``), and one
-lazily created spawn-context pool is kept per worker count.  Fault grading
+``--jobs N``: it hands each (artifact x benchmark) cell to the pool kept
+here with ``apply_async``.  The worker count resolves through one chain
+(explicit argument > :func:`set_default_jobs` > ``REPRO_JOBS`` >
+``os.cpu_count()``), and one lazily created spawn-context pool is kept per
+worker count.  Fault grading
 and PODEM never use the pool.
 
 A pool is created on first use and shut down cleanly at interpreter exit.

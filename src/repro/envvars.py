@@ -18,7 +18,7 @@ The README's environment-variable table is generated from this registry
 (:func:`render_table`); the analyzer fails when the two drift.
 
 This module is a leaf: it imports nothing from the rest of the package, so
-every layer (engine, cluster, obs, experiments, benchmarks) can depend on
+every layer (engine, obs, experiments, benchmarks) can depend on
 it without cycles.
 """
 

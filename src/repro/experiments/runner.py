@@ -15,40 +15,39 @@ Parallel scheduling
 With ``--jobs N`` (or ``REPRO_JOBS``) the runner splits the work into
 independent *cells* — one (artifact, benchmark) pair each, plus whole-artifact
 cells for the figures' cross-benchmark parts — and submits them all at once
-as tasks (:func:`repro.cluster.protocol.cell_task`) to an
-:class:`~repro.cluster.transport.MpTransport` — the shared spawn-safe process
-pool of :mod:`repro.engine.pool` — so the workers load-balance across
-artefacts.  Fault grading and PODEM inside a cell run in process.  Results
-merge back **in deterministic cell order**, so the report text is
-byte-identical to a serial run for every worker count.  Any cell that fails
-in a worker re-runs in process; a lost transport retires the pool and
-re-runs its pending cells in process; and a pool that cannot be built at
-all means a serial run.  Parallelism is purely a scheduling concern and can
-never change results.
+with ``apply_async`` to the shared spawn-safe process pool of
+:mod:`repro.engine.pool`, so the workers load-balance across artefacts.
+Fault grading and PODEM inside a cell run in process.  Results merge back
+**in deterministic cell order**, so the report text is byte-identical to a
+serial run for every worker count.  Any cell that fails in a worker re-runs
+in process; a lost pool is retired and its pending cells re-run in process;
+and a pool that cannot be built at all means a serial run.  Parallelism is
+purely a scheduling concern and can never change results.
 """
 
 from __future__ import annotations
 
 import argparse
+import multiprocessing
 import sys
 import time
 from typing import Dict, List, Optional, Tuple
 
 from repro import envvars
-from repro.cluster.protocol import cell_task
-from repro.cluster.transport import (
-    MpTransport,
-    TransportError,
-    TransportTaskError,
-    discard_transport,
-)
 from repro.engine.backend import (
     available_backends,
     default_backend_name,
     get_backend,
     set_default_backend,
 )
-from repro.engine.pool import CHUNK_TIMEOUT as _CHUNK_TIMEOUT, parse_jobs, set_default_jobs
+from repro.engine.pool import (
+    CHUNK_TIMEOUT,
+    discard_broken_pool,
+    parse_jobs,
+    resolve_jobs,
+    set_default_jobs,
+    worker_pool,
+)
 from repro.experiments import figure1, figure2, table1, table2, table3, table4, table5, table6
 from repro.experiments.report import TableResult, render_table
 from repro.experiments.workloads import default_workload_names
@@ -144,66 +143,93 @@ def _merge_cells(artifact: str, parts: List[List[TableResult]]) -> List[TableRes
     return parts[0]
 
 
-def _run_all_transport(
+def _pool_cell(cell: Cell, seed: int, backend_name: str, trace_flags: Tuple[bool, bool]):
+    """Run one cell in a pool worker; returns ``(snapshot or None, tables)``.
+
+    ``trace_flags`` is the submitting parent's ``(tracing, timeline)``: a
+    worker spawned before the parent called ``obs.enable()`` still captures
+    (``REPRO_TRACE`` reaches workers through the environment, ``obs.enable()``
+    does not).  The snapshot holds the cell's counters, spans and events.
+    """
+    if default_backend_name() != backend_name:
+        set_default_backend(backend_name)
+    tracing, timeline = trace_flags
+    if not (tracing or obs.enabled()):
+        return None, _run_cell(cell, seed)
+    capture = obs.task_capture(timeline=True if timeline else None)
+    with capture:
+        tables = _run_cell(cell, seed)
+    return capture.snapshot(), tables
+
+
+def _pooled_parts(pool, cells: List[Cell], seed: int) -> List[List[TableResult]]:
+    """Every cell's tables in cell order: from ``pool``, or in process.
+
+    A cell that raised in its worker re-runs in process on its own and the
+    pool stays up.  A cell that returns no result within
+    :data:`~repro.engine.pool.CHUNK_TIMEOUT` (a dead worker, a pool that
+    stopped running) retires the shared pools, and every pending cell
+    re-runs in process.
+    """
+    args = (seed, default_backend_name(), (obs.enabled(), obs.timeline_enabled()))
+    handles = [pool.apply_async(_pool_cell, (cell, *args)) for cell in cells]
+    parts: List[List[TableResult]] = []
+    lost = False
+    for index, (cell, handle) in enumerate(zip(cells, handles)):
+        task_id = f"t{index:06d}"
+        if not lost:
+            try:
+                snapshot, tables = handle.get(timeout=CHUNK_TIMEOUT)
+            except multiprocessing.TimeoutError:
+                # A lost task (its worker died, the pool stopped) never
+                # returns: the pool, not the cell, failed.
+                obs.event(
+                    "transport_lost",
+                    detail=f"task {task_id} returned no result within {CHUNK_TIMEOUT:.0f}s",
+                )
+                discard_broken_pool()
+                lost = True
+            except Exception as err:
+                # multiprocessing chains the worker's traceback as a
+                # RemoteTraceback cause; keep its text.
+                cause = err.__cause__
+                remote = type(cause).__name__ == "RemoteTraceback"
+                obs.event(
+                    "task_failed",
+                    task_id=task_id,
+                    error=repr(err),
+                    traceback=str(cause) if remote else None,
+                )
+            else:
+                obs.absorb_task(task_id, snapshot)
+                parts.append(tables)
+                continue
+        parts.append(_run_cell(cell, seed))
+    return parts
+
+
+def _run_all_pooled(
     artifacts: List[str],
     names: Optional[List[str]],
     seed: int,
     jobs: int,
 ) -> Optional[Dict[str, List[TableResult]]]:
-    """Schedule every cell on the ``mp`` transport; merge in cell order.
+    """Run every cell on the shared worker pool; merge in cell order.
 
-    The cells are submitted eagerly (they are independent), collected in
-    whatever order the transport completes them, and merged in the fixed
-    cell order, so the report is byte-identical to a serial run.  A cell
-    whose task fails is re-run in process.  A lost transport retires the
-    shared pool, so later runs in this process go serial at once, and its
-    pending cells re-run in process.  If the pool cannot be built at all,
-    ``None`` lets the caller run serially.
+    The cells are submitted eagerly (they are independent) and merged in the
+    fixed cell order, so the report is byte-identical to a serial run.  If
+    the pool cannot be built at all, ``None`` lets the caller run serially.
     """
-    backend_name = default_backend_name()
-    try:
-        transport = MpTransport(jobs=jobs)
-    except TransportError:
+    pool = worker_pool(resolve_jobs(jobs))
+    if pool is None:
         return None
     resolved = list(names or default_workload_names())
-    submitted: List[Tuple[str, List[Tuple[Cell, str]]]] = []
-    pending = set()
-    for artifact in artifacts:
-        entries = []
-        for cell in _cells_for(artifact, resolved):
-            task_id = transport.submit(cell_task(cell, seed, backend_name))
-            entries.append((cell, task_id))
-            pending.add(task_id)
-        submitted.append((artifact, entries))
-
-    collected: Dict[str, List[TableResult]] = {}
-    while pending:
-        try:
-            task_id, payload = transport.next_result(timeout=_CHUNK_TIMEOUT)
-        except TransportTaskError as err:
-            # One cell died remotely: it alone re-runs inline below.
-            if err.task_id is not None and err.task_id in pending:
-                pending.discard(err.task_id)
-                continue
-            break
-        except Exception as err:
-            # Transport gone: retire its pool, and every still-pending cell
-            # re-runs inline.
-            obs.event("transport_lost", detail=repr(err))
-            discard_transport(transport, err)
-            break
-        if task_id in pending:
-            pending.discard(task_id)
-            collected[task_id] = payload
-
-    results: Dict[str, List[TableResult]] = {}
-    for artifact, entries in submitted:
-        parts = [
-            collected[task_id] if task_id in collected else _run_cell(cell, seed)
-            for cell, task_id in entries
-        ]
-        results[artifact] = _merge_cells(artifact, parts)
-    return results
+    plan = [(artifact, _cells_for(artifact, resolved)) for artifact in artifacts]
+    parts = iter(_pooled_parts(pool, [cell for _, cells in plan for cell in cells], seed))
+    return {
+        artifact: _merge_cells(artifact, [next(parts) for _ in cells])
+        for artifact, cells in plan
+    }
 
 
 def run_all(
@@ -219,13 +245,13 @@ def run_all(
         names: benchmark names (default benchmark list).
         seed: workload seed.
         jobs: worker processes for the cell scheduler; ``1`` runs serially.
-            The cells ride the ``mp`` transport (the shared process pool).
+            The cells run on the shared process pool.
             Tables are identical either way — parallel cells are merged in
             deterministic order.
     """
     selected = list(artifacts or ARTIFACTS)
     if jobs > 1:
-        results = _run_all_transport(selected, names, seed, jobs)
+        results = _run_all_pooled(selected, names, seed, jobs)
         if results is not None:
             return results
     return {artifact: _collect(artifact, names, seed) for artifact in selected}

@@ -12,7 +12,7 @@ parses, a doc line, and a decision about whether it must be
 backend invariant.
 
 Grammar: ``<subsystem>.<dotted_lowercase_path>`` where the subsystem is one
-of ``fault_sim``, ``podem``, ``cluster``, ``runner`` or ``obs``.  Span paths
+of ``fault_sim``, ``podem``, ``runner`` or ``obs``.  Span paths
 are ``/``-separated and start with a declared root (``logic_sim``,
 ``fault_sim``, ``atpg``, ``runner``).
 """
@@ -23,7 +23,7 @@ import re
 from typing import Dict, Iterable
 
 #: Regex every counter name (declared or emitted) must match.
-COUNTER_GRAMMAR = re.compile(r"^(fault_sim|podem|cluster|runner|obs)\.[a-z0-9_]+(\.[a-z0-9_]+)*$")
+COUNTER_GRAMMAR = re.compile(r"^(fault_sim|podem|runner|obs)\.[a-z0-9_]+(\.[a-z0-9_]+)*$")
 
 #: Regex every span path must match (first segment is the root; later
 #: segments may carry circuit names, hence the broader character class).

@@ -18,9 +18,9 @@ Three primitives:
   (``fault_sim/b12/lanes/grade``).  Nested use is fine; each span records
   into a flat ``path -> [count, total_s, max_s]`` table, which merges
   deterministically across processes (sum counts and totals, max the max).
-* **events** — typed, timestamped records for cluster lifecycle (a task
-  that failed in its worker, a transport that failed and the fallback that
-  took over, a pool that could not start).
+* **events** — typed, timestamped records for pool lifecycle (a task
+  that failed in its worker, a lost pool and the fallback that took over,
+  a pool that could not start).
 
 Cross-process flow: a worker executes a task inside :func:`task_capture`,
 which swaps in a fresh recorder for the duration and returns its snapshot;

@@ -12,12 +12,15 @@ They are the oracles of the differential tests in ``test_kernels.py``.
 The topological-order, compile, capacitance and switching references are
 the name-keyed, per-gate, per-net and dense formulations of the circuit and
 power layers, the oracles of ``test_differential_fuzz.py``.
+:class:`NewestFirstPool` stands in for the experiment runner's worker pool.
 """
 
 from __future__ import annotations
 
 import itertools
+import multiprocessing
 from collections import deque
+from types import SimpleNamespace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -456,3 +459,33 @@ def reference_switching(values: np.ndarray, caps: np.ndarray) -> Tuple[np.ndarra
     """
     toggles = values[:, 1:] != values[:, :-1]
     return toggles.sum(axis=0).astype(np.int64), (toggles * caps[:, None]).sum(axis=0)
+
+
+class NewestFirstPool:
+    """In-process stand-in for the runner's worker pool.
+
+    ``apply_async`` defers each call; the first ``get`` runs every queued
+    call newest-first, so results finish in reverse submission order and a
+    merge that followed arrival order would show.  With ``lose_tasks`` every
+    ``get`` times out, like a pool whose workers died.
+    """
+
+    def __init__(self, lose_tasks: bool = False) -> None:
+        self.lose_tasks = lose_tasks
+        self.submitted = 0
+        self._queued: List[tuple] = []
+        self._done: Dict[int, object] = {}
+
+    def apply_async(self, func, args=()):
+        index = self.submitted
+        self.submitted += 1
+        self._queued.append((index, func, args))
+        return SimpleNamespace(get=lambda timeout=None: self._get(index))
+
+    def _get(self, index: int) -> object:
+        if self.lose_tasks:
+            raise multiprocessing.TimeoutError
+        while self._queued:
+            queued, func, args = self._queued.pop()
+            self._done[queued] = func(*args)
+        return self._done[index]

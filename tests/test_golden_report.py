@@ -6,9 +6,8 @@ profiles and for ``REPRO_INCLUDE_LARGE=1`` (the large profiles, scaled).
 A change that moves every backend together cannot hide from this test the
 way it can from the cross-backend parity suites.  On the default profiles
 the same file also locks the multi-process path: ``--jobs 2`` with the cells
-over the ``mp`` transport, and ``--jobs 2`` over an in-process transport that
-collects newest-first, so out-of-order cell merging is locked on any
-machine.  A change that alters the report on purpose regenerates both files
+on the worker pool, and ``--jobs 2`` on an in-process fake pool that runs
+them newest-first, so out-of-order cell merging is locked on any machine.  A change that alters the report on purpose regenerates both files
 and says why.
 """
 
@@ -18,20 +17,15 @@ from pathlib import Path
 
 import pytest
 
-from repro.cluster import LocalTransport
 from repro.engine.pool import shutdown_worker_pool
 from repro.experiments import runner
 from repro.experiments.workloads import build_workload
+from tests.helpers import NewestFirstPool
 
 DATA = Path(__file__).parent / "data"
 
 
 PACKED = ["--backend", "packed"]
-
-
-def _lifo_transport(jobs=None):
-    """Stand-in for the ``mp`` transport: in process, newest cell first."""
-    return LocalTransport(order="lifo")
 
 
 @pytest.mark.parametrize(
@@ -71,7 +65,7 @@ def test_report_body_matches_golden(
     golden, include_large, args, lifo, tmp_path, monkeypatch, capsys
 ):
     if lifo:
-        monkeypatch.setattr(runner, "MpTransport", _lifo_transport)
+        monkeypatch.setattr(runner, "worker_pool", lambda jobs: NewestFirstPool())
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     if include_large:
         monkeypatch.setenv("REPRO_INCLUDE_LARGE", "1")

@@ -10,8 +10,8 @@ deliberately outside that set.
 
 On top of parity, the suite checks the recorder itself (null/enabled paths,
 span merging, task-snapshot dedupe), the metrics artifact writer, the
-runner's ``--metrics`` flag and the failure events the ``mp`` transport and
-the runner's inline fallback record.
+runner's ``--metrics`` flag and the failure events the runner's pooled
+cells and their inline fallback record.
 """
 
 from __future__ import annotations
@@ -25,18 +25,13 @@ from repro.atpg.collapse import collapse_faults
 from repro.atpg.podem import PodemEngine
 from repro.circuit.generator import CircuitSpec, generate_circuit
 from repro.circuit.library import b01_like_fsm
-from repro.cluster import (
-    LocalTransport,
-    MpTransport,
-    TransportError,
-    TransportTaskError,
-    execute_task,
-    unwrap_payload,
-)
-from repro.engine import NaiveFaultSimulator, PackedFaultSimulator
+from repro.engine import NaiveFaultSimulator, PackedBackend, PackedFaultSimulator
+from repro.engine import backend as engine_backend
+from repro.engine.pool import worker_pool
 from repro.obs import manifest as obs_manifest
 from repro.obs import metrics as obs_metrics
 from repro.obs import recorder as obs
+from tests.helpers import NewestFirstPool
 
 
 @pytest.fixture(autouse=True)
@@ -306,13 +301,13 @@ class TestEngineTelemetry:
 
 # -- distributed counters ----------------------------------------------------
 class TestDistributedTelemetryParity:
-    """Runner cells over a transport report the serial run's counters.
+    """Runner cells on a pool report the serial run's counters.
 
     Each run starts from an empty cube cache, so the cells do real ATPG and
     fault grading.  The pool's workers keep cube caches of their own (their
-    work depends on cache warmth), so counter parity is pinned over the
-    in-process ``LocalTransport``, which still rides the task envelope and
-    its per-task-id absorb.
+    work depends on cache warmth), so counter parity is pinned on the
+    in-process fake pool, which still returns each cell's snapshot for the
+    runner's per-task absorb.
     """
 
     def _cold_counters(self, tmp_path, monkeypatch, tag, jobs):
@@ -328,77 +323,69 @@ class TestDistributedTelemetryParity:
         finally:
             build_workload.cache_clear()
 
-    def _assert_parity(self, tmp_path, monkeypatch, make_transport):
+    def test_pooled_counters_match_serial(self, tmp_path, monkeypatch):
         from repro.experiments import runner
 
         reference = self._cold_counters(tmp_path, monkeypatch, "serial", 1)
         assert reference.get("fault_sim.runs", 0) >= 2
-        monkeypatch.setattr(runner, "MpTransport", make_transport)
+        monkeypatch.setattr(runner, "worker_pool", lambda jobs: NewestFirstPool())
         counters = self._cold_counters(tmp_path, monkeypatch, "cells", 2)
         assert _parity_subset(counters) == _parity_subset(reference)
 
-    @pytest.mark.parametrize("transport", ["local"])
-    def test_transport_counters_match_packed(self, transport, tmp_path, monkeypatch):
-        assert transport == LocalTransport.name
-        self._assert_parity(tmp_path, monkeypatch, lambda jobs=None: LocalTransport())
 
-    def test_duplicate_deliveries_do_not_double_count(self, tmp_path, monkeypatch):
-        class EnvelopeDuplicatingTransport(LocalTransport):
-            """Delivers every *raw* result envelope twice — the snapshot
-            rides through ``unwrap_payload`` twice, like a task executed
-            twice whose both results arrived."""
+# -- pool failure events -----------------------------------------------------
+class ParentOnlyBackend(PackedBackend):
+    """A backend registered in this process only: spawned workers never
+    import it, so every cell that asks for it raises in its worker."""
 
-            def __init__(self, jobs=None):
-                super().__init__()
-                self._replay = None
-
-            def next_result(self, timeout=30.0):
-                if self._replay is not None:
-                    task_id, payload = self._replay
-                    self._replay = None
-                    return task_id, unwrap_payload(task_id, payload)
-                task_id, task = self._pending.popleft()
-                payload = execute_task(task)
-                self._replay = (task_id, payload)
-                return task_id, unwrap_payload(task_id, payload)
-
-        self._assert_parity(tmp_path, monkeypatch, EnvelopeDuplicatingTransport)
+    name = "parent_only"
 
 
-# -- transport failure events ------------------------------------------------
 class TestQueueEvents:
-    def test_poisoned_task_event_carries_traceback(self):
+    def test_poisoned_task_event_carries_traceback(self, monkeypatch):
+        from repro.experiments import runner
+        from repro.experiments.report import render_table
+
+        if worker_pool(2) is None:
+            pytest.skip("worker pool unavailable in this environment")
+        serial = runner.run_all(["1"], ["b01"], seed=0, jobs=1)
+        monkeypatch.setitem(engine_backend._REGISTRY, "parent_only", ParentOnlyBackend())
+        previous = engine_backend.set_default_backend("parent_only")
         obs.enable()
         try:
-            transport = MpTransport(jobs=2)
-        except TransportError:
-            pytest.skip("worker pool unavailable in this environment")
-        task_id = transport.submit({"kind": "no-such-kind"})
-        with pytest.raises(TransportTaskError) as excinfo:
-            transport.next_result(timeout=30.0)
-        assert excinfo.value.task_id == task_id
-        assert excinfo.value.transport == "mp"
+            result = runner.run_all(["1"], ["b01"], seed=0, jobs=2)
+        finally:
+            engine_backend.set_default_backend(previous)
         failures = [
             event
             for event in obs.snapshot()["events"]
             if event["kind"] == "task_failed"
         ]
-        assert failures and failures[0]["task_id"] == task_id
-        assert "no-such-kind" in failures[0]["traceback"]
+        assert len(failures) == 1
+        assert failures[0]["task_id"] == "t000000"
+        assert "unknown backend 'parent_only'" in failures[0]["traceback"]
+        # The cell re-ran in process with the parent's backend.
+        assert [render_table(t) for t in result["1"]] == [
+            render_table(t) for t in serial["1"]
+        ]
+        # A cell that raised leaves the pool up for the next run.
+        obs.reset()
+        runner.run_all(["1"], ["b01"], seed=0, jobs=2)
+        assert worker_pool(2) is not None
+        assert obs.snapshot()["events"] == []
 
     def test_transport_failure_event_before_inline_fallback(self, monkeypatch):
+        from repro.engine import pool
         from repro.experiments import runner
         from repro.experiments.report import render_table
 
-        class ExplodingTransport(LocalTransport):
-            def __init__(self, jobs=None):
-                super().__init__()
-
-            def next_result(self, timeout=30.0):
-                raise RuntimeError("transport lost")
-
         serial = runner.run_all(["1"], ["b01"], seed=0, jobs=1)
-        monkeypatch.setattr(runner, "MpTransport", ExplodingTransport)
+        # Retire nothing real: the broken flag is restored after the test.
+        monkeypatch.setattr(pool, "_pools", {})
+        monkeypatch.setattr(pool, "_pool_broken", False)
+        monkeypatch.setattr(
+            runner, "worker_pool", lambda jobs: NewestFirstPool(lose_tasks=True)
+        )
         obs.enable()
         result = runner.run_all(["1"], ["b01"], seed=0, jobs=2)
         failures = [
@@ -407,7 +394,7 @@ class TestQueueEvents:
             if event["kind"] == "transport_lost"
         ]
         assert len(failures) == 1
-        assert "transport lost" in failures[0]["detail"]
+        assert "t000000 returned no result" in failures[0]["detail"]
         # Every pending cell re-ran inline: the tables are the serial ones.
         assert [render_table(t) for t in result["1"]] == [
             render_table(t) for t in serial["1"]

@@ -8,9 +8,12 @@ grading path used to carry is now the in-process facade's alone:
 first-detecting pattern indices, same fault order — for every grading
 kernel, 64-pattern boundary and dropping setting.  On top of
 parity, the suite checks worker-count resolution, that the pool refuses a
-single worker, that ``jobs=1`` never builds a transport, the runner's
-deterministic ``--jobs`` merge, and that the retired ``sharded`` and
-``cluster`` backend names are rejected.
+single worker, that the retired ``sharded`` and ``cluster`` backend names
+are rejected, and the runner's ``--jobs`` cells: ``jobs=1`` never asks for
+a pool, the merged tables equal a serial run for any worker count, on the
+real pool (whose cells must all run on workers) and on the newest-first
+fake pool of ``tests/helpers.py``, a lost pool is retired so later runs go
+inline at once, and the retired ``--transport`` flag is rejected.
 """
 
 from __future__ import annotations
@@ -37,6 +40,40 @@ from repro.engine.pool import (
     set_default_jobs,
     worker_pool,
 )
+from repro.experiments.report import render_table
+from repro.obs import recorder as obs
+from tests.helpers import NewestFirstPool
+
+#: Two independent runner cells (artefact 1 is graded per benchmark).
+ARTIFACTS = ["1"]
+BENCHMARKS = ["b01", "b03"]
+
+
+def _rendered(results):
+    return {
+        artifact: [render_table(table) for table in tables]
+        for artifact, tables in results.items()
+    }
+
+
+def _serial_report():
+    from repro.experiments.runner import run_all
+
+    return _rendered(run_all(ARTIFACTS, BENCHMARKS, seed=0, jobs=1))
+
+
+def _install_fake_pools(monkeypatch):
+    """Make the runner's pools in-process fakes; returns the ones it took."""
+    from repro.experiments import runner
+
+    built = []
+
+    def fake_worker_pool(jobs):
+        built.append(NewestFirstPool())
+        return built[-1]
+
+    monkeypatch.setattr(runner, "worker_pool", fake_worker_pool)
+    return built
 
 
 def _random_patterns(circuit, n_patterns: int, seed: int = 0) -> np.ndarray:
@@ -102,12 +139,11 @@ class TestShardedParity:
 class TestFallbacks:
     def test_jobs_1_runs_inline(self, monkeypatch):
         from repro.experiments import runner
-        from repro.experiments.report import render_table
 
-        def no_transport(jobs=None):
-            raise AssertionError("jobs=1 must not build a transport")
+        def no_pool(jobs):
+            raise AssertionError("jobs=1 must not ask for a pool")
 
-        monkeypatch.setattr(runner, "MpTransport", no_transport)
+        monkeypatch.setattr(runner, "worker_pool", no_pool)
         result = runner.run_all(["1"], ["b01"], seed=0, jobs=1)
         assert [render_table(table) for table in result["1"]]
 
@@ -205,6 +241,94 @@ class TestRunnerJobs:
         assert main(base + ["--out", str(serial_out)]) == 0
         assert main(base + ["--jobs", "2", "--out", str(parallel_out)]) == 0
         assert serial_out.read_bytes() == parallel_out.read_bytes()
+
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
+    def test_parity_for_any_worker_count(self, jobs, monkeypatch):
+        from repro.experiments.runner import run_all
+
+        reference = _serial_report()
+        built = _install_fake_pools(monkeypatch)
+        assert _rendered(run_all(ARTIFACTS, BENCHMARKS, seed=0, jobs=jobs)) == reference
+        assert [pool.submitted for pool in built] == ([] if jobs == 1 else [len(BENCHMARKS)])
+
+    def test_out_of_order_results_merge_identically(self, monkeypatch):
+        """Newest-first completion: the cell merge ignores arrival order."""
+        from repro.experiments.runner import run_all
+
+        # Artefact 1's per-benchmark cells plus fig2's ab cells and whole-set
+        # c cell: every merge kind completes in reverse order.
+        artifacts = ARTIFACTS + ["fig2"]
+        serial = _rendered(run_all(artifacts, BENCHMARKS, seed=0, jobs=1))
+        built = _install_fake_pools(monkeypatch)
+        assert _rendered(run_all(artifacts, BENCHMARKS, seed=0, jobs=2)) == serial
+        assert [pool.submitted for pool in built] == [2 * len(BENCHMARKS) + 1]
+
+    def test_parity_over_shared_pool(self):
+        """Traced ``--jobs 2`` on the real pool: every cell ran on a worker.
+
+        A cell that fails on the pool (say, an unpicklable callable) quietly
+        re-runs in process with the same tables, so parity alone cannot
+        prove the pool did the work; the absence of failure events does.
+        """
+        from repro.experiments.runner import run_all
+
+        if worker_pool(2) is None:
+            pytest.skip("worker pool unavailable in this environment")
+        reference = _serial_report()
+        capture = obs.task_capture()
+        with capture:
+            result = _rendered(run_all(ARTIFACTS, BENCHMARKS, seed=0, jobs=2))
+        kinds = [event["kind"] for event in capture.snapshot()["events"]]
+        assert kinds.count("task_failed") == 0
+        assert kinds.count("transport_lost") == 0
+        assert result == reference
+
+    def test_lost_pool_is_retired(self, monkeypatch):
+        from repro.engine import pool
+        from repro.experiments import runner
+
+        # Retire nothing real: the spy sees an empty pool table and the
+        # broken flag is restored after the test.
+        monkeypatch.setattr(pool, "_pools", {})
+        monkeypatch.setattr(pool, "_pool_broken", False)
+        retired = []
+
+        def spy():
+            retired.append(True)
+            pool.discard_broken_pool()
+
+        monkeypatch.setattr(runner, "discard_broken_pool", spy)
+        built = []
+
+        def lost_worker_pool(jobs):
+            # Refuses once retired, exactly like the real worker_pool.
+            if pool._pool_broken:
+                return None
+            built.append(NewestFirstPool(lose_tasks=True))
+            return built[-1]
+
+        monkeypatch.setattr(runner, "worker_pool", lost_worker_pool)
+        serial = _rendered(runner.run_all(["1"], ["b01"], seed=0, jobs=1))
+        first = _rendered(runner.run_all(["1"], ["b01"], seed=0, jobs=2))
+        assert retired == [True]
+        assert pool._pool_broken
+        second = _rendered(runner.run_all(["1"], ["b01"], seed=0, jobs=2))
+        # The retired pool was refused: the second run was inline.
+        assert len(built) == 1
+        assert retired == [True]
+        assert first == second == serial
+
+    def test_bad_transport_flag_rejected_at_cli(self, capsys):
+        # The cells always ride the worker pool; the old selector is gone
+        # and fails as an unknown argument.
+        from repro.experiments.runner import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--transport", "local", "--artifacts", "1", "--benchmarks", "b01"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --transport" in captured.err
+        assert captured.out == ""
 
     def test_jobs_flag_parsed(self):
         from repro.experiments.runner import build_parser
