@@ -33,7 +33,6 @@ import numpy as np
 from repro.core.bcp import BCPSolution, solve_bcp, solve_weighted_bcp, weighted_peak_bound
 from repro.core.intervals import (
     ExtractionPlan,
-    ExtractionResult,
     apply_assignment,
     extract_intervals,
 )
@@ -76,7 +75,6 @@ class DPFillReport:
 def dp_fill(
     patterns: TestSet,
     account_base_toggles: bool = True,
-    extraction: Optional[ExtractionResult] = None,
 ) -> DPFillReport:
     """Optimally fill the X bits of an ordered cube set.
 
@@ -84,11 +82,6 @@ def dp_fill(
         patterns: ordered, possibly partially specified pattern set.
         account_base_toggles: use the base-load-aware exact solver (default)
             or the paper's literal interval-only formulation.
-        extraction: optionally reuse a precomputed extraction for exactly
-            this ordering of ``patterns``, skipping the extraction pass.
-            The I-Ordering search produces one as a by-product
-            (:attr:`repro.core.ordering.OrderingResult.extraction`), so the
-            order-then-fill flow extracts once instead of twice.
 
     Returns:
         A :class:`DPFillReport`; ``report.filled`` preserves every specified
@@ -112,8 +105,7 @@ def dp_fill(
             account_base_toggles=account_base_toggles,
         )
 
-    if extraction is None:
-        extraction = extract_intervals(patterns)
+    extraction = extract_intervals(patterns)
 
     if account_base_toggles:
         solution = solve_weighted_bcp(extraction, extraction.base_toggles)

@@ -18,7 +18,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from repro.core.dpfill import optimal_peak_for_permutation
-from repro.core.intervals import ExtractionPlan, ExtractionResult, extract_intervals
+from repro.core.intervals import ExtractionPlan
 from repro.cubes.cube import TestSet
 
 Evaluator = Callable[[TestSet], int]
@@ -60,19 +60,6 @@ class OrderingResult:
     peak: Optional[int] = None
     trace: List[InterleaveStep] = field(default_factory=list)
     iterations: int = 0
-    _extraction: Optional[ExtractionResult] = field(default=None, repr=False)
-
-    @property
-    def extraction(self) -> ExtractionResult:
-        """The BCP extraction of ``ordered`` (computed lazily, then cached).
-
-        Pass it to :func:`repro.core.dpfill.dp_fill` to skip the
-        re-extraction in the order-then-fill flow; callers that only want
-        the ordering (e.g. the Fig. 2 traces) never pay for it.
-        """
-        if self._extraction is None:
-            self._extraction = extract_intervals(self.ordered)
-        return self._extraction
 
     @property
     def best_k(self) -> Optional[int]:

@@ -88,9 +88,14 @@ def is_specified(bits: np.ndarray) -> np.ndarray:
 
 
 def validate_bits(bits: np.ndarray) -> None:
-    """Raise ``ValueError`` if ``bits`` contains anything other than 0/1/X."""
+    """Raise ``ValueError`` if ``bits`` contains anything other than 0/1/X.
+
+    The codes are the consecutive integers ``ZERO..X``, so a range check on
+    the integer array is the whole test (and far cheaper than a set lookup on
+    every cell).
+    """
     arr = np.asarray(bits)
-    if arr.size and not np.isin(arr, (ZERO, ONE, X)).all():
+    if arr.size and not (arr.min() >= ZERO and arr.max() <= X):
         bad = sorted(set(int(v) for v in np.unique(arr)) - {ZERO, ONE, X})
         raise ValueError(f"invalid bit values in cube data: {bad}")
 

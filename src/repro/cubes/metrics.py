@@ -169,17 +169,15 @@ def stretch_histogram(patterns: TestSet) -> StretchStats:
 
     The analysis runs over the pin-major matrix (one row per input pin,
     columns in pattern order), mirroring the matrix ``A`` of the paper.
+    The X mask gets a non-X column on each side of every pin row, so in the
+    flattened mask no run crosses into the next row and every run has a
+    rising and a falling edge; a run's length is the distance between them.
     """
-    pin_matrix = patterns.pin_matrix()
-    histogram: Dict[int, int] = {}
-    for row in pin_matrix:
-        run = 0
-        for value in row:
-            if value == X:
-                run += 1
-            elif run:
-                histogram[run] = histogram.get(run, 0) + 1
-                run = 0
-        if run:
-            histogram[run] = histogram.get(run, 0) + 1
-    return StretchStats(histogram=histogram, n_rows=pin_matrix.shape[0], n_columns=pin_matrix.shape[1])
+    n_columns, n_rows = patterns.matrix.shape
+    mask = np.zeros((n_rows, n_columns + 2), dtype=np.int8)
+    mask[:, 1:-1] = (patterns.matrix == X).T
+    edges = np.diff(mask.reshape(-1))
+    lengths = np.flatnonzero(edges == -1) - np.flatnonzero(edges == 1)
+    sizes, counts = np.unique(lengths, return_counts=True)
+    histogram = {int(size): int(count) for size, count in zip(sizes, counts)}
+    return StretchStats(histogram=histogram, n_rows=n_rows, n_columns=n_columns)

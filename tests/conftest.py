@@ -7,6 +7,15 @@ import pytest
 
 from repro.cubes.cube import TestSet
 from repro.cubes.generator import CubeSetSpec, generate_cube_set
+from repro.experiments import memo
+
+
+@pytest.fixture(autouse=True)
+def _fresh_memo():
+    """Start every test with an empty ordering/fill memo, so no test sees another's entries."""
+    memo.clear()
+    yield
+    memo.clear()
 
 
 @pytest.fixture

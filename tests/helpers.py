@@ -6,8 +6,9 @@ search on small instances (unit tests pin specific cases, hypothesis tests
 sweep random ones).
 
 The ``reference_*`` functions are the straightforward formulations the fast
-kernels replaced: per-row loops for the stretch kernels, the dense window
-table for the BCP bound and the per-step boolean masks for the greedy tours.
+kernels replaced: per-row loops for the stretch kernels and the X-stretch
+histogram, the dense window table for the BCP bound and the per-step boolean
+masks for the greedy tours.
 They are the oracles of the differential tests in ``test_kernels.py``.
 The topological-order, compile, capacitance and switching references are
 the name-keyed, per-gate, per-net and dense formulations of the circuit and
@@ -182,6 +183,22 @@ def reference_apply_assignment(
         filled[interval.row, interval.left_col : int(color) + 1] = interval.left_value
         filled[interval.row, int(color) + 1 : interval.right_col] = interval.right_value
     return filled
+
+
+def reference_stretch_histogram(patterns: TestSet) -> Dict[int, int]:
+    """X-run-length histogram of the pin-major matrix, one cell at a time."""
+    histogram: Dict[int, int] = {}
+    for row in patterns.pin_matrix():
+        run = 0
+        for value in row:
+            if value == X:
+                run += 1
+            elif run:
+                histogram[run] = histogram.get(run, 0) + 1
+                run = 0
+        if run:
+            histogram[run] = histogram.get(run, 0) + 1
+    return histogram
 
 
 def reference_mt_fill(matrix: np.ndarray) -> np.ndarray:

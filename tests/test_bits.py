@@ -65,6 +65,15 @@ class TestBitPredicates:
         with pytest.raises(ValueError, match="invalid bit values"):
             validate_bits(np.array([0, 3], dtype=np.int8))
 
+    @pytest.mark.parametrize("bad", [-1, 3, 127, -128])
+    def test_validate_rejects_every_out_of_range_code(self, bad):
+        with pytest.raises(ValueError, match=rf"invalid bit values in cube data: \[{bad}\]"):
+            validate_bits(np.array([ZERO, bad, X, ONE], dtype=np.int8))
+
+    def test_validate_lists_all_bad_values(self):
+        with pytest.raises(ValueError, match=r"\[-128, -1, 3, 127\]"):
+            validate_bits(np.array([3, 0, -1, 127, 2, -128, 3], dtype=np.int8))
+
     def test_validate_empty_is_fine(self):
         validate_bits(np.array([], dtype=np.int8))
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cubes.cube import TestCube, TestSet
 from repro.cubes.metrics import (
@@ -16,6 +18,7 @@ from repro.cubes.metrics import (
     total_toggles,
     x_density,
 )
+from tests.helpers import reference_stretch_histogram
 
 
 class TestHammingDistance:
@@ -124,3 +127,30 @@ class TestXStatistics:
         assert stats.histogram == {}
         assert stats.mean_length == 0.0
         assert stats.max_length == 0
+
+
+@st.composite
+def _pin_matrices(draw):
+    """Pin matrices of any shape (0 rows or columns too) with all-X and fully specified rows mixed in."""
+    n_rows = draw(st.integers(min_value=0, max_value=7))
+    n_columns = draw(st.integers(min_value=0, max_value=12))
+    rows = []
+    for _ in range(n_rows):
+        kind = draw(st.sampled_from(["random", "all-x", "specified"]))
+        if kind == "all-x":
+            rows.append([2] * n_columns)
+        elif kind == "specified":
+            rows.append(draw(st.lists(st.integers(0, 1), min_size=n_columns, max_size=n_columns)))
+        else:
+            rows.append(draw(st.lists(st.integers(0, 2), min_size=n_columns, max_size=n_columns)))
+    return np.array(rows, dtype=np.int8).reshape(n_rows, n_columns)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pin_matrix=_pin_matrices())
+def test_stretch_histogram_matches_reference_loop(pin_matrix):
+    ts = TestSet.from_pin_matrix(pin_matrix)
+    stats = stretch_histogram(ts)
+    assert stats.histogram == reference_stretch_histogram(ts)
+    assert (stats.n_rows, stats.n_columns) == pin_matrix.shape
+    assert stats.total_x_bits == ts.x_count
