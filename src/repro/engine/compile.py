@@ -13,14 +13,17 @@ no gate object or name lookup is involved:
   it fixes the float summation order of the power layer and the compiled
   PODEM's tie-breaks, so compiling in generation order instead would change
   reported numbers;
-* every evaluated gate becomes a *node*: an integer opcode, a CSR-style
-  fan-in slice (``fanin_ptr`` / ``fanin_idx``) of source rows, and the row it
-  writes;
-* nodes carry their logic level (the ternary PODEM engine ranks its
-  D-frontier by it);
-* a fan-out map (``reader_lists``: row -> node positions reading it) records
-  which nodes read every row — the basis for the cone-restricted fault
-  simulator.
+* every evaluated gate becomes a *node* ``(opcode, output row, fan-in
+  rows)`` of ``node_prog``; node ``p`` writes row ``n_inputs + p``.
+
+That is all logic simulation reads, so it is all :func:`compile_circuit`
+builds.  The structures only PODEM and fault simulation read — the name ->
+row map, each node's logic level (the ternary PODEM engine ranks its
+D-frontier by it), the row -> driving node map, the fan-out map
+(``reader_lists``: row -> node positions reading it, the basis of the
+cone-restricted fault simulator) and the set of observable rows — are
+derived from ``node_prog`` on first access and cached, so a run that only
+simulates and grades power never builds them.
 
 Nothing here evaluates anything: the compiled program is consumed by
 :mod:`repro.engine.packed` (bit-parallel logic simulation),
@@ -33,6 +36,7 @@ simulation never touches gate objects or name dictionaries again.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -93,39 +97,24 @@ class CompiledCircuit:
     Attributes:
         name: source circuit name.
         net_names: row index -> net name (test pins first, then topo order).
-        net_index: net name -> row index.
         n_inputs: number of test-pin rows (they are rows ``0..n_inputs-1``).
-        node_ops / node_out / node_level: per-node opcode, output row, level
-            — the flat-array form of the program (compact and picklable),
-            derived from the python lists below.
-        fanin_ptr / fanin_idx: CSR fan-in rows per node (same array form).
         output_rows: rows of the observable outputs, in
             :attr:`Circuit.combinational_outputs` order (may repeat).
+        node_prog: per node ``(opcode, output row, fan-in rows)`` in
+            topological order.  The lane evaluator iterates it directly
+            (scalar indexing of python lists beats numpy scalar indexing by
+            ~10x).
+
+    The cached properties below (``net_index``, ``node_levels``,
+    ``out_node``, ``reader_lists``, ``_observable_set``) serve PODEM and
+    fault simulation; each is built from ``node_prog`` on first access.
     """
 
     name: str
     net_names: List[str]
-    net_index: Dict[str, int]
     n_inputs: int
-    node_ops: np.ndarray
-    node_out: np.ndarray
-    node_level: np.ndarray
-    fanin_ptr: np.ndarray
-    fanin_idx: np.ndarray
     output_rows: np.ndarray
-    # The plain-python form of the program, from which compile_circuit
-    # derives the arrays above; the hot loops use it directly: the
-    # lane evaluator iterates ``node_prog`` (scalar indexing of python lists
-    # beats numpy scalar indexing by ~10x), the cone BFS walks
-    # ``reader_lists`` (row -> node positions reading that row), and the
-    # ternary PODEM engine uses ``node_levels`` (per-node logic level, for
-    # D-frontier ranking) and ``out_node`` (row -> driving node position,
-    # ``-1`` for test-pin rows, for objective backtracing).
     node_prog: List[Tuple[int, int, Tuple[int, ...]]] = field(default_factory=list)
-    reader_lists: List[List[int]] = field(default_factory=list)
-    node_levels: List[int] = field(default_factory=list)
-    out_node: List[int] = field(default_factory=list)
-    _observable_set: frozenset = frozenset()
     _cone_cache: Dict[int, Cone] = field(default_factory=dict)
 
     @property
@@ -136,11 +125,59 @@ class CompiledCircuit:
     @property
     def n_nodes(self) -> int:
         """Number of evaluated (combinational) nodes."""
-        return int(self.node_ops.shape[0])
+        return len(self.node_prog)
 
     def row_of(self, net: str) -> Optional[int]:
         """Row of ``net``, or ``None`` for unknown nets."""
         return self.net_index.get(net)
+
+    # -- lazily derived structures (PODEM and fault simulation) -----------
+    @cached_property
+    def net_index(self) -> Dict[str, int]:
+        """Net name -> row index."""
+        return {net: row for row, net in enumerate(self.net_names)}
+
+    @cached_property
+    def node_levels(self) -> List[int]:
+        """Per-node logic level: ``1 + max(level of its fan-in rows)``.
+
+        Test pins sit at level 0, the definition of :meth:`Circuit.levelize`;
+        the ternary PODEM engine ranks its D-frontier by it.
+        """
+        row_level = [0] * self.n_nets
+        level_of = row_level.__getitem__
+        levels: List[int] = []
+        for _, out, src in self.node_prog:
+            level = 1 + max(map(level_of, src), default=0)
+            row_level[out] = level
+            levels.append(level)
+        return levels
+
+    @cached_property
+    def out_node(self) -> List[int]:
+        """Row -> driving node position (``-1`` for test-pin rows).
+
+        The ternary PODEM engine backtraces objectives through it.
+        """
+        return [-1] * self.n_inputs + list(range(self.n_nodes))
+
+    @cached_property
+    def reader_lists(self) -> List[List[int]]:
+        """Fan-out: row -> positions of the nodes reading it.
+
+        Combinational readers only: flip-flops are not nodes, so cone
+        propagation naturally stops there.
+        """
+        readers: List[List[int]] = [[] for _ in range(self.n_nets)]
+        for pos, (_, _, src) in enumerate(self.node_prog):
+            for row in src:
+                readers[row].append(pos)
+        return readers
+
+    @cached_property
+    def _observable_set(self) -> frozenset:
+        """The observable rows (:attr:`output_rows` as a set)."""
+        return frozenset(self.output_rows.tolist())
 
     # -- cones ------------------------------------------------------------
     def cone(self, row: int) -> Cone:
@@ -197,67 +234,34 @@ def compile_circuit(circuit: Circuit) -> CompiledCircuit:
     n_rows = n_inputs + len(order)
 
     # Net id -> row.  Every id a node reads or the outputs observe is a test
-    # pin or a combinational gate output, so each lookup hits a row.  Rows
-    # and node positions each come from one list of int objects, which every
-    # structure below shares instead of boxing its own copies.
+    # pin or a combinational gate output, so each lookup hits a row.  The
+    # rows come from one list of int objects, which ``row_of`` and the
+    # program share instead of boxing their own copies.
     rows = list(range(n_rows))
-    positions = list(range(len(order)))
+    gate_rows = rows[n_inputs:]
     row_of = [-1] * len(names)
     for net, row in zip(pins, rows):
         row_of[net] = row
-    for index, row in zip(order, rows[n_inputs:]):
+    for index, row in zip(order, gate_rows):
         row_of[gate_net[index]] = row
     net_names: List[str] = [names[net] for net in pins]
     net_names.extend([names[gate_net[index]] for index in order])
-    net_index: Dict[str, int] = dict(zip(net_names, rows))
 
-    # The python lists are the source: they are built in one pass over the
-    # gates, and the NumPy arrays are derived from them, so the two program
-    # representations cannot drift apart.  A node's level is
-    # ``1 + max(level of its fan-in rows)`` with test pins at level 0, the
-    # definition of :meth:`Circuit.levelize`.
     node_prog: List[Tuple[int, int, Tuple[int, ...]]] = []
-    node_levels: List[int] = []
-    row_level = [0] * n_rows
-    out_node = [-1] * n_inputs + positions
-    # Fan-out: row -> node positions reading it (combinational readers only;
-    # flip-flops are not nodes, so cone propagation naturally stops there).
-    reader_lists: List[List[int]] = [[] for _ in range(n_rows)]
-    fanin_ends = [0]
-    fanin_rows: List[int] = []
     gate_type, gate_fanin = columns.gate_type, columns.gate_fanin
     opcode_of = _OPCODE_OF_NAME.get
     row_of_net = row_of.__getitem__
-    level_of = row_level.__getitem__
-    for pos, index, out in zip(positions, order, rows[n_inputs:]):
+    append = node_prog.append
+    for index, out in zip(order, gate_rows):
         op = opcode_of(gate_type[index]._name_)
         if op is None:  # pragma: no cover - Circuit.validate forbids this
             raise ValueError(f"cannot compile gate type {gate_type[index]}")
-        src = tuple(map(row_of_net, gate_fanin[index]))
-        level = 1 + max(map(level_of, src), default=0)
-        row_level[out] = level
-        node_prog.append((op, out, src))
-        node_levels.append(level)
-        for row in src:
-            reader_lists[row].append(pos)
-        fanin_rows.extend(src)
-        fanin_ends.append(len(fanin_rows))
+        append((op, out, tuple(map(row_of_net, gate_fanin[index]))))
 
-    output_rows = np.asarray([row_of[net] for net in columns.observed], dtype=np.int32)
     return CompiledCircuit(
         name=circuit.name,
         net_names=net_names,
-        net_index=net_index,
         n_inputs=n_inputs,
-        node_ops=np.array([node[0] for node in node_prog], dtype=np.int32),
-        node_out=np.array([node[1] for node in node_prog], dtype=np.int32),
-        node_level=np.array(node_levels, dtype=np.int32),
-        fanin_ptr=np.array(fanin_ends, dtype=np.int32),
-        fanin_idx=np.array(fanin_rows, dtype=np.int32),
-        output_rows=output_rows,
+        output_rows=np.asarray([row_of[net] for net in columns.observed], dtype=np.int32),
         node_prog=node_prog,
-        reader_lists=reader_lists,
-        node_levels=node_levels,
-        out_node=out_node,
-        _observable_set=frozenset(int(r) for r in output_rows),
     )

@@ -14,7 +14,7 @@ input-vs-circuit-toggle correlation argument.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -57,12 +57,15 @@ class PowerEstimator:
     Building the estimator extracts capacitances and compiles the logic
     simulator once; :meth:`estimate` can then be called for every
     fill/ordering combination cheaply, which is what the Table VI sweep does.
-    The capacitance array is resolved once, in the simulator's row order.
+    The capacitance array is resolved once, here, in the value-table row
+    order every simulator follows (test pins, then
+    :meth:`Circuit.topological_order`).
 
-    Memory: an estimate holds the simulator's ``(n_nets, n_patterns)`` bool
-    value table plus ``O(block x n_patterns)`` for the switched capacitance
-    (see :func:`~repro.power.switching.switching_profile`), never an
-    ``n_nets x n_patterns`` float table.
+    Memory: on the packed backend an estimate holds the packed boundary
+    flips (one bit per net and boundary, an eighth of the bool value table)
+    plus ``O(block x n_patterns)`` for the unpacked toggles and switched
+    capacitance (see :func:`~repro.power.switching.switching_profile`); no
+    value table and never an ``n_nets x n_patterns`` float table.
 
     Args:
         circuit: circuit under test.
@@ -85,19 +88,12 @@ class PowerEstimator:
         self.technology = technology
         self.capacitance: CapacitanceModel = extract_capacitances(circuit, technology, seed=seed)
         self._simulator = get_backend(backend).logic_simulator(circuit)
-        self._cap_nets: Optional[List[str]] = None
-        self._caps = np.zeros(0)
-
-    def _caps_of(self, nets: List[str]) -> np.ndarray:
-        """Capacitances in the simulator's row order (resolved once per order)."""
-        if nets != self._cap_nets:
-            self._caps = self.capacitance.as_array(nets)
-            self._cap_nets = nets
-        return self._caps
+        rows = circuit.combinational_inputs + circuit.topological_order()
+        self._caps = self.capacitance.as_array(rows)
 
     def estimate(self, patterns: TestSet) -> PowerReport:
         """Estimate capture power for an ordered, filled pattern set."""
-        activity = switching_activity(self.circuit, patterns, self._caps_of, self._simulator)
+        activity = switching_activity(self.circuit, patterns, self._caps, self._simulator)
         switched_farads = activity.switched_capacitance_ff * 1e-15
         power_watts = (
             0.5

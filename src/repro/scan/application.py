@@ -29,7 +29,7 @@ from repro.circuit.netlist import Circuit
 from repro.cubes.cube import TestSet
 from repro.cubes.metrics import toggle_profile
 from repro.engine.backend import get_backend
-from repro.power.switching import switching_profile
+from repro.power.switching import simulated_flips, switching_profile
 from repro.scan.chain import ScanConfiguration, build_scan_chains
 
 
@@ -125,15 +125,8 @@ class ScanTestApplication:
             # Resolved through the backend registry so the packed engine
             # serves scan-application traces too (REPRO_BACKEND overrides).
             self._simulator = get_backend().logic_simulator(self.circuit)
-        matrix_getter = getattr(self._simulator, "net_value_matrix", None)
-        if matrix_getter is not None:
-            _, values = matrix_getter(patterns.matrix)
-            return switching_profile(values)[0]
-        activity = self._simulator.gate_activity(patterns.matrix)
-        if not activity:
-            return np.zeros(max(len(patterns) - 1, 0), dtype=np.int64)
-        stacked = np.vstack([arr for arr in activity.values()])
-        return stacked.sum(axis=0).astype(np.int64)
+        _, flips = simulated_flips(self._simulator, patterns.matrix)
+        return switching_profile(flips, max(len(patterns) - 1, 0))[0]
 
     def _shift_transitions(self, patterns: TestSet) -> List[int]:
         ff_names = [ff.output for ff in self.circuit.flip_flops]

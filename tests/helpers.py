@@ -18,6 +18,7 @@ power layers, the oracles of ``test_differential_fuzz.py``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import multiprocessing
 from collections import deque
@@ -374,13 +375,14 @@ def reference_topological_order(circuit: Circuit) -> List[str]:
 
 
 def reference_compile_circuit(circuit: Circuit) -> CompiledCircuit:
-    """Compile by net name, with per-gate array stores.
+    """Compile by net name, with every lazy field precomputed.
 
     The row order comes from :func:`reference_topological_order` and the
     levels from a name-keyed walk of it, so nothing is shared with the
-    id-based :meth:`Circuit.columns` path.  The python lists are derived
-    from the arrays here, the reverse of
-    :func:`repro.engine.compile.compile_circuit`.
+    id-based :meth:`Circuit.columns` path.  The fields
+    :func:`repro.engine.compile.compile_circuit` derives on first access
+    (:func:`lazy_program_fields`) are stored on the instance here, each
+    built independently of ``node_prog``.
     """
     circuit.validate()
     inputs = circuit.combinational_inputs
@@ -391,56 +393,47 @@ def reference_compile_circuit(circuit: Circuit) -> CompiledCircuit:
         levels[name] = 1 + max((levels.get(net, 0) for net in gate.inputs), default=0)
     net_names = list(inputs) + list(order)
     net_index = {net: row for row, net in enumerate(net_names)}
-    n_nodes = len(order)
-    node_ops = np.zeros(n_nodes, dtype=np.int32)
-    node_out = np.zeros(n_nodes, dtype=np.int32)
-    node_level = np.zeros(n_nodes, dtype=np.int32)
-    fanin_ptr = np.zeros(n_nodes + 1, dtype=np.int32)
-    fanin_rows: List[int] = []
-    for pos, name in enumerate(order):
-        gate = circuit.get_gate(name)
-        src = tuple(net_index[net] for net in gate.inputs)
-        node_ops[pos] = _OPCODE_OF[gate.gate_type]
-        node_out[pos] = net_index[name]
-        node_level[pos] = levels.get(name, 0)
-        fanin_ptr[pos + 1] = fanin_ptr[pos] + len(src)
-        fanin_rows.extend(src)
-    fanin_idx = np.asarray(fanin_rows, dtype=np.int32)
     node_prog = [
         (
-            int(node_ops[pos]),
-            int(node_out[pos]),
-            tuple(int(row) for row in fanin_idx[fanin_ptr[pos] : fanin_ptr[pos + 1]]),
+            _OPCODE_OF[circuit.get_gate(name).gate_type],
+            net_index[name],
+            tuple(net_index[net] for net in circuit.get_gate(name).inputs),
         )
-        for pos in range(n_nodes)
+        for name in order
     ]
     output_rows = np.asarray(
         [net_index[net] for net in circuit.combinational_outputs], dtype=np.int32
     )
     out_node = [-1] * len(net_names)
-    for pos in range(n_nodes):
-        out_node[int(node_out[pos])] = pos
     reader_lists: List[List[int]] = [[] for _ in net_names]
-    for pos, (_, _, src) in enumerate(node_prog):
-        for row in src:
-            reader_lists[row].append(pos)
-    return CompiledCircuit(
+    for pos, name in enumerate(order):
+        out_node[net_index[name]] = pos
+        for net in circuit.get_gate(name).inputs:
+            reader_lists[net_index[net]].append(pos)
+    program = CompiledCircuit(
         name=circuit.name,
         net_names=net_names,
-        net_index=net_index,
         n_inputs=len(inputs),
-        node_ops=node_ops,
-        node_out=node_out,
-        node_level=node_level,
-        fanin_ptr=fanin_ptr,
-        fanin_idx=fanin_idx,
         output_rows=output_rows,
         node_prog=node_prog,
-        reader_lists=reader_lists,
-        node_levels=[int(level) for level in node_level],
-        out_node=out_node,
-        _observable_set=frozenset(int(r) for r in output_rows),
     )
+    program.__dict__.update(
+        net_index=net_index,
+        node_levels=[levels[name] for name in order],
+        out_node=out_node,
+        reader_lists=reader_lists,
+        _observable_set=frozenset(net_index[net] for net in circuit.combinational_outputs),
+    )
+    return program
+
+
+def lazy_program_fields() -> List[str]:
+    """Names of the :class:`CompiledCircuit` fields built on first access."""
+    return [
+        name
+        for name, attr in vars(CompiledCircuit).items()
+        if isinstance(attr, functools.cached_property)
+    ]
 
 
 def reference_capacitances(

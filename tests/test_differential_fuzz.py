@@ -15,8 +15,10 @@ fault-parallel ``faults`` kernel evaluates exactly as many cones as the
 The circuit build and power layers are checked against the exact references
 in ``tests/helpers.py``: the topological order against the name-keyed Kahn,
 the compiled program field for field, the capacitance extraction net for
-net, and the blocked switching kernel against the dense toggle table, with
-the block height forced to 1 and 7 so every block seam is crossed.  The
+net, and the blocked switching kernel against the dense toggle table, fed
+the packed flips of both backends (the packed shift-xor and ``np.packbits``
+of a value table), with the block height forced to 1 and 7 so every block
+seam is crossed.  The
 columnar netlist is checked against itself across construction paths: a
 bulk-built circuit (generator or :meth:`Circuit.from_columns`), a
 gate-by-gate ``add_gate`` rebuild and a ``.bench`` round trip must agree on
@@ -43,11 +45,13 @@ from repro.circuit.simulator import LogicSimulator
 from repro.cubes.cube import TestSet
 from repro.engine import NaiveFaultSimulator, PackedFaultSimulator, PackedLogicSimulator
 from repro.engine.compile import compile_circuit
+from repro.engine.packed import boundary_flips, lanes_to_bytes, pack_lanes
 from repro.power import switching
 from repro.power.capacitance import TechnologyParameters, extract_capacitances
 from repro.power.estimator import PowerEstimator
 from repro.scan.application import ScanTestApplication
 from tests.helpers import (
+    lazy_program_fields,
     reference_capacitances,
     reference_compile_circuit,
     reference_switching,
@@ -142,19 +146,26 @@ def _assert_identical(actual, expected, what):
         assert actual == expected, what
 
 
+def _assert_same_program(circuit, reference):
+    """Every field of ``compile_circuit(circuit)`` equals ``reference``'s.
+
+    The lazy fields are forced here; the reference holds them precomputed.
+    """
+    program = compile_circuit(circuit)
+    for field in dataclasses.fields(reference):
+        _assert_identical(getattr(program, field.name), getattr(reference, field.name), field.name)
+    lazy = lazy_program_fields()
+    assert set(lazy) == {"net_index", "node_levels", "out_node", "reader_lists", "_observable_set"}
+    for name in lazy:
+        assert name not in program.__dict__, name
+        _assert_identical(getattr(program, name), reference.__dict__[name], name)
+    return program
+
+
 @settings(max_examples=150, deadline=None)
 @given(circuit=circuits())
 def test_compile_matches_reference(circuit):
-    program = compile_circuit(circuit)
-    reference = reference_compile_circuit(circuit)
-    for field in dataclasses.fields(reference):
-        _assert_identical(getattr(program, field.name), getattr(reference, field.name), field.name)
-
-
-def _assert_same_program(circuit, reference):
-    program = compile_circuit(circuit)
-    for field in dataclasses.fields(reference):
-        _assert_identical(getattr(program, field.name), getattr(reference, field.name), field.name)
+    _assert_same_program(circuit, reference_compile_circuit(circuit))
 
 
 def _netlist_views(circuit):
@@ -252,10 +263,7 @@ def test_compile_matches_reference_with_constants():
     circuit.add_gate("y", GateType.AND, ["q", "b"])
     circuit.add_output("x")
     circuit.add_output("y")
-    program = compile_circuit(circuit)
-    reference = reference_compile_circuit(circuit)
-    for field in dataclasses.fields(reference):
-        _assert_identical(getattr(program, field.name), getattr(reference, field.name), field.name)
+    program = _assert_same_program(circuit, reference_compile_circuit(circuit))
     levels = {
         program.net_names[out]: level
         for (_, out, _), level in zip(program.node_prog, program.node_levels)
@@ -279,25 +287,41 @@ def test_capacitances_match_reference(circuit, seed, wire_variation, caps):
         _assert_identical(model.net_capacitance_ff[net], value, net)
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    n_rows=st.integers(0, 1200),
-    n_patterns=st.one_of(st.sampled_from([0, 1, 2, 3]), st.integers(0, 40)),
-    seed=SEEDS,
-    block=BLOCK_ROWS,
-)
-def test_switching_profile_matches_dense(n_rows, n_patterns, seed, block):
-    rng = np.random.default_rng(seed)
+#: Pattern counts of the switching kernel: no boundary, one, two, and both
+#: sides of the byte seams of the packed flips.
+KERNEL_WIDTHS = [0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 63, 64, 65]
+
+
+@st.composite
+def value_tables(draw):
+    """Bool value tables with some (or every) row held constant."""
+    n_rows = draw(st.integers(0, 1200))
+    n_patterns = draw(st.one_of(st.sampled_from(KERNEL_WIDTHS), st.integers(0, 40)))
+    rng = np.random.default_rng(draw(SEEDS))
     values = rng.random((n_rows, n_patterns)) < rng.random()
-    caps = rng.random(n_rows) * 10.0
+    constant = rng.random(n_rows) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    values[constant] = rng.random((int(constant.sum()), 1)) < 0.5
+    return values, rng.random(n_rows) * 10.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=value_tables(), block=BLOCK_ROWS)
+def test_switching_profile_matches_dense(table, block):
+    values, caps = table
+    n_boundaries = max(values.shape[1] - 1, 0)
     toggles, switched = reference_switching(values, caps)
+    naive_flips = switching.pack_flips(values)
+    n_patterns = values.shape[1]
+    packed_flips = boundary_flips(lanes_to_bytes(pack_lanes(values.T), n_patterns), n_patterns)
+    _assert_identical(packed_flips, naive_flips, "packed flips")
     with mock.patch.object(switching, "_BLOCK_ROWS", block):
-        got_toggles, got_switched = switching.switching_profile(values, caps)
-        only_toggles, none = switching.switching_profile(values)
-    _assert_identical(got_toggles, toggles, "toggles")
-    _assert_identical(got_switched, switched, "switched")
-    _assert_identical(only_toggles, toggles, "toggles without caps")
-    assert none is None
+        for flips in (naive_flips, packed_flips):
+            got_toggles, got_switched = switching.switching_profile(flips, n_boundaries, caps)
+            only_toggles, none = switching.switching_profile(flips, n_boundaries)
+            _assert_identical(got_toggles, toggles, "toggles")
+            _assert_identical(got_switched, switched, "switched")
+            _assert_identical(only_toggles, toggles, "toggles without caps")
+            assert none is None
 
 
 @settings(max_examples=100, deadline=None)

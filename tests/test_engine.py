@@ -163,6 +163,19 @@ class TestLogicParity:
         for net in act_naive:
             assert np.array_equal(act_naive[net], act_packed[net]), net
 
+    @pytest.mark.parametrize("n_patterns", [0, 1, 2, 8, 9, 17])
+    def test_activity_matches_at_byte_seams(self, n_patterns):
+        # The packed activity is unpacked from shift-xor flips: no boundary,
+        # one boundary, and flips that end on or just past a byte.
+        circuit = all_gate_types_circuit()
+        patterns = _random_patterns(circuit, n_patterns, seed=5)
+        act_naive = LogicSimulator(circuit).gate_activity(patterns)
+        act_packed = PackedLogicSimulator(circuit).gate_activity(patterns)
+        assert list(act_naive) == list(act_packed)
+        for net in act_naive:
+            assert act_packed[net].dtype == bool, net
+            assert np.array_equal(act_naive[net], act_packed[net]), net
+
     @pytest.mark.parametrize("make_circuit", CIRCUITS)
     def test_net_value_matrix_parity(self, make_circuit):
         circuit = make_circuit()

@@ -10,6 +10,7 @@ import pytest
 from repro.circuit.library import b01_like_fsm, c17, itc99_like, ripple_counter
 from repro.cubes.cube import TestSet
 from repro.cubes.generator import generate_cube_set_like, random_fully_specified_set
+from repro.engine.backend import get_backend
 from repro.filling import get_filler
 from repro.power.capacitance import TechnologyParameters, extract_capacitances
 from repro.power.estimator import PowerEstimator
@@ -17,6 +18,7 @@ from repro.power import switching
 from repro.power.switching import weighted_switching_activity
 from repro.scan.application import ScanTestApplication
 from repro.scan.chain import build_scan_chains
+from tests.helpers import lazy_program_fields
 
 
 class TestScanChains:
@@ -196,3 +198,34 @@ class TestSwitchingAndPower:
         finally:
             tracemalloc.stop()
         assert peak <= 6 * n_nets * n_patterns
+
+    @pytest.mark.parametrize("n_patterns", [512, 2048])
+    def test_packed_estimate_builds_no_value_table(self, n_patterns):
+        """On the packed backend an estimate grades packed boundary flips:
+        its traced peak stays below 1.5x the bool value table it no longer
+        builds (a value table plus the blocked products measured ~2.6x)."""
+        circuit = itc99_like("b14")
+        n_nets = len(circuit.nets())
+        patterns = random_fully_specified_set(circuit.n_test_pins, n_patterns, seed=1)
+        estimator = PowerEstimator(circuit, backend="packed")
+        estimator.estimate(patterns)  # compile: not the estimate's cost
+        tracemalloc.start()
+        try:
+            estimator.estimate(patterns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * n_nets * n_patterns
+
+    def test_packed_estimate_builds_no_podem_structures(self):
+        """Power grading reads only what logic simulation needs: the compiled
+        program's PODEM and fault-simulation fields stay unbuilt."""
+        circuit = itc99_like("b10")
+        patterns = random_fully_specified_set(circuit.n_test_pins, 16, seed=3)
+        PowerEstimator(circuit, backend="packed").estimate(patterns)
+        program = get_backend("packed").compiled_program(circuit)
+        lazy = lazy_program_fields()
+        assert lazy and not set(lazy) & set(program.__dict__)
+        program.reader_lists  # noqa: B018 - forcing one builds it
+        assert "reader_lists" in program.__dict__
+
