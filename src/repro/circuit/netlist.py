@@ -71,14 +71,16 @@ class NetlistColumns(NamedTuple):
     """The integer form of a circuit's full-scan combinational view.
 
     Returned by :meth:`Circuit.columns`.  ``net_names``, the ``gate_*``
-    columns and ``order`` are the circuit's own storage, shared rather than
-    copied: read them, never mutate them.
+    columns, ``inputs``, ``outputs`` and ``order`` are the circuit's own
+    storage, shared rather than copied: read them, never mutate them.
 
     Attributes:
         net_names: net id -> net name.
         gate_net: gate index -> id of the net the gate drives.
         gate_type: gate index -> gate type.
         gate_fanin: gate index -> fan-in net ids, in pin order.
+        inputs: primary input net ids, in declaration order.
+        outputs: primary output net ids, in declaration order.
         test_pins: ids of :attr:`Circuit.combinational_inputs`, in order.
         observed: ids of :attr:`Circuit.combinational_outputs`, in order.
         order: combinational gate indices in :meth:`Circuit.topological_order`.
@@ -88,6 +90,8 @@ class NetlistColumns(NamedTuple):
     gate_net: Sequence[int]
     gate_type: Sequence[GateType]
     gate_fanin: Sequence[Tuple[int, ...]]
+    inputs: Sequence[int]
+    outputs: Sequence[int]
     test_pins: List[int]
     observed: List[int]
     order: Sequence[int]
@@ -336,10 +340,13 @@ class Circuit:
         return [self._gate(index) for index in self._flip_flops()]
 
     def _logic_gates(self) -> List[int]:
+        # Identity tests, as in _flip_flops: ``is_sequential`` and
+        # ``is_source`` cost an enum hash per gate.
+        dff, pi, zero, one = GateType.DFF, GateType.INPUT, GateType.CONST0, GateType.CONST1
         return [
             index
             for index, kind in enumerate(self._gate_type)
-            if not kind.is_sequential and not kind.is_source
+            if kind is not dff and kind is not pi and kind is not zero and kind is not one
         ]
 
     @property
@@ -415,6 +422,8 @@ class Circuit:
             gate_net=self._gate_net,
             gate_type=self._gate_type,
             gate_fanin=self._gate_fanin,
+            inputs=self._inputs,
+            outputs=self._outputs,
             test_pins=self._test_pin_ids(),
             observed=self._observed_ids(),
             order=self._topological_gates(),

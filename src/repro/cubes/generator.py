@@ -107,27 +107,34 @@ def generate_cube_set(spec: CubeSetSpec) -> TestSet:
         scale = care_target / max(budgets.mean(), 1e-9)
         budgets = np.clip(np.round(budgets * scale), 1, spec.n_pins).astype(np.int64)
 
-    pin_indices = np.arange(spec.n_pins)
-    for row, budget in enumerate(budgets):
-        budget = int(budget)
+    n_pins = spec.n_pins
+    # Reused scratch mask for the top-up: marking the chosen pins and taking
+    # the unmarked ones is the sorted ``setdiff1d`` without its per-row sorts.
+    taken = np.zeros(n_pins, dtype=bool)
+    for row, budget in enumerate(budgets.tolist()):
         n_cluster = int(round(spec.cluster_fraction * budget))
         n_scatter = budget - n_cluster
+        # ``chosen`` stays a set filled in this order: its iteration order
+        # decides which pin receives which value draw below, so any other
+        # container (or a sorted one) would change every cube.
         chosen: set = set()
         if n_cluster > 0:
-            start = int(rng.integers(0, spec.n_pins))
-            cluster = [(start + offset) % spec.n_pins for offset in range(n_cluster)]
-            chosen.update(cluster)
+            start = int(rng.integers(0, n_pins))
+            chosen.update([(start + offset) % n_pins for offset in range(n_cluster)])
         if n_scatter > 0:
-            scattered = rng.choice(pin_indices, size=min(n_scatter, spec.n_pins), replace=False, p=affinities)
-            chosen.update(int(i) for i in scattered)
+            scattered = rng.choice(n_pins, size=min(n_scatter, n_pins), replace=False, p=affinities)
+            chosen.update(scattered.tolist())
         # The cluster and the scattered picks can overlap; top the selection up
         # with fresh pins so every cube carries exactly its care-bit budget and
         # the aggregate X density stays on target.
         if len(chosen) < budget:
-            remaining = np.setdiff1d(pin_indices, np.fromiter(chosen, dtype=np.int64), assume_unique=False)
+            marked = list(chosen)
+            taken[marked] = True
+            remaining = np.flatnonzero(~taken)
+            taken[marked] = False
             extra = rng.choice(remaining, size=budget - len(chosen), replace=False)
-            chosen.update(int(i) for i in extra)
-        positions = np.fromiter(chosen, dtype=np.int64)
+            chosen.update(extra.tolist())
+        positions = np.fromiter(chosen, dtype=np.int64, count=len(chosen))
         values = rng.integers(0, 2, size=positions.shape[0]).astype(BIT_DTYPE)
         data[row, positions] = values
 

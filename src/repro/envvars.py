@@ -315,8 +315,8 @@ def _parse_cache_dir(value: object, source: str = "cache dir") -> Optional[str]:
 CACHE_DIR = declare(
     "REPRO_CACHE_DIR",
     _parse_cache_dir,
-    "Workload cube-cache directory; `0`/`off`/`none`/empty disables "
-    "caching.",
+    "Cube-cache directory (PODEM cube sets only); `0`/`off`/`none`/empty "
+    "disables caching.",
     default=".repro_cache",
     default_doc="`.repro_cache`",
     keep_empty=True,

@@ -13,8 +13,11 @@ Two cube sources exist, chosen per profile:
   paper reports in Table I.  Used for the medium/large profiles, where
   running PODEM in pure Python would dominate the experiment runtime.
 
-Workloads are cached in memory (per process) and optionally on disk, because
-every table of the evaluation reuses the same workloads.
+Workloads are cached in memory (per process), because every table of the
+evaluation reuses the same workloads.  PODEM cube sets are also cached on
+disk.  Synthetic sets are not: they depend only on ``(n_pins, n_patterns,
+x_fraction, seed)``, and regenerating one costs about what a cache hit spends
+digesting the circuit for its key.
 
 Environment variables
 ---------------------
@@ -23,8 +26,9 @@ Environment variables
 ``REPRO_FULL_SCALE=1``
     do not scale the large profiles (slow; full-size circuits and cube sets).
 ``REPRO_CACHE_DIR``
-    directory for the on-disk workload cache (default ``.repro_cache`` in the
-    working directory); set to ``0`` or ``off`` to disable.
+    directory for the on-disk cache of PODEM cube sets (default
+    ``.repro_cache`` in the working directory); set to ``0`` or ``off`` to
+    disable.
 """
 
 from __future__ import annotations
@@ -144,25 +148,18 @@ def _store_cached_cubes(key: str, cubes: TestSet) -> None:
             pass
 
 
-def _cube_cache_key(
-    profile: BenchmarkProfile, circuit: Circuit, source: str, seed: int
-) -> str:
-    """Disk-cache key for one workload's cube set.
+def _cube_cache_key(profile: BenchmarkProfile, circuit: Circuit, seed: int) -> str:
+    """Disk-cache key for one workload's PODEM cube set.
 
     The key must change whenever *anything* that shaped the cubes changes:
     besides the profile/seed/shape it therefore includes the circuit's
     content digest (an edited netlist must not be served another netlist's
-    cubes) and, for the PODEM source, the ATPG knobs (a changed backtrack
-    limit, fault cap or dropping mode produces different cubes from the same
-    circuit).  The synthetic source instead depends on the targeted X
-    density.
+    cubes) and the ATPG knobs (a changed backtrack limit, fault cap or
+    dropping mode produces different cubes from the same circuit).
     """
-    if source == "podem":
-        knobs = f"bt{ATPG_BACKTRACK_LIMIT}_mf{ATPG_MAX_FAULTS}_drop1"
-    else:
-        knobs = f"x{profile.x_fraction:.4f}"
+    knobs = f"bt{ATPG_BACKTRACK_LIMIT}_mf{ATPG_MAX_FAULTS}_drop1"
     return (
-        f"{profile.name}_{source}_s{seed}_{circuit.n_test_pins}x{profile.n_patterns}"
+        f"{profile.name}_podem_s{seed}_{circuit.n_test_pins}x{profile.n_patterns}"
         f"_{circuit.structure_digest()[:12]}_{knobs}"
     )
 
@@ -208,17 +205,16 @@ def build_workload(name: str, seed: int = 0) -> Workload:
         scale = SCALED_GATE_TARGET / profile.gates
     circuit = itc99_like(profile.name, scale=None if scale == 1.0 else scale, seed=seed)
 
-    use_podem = profile.gates <= ATPG_GATE_LIMIT
-    source = "podem" if use_podem else "synthetic"
-    cache_key = _cube_cache_key(profile, circuit, source, seed)
-
-    cubes = _load_cached_cubes(cache_key, circuit.n_test_pins)
-    if cubes is None:
-        if use_podem:
+    if profile.gates <= ATPG_GATE_LIMIT:
+        source = "podem"
+        cache_key = _cube_cache_key(profile, circuit, seed)
+        cubes = _load_cached_cubes(cache_key, circuit.n_test_pins)
+        if cubes is None:
             cubes = _build_podem_cubes(circuit, profile, seed)
-        else:
-            cubes = _build_synthetic_cubes(circuit, profile, seed)
-        _store_cached_cubes(cache_key, cubes)
+            _store_cached_cubes(cache_key, cubes)
+    else:
+        source = "synthetic"
+        cubes = _build_synthetic_cubes(circuit, profile, seed)
 
     return Workload(
         name=profile.name,

@@ -17,6 +17,7 @@ compared, so the *ranking* of techniques is meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict
 
 import numpy as np
@@ -79,6 +80,30 @@ class CapacitanceModel:
         return np.array([self.net_capacitance_ff[n] for n in nets], dtype=np.float64)
 
 
+def _capacitances(
+    readers: np.ndarray, technology: TechnologyParameters, seed: int
+) -> np.ndarray:
+    """Capacitance of each net from its reader count, in the order given.
+
+    The per-net wire-length lottery is drawn in that order, so it must be
+    :meth:`Circuit.nets` order for every caller to see the same weights.
+    """
+    rng = np.random.default_rng(seed)
+    readers = np.maximum(readers, 1)
+    # Fan-out counts take few distinct values: raising each one with python's
+    # ``**`` keeps the scalar libm ``pow`` rounding exactly, which NumPy's
+    # vectorised ``power`` does not promise.
+    distinct, slot = np.unique(readers, return_inverse=True)
+    spread = np.array([int(count) ** 1.15 for count in distinct], dtype=np.float64)[slot]
+    # One draw of ``len(readers)`` doubles is the same stream as one draw per net.
+    wire_lottery = 1.0 + technology.wire_variation * (2.0 * rng.random(len(readers)) - 1.0)
+    gate_load = technology.gate_input_cap_ff * readers
+    wire_load = (
+        technology.base_wire_cap_ff + technology.wire_cap_per_fanout_ff * spread
+    ) * wire_lottery
+    return gate_load + wire_load
+
+
 def extract_capacitances(
     circuit: Circuit,
     technology: TechnologyParameters = TechnologyParameters(),
@@ -93,24 +118,39 @@ def extract_capacitances(
             same circuit always gets the same extraction — comparisons between
             fills/orderings see identical weights).
     """
-    rng = np.random.default_rng(seed)
     nets = circuit.nets()
     fanout = circuit.fanout_counts()
-    readers = np.maximum(np.array([fanout.get(net, 0) for net in nets], dtype=np.int64), 1)
-    # Fan-out counts take few distinct values: raising each one with python's
-    # ``**`` keeps the scalar libm ``pow`` rounding exactly, which NumPy's
-    # vectorised ``power`` does not promise.
-    distinct, slot = np.unique(readers, return_inverse=True)
-    spread = np.array([int(count) ** 1.15 for count in distinct], dtype=np.float64)[slot]
-    # One draw of ``len(nets)`` doubles is the same stream as one draw per net.
-    wire_lottery = 1.0 + technology.wire_variation * (2.0 * rng.random(len(nets)) - 1.0)
-    gate_load = technology.gate_input_cap_ff * readers
-    wire_load = (
-        technology.base_wire_cap_ff + technology.wire_cap_per_fanout_ff * spread
-    ) * wire_lottery
-    capacitances: Dict[str, float] = dict(zip(nets, (gate_load + wire_load).tolist()))
+    readers = np.array([fanout.get(net, 0) for net in nets], dtype=np.int64)
+    capacitances = _capacitances(readers, technology, seed)
     return CapacitanceModel(
         circuit_name=circuit.name,
         technology=technology,
-        net_capacitance_ff=capacitances,
+        net_capacitance_ff=dict(zip(nets, capacitances.tolist())),
     )
+
+
+def row_capacitances(
+    circuit: Circuit,
+    technology: TechnologyParameters = TechnologyParameters(),
+    seed: int = 0,
+) -> np.ndarray:
+    """The capacitances of :func:`extract_capacitances`, in value-table row order.
+
+    Rows are the simulators' order: test pins, then
+    :meth:`Circuit.topological_order`.  The result is bit-equal to
+    ``extract_capacitances(circuit, technology, seed).as_array(rows)`` but is
+    computed from the netlist's integer columns, without a name per net.
+    """
+    columns = circuit.columns()
+    n_ids = len(columns.net_names)
+    gate_net = np.asarray(columns.gate_net, dtype=np.int64)
+    # Circuit.nets() order, which the lottery is drawn in.
+    net_ids = np.concatenate([np.asarray(columns.inputs, dtype=np.int64), gate_net])
+    reads = np.fromiter(chain.from_iterable(columns.gate_fanin), dtype=np.int64)
+    reads = np.concatenate([reads, np.asarray(columns.outputs, dtype=np.int64)])
+    readers = np.bincount(reads, minlength=n_ids)[net_ids]
+    by_id = np.zeros(n_ids, dtype=np.float64)
+    by_id[net_ids] = _capacitances(readers, technology, seed)
+    order = np.asarray(columns.order, dtype=np.int64)
+    rows = np.concatenate([np.asarray(columns.test_pins, dtype=np.int64), gate_net[order]])
+    return by_id[rows]

@@ -14,6 +14,7 @@ input-vs-circuit-toggle correlation argument.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -21,7 +22,12 @@ import numpy as np
 from repro.circuit.netlist import Circuit
 from repro.cubes.cube import TestSet
 from repro.engine.backend import SimulationBackend, get_backend
-from repro.power.capacitance import CapacitanceModel, TechnologyParameters, extract_capacitances
+from repro.power.capacitance import (
+    CapacitanceModel,
+    TechnologyParameters,
+    extract_capacitances,
+    row_capacitances,
+)
 from repro.power.switching import SwitchingActivity, switching_activity
 
 
@@ -57,9 +63,11 @@ class PowerEstimator:
     Building the estimator extracts capacitances and compiles the logic
     simulator once; :meth:`estimate` can then be called for every
     fill/ordering combination cheaply, which is what the Table VI sweep does.
-    The capacitance array is resolved once, here, in the value-table row
-    order every simulator follows (test pins, then
-    :meth:`Circuit.topological_order`).
+    The capacitance array is built once, here, straight in the value-table
+    row order every simulator follows (test pins, then
+    :meth:`Circuit.topological_order`; see
+    :func:`~repro.power.capacitance.row_capacitances`).  The name-keyed
+    :attr:`capacitance` model is extracted only when read.
 
     Memory: on the packed backend an estimate holds the packed boundary
     flips (one bit per net and boundary, an eighth of the bool value table)
@@ -86,10 +94,14 @@ class PowerEstimator:
     ) -> None:
         self.circuit = circuit
         self.technology = technology
-        self.capacitance: CapacitanceModel = extract_capacitances(circuit, technology, seed=seed)
+        self._seed = seed
         self._simulator = get_backend(backend).logic_simulator(circuit)
-        rows = circuit.combinational_inputs + circuit.topological_order()
-        self._caps = self.capacitance.as_array(rows)
+        self._caps = row_capacitances(circuit, technology, seed=seed)
+
+    @cached_property
+    def capacitance(self) -> CapacitanceModel:
+        """Per-net capacitances by net name (the weights :meth:`estimate` uses)."""
+        return extract_capacitances(self.circuit, self.technology, seed=self._seed)
 
     def estimate(self, patterns: TestSet) -> PowerReport:
         """Estimate capture power for an ordered, filled pattern set."""

@@ -252,6 +252,44 @@ def test_topological_orders_are_pinned(name):
     assert blake2b(order.encode(), digest_size=16).hexdigest() == TOPO_ORDER_DIGESTS[name]
 
 
+def _predicate_logic_gates(circuit: Circuit):
+    """The combinational gates, selected through the ``GateType`` predicates."""
+    return [
+        gate
+        for gate in circuit.gates.values()
+        if not gate.gate_type.is_sequential and not gate.gate_type.is_source
+    ]
+
+
+@pytest.mark.parametrize("name", default_benchmark_names())
+def test_gate_counts_of_default_profiles(name):
+    from repro.benchmarks_data.profiles import get_profile
+
+    circuit = _generated(name)
+    reference = _predicate_logic_gates(circuit)
+    assert circuit.combinational_gates == reference
+    assert circuit.n_gates == len(reference) == get_profile(name).gates
+
+
+def test_gate_counts_skip_every_non_logic_type():
+    logic = [kind for kind in GateType if not kind.is_sequential and not kind.is_source]
+    circuit = Circuit("every_type")
+    circuit.add_input("a")
+    circuit.add_input("b")
+    circuit.add_gate("zero", GateType.CONST0, [])
+    circuit.add_gate("one", GateType.CONST1, [])
+    circuit.add_gate("src", GateType.INPUT, [])
+    circuit.add_gate("q", GateType.DFF, ["d"])
+    for kind in logic:
+        circuit.add_gate(f"g_{kind.name}", kind, ["a"] if kind.arity_ok(1) else ["a", "q"])
+    circuit.add_gate("d", GateType.AND, ["zero", "one", "src", "b"])
+    circuit.add_output("d")
+    outputs = [gate.output for gate in circuit.combinational_gates]
+    assert outputs == [f"g_{kind.name}" for kind in logic] + ["d"]
+    assert circuit.combinational_gates == _predicate_logic_gates(circuit)
+    assert circuit.n_gates == len(logic) + 1
+
+
 class TestCircuitAnalysis:
     def test_c17_statistics(self):
         circuit = c17()

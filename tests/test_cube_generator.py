@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,67 @@ class TestGeneration:
         stats = stretch_histogram(clustered)
         # With 80 % X density there must be stretches spanning several patterns.
         assert stats.max_length >= 3
+
+
+def _matrix_digest(ts) -> str:
+    matrix = np.ascontiguousarray(ts.matrix)
+    assert matrix.dtype == np.int8
+    return hashlib.blake2b(matrix.tobytes(), digest_size=16).hexdigest()
+
+
+#: blake2b digests of ``generate_cube_set(spec).matrix``.  A changed digest
+#: means a changed random stream: every synthetic row of every report moves.
+STREAM_DIGESTS = {
+    # long-sets: full-size b14 (275 pins), 2048 cubes at Table I's 77.9 % X.
+    "long_sets_b14": (
+        CubeSetSpec(n_pins=275, n_patterns=2048, x_fraction=0.779, seed=0),
+        "bf603383d5145600544dfcdbbe26c050",
+    ),
+    # The full-scale b18 cube set: 3357 pins, 256 cubes at 86.9 % X.
+    "fullscale_b18": (
+        CubeSetSpec(n_pins=3357, n_patterns=256, x_fraction=0.869, seed=0),
+        "bd0cdb125ec7a6a41894a894912032ff",
+    ),
+    # Low X: most budgets clip at n_pins.
+    "low_x_clipped": (
+        CubeSetSpec(n_pins=24, n_patterns=40, x_fraction=0.05, seed=1),
+        "4a46bec5dac6aa91346e7450873cf735",
+    ),
+    # No cluster and clipped budgets: the scatter draws every pin.
+    "scatter_all_pins": (
+        CubeSetSpec(n_pins=16, n_patterns=30, x_fraction=0.05, cluster_fraction=0.0, seed=2),
+        "ca16e104a2bafc87cb71f2480205d196",
+    ),
+    "cluster_0": (
+        CubeSetSpec(n_pins=60, n_patterns=40, x_fraction=0.7, cluster_fraction=0.0, seed=3),
+        "f8c02e0ec44890edc782a7758fdb1ce0",
+    ),
+    "cluster_1": (
+        CubeSetSpec(n_pins=60, n_patterns=40, x_fraction=0.7, cluster_fraction=1.0, seed=3),
+        "b974a7b2e58e64ca49570726ffa94ef9",
+    ),
+}
+
+
+class TestStreamDigests:
+    """The generator's output is pinned bit for bit, draw for draw."""
+
+    @pytest.mark.parametrize("case", sorted(STREAM_DIGESTS))
+    def test_matrix_digest_is_pinned(self, case):
+        spec, digest = STREAM_DIGESTS[case]
+        ts = generate_cube_set(spec)
+        assert ts.matrix.shape == (spec.n_patterns, spec.n_pins)
+        assert _matrix_digest(ts) == digest
+
+    def test_low_x_budgets_fill_whole_cubes(self):
+        spec = STREAM_DIGESTS["low_x_clipped"][0]
+        care = spec.n_pins - generate_cube_set(spec).x_counts_per_pattern()
+        assert (care == spec.n_pins).any()
+
+    def test_scatter_covers_every_pin(self):
+        spec = STREAM_DIGESTS["scatter_all_pins"][0]
+        care = spec.n_pins - generate_cube_set(spec).x_counts_per_pattern()
+        assert (care == spec.n_pins).any()
 
 
 class TestFullySpecifiedGenerator:

@@ -47,7 +47,7 @@ from repro.engine import NaiveFaultSimulator, PackedFaultSimulator, PackedLogicS
 from repro.engine.compile import compile_circuit
 from repro.engine.packed import boundary_flips, lanes_to_bytes, pack_lanes
 from repro.power import switching
-from repro.power.capacitance import TechnologyParameters, extract_capacitances
+from repro.power.capacitance import TechnologyParameters, extract_capacitances, row_capacitances
 from repro.power.estimator import PowerEstimator
 from repro.scan.application import ScanTestApplication
 from tests.helpers import (
@@ -285,6 +285,15 @@ def test_capacitances_match_reference(circuit, seed, wire_variation, caps):
     assert list(model.net_capacitance_ff) == list(reference)
     for net, value in reference.items():
         _assert_identical(model.net_capacitance_ff[net], value, net)
+
+
+@settings(max_examples=100, deadline=None)
+@given(circuit=circuits(), seed=SEEDS)
+def test_row_capacitances_match_reference(circuit, seed):
+    reference = reference_capacitances(circuit, TechnologyParameters(), seed)
+    rows = circuit.combinational_inputs + circuit.topological_order()
+    expected = np.array([reference[net] for net in rows], dtype=np.float64)
+    assert row_capacitances(circuit, seed=seed).tobytes() == expected.tobytes()
 
 
 #: Pattern counts of the switching kernel: no boundary, one, two, and both

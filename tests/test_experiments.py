@@ -95,12 +95,12 @@ class TestWorkloadCacheKey:
 
         profile = get_profile("b01")
         edited = self._fresh_circuit("b01")
-        before = _cube_cache_key(profile, edited, "podem", seed=0)
+        before = _cube_cache_key(profile, edited, seed=0)
         assert edited.structure_digest()[:12] in before
         inputs = edited.combinational_inputs
         edited.add_gate("extra_probe", GateType.AND, [inputs[0], inputs[1]])
         edited.add_output("extra_probe")
-        assert _cube_cache_key(profile, edited, "podem", seed=0) != before
+        assert _cube_cache_key(profile, edited, seed=0) != before
 
     def test_key_tracks_atpg_knobs(self, monkeypatch):
         import repro.experiments.workloads as workloads_module
@@ -108,23 +108,51 @@ class TestWorkloadCacheKey:
 
         profile = get_profile("b01")
         circuit = self._fresh_circuit("b01")
-        before = _cube_cache_key(profile, circuit, "podem", seed=0)
+        before = _cube_cache_key(profile, circuit, seed=0)
         monkeypatch.setattr(workloads_module, "ATPG_BACKTRACK_LIMIT", 99)
-        changed_limit = _cube_cache_key(profile, circuit, "podem", seed=0)
+        changed_limit = _cube_cache_key(profile, circuit, seed=0)
         assert changed_limit != before
         monkeypatch.setattr(workloads_module, "ATPG_MAX_FAULTS", 7)
-        assert _cube_cache_key(profile, circuit, "podem", seed=0) != changed_limit
+        assert _cube_cache_key(profile, circuit, seed=0) != changed_limit
 
-    def test_synthetic_key_tracks_x_density(self):
-        from dataclasses import replace
+    @staticmethod
+    def _cached_files(directory):
+        return sorted(path for path in directory.rglob("*") if path.is_file())
 
-        from repro.experiments.workloads import _cube_cache_key
+    def test_synthetic_workload_writes_no_cache_file(self, tmp_path, monkeypatch):
+        cache = tmp_path / "cube-cache"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
+        build_workload.cache_clear()
+        try:
+            assert build_workload("b04").cube_source == "synthetic"
+        finally:
+            build_workload.cache_clear()
+        assert not cache.exists() or self._cached_files(cache) == []
 
-        profile = get_profile("b04")
-        circuit = self._fresh_circuit("b04")
-        key = _cube_cache_key(profile, circuit, "synthetic", seed=0)
-        denser = replace(profile, x_percent=profile.x_percent / 2)
-        assert _cube_cache_key(denser, circuit, "synthetic", seed=0) != key
+    def test_podem_workload_round_trips_through_one_cache_file(self, tmp_path, monkeypatch):
+        import repro.experiments.workloads as workloads_module
+
+        cache = tmp_path / "cube-cache"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
+        build_workload.cache_clear()
+        try:
+            cold = build_workload("b01")
+            assert cold.cube_source == "podem"
+            files = self._cached_files(cache)
+            assert len(files) == 1 and files[0].suffix == ".npz"
+            build_workload.cache_clear()
+
+            def no_atpg(*args, **kwargs):
+                raise AssertionError("a warm rebuild must load the cached cubes")
+
+            monkeypatch.setattr(workloads_module, "_build_podem_cubes", no_atpg)
+            warm = build_workload("b01")
+        finally:
+            build_workload.cache_clear()
+        assert warm is not cold
+        assert self._cached_files(cache) == files
+        assert warm.cubes.matrix.dtype == cold.cubes.matrix.dtype
+        assert warm.cubes.matrix.tobytes() == cold.cubes.matrix.tobytes()
 
     def test_structure_digest_is_content_stable(self):
         a = self._fresh_circuit("b01")

@@ -12,7 +12,7 @@ from repro.cubes.cube import TestSet
 from repro.cubes.generator import generate_cube_set_like, random_fully_specified_set
 from repro.engine.backend import get_backend
 from repro.filling import get_filler
-from repro.power.capacitance import TechnologyParameters, extract_capacitances
+from repro.power.capacitance import TechnologyParameters, extract_capacitances, row_capacitances
 from repro.power.estimator import PowerEstimator
 from repro.power import switching
 from repro.power.switching import weighted_switching_activity
@@ -132,6 +132,23 @@ class TestCapacitanceModel:
         high = [model.capacitance_of(n) for n, c in counts.items() if c >= 2]
         low = [model.capacitance_of(n) for n, c in counts.items() if c == 1]
         assert np.mean(high) > np.mean(low)
+
+    @pytest.mark.parametrize("name", ["b01", "b10", "b14"])
+    def test_row_capacitances_match_the_model(self, name):
+        circuit = itc99_like(name, seed=0)
+        technology = TechnologyParameters(wire_variation=0.5)
+        rows = circuit.combinational_inputs + circuit.topological_order()
+        expected = extract_capacitances(circuit, technology, seed=3).as_array(rows)
+        actual = row_capacitances(circuit, technology, seed=3)
+        assert actual.dtype == expected.dtype and actual.shape == expected.shape
+        assert actual.tobytes() == expected.tobytes()
+
+    def test_estimator_reads_row_capacitances(self):
+        circuit = c17()
+        estimator = PowerEstimator(circuit, seed=2)
+        assert "capacitance" not in estimator.__dict__
+        rows = circuit.combinational_inputs + circuit.topological_order()
+        assert estimator._caps.tobytes() == estimator.capacitance.as_array(rows).tobytes()
 
     def test_invalid_technology_parameters(self):
         with pytest.raises(ValueError):
