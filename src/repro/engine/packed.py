@@ -16,19 +16,22 @@ bit beyond the pattern count.  The fault-grading kernels in
 :mod:`repro.engine.fault` evaluate the good machine with the same
 :func:`evaluate_lanes`.
 
-Toggle consumers (the power model's switching kernel, scan capture
-activity, :meth:`PackedLogicSimulator.gate_activity`) never see a value
-table: :meth:`PackedLogicSimulator.boundary_flips` writes the lanes once
-into a packed ``uint8`` table (:func:`lanes_to_bytes`) and forms every
-boundary flip with a byte-wise shift-xor (:func:`boundary_flips`), an
-eighth of the bytes of the ``(n_nets, n_patterns)`` bool table that
-``simulate`` / ``observe_outputs`` / ``net_value_matrix`` expand.
+Toggle consumers (the power model's switching fold, scan capture activity,
+:meth:`PackedLogicSimulator.gate_activity`) never see a value table:
+:meth:`PackedLogicSimulator.fold_flips` evaluates the program a node block
+at a time (:func:`evaluate_lanes` with a consumer), writes each block's
+lanes into a packed ``uint8`` table (:func:`lanes_to_bytes`), forms their
+boundary flips with a byte-wise shift-xor (:func:`boundary_flips`) and
+drops every lane after its last reader (:func:`release_schedule`).  Several
+pattern sets share one pass by lying side by side in each lane
+(:func:`stack_lanes`).  Only the lanes still to be read are alive at once:
+on b18, at most ~10% of them.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import chain, repeat
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -115,23 +118,59 @@ def boundary_flips(packed: np.ndarray, n_patterns: int) -> np.ndarray:
 
 
 # -- lane evaluation -------------------------------------------------------
-def evaluate_lanes(
-    program: CompiledCircuit, input_lanes: Sequence[int], mask: int
-) -> List[int]:
-    """Evaluate the compiled program over big-int lanes.
+#: Nodes :func:`evaluate_lanes` evaluates between two calls of its consumer.
+_NODE_BLOCK = 512
 
-    Args:
-        program: compiled circuit.
-        input_lanes: one lane per test pin (rows ``0..n_inputs-1``).
-        mask: ``(1 << n_patterns) - 1``; inverting ops XOR against it so no
-            garbage bits ever exist beyond the pattern count.
 
-    Returns:
-        One lane per value-table row, in row order.
+def stack_lanes(matrices: Iterable[np.ndarray]) -> Tuple[List[int], int]:
+    """Lay several pattern matrices side by side in one lane per pin.
+
+    Set ``k``'s patterns occupy bits ``offset_k .. offset_k + n_k - 1``,
+    where ``offset_k`` is the pattern count of the sets before it: each
+    set's :func:`pack_lanes` is shifted into place and or-ed in.  Returns
+    the lanes and the total pattern count.
     """
-    values: List[int] = [0] * program.n_nets
-    values[: program.n_inputs] = list(input_lanes)
-    for op, out, src in program.node_prog:
+    lanes: List[int] = []
+    width = 0
+    for matrix in matrices:
+        part = pack_lanes(matrix)
+        lanes = [lane | (bits << width) for lane, bits in zip(lanes, part)] if width else part
+        width += matrix.shape[0]
+    return lanes, width
+
+
+def release_schedule(program: CompiledCircuit, block: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Rows whose lanes may be dropped after each node block.
+
+    Returns ``(rows, bounds)``: ``rows[bounds[0]:bounds[1]]`` are the
+    test-pin rows no node reads, and ``rows[bounds[b + 1]:bounds[b + 2]]``
+    the rows whose last reader is a node of block ``b`` (nodes
+    ``b * block .. (b + 1) * block - 1``), or that block writes and no node
+    reads.  Node ``p`` writes row ``n_inputs + p``, so a row is always
+    written before (or in) the block that releases it.
+    """
+    node_prog = program.node_prog
+    n_nodes = len(node_prog)
+    fanins = np.fromiter(map(len, (src for _, _, src in node_prog)), dtype=np.int32, count=n_nodes)
+    readers = np.fromiter(
+        chain.from_iterable(src for _, _, src in node_prog), dtype=np.int32, count=int(fanins.sum())
+    )
+    last = np.full(program.n_nets, -1, dtype=np.int32)
+    np.maximum.at(last, readers, np.repeat(np.arange(n_nodes, dtype=np.int32), fanins))
+    del readers
+    np.maximum(last, np.arange(-program.n_inputs, n_nodes, dtype=np.int32), out=last)
+    last //= block
+    last += 1
+    rows = np.argsort(last, kind="stable")
+    n_blocks = -(-n_nodes // block)
+    return rows, np.searchsorted(last[rows], np.arange(n_blocks + 2))
+
+
+def _evaluate_nodes(
+    values: List[Optional[int]], nodes: Sequence[Tuple[int, int, Tuple[int, ...]]], mask: int
+) -> None:
+    """Evaluate ``nodes`` in order, writing each output lane into ``values``."""
+    for op, out, src in nodes:
         if op == OP_AND or op == OP_NAND:
             acc = values[src[0]]
             for row in src[1:]:
@@ -159,7 +198,50 @@ def evaluate_lanes(
         else:  # OP_CONST1
             acc = mask
         values[out] = acc
-    return values
+
+
+def evaluate_lanes(
+    program: CompiledCircuit,
+    input_lanes: Sequence[int],
+    mask: int,
+    consumer: Optional[Callable[[int, List[int]], None]] = None,
+) -> Optional[List[int]]:
+    """Evaluate the compiled program over big-int lanes.
+
+    Args:
+        program: compiled circuit.
+        input_lanes: one lane per test pin (rows ``0..n_inputs-1``).
+        mask: ``(1 << n_patterns) - 1``; inverting ops XOR against it so no
+            garbage bits ever exist beyond the pattern count.
+        consumer: when given, the lanes are streamed instead of returned:
+            ``consumer(first_row, lanes)`` first receives the test-pin rows,
+            then, after each block of ``_NODE_BLOCK`` nodes, the rows that
+            block wrote — every row exactly once, in row order.  After each
+            call the lanes whose last reader has run are dropped (see
+            :func:`release_schedule`), so only the rows still to be read stay
+            alive.
+
+    Returns:
+        One lane per value-table row, in row order; ``None`` with a consumer.
+    """
+    values: List[Optional[int]] = [0] * program.n_nets
+    n_inputs = program.n_inputs
+    values[:n_inputs] = list(input_lanes)
+    node_prog = program.node_prog
+    if consumer is None:
+        _evaluate_nodes(values, node_prog, mask)
+        return values
+    released, bounds = release_schedule(program, _NODE_BLOCK)
+    consumer(0, values[:n_inputs])
+    for row in released[bounds[0] : bounds[1]].tolist():
+        values[row] = None
+    for block, lo in enumerate(range(0, len(node_prog), _NODE_BLOCK), 1):
+        nodes = node_prog[lo : lo + _NODE_BLOCK]
+        _evaluate_nodes(values, nodes, mask)
+        consumer(n_inputs + lo, values[n_inputs + lo : n_inputs + lo + len(nodes)])
+        for row in released[bounds[block] : bounds[block + 1]].tolist():
+            values[row] = None
+    return None
 
 
 class PackedLogicSimulator:
@@ -193,13 +275,6 @@ class PackedLogicSimulator:
         """Full ``(n_nets, n_patterns)`` bool value table for ``patterns``."""
         return lanes_to_matrix(*self._lanes(patterns))
 
-    def _flips(self, patterns: np.ndarray) -> Tuple[np.ndarray, int]:
-        """Packed boundary flips (see :func:`boundary_flips`) and the boundary count."""
-        lanes, n_patterns = self._lanes(patterns)
-        packed = lanes_to_bytes(lanes, n_patterns)
-        del lanes  # the byte table replaces the lanes before the flips are formed
-        return boundary_flips(packed, n_patterns), max(n_patterns - 1, 0)
-
     # -- LogicSimulator-compatible surface ---------------------------------
     def simulate(self, patterns: np.ndarray) -> Dict[str, np.ndarray]:
         """Evaluate every net for every pattern (net name -> bool column).
@@ -222,10 +297,14 @@ class PackedLogicSimulator:
     def gate_activity(self, patterns: np.ndarray) -> Dict[str, np.ndarray]:
         """Per-net toggle indicators between consecutive patterns.
 
-        Unpacked from the packed boundary flips, so no value table is built.
+        Unpacked from the streamed packed boundary flips (:meth:`fold_flips`),
+        so no value table is built.
         """
-        flips, n_boundaries = self._flips(patterns)
-        bits = np.unpackbits(flips, axis=1, count=n_boundaries, bitorder="little")
+        matrix = check_pattern_matrix(patterns, self.program.n_inputs)
+        blocks: List[np.ndarray] = []
+        self.fold_flips([matrix], lambda first_row, flips: blocks.append(flips))
+        n_boundaries = max(matrix.shape[0] - 1, 0)
+        bits = np.unpackbits(np.concatenate(blocks), axis=1, count=n_boundaries, bitorder="little")
         toggles = bits.view(bool)
         return {net: toggles[row] for row, net in enumerate(self.program.net_names)}
 
@@ -240,13 +319,26 @@ class PackedLogicSimulator:
         """
         return list(self.program.net_names), self._value_matrix(patterns)
 
-    def boundary_flips(self, patterns: np.ndarray) -> Tuple[List[str], np.ndarray]:
-        """Every net's boundary flips, packed (``(names, (n_nets, n_bytes))``).
+    def fold_flips(
+        self, matrices: Sequence[np.ndarray], fold: Callable[[int, np.ndarray], None]
+    ) -> None:
+        """Stream the packed boundary flips of pattern sets evaluated in one pass.
 
-        Bit ``j`` of row ``r`` (little-endian within each ``uint8``) is set
-        when net ``r`` toggles between pattern ``j`` and ``j + 1``; ``n_bytes``
-        is ``ceil((n_patterns - 1) / 8)``.  Rows follow
-        :meth:`net_value_matrix`.  This is the input of
-        :func:`repro.power.switching.switching_profile`.
+        The sets are laid side by side (:func:`stack_lanes`) and the program
+        is evaluated once over all of them, so the flips have
+        ``sum(n_k) - 1`` boundary columns: set ``k``'s own boundaries start
+        at column ``offset_k``, and the seam column between the last pattern
+        of one set and the first of the next belongs to neither.
+        ``fold(first_row, flips)`` receives every row once, in row order
+        (the rows of :meth:`net_value_matrix`), one node block at a time
+        (:func:`evaluate_lanes`), in the layout of :func:`boundary_flips`.
+        Only the block's bytes and the lanes still to be read are alive at
+        once: no value table, and no byte or flips table of every net.
         """
-        return list(self.program.net_names), self._flips(patterns)[0]
+        n_inputs = self.program.n_inputs
+        lanes, width = stack_lanes(check_pattern_matrix(matrix, n_inputs) for matrix in matrices)
+
+        def consume(first_row: int, block: List[int]) -> None:
+            fold(first_row, boundary_flips(lanes_to_bytes(block, width), width))
+
+        evaluate_lanes(self.program, lanes, (1 << width) - 1, consume)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
+from typing import List, Sequence, Union
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from repro.power.capacitance import (
     extract_capacitances,
     row_capacitances,
 )
-from repro.power.switching import SwitchingActivity, switching_activity
+from repro.power.switching import SwitchingActivity, switching_activities
 
 
 @dataclass
@@ -62,18 +62,22 @@ class PowerEstimator:
 
     Building the estimator extracts capacitances and compiles the logic
     simulator once; :meth:`estimate` can then be called for every
-    fill/ordering combination cheaply, which is what the Table VI sweep does.
-    The capacitance array is built once, here, straight in the value-table
-    row order every simulator follows (test pins, then
+    fill/ordering combination cheaply, and :meth:`estimate_many` grades
+    several fills in one simulation pass, which is what the Table VI sweep
+    does.  The capacitance array is built once, here, straight in the
+    value-table row order every simulator follows (test pins, then
     :meth:`Circuit.topological_order`; see
     :func:`~repro.power.capacitance.row_capacitances`).  The name-keyed
     :attr:`capacitance` model is extracted only when read.
 
-    Memory: on the packed backend an estimate holds the packed boundary
-    flips (one bit per net and boundary, an eighth of the bool value table)
-    plus ``O(block x n_patterns)`` for the unpacked toggles and switched
-    capacitance (see :func:`~repro.power.switching.switching_profile`); no
-    value table and never an ``n_nets x n_patterns`` float table.
+    Memory: on the packed backend the boundary flips stream from the lanes a
+    node block at a time and each lane is dropped after its last reader, so
+    a grading holds the lanes still to be read, one block's packed flips
+    and ``O(block x n_patterns)`` for the unpacked toggles and switched
+    capacitance (see :class:`~repro.power.switching.SwitchingFold`): no
+    value table, no flips table of every net and never an
+    ``n_nets x n_patterns`` float table.  :meth:`estimate_many` lays its
+    sets side by side, so ``n_patterns`` is then their total.
 
     Args:
         circuit: circuit under test.
@@ -105,7 +109,19 @@ class PowerEstimator:
 
     def estimate(self, patterns: TestSet) -> PowerReport:
         """Estimate capture power for an ordered, filled pattern set."""
-        activity = switching_activity(self.circuit, patterns, self._caps, self._simulator)
+        return self.estimate_many([patterns])[0]
+
+    def estimate_many(self, sets: Sequence[TestSet]) -> List[PowerReport]:
+        """Estimate capture power for several ordered, filled pattern sets.
+
+        The sets are simulated in one pass (see
+        :func:`~repro.power.switching.switching_profiles`); each report is
+        bit-identical to that of :meth:`estimate` on its set alone.
+        """
+        activities = switching_activities(self.circuit, sets, self._caps, self._simulator)
+        return [self._report(activity) for activity in activities]
+
+    def _report(self, activity: SwitchingActivity) -> PowerReport:
         switched_farads = activity.switched_capacitance_ff * 1e-15
         power_watts = (
             0.5

@@ -6,17 +6,19 @@ capacitance gives the switched capacitance per capture cycle, the quantity
 dynamic power is proportional to.
 
 The toggles arrive *packed*: one ``uint8`` row per net, bit ``j`` (little
-endian) set when the net flips between pattern ``j`` and ``j + 1``.  The
-packed backend forms them straight from its big-int lanes
-(:meth:`~repro.engine.packed.PackedLogicSimulator.boundary_flips`); any other
-simulator's value table goes through :func:`pack_flips`.  One kernel,
-:func:`switching_profile`, grades both.
+endian) set when the net flips between pattern ``j`` and ``j + 1``.  One
+fold, :class:`SwitchingFold`, grades them block by block in row order.  The
+packed backend streams its flips straight from its big-int lanes, a node
+block at a time
+(:meth:`~repro.engine.packed.PackedLogicSimulator.fold_flips`), and grades
+several pattern sets in one simulation pass (:func:`switching_profiles`);
+the naive backend's value table goes through :func:`pack_flips`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -24,7 +26,7 @@ from repro.circuit.netlist import Circuit
 from repro.circuit.simulator import check_pattern_matrix
 from repro.cubes.cube import TestSet
 from repro.engine.backend import get_backend
-from repro.power.capacitance import CapacitanceModel, extract_capacitances
+from repro.power.capacitance import CapacitanceModel, row_capacitances
 
 
 @dataclass
@@ -73,41 +75,85 @@ class SwitchingActivity:
         return float(np.corrcoef(a, b)[0, 1])
 
 
-#: Rows one block of :func:`switching_profile` unpacks; it caps the kernel's
-#: memory at ``O(block x patterns)`` instead of a float table as large as the
-#: whole ``n_nets x n_patterns`` value table.
-_BLOCK_ROWS = 512
+#: Rows :class:`SwitchingFold` unpacks and weights at a time; it caps the
+#: fold's memory at ``O(block x boundaries)`` instead of a float table as
+#: large as the whole ``n_nets x n_patterns`` value table.
+_BLOCK_ROWS = 16
 
 
 def pack_flips(values: np.ndarray) -> np.ndarray:
     """Packed boundary flips of a ``(n_nets, n_patterns)`` bool value table.
 
-    The layout of :meth:`~repro.engine.packed.PackedLogicSimulator.boundary_flips`:
+    The layout of :func:`~repro.engine.packed.boundary_flips`:
     ``(n_nets, ceil((n_patterns - 1) / 8))`` ``uint8``, little-endian bits.
     """
     return np.packbits(values[:, 1:] != values[:, :-1], axis=1, bitorder="little")
 
 
-def simulated_flips(simulator: object, patterns: np.ndarray) -> Tuple[List[str], np.ndarray]:
-    """Net names and packed boundary flips of ``patterns`` on ``simulator``.
+class SwitchingFold:
+    """Per-boundary toggle counts and switched capacitance, folded in row order.
 
-    Simulators with ``boundary_flips`` (the packed backend) supply the
-    packed flips themselves; otherwise the value table of
-    ``net_value_matrix`` (the naive backend) — or, for third-party
-    simulators, of the ``simulate`` net dictionary — goes through
-    :func:`pack_flips`.  Rows follow the simulator's net order.
+    Call the fold with ``(first_row, flips)`` for consecutive row blocks of
+    packed flips (the layout of :func:`pack_flips`; bits at and above
+    ``n_boundaries`` are zero), then read :meth:`result`.
+
+    Rows with no toggle are dropped, and the rest are unpacked and weighted
+    ``_BLOCK_ROWS`` rows at a time into one product buffer, so no table of
+    toggles or products as large as the value table is ever built.  The
+    result is bit-identical to the dense ``(T * caps[:, None]).sum(axis=0)``
+    over the unpacked toggle table ``T``, however the rows are blocked:
+    NumPy sums axis 0 of a C-ordered table row by row, so each block adds
+    the running total into its first product row and then sums its rows in
+    the same order, and a dropped row only adds ``+0.0`` to a non-negative
+    running sum.  A single boundary column is summed pairwise instead, so
+    its flips (one byte per row) are kept and taken whole, zero rows
+    included, when the result is read.
+
+    Args:
+        n_boundaries: number of pattern boundaries (columns of the flips).
+        caps: per-row capacitances (fF); the switched capacitance is skipped
+            (``None``) when omitted.
     """
-    flips_getter = getattr(simulator, "boundary_flips", None)
-    if flips_getter is not None:
-        return flips_getter(patterns)
-    matrix_getter = getattr(simulator, "net_value_matrix", None)
-    if matrix_getter is not None:
-        nets, values = matrix_getter(patterns)
-    else:  # third-party simulator: fall back to the net dictionary surface
-        by_net = simulator.simulate(patterns)
-        nets = list(by_net.keys())
-        values = np.vstack([by_net[net] for net in nets])
-    return nets, pack_flips(values)
+
+    def __init__(self, n_boundaries: int, caps: Optional[np.ndarray] = None) -> None:
+        self.n_boundaries = n_boundaries
+        self.caps = caps
+        self.toggles = np.zeros(n_boundaries, dtype=np.int64)
+        self.switched = None if caps is None else np.zeros(n_boundaries, dtype=np.float64)
+        self._products: Optional[np.ndarray] = None
+        self._column: List[np.ndarray] = []
+
+    def __call__(self, first_row: int, flips: np.ndarray) -> None:
+        if self.n_boundaries == 1:
+            self._column.append(flips)
+        elif self.n_boundaries:
+            self._add(first_row, flips, np.flatnonzero(flips.any(axis=1)), _BLOCK_ROWS)
+
+    def _add(self, first_row: int, flips: np.ndarray, rows: np.ndarray, height: int) -> None:
+        for lo in range(0, rows.size, height):
+            picked = rows[lo : lo + height]
+            block = np.unpackbits(flips[picked], axis=1, count=self.n_boundaries, bitorder="little")
+            self.toggles += block.sum(axis=0, dtype=np.int64)
+            if self.caps is None:
+                continue
+            if self._products is None:
+                # One buffer serves every block, so a block's products never
+                # coexist with the previous block's.
+                self._products = np.empty((height, self.n_boundaries))
+            weighted = np.multiply(
+                block, self.caps[first_row + picked, None], out=self._products[: picked.size]
+            )
+            weighted[0] += self.switched
+            self.switched = weighted.sum(axis=0)
+
+    def result(self) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """``(toggles, switched)``: int64 nets toggling at each boundary and
+        the capacitance-weighted toggles, float64 or ``None``."""
+        if self._column:
+            flips = np.concatenate(self._column)
+            self._column = []
+            self._add(0, flips, np.arange(flips.shape[0]), max(flips.shape[0], 1))
+        return self.toggles, self.switched
 
 
 def switching_profile(
@@ -124,44 +170,61 @@ def switching_profile(
             (``None``) when omitted.
 
     Returns:
-        ``(toggles, switched)``: int64 nets toggling at each boundary and the
-        capacitance-weighted toggles, float64 or ``None``.
-
-    Rows with no toggle are dropped, and the rest are unpacked in blocks of
-    ``_BLOCK_ROWS`` rows, so no table of toggles or products as large as the
-    value table is ever built: memory is the packed flips (an eighth of the
-    bool value table) plus ``O(block x n_boundaries)``.  The result is
-    bit-identical to the dense ``(T * caps[:, None]).sum(axis=0)`` over the
-    unpacked toggle table ``T``: NumPy sums axis 0 of a C-ordered table row by
-    row, so each block adds the running total into its first product row and
-    then sums its rows in the same order, and a dropped row only adds
-    ``+0.0`` to a non-negative running sum.  A single boundary column is
-    summed pairwise instead, so a two-pattern table is taken whole in one
-    block, zero rows included (it is one float per net).
+        ``(toggles, switched)`` of :meth:`SwitchingFold.result`, folded over
+        the whole table at once.
     """
     n_rows = flips.shape[0]
     if caps is not None and caps.shape[0] != n_rows:
         raise ValueError(f"{caps.shape[0]} capacitances for {n_rows} rows")
-    toggles = np.zeros(n_boundaries, dtype=np.int64)
-    switched = None if caps is None else np.zeros(n_boundaries, dtype=np.float64)
-    if n_boundaries > 1:
-        rows = np.flatnonzero(flips.any(axis=1))
-        height = _BLOCK_ROWS
-    else:
-        rows = np.arange(n_rows)
-        height = max(n_rows, 1)
-    # One product buffer serves every block, so a block's products never
-    # coexist with the previous block's.
-    products = None if caps is None else np.empty((min(height, rows.size), n_boundaries))
-    for lo in range(0, rows.size, height):
-        picked = rows[lo : lo + height]
-        block = np.unpackbits(flips[picked], axis=1, count=n_boundaries, bitorder="little")
-        toggles += block.sum(axis=0, dtype=np.int64)
-        if products is not None:
-            weighted = np.multiply(block, caps[picked, None], out=products[: picked.size])
-            weighted[0] += switched
-            switched = weighted.sum(axis=0)
-    return toggles, switched
+    fold = SwitchingFold(n_boundaries, caps)
+    fold(0, flips)
+    return fold.result()
+
+
+def switching_profiles(
+    simulator: object, matrices: Sequence[np.ndarray], caps: Optional[np.ndarray] = None
+) -> List[Tuple[np.ndarray, Optional[np.ndarray]]]:
+    """:func:`switching_profile` of several pattern matrices, simulated together.
+
+    Sets of more than two patterns share one simulation pass: their patterns
+    are laid side by side, the fold runs over every boundary of the joint
+    set, and each set's columns are sliced out; the seam column between two
+    sets is dropped.  Every column is summed over the same rows in the same
+    order as the set's own table would be (a row the joint pass keeps but
+    the set alone would drop adds ``+0.0``), so each profile is bit-identical
+    to grading its set alone.  A two-pattern set keeps a pass of its own,
+    since its single column is summed pairwise over every row (see
+    :class:`SwitchingFold`); a set of at most one pattern has no boundary and
+    is not simulated.
+
+    Args:
+        simulator: a packed (``fold_flips``) or naive (``net_value_matrix``)
+            logic simulator of the circuit.
+        matrices: fully specified pattern matrices over the test pins.
+        caps: per-row capacitances (fF), or ``None`` for toggles only.
+    """
+    profiles = [(np.zeros(0, dtype=np.int64), None if caps is None else np.zeros(0)) for _ in matrices]
+    shared = [k for k, matrix in enumerate(matrices) if len(matrix) > 2]
+    passes = [shared] if shared else []
+    passes += [[k] for k, matrix in enumerate(matrices) if len(matrix) == 2]
+    for group in passes:
+        widths = [len(matrices[k]) for k in group]
+        fold = SwitchingFold(sum(widths) - 1, caps)
+        if hasattr(simulator, "fold_flips"):
+            simulator.fold_flips([matrices[k] for k in group], fold)
+        else:  # the naive backend: one value table over the sets side by side
+            stacked = np.concatenate([matrices[k] for k in group])
+            fold(0, pack_flips(simulator.net_value_matrix(stacked)[1]))
+        toggles, switched = fold.result()
+        start = 0
+        for k, width in zip(group, widths):
+            columns = slice(start, start + width - 1)
+            profiles[k] = (
+                toggles[columns].copy(),
+                None if switched is None else switched[columns].copy(),
+            )
+            start += width
+    return profiles
 
 
 def weighted_switching_activity(
@@ -179,58 +242,69 @@ def weighted_switching_activity(
         simulator: optionally reuse a prebuilt logic simulator — any engine
             backend simulator or the naive ``LogicSimulator`` (the experiment
             harness evaluates many fills on the same circuit).  When omitted,
-            one is resolved through the backend registry.  Simulators
-            exposing ``boundary_flips`` (packed) or ``net_value_matrix``
-            (naive) skip the per-net dictionary round trip entirely.
+            one is resolved through the backend registry.
 
-    Memory: on the packed backend no value table is built — the packed
-    flips take an eighth of the ``(n_nets, n_patterns)`` bool table, and the
-    toggles and switched capacitance ``O(_BLOCK_ROWS x n_patterns)`` (see
-    :func:`switching_profile`).  Other simulators' bool value tables are
-    packed first (:func:`pack_flips`).
+    Memory: on the packed backend no value table and no flips table of
+    every net is built — the flips stream from the lanes a node block at a
+    time, the lanes are dropped after their last reader, and the toggles and
+    switched capacitance take ``O(_BLOCK_ROWS x n_patterns)`` (see
+    :class:`SwitchingFold`).  The naive backend's bool value table is packed
+    first (:func:`pack_flips`).
 
     Raises:
         ValueError: if the pattern set still contains X bits.
     """
-    return switching_activity(circuit, patterns, capacitance, simulator)
+    return switching_activities(circuit, [patterns], capacitance, simulator)[0]
 
 
-def switching_activity(
+def switching_activities(
     circuit: Circuit,
-    patterns: TestSet,
+    sets: Sequence[TestSet],
     capacitance: Union[CapacitanceModel, np.ndarray, None],
     simulator: Optional[object] = None,
-) -> SwitchingActivity:
-    """:func:`weighted_switching_activity` with resolved capacitances allowed.
+) -> List[SwitchingActivity]:
+    """:func:`weighted_switching_activity` of several pattern sets, simulated together.
 
-    ``capacitance`` is either a model (``None``: extracted with defaults),
-    resolved against the net names the simulator reports, or an array already
-    in the simulator's row order —
-    :class:`~repro.power.estimator.PowerEstimator` resolves that array once.
+    The sets share simulation passes (see :func:`switching_profiles`); each
+    activity is bit-identical to that of its set alone.  ``capacitance`` is
+    a model (``None``: extracted with defaults), resolved in value-table row
+    order (test pins, then :meth:`Circuit.topological_order`), or an array
+    already in that order, which :class:`~repro.power.estimator.PowerEstimator`
+    resolves once.
+
+    Raises:
+        ValueError: if a pattern set still contains X bits.
     """
-    if not patterns.is_fully_specified():
+    if not all(patterns.is_fully_specified() for patterns in sets):
         raise ValueError("switching activity requires fully specified patterns")
-    if len(patterns) <= 1:
-        # No boundaries: skip the simulation entirely, but validate the
-        # circuit and the pattern shape the same way a full run would.
+    short = [patterns for patterns in sets if len(patterns) <= 1]
+    if short:
+        # No boundaries: no simulation, but validate the circuit and the
+        # pattern shape the same way a full run would.
         circuit.validate()
-        check_pattern_matrix(patterns.matrix, circuit.n_test_pins)
-        empty = np.zeros(0)
-        return SwitchingActivity(circuit.name, empty.astype(np.int64), empty, empty.astype(np.int64))
-    if simulator is None:
-        simulator = get_backend().logic_simulator(circuit)
-
-    nets, flips = simulated_flips(simulator, patterns.matrix)
-    if not isinstance(capacitance, np.ndarray):
-        capacitance = (capacitance or extract_capacitances(circuit)).as_array(nets)
-    toggles_per_boundary, switched_cap = switching_profile(flips, len(patterns) - 1, capacitance)
-
-    pin_matrix = patterns.matrix
-    input_toggles = np.count_nonzero(pin_matrix[1:] != pin_matrix[:-1], axis=1).astype(np.int64)
-
-    return SwitchingActivity(
-        circuit_name=circuit.name,
-        toggles_per_boundary=toggles_per_boundary,
-        switched_capacitance_ff=switched_cap,
-        input_toggles_per_boundary=input_toggles,
-    )
+        for patterns in short:
+            check_pattern_matrix(patterns.matrix, circuit.n_test_pins)
+    caps = None
+    if len(short) < len(sets):
+        if simulator is None:
+            simulator = get_backend().logic_simulator(circuit)
+        if isinstance(capacitance, np.ndarray):
+            caps = capacitance
+        elif capacitance is None:
+            caps = row_capacitances(circuit)
+        else:
+            caps = capacitance.as_array(circuit.combinational_inputs + circuit.topological_order())
+    matrices = [patterns.matrix for patterns in sets]
+    activities = []
+    for matrix, (toggles, switched) in zip(matrices, switching_profiles(simulator, matrices, caps)):
+        activities.append(
+            SwitchingActivity(
+                circuit_name=circuit.name,
+                toggles_per_boundary=toggles,
+                switched_capacitance_ff=np.zeros(0) if switched is None else switched,
+                input_toggles_per_boundary=np.count_nonzero(
+                    matrix[1:] != matrix[:-1], axis=1
+                ).astype(np.int64),
+            )
+        )
+    return activities

@@ -29,7 +29,7 @@ from repro.circuit.netlist import Circuit
 from repro.cubes.cube import TestSet
 from repro.cubes.metrics import toggle_profile
 from repro.engine.backend import get_backend
-from repro.power.switching import simulated_flips, switching_profile
+from repro.power.switching import switching_profiles
 from repro.scan.chain import ScanConfiguration, build_scan_chains
 
 
@@ -125,8 +125,7 @@ class ScanTestApplication:
             # Resolved through the backend registry so the packed engine
             # serves scan-application traces too (REPRO_BACKEND overrides).
             self._simulator = get_backend().logic_simulator(self.circuit)
-        _, flips = simulated_flips(self._simulator, patterns.matrix)
-        return switching_profile(flips, max(len(patterns) - 1, 0))[0]
+        return switching_profiles(self._simulator, [patterns.matrix])[0][0]
 
     def _shift_transitions(self, patterns: TestSet) -> List[int]:
         ff_names = [ff.output for ff in self.circuit.flip_flops]

@@ -18,7 +18,10 @@ the compiled program field for field, the capacitance extraction net for
 net, and the blocked switching kernel against the dense toggle table, fed
 the packed flips of both backends (the packed shift-xor and ``np.packbits``
 of a value table), with the block height forced to 1 and 7 so every block
-seam is crossed.  The
+seam is crossed.  ``PowerEstimator.estimate_many``, which streams several
+sets side by side through one pass, must grade each set exactly as the
+dense reference of that set alone, with the node-block and product-row
+sizes forced small.  The
 columnar netlist is checked against itself across construction paths: a
 bulk-built circuit (generator or :meth:`Circuit.from_columns`), a
 gate-by-gate ``add_gate`` rebuild and a ``.bench`` round trip must agree on
@@ -43,7 +46,7 @@ from repro.circuit.library import b01_like_fsm, c17, ripple_counter
 from repro.circuit.netlist import Circuit
 from repro.circuit.simulator import LogicSimulator
 from repro.cubes.cube import TestSet
-from repro.engine import NaiveFaultSimulator, PackedFaultSimulator, PackedLogicSimulator
+from repro.engine import NaiveFaultSimulator, PackedFaultSimulator, PackedLogicSimulator, packed
 from repro.engine.compile import compile_circuit
 from repro.engine.packed import boundary_flips, lanes_to_bytes, pack_lanes
 from repro.power import switching
@@ -354,3 +357,57 @@ def test_power_and_scan_toggles_match_dense(circuit, n_patterns, seed, block):
                 _assert_identical(activity.switched_capacitance_ff, switched, backend)
         trace = ScanTestApplication(circuit).apply(patterns, simulate_circuit=True)
     assert [cycle.circuit_toggles for cycle in trace.capture_cycles] == toggles.tolist()
+
+
+#: Node-block and product-row sizes of the streamed fold: one, a ragged
+#: prime, and wider than most fuzz circuits.
+STREAM_BLOCKS = st.sampled_from([1, 3, 64])
+
+
+def _held_patterns(circuit, n_patterns: int, rng) -> np.ndarray:
+    """Patterns flipping each pin with a per-set rate (0: the set is constant),
+    so a net can toggle in one set of a batch and not in the next."""
+    rate = rng.choice([0.0, 0.02, 0.5])
+    steps = rng.random((n_patterns, circuit.n_test_pins)) < rate
+    steps[:1] = rng.random((min(n_patterns, 1), circuit.n_test_pins)) < 0.5
+    return (np.cumsum(steps, axis=0) % 2).astype(np.int8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    circuit=circuits(),
+    lengths=st.lists(
+        st.one_of(st.sampled_from([0, 1, 2, 3] + SEAM_WIDTHS), st.integers(4, 260)),
+        min_size=1,
+        max_size=6,
+    ),
+    seed=SEEDS,
+    node_block=STREAM_BLOCKS,
+    product_rows=STREAM_BLOCKS,
+)
+def test_batched_power_matches_each_set_alone(circuit, lengths, seed, node_block, product_rows):
+    """``estimate_many`` grades its sets side by side in one streamed pass;
+    every report must equal the dense reference of its own set alone, so a
+    counted seam column, a lane released before its last reader or a lost
+    running total shows."""
+    rng = np.random.default_rng(seed)
+    sets = [TestSet.from_matrix(_held_patterns(circuit, n, rng)) for n in lengths]
+    caps = reference_capacitances(circuit, TechnologyParameters(), seed % 7)
+    references = []
+    for patterns in sets:
+        nets, values = LogicSimulator(circuit).net_value_matrix(patterns.matrix)
+        references.append(reference_switching(values, np.array([caps[n] for n in nets])))
+    with mock.patch.object(packed, "_NODE_BLOCK", node_block), mock.patch.object(
+        switching, "_BLOCK_ROWS", product_rows
+    ):
+        for backend in ("naive", "packed"):
+            reports = PowerEstimator(circuit, seed=seed % 7, backend=backend).estimate_many(sets)
+            assert len(reports) == len(sets)
+            for patterns, report, (toggles, switched) in zip(sets, reports, references):
+                activity = report.activity
+                _assert_identical(activity.toggles_per_boundary, toggles, backend)
+                _assert_identical(activity.switched_capacitance_ff, switched, backend)
+                assert activity.switched_capacitance_ff.tobytes() == switched.tobytes(), backend
+                matrix = patterns.matrix
+                pins = np.count_nonzero(matrix[1:] != matrix[:-1], axis=1).astype(np.int64)
+                _assert_identical(activity.input_toggles_per_boundary, pins, backend)
