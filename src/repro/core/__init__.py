@@ -7,8 +7,8 @@ The package is organised exactly along the paper's sections:
     toggle intervals that form the Bottleneck Coloring Problem instance.
 ``bcp``
     Section VI-A/B — the dynamic-programming lower bound (Algorithm 1), the
-    heap-based greedy colouring (Algorithm 2), and a base-load-aware exact
-    solver for the true peak-input-toggle objective.
+    earliest-deadline-first greedy colouring (Algorithm 2), and a
+    base-load-aware exact solver for the true peak-input-toggle objective.
 ``dpfill``
     Section V-D — constructing the optimally filled pattern set from the
     BCP solution.

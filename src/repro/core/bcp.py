@@ -11,17 +11,20 @@ Three solvers are provided:
   coloured inside it, so the bottleneck is at least
   ``ceil(T(i, j) / (j - i + 1))`` where ``T(i, j)`` counts the contained
   intervals.
-* :func:`greedy_coloring` — the paper's Algorithm 2.  Sweep the colours left
-  to right keeping a min-heap of released intervals ordered by deadline
-  (end) and colour up to ``capacity`` of them per colour.  With
-  ``capacity = lower bound`` this meets the bound, which proves optimality.
+* :func:`greedy_coloring` — the paper's Algorithm 2, which colours
+  earliest deadline first with up to ``capacity`` intervals per colour.  It
+  takes the intervals in deadline (end) order and gives each the earliest
+  colour in its window that still has budget, found through a "next free
+  colour" list (the disjoint-set scheduling of Gabow & Tarjan, JCSS 1985).
+  With ``capacity = lower bound`` this meets the bound, which proves
+  optimality.
 * :func:`solve_weighted_bcp` — a base-load-aware generalisation.  Real cube
   sets also contain *unavoidable* toggles (adjacent specified bits that
   differ); the true peak equals ``max_c (base_c + h_c)``.  Because every
   interval's admissible colour set is a contiguous window, Hall's condition
   reduces to contiguous windows and the optimum is
   ``max(max_c base_c, max_{i<=j} ceil((T(i,j) + sum(base_i..j)) / (j-i+1)))``;
-  the same earliest-deadline-first sweep with per-colour capacities
+  the same earliest-deadline-first colouring with per-colour capacities
   ``B - base_c`` then constructs a witness assignment.
 
 The paper's DP-fill uses the unweighted solver; :func:`repro.core.dpfill.dp_fill`
@@ -37,7 +40,6 @@ rather than the whole ``k x k`` table.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
@@ -53,7 +55,7 @@ Intervals = Union[Sequence[IntervalLike], ExtractionResult]
 
 
 class InfeasibleColoringError(RuntimeError):
-    """Raised when the greedy sweep cannot colour every interval within capacity."""
+    """Raised when the greedy colouring cannot place every interval within capacity."""
 
 
 @dataclass
@@ -225,7 +227,20 @@ def greedy_coloring(
     capacity: Union[int, np.ndarray],
     n_colors: Optional[int] = None,
 ) -> np.ndarray:
-    """Algorithm 2: earliest-deadline-first sweep colouring.
+    """Algorithm 2: earliest-deadline-first colouring.
+
+    The paper sweeps the colours left to right with a min-heap of the
+    released intervals keyed by ``(end, index)`` and pops up to each
+    colour's budget.  This takes the intervals in that same ``(end, index)``
+    order instead and gives each the earliest colour at or after its start
+    that still has budget.  The two agree colour for colour: in the sweep an
+    interval never loses a colour to one with a larger key, because the heap
+    serves smaller keys first, so the colours of the first ``i`` intervals
+    in key order do not depend on the rest.  The ``i``-th interval then gets,
+    in the sweep, the first colour from its start on whose budget the first
+    ``i - 1`` left unspent, which is the colour it gets here.  It misses its
+    deadline in the sweep exactly when no such colour lies within its end,
+    which is exactly when it raises here.
 
     Args:
         intervals: the intervals to colour.
@@ -239,8 +254,9 @@ def greedy_coloring(
 
     Raises:
         InfeasibleColoringError: if some interval cannot be coloured within
-            its window under the given capacities.  With ``capacity`` equal
-            to the corresponding lower bound this never happens.
+            its window under the given capacities (non-positive budgets
+            count as none).  With ``capacity`` equal to the corresponding
+            lower bound this never happens.
     """
     starts, ends = _interval_arrays(intervals)
     return _greedy(starts, ends, capacity, n_colors)
@@ -266,27 +282,30 @@ def _greedy(
         capacities = np.asarray(capacity, dtype=np.int64)
         if capacities.shape[0] < n_colors:
             raise ValueError("capacity array shorter than the number of colours")
-    # The sweep is sequential; plain lists keep its per-step cost low.
-    budgets = np.clip(capacities, 0, None).tolist()
-    order = np.argsort(starts, kind="stable").tolist()
+    # ``free[c]`` points at or before the first colour from ``c`` on with
+    # budget left (``max_end + 1`` is a sentinel past every window); a colour
+    # whose budget runs out points on to ``c + 1``, and each lookup halves its
+    # path.  The loop is sequential; plain lists keep its per-step cost low.
+    budgets = np.clip(capacities[: max_end + 1], 0, None)
+    span = np.arange(max_end + 2)
+    free = np.where(np.append(budgets, 1) > 0, span, span + 1).tolist()
+    budgets = budgets.tolist()
     start_of = starts.tolist()
     end_of = ends.tolist()
     colors = [-1] * k
-    heap: list = []
-    cursor = 0
-    for color in range(max_end + 1):
-        while cursor < k and start_of[order[cursor]] == color:
-            idx = order[cursor]
-            heapq.heappush(heap, (end_of[idx], idx))
-            cursor += 1
-        for __ in range(min(budgets[color], len(heap))):
-            colors[heapq.heappop(heap)[1]] = color
-        if heap and heap[0][0] <= color:
+    for idx in np.argsort(ends, kind="stable").tolist():
+        color = start_of[idx]
+        while free[color] != color:
+            free[color] = free[free[color]]
+            color = free[color]
+        if color > end_of[idx]:
             raise InfeasibleColoringError(
-                f"interval ending at boundary {heap[0][0]} missed its deadline at colour {color}"
+                f"interval [{start_of[idx]}, {end_of[idx]}] has no colour with budget left"
             )
-    if heap or cursor < k:
-        raise InfeasibleColoringError("some intervals were never released or coloured")
+        colors[idx] = color
+        budgets[color] -= 1
+        if not budgets[color]:
+            free[color] = color + 1
     return np.array(colors, dtype=np.int64)
 
 

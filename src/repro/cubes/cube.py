@@ -345,8 +345,8 @@ class TestSet:
             raise ValueError("fill matrix has the wrong shape")
         if (fill == X).any():
             raise ValueError("fill matrix still contains X bits")
-        specified = self._data != X
-        if not np.array_equal(fill[specified], self._data[specified]):
+        # Elementwise, so a transposed (F-ordered) fill is read in place.
+        if ((fill != self._data) & (self._data != X)).any():
             raise ValueError("fill matrix modifies specified (care) bits")
         return TestSet.from_matrix(fill, names=self._names)
 

@@ -6,9 +6,11 @@ is identical; only the ordering changes.
 
 Both steps go through :mod:`repro.experiments.memo`, keyed by the content
 of the cube set (a blake2b digest of its matrix and shape) and the registry
-name: an ordering runs once per cube set, so Table V and Fig. 2 reuse the
-sweeps' orderings, and a fill once per ordered set.  The memo keeps an
-ordering as its permutation and a fill as its peak alone, never as a
+name: an ordering runs once per cube set and a fill once per ordered set,
+so Table V and Fig. 2 reuse the sweeps' orderings, and Table V's Tool,
+XStat and Proposed columns the sweeps' fills.  The memo keeps an ordering
+as its permutation and a fill as its peak plus its bit-packed matrix (the
+one-pass MT, R, 0 and 1 fills as their peak alone), never as an ``int8``
 matrix; holding the ordered and filled sets raised full-scale peak RSS by
 7%.
 """

@@ -5,8 +5,11 @@ and fills again and again: Tables II-IV sweep the fills under the tool,
 X-Stat and I-Orderings, Table V ranks five (ordering, fill) techniques,
 Table VI grades those same technique fills for power, and Fig. 2 reads the
 I-Ordering trace and three ordered sets once more.  Routed through this
-module, each (cube set, ordering), each (ordered set, sweep fill) and each
-(cube set, technique) is computed once per process.
+module, each (cube set, ordering) and each (ordered set, filler) is
+computed once per process.  A technique is a lookup of one (ordered set,
+filler) entry, so Table V reads the fills the sweeps already made: Tool is
+the sweep's best existing fill on the tool order, XStat is the B-fill on
+the X-Stat order and Proposed the DP-fill on the I-Ordering.
 
 Keys are by content: a blake2b digest of the matrix bytes plus its shape,
 and the registry name.  ``TestSet`` defines ``__eq__`` without a hash,
@@ -18,11 +21,12 @@ with a different factory raises.
 
 Entries hold no pin matrices.  An ordering keeps its permutation, peak,
 trace and iteration count, and its ordered set is rebuilt with
-:meth:`~repro.cubes.cube.TestSet.reordered`; a sweep fill keeps its peak;
-a technique keeps its filled matrix bit-packed (an eighth of the ``int8``
-bytes) with its pattern names and peak.  Keeping the ordered and filled
-sets themselves raised the full-scale b17+b18 peak RSS by 7% and made the
-2048-cube b14 run's RSS land on one of two levels from run to run.
+:meth:`~repro.cubes.cube.TestSet.reordered`.  A fill keeps its peak and
+its filled matrix bit-packed (an eighth of the ``int8`` bytes); the
+one-pass fills of :data:`PEAK_ONLY` keep their peak alone and are refilled,
+once, the first time :func:`filled` asks for the set.  Keeping the ordered
+and filled sets themselves raised the full-scale b17+b18 peak RSS by 7% and
+made the 2048-cube b14 run's RSS land on one of two levels from run to run.
 
 The memo is bounded by :data:`MAX_ENTRIES` (least recently used out first)
 and has no switch: every entry is a pure function of its key.  Worker
@@ -44,8 +48,11 @@ from repro.cubes.metrics import peak_toggles
 from repro.filling import get_filler
 from repro.orderings import get_ordering
 
-#: Entries kept per process; one benchmark's artefacts use about 30.
+#: Entries kept per process; one benchmark's artefacts use about 25.
 MAX_ENTRIES = 1024
+
+#: Fills cheap enough to redo that their entries keep only the peak.
+PEAK_ONLY = frozenset({"MT-fill", "R-fill", "0-fill", "1-fill"})
 
 _ENTRIES: "OrderedDict[Hashable, object]" = OrderedDict()
 
@@ -59,11 +66,9 @@ class _Ordering:
 
 
 @dataclass(frozen=True)
-class _Filled:
-    bits: np.ndarray
-    shape: Tuple[int, int]
-    names: List[Optional[str]]
+class _Fill:
     peak: int
+    bits: Optional[np.ndarray]  # the packed filled matrix; None keeps the peak alone
 
 
 def content_key(patterns: TestSet) -> Tuple[bytes, Tuple[int, ...]]:
@@ -72,14 +77,18 @@ def content_key(patterns: TestSet) -> Tuple[bytes, Tuple[int, ...]]:
     return hashlib.blake2b(matrix.data, digest_size=16).digest(), matrix.shape
 
 
+def _store(key: Hashable, entry: object) -> None:
+    _ENTRIES[key] = entry
+    _ENTRIES.move_to_end(key)
+    if len(_ENTRIES) > MAX_ENTRIES:
+        _ENTRIES.popitem(last=False)
+
+
 def _cached(key: Hashable, compute: Callable[[], object]) -> object:
     entry = _ENTRIES.get(key)
     if entry is None:
-        entry = _ENTRIES[key] = compute()
-        if len(_ENTRIES) > MAX_ENTRIES:
-            _ENTRIES.popitem(last=False)
-    else:
-        _ENTRIES.move_to_end(key)
+        entry = compute()
+    _store(key, entry)
     return entry
 
 
@@ -106,27 +115,41 @@ def ordering(name: str, cubes: TestSet) -> OrderingResult:
     )
 
 
+def _fill(
+    name: str, ordered: TestSet, digest: Hashable, keep_bits: bool
+) -> Tuple[_Fill, Optional[TestSet]]:
+    """The entry of (``ordered``, ``name``), and the filled set if the filler ran now.
+
+    The filler runs on a miss, or when ``keep_bits`` asks for the set of a
+    peak-only entry, which from then on keeps the packed fill too.
+    """
+    key = ("fill", name, digest)
+    entry = _ENTRIES.get(key)
+    if entry is not None and (entry.bits is not None or not keep_bits):
+        _store(key, entry)
+        return entry, None
+    filled = get_filler(name).fill(ordered)
+    packed = keep_bits or name not in PEAK_ONLY
+    entry = _Fill(peak_toggles(filled), np.packbits(filled.matrix) if packed else None)
+    _store(key, entry)
+    return entry, filled
+
+
 def fill_peaks(ordered: TestSet, names: List[str]) -> Dict[str, int]:
     """Peak input toggles of each named filler on ``ordered``, filled once per (set, name)."""
-    key = content_key(ordered)
-    # _cached calls the lambda before the loop moves on, so it sees this name.
-    return {
-        name: _cached(("fill", name, key), lambda: peak_toggles(get_filler(name).fill(ordered)))
-        for name in names
-    }
+    digest = content_key(ordered)
+    return {name: _fill(name, ordered, digest, False)[0].peak for name in names}
 
 
-def technique(name: str, cubes: TestSet, build: Callable[[TestSet], TestSet]) -> Tuple[TestSet, int]:
-    """The filled set ``build(cubes)`` of technique ``name`` and its peak.
+def filled(filler: str, ordered: TestSet) -> Tuple[TestSet, int]:
+    """``get_filler(filler).fill(ordered)`` and its peak, filled once per (set, filler).
 
-    ``build`` must be the one builder registered for ``name``; it runs once
-    per (cube set, name), and every call unpacks the stored fill.
+    A hit unpacks the stored fill; the pattern names are ``ordered``'s, as
+    every filler keeps them.
     """
-
-    def compute() -> _Filled:
-        filled = build(cubes)
-        return _Filled(np.packbits(filled.matrix), filled.matrix.shape, filled.names, peak_toggles(filled))
-
-    entry = _cached(("technique", name, content_key(cubes)), compute)
-    bits = np.unpackbits(entry.bits, count=entry.shape[0] * entry.shape[1])
-    return TestSet.from_matrix(bits.reshape(entry.shape), names=entry.names), entry.peak
+    entry, fresh = _fill(filler, ordered, content_key(ordered), True)
+    if fresh is not None:
+        return fresh, entry.peak
+    rows, pins = ordered.matrix.shape
+    bits = np.unpackbits(entry.bits, count=rows * pins).reshape(rows, pins)
+    return TestSet.from_matrix(bits, names=ordered.names), entry.peak

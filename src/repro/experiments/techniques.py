@@ -18,26 +18,24 @@ column         reconstruction
 ``Proposed``   I-Ordering + DP-fill (this paper)
 =============  ========================================================
 
-Every technique goes through :mod:`repro.experiments.memo`, keyed by the
-content of the cube set (a blake2b digest of its matrix and shape) and the
-technique name: its ordering is the one the sweeps already ran on the same
-cube set, the Tool column picks its fill from the sweep's memoised peaks and
-fills only the winner, and the filled set is computed once per cube set, so
+Every technique is a lookup in :mod:`repro.experiments.memo`: it takes its
+ordering from :func:`~repro.experiments.memo.ordering` and its fill from
+:func:`~repro.experiments.memo.filled`, both keyed by content (a blake2b
+digest of the matrix and its shape) and the registry name.  The memo keeps
+one entry per (ordered set, filler), so the techniques reuse the fills the
+sweeps of Tables II-IV made: Tool reads the sweep's best existing fill on
+the tool order, XStat the B-fill on the X-Stat order and Proposed the
+DP-fill on the I-Ordering.  ISA and Adj-fill fill once per ordered set, and
 Table VI grades exactly the fills Table V ranked without recomputing them.
-The memo keeps each fill bit-packed (an eighth of its ``int8`` bytes) with
-its pattern names and peak, not as a ``TestSet``: holding the filled and
-ordered sets raised full-scale peak RSS by 7%.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Dict, List, Optional, Tuple
 
-from repro.core.dpfill import dp_fill
 from repro.cubes.cube import TestSet
 from repro.experiments import memo
-from repro.filling import get_filler
 
 #: Technique column order used by Tables V and VI.
 TECHNIQUES: List[str] = ["Tool", "ISA", "Adj-fill", "XStat", "Proposed"]
@@ -54,39 +52,14 @@ class TechniqueOutcome:
     peak_input_toggles: int
 
 
-def _best_existing_fill(ordered: TestSet) -> TestSet:
-    peaks = memo.fill_peaks(ordered, _EXISTING_FILLS)
-    # min() keeps the first of equal peaks, in _EXISTING_FILLS order.
-    best = min(_EXISTING_FILLS, key=peaks.__getitem__)
-    return get_filler(best).fill(ordered)
-
-
-def _tool_technique(cubes: TestSet) -> TestSet:
-    return _best_existing_fill(memo.ordering("tool", cubes).ordered)
-
-
-def _isa_technique(cubes: TestSet) -> TestSet:
-    return get_filler("Adj-fill").fill(memo.ordering("isa", cubes).ordered)
-
-
-def _adjfill_technique(cubes: TestSet) -> TestSet:
-    return get_filler("Adj-fill").fill(memo.ordering("tool", cubes).ordered)
-
-
-def _xstat_technique(cubes: TestSet) -> TestSet:
-    return get_filler("B-fill").fill(memo.ordering("xstat", cubes).ordered)
-
-
-def _proposed_technique(cubes: TestSet) -> TestSet:
-    return dp_fill(memo.ordering("i-ordering", cubes).ordered).filled
-
-
-_TECHNIQUE_BUILDERS: Dict[str, Callable[[TestSet], TestSet]] = {
-    "Tool": _tool_technique,
-    "ISA": _isa_technique,
-    "Adj-fill": _adjfill_technique,
-    "XStat": _xstat_technique,
-    "Proposed": _proposed_technique,
+#: The (ordering, filler) of each technique; Tool's filler is ``None``, for
+#: the first of the existing fills with the least peak on the tool order.
+_TECHNIQUE_PAIRS: Dict[str, Tuple[str, Optional[str]]] = {
+    "Tool": ("tool", None),
+    "ISA": ("isa", "Adj-fill"),
+    "Adj-fill": ("tool", "Adj-fill"),
+    "XStat": ("xstat", "B-fill"),
+    "Proposed": ("i-ordering", "DP-fill"),
 }
 
 
@@ -96,9 +69,15 @@ def apply_technique(name: str, cubes: TestSet) -> TechniqueOutcome:
     Raises:
         KeyError: for unknown technique names.
     """
-    if name not in _TECHNIQUE_BUILDERS:
+    if name not in _TECHNIQUE_PAIRS:
         raise KeyError(f"unknown technique {name!r}; available: {TECHNIQUES}")
-    filled, peak = memo.technique(name, cubes, _TECHNIQUE_BUILDERS[name])
+    ordering, filler = _TECHNIQUE_PAIRS[name]
+    ordered = memo.ordering(ordering, cubes).ordered
+    if filler is None:
+        peaks = memo.fill_peaks(ordered, _EXISTING_FILLS)
+        # min() keeps the first of equal peaks, in _EXISTING_FILLS order.
+        filler = min(_EXISTING_FILLS, key=peaks.__getitem__)
+    filled, peak = memo.filled(filler, ordered)
     return TechniqueOutcome(technique=name, filled=filled, peak_input_toggles=peak)
 
 

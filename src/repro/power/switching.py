@@ -140,9 +140,11 @@ class SwitchingFold:
                 # One buffer serves every block, so a block's products never
                 # coexist with the previous block's.
                 self._products = np.empty((height, self.n_boundaries))
-            weighted = np.multiply(
-                block, self.caps[first_row + picked, None], out=self._products[: picked.size]
-            )
+            # Widen the bytes in place, then weight them float by float: the
+            # same products as a mixed uint8 x float64 multiply, made faster.
+            weighted = self._products[: picked.size]
+            np.copyto(weighted, block, casting="unsafe")
+            np.multiply(weighted, self.caps[first_row + picked, None], out=weighted)
             weighted[0] += self.switched
             self.switched = weighted.sum(axis=0)
 

@@ -8,7 +8,7 @@ sweep random ones).
 The ``reference_*`` functions are the straightforward formulations the fast
 kernels replaced: per-row loops for the stretch kernels and the X-stretch
 histogram, the dense window table for the BCP bound and the per-step boolean
-masks for the greedy tours.
+masks for the greedy tours, and the min-heap sweep of the BCP colouring.
 They are the oracles of the differential tests in ``test_kernels.py``.
 The topological-order, compile, capacitance and switching references are
 the name-keyed, per-gate, per-net and dense formulations of the circuit and
@@ -19,6 +19,7 @@ power layers, the oracles of ``test_differential_fuzz.py``.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import multiprocessing
 from collections import deque
@@ -300,6 +301,46 @@ def reference_window_bound(
     ratios = np.zeros(table.shape, dtype=np.float64)
     ratios[valid] = table[valid] / widths[valid]
     return max(base_peak, int(np.ceil(ratios.max() - 1e-12)))
+
+
+def reference_greedy_coloring(
+    starts: np.ndarray, ends: np.ndarray, capacity, n_colors: Optional[int] = None
+) -> np.ndarray:
+    """Algorithm 2 as the paper states it: a colour sweep with a min-heap of deadlines.
+
+    Sweep the colours left to right; at each colour release the intervals
+    that start there into a heap keyed by ``(end, index)`` and pop up to the
+    colour's budget of them.  An interval still in the heap at its end
+    missed its deadline.  :func:`repro.core.bcp._greedy` must give the same
+    colours, or raise :class:`~repro.core.bcp.InfeasibleColoringError` too.
+    """
+    from repro.core.bcp import InfeasibleColoringError
+
+    starts = np.asarray(starts, dtype=np.int64)
+    ends = np.asarray(ends, dtype=np.int64)
+    k = int(starts.size)
+    if k == 0:
+        return np.full(0, -1, dtype=np.int64)
+    max_end = int(ends.max())
+    n_colors = max_end + 1 if n_colors is None else n_colors
+    if np.isscalar(capacity):
+        budgets = [max(int(capacity), 0)] * n_colors
+    else:
+        budgets = np.clip(np.asarray(capacity, dtype=np.int64), 0, None).tolist()
+    order = np.argsort(starts, kind="stable").tolist()
+    colors = [-1] * k
+    heap: list = []
+    cursor = 0
+    for color in range(max_end + 1):
+        while cursor < k and starts[order[cursor]] == color:
+            idx = order[cursor]
+            heapq.heappush(heap, (int(ends[idx]), idx))
+            cursor += 1
+        for __ in range(min(budgets[color], len(heap))):
+            colors[heapq.heappop(heap)[1]] = color
+        if heap and heap[0][0] <= color:
+            raise InfeasibleColoringError(f"interval ending at {heap[0][0]} missed its deadline")
+    return np.array(colors, dtype=np.int64)
 
 
 def reference_nn_tour(patterns: TestSet, distance: str) -> List[int]:

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core import bcp
 from repro.core.bcp import (
     InfeasibleColoringError,
     bcp_lower_bound,
@@ -15,7 +16,7 @@ from repro.core.bcp import (
     solve_weighted_bcp,
     weighted_lower_bound,
 )
-from tests.helpers import brute_force_bcp, make_interval
+from tests.helpers import brute_force_bcp, make_interval, reference_greedy_coloring
 
 
 class TestLowerBound:
@@ -183,3 +184,38 @@ def test_lower_bound_never_exceeds_feasible_peak(intervals):
     solution = solve_bcp(intervals)
     assert lower <= solution.peak
     assert solution.peak == lower  # and Algorithm 2 achieves it exactly
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    intervals=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=3)),
+        min_size=1,
+        max_size=10,
+    ),
+    capacity=st.one_of(
+        st.integers(min_value=-1, max_value=3),
+        st.lists(st.integers(min_value=-1, max_value=3), min_size=13, max_size=13),
+    ),
+    extra_colors=st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
+)
+# Duplicate one-colour windows with budget for only some of them.
+@example(intervals=[(2, 0), (2, 0), (2, 0)], capacity=2, extra_colors=None)
+# A zero and a negative budget force later colours; spare colours past the ends.
+@example(intervals=[(0, 2), (0, 2), (1, 0)], capacity=[0, 1, -1] + [1] * 10, extra_colors=3)
+# Equal deadlines: the lower index takes the earlier colour.
+@example(intervals=[(1, 1), (0, 2), (0, 2)], capacity=1, extra_colors=None)
+def test_greedy_matches_reference_heap_sweep(intervals, capacity, extra_colors):
+    """The next-free-colour form gives the heap sweep's colours, or raises with it."""
+    starts = np.array([start for start, _ in intervals], dtype=np.int64)
+    ends = starts + np.array([length for _, length in intervals], dtype=np.int64)
+    n_colors = None if extra_colors is None else int(ends.max()) + 1 + extra_colors
+    if not isinstance(capacity, int):
+        capacity = np.array(capacity, dtype=np.int64)
+    try:
+        expected = reference_greedy_coloring(starts, ends, capacity, n_colors)
+    except InfeasibleColoringError:
+        with pytest.raises(InfeasibleColoringError):
+            bcp._greedy(starts, ends, capacity, n_colors)
+    else:
+        assert bcp._greedy(starts, ends, capacity, n_colors).tolist() == expected.tolist()

@@ -152,6 +152,20 @@ class TestTestSetOperations:
         with pytest.raises(ValueError, match="X bits"):
             ts.filled(np.array([[0, X]], dtype=np.int8))
 
+    def test_filled_checks_a_transposed_fill_view(self):
+        # Fillers hand over the transpose of a pin-major matrix (F-ordered).
+        ts = TestSet.from_strings(["0X1", "X10", "1XX"])
+        pin = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=np.int8)
+        assert ts.filled(pin.T).to_strings() == ["001", "010", "100"]
+        flipped = pin.copy()
+        flipped[2, 0] = 0
+        with pytest.raises(ValueError, match="care"):
+            ts.filled(flipped.T)
+        leftover = pin.copy()
+        leftover[1, 2] = X
+        with pytest.raises(ValueError, match="X bits"):
+            ts.filled(leftover.T)
+
     def test_filled_rejects_wrong_shape(self):
         ts = TestSet.from_strings(["0X"])
         with pytest.raises(ValueError, match="shape"):

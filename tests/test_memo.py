@@ -12,6 +12,7 @@ import pytest
 from repro.core import dpfill, ordering as core_ordering
 from repro.cubes.cube import TestSet
 from repro.cubes.generator import CubeSetSpec, generate_cube_set
+from repro.cubes.metrics import peak_toggles
 from repro.experiments import fill_sweep, memo, runner, techniques
 from repro.filling import Filler, get_filler
 from repro.orderings import Ordering, get_ordering
@@ -81,11 +82,15 @@ def test_every_artifact_reuses_orderings_and_fills(spied):
     assert len(sweep_fills) == 3 * len(fill_sweep.FILL_METHODS)
     assert set(Counter(sweep_fills).values()) == {1}
 
-    # Table V reads the sweeps' peaks and orderings: it orders only for ISA,
-    # which no sweep uses, and fills once per technique (the Tool column
-    # fills only its winner).
+    # Table V reads the sweeps' orderings and fills: it orders only for ISA,
+    # which no sweep uses, and fills only Adj-fill on the ISA and tool
+    # orders.  Tool (B-fill wins on b05), XStat and Proposed are lookups.
     table5 = Counter(call[1] for call in calls if call[0] == "5")
-    assert table5 == {"order": 1, "fill": 4, "dp_fill": 1}
+    assert table5 == {"order": 1, "fill": 2}
+
+    # No artefact fills an (ordered set, filler) another one already filled.
+    fills = Counter(call[1:] for call in calls if call[1] in ("fill", "dp_fill"))
+    assert fills and set(fills.values()) == {1}, fills
 
     # Table VI grades Table V's fills; Fig. 2 reads the memoised orderings.
     assert [call for call in calls if call[0] in ("6", "fig2")] == []
@@ -125,12 +130,35 @@ def test_memo_results_equal_direct_computation():
     ordered = get_ordering("xstat").order(cubes).ordered
     expected = {name: get_filler(name).run(ordered).peak_toggles for name in fill_sweep.FILL_METHODS}
     assert memo.fill_peaks(ordered, fill_sweep.FILL_METHODS) == expected
-    for name, build in techniques._TECHNIQUE_BUILDERS.items():
-        expected = build(cubes)
-        for _ in range(2):
-            filled, peak = memo.technique(name, cubes, build)
-            assert filled == expected and filled.names == expected.names
-            assert peak == techniques.apply_technique(name, cubes).peak_input_toggles
+    pairs = {
+        "Tool": ("tool", None),  # the first existing fill with the least peak
+        "ISA": ("isa", "Adj-fill"),
+        "Adj-fill": ("tool", "Adj-fill"),
+        "XStat": ("xstat", "B-fill"),
+        "Proposed": ("i-ordering", "DP-fill"),
+    }
+    assert list(pairs) == techniques.TECHNIQUES
+    for name, (ordering, filler) in pairs.items():
+        ordered = get_ordering(ordering).order(cubes).ordered
+        if filler is None:
+            existing = ("MT-fill", "R-fill", "0-fill", "1-fill", "B-fill")
+            runs = [get_filler(fill).run(ordered) for fill in existing]
+            direct = min(runs, key=lambda run: run.peak_toggles).filled
+        else:
+            direct = get_filler(filler).fill(ordered)
+        for _ in range(2):  # miss or peak-only entry, then hit
+            outcome = techniques.apply_technique(name, cubes)
+            assert outcome.filled == direct and outcome.filled.names == direct.names
+            assert outcome.peak_input_toggles == peak_toggles(direct)
+    # A peak-only entry is refilled once, then serves the packed fill.
+    memo.clear()
+    direct = get_filler("0-fill").fill(ordered)
+    assert memo.fill_peaks(ordered, ["0-fill"]) == {"0-fill": peak_toggles(direct)}
+    assert memo._ENTRIES[("fill", "0-fill", memo.content_key(ordered))].bits is None
+    for _ in range(2):
+        filled, peak = memo.filled("0-fill", ordered)
+        assert filled == direct and filled.names == ordered.names and peak == peak_toggles(direct)
+    assert memo._ENTRIES[("fill", "0-fill", memo.content_key(ordered))].bits is not None
 
 
 def test_memo_is_bounded(monkeypatch):
@@ -145,7 +173,9 @@ def test_memo_holds_no_pin_matrices():
     """A long set through the three sweeps and all techniques leaves < 2x its matrix in the memo.
 
     Keeping the ordered and filled ``TestSet``s would hold at least 9x:
-    four ordered sets plus five technique fills.
+    four ordered sets plus five technique fills.  The memo holds eight
+    packed fills (the sweeps' B-fill and DP-fill, and Adj-fill on the ISA
+    and tool orders), an eighth of the matrix each, plus peaks and orderings.
     """
     cubes = generate_cube_set(CubeSetSpec(n_pins=275, n_patterns=2048, x_fraction=0.779, seed=0))
     tracemalloc.start()
