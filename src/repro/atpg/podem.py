@@ -15,10 +15,11 @@ Two implication implementations share the search algorithm:
   ``evaluate_ternary`` calls (``O(decisions x gates)`` per fault).  It stays
   registered as the parity oracle of the compiled engine.
 * :class:`~repro.engine.ternary.CompiledTernaryPodem` — event-driven
-  two-plane ternary implication over the compiled array program: a decision
-  evaluates only gates whose inputs changed, a backtrack restores the
-  changed rows from a trail, and the D set behind the D-frontier is kept
-  up to date as codes change.  Bit-identical cubes, classification and
+  ternary implication over the compiled array program, with the good and
+  faulty machines of a row packed into one code that a table lookup per
+  fan-in evaluates: a decision evaluates only gates whose inputs changed, a
+  backtrack restores the changed rows from a trail, and the D set behind
+  the D-frontier is kept up to date as codes change.  Bit-identical cubes, classification and
   decision/backtrack counters; ``benchmarks/bench_engine.py`` gates it at
   >= 3x the dict reference on the largest profile and measured 124-201x on
   b12 over three runs (32 faults, backtrack limit 15, one core of a 2-vCPU
@@ -33,10 +34,12 @@ process-wide.
 Generation is only half the ATPG hot path: after each cube the driver
 (:func:`~repro.atpg.tpg.generate_test_cubes`) fault-simulates a random fill
 of it against every remaining fault to drop collateral detections.  That
-post-generation verification sweep grades one pattern against many faults,
-which the packed engine now serves with the fault-parallel fault-word
-kernel (:func:`~repro.engine.fault.packed_first_detects_faults`) rather
-than a per-fault loop — see the driver docs for the A/B knob.
+post-generation verification sweep grades one pattern against many faults;
+from 8 remaining faults on the packed engine serves it with the
+fault-parallel fault-word kernel
+(:func:`~repro.engine.fault.packed_first_detects_faults`) rather than a
+per-fault loop, and shorter lists with the ``lanes`` kernel — see the
+driver docs.
 """
 
 from __future__ import annotations

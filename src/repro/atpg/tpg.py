@@ -8,11 +8,13 @@ every other fault it happens to detect.  The order in which cubes are emitted
 
 Each drop sweep grades one filled cube against *all* remaining faults — the
 shape where pattern-parallel kernels degenerate to one fault at a time.
-Under the packed backend the sweep therefore runs the fault-parallel
-fault-word kernel (``mode="auto"`` resolves to ``"faults"`` for this shape;
-see :func:`~repro.engine.fault.packed_first_detects_faults`), grading 64
-remaining faults per machine word per cube instead of looping the python
-interpreter over every fault.
+Under the packed backend ``mode="auto"`` therefore runs the sweep on the
+fault-parallel fault-word kernel
+(:func:`~repro.engine.fault.packed_first_detects_faults`) whenever at least
+8 faults remain, grading 64 remaining faults per machine word per cube
+instead of looping the python interpreter over every fault; shorter lists
+stay on the pattern-parallel ``lanes`` kernel, which is faster there (see
+:func:`~repro.engine.fault.resolve_grading_kernel`).
 
 PODEM runs serially, in fault-list order, in the calling process: the
 experiment runner's ``--jobs N`` parallelises whole (artifact x benchmark)

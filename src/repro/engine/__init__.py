@@ -33,7 +33,7 @@ from repro.engine.fault import (
     FAULT_MODES,
     FAULT_WORD_LANES,
     FAULTS_MODE_MAX_PATTERNS,
-    FAULTS_MODE_MIN_FAULTS,
+    FAULTS_MODE_FAULTS_PER_PATTERN,
     FaultSimulationResult,
     NaiveFaultSimulator,
     PackedFaultSimulator,
@@ -68,7 +68,7 @@ __all__ = [
     "FAULT_MODES",
     "FAULT_WORD_LANES",
     "FAULTS_MODE_MAX_PATTERNS",
-    "FAULTS_MODE_MIN_FAULTS",
+    "FAULTS_MODE_FAULTS_PER_PATTERN",
     "JOBS_ENV_VAR",
     "CompiledCircuit",
     "CompiledTernaryPodem",

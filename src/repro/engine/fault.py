@@ -32,9 +32,9 @@ results:
 ``mode="auto"`` (the default) picks the kernel from the run shape
 (:func:`resolve_grading_kernel`): ``faults`` for pattern sets at most
 :data:`FAULTS_MODE_MAX_PATTERNS` wide against at least
-:data:`FAULTS_MODE_MIN_FAULTS` faults, ``lanes`` otherwise; the
-``REPRO_FAULT_MODE`` environment variable forces a mode process-wide
-(:func:`resolve_fault_mode`).
+:data:`FAULTS_MODE_FAULTS_PER_PATTERN` faults per pattern, ``lanes``
+otherwise; the ``REPRO_FAULT_MODE`` environment variable forces a mode
+process-wide (:func:`resolve_fault_mode`).
 
 **Fault dropping** is implemented by processing the pattern set in blocks of
 :data:`DROP_BLOCK_PATTERNS` patterns: once a fault is detected in a block it
@@ -89,17 +89,19 @@ FAULT_WORD_LANES = 64
 #: ``auto`` considers the fault-parallel kernel only for pattern sets at
 #: most this wide.  The fault-packed word must replay every pattern one at
 #: a time, while a lanes cone replay costs roughly the same for 1 pattern
-#: as for a whole block — so the measured crossover
-#: (``benchmarks/bench_engine.py``, ``fault_parallel`` section) sits at
-#: 8–16 patterns: ~1.7x ahead at 8, break-even at 16, behind above.
-#: PODEM's drop sweeps (one filled cube vs the remaining list) are the
-#: headline shape, at 6–7x.
+#: as for a whole block, so the faults kernel falls behind lanes as the
+#: pattern set widens (``benchmarks/bench_engine.py``, ``fault_parallel``
+#: section).
 FAULTS_MODE_MAX_PATTERNS = 8
 
-#: ... and only for fault lists long enough to fill a fault word: below one
-#: word of faults the ~64x lane win cannot pay for the per-pattern python
-#: loop, and lanes stays ahead.
-FAULTS_MODE_MIN_FAULTS = 64
+#: ... and only with at least this many faults per pattern.  The faults
+#: kernel pays a fixed per-pattern python loop that the fault words must
+#: fill.  Measured lanes/faults time on the 7 PODEM profiles' circuits
+#: (2-vCPU x86-64 host): at 1 pattern 0.6-1.2x at 4 faults and 1.4-2.4x at
+#: 8; at 8 patterns the faults kernel first wins at 32-64 faults.  So PODEM's
+#: drop sweeps (one filled cube against the remaining list) grade on fault
+#: words from 8 remaining faults on, and 8 patterns need a full word of 64.
+FAULTS_MODE_FAULTS_PER_PATTERN = 8
 
 #: Environment variable forcing the packed fault-grading mode process-wide.
 FAULT_MODE_ENV_VAR = envvars.FAULT_MODE.name
@@ -123,12 +125,17 @@ def resolve_fault_mode(mode: Optional[str] = None) -> str:
 def resolve_grading_kernel(mode: str, n_patterns: int, n_faults: int) -> str:
     """The concrete kernel (``lanes``/``faults``) a run grades on.
 
-    ``auto`` resolves from the run shape: the fault-packed kernel wins
-    many-faults/few-patterns shapes, and big-int lanes take everything else.
+    ``auto`` resolves from the run shape: the fault-packed kernel takes at
+    most :data:`FAULTS_MODE_MAX_PATTERNS` patterns against at least
+    :data:`FAULTS_MODE_FAULTS_PER_PATTERN` faults per pattern, and big-int
+    lanes take everything else.
     """
     if mode != "auto":
         return mode
-    if n_patterns <= FAULTS_MODE_MAX_PATTERNS and n_faults >= FAULTS_MODE_MIN_FAULTS:
+    if (
+        n_patterns <= FAULTS_MODE_MAX_PATTERNS
+        and n_faults >= FAULTS_MODE_FAULTS_PER_PATTERN * n_patterns
+    ):
         return "faults"
     return "lanes"
 

@@ -6,21 +6,29 @@ re-simulates the *entire* circuit through per-net dictionaries and scalar
 module lowers the whole implication machinery onto the compiled array
 program of :mod:`repro.engine.compile`:
 
-* ternary values are held in a **two-plane code** — bit 0 means "can be 0",
-  bit 1 means "can be 1" — so ``0b01`` is logic 0, ``0b10`` is logic 1 and
-  ``0b11`` is X.  Under this encoding Kleene ternary logic is plain integer
-  bit twiddling: ``AND(a, b) = (a & b & 2) | ((a | b) & 1)``,
-  ``OR(a, b) = ((a | b) & 2) | (a & b & 1)``, ``NOT(a)`` swaps the planes.
-* the good and faulty machines are two flat per-row lists over the compiled
-  program; the fault site row is forced to the stuck code exactly like the
-  packed fault simulator forces its lanes.
+* one machine's ternary value is a **two-plane code** — bit 0 means "can be
+  0", bit 1 means "can be 1" — so ``0b01`` is logic 0, ``0b10`` is logic 1
+  and ``0b11`` is X.  Under this encoding Kleene ternary logic is plain
+  integer bit twiddling: ``AND(a, b) = (a & b & 2) | ((a | b) & 1)``,
+  ``OR(a, b) = ((a | b) & 2) | (a & b & 1)``, ``XOR(a, b)`` is X if either
+  side is X and ``1 + ((a ^ b) >> 1)`` otherwise, ``NOT(a)`` swaps the
+  planes.
+* each row holds the good and the faulty machine in one **packed code**
+  ``good | faulty << 2`` (9 valid values in 0..15).  The two-plane ops are
+  precomputed on pairs of packed codes into 256-entry tables indexed by
+  ``a << 4 | b`` (:data:`PAIR_AND`, :data:`PAIR_OR`, :data:`PAIR_XOR`) plus
+  the 16-entry :data:`PAIR_NOT`, so one lookup per fan-in evaluates both
+  machines at once.  The fault site row is forced to the stuck code in the
+  faulty half, exactly like the packed fault simulator forces its lanes.
+* D membership, "X in either machine" and X-path blocking are 16-entry
+  tables over the packed code (:data:`CODE_IS_D`, :data:`CODE_HAS_X`,
+  :data:`CODE_BLOCKS`).
 * implication is **event-driven**: assigning one test pin evaluates only
   gates with an input that really changed, popped in topological order from
-  a heap, and a gate's readers are queued only when its own good or faulty
-  code changed.
-* every changed row goes on a **trail** as ``(row, old_good, old_faulty)``;
-  a backtrack restores the rows from the trail, last change first, instead
-  of re-implying the retracted pins.
+  a heap, and a gate's readers are queued only when its packed code changed.
+* every changed row goes on a **trail** as ``(row, old_code)``; a backtrack
+  restores the rows from the trail, last change first, instead of
+  re-implying the retracted pins.
 * the set of rows carrying a D is kept up to date wherever a code changes,
   so :meth:`~CompiledTernaryPodem.detected` is a set test and the
   D-frontier is the readers of those rows whose output is still X.  The
@@ -42,18 +50,18 @@ to its caller, never here inside the search.
 
 A generated cube is not the end of the pipeline: the ATPG driver
 immediately fault-simulates a filled copy of it against the remaining fault
-list (fault dropping).  That verification sweep is a one-pattern/many-fault
-shape, the exact dual of what this engine optimises, and it is served by
-the fault-parallel grading kernel
-(:func:`~repro.engine.fault.packed_first_detects_faults`) which packs 64
-remaining faults per machine word — so both halves of the PODEM loop now
-run wide instead of one-at-a-time.
+list (fault dropping).  That verification sweep grades one pattern against
+many faults, the exact dual of what this engine optimises; from 8 remaining
+faults on it runs on the fault-parallel grading kernel
+(:func:`~repro.engine.fault.packed_first_detects_faults`, see
+:func:`~repro.engine.fault.resolve_grading_kernel`), which packs 64
+remaining faults per machine word.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro import envvars
 from repro.engine.compile import (
@@ -86,6 +94,59 @@ T_X = 0b11
 _CODE_OF_BIT = (T_ZERO, T_ONE, T_X)
 #: Ternary code -> cube bit (codes are 1..3; index 0 is unused).
 _BIT_OF_CODE = (None, 0, 1, 2)
+
+
+def _pair_table(op: Callable[[int, int], int]) -> Tuple[int, ...]:
+    """``op`` applied to both machines of two packed codes, indexed by ``a << 4 | b``.
+
+    Entries whose operands hold a zero plane (no valid code) are never read.
+    """
+    table = [0] * 256
+    for a in range(16):
+        for b in range(16):
+            ga, fa, gb, fb = a & 3, a >> 2, b & 3, b >> 2
+            if ga and fa and gb and fb:
+                table[a << 4 | b] = op(ga, gb) | op(fa, fb) << 2
+    return tuple(table)
+
+
+def _code_table(predicate: Callable[[int, int], object]) -> Tuple:
+    """``predicate(good, faulty)`` for every packed code (0 for invalid codes)."""
+    return tuple(
+        predicate(code & 3, code >> 2) if code & 3 and code >> 2 else 0
+        for code in range(16)
+    )
+
+
+def _not(a: int) -> int:
+    return ((a & 1) << 1) | (a >> 1)
+
+
+#: Both-machine AND / OR / XOR of two packed codes, indexed by ``a << 4 | b``.
+PAIR_AND = _pair_table(lambda a, b: (a & b & 2) | ((a | b) & 1))
+PAIR_OR = _pair_table(lambda a, b: ((a | b) & 2) | (a & b & 1))
+PAIR_XOR = _pair_table(lambda a, b: T_X if (a == T_X or b == T_X) else 1 + ((a ^ b) >> 1))
+#: Both-machine NOT of a packed code.
+PAIR_NOT = _code_table(lambda g, f: _not(g) | _not(f) << 2)
+#: Whether a packed code carries a D (both machines definite and different).
+CODE_IS_D = _code_table(lambda g, f: (g ^ f) == 3)
+#: Whether either machine of a packed code is X.
+CODE_HAS_X = _code_table(lambda g, f: g == T_X or f == T_X)
+#: Whether a packed code blocks an X-path (both machines definite, no D).
+CODE_BLOCKS = _code_table(lambda g, f: g != T_X and f != T_X and (g ^ f) != 3)
+
+#: Opcode -> (pair table, invert) of the node evaluation; BUF/NOT read one
+#: fan-in, so their table is never used.
+_NODE_KIND = {
+    OP_BUF: (PAIR_AND, False),
+    OP_NOT: (PAIR_AND, True),
+    OP_AND: (PAIR_AND, False),
+    OP_NAND: (PAIR_AND, True),
+    OP_OR: (PAIR_OR, False),
+    OP_NOR: (PAIR_OR, True),
+    OP_XOR: (PAIR_XOR, False),
+    OP_XNOR: (PAIR_XOR, True),
+}
 
 #: Raw engine result: ``(status, cube_bits, backtracks, decisions)`` with
 #: ``cube_bits`` a 0/1/2 list over the test-pin rows (``None`` unless
@@ -120,9 +181,9 @@ class CompiledTernaryPodem:
     """PODEM over the compiled program with event-driven ternary implication.
 
     One engine instance serves any number of faults on its circuit: state is
-    rebuilt per fault from a cached all-X good-machine baseline, then every
-    decision re-evaluates only the gates whose inputs really changed, and
-    every backtrack restores the changed rows from the trail.
+    rebuilt per fault from a cached all-X baseline, then every decision
+    re-evaluates only the gates whose inputs really changed, and every
+    backtrack restores the changed rows from the trail.
 
     Args:
         program: compiled circuit (shared with the packed fault simulator).
@@ -138,27 +199,31 @@ class CompiledTernaryPodem:
         self._observable = program._observable_set
         self._levels = program.node_levels
         self._out_node = program.out_node
-        self._base_good: Optional[List[int]] = None
+        # Per node ``(table, invert, out, first fan-in, remaining fan-ins)``;
+        # constants (no fan-in, never re-queued) are set by the baseline pass.
+        self._nodes = [
+            (*_NODE_KIND[op], out, src[0], src[1:]) if src else None
+            for op, out, src in self._node_prog
+        ]
+        self._base: Optional[List[int]] = None
+        self._queued = [False] * len(self._nodes)  # on the heap of _propagate
         # Per-fault state, (re)built by reset().
-        self._good: List[int] = []
-        self._faulty: List[int] = []
+        self._codes: List[int] = []  # packed ``good | faulty << 2`` per row
         self._d_rows: Set[int] = set()  # every row carrying a D
-        self._trail: List[Tuple[int, int, int]] = []
+        self._trail: List[Tuple[int, int]] = []
         self._site_row = -1
         self._stuck_bit = 0
         self._stuck_code = T_ZERO
 
     # -- kernel ------------------------------------------------------------
-    def _set_row(self, row: int, g: int, f: int) -> None:
-        """Write ``(g, f)`` to ``row`` and propagate the change downstream."""
-        old_g = self._good[row]
-        old_f = self._faulty[row]
-        if g == old_g and f == old_f:
+    def _set_row(self, row: int, code: int) -> None:
+        """Write the packed ``code`` to ``row`` and propagate the change downstream."""
+        old = self._codes[row]
+        if code == old:
             return
-        self._trail.append((row, old_g, old_f))
-        self._good[row] = g
-        self._faulty[row] = f
-        if (g ^ f) == 3:
+        self._trail.append((row, old))
+        self._codes[row] = code
+        if CODE_IS_D[code]:
             self._d_rows.add(row)
         else:
             self._d_rows.discard(row)
@@ -168,94 +233,56 @@ class CompiledTernaryPodem:
         """Event-driven evaluation from the node positions ``seeds``.
 
         Positions are popped in topological order from a heap, and a gate's
-        readers are queued only when its good or faulty code really changed.
-        A gate queued by several changed inputs comes off the heap as a run
-        of equal positions and is evaluated once.  Every changed row is
+        readers are queued only when its packed code really changed.  A
+        gate goes on the heap once however many of its inputs changed (a
+        per-node flag marks it queued until it is popped), so it is
+        evaluated once, after all of them.  Every changed row is
         pushed on the trail and its D membership refreshed; the fault site
-        row is forced to the stuck code, matching how the dict reference
-        overrides the faulty machine.
+        row is forced to the stuck code in the faulty half, matching how the
+        dict reference overrides the faulty machine.
 
-        Inline opcode dispatch on purpose, mirroring ``packed_first_detects``
-        (see the note there): the two-plane ops are a handful of integer
-        instructions each, and routing them through a shared helper
-        measurably slows the hot path.
+        There is no opcode dispatch: every gate kind is the same loop over
+        its precomputed node tuple, one pair-table lookup per fan-in and a
+        NOT-table lookup for inverting gates, evaluating both machines at
+        once.
         """
-        node_prog = self._node_prog
+        nodes = self._nodes
         readers = self._readers
-        good = self._good
-        faulty = self._faulty
+        codes = self._codes
         site = self._site_row
-        stuck = self._stuck_code
+        stuck = self._stuck_code << 2
+        invert_code = PAIR_NOT
+        is_d = CODE_IS_D
         d_rows = self._d_rows
         trail = self._trail
-        heap = sorted(seeds)
-        last = -1
+        queued = self._queued
+        heap = sorted(set(seeds))
+        for pos in heap:
+            queued[pos] = True
         while heap:
             pos = heappop(heap)
-            if pos == last:
-                continue
-            last = pos
-            op, out, src = node_prog[pos]
-            if op == OP_AND or op == OP_NAND:
-                g = good[src[0]]
-                f = faulty[src[0]]
-                for r in src[1:]:
-                    b = good[r]
-                    g = (g & b & 2) | ((g | b) & 1)
-                    b = faulty[r]
-                    f = (f & b & 2) | ((f | b) & 1)
-                if op == OP_NAND:
-                    g = ((g & 1) << 1) | (g >> 1)
-                    f = ((f & 1) << 1) | (f >> 1)
-            elif op == OP_OR or op == OP_NOR:
-                g = good[src[0]]
-                f = faulty[src[0]]
-                for r in src[1:]:
-                    b = good[r]
-                    g = ((g | b) & 2) | (g & b & 1)
-                    b = faulty[r]
-                    f = ((f | b) & 2) | (f & b & 1)
-                if op == OP_NOR:
-                    g = ((g & 1) << 1) | (g >> 1)
-                    f = ((f & 1) << 1) | (f >> 1)
-            elif op == OP_XOR or op == OP_XNOR:
-                g = good[src[0]]
-                f = faulty[src[0]]
-                for r in src[1:]:
-                    b = good[r]
-                    g = 3 if (g == 3 or b == 3) else 1 + ((g ^ b) >> 1)
-                    b = faulty[r]
-                    f = 3 if (f == 3 or b == 3) else 1 + ((f ^ b) >> 1)
-                if op == OP_XNOR:
-                    g = ((g & 1) << 1) | (g >> 1)
-                    f = ((f & 1) << 1) | (f >> 1)
-            elif op == OP_NOT:
-                g = good[src[0]]
-                g = ((g & 1) << 1) | (g >> 1)
-                f = faulty[src[0]]
-                f = ((f & 1) << 1) | (f >> 1)
-            elif op == OP_BUF:
-                g = good[src[0]]
-                f = faulty[src[0]]
-            elif op == OP_CONST0:
-                g = f = T_ZERO
-            else:  # OP_CONST1
-                g = f = T_ONE
+            queued[pos] = False
+            table, invert, out, first, rest = nodes[pos]
+            code = codes[first]
+            for r in rest:
+                code = table[code << 4 | codes[r]]
+            if invert:
+                code = invert_code[code]
             if out == site:
-                f = stuck
-            old_g = good[out]
-            old_f = faulty[out]
-            if g == old_g and f == old_f:
+                code = (code & 3) | stuck
+            old = codes[out]
+            if code == old:
                 continue
-            trail.append((out, old_g, old_f))
-            good[out] = g
-            faulty[out] = f
-            if (g ^ f) == 3:
+            trail.append((out, old))
+            codes[out] = code
+            if is_d[code]:
                 d_rows.add(out)
-            elif (old_g ^ old_f) == 3:
+            elif is_d[old]:
                 d_rows.discard(out)
             for reader in readers[out]:
-                heappush(heap, reader)
+                if not queued[reader]:
+                    queued[reader] = True
+                    heappush(heap, reader)
 
     # -- per-fault state ---------------------------------------------------
     def reset(self, site_row: int, stuck_value: int) -> None:
@@ -265,21 +292,27 @@ class CompiledTernaryPodem:
             site_row: value-table row of the fault site.
             stuck_value: 0 or 1.
         """
-        if self._base_good is None:
+        if self._base is None:
             self._site_row = -1  # no forcing during the baseline pass
-            self._good = [T_X] * self.program.n_nets
-            self._faulty = [T_X] * self.program.n_nets
-            self._propagate(range(len(self._node_prog)))
-            self._base_good = self._good
+            self._codes = [T_X | T_X << 2] * self.program.n_nets
+            gates = []
+            for pos, (op, out, _) in enumerate(self._node_prog):
+                if op == OP_CONST0:
+                    self._codes[out] = T_ZERO | T_ZERO << 2
+                elif op == OP_CONST1:
+                    self._codes[out] = T_ONE | T_ONE << 2
+                else:
+                    gates.append(pos)
+            self._propagate(gates)
+            self._base = self._codes
         self._site_row = site_row
         self._stuck_bit = 1 if stuck_value else 0
         self._stuck_code = T_ONE if stuck_value else T_ZERO
-        base = self._base_good
-        self._good = list(base)
-        self._faulty = list(base)
+        base = self._base
+        self._codes = list(base)
         self._d_rows = set()
         self._trail = []
-        self._set_row(site_row, base[site_row], self._stuck_code)
+        self._set_row(site_row, (base[site_row] & 3) | self._stuck_code << 2)
         self._trail.clear()  # the fault's all-X state is the floor of undo()
 
     def assign(self, pin_row: int, value: Optional[int]) -> None:
@@ -290,7 +323,8 @@ class CompiledTernaryPodem:
         restore the state from before this call.
         """
         code = T_X if value is None else _CODE_OF_BIT[value]
-        self._set_row(pin_row, code, self._stuck_code if pin_row == self._site_row else code)
+        faulty = self._stuck_code if pin_row == self._site_row else code
+        self._set_row(pin_row, code | faulty << 2)
 
     def trail_mark(self) -> int:
         """Current trail position, for a later :meth:`undo`."""
@@ -299,13 +333,11 @@ class CompiledTernaryPodem:
     def undo(self, mark: int) -> None:
         """Restore every row changed since ``mark`` (last change first)."""
         trail = self._trail
-        good = self._good
-        faulty = self._faulty
+        codes = self._codes
         d_rows = self._d_rows
-        for row, g, f in reversed(trail[mark:]):
-            good[row] = g
-            faulty[row] = f
-            if (g ^ f) == 3:
+        for row, code in reversed(trail[mark:]):
+            codes[row] = code
+            if CODE_IS_D[code]:
                 d_rows.add(row)
             else:
                 d_rows.discard(row)
@@ -318,7 +350,8 @@ class CompiledTernaryPodem:
 
     def machine_codes(self) -> Tuple[List[int], List[int]]:
         """Copies of the (good, faulty) per-row ternary codes (for tests)."""
-        return list(self._good), list(self._faulty)
+        codes = self._codes
+        return [code & 3 for code in codes], [code >> 2 for code in codes]
 
     # -- analysis ----------------------------------------------------------
     def d_frontier(self) -> List[int]:
@@ -334,14 +367,8 @@ class CompiledTernaryPodem:
         for row in self._d_rows:
             candidates.update(readers[row])
         node_prog = self._node_prog
-        good = self._good
-        faulty = self._faulty
-        frontier: List[int] = []
-        for pos in sorted(candidates):
-            out = node_prog[pos][1]
-            if good[out] == T_X or faulty[out] == T_X:
-                frontier.append(pos)
-        return frontier
+        codes = self._codes
+        return [pos for pos in sorted(candidates) if CODE_HAS_X[codes[node_prog[pos][1]]]]
 
     def _x_path_exists(self, row: int, dead: Set[int]) -> bool:
         """Whether an X-path leads from ``row`` to an observable row.
@@ -356,8 +383,7 @@ class CompiledTernaryPodem:
             return True
         node_prog = self._node_prog
         readers = self._readers
-        good = self._good
-        faulty = self._faulty
+        codes = self._codes
         seen = {row}
         stack = [row]
         while stack:
@@ -365,9 +391,7 @@ class CompiledTernaryPodem:
                 out = node_prog[reader_pos][1]
                 if out in seen or out in dead:
                     continue
-                g = good[out]
-                f = faulty[out]
-                if g != T_X and f != T_X and (g ^ f) != 3:
+                if CODE_BLOCKS[codes[out]]:
                     continue
                 if out in observable:
                     return True
@@ -378,9 +402,9 @@ class CompiledTernaryPodem:
 
     def choose_objective(self) -> Optional[Tuple[int, int]]:
         """Next ``(row, value)`` objective, or ``None`` for a dead branch."""
-        good = self._good
+        codes = self._codes
         site = self._site_row
-        site_code = good[site]
+        site_code = codes[site] & 3
         if site_code == T_X:
             return site, 1 - self._stuck_bit
         if site_code == self._stuck_code:
@@ -394,7 +418,7 @@ class CompiledTernaryPodem:
         for pos in frontier:
             op, out, src = node_prog[pos]
             for r in src:
-                if good[r] == T_X:
+                if codes[r] & 3 == T_X:
                     break
             else:
                 continue
@@ -407,7 +431,7 @@ class CompiledTernaryPodem:
 
     def backtrace(self, row: int, value: int) -> Optional[Tuple[int, int]]:
         """Walk an objective back to an unassigned test pin, as the reference does."""
-        good = self._good
+        codes = self._codes
         node_prog = self._node_prog
         out_node = self._out_node
         current, target = row, value
@@ -424,13 +448,13 @@ class CompiledTernaryPodem:
                 target ^= 1
             chosen = -1
             for r in src:
-                if good[r] == T_X:
+                if codes[r] & 3 == T_X:
                     chosen = r
                     break
             if chosen < 0:
                 return None
             current = chosen
-        if good[current] != T_X:
+        if codes[current] & 3 != T_X:
             return None
         return current, target
 

@@ -20,11 +20,13 @@ algorithm, because the memo only calls ``get_ordering(name)`` /
 with a different factory raises.
 
 Entries hold no pin matrices.  An ordering keeps its permutation, peak,
-trace and iteration count, and its ordered set is rebuilt with
-:meth:`~repro.cubes.cube.TestSet.reordered`.  A fill keeps its peak and
+trace and iteration count plus its ordered set's content key, and its
+ordered set is rebuilt with :meth:`~repro.cubes.cube.TestSet.reordered`;
+:func:`best_fill` looks fills up by that key and rebuilds the ordered set
+only when a filler has to run.  A fill keeps its peak and
 its filled matrix bit-packed (an eighth of the ``int8`` bytes); the
 one-pass fills of :data:`PEAK_ONLY` keep their peak alone and are refilled,
-once, the first time :func:`filled` asks for the set.  Keeping the ordered
+once, the first time :func:`best_fill` asks for the set.  Keeping the ordered
 and filled sets themselves raised the full-scale b17+b18 peak RSS by 7% and
 made the 2048-cube b14 run's RSS land on one of two levels from run to run.
 
@@ -63,6 +65,7 @@ class _Ordering:
     peak: Optional[int]
     trace: Tuple[InterleaveStep, ...]
     iterations: int
+    ordered_key: Tuple[bytes, Tuple[int, ...]]  # content_key of the ordered set
 
 
 @dataclass(frozen=True)
@@ -97,15 +100,24 @@ def clear() -> None:
     _ENTRIES.clear()
 
 
-def ordering(name: str, cubes: TestSet) -> OrderingResult:
-    """``get_ordering(name).order(cubes)``, run once per (cube set, name)."""
-
+def _ordering(name: str, cubes: TestSet) -> _Ordering:
     def compute() -> _Ordering:
         result = get_ordering(name).order(cubes)
         permutation = np.asarray(result.permutation, dtype=np.int32)
-        return _Ordering(permutation, result.peak, tuple(result.trace), result.iterations)
+        return _Ordering(
+            permutation,
+            result.peak,
+            tuple(result.trace),
+            result.iterations,
+            content_key(result.ordered),
+        )
 
-    entry = _cached(("ordering", name, content_key(cubes)), compute)
+    return _cached(("ordering", name, content_key(cubes)), compute)
+
+
+def ordering(name: str, cubes: TestSet) -> OrderingResult:
+    """``get_ordering(name).order(cubes)``, run once per (cube set, name)."""
+    entry = _ordering(name, cubes)
     return OrderingResult(
         ordered=cubes.reordered(entry.permutation),
         permutation=entry.permutation.tolist(),
@@ -116,19 +128,20 @@ def ordering(name: str, cubes: TestSet) -> OrderingResult:
 
 
 def _fill(
-    name: str, ordered: TestSet, digest: Hashable, keep_bits: bool
+    name: str, digest: Hashable, ordered: Callable[[], TestSet], keep_bits: bool
 ) -> Tuple[_Fill, Optional[TestSet]]:
-    """The entry of (``ordered``, ``name``), and the filled set if the filler ran now.
+    """The entry of (set keyed ``digest``, ``name``), and the filled set if the filler ran now.
 
-    The filler runs on a miss, or when ``keep_bits`` asks for the set of a
-    peak-only entry, which from then on keeps the packed fill too.
+    The filler runs on ``ordered()`` on a miss, or when ``keep_bits`` asks
+    for the set of a peak-only entry, which from then on keeps the packed
+    fill too.
     """
     key = ("fill", name, digest)
     entry = _ENTRIES.get(key)
     if entry is not None and (entry.bits is not None or not keep_bits):
         _store(key, entry)
         return entry, None
-    filled = get_filler(name).fill(ordered)
+    filled = get_filler(name).fill(ordered())
     packed = keep_bits or name not in PEAK_ONLY
     entry = _Fill(peak_toggles(filled), np.packbits(filled.matrix) if packed else None)
     _store(key, entry)
@@ -138,18 +151,36 @@ def _fill(
 def fill_peaks(ordered: TestSet, names: List[str]) -> Dict[str, int]:
     """Peak input toggles of each named filler on ``ordered``, filled once per (set, name)."""
     digest = content_key(ordered)
-    return {name: _fill(name, ordered, digest, False)[0].peak for name in names}
+    return {name: _fill(name, digest, lambda: ordered, False)[0].peak for name in names}
 
 
-def filled(filler: str, ordered: TestSet) -> Tuple[TestSet, int]:
-    """``get_filler(filler).fill(ordered)`` and its peak, filled once per (set, filler).
+def best_fill(ordering_name: str, cubes: TestSet, fillers: List[str]) -> Tuple[TestSet, int]:
+    """The first of ``fillers`` with the least peak on ``cubes`` under an ordering.
 
-    A hit unpacks the stored fill; the pattern names are ``ordered``'s, as
-    every filler keeps them.
+    Returns that filler's fill of the ordered set and its peak, filled once
+    per (ordered set, filler).  Only ``cubes`` is digested: the ordered
+    set's key comes from the ordering's entry, and the set itself is rebuilt
+    only if a filler has to run.  A hit unpacks the stored fill; the pattern
+    names are the ordered set's, as every filler keeps them.
     """
-    entry, fresh = _fill(filler, ordered, content_key(ordered), True)
+    entry = _ordering(ordering_name, cubes)
+    built: List[TestSet] = []
+
+    def ordered() -> TestSet:
+        if not built:
+            built.append(cubes.reordered(entry.permutation))
+        return built[0]
+
+    digest = entry.ordered_key
+    filler = fillers[0]
+    if len(fillers) > 1:
+        peaks = {name: _fill(name, digest, ordered, False)[0].peak for name in fillers}
+        # min() keeps the first of equal peaks, in ``fillers`` order.
+        filler = min(fillers, key=peaks.__getitem__)
+    fill, fresh = _fill(filler, digest, ordered, True)
     if fresh is not None:
-        return fresh, entry.peak
-    rows, pins = ordered.matrix.shape
-    bits = np.unpackbits(entry.bits, count=rows * pins).reshape(rows, pins)
-    return TestSet.from_matrix(bits, names=ordered.names), entry.peak
+        return fresh, fill.peak
+    rows, pins = digest[1]
+    bits = np.unpackbits(fill.bits, count=rows * pins).reshape(rows, pins)
+    names = cubes.names
+    return TestSet.from_matrix(bits, names=[names[i] for i in entry.permutation]), fill.peak

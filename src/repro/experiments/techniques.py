@@ -18,21 +18,23 @@ column         reconstruction
 ``Proposed``   I-Ordering + DP-fill (this paper)
 =============  ========================================================
 
-Every technique is a lookup in :mod:`repro.experiments.memo`: it takes its
-ordering from :func:`~repro.experiments.memo.ordering` and its fill from
-:func:`~repro.experiments.memo.filled`, both keyed by content (a blake2b
-digest of the matrix and its shape) and the registry name.  The memo keeps
-one entry per (ordered set, filler), so the techniques reuse the fills the
-sweeps of Tables II-IV made: Tool reads the sweep's best existing fill on
-the tool order, XStat the B-fill on the X-Stat order and Proposed the
-DP-fill on the I-Ordering.  ISA and Adj-fill fill once per ordered set, and
-Table VI grades exactly the fills Table V ranked without recomputing them.
+Every technique is one :func:`~repro.experiments.memo.best_fill` lookup in
+:mod:`repro.experiments.memo`, keyed by content (a blake2b digest of the
+matrix and its shape) and the registry names.  The memo keeps one entry per
+(cube set, ordering) and per (ordered set, filler), so the techniques reuse
+the orderings and fills the sweeps of Tables II-IV made: Tool reads the
+sweep's best existing fill on the tool order, XStat the B-fill on the
+X-Stat order and Proposed the DP-fill on the I-Ordering.  ISA and Adj-fill
+fill once per ordered set, and Table VI grades exactly the fills Table V
+ranked without recomputing them.  A lookup digests only the tool-ordered
+set: the ordering entry keeps its ordered set's key, and the ordered set is
+rebuilt only when a filler has to run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.cubes.cube import TestSet
 from repro.experiments import memo
@@ -52,14 +54,14 @@ class TechniqueOutcome:
     peak_input_toggles: int
 
 
-#: The (ordering, filler) of each technique; Tool's filler is ``None``, for
-#: the first of the existing fills with the least peak on the tool order.
-_TECHNIQUE_PAIRS: Dict[str, Tuple[str, Optional[str]]] = {
-    "Tool": ("tool", None),
-    "ISA": ("isa", "Adj-fill"),
-    "Adj-fill": ("tool", "Adj-fill"),
-    "XStat": ("xstat", "B-fill"),
-    "Proposed": ("i-ordering", "DP-fill"),
+#: The (ordering, fillers) of each technique: Tool takes the first of the
+#: existing fills with the least peak on the tool order.
+_TECHNIQUE_FILLS: Dict[str, Tuple[str, List[str]]] = {
+    "Tool": ("tool", _EXISTING_FILLS),
+    "ISA": ("isa", ["Adj-fill"]),
+    "Adj-fill": ("tool", ["Adj-fill"]),
+    "XStat": ("xstat", ["B-fill"]),
+    "Proposed": ("i-ordering", ["DP-fill"]),
 }
 
 
@@ -69,15 +71,10 @@ def apply_technique(name: str, cubes: TestSet) -> TechniqueOutcome:
     Raises:
         KeyError: for unknown technique names.
     """
-    if name not in _TECHNIQUE_PAIRS:
+    if name not in _TECHNIQUE_FILLS:
         raise KeyError(f"unknown technique {name!r}; available: {TECHNIQUES}")
-    ordering, filler = _TECHNIQUE_PAIRS[name]
-    ordered = memo.ordering(ordering, cubes).ordered
-    if filler is None:
-        peaks = memo.fill_peaks(ordered, _EXISTING_FILLS)
-        # min() keeps the first of equal peaks, in _EXISTING_FILLS order.
-        filler = min(_EXISTING_FILLS, key=peaks.__getitem__)
-    filled, peak = memo.filled(filler, ordered)
+    ordering, fillers = _TECHNIQUE_FILLS[name]
+    filled, peak = memo.best_fill(ordering, cubes, fillers)
     return TechniqueOutcome(technique=name, filled=filled, peak_input_toggles=peak)
 
 

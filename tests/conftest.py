@@ -5,9 +5,25 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import envvars
 from repro.cubes.cube import TestSet
 from repro.cubes.generator import CubeSetSpec, generate_cube_set
 from repro.experiments import memo
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _session_cube_cache(tmp_path_factory):
+    """Point the PODEM cube cache at a directory of this session's own.
+
+    The cache key names the circuit and the ATPG knobs but not the PODEM
+    search itself, so cubes cached in the working directory by another
+    version of the engine would be served instead of being regenerated.
+    Every session therefore starts cold; tests that need their own cache
+    directory still set ``REPRO_CACHE_DIR`` themselves.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(envvars.CACHE_DIR.name, str(tmp_path_factory.mktemp("cube-cache")))
+        yield
 
 
 @pytest.fixture(autouse=True)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,19 @@ from repro.atpg.fault_sim import FaultSimulator
 from repro.atpg.faults import StuckAtFault, full_fault_list
 from repro.atpg.podem import PodemEngine
 from repro.atpg.tpg import generate_test_cubes
+from repro.benchmarks_data.profiles import get_profile
 from repro.circuit.gates import GateType
-from repro.circuit.library import b01_like_fsm, c17, ripple_counter
+from repro.circuit.library import b01_like_fsm, c17, itc99_like, ripple_counter
 from repro.circuit.netlist import Circuit
 from repro.cubes.bits import ONE, ZERO
 from repro.cubes.cube import TestSet
+from repro.experiments.workloads import (
+    ATPG_BACKTRACK_LIMIT,
+    ATPG_GATE_LIMIT,
+    ATPG_MAX_FAULTS,
+    default_workload_names,
+)
+from repro.obs import recorder as obs
 
 
 class TestFaultModel:
@@ -199,3 +209,72 @@ class TestGenerateTestCubes:
         filled = dp_fill(atpg.cubes).filled
         result = simulator.run(filled, target_faults)
         assert result.coverage == 1.0
+
+
+#: The PODEM flow of every default profile small enough to run it, under the
+#: workload knobs, per ``(profile, seed)``: blake2b digest of the cube
+#: matrix, then the detected / untestable / aborted fault counts and the
+#: total PODEM backtracks and decisions.  A changed entry means a changed
+#: search or drop sweep: every PODEM-sourced row of every report moves.
+PODEM_FLOW_DIGESTS = {
+    ("b02", 0): ("78a1825ad2290b07556b961b259dd6c1", 7, 54, 0, 212, 213),
+    ("b01", 0): ("20545cc08291ebf85a32f476366810ad", 50, 55, 0, 407, 425),
+    ("b06", 0): ("29f28079eaf45e8b53f6139d3fe970cc", 22, 81, 2, 628, 632),
+    ("b10", 0): ("d44e4e4ead888f8439e4ca033b653465", 91, 23, 36, 676, 1304),
+    ("b03", 0): ("65d4ac95ff6a3d9d796293bf14a8c89b", 118, 0, 32, 581, 1171),
+    ("b09", 0): ("58ed30369ae0b6959a516e1ae9543f9b", 68, 0, 82, 1347, 2236),
+    ("b08", 0): ("dc8d53436ea959fc93e61a3843d6eeed", 124, 7, 19, 412, 881),
+    ("b02", 1): ("3f7d58718a35c6b7110fba9a6324f6b2", 47, 14, 0, 53, 72),
+    ("b01", 1): ("8f447317f92a6ec4fa44ab8fa21e7f43", 73, 36, 0, 161, 187),
+    ("b06", 1): ("ad3f0263c06207bafe864ac4eb209879", 68, 33, 11, 436, 469),
+    ("b10", 1): ("386afd8ac9050151f85305d71cb1ef12", 116, 4, 30, 548, 1016),
+    ("b03", 1): ("19681c05dbf499ffd33531f2face9ae9", 116, 2, 32, 546, 934),
+    ("b09", 1): ("26f5c3df1b77df812170886617fa4ec9", 79, 2, 69, 1152, 1858),
+    ("b08", 1): ("19aa0f74cc55e26ca234a7ed93af99f2", 82, 29, 39, 791, 1194),
+}
+
+
+class TestPodemFlowDigests:
+    """The ATPG flow of the PODEM-sourced workloads, pinned by digest.
+
+    The flow is called directly (no cube cache is read), with the knobs
+    ``build_workload`` uses, so the cubes come from the current PODEM
+    engine and drop sweep.
+    """
+
+    def test_table_covers_every_podem_profile(self):
+        podem = [
+            name
+            for name in default_workload_names(include_large=False)
+            if get_profile(name).gates <= ATPG_GATE_LIMIT
+        ]
+        assert sorted(podem) == sorted({name for name, _ in PODEM_FLOW_DIGESTS})
+
+    @pytest.mark.parametrize(
+        "name, seed", sorted(PODEM_FLOW_DIGESTS), ids=lambda v: str(v)
+    )
+    def test_flow_matches_pinned_digest(self, name, seed):
+        circuit = itc99_like(name, seed=seed)
+        obs.disable()
+        obs.enable()
+        try:
+            result = generate_test_cubes(
+                circuit,
+                max_faults=ATPG_MAX_FAULTS,
+                backtrack_limit=ATPG_BACKTRACK_LIMIT,
+                seed=seed,
+            )
+            counters = obs.snapshot()["counters"]
+        finally:
+            obs.disable()
+        matrix = np.ascontiguousarray(result.cubes.matrix)
+        assert matrix.dtype == np.int8
+        observed = (
+            hashlib.blake2b(matrix.tobytes(), digest_size=16).hexdigest(),
+            len(result.detected_faults),
+            len(result.untestable_faults),
+            len(result.aborted_faults),
+            counters["podem.backtracks"],
+            counters["podem.decisions"],
+        )
+        assert observed == PODEM_FLOW_DIGESTS[(name, seed)]

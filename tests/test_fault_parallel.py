@@ -23,13 +23,26 @@ from repro.engine import (
     FAULT_MODE_ENV_VAR,
     FAULT_WORD_LANES,
     FAULTS_MODE_MAX_PATTERNS,
-    FAULTS_MODE_MIN_FAULTS,
+    FAULTS_MODE_FAULTS_PER_PATTERN,
     NaiveFaultSimulator,
     PackedFaultSimulator,
     fault_lane_mask,
     resolve_grading_kernel,
 )
-from repro.experiments.workloads import build_workload, default_workload_names
+from repro.benchmarks_data.profiles import get_profile
+from repro.experiments.workloads import (
+    ATPG_GATE_LIMIT,
+    build_workload,
+    default_workload_names,
+)
+
+
+#: The default profiles whose cubes come from the PODEM flow.
+PODEM_PROFILES = [
+    name
+    for name in default_workload_names(include_large=False)
+    if get_profile(name).gates <= ATPG_GATE_LIMIT
+]
 
 
 def _random_patterns(circuit, n_patterns: int, seed: int = 0) -> np.ndarray:
@@ -85,7 +98,9 @@ class TestKernelResolution:
     def test_many_faults_few_patterns_goes_to_faults(self):
         assert (
             resolve_grading_kernel(
-                "auto", FAULTS_MODE_MAX_PATTERNS, FAULTS_MODE_MIN_FAULTS
+                "auto",
+                FAULTS_MODE_MAX_PATTERNS,
+                FAULTS_MODE_FAULTS_PER_PATTERN * FAULTS_MODE_MAX_PATTERNS,
             )
             == "faults"
         )
@@ -94,12 +109,26 @@ class TestKernelResolution:
 
     def test_middle_ground_stays_on_lanes(self):
         assert resolve_grading_kernel("auto", FAULTS_MODE_MAX_PATTERNS + 1, 1000) == "lanes"
-        assert resolve_grading_kernel("auto", 8, FAULTS_MODE_MIN_FAULTS - 1) == "lanes"
+
+    @pytest.mark.parametrize(
+        "n_patterns, n_faults, kernel",
+        [
+            (1, 7, "lanes"),
+            (1, 8, "faults"),
+            (8, 63, "lanes"),
+            (8, 64, "faults"),
+            (9, 10_000, "lanes"),
+        ],
+    )
+    def test_per_pattern_crossover(self, n_patterns, n_faults, kernel):
+        # At least 8 faults per pattern, up to 8 patterns: a one-pattern
+        # drop check goes to fault words from 8 remaining faults on.
+        assert resolve_grading_kernel("auto", n_patterns, n_faults) == kernel
 
     def test_auto_run_reports_faults_kernel(self):
         circuit = generate_circuit(CircuitSpec("auto_faults", 8, 6, 120, seed=2))
         faults = full_fault_list(circuit)
-        assert len(faults) >= FAULTS_MODE_MIN_FAULTS
+        assert len(faults) >= FAULTS_MODE_FAULTS_PER_PATTERN * FAULTS_MODE_MAX_PATTERNS
         simulator = PackedFaultSimulator(circuit, mode="auto")
         result = simulator.run(_patterns(circuit, FAULTS_MODE_MAX_PATTERNS), faults)
         assert simulator.last_run_stats["fault_mode"] == "faults"
@@ -142,14 +171,15 @@ class TestPodemFaultPackedDrop:
         assert a.total_faults == b.total_faults, context
 
     def test_atpg_result_byte_identical_across_drop_modes(self, monkeypatch):
-        circuit = build_workload("b10").circuit
         kwargs = dict(max_faults=150, backtrack_limit=15, seed=0)
-        monkeypatch.delenv(FAULT_MODE_ENV_VAR, raising=False)
-        default = generate_test_cubes(circuit, **kwargs)
-        monkeypatch.setenv(FAULT_MODE_ENV_VAR, "lanes")
-        lanes = generate_test_cubes(circuit, **kwargs)
-        monkeypatch.setenv(FAULT_MODE_ENV_VAR, "faults")
-        faults_mode = generate_test_cubes(circuit, **kwargs)
-        assert len(lanes.cubes) > 4
-        self._assert_results_identical(lanes, faults_mode, "lanes vs faults")
-        self._assert_results_identical(lanes, default, "lanes vs default")
+        for name in PODEM_PROFILES:
+            circuit = build_workload(name).circuit
+            monkeypatch.delenv(FAULT_MODE_ENV_VAR, raising=False)
+            default = generate_test_cubes(circuit, **kwargs)
+            monkeypatch.setenv(FAULT_MODE_ENV_VAR, "lanes")
+            lanes = generate_test_cubes(circuit, **kwargs)
+            monkeypatch.setenv(FAULT_MODE_ENV_VAR, "faults")
+            faults_mode = generate_test_cubes(circuit, **kwargs)
+            assert len(lanes.cubes) >= 1, name
+            self._assert_results_identical(lanes, faults_mode, (name, "lanes vs faults"))
+            self._assert_results_identical(lanes, default, (name, "lanes vs default"))

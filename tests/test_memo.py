@@ -152,11 +152,12 @@ def test_memo_results_equal_direct_computation():
             assert outcome.peak_input_toggles == peak_toggles(direct)
     # A peak-only entry is refilled once, then serves the packed fill.
     memo.clear()
+    ordered = get_ordering("xstat").order(cubes).ordered
     direct = get_filler("0-fill").fill(ordered)
     assert memo.fill_peaks(ordered, ["0-fill"]) == {"0-fill": peak_toggles(direct)}
     assert memo._ENTRIES[("fill", "0-fill", memo.content_key(ordered))].bits is None
     for _ in range(2):
-        filled, peak = memo.filled("0-fill", ordered)
+        filled, peak = memo.best_fill("xstat", cubes, ["0-fill"])
         assert filled == direct and filled.names == ordered.names and peak == peak_toggles(direct)
     assert memo._ENTRIES[("fill", "0-fill", memo.content_key(ordered))].bits is not None
 

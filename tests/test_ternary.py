@@ -28,7 +28,14 @@ from repro.cubes.bits import ONE, X, ZERO
 from repro.engine.backend import get_backend
 from repro.engine.ternary import (
     ATPG_MODE_ENV_VAR,
+    CODE_BLOCKS,
+    CODE_HAS_X,
+    CODE_IS_D,
     CompiledTernaryPodem,
+    PAIR_AND,
+    PAIR_NOT,
+    PAIR_OR,
+    PAIR_XOR,
     T_ONE,
     T_X,
     T_ZERO,
@@ -99,6 +106,73 @@ class TestTernaryCodes:
         for bit, code in ((ZERO, T_ZERO), (ONE, T_ONE), (X, T_X)):
             assert code_of_bit(bit) == code
             assert bit_of_code(code) == bit
+
+
+#: Per-machine two-plane ops on one ternary code each (bit 0 "can be 0",
+#: bit 1 "can be 1"), written out as ``repro.engine.ternary`` documents them.
+def _and(a, b):
+    return (a & b & 2) | ((a | b) & 1)
+
+
+def _or(a, b):
+    return ((a | b) & 2) | (a & b & 1)
+
+
+def _xor(a, b):
+    return T_X if (a == T_X or b == T_X) else 1 + ((a ^ b) >> 1)
+
+
+def _not(a):
+    return ((a & 1) << 1) | (a >> 1)
+
+
+_MACHINE_CODES = (T_ZERO, T_ONE, T_X)
+#: The 9 valid packed codes ``good | faulty << 2``.
+_PACKED_CODES = [(g, f, g | f << 2) for g in _MACHINE_CODES for f in _MACHINE_CODES]
+
+
+class TestPackedCodeTables:
+    """Every valid packed code through every table, against the per-machine ops."""
+
+    def test_kleene_ops_on_cube_bits(self):
+        # The two-plane ops are Kleene logic on 0/1/X.
+        for a in (ZERO, ONE, X):
+            for b in (ZERO, ONE, X):
+                ca, cb = code_of_bit(a), code_of_bit(b)
+                definite = X not in (a, b)
+                assert bit_of_code(_and(ca, cb)) == (
+                    ZERO if ZERO in (a, b) else (a & b if definite else X)
+                )
+                assert bit_of_code(_or(ca, cb)) == (
+                    ONE if ONE in (a, b) else (a | b if definite else X)
+                )
+                assert bit_of_code(_xor(ca, cb)) == (a ^ b if definite else X)
+            assert bit_of_code(_not(code_of_bit(a))) == (1 - a if a != X else X)
+
+    @pytest.mark.parametrize(
+        "table, op", [(PAIR_AND, _and), (PAIR_OR, _or), (PAIR_XOR, _xor)],
+        ids=["and", "or", "xor"],
+    )
+    def test_pair_tables(self, table, op):
+        assert len(table) == 256
+        for ga, fa, a in _PACKED_CODES:
+            for gb, fb, b in _PACKED_CODES:
+                assert table[a << 4 | b] == op(ga, gb) | op(fa, fb) << 2, (a, b)
+
+    def test_not_table(self):
+        assert len(PAIR_NOT) == 16
+        for g, f, code in _PACKED_CODES:
+            assert PAIR_NOT[code] == _not(g) | _not(f) << 2, code
+
+    def test_predicate_tables(self):
+        for table in (CODE_IS_D, CODE_HAS_X, CODE_BLOCKS):
+            assert len(table) == 16
+        for g, f, code in _PACKED_CODES:
+            is_d = g != T_X and f != T_X and g != f
+            has_x = g == T_X or f == T_X
+            assert bool(CODE_IS_D[code]) == is_d, code
+            assert bool(CODE_HAS_X[code]) == has_x, code
+            assert bool(CODE_BLOCKS[code]) == (not has_x and not is_d), code
 
 
 class TestImplicationParity:
