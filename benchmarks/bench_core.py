@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from repro.core.bcp import bcp_lower_bound, solve_bcp, solve_weighted_bcp
+from repro.core.bcp import bcp_lower_bound, solve_bcp, solve_weighted_bcp, weighted_peak_bound
 from repro.core.dpfill import dp_fill
 from repro.core.intervals import extract_intervals
 from repro.core.ordering import interleaved_ordering
@@ -52,10 +52,29 @@ def test_bench_extract_intervals(benchmark, n_pins, n_patterns):
     assert result.n_pins == n_pins
 
 
-@pytest.mark.parametrize("n_pins,n_patterns", [(100, 50), (300, 100), (600, 200)])
-def test_bench_bcp_lower_bound(benchmark, n_pins, n_patterns):
-    intervals = extract_intervals(_cube_set(n_pins, n_patterns)).intervals
-    value = benchmark(lambda: bcp_lower_bound(intervals))
+@pytest.mark.parametrize(
+    "n_pins,n_patterns,x_fraction,weighted",
+    [
+        (100, 50, 0.8, False),
+        (300, 100, 0.8, False),
+        (600, 200, 0.8, False),
+        # The long-sets workload's shape (full-size b14, 2048 cubes) on the
+        # weighted bound, as DP-fill and every I-Ordering candidate run it.
+        (275, 2048, 0.779, True),
+    ],
+)
+def test_bench_bcp_lower_bound(benchmark, n_pins, n_patterns, x_fraction, weighted):
+    extraction = extract_intervals(
+        generate_cube_set(
+            CubeSetSpec(n_pins=n_pins, n_patterns=n_patterns, x_fraction=x_fraction, seed=1)
+        )
+    )
+    if weighted:
+        starts, ends, base = extraction.starts, extraction.ends, extraction.base_toggles
+        value = benchmark(lambda: weighted_peak_bound(starts, ends, base))
+    else:
+        intervals = extraction.intervals
+        value = benchmark(lambda: bcp_lower_bound(intervals))
     assert value >= 0
 
 

@@ -32,9 +32,12 @@ defaults to the weighted solver so that its output is optimal for the true
 peak-input-toggle objective, and can be switched back for a literal
 reproduction.
 
-Both bounds come from one kernel, :func:`_window_bound`.  It visits the
-``O(k^2)`` windows of the paper's table in row blocks of unique starts, so
-its memory is ``O(block x k)`` (the block capped by ``_BLOCK_CELLS``)
+Both bounds come from one kernel, :func:`_window_bound`.  It sweeps the
+paper's ``O(k^2)`` table of windows in blocks of unique starts, with the
+base peak as the first incumbent.  Per block, one row of per-end upper
+bounds shows which end columns could still beat the incumbent, and only
+those are evaluated exactly, so most of the table is never visited.  Its
+memory is ``O(block x k)`` (each exact sub-block capped by ``_BLOCK_CELLS``)
 rather than the whole ``k x k`` table.
 """
 
@@ -99,69 +102,111 @@ def _interval_arrays(intervals: Intervals) -> Tuple[np.ndarray, np.ndarray]:
     return starts, ends
 
 
-#: Cells (block rows x end columns) one block of the window-bound sweep holds;
-#: it caps the kernel's memory at ``O(block x k)`` instead of a ``k x k`` table.
+#: Cells (block rows x end columns) one exact sub-block of the window-bound
+#: sweep holds; it caps the kernel's memory at ``O(block x k)`` instead of a
+#: ``k x k`` table.
 _BLOCK_CELLS = 1 << 14
+
+#: Unique starts per block of the window-bound sweep; each block decides from
+#: one row of per-end bounds which end columns it must evaluate exactly.
+_PRUNE_ROWS = 32
 
 
 def _window_bound(starts: np.ndarray, ends: np.ndarray, base: np.ndarray) -> int:
-    """``max`` over windows ``[i, j]`` of ``ceil((T(i, j) + base[i..j].sum()) / (j - i + 1))``.
+    """``max(base)`` or, if larger, ``max`` over windows ``[i, j]`` of
+    ``ceil((T(i, j) + base[i..j].sum()) / (j - i + 1))``.
 
     ``T(i, j)`` counts the intervals inside the window.  Only windows whose
     left edge is some interval's start and whose right edge is some
     interval's end can maximise the ratio, so ``i`` runs over the unique
-    starts and ``j`` over the unique ends.  The sweep takes blocks of unique
-    starts from last to first.  Each block counts only its own intervals,
-    sums them over its rows on top of a carried per-end count of every later
-    start, and prefix-sums along the ends.  Columns whose end lies before the
-    block's first start hold no interval and are skipped.  The remaining
-    windows with ``j < i`` contain no interval and a non-positive base, so
-    clipping their width to 1 keeps them from setting the maximum.
+    starts and ``j`` over the unique ends.  Every colour is below
+    ``base.size``, so presence counts rank both without a sort, and one
+    radix sort on the narrowest unsigned key groups the intervals by start.
+
+    The sweep keeps an incumbent ``best``, seeded with the base peak, and
+    takes blocks of ``_PRUNE_ROWS`` unique starts from last to first,
+    carrying a per-end count of every interval that starts past the block.
+    Per block, one row bounds every window of the block.  ``top[j]`` is the
+    numerator of the window from the block's *first* start to end ``j``:
+    it holds every interval that any window of the block ending at ``j``
+    holds and, as ``base >= 0``, every base load too.  ``least[j]`` is the
+    width of the window from the block's *last* start, the narrowest.  A
+    column with ``top <= best * least`` has no ratio above ``best``, and as
+    an integer comparison that test is exact.  Only the columns up to the
+    last one that fails it are evaluated, in sub-blocks of at most
+    ``_BLOCK_CELLS`` cells: each counts its own intervals, sums them over
+    its rows on top of the carried counts and prefix-sums along the ends.
+    Columns whose end lies before the block's first start hold no interval
+    and are skipped.  The remaining windows with ``j < i`` contain no
+    interval and a non-positive base, so clipping their width to 1 keeps
+    them at or below ``best``.
 
     ``base`` is the non-negative per-colour load (zeros for the paper's
     unweighted bound).  Every ratio is a small-integer quotient, so float64
     with the ``1e-12`` guard gives the exact ceiling.
     """
-    unique_starts, start_idx = np.unique(starts, return_inverse=True)
-    unique_ends, end_idx = np.unique(ends, return_inverse=True)
-    order = np.argsort(start_idx, kind="stable")
-    start_idx, end_idx = start_idx[order], end_idx[order]
+    n_colors = base.size
+    start_counts = np.bincount(starts, minlength=n_colors)
+    end_present = np.bincount(ends, minlength=n_colors) > 0
+    unique_starts = np.flatnonzero(start_counts)
+    unique_ends = np.flatnonzero(end_present)
+    # Unique ends before each colour: the rank of every colour that is an end.
+    ends_below = np.cumsum(end_present) - end_present
+    group_sizes = start_counts[unique_starts]
+    offsets = np.concatenate(([0], np.cumsum(group_sizes)))
+    # Order inside a start group is free: only its per-end counts are used.
+    order = np.argsort(starts.astype(np.min_scalar_type(n_colors)), kind="stable")
+    start_idx = np.repeat(np.arange(unique_starts.size), group_sizes)
+    end_idx = ends_below[ends[order]]
     n_ends = unique_ends.size
-    # Per-end increments of the window base: their prefix sum along the ends
-    # is ``prefix[end + 1]``; each row then subtracts ``prefix[start]``.
+    # A window's base is ``prefix[end + 1] - prefix[start]``.
     prefix = np.concatenate(([0], np.cumsum(base)))
-    end_load = np.diff(prefix[unique_ends + 1], prepend=0)
-    start_load = prefix[unique_starts]
+    end_prefix = prefix[unique_ends + 1]
+    start_prefix = prefix[unique_starts]
 
-    height = max(1, _BLOCK_CELLS // n_ends)
+    best = int(base.max())
     carry = np.zeros(n_ends, dtype=np.int64)  # per-end count of intervals past the block
-    best = 0.0
     hi = unique_starts.size
     while hi > 0:
-        lo = max(hi - height, 0)
-        first, last = np.searchsorted(start_idx, [lo, hi])
-        # Rows run from the block's last start (row 0) to its first; columns
-        # from the first end at or after the block's first start.  Columns
-        # from ``clear`` on end at or after every start of the block.
-        col, clear = np.searchsorted(unique_ends, unique_starts[[lo, hi - 1]])
-        n_rows, n_cols = hi - lo, n_ends - col
-        cells = np.bincount(
-            ((hi - 1) - start_idx[first:last]) * n_cols + (end_idx[first:last] - col),
-            minlength=n_rows * n_cols,
-        ).reshape(n_rows, n_cols)
-        load = end_load[col:].copy()
-        load[0] = prefix[unique_ends[col] + 1]  # the skipped columns' base too
-        cells[0] += carry[col:] + load
-        for row in range(1, n_rows):
-            cells[row] += cells[row - 1]
-        carry[col:] = cells[-1] - load
-        cells[:, 0] -= start_load[lo:hi][::-1]
-        np.cumsum(cells, axis=1, out=cells)
-        widths = (unique_ends[col:] + 1)[None, :] - unique_starts[lo:hi][::-1, None]
-        np.maximum(widths[:, : clear - col], 1, out=widths[:, : clear - col])
-        best = max(best, float((cells / widths).max()))
+        lo = max(hi - _PRUNE_ROWS, 0)
+        # Columns run from the first end at or after the block's first start.
+        col = int(ends_below[unique_starts[lo]])
+        after = carry[col:] + np.bincount(
+            end_idx[offsets[lo] : offsets[hi]] - col, minlength=n_ends - col
+        )
+        top = np.cumsum(after) + end_prefix[col:] - start_prefix[lo]
+        least = np.maximum(unique_ends[col:] + 1 - unique_starts[hi - 1], 1)
+        hot = np.flatnonzero(top > best * least)
+        if hot.size:
+            n_cols = int(hot[-1]) + 1
+            height = max(1, _BLOCK_CELLS // n_cols)
+            counts = carry[col : col + n_cols].copy()  # intervals past the sub-block
+            edges = unique_ends[col : col + n_cols] + 1
+            end_base = end_prefix[col : col + n_cols]
+            sub_hi = hi
+            while sub_hi > lo:
+                sub_lo = max(sub_hi - height, lo)
+                first, last = offsets[sub_lo], offsets[sub_hi]
+                cols = end_idx[first:last] - col
+                keep = cols < n_cols
+                # Rows run from the sub-block's last start (row 0) to its first.
+                n_rows = sub_hi - sub_lo
+                cells = np.bincount(
+                    ((sub_hi - 1) - start_idx[first:last][keep]) * n_cols + cols[keep],
+                    minlength=n_rows * n_cols,
+                ).reshape(n_rows, n_cols)
+                cells[0] += counts
+                np.cumsum(cells, axis=0, out=cells)
+                counts = cells[-1].copy()
+                np.cumsum(cells, axis=1, out=cells)
+                cells += end_base
+                cells -= start_prefix[sub_lo:sub_hi][::-1, None]
+                widths = np.maximum(edges - unique_starts[sub_lo:sub_hi][::-1, None], 1)
+                best = max(best, int(np.ceil((cells / widths).max() - 1e-12)))
+                sub_hi = sub_lo
+        carry[col:] = after
         hi = lo
-    return int(np.ceil(best - 1e-12))
+    return best
 
 
 def bcp_lower_bound(intervals: Intervals) -> int:
@@ -209,17 +254,16 @@ def weighted_peak_bound(
     :class:`~repro.core.intervals.ToggleInterval` objects, no colouring.
     """
     base = np.asarray(base_loads, dtype=np.int64)
-    base_peak = int(base.max()) if base.size else 0
     starts = np.asarray(starts, dtype=np.int64)
     ends = np.asarray(ends, dtype=np.int64)
     if starts.size == 0:
-        return base_peak
+        return int(base.max()) if base.size else 0
     _check_arrays(starts, ends)
     if base.size <= int(ends.max()):
         raise ValueError("base_loads shorter than the largest interval end")
     if (base < 0).any():
         raise ValueError("base_loads must be non-negative")
-    return max(base_peak, _window_bound(starts, ends, base))
+    return _window_bound(starts, ends, base)
 
 
 def greedy_coloring(

@@ -310,9 +310,10 @@ class ExtractionPlan:
             position = np.empty(self.n_patterns, dtype=np.int64)
             position[perm] = np.arange(self.n_patterns, dtype=np.int64)
             cols = position[self.spec_cols]
-            # Stable (row, new column) order reproduces extract_intervals'
-            # row-major, left-to-right interval discovery order exactly.
-            order = np.lexsort((cols, self.spec_rows))
+            # (row, new column) order reproduces extract_intervals' row-major,
+            # left-to-right interval discovery order exactly.  A cell holds
+            # at most one specified bit, so the one-key sort has no ties.
+            order = np.argsort(self.spec_rows * self.n_patterns + cols)
             rows, cols, vals = self.spec_rows[order], cols[order], self.spec_vals[order]
 
         stretches = Stretches((self.n_pins, self.n_patterns), rows, cols, vals)

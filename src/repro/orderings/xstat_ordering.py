@@ -13,14 +13,15 @@ most specified cube.  Compared with the ISA reconstruction (which only counts
 hard conflicts), the statistical distance also penalises placing two X-poor
 cubes next to each other, which is the behaviour the X-Stat paper describes.
 
-The distance matrix is built once for the whole set: the ISA conflict
-matrix (:func:`repro.orderings.isa.conflict_matrix`) plus one more GEMM,
-``0.5 * (m - spec @ spec.T)`` for the pins where at least one cube holds an
-X.  Every entry is a multiple of 0.5 far below float32's 2**24 integer
-ceiling, so the matrix is exact in any summation order and the tour
-(:func:`repro.orderings.isa.greedy_tour`) equals the direct boolean-mask
-formulation that ``tests/helpers.py::reference_nn_tour`` keeps as the
-oracle.
+The distance matrix is built once for the whole set, from one SYRK over the
+signed planes ``s = ones - zeros``: ``0.5 * (m - s @ s.T)``.  A pin where
+both cubes are specified and differ adds ``-1`` to ``s @ s.T`` (distance 1),
+one where they agree adds ``+1`` (distance 0) and one with an X adds ``0``
+(distance 0.5).  Every entry of ``s @ s.T`` is an integer in ``[-m, m]``,
+far below float32's 2**24 integer ceiling, so the matrix is exact in any
+summation order and the tour (:func:`repro.orderings.isa.greedy_tour`)
+equals the direct boolean-mask formulation that
+``tests/helpers.py::reference_nn_tour`` keeps as the oracle.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from repro.core.ordering import OrderingResult
 from repro.cubes.cube import TestSet
 from repro.orderings.base import Ordering, register_ordering
-from repro.orderings.isa import conflict_matrix, greedy_tour, indicator_planes
+from repro.orderings.isa import greedy_tour, indicator_planes
 
 
 class XStatOrdering(Ordering):
@@ -43,16 +44,12 @@ class XStatOrdering(Ordering):
         if n <= 2:
             return OrderingResult(ordered=patterns.copy(), permutation=list(range(n)))
 
-        # expected(i, c) = hard + 0.5 * soft
-        #   hard = ones_i . zeros_c + zeros_i . ones_c   (specified and differ)
-        #   soft = n_pins - spec_i . spec_c              (at least one X)
+        # expected(i, c) = 0.5 * (n_pins - signed_i . signed_c)
         ones, zeros = indicator_planes(patterns)
-        spec = ones + zeros
-        distance = conflict_matrix(ones, zeros)
-        soft = spec @ spec.T
-        soft -= spec.shape[1]
-        soft *= -0.5  # now 0.5 * soft
-        distance += soft
+        signed = ones - zeros
+        distance = signed @ signed.T
+        np.subtract(signed.shape[1], distance, out=distance)
+        distance *= 0.5
         permutation = greedy_tour(distance, int(np.argmin(patterns.x_counts_per_pattern())))
         return OrderingResult(ordered=patterns.reordered(permutation), permutation=permutation)
 

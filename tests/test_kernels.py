@@ -3,10 +3,12 @@
 Every kernel must agree with its reference bit for bit: interval order and
 fields, base toggles, the prefilled matrix, XStat's phase-1 choices (whose
 order breaks phase 2's ties), MT fill, the reconstruction of a colour
-assignment, the row-blocked BCP window bound and the ISA/XStat tours.
+assignment, the pruned, blocked BCP window bound and the ISA/XStat tours.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -76,7 +78,7 @@ def cube_sets(draw) -> TestSet:
     return TestSet.from_matrix(data)
 
 
-def check_extraction(patterns: TestSet) -> None:
+def check_extraction(patterns: TestSet, permutation: Sequence[int]) -> None:
     intervals, base, prefilled = reference_extract_intervals(patterns)
     result = extract_intervals(patterns)
     assert result.n_intervals == len(intervals)
@@ -92,10 +94,17 @@ def check_extraction(patterns: TestSet) -> None:
     assert result.prefilled.dtype == prefilled.dtype
     np.testing.assert_array_equal(result.prefilled, prefilled)
 
-    starts, ends, plan_base = ExtractionPlan.from_test_set(patterns).interval_arrays()
+    plan = ExtractionPlan.from_test_set(patterns)
+    starts, ends, plan_base = plan.interval_arrays()
     assert starts.tolist() == result.starts.tolist()
     assert ends.tolist() == result.ends.tolist()
     np.testing.assert_array_equal(plan_base, base)
+    # A permuted plan sorts its specified bits; it must still match extraction.
+    permuted, permuted_base, __ = reference_extract_intervals(patterns.reordered(permutation))
+    starts, ends, plan_base = plan.interval_arrays(permutation)
+    assert starts.tolist() == [iv.start for iv in permuted]
+    assert ends.tolist() == [iv.end for iv in permuted]
+    np.testing.assert_array_equal(plan_base, permuted_base)
 
     # Reconstruction: the solver's colours and both window edges.
     colourings = [result.starts, result.ends]
@@ -127,14 +136,14 @@ def check_fills(patterns: TestSet) -> None:
 @pytest.mark.parametrize("rows", EDGE_CASES, ids=["|".join(rows) for rows in EDGE_CASES])
 def test_edge_cases_match_reference(rows):
     patterns = cube_set_from_rows(rows)
-    check_extraction(patterns)
+    check_extraction(patterns, list(range(len(patterns)))[::-1])
     check_fills(patterns)
 
 
 @settings(max_examples=200, deadline=None)
-@given(patterns=cube_sets())
-def test_extraction_matches_reference(patterns):
-    check_extraction(patterns)
+@given(patterns=cube_sets(), data=st.data())
+def test_extraction_matches_reference(patterns, data):
+    check_extraction(patterns, data.draw(st.permutations(range(len(patterns)))))
 
 
 @settings(max_examples=200, deadline=None)
@@ -165,7 +174,7 @@ def test_extraction_and_object_intervals_colour_identically(medium_synthetic_set
     assert from_arrays.peak == from_objects.peak
 
 
-# -- BCP window bound: row-blocked sweep vs the dense table -----------------
+# -- BCP window bound: pruned, blocked sweep vs the dense table ------------
 #: Block budgets from one cell (a block per unique start) to the default.
 BLOCK_BUDGETS = [1, 5, 64, bcp._BLOCK_CELLS]
 
@@ -229,6 +238,52 @@ def test_window_bound_is_exact_on_extracted_sets(monkeypatch, seed):
     zero = np.zeros_like(result.base_toggles)
     check_bound_is_exact(result.starts, result.ends, zero)
     assert weighted_peak_bound(result.starts, result.ends, zero) == bcp_lower_bound(result)
+
+
+def pruning_instance(seed: int, shape: str):
+    """An extracted cube set of 200-600 patterns x 30-80 pins at 70-90% X.
+
+    ``"left"`` opens every pin with ``0 X X X 1``, so the densest window
+    is colours 0-3, the last the sweep reaches.  ``"left-base"`` opens four
+    pins with ``0 X 1`` and the rest with ``0 1 0``: window ``[0, 1]``
+    holds four intervals on a base of ``n_pins - 4`` per colour, which
+    beats the base peak only by the intervals.  ``"base"`` makes two middle
+    patterns fully specified complements, so a base peak of every pin is
+    the answer.
+    """
+    rng = np.random.default_rng(seed)
+    n_patterns, n_pins = int(rng.integers(200, 601)), int(rng.integers(30, 81))
+    data = rng.integers(0, 2, size=(n_patterns, n_pins)).astype(np.int8)
+    data[rng.random(data.shape) < rng.uniform(0.7, 0.9)] = X
+    if shape == "left":
+        data[0], data[1:4], data[4] = 0, X, 1
+    elif shape == "left-base":
+        data[0], data[1:3] = 0, [[1], [0]]
+        data[1:3, :4] = [[X], [1]]
+    elif shape == "base":
+        data[n_patterns // 2], data[n_patterns // 2 + 1] = 0, 1
+    return extract_intervals(TestSet.from_matrix(data))
+
+
+@pytest.mark.parametrize("budget", [64, bcp._BLOCK_CELLS])
+@pytest.mark.parametrize("shape", ["random", "left", "left-base", "base"])
+@pytest.mark.parametrize("seed", range(6))
+def test_pruned_window_bound_at_scale(monkeypatch, budget, shape, seed):
+    """Instances wide enough that the per-block cutoff drops end columns."""
+    monkeypatch.setattr(bcp, "_BLOCK_CELLS", budget)
+    result = pruning_instance(seed, shape)
+    starts, ends, base = result.starts, result.ends, result.base_toggles
+    weighted = weighted_peak_bound(starts, ends, base)
+    unweighted = bcp_lower_bound(result)
+    assert weighted == reference_window_bound(starts, ends, base)
+    assert unweighted == reference_window_bound(starts, ends)
+    if shape == "left":
+        rest = starts > 0
+        assert unweighted > reference_window_bound(starts[rest], ends[rest])
+    elif shape == "left-base":
+        assert weighted == result.n_pins - 2 > result.base_peak
+    elif shape == "base":
+        assert weighted == result.base_peak > unweighted
 
 
 @settings(max_examples=100, deadline=None)
