@@ -19,6 +19,22 @@ work on the ids.  :class:`Gate` objects are the name-level view for the
 consumers that walk gates by name (``.bench`` export, the dict PODEM, the
 naive simulators); they are created on first request and cached.
 
+The fan-in tuples are the stored form.  The bulk passes read a derived,
+cached view of them, :meth:`Circuit.fanin_arrays`: every gate's fan-in net
+ids in one flat int32 array with per-gate offsets (CSR), plus an int8
+gate-type code per gate.  :meth:`Circuit.from_columns`' checks, validation,
+the topological sort, the compiler and the capacitance rows are array
+passes over it, so no per-gate Python loop runs on a full-scale netlist.
+
+The topological order is Kahn's algorithm with a first-in first-out queue
+whose initial ready set is sorted by net name, computed in *waves*: a gate
+joins the queue while its last combinational predecessor is popped, so the
+queue pops wave 0 (the sorted ready set), then the gates whose last
+predecessor is in wave 0, and so on, each wave in the order of (queue
+position of that predecessor, gate index).  Each wave is one vectorised
+step over the dependents of the wave before; :meth:`Circuit.topological_order`
+spells out why the order is the queue's.
+
 Sequential elements are D flip-flops; in the full-scan methodology the paper
 assumes, every flip-flop is a scan cell, so the *combinational view* of the
 circuit treats flip-flop outputs as pseudo-primary-inputs and flip-flop data
@@ -30,12 +46,15 @@ ordering used throughout the experiments.
 from __future__ import annotations
 
 from array import array
-from collections import Counter, deque
+from collections import Counter
 from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass
 from hashlib import blake2b
 from itertools import chain
+from operator import attrgetter
 from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.circuit.gates import GateType
 
@@ -83,7 +102,8 @@ class NetlistColumns(NamedTuple):
         outputs: primary output net ids, in declaration order.
         test_pins: ids of :attr:`Circuit.combinational_inputs`, in order.
         observed: ids of :attr:`Circuit.combinational_outputs`, in order.
-        order: combinational gate indices in :meth:`Circuit.topological_order`.
+        order: combinational gate indices in :meth:`Circuit.topological_order`
+            (a read-only int32 array).
     """
 
     net_names: Sequence[str]
@@ -94,7 +114,66 @@ class NetlistColumns(NamedTuple):
     outputs: Sequence[int]
     test_pins: List[int]
     observed: List[int]
-    order: Sequence[int]
+    order: np.ndarray
+
+
+class FaninArrays(NamedTuple):
+    """The gate columns as flat arrays, for the bulk passes over a netlist.
+
+    Returned by :meth:`Circuit.fanin_arrays`; a cached view of the fan-in
+    tuples and gate types, shared rather than copied (the arrays are
+    read-only).
+
+    Attributes:
+        nets: int32, every gate's fan-in net ids in pin order, gate after gate.
+        offsets: int32, ``n_gates + 1`` entries: gate ``i`` reads
+            ``nets[offsets[i]:offsets[i + 1]]``.
+        kinds: int8, gate ``i``'s type as an index into :data:`GATE_TYPES`.
+    """
+
+    nets: np.ndarray
+    offsets: np.ndarray
+    kinds: np.ndarray
+
+
+#: Gate-type codes of :attr:`FaninArrays.kinds`: code ``c`` is ``GATE_TYPES[c]``.
+GATE_TYPES: Tuple[GateType, ...] = tuple(GateType)
+# Keyed by member name: a str key hashes in C, a GateType key through
+# Enum.__hash__, once per gate of a full-scale netlist.
+_CODE_OF_NAME = {kind._name_: code for code, kind in enumerate(GATE_TYPES)}
+_member_name = attrgetter("_name_")
+_DFF_CODE = GATE_TYPES.index(GateType.DFF)
+_ONE = np.int32(1)
+#: Per code: a logic gate, neither a flip-flop nor a source.
+_IS_LOGIC = np.array([not kind.is_sequential and not kind.is_source for kind in GATE_TYPES])
+#: ``_ARITY_OK[code, min(n, 2)]``: may a gate of that type read ``n`` nets?
+#: Every type takes exactly 0, exactly 1 or any number from 2 up.
+_ARITY_OK = np.array([[kind.arity_ok(n) for n in range(3)] for kind in GATE_TYPES])
+
+
+def _fanin_arrays(
+    gate_type: Sequence[GateType], gate_fanin: Sequence[Tuple[int, ...]]
+) -> FaninArrays:
+    """Build the :class:`FaninArrays` of two gate columns.
+
+    Raises:
+        OverflowError: if a fan-in net id does not fit in 32 bits.
+    """
+    n_gates = len(gate_fanin)
+    offsets = np.zeros(n_gates + 1, dtype=np.int32)
+    lengths = np.fromiter(map(len, gate_fanin), dtype=np.int32, count=n_gates)
+    np.cumsum(lengths, dtype=np.int32, out=offsets[1:])
+    nets = np.fromiter(
+        chain.from_iterable(gate_fanin), dtype=np.int32, count=int(offsets[-1])
+    )
+    kinds = np.fromiter(
+        map(_CODE_OF_NAME.__getitem__, map(_member_name, gate_type)),
+        dtype=np.int8,
+        count=n_gates,
+    )
+    for column in (nets, offsets, kinds):
+        column.flags.writeable = False
+    return FaninArrays(nets, offsets, kinds)
 
 
 def _first_repeat(items: Sequence) -> Optional[object]:
@@ -110,6 +189,39 @@ def _first_repeat(items: Sequence) -> Optional[object]:
 #: Driver column values that are not gate indices.
 _UNDRIVEN = -1
 _PRIMARY_INPUT = -2
+
+
+def _assign_drivers(
+    driver: np.ndarray, gate_ids: np.ndarray, fanin: FaninArrays, names: Sequence[str]
+) -> None:
+    """Record gate ``i`` as the driver of net ``gate_ids[i]``, for every gate.
+
+    Checks what :meth:`Circuit.add_gate` checks, and raises for the first
+    gate, in column order, that drives a primary input, drives a net an
+    earlier gate drives or has an illegal arity (in that order of
+    precedence within one gate).
+
+    Raises:
+        CircuitError: describing the first problem found.
+    """
+    index = np.arange(len(gate_ids), dtype=np.int32)
+    on_input = driver[gate_ids] == _PRIMARY_INPUT
+    driver[gate_ids] = index
+    lengths = np.diff(fanin.offsets)
+    bad_arity = ~_ARITY_OK[fanin.kinds, np.minimum(lengths, 2)]
+    # Of the gates sharing a net, one is kept; the others read back another index.
+    if not (on_input.any() or bad_arity.any() or (driver[gate_ids] != index).any()):
+        return
+    again = np.ones(len(gate_ids), dtype=bool)
+    again[np.unique(gate_ids, return_index=True)[1]] = False
+    first = int(np.argmax(on_input | again | bad_arity))
+    net = names[gate_ids[first]]
+    if on_input[first]:
+        raise CircuitError(f"net {net!r} is a primary input")
+    if again[first]:
+        raise CircuitError(f"net {net!r} already driven by a gate")
+    kind = GATE_TYPES[fanin.kinds[first]]
+    raise CircuitError(_arity_message(net, kind, int(lengths[first])))
 
 
 class Circuit:
@@ -148,7 +260,8 @@ class Circuit:
 
     def _changed(self) -> None:
         """Drop every cache derived from the structure."""
-        self._order_cache: Optional[Sequence[int]] = None
+        self._order_cache: Optional[np.ndarray] = None
+        self._fanin_cache: Optional[FaninArrays] = None
         self._flip_flop_cache: Optional[List[int]] = None
         self._n_gates_cache: Optional[int] = None
         self._structure_token: Optional[object] = None
@@ -229,7 +342,9 @@ class Circuit:
         over the ids: distinct net names, no duplicate primary input or
         output, one driver per net and none on a primary input, legal
         arity, nothing undriven read or observed, and no combinational
-        cycle.
+        cycle.  The per-gate checks are array passes over
+        :meth:`fanin_arrays` that report the problem a gate-by-gate pass
+        would meet first.
 
         Args:
             name: circuit name.
@@ -245,44 +360,45 @@ class Circuit:
         """
         circuit = cls(name)
         names = list(net_names)
-        repeated = _first_repeat(names)
-        if repeated is not None:
-            raise CircuitError(f"duplicate net name {repeated!r}")
+        if len(set(names)) != len(names):
+            raise CircuitError(f"duplicate net name {_first_repeat(names)!r}")
         gate_net = array("i", gate_net)
         gate_type = list(gate_type)
-        gate_fanin = [tuple(fanin) for fanin in gate_fanin]
+        gate_fanin = list(map(tuple, gate_fanin))
         if not len(gate_net) == len(gate_type) == len(gate_fanin):
             raise CircuitError("gate columns differ in length")
-        mentioned = list(chain(inputs, gate_net, chain.from_iterable(gate_fanin), outputs))
-        if mentioned and not 0 <= min(mentioned) <= max(mentioned) < len(names):
-            raise CircuitError("net id out of range")
+        try:
+            fanin = _fanin_arrays(gate_type, gate_fanin)
+            input_ids = np.array(inputs, dtype=np.int32)
+            output_ids = np.array(outputs, dtype=np.int32)
+        except OverflowError:
+            raise CircuitError("net id out of range") from None
+        gate_ids = np.array(gate_net, dtype=np.int32)
+        n_ids = len(names)
+        for ids in (input_ids, gate_ids, fanin.nets, output_ids):
+            if ids.size and (ids.min() < 0 or ids.max() >= n_ids):
+                raise CircuitError("net id out of range")
 
-        driver = array("i", [_UNDRIVEN]) * len(names)
-        for net in inputs:
-            if driver[net] == _PRIMARY_INPUT:
-                raise CircuitError(f"duplicate primary input {names[net]!r}")
-            driver[net] = _PRIMARY_INPUT
-        for index, (net, kind, fanin) in enumerate(zip(gate_net, gate_type, gate_fanin)):
-            if driver[net] == _PRIMARY_INPUT:
-                raise CircuitError(f"net {names[net]!r} is a primary input")
-            if driver[net] != _UNDRIVEN:
-                raise CircuitError(f"net {names[net]!r} already driven by a gate")
-            if not kind.arity_ok(len(fanin)):
-                raise CircuitError(_arity_message(names[net], kind, len(fanin)))
-            driver[net] = index
+        repeated = _first_repeat(inputs)
+        if repeated is not None:
+            raise CircuitError(f"duplicate primary input {names[repeated]!r}")
+        driver = np.full(n_ids, _UNDRIVEN, dtype=np.int32)
+        driver[input_ids] = _PRIMARY_INPUT
+        _assign_drivers(driver, gate_ids, fanin, names)
         repeated = _first_repeat(outputs)
         if repeated is not None:
             raise CircuitError(f"duplicate primary output {names[repeated]!r}")
 
         circuit._net_names = names
         circuit._net_id = None
-        circuit._driver = driver
+        circuit._driver = array("i", driver.tobytes())
         circuit._inputs = list(inputs)
         circuit._outputs = list(outputs)
         circuit._output_set = set(outputs)
         circuit._gate_net = gate_net
         circuit._gate_type = gate_type
         circuit._gate_fanin = gate_fanin
+        circuit._fanin_cache = fanin
         circuit.validate()
         return circuit
 
@@ -328,10 +444,8 @@ class Circuit:
     def _flip_flops(self) -> List[int]:
         """Gate indices of the DFFs, in insertion order."""
         if self._flip_flop_cache is None:
-            dff = GateType.DFF  # identity: see _kahn
-            self._flip_flop_cache = [
-                index for index, kind in enumerate(self._gate_type) if kind is dff
-            ]
+            kinds = self.fanin_arrays().kinds
+            self._flip_flop_cache = np.flatnonzero(kinds == _DFF_CODE).tolist()
         return self._flip_flop_cache
 
     @property
@@ -340,14 +454,8 @@ class Circuit:
         return [self._gate(index) for index in self._flip_flops()]
 
     def _logic_gates(self) -> List[int]:
-        # Identity tests, as in _flip_flops: ``is_sequential`` and
-        # ``is_source`` cost an enum hash per gate.
-        dff, pi, zero, one = GateType.DFF, GateType.INPUT, GateType.CONST0, GateType.CONST1
-        return [
-            index
-            for index, kind in enumerate(self._gate_type)
-            if kind is not dff and kind is not pi and kind is not zero and kind is not one
-        ]
+        """Gate indices of the logic gates (no DFF, input or constant)."""
+        return np.flatnonzero(_IS_LOGIC[self.fanin_arrays().kinds]).tolist()
 
     @property
     def combinational_gates(self) -> List[Gate]:
@@ -358,7 +466,7 @@ class Circuit:
     def n_gates(self) -> int:
         """Number of combinational gates (the paper's "# Gates" metric)."""
         if self._n_gates_cache is None:
-            self._n_gates_cache = len(self._logic_gates())
+            self._n_gates_cache = int(np.count_nonzero(_IS_LOGIC[self.fanin_arrays().kinds]))
         return self._n_gates_cache
 
     @property
@@ -410,6 +518,12 @@ class Circuit:
         """Length of a test cube for this circuit (PIs + flip-flops)."""
         return len(self._inputs) + len(self._flip_flops())
 
+    def fanin_arrays(self) -> FaninArrays:
+        """The gate columns as flat arrays (see :class:`FaninArrays`), cached."""
+        if self._fanin_cache is None:
+            self._fanin_cache = _fanin_arrays(self._gate_type, self._gate_fanin)
+        return self._fanin_cache
+
     def columns(self) -> NetlistColumns:
         """The validated netlist as integer columns (see :class:`NetlistColumns`).
 
@@ -439,12 +553,15 @@ class Circuit:
         names, driver = self._net_names, self._driver
         # Every id with no driver was mentioned by a read, an output or a
         # bulk net table; only the first two are errors.
-        if _UNDRIVEN in driver:
-            for index, fanin in enumerate(self._gate_fanin):
-                for net in fanin:
-                    if driver[net] == _UNDRIVEN:
-                        gate = names[self._gate_net[index]]
-                        raise CircuitError(f"gate {gate!r} reads undriven net {names[net]!r}")
+        undriven = np.array(driver, dtype=np.int32) == _UNDRIVEN
+        if undriven.any():
+            nets, offsets, _ = self.fanin_arrays()
+            reads = undriven[nets]
+            if reads.any():
+                pin = int(np.argmax(reads))
+                index = int(np.searchsorted(offsets, pin, side="right")) - 1
+                gate = names[self._gate_net[index]]
+                raise CircuitError(f"gate {gate!r} reads undriven net {names[nets[pin]]!r}")
             for net in self._outputs:
                 if driver[net] == _UNDRIVEN:
                     raise CircuitError(f"primary output {names[net]!r} is undriven")
@@ -459,55 +576,89 @@ class Circuit:
         name and later gates join it first-in first-out, in insertion order,
         so the order depends on names and insertion order, never on ids.
 
+        The queue is not run gate by gate but one wave at a time: wave 0 is
+        the sorted ready set, wave ``k + 1`` the gates whose last
+        combinational predecessor is in wave ``k``, ordered by (queue
+        position of that predecessor, gate index).  That is the order the
+        queue pops them in, because a first-in first-out queue pops every
+        gate of wave ``k`` before any gate the pops of wave ``k`` append, and
+        a gate is appended, after the dependents of earlier pops, while its
+        last predecessor is popped, in gate-index order among that
+        predecessor's dependents (see the module docstring).
+
         Raises:
             CircuitError: if the combinational logic contains a cycle.
         """
-        return self._names([self._gate_net[index] for index in self._topological_gates()])
+        gate_net = self._gate_net
+        return self._names([gate_net[index] for index in self._topological_gates().tolist()])
 
-    def _topological_gates(self) -> Sequence[int]:
-        """Gate indices of :meth:`topological_order` (cached)."""
+    def _topological_gates(self) -> np.ndarray:
+        """Gate indices of :meth:`topological_order` as read-only int32 (cached)."""
         if self._order_cache is None:
-            self._order_cache = array("i", self._kahn())
+            order = self._kahn()
+            order.flags.writeable = False
+            self._order_cache = order
         return self._order_cache
 
-    def _kahn(self) -> List[int]:
-        names, driver, gate_net = self._net_names, self._driver, self._gate_net
-        # Identity, not GateType.is_sequential: this runs once per gate on
-        # full-scale netlists, and the predicate costs an enum hash.
-        dff = GateType.DFF
-        comb = [kind is not dff for kind in self._gate_type]
-        indegree = [0] * len(comb)
-        dependents: List[List[int]] = [[] for _ in comb]
-        for index, fanin in enumerate(self._gate_fanin):
-            if not comb[index]:
-                continue
-            count = 0
-            for net in fanin:
-                source = driver[net]
-                if source >= 0:
-                    if comb[source]:
-                        dependents[source].append(index)
-                        count += 1
-                elif source == _UNDRIVEN:
-                    gate = names[gate_net[index]]
-                    raise CircuitError(f"gate {gate!r} reads undriven net {names[net]!r}")
-            indegree[index] = count
+    def _kahn(self) -> np.ndarray:
+        """Kahn's first-in first-out order, one wave at a time (see :meth:`topological_order`)."""
+        names, gate_net = self._net_names, self._gate_net
+        nets, offsets, kinds = self.fanin_arrays()
+        n_gates = len(kinds)
+        comb = kinds != _DFF_CODE
+        # Per fan-in pin: the gate reading it and the driver of the net read.
+        reader = np.repeat(np.arange(n_gates, dtype=np.int32), np.diff(offsets))
+        source = np.array(self._driver, dtype=np.int32)[nets]
+        undriven = source == _UNDRIVEN
+        undriven &= comb[reader]
+        if undriven.any():
+            pin = int(np.argmax(undriven))
+            gate = names[gate_net[reader[pin]]]
+            raise CircuitError(f"gate {gate!r} reads undriven net {names[nets[pin]]!r}")
 
-        ready = deque(
-            sorted(
-                (index for index, deg in enumerate(indegree) if deg == 0 and comb[index]),
-                key=lambda index: names[gate_net[index]],
-            )
-        )
-        order: List[int] = []
-        while ready:
-            index = ready.popleft()
-            order.append(index)
-            for dependent in dependents[index]:
-                indegree[dependent] -= 1
-                if indegree[dependent] == 0:
-                    ready.append(dependent)
-        if len(order) != sum(comb):
+        # Combinational edges pred -> succ.  Each gate's dependents, in the
+        # gate-index order the queue appends them in, are the edges sorted
+        # by (pred, succ); edges equal in both are interchangeable.
+        edge = source >= 0
+        edge[edge] = comb[source[edge]]
+        edge &= comb[reader]
+        pred, succ = source[edge], reader[edge]
+        del reader, source, edge
+        n_dependents = np.bincount(pred, minlength=n_gates).astype(np.int32)
+        first = np.cumsum(n_dependents, dtype=np.int32)
+        first -= n_dependents
+        remaining = np.bincount(succ, minlength=n_gates).astype(np.int32)
+        key = pred.astype(np.int64)
+        key *= n_gates
+        key += succ
+        del pred, succ
+        key.sort()
+        dependents = (key % n_gates).astype(np.int32)
+        del key
+
+        ready = np.flatnonzero(comb & (remaining == 0)).tolist()
+        wave = np.array(sorted(ready, key=lambda index: names[gate_net[index]]), dtype=np.int32)
+        waves = [wave]
+        joined = np.full(n_gates, -1, dtype=np.int32)
+        while wave.size:
+            # The dependents of the wave, in the order its pops reach them.
+            # (Array methods: the NumPy function wrappers cost more than
+            # the work on a small wave.)
+            counts = n_dependents[wave]
+            take = (first[wave] - counts.cumsum(dtype=np.int32) + counts).repeat(counts)
+            take += np.arange(take.size, dtype=np.int32)
+            reached = dependents[take]
+            # int32 operands keep ufunc.at on NumPy's fast path.
+            np.subtract.at(remaining, reached, _ONE)
+            hit = (remaining[reached] == 0).nonzero()[0].astype(np.int32)
+            ready = reached[hit]
+            # A gate joins the queue at its last occurrence in ``reached``:
+            # the pop of its last predecessor.
+            np.maximum.at(joined, ready, hit)
+            wave = ready[joined[ready] == hit]
+            waves.append(wave)
+        order = np.concatenate(waves)
+        if order.size != np.count_nonzero(comb):
             raise CircuitError("combinational logic contains a cycle")
         return order
 
@@ -555,7 +706,7 @@ class Circuit:
         level = [0] * len(names)
         levels = dict.fromkeys(self._names(self._test_pin_ids()), 0)
         level_of = level.__getitem__
-        for index in self._topological_gates():
+        for index in self._topological_gates().tolist():
             net = gate_net[index]
             level[net] = levels[names[net]] = 1 + max(
                 map(level_of, gate_fanin[index]), default=0

@@ -3,8 +3,9 @@
 The naive simulators walk gate objects and per-net dictionaries on every
 evaluation.  This module compiles a validated circuit **once** into a flat,
 levelised program over integer *rows*, reading the circuit's integer columns
-(:meth:`Circuit.columns`) directly — a row is a permutation of a net id, so
-no gate object or name lookup is involved:
+(:meth:`Circuit.columns`) and its flat fan-in arrays
+(:meth:`Circuit.fanin_arrays`) directly — a row is a permutation of a net
+id, so no gate object or name lookup is involved:
 
 * every net gets a row in a dense value table — test pins (primary inputs
   followed by flip-flop outputs) occupy rows ``0 .. n_inputs-1``, then every
@@ -14,7 +15,16 @@ no gate object or name lookup is involved:
   PODEM's tie-breaks, so compiling in generation order instead would change
   reported numbers;
 * every evaluated gate becomes a *node* ``(opcode, output row, fan-in
-  rows)`` of ``node_prog``; node ``p`` writes row ``n_inputs + p``.
+  rows)`` of ``node_prog``; node ``p`` writes row ``n_inputs + p``;
+* every row gets the position of the last node reading it
+  (``last_reader``), from which :func:`repro.engine.packed.release_schedule`
+  tells when a lane can be dropped.
+
+The row map, the opcodes, the fan-in rows and the last readers are array
+passes: a gather of the netlist's flat fan-in ids
+(:meth:`Circuit.fanin_arrays`) in topological order, mapped through a net
+id -> row table.  Only the ``node_prog`` tuples are built in Python, from
+slices of those rows.
 
 That is all logic simulation reads, so it is all :func:`compile_circuit`
 builds.  The structures only PODEM and fault simulation read — the name ->
@@ -35,6 +45,7 @@ simulation never touches gate objects or name dictionaries again.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
@@ -42,7 +53,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.circuit.gates import GateType
-from repro.circuit.netlist import Circuit
+from repro.circuit.netlist import GATE_TYPES, Circuit
 
 # Integer opcodes of the compiled program.  The order groups the "natural"
 # function with its inverted twin so ``op | 1`` tests for inversion cheaply.
@@ -69,9 +80,9 @@ _OPCODE_OF: Dict[GateType, int] = {
     GateType.CONST0: OP_CONST0,
     GateType.CONST1: OP_CONST1,
 }
-# Keyed by member name: a str key hashes in C, a GateType key through
-# Enum.__hash__, once per node of a full-scale netlist.
-_OPCODE_OF_NAME: Dict[str, int] = {kind.name: op for kind, op in _OPCODE_OF.items()}
+#: Opcode per gate-type code of :attr:`FaninArrays.kinds` (``-1``: no opcode).
+_OPCODE_OF_CODE = np.array([_OPCODE_OF.get(kind, -1) for kind in GATE_TYPES], dtype=np.int8)
+
 
 @dataclass(frozen=True)
 class Cone:
@@ -100,6 +111,8 @@ class CompiledCircuit:
         n_inputs: number of test-pin rows (they are rows ``0..n_inputs-1``).
         output_rows: rows of the observable outputs, in
             :attr:`Circuit.combinational_outputs` order (may repeat).
+        last_reader: int32, row -> position of the last node reading it,
+            ``-1`` for a row no node reads.
         node_prog: per node ``(opcode, output row, fan-in rows)`` in
             topological order.  The lane evaluator iterates it directly
             (scalar indexing of python lists beats numpy scalar indexing by
@@ -114,6 +127,7 @@ class CompiledCircuit:
     net_names: List[str]
     n_inputs: int
     output_rows: np.ndarray
+    last_reader: np.ndarray
     node_prog: List[Tuple[int, int, Tuple[int, ...]]] = field(default_factory=list)
     _cone_cache: Dict[int, Cone] = field(default_factory=dict)
 
@@ -228,40 +242,56 @@ def compile_circuit(circuit: Circuit) -> CompiledCircuit:
     docstring for why no other order will do.
     """
     columns = circuit.columns()
-    names, gate_net = columns.net_names, columns.gate_net
-    pins, order = columns.test_pins, columns.order
-    n_inputs = len(pins)
-    n_rows = n_inputs + len(order)
+    nets, offsets, kinds = circuit.fanin_arrays()
+    names, pins, order = columns.net_names, columns.test_pins, columns.order
+    n_inputs, n_nodes = len(pins), len(order)
+    n_rows = n_inputs + n_nodes
 
     # Net id -> row.  Every id a node reads or the outputs observe is a test
-    # pin or a combinational gate output, so each lookup hits a row.  The
-    # rows come from one list of int objects, which ``row_of`` and the
-    # program share instead of boxing their own copies.
-    rows = list(range(n_rows))
-    gate_rows = rows[n_inputs:]
-    row_of = [-1] * len(names)
-    for net, row in zip(pins, rows):
-        row_of[net] = row
-    for index, row in zip(order, gate_rows):
-        row_of[gate_net[index]] = row
+    # pin or a combinational gate output, so each lookup hits a row.
+    gate_nets = np.array(columns.gate_net, dtype=np.int32)[order]
+    row_of = np.full(len(names), -1, dtype=np.int32)
+    row_of[pins] = np.arange(n_inputs, dtype=np.int32)
+    row_of[gate_nets] = np.arange(n_inputs, n_rows, dtype=np.int32)
     net_names: List[str] = [names[net] for net in pins]
-    net_names.extend([names[gate_net[index]] for index in order])
+    net_names.extend(map(names.__getitem__, array("i", gate_nets.tobytes())))
 
-    node_prog: List[Tuple[int, int, Tuple[int, ...]]] = []
-    gate_type, gate_fanin = columns.gate_type, columns.gate_fanin
-    opcode_of = _OPCODE_OF_NAME.get
-    row_of_net = row_of.__getitem__
-    append = node_prog.append
-    for index, out in zip(order, gate_rows):
-        op = opcode_of(gate_type[index]._name_)
-        if op is None:  # pragma: no cover - Circuit.validate forbids this
-            raise ValueError(f"cannot compile gate type {gate_type[index]}")
-        append((op, out, tuple(map(row_of_net, gate_fanin[index]))))
+    ops = _OPCODE_OF_CODE[kinds[order]]
+    if (ops < 0).any():  # pragma: no cover - only INPUT-type gates lack one
+        raise ValueError(f"cannot compile gate type {GATE_TYPES[kinds[order][ops < 0][0]]}")
+    # The fan-in ids of the nodes, node after node, as rows.
+    starts = offsets[order]
+    lengths = offsets[order + 1] - starts
+    node_offsets = np.zeros(n_nodes + 1, dtype=np.int32)
+    np.cumsum(lengths, dtype=np.int32, out=node_offsets[1:])
+    take = np.repeat(starts - node_offsets[:-1], lengths)
+    take += np.arange(take.size, dtype=np.int32)
+    fanin_rows = row_of[nets[take]]
+    del take
+    last_reader = np.full(n_rows, -1, dtype=np.int32)
+    np.maximum.at(last_reader, fanin_rows, np.repeat(np.arange(n_nodes, dtype=np.int32), lengths))
+
+    # The rows come from one list of int objects, which the output rows and
+    # fan-in tuples share instead of boxing their own copies.  Iterating an
+    # ``array`` boxes one int at a time; ``tolist()`` would box them all at
+    # once, a transient the size of the fan-in list.
+    rows = list(range(n_rows))
+    sources = list(map(rows.__getitem__, array("i", fanin_rows.tobytes())))
+    del fanin_rows
+    bounds = array("i", node_offsets.tobytes())
+    node_prog = list(
+        zip(
+            ops.tolist(),
+            rows[n_inputs:],
+            [tuple(sources[lo:hi]) for lo, hi in zip(bounds, bounds[1:])],
+        )
+    )
 
     return CompiledCircuit(
         name=circuit.name,
         net_names=net_names,
         n_inputs=n_inputs,
-        output_rows=np.asarray([row_of[net] for net in columns.observed], dtype=np.int32),
+        output_rows=row_of[columns.observed],
+        last_reader=last_reader,
         node_prog=node_prog,
     )

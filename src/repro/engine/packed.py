@@ -30,7 +30,7 @@ on b18, at most ~10% of them.
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -149,16 +149,8 @@ def release_schedule(program: CompiledCircuit, block: int) -> Tuple[np.ndarray, 
     reads.  Node ``p`` writes row ``n_inputs + p``, so a row is always
     written before (or in) the block that releases it.
     """
-    node_prog = program.node_prog
-    n_nodes = len(node_prog)
-    fanins = np.fromiter(map(len, (src for _, _, src in node_prog)), dtype=np.int32, count=n_nodes)
-    readers = np.fromiter(
-        chain.from_iterable(src for _, _, src in node_prog), dtype=np.int32, count=int(fanins.sum())
-    )
-    last = np.full(program.n_nets, -1, dtype=np.int32)
-    np.maximum.at(last, readers, np.repeat(np.arange(n_nodes, dtype=np.int32), fanins))
-    del readers
-    np.maximum(last, np.arange(-program.n_inputs, n_nodes, dtype=np.int32), out=last)
+    n_nodes = program.n_nodes
+    last = np.maximum(program.last_reader, np.arange(-program.n_inputs, n_nodes, dtype=np.int32))
     last //= block
     last += 1
     rows = np.argsort(last, kind="stable")

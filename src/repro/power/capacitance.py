@@ -17,7 +17,6 @@ compared, so the *ranking* of techniques is meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Dict
 
 import numpy as np
@@ -146,9 +145,9 @@ def row_capacitances(
     gate_net = np.asarray(columns.gate_net, dtype=np.int64)
     # Circuit.nets() order, which the lottery is drawn in.
     net_ids = np.concatenate([np.asarray(columns.inputs, dtype=np.int64), gate_net])
-    reads = np.fromiter(chain.from_iterable(columns.gate_fanin), dtype=np.int64)
-    reads = np.concatenate([reads, np.asarray(columns.outputs, dtype=np.int64)])
-    readers = np.bincount(reads, minlength=n_ids)[net_ids]
+    readers = np.bincount(circuit.fanin_arrays().nets, minlength=n_ids)
+    readers[columns.outputs] += 1  # primary outputs are distinct
+    readers = readers[net_ids]
     by_id = np.zeros(n_ids, dtype=np.float64)
     by_id[net_ids] = _capacitances(readers, technology, seed)
     order = np.asarray(columns.order, dtype=np.int64)

@@ -12,7 +12,13 @@ masks for the greedy tours, and the min-heap sweep of the BCP colouring.
 They are the oracles of the differential tests in ``test_kernels.py``.
 The topological-order, compile, capacitance and switching references are
 the name-keyed, per-gate, per-net and dense formulations of the circuit and
-power layers, the oracles of ``test_differential_fuzz.py``.
+power layers, the oracles of ``test_differential_fuzz.py``.  The id-keyed
+per-gate loops the netlist's array passes replaced — the
+:meth:`Circuit.from_columns` checks and validation
+(:func:`reference_from_columns`), the first-in first-out Kahn
+(:func:`reference_topological_gates`), the compiler
+(:func:`reference_compile_columns`), the lane release schedule and the
+capacitance rows — are the oracles of ``test_circuit_netlist.py``.
 :class:`NewestFirstPool` stands in for the experiment runner's worker pool.
 """
 
@@ -22,18 +28,21 @@ import functools
 import heapq
 import itertools
 import multiprocessing
+from array import array
 from collections import deque
+from itertools import chain
 from types import SimpleNamespace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.circuit.netlist import Circuit, CircuitError
+from repro.circuit.gates import GateType
+from repro.circuit.netlist import _PRIMARY_INPUT, _UNDRIVEN, Circuit, CircuitError
 from repro.core.intervals import ToggleInterval
 from repro.cubes.bits import ONE, X, ZERO
 from repro.cubes.cube import TestSet
 from repro.engine.compile import _OPCODE_OF, CompiledCircuit
-from repro.power.capacitance import TechnologyParameters
+from repro.power.capacitance import TechnologyParameters, _capacitances
 
 
 def brute_force_min_peak(patterns: TestSet) -> int:
@@ -415,6 +424,217 @@ def reference_topological_order(circuit: Circuit) -> List[str]:
     return order
 
 
+def _first_repeat(items: Sequence) -> Optional[object]:
+    seen: set = set()
+    for item in items:
+        if item in seen:
+            return item
+        seen.add(item)
+    return None
+
+
+def reference_from_columns(
+    name: str,
+    net_names: Sequence[str],
+    inputs: Sequence[int],
+    gate_net: Sequence[int],
+    gate_type: Sequence[GateType],
+    gate_fanin: Sequence[Tuple[int, ...]],
+    outputs: Sequence[int],
+) -> Circuit:
+    """:meth:`Circuit.from_columns` as per-gate loops over the columns.
+
+    The checks run in the same order and raise the same messages; the
+    circuit is then validated by :func:`reference_validate`.
+    """
+    circuit = Circuit(name)
+    names = list(net_names)
+    repeated = _first_repeat(names)
+    if repeated is not None:
+        raise CircuitError(f"duplicate net name {repeated!r}")
+    gate_net = array("i", gate_net)
+    gate_type = list(gate_type)
+    gate_fanin = [tuple(fanin) for fanin in gate_fanin]
+    if not len(gate_net) == len(gate_type) == len(gate_fanin):
+        raise CircuitError("gate columns differ in length")
+    mentioned = list(chain(inputs, gate_net, chain.from_iterable(gate_fanin), outputs))
+    if mentioned and not 0 <= min(mentioned) <= max(mentioned) < len(names):
+        raise CircuitError("net id out of range")
+
+    driver = array("i", [_UNDRIVEN]) * len(names)
+    for net in inputs:
+        if driver[net] == _PRIMARY_INPUT:
+            raise CircuitError(f"duplicate primary input {names[net]!r}")
+        driver[net] = _PRIMARY_INPUT
+    for index, (net, kind, fanin) in enumerate(zip(gate_net, gate_type, gate_fanin)):
+        if driver[net] == _PRIMARY_INPUT:
+            raise CircuitError(f"net {names[net]!r} is a primary input")
+        if driver[net] != _UNDRIVEN:
+            raise CircuitError(f"net {names[net]!r} already driven by a gate")
+        if not kind.arity_ok(len(fanin)):
+            raise CircuitError(f"gate {names[net]!r}: {kind.name} cannot take {len(fanin)} inputs")
+        driver[net] = index
+    repeated = _first_repeat(outputs)
+    if repeated is not None:
+        raise CircuitError(f"duplicate primary output {names[repeated]!r}")
+
+    circuit._net_names = names
+    circuit._net_id = None
+    circuit._driver = driver
+    circuit._inputs = list(inputs)
+    circuit._outputs = list(outputs)
+    circuit._output_set = set(outputs)
+    circuit._gate_net = gate_net
+    circuit._gate_type = gate_type
+    circuit._gate_fanin = gate_fanin
+    reference_validate(circuit)
+    return circuit
+
+
+def reference_validate(circuit: Circuit) -> None:
+    """:meth:`Circuit.validate` as a per-gate loop, then :func:`reference_topological_gates`."""
+    names, driver = circuit._net_names, circuit._driver
+    if _UNDRIVEN in driver:
+        for index, fanin in enumerate(circuit._gate_fanin):
+            for net in fanin:
+                if driver[net] == _UNDRIVEN:
+                    gate = names[circuit._gate_net[index]]
+                    raise CircuitError(f"gate {gate!r} reads undriven net {names[net]!r}")
+        for net in circuit._outputs:
+            if driver[net] == _UNDRIVEN:
+                raise CircuitError(f"primary output {names[net]!r} is undriven")
+    reference_topological_gates(circuit)
+
+
+def reference_topological_gates(circuit: Circuit) -> List[int]:
+    """Kahn's algorithm over gate indices, one queue pop at a time.
+
+    The initial ready queue is sorted by net name and dependents join it in
+    insertion order, first-in first-out: the order the wave form of
+    :meth:`Circuit.topological_order` must reproduce.
+    """
+    names, driver, gate_net = circuit._net_names, circuit._driver, circuit._gate_net
+    dff = GateType.DFF
+    comb = [kind is not dff for kind in circuit._gate_type]
+    indegree = [0] * len(comb)
+    dependents: List[List[int]] = [[] for _ in comb]
+    for index, fanin in enumerate(circuit._gate_fanin):
+        if not comb[index]:
+            continue
+        count = 0
+        for net in fanin:
+            source = driver[net]
+            if source >= 0:
+                if comb[source]:
+                    dependents[source].append(index)
+                    count += 1
+            elif source == _UNDRIVEN:
+                gate = names[gate_net[index]]
+                raise CircuitError(f"gate {gate!r} reads undriven net {names[net]!r}")
+        indegree[index] = count
+
+    ready = deque(
+        sorted(
+            (index for index, deg in enumerate(indegree) if deg == 0 and comb[index]),
+            key=lambda index: names[gate_net[index]],
+        )
+    )
+    order: List[int] = []
+    while ready:
+        index = ready.popleft()
+        order.append(index)
+        for dependent in dependents[index]:
+            indegree[dependent] -= 1
+            if indegree[dependent] == 0:
+                ready.append(dependent)
+    if len(order) != sum(comb):
+        raise CircuitError("combinational logic contains a cycle")
+    return order
+
+
+def _last_reader(program: CompiledCircuit) -> np.ndarray:
+    """Row -> position of the last node reading it (``-1``: none), from ``node_prog``."""
+    last = [-1] * program.n_nets
+    for pos, (_, _, src) in enumerate(program.node_prog):
+        for row in src:
+            last[row] = pos
+    return np.asarray(last, dtype=np.int32)
+
+
+def reference_compile_columns(circuit: Circuit) -> CompiledCircuit:
+    """:func:`repro.engine.compile.compile_circuit` as a per-gate loop over the columns.
+
+    The order comes from :func:`reference_topological_gates`.
+    """
+    columns = circuit.columns()
+    names, gate_net = columns.net_names, columns.gate_net
+    pins, order = columns.test_pins, reference_topological_gates(circuit)
+    n_inputs = len(pins)
+    rows = list(range(n_inputs + len(order)))
+    gate_rows = rows[n_inputs:]
+    row_of = [-1] * len(names)
+    for net, row in zip(pins, rows):
+        row_of[net] = row
+    for index, row in zip(order, gate_rows):
+        row_of[gate_net[index]] = row
+    net_names: List[str] = [names[net] for net in pins]
+    net_names.extend([names[gate_net[index]] for index in order])
+    node_prog: List[Tuple[int, int, Tuple[int, ...]]] = []
+    gate_type, gate_fanin = columns.gate_type, columns.gate_fanin
+    for index, out in zip(order, gate_rows):
+        node_prog.append(
+            (_OPCODE_OF[gate_type[index]], out, tuple(row_of[net] for net in gate_fanin[index]))
+        )
+    program = CompiledCircuit(
+        name=circuit.name,
+        net_names=net_names,
+        n_inputs=n_inputs,
+        output_rows=np.asarray([row_of[net] for net in columns.observed], dtype=np.int32),
+        last_reader=np.empty(0, dtype=np.int32),
+        node_prog=node_prog,
+    )
+    program.last_reader = _last_reader(program)
+    return program
+
+
+def reference_release_schedule(
+    program: CompiledCircuit, block: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`repro.engine.packed.release_schedule` over the ``node_prog`` tuples."""
+    node_prog = program.node_prog
+    n_nodes = len(node_prog)
+    fanins = np.fromiter(map(len, (src for _, _, src in node_prog)), dtype=np.int32, count=n_nodes)
+    readers = np.fromiter(
+        chain.from_iterable(src for _, _, src in node_prog), dtype=np.int32, count=int(fanins.sum())
+    )
+    last = np.full(program.n_nets, -1, dtype=np.int32)
+    np.maximum.at(last, readers, np.repeat(np.arange(n_nodes, dtype=np.int32), fanins))
+    np.maximum(last, np.arange(-program.n_inputs, n_nodes, dtype=np.int32), out=last)
+    last //= block
+    last += 1
+    rows = np.argsort(last, kind="stable")
+    n_blocks = -(-n_nodes // block)
+    return rows, np.searchsorted(last[rows], np.arange(n_blocks + 2))
+
+
+def reference_row_capacitances(
+    circuit: Circuit, technology: TechnologyParameters = TechnologyParameters(), seed: int = 0
+) -> np.ndarray:
+    """:func:`repro.power.capacitance.row_capacitances` over the fan-in tuples."""
+    columns = circuit.columns()
+    n_ids = len(columns.net_names)
+    gate_net = np.asarray(columns.gate_net, dtype=np.int64)
+    net_ids = np.concatenate([np.asarray(columns.inputs, dtype=np.int64), gate_net])
+    reads = np.fromiter(chain.from_iterable(columns.gate_fanin), dtype=np.int64)
+    reads = np.concatenate([reads, np.asarray(columns.outputs, dtype=np.int64)])
+    readers = np.bincount(reads, minlength=n_ids)[net_ids]
+    by_id = np.zeros(n_ids, dtype=np.float64)
+    by_id[net_ids] = _capacitances(readers, technology, seed)
+    order = np.asarray(reference_topological_gates(circuit), dtype=np.int64)
+    rows = np.concatenate([np.asarray(columns.test_pins, dtype=np.int64), gate_net[order]])
+    return by_id[rows]
+
+
 def reference_compile_circuit(circuit: Circuit) -> CompiledCircuit:
     """Compile by net name, with every lazy field precomputed.
 
@@ -456,8 +676,10 @@ def reference_compile_circuit(circuit: Circuit) -> CompiledCircuit:
         net_names=net_names,
         n_inputs=len(inputs),
         output_rows=output_rows,
+        last_reader=np.empty(0, dtype=np.int32),
         node_prog=node_prog,
     )
+    program.last_reader = _last_reader(program)
     program.__dict__.update(
         net_index=net_index,
         node_levels=[levels[name] for name in order],

@@ -1,20 +1,42 @@
-"""Unit tests for gates, the netlist container and the .bench front end."""
+"""Unit tests for gates, the netlist container and the .bench front end.
+
+The netlist's array passes (:meth:`Circuit.from_columns`' checks,
+validation, the wave-form Kahn sort, the compiler, the lane release
+schedule and the capacitance rows) are checked against the per-gate loops
+they replaced, kept in ``tests/helpers.py``: on hypothesis netlists built
+gate by gate and in bulk, on every default profile, and by digests pinned
+for every profile.
+"""
 
 from __future__ import annotations
 
 import functools
+import random
 from hashlib import blake2b
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.circuit.bench_format import BenchParseError, parse_bench, write_bench
 from repro.circuit.gates import GateType, controlling_value, evaluate_bool, evaluate_ternary
-from repro.benchmarks_data.profiles import default_benchmark_names
+from repro.benchmarks_data.profiles import all_profiles, default_benchmark_names, get_profile
 from repro.circuit.library import b01_like_fsm, c17, itc99_like, ripple_counter, toy_pipeline
 from repro.circuit.netlist import Circuit, CircuitError, Gate
 from repro.cubes.bits import ONE, X, ZERO
 from repro.engine.compile import compile_circuit
+from repro.engine.packed import release_schedule
+from repro.experiments.workloads import SCALED_GATE_TARGET
+from repro.power.capacitance import TechnologyParameters, row_capacitances
+from tests.helpers import (
+    reference_compile_columns,
+    reference_from_columns,
+    reference_release_schedule,
+    reference_row_capacitances,
+    reference_topological_gates,
+    reference_validate,
+)
 
 
 class TestGateTypes:
@@ -77,6 +99,89 @@ class TestGateEvaluation:
     def test_ternary_fully_specified(self):
         assert evaluate_ternary(GateType.XOR, [ONE, ONE]) == ZERO
         assert evaluate_ternary(GateType.XNOR, [ONE, ZERO]) == ZERO
+
+
+def _edit(column, **rows):
+    """``FIRST_PROBLEM_BASE[column]`` with entries replaced, keyed ``g<index>``."""
+    edited = list(FIRST_PROBLEM_BASE[column])
+    for key, value in rows.items():
+        edited[int(key[1:])] = value
+    return edited
+
+
+#: A valid netlist: inputs a, b; g0 = AND(a, b), g1 = NOT(g0), g2 = OR(g0, g1),
+#: g3 = NAND(g2, a), g4 = DFF(g3); g3 observed; net u (id 7) never driven.
+FIRST_PROBLEM_BASE = dict(
+    net_names=["a", "b", "g0", "g1", "g2", "g3", "g4", "u"],
+    inputs=[0, 1],
+    gate_net=[2, 3, 4, 5, 6],
+    gate_type=[GateType.AND, GateType.NOT, GateType.OR, GateType.NAND, GateType.DFF],
+    gate_fanin=[(0, 1), (2,), (2, 3), (4, 0), (5,)],
+    outputs=[5],
+)
+
+#: Columns with two or more problems, and the message of the one the
+#: per-gate checks meet first (recorded before the checks became array
+#: passes).
+FIRST_PROBLEM_CASES = [
+    # gate 3 has a bad arity, gate 1 drives a net gate 0 drives
+    (dict(gate_fanin=_edit("gate_fanin", g3=(4,)), gate_net=_edit("gate_net", g1=2)),
+     "net 'g0' already driven by a gate"),
+    # gate 1 has a bad arity, gate 3 drives a primary input
+    (dict(gate_fanin=_edit("gate_fanin", g1=(2, 0)), gate_net=_edit("gate_net", g3=1)),
+     "gate 'g1': NOT cannot take 2 inputs"),
+    # gate 0 reads an undriven net, gate 2 has a bad arity
+    (dict(gate_fanin=_edit("gate_fanin", g0=(0, 7), g2=(2,))),
+     "gate 'g2': OR cannot take 1 inputs"),
+    # gates 1 and 3 read an undriven net
+    (dict(gate_fanin=_edit("gate_fanin", g1=(7,), g3=(7, 0))),
+     "gate 'g1' reads undriven net 'u'"),
+    # gate 2 reads an undriven net, and an output is undriven
+    (dict(gate_fanin=_edit("gate_fanin", g2=(7, 1)), outputs=[5, 7]),
+     "gate 'g2' reads undriven net 'u'"),
+    # gates 1 and 2 form a cycle, gate 3 reads an undriven net
+    (dict(gate_fanin=_edit("gate_fanin", g1=(4,), g3=(7, 0))),
+     "gate 'g3' reads undriven net 'u'"),
+    # an output is repeated, gate 4 drives a primary input
+    (dict(outputs=[5, 5], gate_net=_edit("gate_net", g4=0)), "net 'a' is a primary input"),
+    # an input is repeated, gate 0 drives a primary input
+    (dict(inputs=[0, 1, 0], gate_net=_edit("gate_net", g0=1)), "duplicate primary input 'a'"),
+    # a net name is repeated, gate 4 reads an id out of range
+    (dict(net_names=["a", "b", "g0", "g1", "g2", "g3", "g4", "a"],
+          gate_fanin=_edit("gate_fanin", g4=(9,))),
+     "duplicate net name 'a'"),
+    # an input is repeated, gate 2 reads an id out of range
+    (dict(inputs=[0, 1, 1], gate_fanin=_edit("gate_fanin", g2=(2, 8))), "net id out of range"),
+    # gate 2 reads itself, the flip-flop (gate 4) reads an undriven net
+    (dict(gate_fanin=_edit("gate_fanin", g2=(4, 3), g4=(7,))), "gate 'g4' reads undriven net 'u'"),
+    # gates 2 and 3 drive the net gate 1 drives
+    (dict(gate_net=_edit("gate_net", g2=3, g3=3)), "net 'g1' already driven by a gate"),
+    # gate 3 drives a primary input, the flip-flop (gate 4) reads nothing
+    (dict(gate_net=_edit("gate_net", g3=1), gate_fanin=_edit("gate_fanin", g4=())),
+     "net 'b' is a primary input"),
+    # gate 2 drives a primary input and has a bad arity
+    (dict(gate_net=_edit("gate_net", g2=0), gate_fanin=_edit("gate_fanin", g2=(2,))),
+     "net 'a' is a primary input"),
+    # gate 2 drives the net gate 1 drives and has a bad arity
+    (dict(gate_net=_edit("gate_net", g2=3), gate_fanin=_edit("gate_fanin", g2=(2,))),
+     "net 'g1' already driven by a gate"),
+    # a negative net id
+    (dict(gate_fanin=_edit("gate_fanin", g1=(-1,))), "net id out of range"),
+    # gate 0 reads an undriven net twice, gate 1 is a constant with an input
+    (dict(gate_fanin=_edit("gate_fanin", g0=(0, 7, 7)),
+          gate_type=_edit("gate_type", g1=GateType.CONST0)),
+     "gate 'g1': CONST0 cannot take 1 inputs"),
+    # gates 1 and 2 form a cycle, the flip-flop reads an undriven net
+    (dict(gate_fanin=_edit("gate_fanin", g1=(4,), g4=(7,))), "gate 'g4' reads undriven net 'u'"),
+    # an undriven output is repeated
+    (dict(outputs=[7, 5, 7]), "duplicate primary output 'u'"),
+    # gates 1 and 2 form a cycle, the only output is undriven
+    (dict(gate_fanin=_edit("gate_fanin", g1=(4,)), outputs=[7]), "primary output 'u' is undriven"),
+    # gates 1 and 2 form a cycle
+    (dict(gate_fanin=_edit("gate_fanin", g1=(4,))), "combinational logic contains a cycle"),
+    # gate 3 reads an undriven net at its second pin
+    (dict(gate_fanin=_edit("gate_fanin", g3=(4, 7))), "gate 'g3' reads undriven net 'u'"),
+]
 
 
 class TestCircuitConstruction:
@@ -177,6 +282,18 @@ class TestCircuitConstruction:
         with pytest.raises(CircuitError, match=message):
             Circuit.from_columns("bad", **columns)
 
+    @pytest.mark.parametrize(
+        "change, message", FIRST_PROBLEM_CASES, ids=range(len(FIRST_PROBLEM_CASES))
+    )
+    def test_from_columns_reports_the_first_problem(self, change, message):
+        columns = dict(FIRST_PROBLEM_BASE, **change)
+        with pytest.raises(CircuitError) as raised:
+            Circuit.from_columns("bad", **columns)
+        assert str(raised.value) == message
+        with pytest.raises(CircuitError) as raised:
+            reference_from_columns("bad", **columns)
+        assert str(raised.value) == message
+
     def test_bulk_built_circuit_materialises_gates_on_demand(self):
         circuit = itc99_like("b05", seed=0)
         circuit.structure_digest()
@@ -263,8 +380,6 @@ def _predicate_logic_gates(circuit: Circuit):
 
 @pytest.mark.parametrize("name", default_benchmark_names())
 def test_gate_counts_of_default_profiles(name):
-    from repro.benchmarks_data.profiles import get_profile
-
     circuit = _generated(name)
     reference = _predicate_logic_gates(circuit)
     assert circuit.combinational_gates == reference
@@ -366,3 +481,268 @@ class TestBenchFormat:
     def test_structural_problems_surface_as_parse_errors(self):
         with pytest.raises((BenchParseError, CircuitError)):
             parse_bench("INPUT(a)\nOUTPUT(y)\ny = AND(a, ghost)\n")
+
+
+# -- the array passes against the per-gate loops they replaced ----------------
+
+_LOGIC_KINDS = [
+    GateType.AND, GateType.NAND, GateType.OR, GateType.NOR,
+    GateType.XOR, GateType.XNOR, GateType.NOT, GateType.BUF,
+]
+_KINDS = _LOGIC_KINDS + [GateType.CONST0, GateType.CONST1, GateType.DFF]
+
+
+@st.composite
+def netlists(draw, faults=False):
+    """A random netlist by name: ``(inputs, gates in insertion order, outputs, ghosts)``.
+
+    Combinational gates read inputs, flip-flop outputs (state feedback) and
+    gates of lower rank, so the logic is acyclic; fan-ins may repeat a net.
+    The gates are added in shuffled order, not rank order, so a gate may be
+    read before it is added.  Names are ``w<label>`` over a permutation of
+    labels, so they sort unlike any id or insertion order (``w10 < w2``).
+    With ``faults``, a gate may also read a gate of equal or higher rank
+    (perhaps closing a cycle) or a ghost net nothing drives.
+    """
+    n_inputs = draw(st.integers(0, 4))
+    n_gates = draw(st.integers(1, 24))
+    n_ghosts = 2
+    labels = draw(st.permutations(range(n_inputs + n_gates + n_ghosts)))
+    names = [f"w{label}" for label in labels]
+    inputs = names[:n_inputs]
+    ranked = names[n_inputs : n_inputs + n_gates]
+    ghosts = names[n_inputs + n_gates :]
+    kinds = [draw(st.sampled_from(_KINDS)) for _ in ranked]
+    flip_flops = [name for name, kind in zip(ranked, kinds) if kind is GateType.DFF]
+    gates = []
+    for rank, (name, kind) in enumerate(zip(ranked, kinds)):
+        pool = inputs + flip_flops + ranked[:rank] if kind is not GateType.DFF else inputs + ranked
+        if faults and draw(st.integers(0, 5)) == 0:
+            pool = pool + ranked[rank:] + ghosts
+        if not pool or kind in (GateType.CONST0, GateType.CONST1):
+            kind = draw(st.sampled_from([GateType.CONST0, GateType.CONST1]))
+            gates.append((name, kind, ()))
+            continue
+        arity = 1 if kind in (GateType.NOT, GateType.BUF, GateType.DFF) else draw(st.integers(2, 4))
+        gates.append((name, kind, tuple(draw(st.sampled_from(pool)) for _ in range(arity))))
+    insertion = draw(st.permutations(range(n_gates)))
+    gates = [gates[index] for index in insertion]
+    outputs = draw(st.lists(st.sampled_from(inputs + ranked), unique=True, max_size=4))
+    return inputs, gates, outputs, ghosts
+
+
+def _add_gate_by_gate(netlist):
+    inputs, gates, outputs, _ = netlist
+    circuit = Circuit("fuzz")
+    for name in inputs:
+        circuit.add_input(name)
+    for name, kind, fanin in gates:
+        circuit.add_gate(name, kind, fanin)
+    for name in outputs:
+        circuit.add_output(name)
+    return circuit
+
+
+def _columns(netlist, shuffle):
+    """``from_columns`` arguments of a netlist, its nets numbered by ``shuffle``."""
+    inputs, gates, outputs, ghosts = netlist
+    names = inputs + [name for name, _, _ in gates] + ghosts
+    shuffle.shuffle(names)
+    net_id = {name: index for index, name in enumerate(names)}
+    return dict(
+        net_names=names,
+        inputs=[net_id[name] for name in inputs],
+        gate_net=[net_id[name] for name, _, _ in gates],
+        gate_type=[kind for _, kind, _ in gates],
+        gate_fanin=[tuple(net_id[net] for net in fanin) for _, _, fanin in gates],
+        outputs=[net_id[name] for name in outputs],
+    )
+
+
+def _outcome(call):
+    """``("ok", result)``, or ``("error", message)`` for a :class:`CircuitError`."""
+    try:
+        return "ok", call()
+    except CircuitError as error:
+        return "error", str(error)
+
+
+def _reference_order(circuit):
+    names, gate_net = circuit._net_names, circuit._gate_net
+    return [names[gate_net[index]] for index in reference_topological_gates(circuit)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(netlist=netlists(faults=True), seed=st.integers(0, 2**16))
+def test_topological_order_matches_the_fifo_queue(netlist, seed):
+    circuit = _add_gate_by_gate(netlist)
+    # Before validation, Kahn's own checks: undriven reads by logic gates, cycles.
+    order = _outcome(circuit.topological_order)
+    assert order == _outcome(lambda: _reference_order(circuit))
+    assert _outcome(circuit.validate) == _outcome(lambda: reference_validate(circuit))
+
+    columns = _columns(netlist, random.Random(seed))
+    built = _outcome(lambda: Circuit.from_columns("fuzz", **columns))
+    reference = _outcome(lambda: reference_from_columns("fuzz", **columns))
+    assert built[0] == reference[0]
+    if built[0] == "error":
+        assert built == reference
+        return
+    bulk = built[1]
+    assert bulk.topological_order() == _reference_order(bulk)
+    assert bulk.topological_order() == _reference_order(reference[1])
+    if order[0] == "ok":
+        assert bulk.topological_order() == order[1]
+
+
+_MUTATIONS = st.lists(
+    st.tuples(
+        st.sampled_from(["drive", "kind", "read", "input", "output"]),
+        st.integers(0, 2**16),
+        st.integers(-1, 2**16),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(netlist=netlists(), seed=st.integers(0, 2**16), mutations=_MUTATIONS)
+def test_from_columns_reports_what_the_loops_report(netlist, seed, mutations):
+    # Break a valid netlist's columns in one to three places, anywhere.
+    columns = _columns(netlist, random.Random(seed))
+    n_ids = len(columns["net_names"])
+    for what, at, value in mutations:
+        net = value % (n_ids + 1) if value >= 0 else value
+        if what == "drive":
+            columns["gate_net"][at % len(columns["gate_net"])] = net
+        elif what == "kind":
+            columns["gate_type"][at % len(columns["gate_type"])] = _KINDS[value % len(_KINDS)]
+        elif what == "read":
+            index = at % len(columns["gate_fanin"])
+            columns["gate_fanin"][index] = columns["gate_fanin"][index][:2] + (net,)
+        else:
+            ids = columns[what + "s"]
+            ids.insert(at % (len(ids) + 1), ids[value % len(ids)] if ids else net)
+    built = _outcome(lambda: Circuit.from_columns("fuzz", **columns))
+    reference = _outcome(lambda: reference_from_columns("fuzz", **columns))
+    assert built[0] == reference[0]
+    if built[0] == "error":
+        assert built[1] == reference[1]
+    else:
+        assert built[1].topological_order() == _reference_order(reference[1])
+
+
+def _assert_program_parity(circuit):
+    """The compiler, release schedule and capacitance rows against their loops."""
+    program = compile_circuit(circuit)
+    reference = reference_compile_columns(circuit)
+    assert program.node_prog == reference.node_prog
+    assert program.net_names == reference.net_names
+    for name in ("output_rows", "last_reader"):
+        actual, expected = getattr(program, name), getattr(reference, name)
+        assert actual.dtype == expected.dtype == np.int32, name
+        assert np.array_equal(actual, expected), name
+    for block in (1, 3, 512):
+        for actual, expected in zip(
+            release_schedule(program, block), reference_release_schedule(reference, block)
+        ):
+            assert actual.dtype == expected.dtype and np.array_equal(actual, expected)
+    technology = TechnologyParameters(wire_variation=0.2)
+    for seed in (0, 5):
+        expected = reference_row_capacitances(circuit, technology, seed)
+        assert row_capacitances(circuit, technology, seed).tobytes() == expected.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(netlist=netlists(), seed=st.integers(0, 2**16))
+def test_program_matches_the_loops_on_random_netlists(netlist, seed):
+    # INPUT-type gates have no opcode, and the generator draws none.
+    circuit = Circuit.from_columns("fuzz", **_columns(netlist, random.Random(seed)))
+    _assert_program_parity(circuit)
+    _assert_program_parity(_add_gate_by_gate(netlist))
+
+
+@pytest.mark.parametrize("name", default_benchmark_names())
+def test_program_matches_the_loops_on_default_profiles(name):
+    _assert_program_parity(_generated(name))
+
+
+def _workload_circuit(name: str, seed: int) -> Circuit:
+    """``itc99_like`` at the scale ``build_workload`` uses without full scale."""
+    gates = get_profile(name).gates
+    scale = SCALED_GATE_TARGET / gates if gates > SCALED_GATE_TARGET else None
+    return itc99_like(name, scale=scale, seed=seed)
+
+
+def _digest(text: str) -> str:
+    return blake2b(text.encode(), digest_size=16).hexdigest()
+
+
+#: ``(name, seed) -> (digest of topological_order(), digest of node_prog)``,
+#: blake2b-16 of ``"|".join(order)`` and of ``repr(node_prog)``, for every
+#: profile at its workload scale and, as ``"b17-full"``, full-scale b17.
+#: Recorded before the sort and the compiler became array passes.
+ORDER_AND_PROGRAM_DIGESTS = {
+    ("b01", 0): ("a4b6f217c9aa81a8def5c47ca727dbad", "ea8b3317170e9161c3c6c75985ce4bc7"),
+    ("b01", 1): ("53fd2193c956f4c7b896b2868ec8c5a7", "bf971d04e0c72fbd9a664ead09fbf84a"),
+    ("b02", 0): ("5677fed32e6550b8fc42446902b02000", "6ea2880425aaa32aa095083759e650e9"),
+    ("b02", 1): ("0270fc1d378c1c16a5c80ddc338f7338", "f7b2ebc4c8a232bc733a233ee0a5fcb3"),
+    ("b03", 0): ("c5ca33e5811d7d8937e9cd48e4d1bef5", "5ea877925a31da4f0bf822757c72e4e2"),
+    ("b03", 1): ("51c95b0c0b18d909524f76de79c6e913", "69c2eca4ad209f39ec64e8ba088f7a24"),
+    ("b04", 0): ("b47009de9d7091278f2d225242ab180e", "20200a03e377c924a6188214df813447"),
+    ("b04", 1): ("0094363d3cb38bb179d84e4dc6a5bea3", "0ca4b12f8671cb13171fd4f85896cd6b"),
+    ("b05", 0): ("012fbdacb0893459e7d5afff9dd55f9a", "3c185196f2d7a311328d24ceb74fe383"),
+    ("b05", 1): ("848573806a1cd49d565f398c264a2389", "f22f283b2be8f686311992b7917eb3bc"),
+    ("b06", 0): ("ca2840a301f9fe655b3fa7725b263660", "f9de1744e011d3f9af1fdf3ac03c0d4e"),
+    ("b06", 1): ("545f819142d941ba67ab48d661ac077b", "3b040cd04c8d71c66190e2d768532927"),
+    ("b07", 0): ("49ee66931685252403e403180a0736bb", "20807775e65f602cdf7a3d1fa72fef31"),
+    ("b07", 1): ("a4cfa4084c6dd2710e6563f5603ed037", "ae16e0b21d325f5dc6942859d9c72a20"),
+    ("b08", 0): ("27dc617a19f149ca8ed105e7803e0d1f", "9633af10b83306e6a29cffaec2e7802d"),
+    ("b08", 1): ("9bdea013c21e6901ed5c69d1879edddd", "f232ccbda2a50e51bb2b693e7a0e1d84"),
+    ("b09", 0): ("c8c8ea45698f9802a90f1bfb78e52e80", "c5c77e710bb90b9bfffc4f36aa1721b2"),
+    ("b09", 1): ("584c2d7e60e4442aecf9b963e5d3a3ee", "f836ee17d7af9c81b45949e8902029f7"),
+    ("b10", 0): ("239fcfc5ee8fd41192efadf54956d47b", "57c153748a9c16e71af22d59066127b7"),
+    ("b10", 1): ("2eb2a6519131d301625e2060f2da786f", "a111d711675158404b4d3e881f5ee8e2"),
+    ("b11", 0): ("f9fde807b08e5af99b0843c1db1f48b2", "b1acbdd37def2b95cb2faadd3e6c24d2"),
+    ("b11", 1): ("be44c7c0455323f79d4b2811f402485f", "31b1acf536ca493d16e8d542072310f3"),
+    ("b12", 0): ("8b2abb45518048f7784e451c1a7714e3", "bad60f304639d07a0c7cda60efad7b9a"),
+    ("b12", 1): ("d89c6f1c0ddb2a158c7c7622477dbaed", "a383d7e7da1c878a380294332b82f231"),
+    ("b13", 0): ("319f7451fe9015930f8f205a3e7fc72b", "8de8cb6abd61490a66105a8e581d2e68"),
+    ("b13", 1): ("388cc845482d178ede063db4cdc366d9", "3fec8aa1824e512d50c18117b3050b81"),
+    ("b14", 0): ("850ce62580d475f8f27727f358183677", "690e3837d2e329dc5805b00d8e984b68"),
+    ("b14", 1): ("7966a931e9dee41d8881d3d3bd790696", "1227d2771392d4ff72822a7d6d3114cd"),
+    ("b15", 0): ("41dc64e9d1957f2f822383240d78d487", "f01ad2b52aa206defefc3c818af9b65b"),
+    ("b15", 1): ("da8a7409dba96b77f4b298ae7f576a6b", "5c61e4fdecf5608b2488f246f8f4f415"),
+    ("b17", 0): ("ccdacf450e8d630c5fe2e50606a6ccec", "0f464306dbee2bea89c636b6cbf5d9d8"),
+    ("b17", 1): ("bd5e56a859e3e57cd767a4146a445cfe", "5b1134875b2d1dacc5742f04d87c9030"),
+    ("b17-full", 0): ("f314314696921e2d7a75b32009e1645c", "0fc4095d5ab5fdfae4b94585f6618f5f"),
+    ("b18", 0): ("fb50eb54145a32b3aa45665f3f572e25", "61b423ece6b41a43d60dfd1058dd1975"),
+    ("b18", 1): ("81b8779fce6a91247f7647b82e114424", "a9047b4b576729d941ea42afe31a84f0"),
+    ("b19", 0): ("7bc89bafc875cfb4400ed8e8a21c87c1", "3780e95ba689b8dfeb8b58f6ac155cb8"),
+    ("b19", 1): ("5ccdd30941591840b1983037ac2a5364", "262adc7014f6ba9f5262b9ec64a85b3f"),
+    ("b20", 0): ("f36dae6c1dc20f672b1897b033429f21", "f381a7f6e0f306a2a380255b8656dc3e"),
+    ("b20", 1): ("da8a7409dba96b77f4b298ae7f576a6b", "5c61e4fdecf5608b2488f246f8f4f415"),
+    ("b21", 0): ("3e86dd8f47eb02458fbb707596031e46", "39967ca7aa5f2671c7a4c62d90f824e8"),
+    ("b21", 1): ("da8a7409dba96b77f4b298ae7f576a6b", "5c61e4fdecf5608b2488f246f8f4f415"),
+    ("b22", 0): ("ebd8e130d8a122b29f72b96865f1742a", "b613a25abf6c29c31928928f0c081761"),
+    ("b22", 1): ("ae991e504775842159f671e6c1d77ef0", "e8bc8c07e63c59ab033d1fa48cbf12d0"),
+}
+
+
+def test_order_and_program_digests_cover_every_profile():
+    names = {name for name, _ in ORDER_AND_PROGRAM_DIGESTS} - {"b17-full"}
+    assert names == {profile.name for profile in all_profiles()}
+    assert len(ORDER_AND_PROGRAM_DIGESTS) == 2 * len(names) + 1
+
+
+@pytest.mark.parametrize(
+    "name, seed", sorted(ORDER_AND_PROGRAM_DIGESTS), ids=lambda value: str(value)
+)
+def test_order_and_program_are_pinned(name, seed):
+    circuit = _generated("b17") if name == "b17-full" else _workload_circuit(name, seed)
+    observed = (
+        _digest("|".join(circuit.topological_order())),
+        _digest(repr(compile_circuit(circuit).node_prog)),
+    )
+    assert observed == ORDER_AND_PROGRAM_DIGESTS[(name, seed)]
