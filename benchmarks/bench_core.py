@@ -12,6 +12,7 @@ with ``PYTHONPATH=src:.``.
 from __future__ import annotations
 
 import time
+import tracemalloc
 
 import pytest
 
@@ -131,37 +132,55 @@ def test_benchreference_nn_tour(benchmark, n_pins, n_patterns, distance):
 @pytest.mark.parametrize("distance", sorted(_ORDERINGS))
 @pytest.mark.parametrize("n_pins,n_patterns", [(100, 80), (300, 200)])
 def test_bench_nn_tour_matrix(benchmark, n_pins, n_patterns, distance):
-    """Default path: one GEMM builds the pairwise distance matrix, then the tour."""
+    """Default path: blocked GEMMs build the 16-bit distance matrix, then the tour."""
     cubes = _cube_set(n_pins, n_patterns)
     result = benchmark(lambda: _ORDERINGS[distance]().order(cubes))
     assert result.permutation == reference_nn_tour(cubes, distance)
 
 
+def _traced_peak(call) -> int:
+    """Peak bytes traced by ``tracemalloc`` while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def _nn_tour_report() -> float:
-    """Standalone section: time both tour formulations, return worst speedup."""
-    sizes = [(100, 80), (300, 200), (600, 400)]
+    """Standalone section: time both tour formulations, return worst speedup.
+
+    The last size is the long-sets shape (b14's 275 pins, 2048 cubes); the
+    peak column is the matrix path's traced peak, one 16-bit ``n x n``
+    matrix plus the cube planes.
+    """
+    sizes = [(100, 80), (300, 200), (600, 400), (275, 2048)]
     print("\ngreedy NN tours (xstat / isa): boolean masks vs pairwise matrix")
-    print(f"{'cube set':>12} {'dist':>6} {'masks (ms)':>11} {'matrix (ms)':>12} {'speedup':>8}")
-    print("-" * 54)
+    print(
+        f"{'cube set':>12} {'dist':>6} {'masks (ms)':>11} {'matrix (ms)':>12} {'speedup':>8} "
+        f"{'peak (MB)':>10}"
+    )
+    print("-" * 65)
     worst = float("inf")
     for n_pins, n_patterns in sizes:
         cubes = _cube_set(n_pins, n_patterns)
         for distance, ordering_cls in sorted(_ORDERINGS.items()):
-            baseline_perm = reference_nn_tour(cubes, distance)
-            assert ordering_cls().order(cubes).permutation == baseline_perm, distance
             t_masks = t_matrix = float("inf")
             for _ in range(3):
                 start = time.perf_counter()
-                reference_nn_tour(cubes, distance)
+                baseline_perm = reference_nn_tour(cubes, distance)
                 t_masks = min(t_masks, time.perf_counter() - start)
                 start = time.perf_counter()
-                ordering_cls().order(cubes)
+                permutation = ordering_cls().order(cubes).permutation
                 t_matrix = min(t_matrix, time.perf_counter() - start)
+                assert permutation == baseline_perm, distance
+            peak = _traced_peak(lambda: ordering_cls().order(cubes))
             speedup = t_masks / t_matrix
             worst = min(worst, speedup)
             print(
                 f"{n_pins:>5}x{n_patterns:<6} {distance:>6} {t_masks * 1000:>11.1f} "
-                f"{t_matrix * 1000:>12.1f} {speedup:>7.1f}x"
+                f"{t_matrix * 1000:>12.1f} {speedup:>7.1f}x {peak / 1e6:>10.2f}"
             )
     return worst
 

@@ -143,6 +143,7 @@ GATE_TYPES: Tuple[GateType, ...] = tuple(GateType)
 _CODE_OF_NAME = {kind._name_: code for code, kind in enumerate(GATE_TYPES)}
 _member_name = attrgetter("_name_")
 _DFF_CODE = GATE_TYPES.index(GateType.DFF)
+_INPUT_CODE = GATE_TYPES.index(GateType.INPUT)
 _ONE = np.int32(1)
 #: Per code: a logic gate, neither a flip-flop nor a source.
 _IS_LOGIC = np.array([not kind.is_sequential and not kind.is_source for kind in GATE_TYPES])
@@ -341,10 +342,10 @@ class Circuit:
         column order, then outputs), and the same checks run, once each
         over the ids: distinct net names, no duplicate primary input or
         output, one driver per net and none on a primary input, legal
-        arity, nothing undriven read or observed, and no combinational
-        cycle.  The per-gate checks are array passes over
-        :meth:`fanin_arrays` that report the problem a gate-by-gate pass
-        would meet first.
+        arity, then :meth:`validate`'s (no INPUT-type gate, nothing
+        undriven read or observed, and no combinational cycle).  The
+        per-gate checks are array passes over :meth:`fanin_arrays` that
+        report the problem a gate-by-gate pass would meet first.
 
         Args:
             name: circuit name.
@@ -545,12 +546,20 @@ class Circuit:
 
     # -- structural analysis ------------------------------------------------------
     def validate(self) -> None:
-        """Check that every referenced net is driven and the logic is acyclic.
+        """Check what construction leaves open: gate types, drivers and cycles.
+
+        In this order: no gate has type INPUT (primary inputs are declared
+        with :meth:`add_input`, and no simulator evaluates such a gate),
+        every net read or observed is driven, and the logic is acyclic.
 
         Raises:
             CircuitError: describing the first problem found.
         """
         names, driver = self._net_names, self._driver
+        is_input = self.fanin_arrays().kinds == _INPUT_CODE
+        if is_input.any():
+            gate = names[self._gate_net[int(np.argmax(is_input))]]
+            raise CircuitError(f"gate {gate!r}: INPUT is a primary input, not a gate")
         # Every id with no driver was mentioned by a read, an output or a
         # bulk net table; only the first two are errors.
         undriven = np.array(driver, dtype=np.int32) == _UNDRIVEN

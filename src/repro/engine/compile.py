@@ -257,7 +257,7 @@ def compile_circuit(circuit: Circuit) -> CompiledCircuit:
     net_names.extend(map(names.__getitem__, array("i", gate_nets.tobytes())))
 
     ops = _OPCODE_OF_CODE[kinds[order]]
-    if (ops < 0).any():  # pragma: no cover - only INPUT-type gates lack one
+    if (ops < 0).any():  # pragma: no cover - only INPUT-type gates lack one; validate rejects them
         raise ValueError(f"cannot compile gate type {GATE_TYPES[kinds[order][ops < 0][0]]}")
     # The fan-in ids of the nodes, node after node, as rows.
     starts = offsets[order]

@@ -13,13 +13,18 @@ most specified cube.  Compared with the ISA reconstruction (which only counts
 hard conflicts), the statistical distance also penalises placing two X-poor
 cubes next to each other, which is the behaviour the X-Stat paper describes.
 
-The distance matrix is built once for the whole set, from one SYRK over the
-signed planes ``s = ones - zeros``: ``0.5 * (m - s @ s.T)``.  A pin where
-both cubes are specified and differ adds ``-1`` to ``s @ s.T`` (distance 1),
-one where they agree adds ``+1`` (distance 0) and one with an X adds ``0``
-(distance 0.5).  Every entry of ``s @ s.T`` is an integer in ``[-m, m]``,
-far below float32's 2**24 integer ceiling, so the matrix is exact in any
-summation order and the tour (:func:`repro.orderings.isa.greedy_tour`)
+The distance matrix is built once for the whole set, from float32 GEMMs
+over the signed planes ``s = ones - zeros``, as *twice* the distance:
+``m - s @ s.T``.  A pin where both cubes are specified and differ adds
+``-1`` to ``s @ s.T`` (doubled distance 2), one where they agree adds
+``+1`` (0) and one with an X adds ``0`` (1).  Doubling makes every entry an
+integer in ``[0, 2m]`` and keeps every comparison and tie of the
+half-integer distances.  Each entry of ``s @ s.T`` is an integer in
+``[-m, m]``, far below float32's 2**24 integer ceiling, so the matrix is
+exact in any summation order.
+:func:`repro.orderings.isa.tour_matrix` computes it one row block at a time
+over the upper triangle and stores it as 16-bit integers up to 32767 pins
+(32-bit beyond), and the tour (:func:`repro.orderings.isa.greedy_tour`)
 equals the direct boolean-mask formulation that
 ``tests/helpers.py::reference_nn_tour`` keeps as the oracle.
 """
@@ -31,7 +36,7 @@ import numpy as np
 from repro.core.ordering import OrderingResult
 from repro.cubes.cube import TestSet
 from repro.orderings.base import Ordering, register_ordering
-from repro.orderings.isa import greedy_tour, indicator_planes
+from repro.orderings.isa import greedy_tour, indicator_planes, tour_matrix
 
 
 class XStatOrdering(Ordering):
@@ -44,12 +49,18 @@ class XStatOrdering(Ordering):
         if n <= 2:
             return OrderingResult(ordered=patterns.copy(), permutation=list(range(n)))
 
-        # expected(i, c) = 0.5 * (n_pins - signed_i . signed_c)
-        ones, zeros = indicator_planes(patterns)
-        signed = ones - zeros
-        distance = signed @ signed.T
-        np.subtract(signed.shape[1], distance, out=distance)
-        distance *= 0.5
+        # 2 * expected(i, c) = n_pins - signed_i . signed_c
+        signed, zeros = indicator_planes(patterns)
+        signed -= zeros
+        del zeros
+        n_pins = signed.shape[1]
+
+        def block(lo: int, hi: int) -> np.ndarray:
+            rows = signed[lo:hi] @ signed[lo:].T
+            np.subtract(n_pins, rows, out=rows)
+            return rows
+
+        distance = tour_matrix(n, 2 * n_pins, block)
         permutation = greedy_tour(distance, int(np.argmin(patterns.x_counts_per_pattern())))
         return OrderingResult(ordered=patterns.reordered(permutation), permutation=permutation)
 

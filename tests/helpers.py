@@ -492,8 +492,12 @@ def reference_from_columns(
 
 
 def reference_validate(circuit: Circuit) -> None:
-    """:meth:`Circuit.validate` as a per-gate loop, then :func:`reference_topological_gates`."""
+    """:meth:`Circuit.validate` as per-gate loops, then :func:`reference_topological_gates`."""
     names, driver = circuit._net_names, circuit._driver
+    for index, kind in enumerate(circuit._gate_type):
+        if kind is GateType.INPUT:
+            gate = names[circuit._gate_net[index]]
+            raise CircuitError(f"gate {gate!r}: INPUT is a primary input, not a gate")
     if _UNDRIVEN in driver:
         for index, fanin in enumerate(circuit._gate_fanin):
             for net in fanin:

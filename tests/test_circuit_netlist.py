@@ -120,9 +120,12 @@ FIRST_PROBLEM_BASE = dict(
     outputs=[5],
 )
 
+#: What :meth:`Circuit.validate` says of an INPUT-type gate ``g2``.
+INPUT_GATE_MESSAGE = "gate 'g2': INPUT is a primary input, not a gate"
+
 #: Columns with two or more problems, and the message of the one the
 #: per-gate checks meet first (recorded before the checks became array
-#: passes).
+#: passes, and before INPUT-type gates were rejected).
 FIRST_PROBLEM_CASES = [
     # gate 3 has a bad arity, gate 1 drives a net gate 0 drives
     (dict(gate_fanin=_edit("gate_fanin", g3=(4,)), gate_net=_edit("gate_net", g1=2)),
@@ -181,6 +184,25 @@ FIRST_PROBLEM_CASES = [
     (dict(gate_fanin=_edit("gate_fanin", g1=(4,))), "combinational logic contains a cycle"),
     # gate 3 reads an undriven net at its second pin
     (dict(gate_fanin=_edit("gate_fanin", g3=(4, 7))), "gate 'g3' reads undriven net 'u'"),
+    # gate 1 is an INPUT-type gate with an input (the arity check sees it first)
+    (dict(gate_type=_edit("gate_type", g1=GateType.INPUT)),
+     "gate 'g1': INPUT cannot take 1 inputs"),
+    # gate 2 is an INPUT-type gate, gate 4 drives a primary input
+    (dict(gate_type=_edit("gate_type", g2=GateType.INPUT), gate_fanin=_edit("gate_fanin", g2=()),
+          gate_net=_edit("gate_net", g4=0)),
+     "net 'a' is a primary input"),
+    # gate 2 is an INPUT-type gate
+    (dict(gate_type=_edit("gate_type", g2=GateType.INPUT), gate_fanin=_edit("gate_fanin", g2=())),
+     INPUT_GATE_MESSAGE),
+    # gate 2 is an INPUT-type gate, gate 3 reads an undriven net (reported as
+    # the undriven read while INPUT-type gates passed)
+    (dict(gate_type=_edit("gate_type", g2=GateType.INPUT),
+          gate_fanin=_edit("gate_fanin", g2=(), g3=(7, 0))),
+     INPUT_GATE_MESSAGE),
+    # gate 3 is an INPUT-type gate, gates 1 and 2 form a cycle
+    (dict(gate_type=_edit("gate_type", g3=GateType.INPUT),
+          gate_fanin=_edit("gate_fanin", g3=(), g1=(4,))),
+     INPUT_GATE_MESSAGE.replace("g2", "g3")),
 ]
 
 
@@ -232,6 +254,18 @@ class TestCircuitConstruction:
         with pytest.raises(CircuitError):
             circuit.add_output("g")
 
+    def test_input_type_gate_rejected(self):
+        circuit = Circuit()
+        circuit.add_input("a")
+        circuit.add_gate("s", GateType.INPUT, [])
+        circuit.add_gate("y", GateType.AND, ["a", "s"])
+        circuit.add_output("y")
+        message = "gate 's': INPUT is a primary input, not a gate"
+        with pytest.raises(CircuitError, match=message):
+            circuit.validate()
+        with pytest.raises(CircuitError, match=message):
+            compile_circuit(circuit)
+
     def test_is_primary_input(self):
         circuit = toy_pipeline()
         assert all(circuit.is_primary_input(net) for net in circuit.primary_inputs)
@@ -265,6 +299,7 @@ class TestCircuitConstruction:
             (dict(gate_fanin=[(1,)]), "cycle"),
             (dict(gate_fanin=[(3,)]), "out of range"),
             (dict(gate_type=[]), "differ in length"),
+            (dict(gate_type=[GateType.INPUT], gate_fanin=[()]), "INPUT is a primary input"),
         ],
     )
     def test_from_columns_runs_every_check(self, change, message):
@@ -490,6 +525,8 @@ _LOGIC_KINDS = [
     GateType.XOR, GateType.XNOR, GateType.NOT, GateType.BUF,
 ]
 _KINDS = _LOGIC_KINDS + [GateType.CONST0, GateType.CONST1, GateType.DFF]
+#: What a column mutation may turn a gate into: INPUT too, which validation rejects.
+_MUTATION_KINDS = _KINDS + [GateType.INPUT]
 
 
 @st.composite
@@ -502,7 +539,8 @@ def netlists(draw, faults=False):
     read before it is added.  Names are ``w<label>`` over a permutation of
     labels, so they sort unlike any id or insertion order (``w10 < w2``).
     With ``faults``, a gate may also read a gate of equal or higher rank
-    (perhaps closing a cycle) or a ghost net nothing drives.
+    (perhaps closing a cycle) or a ghost net nothing drives, and a source
+    gate may have type INPUT.
     """
     n_inputs = draw(st.integers(0, 4))
     n_gates = draw(st.integers(1, 24))
@@ -520,7 +558,8 @@ def netlists(draw, faults=False):
         if faults and draw(st.integers(0, 5)) == 0:
             pool = pool + ranked[rank:] + ghosts
         if not pool or kind in (GateType.CONST0, GateType.CONST1):
-            kind = draw(st.sampled_from([GateType.CONST0, GateType.CONST1]))
+            sources = [GateType.CONST0, GateType.CONST1] + [GateType.INPUT] * faults
+            kind = draw(st.sampled_from(sources))
             gates.append((name, kind, ()))
             continue
         arity = 1 if kind in (GateType.NOT, GateType.BUF, GateType.DFF) else draw(st.integers(2, 4))
@@ -617,7 +656,8 @@ def test_from_columns_reports_what_the_loops_report(netlist, seed, mutations):
         if what == "drive":
             columns["gate_net"][at % len(columns["gate_net"])] = net
         elif what == "kind":
-            columns["gate_type"][at % len(columns["gate_type"])] = _KINDS[value % len(_KINDS)]
+            kind = _MUTATION_KINDS[value % len(_MUTATION_KINDS)]
+            columns["gate_type"][at % len(columns["gate_type"])] = kind
         elif what == "read":
             index = at % len(columns["gate_fanin"])
             columns["gate_fanin"][index] = columns["gate_fanin"][index][:2] + (net,)

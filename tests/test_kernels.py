@@ -9,6 +9,7 @@ assignment, the pruned, blocked BCP window bound and the ISA/XStat tours.
 from __future__ import annotations
 
 from typing import Sequence
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,7 +29,8 @@ from repro.cubes.bits import X
 from repro.cubes.cube import TestSet
 from repro.filling.simple import MinimumTransitionFill
 from repro.filling.xstat import XStatFill
-from repro.orderings.isa import ISAOrdering
+from repro.orderings import isa
+from repro.orderings.isa import ISAOrdering, tour_matrix
 from repro.orderings.xstat_ordering import XStatOrdering
 from tests.helpers import (
     cube_set_from_rows,
@@ -313,10 +315,39 @@ def check_tours(patterns: TestSet) -> None:
         assert ordering.order(patterns).permutation == expected, distance
 
 
+#: Row blocks of the tour matrices: one cube, blocks that end off the
+#: diagonal, and the default (every drawn set in one block).
+TOUR_BLOCKS = (1, 3, 128)
+
+
 @settings(max_examples=200, deadline=None)
 @given(patterns=tour_sets())
 def test_tours_match_reference(patterns):
+    for block in TOUR_BLOCKS:
+        with mock.patch.object(isa, "_TOUR_BLOCK", block):
+            check_tours(patterns)
+
+
+@pytest.mark.parametrize("bound, dtype", [(65534, np.uint16), (65535, np.uint32)])
+def test_tour_matrix_keeps_its_maximum_for_visited_cubes(bound, dtype):
+    matrix = tour_matrix(3, bound, lambda lo, hi: np.full((hi - lo, 3 - lo), bound, np.float32))
+    assert matrix.dtype == dtype
+    assert (matrix == bound).all() and bound < np.iinfo(dtype).max
+
+
+@pytest.mark.parametrize("n_pins", [40_000, 70_000])
+def test_tours_on_wide_sets(n_pins):
+    """Past 32767 pins XStat's doubled distances, and past 65534 pins ISA's
+    conflicts, outgrow uint16.  From the start cube, its complement (``2m``
+    and ``m`` away) must lose to a copy with a quarter of its pins flipped,
+    which it would not if the distances wrapped around."""
+    rng = np.random.default_rng(n_pins)
+    base = rng.integers(0, 2, size=n_pins).astype(np.int8)
+    flipped = base.copy()
+    flipped[: n_pins // 4] ^= 1
+    patterns = TestSet.from_matrix(np.stack([base, 1 - base, flipped]))
     check_tours(patterns)
+    assert ISAOrdering().order(patterns).permutation == [0, 2, 1]
 
 
 @pytest.mark.parametrize("rows", [["0"], ["01X"], ["XXX"], ["0X1", "1X0"]])
