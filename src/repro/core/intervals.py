@@ -72,6 +72,11 @@ class ToggleInterval:
         return self.end - self.start + 1
 
 
+#: Cells :func:`fill_runs` writes per pass, which bounds the pass's index
+#: and value temporaries whatever the number of cells.
+_FILL_CHUNK = 1 << 16
+
+
 def fill_runs(
     out: np.ndarray,
     rows: np.ndarray,
@@ -79,20 +84,36 @@ def fill_runs(
     stops: Union[int, np.ndarray],
     values: np.ndarray,
 ) -> None:
-    """``out[rows[i], starts[i]:stops[i]] = values[i]`` for every run, in one pass.
+    """``out[rows[i], starts[i]:stops[i]] = values[i]`` for every run, in place.
 
     ``starts`` and ``stops`` may be scalars shared by every run; empty runs
-    are skipped.
+    are skipped.  The runs' cells are written ``_FILL_CHUNK`` at a time, in
+    ``out``'s dtype, through flat C-order indices (``np.put``, so any memory
+    layout of ``out`` is written in place).  The indices are int32 unless
+    ``out`` has 2**31 cells or more; ``np.put`` widens them one chunk at a
+    time, so every temporary is bounded by the chunk, not by the matrix.
     """
     starts = np.broadcast_to(starts, rows.shape)
     lengths = np.broadcast_to(stops, rows.shape) - starts
-    total = int(lengths.sum())
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
     if total == 0:
         return
-    # Cell j of the concatenated runs sits at its run's flat start plus
-    # j minus the number of cells in the runs before it.
-    shift = rows * out.shape[1] + starts - (np.cumsum(lengths) - lengths)
-    np.put(out, np.arange(total) + np.repeat(shift, lengths), np.repeat(values, lengths))
+    # Run i holds cells ends[i] - lengths[i] .. ends[i] - 1 of the
+    # concatenated runs; cell j of it sits at flat index shift[i] + j.
+    shift = rows * out.shape[1] + starts - (ends - lengths)
+    values = np.asarray(values).astype(out.dtype, copy=False)
+    index = np.int32 if out.size < 2**31 else np.int64
+    for lo in range(0, total, _FILL_CHUNK):
+        hi = min(lo + _FILL_CHUNK, total)
+        # The runs with cells in [lo, hi), and how many of their cells lie there.
+        first = int(np.searchsorted(ends, lo, side="right"))
+        last = int(np.searchsorted(ends, hi, side="left")) + 1
+        run_ends = ends[first:last]
+        counts = np.minimum(run_ends, hi) - np.maximum(run_ends - lengths[first:last], lo)
+        cells = np.arange(lo, hi, dtype=index)
+        cells += np.repeat(shift[first:last].astype(index), counts)
+        np.put(out, cells, np.repeat(values[first:last], counts))
 
 
 class Stretches:
@@ -378,7 +399,9 @@ def apply_assignment(extraction: ExtractionResult, colors: np.ndarray) -> np.nda
             ``extraction.intervals``.
 
     Returns:
-        A fully specified pin-major matrix.
+        A fully specified pin-major matrix, written as two passes of
+        :func:`fill_runs` (left values, then right values) over a copy of
+        ``extraction.prefilled``.
 
     Raises:
         ValueError: if an assigned colour falls outside its interval, or if
@@ -393,14 +416,11 @@ def apply_assignment(extraction: ExtractionResult, colors: np.ndarray) -> np.nda
         i = int(np.argmax(outside))
         raise ValueError(f"colour {colors[i]} outside interval [{starts[i]}, {ends[i]}]")
     filled = extraction.prefilled.copy()
-    # The X cells left after preprocessing are exactly the interval
-    # interiors, and row-major order visits them interval by interval.
-    cells = np.flatnonzero(filled == X)
+    # The X cells left after preprocessing are exactly the interval interiors.
     gaps = extraction.right_cols - extraction.left_cols - 1
-    if cells.size != int(gaps.sum()):
+    if np.count_nonzero(filled == X) != int(gaps.sum()):
         raise ValueError("reconstruction left unspecified bits behind")
-    owner = np.repeat(np.arange(gaps.size), gaps)
-    left_values = extraction.left_values[owner]
-    past_toggle = cells % extraction.n_patterns > colors[owner]
-    np.put(filled, cells, np.where(past_toggle, 1 - left_values, left_values))
+    rows, left_values = extraction.rows, extraction.left_values
+    fill_runs(filled, rows, extraction.left_cols + 1, colors + 1, left_values)
+    fill_runs(filled, rows, colors + 1, extraction.right_cols, 1 - left_values)
     return filled

@@ -14,26 +14,29 @@ id, so no gate object or name lookup is involved:
   it fixes the float summation order of the power layer and the compiled
   PODEM's tie-breaks, so compiling in generation order instead would change
   reported numbers;
-* every evaluated gate becomes a *node* ``(opcode, output row, fan-in
-  rows)`` of ``node_prog``; node ``p`` writes row ``n_inputs + p``;
+* every evaluated gate becomes a *node*: an opcode (``ops``, int8) and a
+  run of fan-in rows (``fanin_rows[node_offsets[p]:node_offsets[p + 1]]``,
+  int32); node ``p`` writes row ``n_inputs + p``;
 * every row gets the position of the last node reading it
   (``last_reader``), from which :func:`repro.engine.packed.release_schedule`
   tells when a lane can be dropped.
 
-The row map, the opcodes, the fan-in rows and the last readers are array
-passes: a gather of the netlist's flat fan-in ids
+All of it is array passes: a gather of the netlist's flat fan-in ids
 (:meth:`Circuit.fanin_arrays`) in topological order, mapped through a net
-id -> row table.  Only the ``node_prog`` tuples are built in Python, from
-slices of those rows.
+id -> row table.  The lane evaluator reads Python ``(opcode, output row,
+fan-in rows)`` tuples instead (scalar indexing of python lists beats numpy
+scalar indexing by ~10x); :meth:`CompiledCircuit.node_block` builds them
+for a node range.  A streamed evaluation (power grading, toggle activity)
+builds them one node block at a time and drops each block after use, so on
+b18 the program holds ~2 MB of arrays instead of ~13 MB of tuples.
 
-That is all logic simulation reads, so it is all :func:`compile_circuit`
-builds.  The structures only PODEM and fault simulation read — the name ->
-row map, each node's logic level (the ternary PODEM engine ranks its
-D-frontier by it), the row -> driving node map, the fan-out map
-(``reader_lists``: row -> node positions reading it, the basis of the
-cone-restricted fault simulator) and the set of observable rows — are
-derived from ``node_prog`` on first access and cached, so a run that only
-simulates and grades power never builds them.
+The structures only full-table simulation, PODEM and fault simulation read
+— the tuples of every node (``node_prog``), the name -> row map, each
+node's logic level (the ternary PODEM engine ranks its D-frontier by it),
+the row -> driving node map, the fan-out map (``reader_lists``: row -> node
+positions reading it, the basis of the cone-restricted fault simulator) and
+the set of observable rows — are derived on first access and cached, so a
+run that only grades power never builds them.
 
 Nothing here evaluates anything: the compiled program is consumed by
 :mod:`repro.engine.packed` (bit-parallel logic simulation),
@@ -113,14 +116,15 @@ class CompiledCircuit:
             :attr:`Circuit.combinational_outputs` order (may repeat).
         last_reader: int32, row -> position of the last node reading it,
             ``-1`` for a row no node reads.
-        node_prog: per node ``(opcode, output row, fan-in rows)`` in
-            topological order.  The lane evaluator iterates it directly
-            (scalar indexing of python lists beats numpy scalar indexing by
-            ~10x).
+        ops: int8, node -> opcode, in topological order.
+        fanin_rows: int32, the fan-in rows of every node, node after node.
+        node_offsets: int32, ``n_nodes + 1`` bounds: node ``p`` reads
+            ``fanin_rows[node_offsets[p]:node_offsets[p + 1]]``.
 
-    The cached properties below (``net_index``, ``node_levels``,
-    ``out_node``, ``reader_lists``, ``_observable_set``) serve PODEM and
-    fault simulation; each is built from ``node_prog`` on first access.
+    The cached properties below (``node_prog``, ``net_index``,
+    ``node_levels``, ``out_node``, ``reader_lists``, ``_observable_set``)
+    serve full-table simulation, PODEM and fault simulation; each is built
+    on first access.
     """
 
     name: str
@@ -128,7 +132,9 @@ class CompiledCircuit:
     n_inputs: int
     output_rows: np.ndarray
     last_reader: np.ndarray
-    node_prog: List[Tuple[int, int, Tuple[int, ...]]] = field(default_factory=list)
+    ops: np.ndarray
+    fanin_rows: np.ndarray
+    node_offsets: np.ndarray
     _cone_cache: Dict[int, Cone] = field(default_factory=dict)
 
     @property
@@ -139,13 +145,37 @@ class CompiledCircuit:
     @property
     def n_nodes(self) -> int:
         """Number of evaluated (combinational) nodes."""
-        return len(self.node_prog)
+        return len(self.ops)
 
     def row_of(self, net: str) -> Optional[int]:
         """Row of ``net``, or ``None`` for unknown nets."""
         return self.net_index.get(net)
 
-    # -- lazily derived structures (PODEM and fault simulation) -----------
+    def node_block(self, lo: int, hi: int) -> List[Tuple[int, int, Tuple[int, ...]]]:
+        """``(opcode, output row, fan-in rows)`` of nodes ``lo .. hi - 1``, in order."""
+        first = int(self.node_offsets[lo])
+        bounds = (self.node_offsets[lo : hi + 1] - first).tolist()
+        sources = self.fanin_rows[first : first + bounds[-1]].tolist()
+        return list(
+            zip(
+                self.ops[lo:hi].tolist(),
+                range(self.n_inputs + lo, self.n_inputs + hi),
+                [tuple(sources[a:b]) for a, b in zip(bounds, bounds[1:])],
+            )
+        )
+
+    # -- lazily derived structures (full tables, PODEM, fault simulation) --
+    @cached_property
+    def node_prog(self) -> List[Tuple[int, int, Tuple[int, ...]]]:
+        """:meth:`node_block` of every node.
+
+        Built on first access, and kept, by the readers that walk the whole
+        program again and again or index it at random: full-table lane
+        evaluation, PODEM, fault grading and :meth:`cone`.  A streamed
+        evaluation builds one block at a time instead.
+        """
+        return self.node_block(0, self.n_nodes)
+
     @cached_property
     def net_index(self) -> Dict[str, int]:
         """Net name -> row index."""
@@ -271,27 +301,13 @@ def compile_circuit(circuit: Circuit) -> CompiledCircuit:
     last_reader = np.full(n_rows, -1, dtype=np.int32)
     np.maximum.at(last_reader, fanin_rows, np.repeat(np.arange(n_nodes, dtype=np.int32), lengths))
 
-    # The rows come from one list of int objects, which the output rows and
-    # fan-in tuples share instead of boxing their own copies.  Iterating an
-    # ``array`` boxes one int at a time; ``tolist()`` would box them all at
-    # once, a transient the size of the fan-in list.
-    rows = list(range(n_rows))
-    sources = list(map(rows.__getitem__, array("i", fanin_rows.tobytes())))
-    del fanin_rows
-    bounds = array("i", node_offsets.tobytes())
-    node_prog = list(
-        zip(
-            ops.tolist(),
-            rows[n_inputs:],
-            [tuple(sources[lo:hi]) for lo, hi in zip(bounds, bounds[1:])],
-        )
-    )
-
     return CompiledCircuit(
         name=circuit.name,
         net_names=net_names,
         n_inputs=n_inputs,
         output_rows=row_of[columns.observed],
         last_reader=last_reader,
-        node_prog=node_prog,
+        ops=ops,
+        fanin_rows=fanin_rows,
+        node_offsets=node_offsets,
     )

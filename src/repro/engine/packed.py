@@ -25,7 +25,10 @@ boundary flips with a byte-wise shift-xor (:func:`boundary_flips`) and
 drops every lane after its last reader (:func:`release_schedule`).  Several
 pattern sets share one pass by lying side by side in each lane
 (:func:`stack_lanes`).  Only the lanes still to be read are alive at once:
-on b18, at most ~10% of them.
+on b18, at most ~10% of them.  The node tuples are built one block at a
+time from the program's arrays too, so a toggle consumer never builds the
+whole program's tuples (:attr:`CompiledCircuit.node_prog`), which only the
+full-table path, PODEM and fault grading read.
 """
 
 from __future__ import annotations
@@ -211,7 +214,10 @@ def evaluate_lanes(
             block wrote — every row exactly once, in row order.  After each
             call the lanes whose last reader has run are dropped (see
             :func:`release_schedule`), so only the rows still to be read stay
-            alive.
+            alive.  Each block's node tuples are built from the program's
+            arrays (:meth:`CompiledCircuit.node_block`) and dropped with it;
+            without a consumer the cached tuples of every node
+            (:attr:`CompiledCircuit.node_prog`) are walked.
 
     Returns:
         One lane per value-table row, in row order; ``None`` with a consumer.
@@ -219,18 +225,18 @@ def evaluate_lanes(
     values: List[Optional[int]] = [0] * program.n_nets
     n_inputs = program.n_inputs
     values[:n_inputs] = list(input_lanes)
-    node_prog = program.node_prog
     if consumer is None:
-        _evaluate_nodes(values, node_prog, mask)
+        _evaluate_nodes(values, program.node_prog, mask)
         return values
     released, bounds = release_schedule(program, _NODE_BLOCK)
     consumer(0, values[:n_inputs])
     for row in released[bounds[0] : bounds[1]].tolist():
         values[row] = None
-    for block, lo in enumerate(range(0, len(node_prog), _NODE_BLOCK), 1):
-        nodes = node_prog[lo : lo + _NODE_BLOCK]
-        _evaluate_nodes(values, nodes, mask)
-        consumer(n_inputs + lo, values[n_inputs + lo : n_inputs + lo + len(nodes)])
+    n_nodes = program.n_nodes
+    for block, lo in enumerate(range(0, n_nodes, _NODE_BLOCK), 1):
+        hi = min(lo + _NODE_BLOCK, n_nodes)
+        _evaluate_nodes(values, program.node_block(lo, hi), mask)
+        consumer(n_inputs + lo, values[n_inputs + lo : n_inputs + hi])
         for row in released[bounds[block] : bounds[block + 1]].tolist():
             values[row] = None
     return None

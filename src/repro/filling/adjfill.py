@@ -9,10 +9,9 @@ boundary for slack at another, so its *peak* can be far from optimal.
 
 from __future__ import annotations
 
-
 from repro.cubes.bits import X, ZERO
 from repro.cubes.cube import TestSet
-from repro.filling.base import Filler, register_filler
+from repro.filling.base import Filler, hold_previous, register_filler
 
 
 class AdjacentFill(Filler):
@@ -36,11 +35,10 @@ class AdjacentFill(Filler):
         data = patterns.matrix.copy()
         if data.size == 0:
             return patterns.filled(data)
-        first_mask = data[0] == X
-        data[0, first_mask] = self.first_pattern_fill
-        for row in range(1, data.shape[0]):
-            mask = data[row] == X
-            data[row, mask] = data[row - 1, mask]
+        first = data[0]
+        first[first == X] = self.first_pattern_fill
+        # Pattern 0 is now specified, so every X has a value above it.
+        hold_previous(data)
         return patterns.filled(data)
 
 

@@ -1,4 +1,5 @@
-"""Common interface and registry for X-filling algorithms."""
+"""Common interface and registry for X-filling algorithms, and the shared
+forward fill (:func:`hold_previous`)."""
 
 from __future__ import annotations
 
@@ -6,6 +7,9 @@ import abc
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
+import numpy as np
+
+from repro.cubes.bits import X
 from repro.cubes.cube import TestSet
 from repro.cubes.metrics import peak_toggles, total_toggles
 
@@ -55,6 +59,28 @@ class Filler(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"
+
+
+def hold_previous(matrix: np.ndarray) -> None:
+    """Give every X of ``matrix`` the nearest specified value above it in its column.
+
+    In place; an X with no specified bit above it stays X.  The fill runs as
+    doubling passes over the whole matrix, in its own dtype: after the pass
+    of step ``s`` (1, 2, 4, ...) every X within ``2 s - 1`` rows below a
+    specified bit holds that bit, so ``ceil(log2(n_rows))`` passes suffice,
+    each with one mask the size of the matrix.
+    """
+    step = 1
+    while step < matrix.shape[0]:
+        below = matrix[step:]
+        unset = below == X
+        if not unset.any():
+            break
+        # Source and target overlap.  Either order of reads is right: an X
+        # at row r has no specified bit in rows r - step + 1 .. r, so row
+        # r - step holds (or is still X for) the nearest one above r.
+        np.copyto(below, matrix[:-step], where=unset)
+        step *= 2
 
 
 _REGISTRY: Dict[str, Callable[[], Filler]] = {}

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.intervals import Stretches, fill_runs
 from repro.cubes.bits import BIT_DTYPE, ONE, X, ZERO
 from repro.cubes.cube import TestSet
-from repro.filling.base import Filler, register_filler
+from repro.filling.base import Filler, hold_previous, register_filler
 
 
 class ZeroFill(Filler):
@@ -74,10 +73,16 @@ class MinimumTransitionFill(Filler):
 
     def fill(self, patterns: TestSet) -> TestSet:
         data = patterns.matrix.copy()
-        stretches = Stretches.of(data)
-        stretches.fill_ends(data)
-        # Every inner X run takes the specified value on its left.
-        fill_runs(data, stretches.rows, stretches.left + 1, stretches.right, stretches.left_values)
+        if data.size == 0:
+            return patterns.filled(data)
+        # Pins run down the columns of the transposed view, which is written
+        # in place: every X after a specified bit takes the one before it.
+        hold_previous(data.T)
+        # What is left is each pattern's leading X run: it takes the first
+        # specified value, and a pattern with none becomes zeros.
+        first = data[np.arange(data.shape[0]), np.argmax(data != X, axis=1)]
+        first[first == X] = ZERO
+        np.copyto(data, first[:, None], where=data == X)
         return patterns.filled(data)
 
 

@@ -9,6 +9,9 @@ The ``reference_*`` functions are the straightforward formulations the fast
 kernels replaced: per-row loops for the stretch kernels and the X-stretch
 histogram, the dense window table for the BCP bound and the per-step boolean
 masks for the greedy tours, and the min-heap sweep of the BCP colouring.
+The fill kernels' one-pass int64 forms (:func:`reference_fill_runs`,
+:func:`reference_assign_cells`), MT-fill through stretches and Adj-fill
+one pattern at a time are references too.
 They are the oracles of the differential tests in ``test_kernels.py``.
 The topological-order, compile, capacitance and switching references are
 the name-keyed, per-gate, per-net and dense formulations of the circuit and
@@ -17,8 +20,9 @@ per-gate loops the netlist's array passes replaced — the
 :meth:`Circuit.from_columns` checks and validation
 (:func:`reference_from_columns`), the first-in first-out Kahn
 (:func:`reference_topological_gates`), the compiler
-(:func:`reference_compile_columns`), the lane release schedule and the
-capacitance rows — are the oracles of ``test_circuit_netlist.py``.
+(:func:`reference_compile_columns`), the node tuples built from the
+compiled arrays (:func:`reference_node_prog`), the lane release schedule and
+the capacitance rows — are the oracles of ``test_circuit_netlist.py``.
 :class:`NewestFirstPool` stands in for the experiment runner's worker pool.
 """
 
@@ -32,13 +36,13 @@ from array import array
 from collections import deque
 from itertools import chain
 from types import SimpleNamespace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.circuit.gates import GateType
 from repro.circuit.netlist import _PRIMARY_INPUT, _UNDRIVEN, Circuit, CircuitError
-from repro.core.intervals import ToggleInterval
+from repro.core.intervals import ExtractionResult, Stretches, ToggleInterval
 from repro.cubes.bits import ONE, X, ZERO
 from repro.cubes.cube import TestSet
 from repro.engine.compile import _OPCODE_OF, CompiledCircuit
@@ -196,6 +200,42 @@ def reference_apply_assignment(
     return filled
 
 
+def reference_fill_runs(
+    out: np.ndarray,
+    rows: np.ndarray,
+    starts: Union[int, np.ndarray],
+    stops: Union[int, np.ndarray],
+    values: np.ndarray,
+) -> None:
+    """:func:`repro.core.intervals.fill_runs` as one pass of int64 cell indices."""
+    starts = np.broadcast_to(starts, rows.shape)
+    lengths = np.broadcast_to(stops, rows.shape) - starts
+    total = int(lengths.sum())
+    if total == 0:
+        return
+    shift = rows * out.shape[1] + starts - (np.cumsum(lengths) - lengths)
+    np.put(out, np.arange(total) + np.repeat(shift, lengths), np.repeat(values, lengths))
+
+
+def reference_assign_cells(extraction: ExtractionResult, colors: np.ndarray) -> np.ndarray:
+    """The reconstruction of :func:`repro.core.intervals.apply_assignment`, cell by cell.
+
+    The X cells of ``extraction.prefilled``, in row-major order, are the
+    interval interiors interval by interval; each takes its interval's left
+    value up to the colour's column and the right value past it.
+    """
+    colors = np.asarray(colors, dtype=np.int64)
+    filled = extraction.prefilled.copy()
+    cells = np.flatnonzero(filled == X)
+    gaps = extraction.right_cols - extraction.left_cols - 1
+    assert cells.size == int(gaps.sum())
+    owner = np.repeat(np.arange(gaps.size), gaps)
+    left_values = extraction.left_values[owner]
+    past_toggle = cells % extraction.n_patterns > colors[owner]
+    np.put(filled, cells, np.where(past_toggle, 1 - left_values, left_values))
+    return filled
+
+
 def reference_stretch_histogram(patterns: TestSet) -> Dict[int, int]:
     """X-run-length histogram of the pin-major matrix, one cell at a time."""
     histogram: Dict[int, int] = {}
@@ -228,6 +268,29 @@ def reference_mt_fill(matrix: np.ndarray) -> np.ndarray:
                 bits[col] = last_value
             else:
                 last_value = bits[col]
+    return data
+
+
+def reference_mt_fill_runs(matrix: np.ndarray) -> np.ndarray:
+    """MT-fill through :class:`Stretches`: hold the ends, then each inner run's left value."""
+    data = matrix.copy()
+    stretches = Stretches.of(data)
+    stretches.fill_ends(data)
+    reference_fill_runs(
+        data, stretches.rows, stretches.left + 1, stretches.right, stretches.left_values
+    )
+    return data
+
+
+def reference_adj_fill(matrix: np.ndarray, first_pattern_fill: int) -> np.ndarray:
+    """Adj-fill one pattern at a time: each X copies the pin's previous (filled) value."""
+    data = matrix.copy()
+    if data.size == 0:
+        return data
+    data[0, data[0] == X] = first_pattern_fill
+    for row in range(1, data.shape[0]):
+        mask = data[row] == X
+        data[row, mask] = data[row - 1, mask]
     return data
 
 
@@ -556,19 +619,56 @@ def reference_topological_gates(circuit: Circuit) -> List[int]:
     return order
 
 
-def _last_reader(program: CompiledCircuit) -> np.ndarray:
-    """Row -> position of the last node reading it (``-1``: none), from ``node_prog``."""
-    last = [-1] * program.n_nets
-    for pos, (_, _, src) in enumerate(program.node_prog):
+def _program_arrays(
+    n_rows: int, ops: Sequence[int], fanins: Sequence[Sequence[int]]
+) -> Dict[str, np.ndarray]:
+    """The array fields of a :class:`CompiledCircuit`, one node at a time.
+
+    ``ops`` and ``fanins`` give each node's opcode and fan-in rows; the
+    result holds ``ops``, ``fanin_rows``, ``node_offsets`` and
+    ``last_reader`` (row -> position of the last node reading it, ``-1``:
+    none).
+    """
+    fanin_rows: List[int] = []
+    node_offsets = [0]
+    last = [-1] * n_rows
+    for pos, src in enumerate(fanins):
         for row in src:
+            fanin_rows.append(row)
             last[row] = pos
-    return np.asarray(last, dtype=np.int32)
+        node_offsets.append(len(fanin_rows))
+    return {
+        "ops": np.asarray(ops, dtype=np.int8),
+        "fanin_rows": np.asarray(fanin_rows, dtype=np.int32),
+        "node_offsets": np.asarray(node_offsets, dtype=np.int32),
+        "last_reader": np.asarray(last, dtype=np.int32),
+    }
+
+
+def reference_node_prog(program: CompiledCircuit) -> List[Tuple[int, int, Tuple[int, ...]]]:
+    """``node_prog`` from the program's arrays, as one list comprehension.
+
+    The fan-in rows are boxed from one list of row ints, which the output
+    rows share.
+    """
+    n_rows = program.n_inputs + program.n_nodes
+    rows = list(range(n_rows))
+    sources = list(map(rows.__getitem__, array("i", program.fanin_rows.tobytes())))
+    bounds = array("i", program.node_offsets.tobytes())
+    return list(
+        zip(
+            program.ops.tolist(),
+            rows[program.n_inputs :],
+            [tuple(sources[lo:hi]) for lo, hi in zip(bounds, bounds[1:])],
+        )
+    )
 
 
 def reference_compile_columns(circuit: Circuit) -> CompiledCircuit:
     """:func:`repro.engine.compile.compile_circuit` as a per-gate loop over the columns.
 
-    The order comes from :func:`reference_topological_gates`.
+    The order comes from :func:`reference_topological_gates`.  The loop's
+    node tuples are stored as the program's ``node_prog``.
     """
     columns = circuit.columns()
     names, gate_net = columns.net_names, columns.gate_net
@@ -594,10 +694,11 @@ def reference_compile_columns(circuit: Circuit) -> CompiledCircuit:
         net_names=net_names,
         n_inputs=n_inputs,
         output_rows=np.asarray([row_of[net] for net in columns.observed], dtype=np.int32),
-        last_reader=np.empty(0, dtype=np.int32),
-        node_prog=node_prog,
+        **_program_arrays(
+            len(rows), [op for op, _, _ in node_prog], [src for _, _, src in node_prog]
+        ),
     )
-    program.last_reader = _last_reader(program)
+    program.__dict__["node_prog"] = node_prog
     return program
 
 
@@ -646,8 +747,8 @@ def reference_compile_circuit(circuit: Circuit) -> CompiledCircuit:
     levels from a name-keyed walk of it, so nothing is shared with the
     id-based :meth:`Circuit.columns` path.  The fields
     :func:`repro.engine.compile.compile_circuit` derives on first access
-    (:func:`lazy_program_fields`) are stored on the instance here, each
-    built independently of ``node_prog``.
+    (:func:`lazy_program_fields`), ``node_prog`` among them, are stored on
+    the instance here, each built independently of the program's arrays.
     """
     circuit.validate()
     inputs = circuit.combinational_inputs
@@ -680,11 +781,14 @@ def reference_compile_circuit(circuit: Circuit) -> CompiledCircuit:
         net_names=net_names,
         n_inputs=len(inputs),
         output_rows=output_rows,
-        last_reader=np.empty(0, dtype=np.int32),
-        node_prog=node_prog,
+        **_program_arrays(
+            len(net_names),
+            [_OPCODE_OF[circuit.get_gate(name).gate_type] for name in order],
+            [[net_index[net] for net in circuit.get_gate(name).inputs] for name in order],
+        ),
     )
-    program.last_reader = _last_reader(program)
     program.__dict__.update(
+        node_prog=node_prog,
         net_index=net_index,
         node_levels=[levels[name] for name in order],
         out_node=out_node,

@@ -26,12 +26,13 @@ from repro.circuit.library import b01_like_fsm, c17, itc99_like, ripple_counter,
 from repro.circuit.netlist import Circuit, CircuitError, Gate
 from repro.cubes.bits import ONE, X, ZERO
 from repro.engine.compile import compile_circuit
-from repro.engine.packed import release_schedule
+from repro.engine.packed import _NODE_BLOCK, release_schedule
 from repro.experiments.workloads import SCALED_GATE_TARGET
 from repro.power.capacitance import TechnologyParameters, row_capacitances
 from tests.helpers import (
     reference_compile_columns,
     reference_from_columns,
+    reference_node_prog,
     reference_release_schedule,
     reference_row_capacitances,
     reference_topological_gates,
@@ -673,16 +674,33 @@ def test_from_columns_reports_what_the_loops_report(netlist, seed, mutations):
         assert built[1].topological_order() == _reference_order(reference[1])
 
 
+def _assert_node_blocks(program):
+    """``node_block`` joined over several block sizes is the reference tuple list.
+
+    ``program`` is fresh, so ``node_prog`` is built here, from one block.
+    """
+    expected = reference_node_prog(program)
+    assert "node_prog" not in program.__dict__
+    for block in (1, 7, _NODE_BLOCK):
+        joined = []
+        for lo in range(0, program.n_nodes, block):
+            joined += program.node_block(lo, min(lo + block, program.n_nodes))
+        assert joined == expected, block
+    assert program.node_prog == expected
+
+
 def _assert_program_parity(circuit):
     """The compiler, release schedule and capacitance rows against their loops."""
     program = compile_circuit(circuit)
     reference = reference_compile_columns(circuit)
     assert program.node_prog == reference.node_prog
     assert program.net_names == reference.net_names
-    for name in ("output_rows", "last_reader"):
+    for name in ("output_rows", "last_reader", "ops", "fanin_rows", "node_offsets"):
         actual, expected = getattr(program, name), getattr(reference, name)
-        assert actual.dtype == expected.dtype == np.int32, name
+        assert actual.dtype == expected.dtype, name
+        assert actual.dtype == (np.int8 if name == "ops" else np.int32), name
         assert np.array_equal(actual, expected), name
+    _assert_node_blocks(compile_circuit(circuit))
     for block in (1, 3, 512):
         for actual, expected in zip(
             release_schedule(program, block), reference_release_schedule(reference, block)

@@ -158,7 +158,9 @@ def _assert_same_program(circuit, reference):
     for field in dataclasses.fields(reference):
         _assert_identical(getattr(program, field.name), getattr(reference, field.name), field.name)
     lazy = lazy_program_fields()
-    assert set(lazy) == {"net_index", "node_levels", "out_node", "reader_lists", "_observable_set"}
+    assert set(lazy) == {
+        "node_prog", "net_index", "node_levels", "out_node", "reader_lists", "_observable_set"
+    }
     for name in lazy:
         assert name not in program.__dict__, name
         _assert_identical(getattr(program, name), reference.__dict__[name], name)

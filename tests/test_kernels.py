@@ -2,8 +2,10 @@
 
 Every kernel must agree with its reference bit for bit: interval order and
 fields, base toggles, the prefilled matrix, XStat's phase-1 choices (whose
-order breaks phase 2's ties), MT fill, the reconstruction of a colour
-assignment, the pruned, blocked BCP window bound and the ISA/XStat tours.
+order breaks phase 2's ties), MT and Adj fill, the chunked run writer and
+the reconstruction of a colour assignment (at several chunk sizes and
+memory layouts), the pruned, blocked BCP window bound and the ISA/XStat
+tours.
 """
 
 from __future__ import annotations
@@ -13,10 +15,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import bcp
+from repro.core import bcp, intervals
 from repro.core.bcp import (
     InfeasibleColoringError,
     bcp_lower_bound,
@@ -24,9 +26,10 @@ from repro.core.bcp import (
     solve_weighted_bcp,
     weighted_peak_bound,
 )
-from repro.core.intervals import ExtractionPlan, apply_assignment, extract_intervals
+from repro.core.intervals import ExtractionPlan, apply_assignment, extract_intervals, fill_runs
 from repro.cubes.bits import X
 from repro.cubes.cube import TestSet
+from repro.filling.adjfill import AdjacentFill
 from repro.filling.simple import MinimumTransitionFill
 from repro.filling.xstat import XStatFill
 from repro.orderings import isa
@@ -35,9 +38,13 @@ from repro.orderings.xstat_ordering import XStatOrdering
 from tests.helpers import (
     cube_set_from_rows,
     make_interval,
+    reference_adj_fill,
     reference_apply_assignment,
+    reference_assign_cells,
     reference_extract_intervals,
+    reference_fill_runs,
     reference_mt_fill,
+    reference_mt_fill_runs,
     reference_nn_tour,
     reference_window_bound,
     reference_xstat_fill,
@@ -152,6 +159,113 @@ def test_extraction_matches_reference(patterns, data):
 @given(patterns=cube_sets())
 def test_fills_match_reference(patterns):
     check_fills(patterns)
+
+
+# -- fill kernels: chunked passes in the matrix dtype vs one-pass references --
+#: Cells per pass of ``fill_runs``: one, a small odd count and the default.
+FILL_CHUNKS = [1, 5, intervals._FILL_CHUNK]
+
+
+@st.composite
+def fill_matrices(draw) -> np.ndarray:
+    """0/1/X matrices, empty, single-row and single-column ones included, with
+    all-X rows and columns and leading and trailing X runs."""
+    n_rows = draw(st.integers(min_value=0, max_value=10))
+    n_cols = draw(st.integers(min_value=0, max_value=10))
+    x_fraction = draw(st.sampled_from([0.0, 0.3, 0.7, 0.9, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    data = rng.integers(0, 2, size=(n_rows, n_cols)).astype(np.int8)
+    data[rng.random(data.shape) < x_fraction] = X
+    if n_rows and n_cols:
+        if draw(st.booleans()):
+            data[draw(st.integers(min_value=0, max_value=n_rows - 1))] = X
+        if draw(st.booleans()):
+            data[:, draw(st.integers(min_value=0, max_value=n_cols - 1))] = X
+        data[:, : draw(st.integers(min_value=0, max_value=n_cols))] = X
+        data[:, n_cols - draw(st.integers(min_value=0, max_value=n_cols)) :] = X
+    return data
+
+
+def _assert_same_bytes(actual: np.ndarray, expected: np.ndarray) -> None:
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix=fill_matrices())
+@example(matrix=np.zeros((0, 0), dtype=np.int8))
+@example(matrix=np.zeros((0, 4), dtype=np.int8))
+@example(matrix=np.zeros((3, 0), dtype=np.int8))
+@example(matrix=cube_set_from_rows(["XX0X1XX"]).matrix.T.copy())
+@example(matrix=cube_set_from_rows(["XX0X1XX"]).matrix.copy())
+@example(matrix=cube_set_from_rows(["XXX", "X1X", "XXX"]).matrix.copy())
+def test_forward_fills_match_reference(matrix):
+    patterns = TestSet.from_matrix(matrix)
+    _assert_same_bytes(MinimumTransitionFill().fill(patterns).matrix, reference_mt_fill_runs(matrix))
+    for first in (0, 1):
+        _assert_same_bytes(
+            AdjacentFill(first_pattern_fill=first).fill(patterns).matrix,
+            reference_adj_fill(matrix, first),
+        )
+
+
+@pytest.mark.parametrize("chunk", FILL_CHUNKS)
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(matrix=fill_matrices(), data=st.data())
+def test_fill_runs_match_reference(monkeypatch, chunk, matrix, data):
+    monkeypatch.setattr(intervals, "_FILL_CHUNK", chunk)
+    n_rows, n_cols = matrix.shape
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    # Disjoint runs, empty ones included, in a random order: each row's
+    # columns cut at random points, every piece kept or not.
+    runs = []
+    for row in range(n_rows):
+        cuts = np.sort(rng.integers(0, n_cols + 1, size=rng.integers(0, 5))).tolist()
+        for start, stop in zip([0] + cuts, cuts + [n_cols]):
+            if rng.random() < 0.7:
+                runs.append((row, start, stop, int(rng.integers(0, 2))))
+    rng.shuffle(runs)
+    columns = np.array(runs, dtype=np.int64).reshape(-1, 4)
+    rows, starts, stops = columns[:, 0], columns[:, 1], columns[:, 2]
+    values = columns[:, 3].astype(np.int8)
+    expected = matrix.copy()
+    reference_fill_runs(expected, rows, starts, stops, values)
+    # C order, Fortran order and a transposed view are all written in place.
+    for out in (matrix.copy(), np.asfortranarray(matrix), matrix.T.copy().T):
+        fill_runs(out, rows, starts, stops, values)
+        _assert_same_bytes(np.ascontiguousarray(out), expected)
+    # Scalar starts and stops, as the ends of a row use them.
+    for first, last in ((0, stops), (starts, n_cols)):
+        expected = matrix.copy()
+        reference_fill_runs(expected, rows, first, last, values)
+        actual = matrix.copy()
+        fill_runs(actual, rows, first, last, values)
+        _assert_same_bytes(actual, expected)
+
+
+@pytest.mark.parametrize("chunk", FILL_CHUNKS)
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(matrix=fill_matrices(), data=st.data())
+def test_reconstruction_matches_reference(monkeypatch, chunk, matrix, data):
+    monkeypatch.setattr(intervals, "_FILL_CHUNK", chunk)
+    patterns = TestSet.from_matrix(matrix)
+    result = extract_intervals(patterns)
+    _assert_same_bytes(result.prefilled, reference_extract_intervals(patterns)[2])
+    windows = zip(result.starts.tolist(), result.ends.tolist())
+    colors = np.array(
+        [data.draw(st.integers(min_value=lo, max_value=hi)) for lo, hi in windows], dtype=np.int64
+    )
+    _assert_same_bytes(apply_assignment(result, colors), reference_assign_cells(result, colors))
+    if matrix.size:
+        for squeeze in SQUEEZE_MODES:
+            _assert_same_bytes(
+                XStatFill(squeeze=squeeze).fill(patterns).matrix,
+                reference_xstat_fill(patterns, squeeze),
+            )
 
 
 def test_intervals_are_built_lazily():
