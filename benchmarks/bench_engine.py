@@ -1,27 +1,27 @@
-"""Naive vs packed simulation-backend benchmarks.
+"""Packed engine vs reference engines: simulation benchmarks.
 
-Two entry points:
+The package ships one simulation engine, the compiled packed one; the naive
+references it replaced live in ``tests/reference_engines.py``, so run this
+from the repository root with ``PYTHONPATH=src:.``.  Two entry points:
 
 * ``pytest benchmarks/bench_engine.py --benchmark-only`` — pytest-benchmark
   timings of logic simulation, fault simulation and power estimation on the
-  harness's benchmark profiles, one run per backend.
-* ``PYTHONPATH=src python benchmarks/bench_engine.py`` — a standalone
-  speedup report (wall-clock, a fresh simulator per run, resolved through
-  the backend registry exactly like production callers; the packed
-  backend's compile-once program cache is therefore in play, as designed)
-  used to record the headline numbers in
-  ``CHANGES.md``.  Results are asserted identical
-  between all backends before any timing is reported, and the full timing
-  table is also written to ``BENCH_engine.json`` (per profile, per backend,
-  plus speedups and the git SHA) so the perf trajectory is machine-readable
-  from PR 2 onward.
+  harness's benchmark profiles, one run per engine (``naive``, ``packed``).
+* ``PYTHONPATH=src:. python benchmarks/bench_engine.py`` — a standalone
+  speedup report (wall-clock, a fresh simulator per run, built exactly like
+  production callers build them; the packed engine's compile-once program
+  cache is therefore in play, as designed) used to record the headline
+  numbers in ``CHANGES.md``.  Results are asserted identical between the
+  engines before any timing is reported, and the full timing table is also
+  written to ``BENCH_engine.json`` (per profile, per engine, plus speedups
+  and the git SHA) so the perf trajectory is machine-readable.
 
 The standalone mode also sweeps the fault-parallel ``faults`` kernel (64
 faults per word) against pattern-parallel ``lanes`` on the
 many-faults/few-patterns shapes it is designed for, per profile, records
-where ``auto`` switches kernels, and times PODEM end to end with the
+which kernel each shape resolves to, and times PODEM end to end with the
 fault-packed drop sweep on vs off (byte-identical ``ATPGResult``s asserted
-first, the kernel forced through ``REPRO_FAULT_MODE``).
+first, the kernel pinned with ``tests/helpers.py::grading_kernel``).
 
 Acceptance gates:
 
@@ -49,7 +49,6 @@ import os
 import subprocess
 import sys
 import time
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -62,20 +61,33 @@ from repro.atpg.podem import PodemEngine
 from repro.atpg.tpg import generate_test_cubes
 from repro.core.dpfill import dp_fill
 from repro.cubes.cube import TestSet
-from repro.engine.backend import get_backend
 from repro.engine.fault import (
-    FAULT_MODE_ENV_VAR,
     FAULTS_MODE_MAX_PATTERNS,
     PackedFaultSimulator,
     resolve_grading_kernel,
 )
+from repro.engine.packed import PackedLogicSimulator
 from repro.experiments.workloads import Workload, build_workload, default_workload_names
 from repro.obs import metrics as obs_metrics
 from repro.obs import timeline as obs_timeline
 from repro.obs import recorder as obs
 from repro.power.estimator import PowerEstimator
+from tests.helpers import grading_kernel
+from tests.reference_engines import (
+    DictPodemEngine,
+    LogicSimulator,
+    NaiveFaultSimulator,
+    naive_power_estimator,
+)
 
-BACKENDS = ["naive", "packed"]
+#: Logic-simulator, fault-simulator and power-estimator factories per
+#: engine: the references of ``tests/reference_engines.py`` and the packed
+#: engine (which reads each circuit's process-wide compiled program).
+ENGINES = {
+    "naive": (LogicSimulator, NaiveFaultSimulator, naive_power_estimator),
+    "packed": (PackedLogicSimulator, PackedFaultSimulator, PowerEstimator),
+}
+BACKENDS = list(ENGINES)
 
 #: Pattern widths for the fault-parallel kernel sweep: the
 #: many-faults/few-patterns shapes the ``faults`` kernel is designed for
@@ -133,7 +145,7 @@ def _filled_patterns(workload: Workload) -> TestSet:
 def test_bench_logic_simulation(benchmark, name, backend):
     workload = build_workload(name)
     patterns = _filled_patterns(workload)
-    simulator = get_backend(backend).logic_simulator(workload.circuit)
+    simulator = ENGINES[backend][0](workload.circuit)
     values = benchmark(lambda: simulator.simulate(patterns.matrix))
     assert len(values) > 0
 
@@ -144,7 +156,7 @@ def test_bench_fault_simulation(benchmark, name, backend):
     workload = build_workload(name)
     patterns = _filled_patterns(workload)
     faults = collapse_faults(workload.circuit)
-    simulator = get_backend(backend).fault_simulator(workload.circuit)
+    simulator = ENGINES[backend][1](workload.circuit)
     result = benchmark(lambda: simulator.run(patterns, faults))
     assert result.n_patterns == len(patterns)
 
@@ -163,9 +175,9 @@ def test_bench_fault_parallel_shape(benchmark, fault_mode):
     workload = build_workload(FAULT_PARALLEL_PROFILE)
     patterns = _wide_patterns(workload.circuit, 8)
     faults = collapse_faults(workload.circuit)
-    program = get_backend("packed").compiled_program(workload.circuit)
-    simulator = PackedFaultSimulator(workload.circuit, program=program, mode=fault_mode)
-    result = benchmark(lambda: simulator.run(patterns, faults))
+    simulator = PackedFaultSimulator(workload.circuit)
+    with grading_kernel(fault_mode):
+        result = benchmark(lambda: simulator.run(patterns, faults))
     assert result.n_patterns == 8
 
 
@@ -184,8 +196,8 @@ def test_bench_podem(benchmark, name, atpg_mode):
     # round on the larger ones (the standalone sweep covers those once).
     workload = build_workload(name)
     faults = _sampled_faults(workload.circuit)
-    engine = PodemEngine(
-        workload.circuit, backtrack_limit=ATPG_BENCH_BACKTRACKS, mode=atpg_mode
+    engine = (DictPodemEngine if atpg_mode == "dict" else PodemEngine)(
+        workload.circuit, backtrack_limit=ATPG_BENCH_BACKTRACKS
     )
     results = benchmark(lambda: [engine.generate(fault) for fault in faults])
     assert len(results) == len(faults)
@@ -196,7 +208,7 @@ def test_bench_podem(benchmark, name, atpg_mode):
 def test_bench_power_estimation(benchmark, name, backend):
     workload = build_workload(name)
     patterns = _filled_patterns(workload)
-    estimator = PowerEstimator(workload.circuit, backend=backend)
+    estimator = ENGINES[backend][2](workload.circuit)
     report = benchmark(lambda: estimator.estimate(patterns))
     assert report.peak_power_uw >= 0.0
 
@@ -261,29 +273,15 @@ def _write_json(
     print(f"\nwrote {BENCH_JSON.resolve()}")
 
 
-@contextmanager
-def _forced_fault_mode(mode: str):
-    """Force the packed grading kernel through ``REPRO_FAULT_MODE``, scoped."""
-    previous = os.environ.get(FAULT_MODE_ENV_VAR)
-    os.environ[FAULT_MODE_ENV_VAR] = mode
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(FAULT_MODE_ENV_VAR, None)
-        else:
-            os.environ[FAULT_MODE_ENV_VAR] = previous
-
-
 def _fault_parallel_sweep() -> dict:
     """Two-way kernel sweep on the many-faults/few-patterns shapes.
 
     For every benchmark profile, time ``lanes`` vs ``faults``
     across :data:`FAULT_PARALLEL_WIDTHS` over the full collapsed fault list
     (parity asserted before any timing is reported), record which kernel
-    ``auto`` resolves at each width, and finish with a PODEM end-to-end A/B:
-    ``generate_test_cubes`` with the fault-packed drop sweep forced off
-    (``REPRO_FAULT_MODE=lanes``) vs on (``faults``), byte-identical
+    the run's shape resolves to at each width, and finish with a PODEM
+    end-to-end A/B: ``generate_test_cubes`` with the fault-packed drop sweep
+    pinned off (``lanes``) vs on (``faults``), byte-identical
     ``ATPGResult``s asserted first.  Returns the ``fault_parallel`` section
     for ``BENCH_engine.json``.
     """
@@ -300,19 +298,17 @@ def _fault_parallel_sweep() -> dict:
         workload = build_workload(name)
         circuit = workload.circuit
         faults = collapse_faults(circuit)
-        program = get_backend("packed").compiled_program(circuit)
         widths: List[dict] = []
         for n_patterns in FAULT_PARALLEL_WIDTHS:
             patterns = _wide_patterns(circuit, n_patterns)
             timings: Dict[str, float] = {}
             results = {}
             for kernel in ("lanes", "faults"):
-                t_kernel, res = _time_best(
-                    lambda mode=kernel: lambda: PackedFaultSimulator(
-                        circuit, program=program, mode=mode
-                    ).run(patterns, faults),
-                    repeats=2,
-                )
+                with grading_kernel(kernel):
+                    t_kernel, res = _time_best(
+                        lambda: lambda: PackedFaultSimulator(circuit).run(patterns, faults),
+                        repeats=2,
+                    )
                 timings[kernel] = t_kernel
                 results[kernel] = res
             assert list(results["lanes"].detected.items()) == list(
@@ -323,7 +319,7 @@ def _fault_parallel_sweep() -> dict:
                 n_patterns,
             )
             speedup = timings["lanes"] / timings["faults"]
-            auto_kernel = resolve_grading_kernel("auto", n_patterns, len(faults))
+            auto_kernel = resolve_grading_kernel(n_patterns, len(faults))
             widths.append(
                 {
                     "patterns": n_patterns,
@@ -364,11 +360,11 @@ def _fault_parallel_sweep() -> dict:
         backtrack_limit=ATPG_BENCH_BACKTRACKS,
         seed=0,
     )
-    with _forced_fault_mode("lanes"):
+    with grading_kernel("lanes"):
         t_lanes, res_lanes = _time_best(
             lambda: lambda: generate_test_cubes(circuit, **atpg_kwargs), repeats=2
         )
-    with _forced_fault_mode("faults"):
+    with grading_kernel("faults"):
         t_faults, res_faults = _time_best(
             lambda: lambda: generate_test_cubes(circuit, **atpg_kwargs), repeats=2
         )
@@ -421,12 +417,8 @@ def _atpg_sweep() -> dict:
         workload = build_workload(name)
         circuit = workload.circuit
         faults = _sampled_faults(circuit)
-        dict_engine = PodemEngine(
-            circuit, backtrack_limit=ATPG_BENCH_BACKTRACKS, mode="dict"
-        )
-        compiled_engine = PodemEngine(
-            circuit, backtrack_limit=ATPG_BENCH_BACKTRACKS, mode="compiled"
-        )
+        dict_engine = DictPodemEngine(circuit, backtrack_limit=ATPG_BENCH_BACKTRACKS)
+        compiled_engine = PodemEngine(circuit, backtrack_limit=ATPG_BENCH_BACKTRACKS)
         reference = [dict_engine.generate(fault) for fault in faults]
         candidate = [compiled_engine.generate(fault) for fault in faults]
         for ref, res in zip(reference, candidate):
@@ -499,10 +491,9 @@ def _obs_sweep(
     circuit = workload.circuit
     patterns = _filled_patterns(workload)
     faults = collapse_faults(circuit)
-    program = get_backend("packed").compiled_program(circuit)
 
     def build() -> Callable[[], object]:
-        simulator = PackedFaultSimulator(circuit, program=program)
+        simulator = PackedFaultSimulator(circuit)
         return lambda: simulator.run(patterns, faults)
 
     was_enabled = obs.enabled()
@@ -535,9 +526,7 @@ def _obs_sweep(
         timeline_here = True
     obs.reset()
     build()()
-    engine = PodemEngine(
-        circuit, backtrack_limit=ATPG_BENCH_BACKTRACKS, mode="compiled"
-    )
+    engine = PodemEngine(circuit, backtrack_limit=ATPG_BENCH_BACKTRACKS)
     for fault in _sampled_faults(circuit):
         engine.generate(fault)
     snap = obs.snapshot()
@@ -589,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     """Standalone-mode command-line parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
         prog="python benchmarks/bench_engine.py",
-        description="Backend speedup report; writes BENCH_engine.json.",
+        description="Packed-engine speedup report; writes BENCH_engine.json.",
     )
     parser.add_argument(
         "--metrics",
@@ -609,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Print the backend speedup table; write ``BENCH_engine.json``."""
+    """Print the engine speedup table; write ``BENCH_engine.json``."""
     args = build_parser().parse_args(argv)
     metrics_path = obs_metrics.resolve_metrics_path(args.metrics or None)
     trace_path = args.trace_out or None
@@ -623,18 +612,15 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         timings: Dict[str, Dict[str, float]] = {}
         results = {}
-        for backend_name in BACKENDS:
-            backend = get_backend(backend_name)
+        for backend_name, (logic, fault, power) in ENGINES.items():
             t_logic, _ = _time_best(
-                lambda: lambda: backend.logic_simulator(circuit).simulate(patterns.matrix)
+                lambda: lambda: logic(circuit).simulate(patterns.matrix)
             )
             t_fault, res = _time_best(
-                lambda: lambda: backend.fault_simulator(circuit).run(patterns, faults),
+                lambda: lambda: fault(circuit).run(patterns, faults),
                 repeats=2,
             )
-            t_power, _ = _time_best(
-                lambda: lambda: PowerEstimator(circuit, backend=backend_name).estimate(patterns)
-            )
+            t_power, _ = _time_best(lambda: lambda: power(circuit).estimate(patterns))
             timings[backend_name] = {"logic": t_logic, "fault": t_fault, "power": t_power}
             results[backend_name] = res
         reference = results["naive"]

@@ -46,12 +46,6 @@ from repro.cubes import (
     total_toggles,
     x_density,
 )
-from repro.engine import (
-    available_backends,
-    get_backend,
-    register_backend,
-    set_default_backend,
-)
 from repro.filling import Filler, available_fillers, get_filler
 from repro.orderings import Ordering, available_orderings, get_ordering
 
@@ -88,9 +82,4 @@ __all__ = [
     "Ordering",
     "get_ordering",
     "available_orderings",
-    # simulation backends
-    "get_backend",
-    "register_backend",
-    "set_default_backend",
-    "available_backends",
 ]

@@ -16,8 +16,9 @@ parity suites can only spot-check:
   or carry a documented suppression.
 
 The dynamic half of the contract is the parity and golden-report suites:
-naive and packed grading agree bit for bit, and the runner's pooled cells
-merge in fixed cell order, so the report is byte-identical to a serial run.
+the packed engine and its references agree bit for bit, and the runner's
+pooled cells merge in fixed cell order, so the report is byte-identical to
+a serial run.
 """
 
 from repro.analysis.core import (

@@ -1,6 +1,6 @@
 """R1 — determinism lint for result-bearing modules.
 
-The paper's reproduction contract is bit-identical output across backends,
+The paper's reproduction contract is bit-identical output across engines,
 worker counts and task arrival orders.  Three static patterns break that contract
 and all have slipped into similar codebases before:
 

@@ -1,6 +1,6 @@
 """R5 — telemetry name grammar and the counters manifest.
 
-Counter parity across backends and worker counts is only checkable when
+Counter parity across engines and worker counts is only checkable when
 both sides emit the *same names*; a typo'd counter silently becomes a new
 key and the parity suite compares ``None == None``.  So every emitted
 name must be declared in :mod:`repro.obs.manifest` and parse under the

@@ -13,7 +13,7 @@ don't-care-dominated cube sets of Table I come from.
 from repro.atpg.collapse import collapse_faults
 from repro.atpg.fault_sim import FaultSimulationResult, FaultSimulator
 from repro.atpg.faults import StuckAtFault, full_fault_list
-from repro.atpg.podem import DictPodemEngine, PodemResult, PodemEngine
+from repro.atpg.podem import PodemResult, PodemEngine
 from repro.atpg.tpg import ATPGResult, generate_test_cubes
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "collapse_faults",
     "FaultSimulator",
     "FaultSimulationResult",
-    "DictPodemEngine",
     "PodemEngine",
     "PodemResult",
     "ATPGResult",

@@ -8,8 +8,8 @@ every other fault it happens to detect.  The order in which cubes are emitted
 
 Each drop sweep grades one filled cube against *all* remaining faults — the
 shape where pattern-parallel kernels degenerate to one fault at a time.
-Under the packed backend ``mode="auto"`` therefore runs the sweep on the
-fault-parallel fault-word kernel
+The fault simulator therefore runs the sweep on the fault-parallel
+fault-word kernel
 (:func:`~repro.engine.fault.packed_first_detects_faults`) whenever at least
 8 faults remain, grading 64 remaining faults per machine word per cube
 instead of looping the python interpreter over every fault; shorter lists
@@ -24,7 +24,7 @@ cells instead, so one circuit's cubes are always generated by one engine.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from repro.atpg.podem import PodemEngine
 from repro.circuit.netlist import Circuit
 from repro.cubes.bits import BIT_DTYPE, X
 from repro.cubes.cube import TestCube, TestSet
-from repro.engine.backend import SimulationBackend
 
 
 @dataclass
@@ -65,12 +64,6 @@ class ATPGResult:
         return len(self.detected_faults) / self.total_faults if self.total_faults else 1.0
 
     @property
-    def test_coverage(self) -> float:
-        """Detected / testable faults (untestable faults excluded)."""
-        testable = self.total_faults - len(self.untestable_faults)
-        return len(self.detected_faults) / testable if testable else 1.0
-
-    @property
     def x_percent(self) -> float:
         """Average percentage of X bits in the cubes (the paper's Table I metric)."""
         return 100.0 * self.cubes.x_fraction
@@ -90,8 +83,6 @@ def generate_test_cubes(
     backtrack_limit: int = 100,
     drop_with_fault_sim: bool = True,
     seed: int = 0,
-    backend: Union[str, SimulationBackend, None] = None,
-    atpg_mode: Optional[str] = None,
 ) -> ATPGResult:
     """Generate a stuck-at test-cube set for ``circuit``.
 
@@ -106,11 +97,6 @@ def generate_test_cubes(
             drop the other faults it detects (the standard ATPG flow).  When
             disabled every target fault gets its own cube.
         seed: seed for the random fill used during dropping.
-        backend: simulation backend for PODEM and the dropping fault sim
-            (registry default when omitted).
-        atpg_mode: PODEM implication implementation (``"auto"`` / ``"dict"``
-            / ``"compiled"``); ``None`` resolves through ``REPRO_ATPG_MODE``
-            and the backend preference.
 
     Returns:
         An :class:`ATPGResult` whose ``cubes`` are in generation order.
@@ -120,14 +106,8 @@ def generate_test_cubes(
         stride = len(faults) / max_faults
         faults = [faults[int(i * stride)] for i in range(max_faults)]
 
-    engine = PodemEngine(
-        circuit, backtrack_limit=backtrack_limit, backend=backend, mode=atpg_mode
-    )
-    simulator = (
-        FaultSimulator(circuit, backend=backend)
-        if drop_with_fault_sim
-        else None
-    )
+    engine = PodemEngine(circuit, backtrack_limit=backtrack_limit)
+    simulator = FaultSimulator(circuit) if drop_with_fault_sim else None
     rng = np.random.default_rng(seed)
 
     result = ATPGResult(

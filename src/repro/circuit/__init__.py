@@ -3,8 +3,7 @@
 The paper's evaluation runs on synthesised ITC'99 circuits; this package
 provides everything needed to stand in for that flow offline:
 
-* :mod:`gates` — gate types with two-valued (vectorised) and three-valued
-  (ATPG) evaluation semantics,
+* :mod:`gates` — the gate types,
 * :mod:`netlist` — the :class:`Circuit` container with levelisation, fanout
   analysis and the full-scan combinational view,
 * :mod:`bench_format` — reader/writer for the ISCAS/ITC ``.bench`` netlist
@@ -12,9 +11,9 @@ provides everything needed to stand in for that flow offline:
 * :mod:`generator` — a synthetic sequential-circuit generator used to build
   ITC'99-sized stand-ins,
 * :mod:`library` — small hand-written reference circuits (c17, a b01-style
-  FSM, a counter) plus the ITC'99-profile factory,
-* :mod:`simulator` — pattern-parallel logic simulation (two-valued) and
-  scalar three-valued simulation for test generation.
+  FSM, a counter) plus the ITC'99-profile factory.
+
+Simulation runs on the compiled engine of :mod:`repro.engine`.
 """
 
 from repro.circuit.bench_format import parse_bench, parse_bench_file, write_bench
@@ -28,7 +27,6 @@ from repro.circuit.library import (
     toy_pipeline,
 )
 from repro.circuit.netlist import Circuit, Gate
-from repro.circuit.simulator import LogicSimulator, ThreeValuedSimulator
 
 __all__ = [
     "GateType",
@@ -44,6 +42,4 @@ __all__ = [
     "ripple_counter",
     "toy_pipeline",
     "itc99_like",
-    "LogicSimulator",
-    "ThreeValuedSimulator",
 ]

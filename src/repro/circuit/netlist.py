@@ -16,8 +16,8 @@ these columns: :meth:`Circuit.add_gate` one gate at a time, and
 the ids.  Structural analyses — validation, topological order, levels,
 fan-out, the structure digest — and :func:`repro.engine.compile.compile_circuit`
 work on the ids.  :class:`Gate` objects are the name-level view for the
-consumers that walk gates by name (``.bench`` export, the dict PODEM, the
-naive simulators); they are created on first request and cached.
+consumers that walk gates by name (``.bench`` export, the reference
+engines of the tests); they are created on first request and cached.
 
 The fan-in tuples are the stored form.  The bulk passes read a derived,
 cached view of them, :meth:`Circuit.fanin_arrays`: every gate's fan-in net

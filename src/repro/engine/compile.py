@@ -1,7 +1,7 @@
 """Circuit compilation: from a :class:`Circuit` to a flat array program.
 
-The naive simulators walk gate objects and per-net dictionaries on every
-evaluation.  This module compiles a validated circuit **once** into a flat,
+Walking gate objects and per-net dictionaries on every evaluation is slow.
+This module compiles a validated circuit **once** into a flat,
 levelised program over integer *rows*, reading the circuit's integer columns
 (:meth:`Circuit.columns`) and its flat fan-in arrays
 (:meth:`Circuit.fanin_arrays`) directly — a row is a permutation of a net
@@ -44,10 +44,13 @@ Nothing here evaluates anything: the compiled program is consumed by
 (compiled PODEM).  The design follows the
 compile-once / run-tight-loops idiom of optimisation modelling libraries:
 simulation never touches gate objects or name dictionaries again.
+:func:`compiled_program` is the process-wide compile-once cache every
+simulator, PODEM engine and power estimator reads.
 """
 
 from __future__ import annotations
 
+import weakref
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -264,12 +267,10 @@ class CompiledCircuit:
 def compile_circuit(circuit: Circuit) -> CompiledCircuit:
     """Compile a validated circuit into a :class:`CompiledCircuit`.
 
-    The program is built from :meth:`Circuit.columns`.  The row order
-    matches :class:`~repro.circuit.simulator.LogicSimulator` exactly — test
-    pins first, then :meth:`Circuit.topological_order` — so value tables
-    produced from the compiled program are row-compatible with the naive
-    simulator's net dictionary (same nets, same order); see the module
-    docstring for why no other order will do.
+    The program is built from :meth:`Circuit.columns`.  The row order is
+    test pins first, then :meth:`Circuit.topological_order` (the order of
+    the reference simulator in ``tests/reference_engines.py``, too); see
+    the module docstring for why no other order will do.
     """
     columns = circuit.columns()
     nets, offsets, kinds = circuit.fanin_arrays()
@@ -311,3 +312,27 @@ def compile_circuit(circuit: Circuit) -> CompiledCircuit:
         fanin_rows=fanin_rows,
         node_offsets=node_offsets,
     )
+
+
+_PROGRAMS: "weakref.WeakKeyDictionary[Circuit, Tuple[object, CompiledCircuit]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def compiled_program(circuit: Circuit) -> CompiledCircuit:
+    """The process-wide compiled program of ``circuit``, compiled once.
+
+    Every simulator, the PODEM engine and the power estimator of a circuit
+    share it, and with it the fault-cone cache.  Circuits are held weakly,
+    and the entry is checked against :meth:`Circuit.structure_token`, so
+    mutating a netlist after simulating it recompiles it instead of serving
+    a stale program.
+    """
+    entry = _PROGRAMS.get(circuit)
+    if entry is not None:
+        token, program = entry
+        if circuit.structure_token() is token:
+            return program
+    program = compile_circuit(circuit)
+    _PROGRAMS[circuit] = (circuit.structure_token(), program)
+    return program

@@ -1,8 +1,7 @@
-"""Fault simulation engines (naive and bit-packed) with real fault dropping.
+"""Bit-packed fault simulation with real fault dropping.
 
-Both engines are *serial in faults, parallel in patterns* and share the same
-observable-difference detection semantics as the original
-``repro.atpg.fault_sim`` implementation:
+Detection follows the observable-difference semantics of the reference
+simulator in ``tests/reference_engines.py``:
 
 * the good machine is evaluated once for the whole pattern batch;
 * each fault is re-evaluated only over its downstream combinational cone
@@ -29,12 +28,11 @@ results:
   cube-verification drop sweeps grade one pattern against the whole
   remaining fault list).
 
-``mode="auto"`` (the default) picks the kernel from the run shape
+Each run picks its kernel from its shape alone
 (:func:`resolve_grading_kernel`): ``faults`` for pattern sets at most
 :data:`FAULTS_MODE_MAX_PATTERNS` wide against at least
 :data:`FAULTS_MODE_FAULTS_PER_PATTERN` faults per pattern, ``lanes``
-otherwise; the ``REPRO_FAULT_MODE`` environment variable forces a mode
-process-wide (:func:`resolve_fault_mode`).
+otherwise.
 
 **Fault dropping** is implemented by processing the pattern set in blocks of
 :data:`DROP_BLOCK_PATTERNS` patterns: once a fault is detected in a block it
@@ -44,7 +42,7 @@ index is identical with and without dropping — dropping only removes work.
 Per-run counters (``last_run_stats``) expose how much was skipped, which the
 engine tests use to assert the dropping is real rather than decorative.
 
-The simulators accept any fault objects exposing ``net`` and ``stuck_value``
+The simulator accepts any fault objects exposing ``net`` and ``stuck_value``
 attributes (:class:`repro.atpg.faults.StuckAtFault` in practice); keeping
 this module free of ``repro.atpg`` imports lets the higher ATPG layer build
 on the engine without an import cycle.
@@ -57,10 +55,9 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro import envvars
-from repro.circuit.gates import GateType, evaluate_bool
+import numpy as np
+
 from repro.circuit.netlist import Circuit
-from repro.circuit.simulator import LogicSimulator, check_pattern_matrix
 from repro.cubes.cube import TestSet
 from repro.obs import recorder as obs
 from repro.engine.compile import (
@@ -73,9 +70,9 @@ from repro.engine.compile import (
     OP_OR,
     OP_XNOR,
     OP_XOR,
-    compile_circuit,
+    compiled_program,
 )
-from repro.engine.packed import evaluate_lanes, pack_lanes
+from repro.engine.packed import check_pattern_matrix, evaluate_lanes, pack_lanes
 
 #: Patterns per fault-dropping block: wide enough that the per-block
 #: bookkeeping is negligible, narrow enough that a fault detected by the
@@ -86,7 +83,7 @@ DROP_BLOCK_PATTERNS = 128
 #: Faults per packed fault word in ``"faults"`` mode — one bit-lane each.
 FAULT_WORD_LANES = 64
 
-#: ``auto`` considers the fault-parallel kernel only for pattern sets at
+#: The fault-parallel kernel is considered only for pattern sets at
 #: most this wide.  The fault-packed word must replay every pattern one at
 #: a time, while a lanes cone replay costs roughly the same for 1 pattern
 #: as for a whole block, so the faults kernel falls behind lanes as the
@@ -103,35 +100,13 @@ FAULTS_MODE_MAX_PATTERNS = 8
 #: words from 8 remaining faults on, and 8 patterns need a full word of 64.
 FAULTS_MODE_FAULTS_PER_PATTERN = 8
 
-#: Environment variable forcing the packed fault-grading mode process-wide.
-FAULT_MODE_ENV_VAR = envvars.FAULT_MODE.name
+def resolve_grading_kernel(n_patterns: int, n_faults: int) -> str:
+    """The kernel (``lanes``/``faults``) a run of this shape grades on.
 
-FAULT_MODES = envvars.FAULT_MODES
-
-
-def resolve_fault_mode(mode: Optional[str] = None) -> str:
-    """Resolve a fault-grading mode (explicit arg > ``REPRO_FAULT_MODE`` > auto).
-
-    Raises:
-        ValueError: for names outside :data:`FAULT_MODES`.
+    The fault-packed kernel takes at most :data:`FAULTS_MODE_MAX_PATTERNS`
+    patterns against at least :data:`FAULTS_MODE_FAULTS_PER_PATTERN` faults
+    per pattern, and big-int lanes take everything else.
     """
-    if mode is None:
-        mode = envvars.FAULT_MODE.read() or "auto"
-    if mode not in FAULT_MODES:
-        raise ValueError(f"unknown fault mode {mode!r}; choose from {FAULT_MODES}")
-    return mode
-
-
-def resolve_grading_kernel(mode: str, n_patterns: int, n_faults: int) -> str:
-    """The concrete kernel (``lanes``/``faults``) a run grades on.
-
-    ``auto`` resolves from the run shape: the fault-packed kernel takes at
-    most :data:`FAULTS_MODE_MAX_PATTERNS` patterns against at least
-    :data:`FAULTS_MODE_FAULTS_PER_PATTERN` faults per pattern, and big-int
-    lanes take everything else.
-    """
-    if mode != "auto":
-        return mode
     if (
         n_patterns <= FAULTS_MODE_MAX_PATTERNS
         and n_faults >= FAULTS_MODE_FAULTS_PER_PATTERN * n_patterns
@@ -161,7 +136,7 @@ class FaultSimulationResult:
     """Outcome of fault-simulating a pattern set against a fault list.
 
     Duplicate faults in the input list are collapsed to their first
-    occurrence — every backend grades a fault once, so ``coverage`` is a
+    occurrence — every fault is graded once, so ``coverage`` is a
     fraction of *distinct* faults and ``undetected`` never repeats an entry.
 
     Attributes:
@@ -242,7 +217,7 @@ def _unique_faults(faults: Sequence[object]) -> List[object]:
     """The fault list with duplicates collapsed to their first occurrence.
 
     Occurrences of a fault grade identically (same cone, same patterns), so
-    every backend dedupes before grading: duplicates cost no cone work, and
+    every run dedupes before grading: duplicates cost no cone work, and
     without deduplication the ``detected`` dict would collapse them while
     ``undetected`` repeated them, skewing ``coverage`` by input-list
     bookkeeping.
@@ -255,7 +230,7 @@ def _assemble(
     first_detect: List[Optional[int]],
     n_patterns: int,
 ) -> FaultSimulationResult:
-    """Build a result in input fault order (identical across backends).
+    """Build a result in input fault order (identical across kernels).
 
     Callers pass the :func:`_unique_faults` list; the seen-set is a cheap
     backstop keeping results consistent for any direct caller that does not.
@@ -275,143 +250,6 @@ def _assemble(
 
 def _blocks(n_patterns: int, block: int) -> List[range]:
     return [range(s, min(s + block, n_patterns)) for s in range(0, n_patterns, block)]
-
-
-class NaiveFaultSimulator:
-    """Reference fault simulator: per-net dict cone walk on bool arrays.
-
-    This is the original ``FaultSimulator`` algorithm, restructured into
-    pattern blocks so fault dropping actually skips work (the historical
-    ``drop_detected`` flag was a no-op).  Results are bit-identical to the
-    unblocked implementation.
-    """
-
-    def __init__(self, circuit: Circuit, block_patterns: int = DROP_BLOCK_PATTERNS) -> None:
-        circuit.validate()
-        self.circuit = circuit
-        self.block_patterns = max(1, int(block_patterns))
-        self._logic = LogicSimulator(circuit)
-        self._order_rank = {net: i for i, net in enumerate(circuit.topological_order())}
-        self._fanout = circuit.fanout_map()
-        self._output_set = set(circuit.combinational_outputs)
-        self._cone_cache: Dict[str, List[str]] = {}
-        self._observable_cache: Dict[str, bool] = {}
-        self.last_run_stats: Dict[str, int] = _new_stats()
-
-    # -- internals ---------------------------------------------------------
-    def _downstream_cone(self, net: str) -> List[str]:
-        """Combinational gates reachable from ``net``, in topological order."""
-        cached = self._cone_cache.get(net)
-        if cached is not None:
-            return cached
-        seen: set = set()
-        stack = [net]
-        while stack:
-            current = stack.pop()
-            for reader in self._fanout.get(current, []):
-                if reader in seen:
-                    continue
-                if self.circuit.get_gate(reader).gate_type.is_sequential:
-                    continue
-                seen.add(reader)
-                stack.append(reader)
-        cone = sorted(seen, key=lambda name: self._order_rank.get(name, 0))
-        self._cone_cache[net] = cone
-        return cone
-
-    def _structurally_observable(self, net: str) -> bool:
-        """Whether ``net`` reaches any observable net (or is one itself).
-
-        Faults on structurally unobservable nets can never be detected, so
-        they are skipped without cone work — the same skip the packed
-        kernels apply (empty ``detect_rows`` and unobservable site), which
-        keeps ``cone_evaluations`` aligned across backends.
-        """
-        cached = self._observable_cache.get(net)
-        if cached is None:
-            cached = net in self._output_set or any(
-                name in self._output_set for name in self._downstream_cone(net)
-            )
-            self._observable_cache[net] = cached
-        return cached
-
-    def _simulate_fault_block(
-        self,
-        fault: object,
-        good_block: Dict[str, np.ndarray],
-        width: int,
-    ) -> np.ndarray:
-        """Boolean array marking the block patterns that detect ``fault``."""
-        forced = np.full(width, bool(fault.stuck_value))
-        faulty: Dict[str, np.ndarray] = {fault.net: forced}
-        detected = np.zeros(width, dtype=bool)
-        if fault.net in self._output_set:
-            detected |= good_block[fault.net] != forced
-        for name in self._downstream_cone(fault.net):
-            gate = self.circuit.get_gate(name)
-            if gate.gate_type is GateType.CONST0:
-                value = np.zeros(width, dtype=bool)
-            elif gate.gate_type is GateType.CONST1:
-                value = np.ones(width, dtype=bool)
-            else:
-                inputs = [faulty.get(net, good_block[net]) for net in gate.inputs]
-                value = evaluate_bool(gate.gate_type, inputs)
-            faulty[name] = value
-            if name in self._output_set:
-                detected |= value != good_block[name]
-        return detected
-
-    # -- public API --------------------------------------------------------
-    def run(
-        self,
-        patterns: TestSet,
-        faults: Sequence[object],
-        drop_detected: bool = True,
-    ) -> FaultSimulationResult:
-        """Fault-simulate ``patterns`` against ``faults`` (see module docs)."""
-        stats = self.last_run_stats = _new_stats()
-        early = _validate_run(patterns, self.circuit.n_test_pins, faults)
-        if early is not None:
-            return early
-        faults = _unique_faults(faults)
-        n_patterns = len(patterns)
-        with obs.span(f"logic_sim/{self.circuit.name}/naive"):
-            good_values = self._logic.simulate(patterns.matrix)
-        first_detect: List[Optional[int]] = [None] * len(faults)
-        observable = [self._structurally_observable(f.net) for f in faults]
-
-        # Blocking only exists to give dropping something to skip; without
-        # dropping a single full-width pass avoids the per-block overhead
-        # (results are block-size-invariant either way).
-        block_size = self.block_patterns if drop_detected else n_patterns
-        with obs.span(f"fault_sim/{self.circuit.name}/naive/grade"):
-            for block in _blocks(n_patterns, block_size):
-                stats["blocks"] += 1
-                start, width = block.start, len(block)
-                good_block = {
-                    net: arr[start : block.stop] for net, arr in good_values.items()
-                }
-                pending = 0
-                for index, fault in enumerate(faults):
-                    if first_detect[index] is not None:
-                        if drop_detected:
-                            stats["dropped_block_evaluations"] += 1
-                            continue
-                    if not observable[index]:
-                        continue  # structurally unobservable: undetected, no work
-                    stats["cone_evaluations"] += 1
-                    detecting = self._simulate_fault_block(fault, good_block, width)
-                    hits = np.flatnonzero(detecting)
-                    if hits.size:
-                        if first_detect[index] is None:
-                            first_detect[index] = start + int(hits[0])
-                    else:
-                        pending += 1
-                if drop_detected and pending == 0:
-                    break
-        result = _assemble(faults, first_detect, n_patterns)
-        _flush_run_telemetry(stats, result)
-        return result
 
 
 def _lowest_bit(value: int) -> int:
@@ -764,28 +602,22 @@ class PackedFaultSimulator:
     src_rows)`` triples and re-evaluated per fault-dropping block on big-int
     lanes (a handful of C-level big-int bitwise ops per block — no gate
     objects, no name dictionaries, no NumPy dispatch), one fault per pass
-    (``lanes``) or 64 faults per pass (``faults``); see the module docstring
-    for the mode trade-off.
+    (``lanes``) or 64 faults per pass (``faults``), whichever the run's
+    shape calls for (:func:`resolve_grading_kernel`).  ``last_run_stats``
+    holds the work counters of the latest :meth:`run` and, under
+    ``fault_mode``, the kernel it graded on.
 
     Args:
-        circuit: circuit under test (compiled here if no ``program`` given).
+        circuit: circuit under test; the simulator grades on its
+            process-wide compiled program
+            (:func:`~repro.engine.compile.compiled_program`).
         block_patterns: fault-dropping block size.
-        program: reuse an already-compiled program for ``circuit``.
-        mode: ``"auto"``, ``"lanes"`` or ``"faults"``; ``None``
-            resolves through :func:`resolve_fault_mode` (``REPRO_FAULT_MODE``).
     """
 
-    def __init__(
-        self,
-        circuit: Circuit,
-        block_patterns: int = DROP_BLOCK_PATTERNS,
-        program: "Optional[object]" = None,
-        mode: Optional[str] = None,
-    ) -> None:
+    def __init__(self, circuit: Circuit, block_patterns: int = DROP_BLOCK_PATTERNS) -> None:
         self.circuit = circuit
-        self.mode = resolve_fault_mode(mode)
         self.block_patterns = max(1, int(block_patterns))
-        self.program = program if program is not None else compile_circuit(circuit)
+        self.program = compiled_program(circuit)
         self.last_run_stats: Dict[str, int] = _new_stats()
 
     def run(
@@ -794,7 +626,16 @@ class PackedFaultSimulator:
         faults: Sequence[object],
         drop_detected: bool = True,
     ) -> FaultSimulationResult:
-        """Fault-simulate ``patterns`` against ``faults`` (see module docs)."""
+        """Fault-simulate ``patterns`` against ``faults`` (see module docs).
+
+        Args:
+            patterns: fully specified pattern set over the circuit's test pins.
+            faults: faults to grade.
+            drop_detected: drop each fault once detected — later pattern
+                blocks skip its cone entirely.  Detection results (including
+                the first-detecting pattern index) are identical either way;
+                the flag only controls whether the redundant work is done.
+        """
         program = self.program
         stats = self.last_run_stats = _new_stats()
         early = _validate_run(patterns, program.n_inputs, faults)
@@ -803,11 +644,10 @@ class PackedFaultSimulator:
         faults = _unique_faults(faults)
         n_patterns = len(patterns)
         matrix = check_pattern_matrix(patterns.matrix, program.n_inputs)
-        kernel = resolve_grading_kernel(self.mode, n_patterns, len(faults))
+        kernel = resolve_grading_kernel(n_patterns, len(faults))
         stats["fault_mode"] = kernel
 
-        # Resolve fault sites once; faults on unknown nets can never be
-        # detected (matching the naive simulator's empty-cone behaviour).
+        # Resolve fault sites once; faults on unknown nets are never detected.
         sites: List[Optional[int]] = [program.row_of(f.net) for f in faults]
         stuck_values = [1 if f.stuck_value else 0 for f in faults]
         # The lanes and faults kernels share the big-int good machine.
@@ -829,3 +669,8 @@ class PackedFaultSimulator:
         result = _assemble(faults, first_detect, n_patterns)
         _flush_run_telemetry(stats, result)
         return result
+
+    def detects(self, pattern_bits: np.ndarray, fault: object) -> bool:
+        """``True`` when a single fully specified pattern detects ``fault``."""
+        patterns = TestSet.from_matrix(np.asarray(pattern_bits).reshape(1, -1))
+        return fault in self.run(patterns, [fault]).detected

@@ -6,10 +6,10 @@ bitwise instruction evaluates a gate for every pattern at once.  CPython
 big-int bitwise ops run in C over 30-bit limbs with ~100 ns dispatch, which
 beats NumPy's ~1 µs per-call overhead by an order of magnitude at the pattern
 widths the reproduction produces (one to a few thousand patterns).
-:class:`PackedLogicSimulator` exposes the same surface as
-:class:`repro.circuit.simulator.LogicSimulator` (``simulate`` /
-``observe_outputs`` / ``gate_activity``) and is value-identical to it, which
-the engine parity tests assert bit-for-bit.
+:class:`PackedLogicSimulator` exposes ``simulate`` / ``observe_outputs`` /
+``gate_activity`` / ``net_value_matrix`` and is value-identical to the
+reference simulator of ``tests/reference_engines.py``, which the engine
+parity tests assert bit-for-bit.
 
 Inverting ops XOR against ``(1 << n_patterns) - 1``, so no lane ever holds a
 bit beyond the pattern count.  The fault-grading kernels in
@@ -39,8 +39,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.circuit.netlist import Circuit
-from repro.circuit.simulator import check_pattern_matrix
-from repro.cubes.cube import TestSet
+from repro.cubes.bits import X
 from repro.engine.compile import (
     CompiledCircuit,
     OP_AND,
@@ -52,8 +51,29 @@ from repro.engine.compile import (
     OP_OR,
     OP_XNOR,
     OP_XOR,
-    compile_circuit,
+    compiled_program,
 )
+
+
+def check_pattern_matrix(patterns: np.ndarray, n_pins: int) -> np.ndarray:
+    """Validate and normalise a pattern matrix to ``(n_patterns, n_pins)`` bool.
+
+    The single validation authority for two-valued simulation, so every
+    simulator and the power layer fail alike.
+
+    Raises:
+        ValueError: for wrong shapes or patterns still containing X bits.
+    """
+    patterns = np.asarray(patterns)
+    if patterns.ndim != 2 or patterns.shape[1] != n_pins:
+        raise ValueError(
+            f"patterns must have shape (n, {n_pins}), got {patterns.shape}"
+        )
+    if patterns.dtype != bool:
+        if (patterns == X).any():
+            raise ValueError("two-valued simulation requires fully specified patterns")
+        patterns = patterns.astype(bool)
+    return patterns
 
 
 # -- packing ---------------------------------------------------------------
@@ -243,21 +263,16 @@ def evaluate_lanes(
 
 
 class PackedLogicSimulator:
-    """Bit-parallel two-valued simulator (drop-in for ``LogicSimulator``).
+    """Bit-parallel two-valued simulator.
 
     Args:
-        circuit: circuit to simulate; compiled once at construction.
-        program: reuse an already-compiled program for ``circuit`` (the
-            packed backend shares one per circuit); compiled here if omitted.
+        circuit: circuit to simulate; the simulator runs its process-wide
+            compiled program (:func:`~repro.engine.compile.compiled_program`).
     """
 
-    def __init__(
-        self,
-        circuit: Circuit,
-        program: Optional[CompiledCircuit] = None,
-    ) -> None:
+    def __init__(self, circuit: Circuit) -> None:
         self.circuit = circuit
-        self.program = program if program is not None else compile_circuit(circuit)
+        self.program = compiled_program(circuit)
 
     # -- internals ---------------------------------------------------------
     def _lanes(self, patterns: np.ndarray) -> Tuple[List[int], int]:
@@ -273,7 +288,7 @@ class PackedLogicSimulator:
         """Full ``(n_nets, n_patterns)`` bool value table for ``patterns``."""
         return lanes_to_matrix(*self._lanes(patterns))
 
-    # -- LogicSimulator-compatible surface ---------------------------------
+    # -- value tables ------------------------------------------------------
     def simulate(self, patterns: np.ndarray) -> Dict[str, np.ndarray]:
         """Evaluate every net for every pattern (net name -> bool column).
 
@@ -283,12 +298,12 @@ class PackedLogicSimulator:
         values = self._value_matrix(patterns)
         return {net: values[row] for row, net in enumerate(self.program.net_names)}
 
-    def simulate_test_set(self, patterns: TestSet) -> Dict[str, np.ndarray]:
-        """Simulate a fully specified :class:`TestSet` (convenience wrapper)."""
-        return self.simulate(patterns.matrix)
-
     def observe_outputs(self, patterns: np.ndarray) -> np.ndarray:
-        """Observable responses, one row per pattern (see ``LogicSimulator``)."""
+        """Observable responses, one row per pattern.
+
+        The columns follow :attr:`Circuit.combinational_outputs` (primary
+        outputs, then flip-flop data inputs).
+        """
         values = self._value_matrix(patterns)
         return np.ascontiguousarray(values[self.program.output_rows].T)
 
@@ -310,10 +325,9 @@ class PackedLogicSimulator:
     def net_value_matrix(self, patterns: np.ndarray) -> Tuple[List[str], np.ndarray]:
         """All net values as one matrix (``(names, (n_nets, n_patterns))``).
 
-        The row order matches ``LogicSimulator``'s net dictionary order
-        (test pins, then topological order), so downstream consumers — the
-        switching-activity model in particular — get bit-identical inputs
-        from either backend.
+        The row order is the value-table order (test pins, then
+        topological order), the order the switching-activity model's
+        capacitances follow.
         """
         return list(self.program.net_names), self._value_matrix(patterns)
 

@@ -52,8 +52,7 @@ def set_default_jobs(jobs: Optional[int]) -> Optional[int]:
 
     Returns:
         The previous override, so callers can restore it (the experiment
-        runner's ``--jobs`` flag uses this exactly like ``--backend`` uses
-        :func:`~repro.engine.backend.set_default_backend`).
+        runner's ``--jobs`` flag sets it for one run and restores it).
 
     Raises:
         ValueError: for non-integer or non-positive counts.

@@ -1,8 +1,8 @@
 """Compiled three-valued (0/1/X) implication engine for PODEM.
 
-The dict-walking PODEM reference (:class:`repro.atpg.podem.DictPodemEngine`)
+The dict-walking PODEM reference (in ``tests/reference_engines.py``)
 re-simulates the *entire* circuit through per-net dictionaries and scalar
-``evaluate_ternary`` calls on every decision and every backtrack.  This
+ternary gate evaluations on every decision and every backtrack.  This
 module lowers the whole implication machinery onto the compiled array
 program of :mod:`repro.engine.compile`:
 
@@ -63,7 +63,6 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro import envvars
 from repro.engine.compile import (
     CompiledCircuit,
     OP_AND,
@@ -77,13 +76,6 @@ from repro.engine.compile import (
     OP_XNOR,
     OP_XOR,
 )
-
-#: Environment variable forcing the PODEM implication implementation
-#: process-wide (``dict`` keeps the reference oracle, ``compiled`` forces
-#: this engine even under the naive backend).
-ATPG_MODE_ENV_VAR = envvars.ATPG_MODE.name
-
-ATPG_MODES = envvars.ATPG_MODES
 
 #: Two-plane ternary codes: bit 0 = "can be 0", bit 1 = "can be 1".
 T_ZERO = 0b01
@@ -152,19 +144,6 @@ _NODE_KIND = {
 #: ``cube_bits`` a 0/1/2 list over the test-pin rows (``None`` unless
 #: detected).
 RawPodemResult = Tuple[str, Optional[List[int]], int, int]
-
-
-def resolve_atpg_mode(mode: Optional[str] = None) -> str:
-    """Resolve a PODEM mode (explicit arg > ``REPRO_ATPG_MODE`` > auto).
-
-    Raises:
-        ValueError: for names outside :data:`ATPG_MODES`.
-    """
-    if mode is None:
-        mode = envvars.ATPG_MODE.read() or "auto"
-    if mode not in ATPG_MODES:
-        raise ValueError(f"unknown ATPG mode {mode!r}; choose from {ATPG_MODES}")
-    return mode
 
 
 def code_of_bit(bit: int) -> int:

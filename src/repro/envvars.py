@@ -37,8 +37,6 @@ __all__ = [
     "parse_jobs",
     "parse_flag",
     "parse_choice",
-    "FAULT_MODES",
-    "ATPG_MODES",
 ]
 
 
@@ -102,7 +100,7 @@ def parse_choice(
 
     Args:
         choices: the valid values.
-        label: noun used in the error message (``"fault mode"``).
+        label: noun used in the error message (``"widget"``).
     """
 
     def parser(value: object, source: str = label) -> str:
@@ -122,11 +120,6 @@ def parse_choice(
 def parse_string(value: object, source: str = "value") -> str:
     """Identity parser for free-form string variables."""
     return str(value)
-
-
-#: Canonical choice sets (single source; domain modules re-export these).
-FAULT_MODES = ("auto", "lanes", "faults")
-ATPG_MODES = ("auto", "dict", "compiled")
 
 
 # -- the registry ------------------------------------------------------------
@@ -238,15 +231,6 @@ def env_snapshot() -> Dict[str, str]:
 
 
 # -- declarations ------------------------------------------------------------
-BACKEND = declare(
-    "REPRO_BACKEND",
-    parse_string,
-    "Simulation backend (`naive`/`packed`); validated "
-    "against the backend registry at resolution time.",
-    default=None,
-    default_doc="`packed`",
-)
-
 JOBS = declare(
     "REPRO_JOBS",
     parse_jobs,
@@ -254,25 +238,6 @@ JOBS = declare(
     "cells ride (integer >= 1).",
     default=None,
     default_doc="`os.cpu_count()`",
-)
-
-FAULT_MODE = declare(
-    "REPRO_FAULT_MODE",
-    parse_choice(FAULT_MODES, "fault mode"),
-    "Packed fault-grading strategy: pattern-parallel big-int `lanes`, "
-    "fault-parallel `faults` (64 faults per word), or `auto` (faults for "
-    "many-faults/few-patterns shapes, lanes otherwise).",
-    default=None,
-    default_doc="`auto`",
-)
-
-ATPG_MODE = declare(
-    "REPRO_ATPG_MODE",
-    parse_choice(ATPG_MODES, "ATPG mode"),
-    "PODEM implication engine: `dict` reference, `compiled` ternary, or "
-    "`auto` (compiled on compiled backends).",
-    default=None,
-    default_doc="`auto`",
 )
 
 TRACE = declare(

@@ -6,7 +6,6 @@ Installed as ``dpfill-experiments``.  Typical invocations::
     dpfill-experiments --artifacts 2,4,5    # only Tables II, IV and V
     dpfill-experiments --benchmarks b03,b08 # restrict the benchmark set
     dpfill-experiments --out results.txt    # also write the report to a file
-    dpfill-experiments --backend naive      # force the reference simulator
     dpfill-experiments --jobs 4             # 4 worker processes
     REPRO_INCLUDE_LARGE=1 dpfill-experiments  # include scaled b14-b22
 
@@ -34,12 +33,6 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from repro import envvars
-from repro.engine.backend import (
-    available_backends,
-    default_backend_name,
-    get_backend,
-    set_default_backend,
-)
 from repro.engine.pool import (
     CHUNK_TIMEOUT,
     discard_broken_pool,
@@ -143,7 +136,7 @@ def _merge_cells(artifact: str, parts: List[List[TableResult]]) -> List[TableRes
     return parts[0]
 
 
-def _pool_cell(cell: Cell, seed: int, backend_name: str, trace_flags: Tuple[bool, bool]):
+def _pool_cell(cell: Cell, seed: int, trace_flags: Tuple[bool, bool]):
     """Run one cell in a pool worker; returns ``(snapshot or None, tables)``.
 
     ``trace_flags`` is the submitting parent's ``(tracing, timeline)``: a
@@ -151,8 +144,6 @@ def _pool_cell(cell: Cell, seed: int, backend_name: str, trace_flags: Tuple[bool
     (``REPRO_TRACE`` reaches workers through the environment, ``obs.enable()``
     does not).  The snapshot holds the cell's counters, spans and events.
     """
-    if default_backend_name() != backend_name:
-        set_default_backend(backend_name)
     tracing, timeline = trace_flags
     if not (tracing or obs.enabled()):
         return None, _run_cell(cell, seed)
@@ -171,7 +162,7 @@ def _pooled_parts(pool, cells: List[Cell], seed: int) -> List[List[TableResult]]
     stopped running) retires the shared pools, and every pending cell
     re-runs in process.
     """
-    args = (seed, default_backend_name(), (obs.enabled(), obs.timeline_enabled()))
+    args = (seed, (obs.enabled(), obs.timeline_enabled()))
     handles = [pool.apply_async(_pool_cell, (cell, *args)) for cell in cells]
     parts: List[List[TableResult]] = []
     lost = False
@@ -284,12 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="workload seed (default 0)")
     parser.add_argument("--out", default="", help="also write the report to this file")
     parser.add_argument(
-        "--backend",
-        default=None,
-        choices=available_backends(),
-        help="simulation backend for every table (default: REPRO_BACKEND or 'packed')",
-    )
-    parser.add_argument(
         "--jobs",
         type=_jobs_argument,
         default=None,
@@ -329,16 +314,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         except ValueError as err:
             print(f"dpfill-experiments: error: {err.args[0]}", file=sys.stderr)
             return 2
-    previous_backend = set_default_backend(args.backend) if args.backend else None
-    try:
-        # Fail fast on a mistyped REPRO_BACKEND before any output is
-        # produced (and before any process-wide override is applied, so the
-        # early return leaks nothing).  Only the env-var path can fail here:
-        # a --backend value was already validated by argparse.
-        get_backend()
-    except (KeyError, ValueError) as err:
-        print(f"dpfill-experiments: error: {err.args[0]}", file=sys.stderr)
-        return 2
     previous_jobs = set_default_jobs(args.jobs) if args.jobs is not None else None
     metrics_path = obs_metrics.resolve_metrics_path(args.metrics or None)
     trace_path = args.trace_out or None
@@ -354,7 +329,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     lines: List[str] = []
     lines.append("DP-fill reproduction - experiment report")
     lines.append(f"benchmarks: {names or default_workload_names()}")
-    lines.append(f"simulation backend: {default_backend_name()}")
     lines.append("")
 
     try:
@@ -366,8 +340,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 lines.append(render_table(table))
                 lines.append("")
     finally:
-        if args.backend:
-            set_default_backend(previous_backend)
         if args.jobs is not None:
             set_default_jobs(previous_jobs)
 

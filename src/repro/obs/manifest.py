@@ -9,7 +9,7 @@ tail is data-dependent).  The static analyzer's obs-counter rule (R5 in
 counter-parity suite sources its scheduling-invariant key set from
 :data:`DETERMINISTIC` — so a new counter cannot ship without a name that
 parses, a doc line, and a decision about whether it must be
-backend invariant.
+the same whichever engine or kernel did the work.
 
 Grammar: ``<subsystem>.<dotted_lowercase_path>`` where the subsystem is one
 of ``fault_sim``, ``podem``, ``runner`` or ``obs``.  Span paths
@@ -61,9 +61,9 @@ COUNTER_PREFIXES: Dict[str, str] = {
     "fault_sim.": "fault-simulator stat dicts forwarded via add_counters(prefix=...).",
 }
 
-#: The scheduling-invariant subset: these must sum to identical values on
-#: both backends (naive/packed).  The counter-parity suite (tests/test_obs.py)
-#: compares exactly this set.
+#: The scheduling-invariant subset: these must sum to identical values for
+#: the packed engine and the reference fault simulator of the tests.  The
+#: counter-parity suite (tests/test_obs.py) compares exactly this set.
 DETERMINISTIC = frozenset(
     {
         "fault_sim.cone_evaluations",

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Sequence, Union
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.circuit.netlist import Circuit
 from repro.cubes.cube import TestSet
-from repro.engine.backend import SimulationBackend, get_backend
+from repro.engine.packed import PackedLogicSimulator
 from repro.power.capacitance import (
     CapacitanceModel,
     TechnologyParameters,
@@ -70,10 +70,10 @@ class PowerEstimator:
     :func:`~repro.power.capacitance.row_capacitances`).  The name-keyed
     :attr:`capacitance` model is extracted only when read.
 
-    Memory: on the packed backend the boundary flips stream from the lanes a
-    node block at a time and each lane is dropped after its last reader, so
-    a grading holds the lanes still to be read, one block's packed flips
-    and ``O(block x n_patterns)`` for the unpacked toggles and switched
+    Memory: the boundary flips stream from the lanes a node block at a
+    time and each lane is dropped after its last reader, so a grading holds
+    the lanes still to be read, one block's packed flips and
+    ``O(block x n_patterns)`` for the unpacked toggles and switched
     capacitance (see :class:`~repro.power.switching.SwitchingFold`): no
     value table, no flips table of every net and never an
     ``n_nets x n_patterns`` float table.  :meth:`estimate_many` lays its
@@ -83,10 +83,6 @@ class PowerEstimator:
         circuit: circuit under test.
         technology: technology constants (45 nm-flavoured defaults).
         seed: seed of the synthetic capacitance extraction.
-        backend: simulation backend name (or instance) used for the
-            underlying logic simulation; the registry default applies when
-            omitted.  Both built-in backends produce bit-identical power
-            figures.
     """
 
     def __init__(
@@ -94,12 +90,11 @@ class PowerEstimator:
         circuit: Circuit,
         technology: TechnologyParameters = TechnologyParameters(),
         seed: int = 0,
-        backend: Union[str, SimulationBackend, None] = None,
     ) -> None:
         self.circuit = circuit
         self.technology = technology
         self._seed = seed
-        self._simulator = get_backend(backend).logic_simulator(circuit)
+        self._simulator = PackedLogicSimulator(circuit)
         self._caps = row_capacitances(circuit, technology, seed=seed)
 
     @cached_property

@@ -8,11 +8,10 @@ dynamic power is proportional to.
 The toggles arrive *packed*: one ``uint8`` row per net, bit ``j`` (little
 endian) set when the net flips between pattern ``j`` and ``j + 1``.  One
 fold, :class:`SwitchingFold`, grades them block by block in row order.  The
-packed backend streams its flips straight from its big-int lanes, a node
-block at a time
-(:meth:`~repro.engine.packed.PackedLogicSimulator.fold_flips`), and grades
-several pattern sets in one simulation pass (:func:`switching_profiles`);
-the naive backend's value table goes through :func:`pack_flips`.
+engine streams the flips straight from its big-int lanes, a node block at a
+time (:meth:`~repro.engine.packed.PackedLogicSimulator.fold_flips`), and
+grades several pattern sets in one simulation pass
+(:func:`switching_profiles`); no value table is ever built.
 """
 
 from __future__ import annotations
@@ -23,9 +22,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.circuit.netlist import Circuit
-from repro.circuit.simulator import check_pattern_matrix
 from repro.cubes.cube import TestSet
-from repro.engine.backend import get_backend
+from repro.engine.packed import PackedLogicSimulator, check_pattern_matrix
 from repro.power.capacitance import CapacitanceModel, row_capacitances
 
 
@@ -56,11 +54,6 @@ class SwitchingActivity:
         """Largest per-boundary switched capacitance (fF)."""
         return float(self.switched_capacitance_ff.max()) if self.switched_capacitance_ff.size else 0.0
 
-    @property
-    def total_switched_capacitance_ff(self) -> float:
-        """Total switched capacitance over the whole test (fF)."""
-        return float(self.switched_capacitance_ff.sum())
-
     def input_circuit_correlation(self) -> float:
         """Pearson correlation between input toggles and circuit toggles.
 
@@ -81,21 +74,12 @@ class SwitchingActivity:
 _BLOCK_ROWS = 16
 
 
-def pack_flips(values: np.ndarray) -> np.ndarray:
-    """Packed boundary flips of a ``(n_nets, n_patterns)`` bool value table.
-
-    The layout of :func:`~repro.engine.packed.boundary_flips`:
-    ``(n_nets, ceil((n_patterns - 1) / 8))`` ``uint8``, little-endian bits.
-    """
-    return np.packbits(values[:, 1:] != values[:, :-1], axis=1, bitorder="little")
-
-
 class SwitchingFold:
     """Per-boundary toggle counts and switched capacitance, folded in row order.
 
     Call the fold with ``(first_row, flips)`` for consecutive row blocks of
-    packed flips (the layout of :func:`pack_flips`; bits at and above
-    ``n_boundaries`` are zero), then read :meth:`result`.
+    packed flips (the layout of :func:`~repro.engine.packed.boundary_flips`;
+    bits at and above ``n_boundaries`` are zero), then read :meth:`result`.
 
     Rows with no toggle are dropped, and the rest are unpacked and weighted
     ``_BLOCK_ROWS`` rows at a time into one product buffer, so no table of
@@ -165,8 +149,9 @@ def switching_profile(
 
     Args:
         flips: ``(n_nets, ceil(n_boundaries / 8))`` ``uint8`` packed boundary
-            flips, one row per net (see :func:`pack_flips`); bits at and
-            above ``n_boundaries`` are zero.
+            flips, one row per net (see
+            :func:`~repro.engine.packed.boundary_flips`); bits at and above
+            ``n_boundaries`` are zero.
         n_boundaries: number of pattern boundaries (``n_patterns - 1``).
         caps: per-row capacitances (fF); the switched capacitance is skipped
             (``None``) when omitted.
@@ -200,8 +185,8 @@ def switching_profiles(
     is not simulated.
 
     Args:
-        simulator: a packed (``fold_flips``) or naive (``net_value_matrix``)
-            logic simulator of the circuit.
+        simulator: a logic simulator of the circuit with ``fold_flips``
+            (:class:`~repro.engine.packed.PackedLogicSimulator`).
         matrices: fully specified pattern matrices over the test pins.
         caps: per-row capacitances (fF), or ``None`` for toggles only.
     """
@@ -212,11 +197,7 @@ def switching_profiles(
     for group in passes:
         widths = [len(matrices[k]) for k in group]
         fold = SwitchingFold(sum(widths) - 1, caps)
-        if hasattr(simulator, "fold_flips"):
-            simulator.fold_flips([matrices[k] for k in group], fold)
-        else:  # the naive backend: one value table over the sets side by side
-            stacked = np.concatenate([matrices[k] for k in group])
-            fold(0, pack_flips(simulator.net_value_matrix(stacked)[1]))
+        simulator.fold_flips([matrices[k] for k in group], fold)
         toggles, switched = fold.result()
         start = 0
         for k, width in zip(group, widths):
@@ -241,17 +222,15 @@ def weighted_switching_activity(
         circuit: circuit under test.
         patterns: ordered, fully specified pattern set over the test pins.
         capacitance: per-net capacitances; extracted with defaults if omitted.
-        simulator: optionally reuse a prebuilt logic simulator — any engine
-            backend simulator or the naive ``LogicSimulator`` (the experiment
-            harness evaluates many fills on the same circuit).  When omitted,
-            one is resolved through the backend registry.
+        simulator: optionally reuse a prebuilt
+            :class:`~repro.engine.packed.PackedLogicSimulator` (the
+            experiment harness evaluates many fills on the same circuit).
 
-    Memory: on the packed backend no value table and no flips table of
-    every net is built — the flips stream from the lanes a node block at a
-    time, the lanes are dropped after their last reader, and the toggles and
-    switched capacitance take ``O(_BLOCK_ROWS x n_patterns)`` (see
-    :class:`SwitchingFold`).  The naive backend's bool value table is packed
-    first (:func:`pack_flips`).
+    Memory: no value table and no flips table of every net is built — the
+    flips stream from the lanes a node block at a time, the lanes are
+    dropped after their last reader, and the toggles and switched
+    capacitance take ``O(_BLOCK_ROWS x n_patterns)`` (see
+    :class:`SwitchingFold`).
 
     Raises:
         ValueError: if the pattern set still contains X bits.
@@ -289,7 +268,7 @@ def switching_activities(
     caps = None
     if len(short) < len(sets):
         if simulator is None:
-            simulator = get_backend().logic_simulator(circuit)
+            simulator = PackedLogicSimulator(circuit)
         if isinstance(capacitance, np.ndarray):
             caps = capacitance
         elif capacitance is None:

@@ -28,7 +28,7 @@ import numpy as np
 from repro.circuit.netlist import Circuit
 from repro.cubes.cube import TestSet
 from repro.cubes.metrics import toggle_profile
-from repro.engine.backend import get_backend
+from repro.engine.packed import PackedLogicSimulator
 from repro.power.switching import switching_profiles
 from repro.scan.chain import ScanConfiguration, build_scan_chains
 
@@ -118,13 +118,11 @@ class ScanTestApplication:
         self.scheme = scheme
         self.state_preserving_dft = state_preserving_dft
         self.scan_config = scan_config or build_scan_chains(circuit)
-        self._simulator: Optional[object] = None
+        self._simulator: Optional[PackedLogicSimulator] = None
 
     def _circuit_toggles(self, patterns: TestSet) -> np.ndarray:
         if self._simulator is None:
-            # Resolved through the backend registry so the packed engine
-            # serves scan-application traces too (REPRO_BACKEND overrides).
-            self._simulator = get_backend().logic_simulator(self.circuit)
+            self._simulator = PackedLogicSimulator(self.circuit)
         return switching_profiles(self._simulator, [patterns.matrix])[0][0]
 
     def _shift_transitions(self, patterns: TestSet) -> List[int]:

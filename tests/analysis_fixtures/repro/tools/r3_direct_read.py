@@ -14,4 +14,4 @@ def rogue_knob():
 
 
 def subscript_read():
-    return os.environ["REPRO_BACKEND"]
+    return os.environ["REPRO_TRACE"]

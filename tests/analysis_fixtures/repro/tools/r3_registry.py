@@ -9,8 +9,8 @@ def jobs_from_env():
     return envvars.JOBS.read() or 1
 
 
-def backend_from_env():
-    return envvars.BACKEND.read()
+def trace_from_env():
+    return envvars.TRACE.read()
 
 
 def unrelated_env_read():

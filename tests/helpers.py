@@ -23,7 +23,9 @@ per-gate loops the netlist's array passes replaced — the
 (:func:`reference_compile_columns`), the node tuples built from the
 compiled arrays (:func:`reference_node_prog`), the lane release schedule and
 the capacitance rows — are the oracles of ``test_circuit_netlist.py``.
-:class:`NewestFirstPool` stands in for the experiment runner's worker pool.
+:class:`NewestFirstPool` stands in for the experiment runner's worker pool,
+and :func:`grading_kernel` pins the fault simulator's kernel.  The reference
+simulators and the dict PODEM are in ``tests/reference_engines.py``.
 """
 
 from __future__ import annotations
@@ -34,9 +36,11 @@ import itertools
 import multiprocessing
 from array import array
 from collections import deque
+from contextlib import contextmanager
 from itertools import chain
 from types import SimpleNamespace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from unittest import mock
 
 import numpy as np
 
@@ -870,3 +874,23 @@ class NewestFirstPool:
             queued, func, args = self._queued.pop()
             self._done[queued] = func(*args)
         return self._done[index]
+
+
+@contextmanager
+def grading_kernel(kernel: str) -> Iterator[None]:
+    """Grade every fault-simulation run in the block on ``kernel``.
+
+    ``"lanes"`` or ``"faults"`` replaces
+    :func:`repro.engine.fault.resolve_grading_kernel`, which otherwise picks
+    the kernel from the run's shape; ``"auto"`` leaves that choice alone.
+    """
+    if kernel == "auto":
+        yield
+        return
+    if kernel not in ("lanes", "faults"):
+        raise ValueError(f"unknown grading kernel {kernel!r}")
+    with mock.patch(
+        "repro.engine.fault.resolve_grading_kernel",
+        lambda n_patterns, n_faults: kernel,
+    ):
+        yield

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuit.bench_format import BenchParseError, parse_bench, write_bench
-from repro.circuit.gates import GateType, controlling_value, evaluate_bool, evaluate_ternary
+from repro.circuit.gates import GateType
 from repro.benchmarks_data.profiles import all_profiles, default_benchmark_names, get_profile
 from repro.circuit.library import b01_like_fsm, c17, itc99_like, ripple_counter, toy_pipeline
 from repro.circuit.netlist import Circuit, CircuitError, Gate
@@ -38,6 +38,7 @@ from tests.helpers import (
     reference_topological_gates,
     reference_validate,
 )
+from tests.reference_engines import controlling_value, evaluate_bool, evaluate_ternary
 
 
 class TestGateTypes:

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from repro.circuit.generator import CircuitSpec, generate_circuit, scaled_spec
 from repro.circuit.library import b01_like_fsm, c17, itc99_like
-from repro.circuit.simulator import LogicSimulator, ThreeValuedSimulator
 from repro.cubes.bits import ONE, X, ZERO
+from tests.reference_engines import LogicSimulator, ThreeValuedSimulator
 
 
 def _c17_reference(g1, g2, g3, g6, g7):

@@ -15,7 +15,6 @@ import os
 import pytest
 
 from repro.engine import pool as engine_pool
-from repro.engine.backend import default_backend_name
 from repro.engine.pool import worker_pool
 from repro.obs import recorder as obs
 
@@ -30,7 +29,7 @@ class TestQueueFailureInjection:
         pool = worker_pool(2)
         if pool is None:
             pytest.skip("worker pool unavailable in this environment")
-        args = (POISONED_CELL, 0, default_backend_name(), (False, False))
+        args = (POISONED_CELL, 0, (False, False))
         handle = pool.apply_async(runner._pool_cell, args)
         with pytest.raises(ValueError, match="no-such-kind") as excinfo:
             handle.get(timeout=30.0)

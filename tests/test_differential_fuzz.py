@@ -4,8 +4,9 @@ Random small circuits from :func:`~repro.circuit.generator.generate_circuit`
 × random pattern sets whose widths cross the 8-pattern byte, 64-pattern and
 128-pattern fault-dropping block seams × random fault subsets (duplicates
 and arbitrary order included), with dropping on and off.  The naive
-simulators are the reference: the packed logic simulator and every packed
-grading mode (``lanes``, ``faults``, ``auto``) must reproduce their values,
+simulators of ``tests/reference_engines.py`` are the reference: the packed
+logic simulator and the fault simulator on each grading kernel (``lanes``,
+``faults``, and the one the run's shape picks) must reproduce their values,
 detection order, first-detecting indices and undetected lists exactly.
 
 The packed grading kernels must also agree on their work counters: the
@@ -16,8 +17,8 @@ The circuit build and power layers are checked against the exact references
 in ``tests/helpers.py``: the topological order against the name-keyed Kahn,
 the compiled program field for field, the capacitance extraction net for
 net, and the blocked switching kernel against the dense toggle table, fed
-the packed flips of both backends (the packed shift-xor and ``np.packbits``
-of a value table), with the block height forced to 1 and 7 so every block
+the packed flips of both simulators (the packed shift-xor and ``np.packbits``
+of the naive value table), with the block height forced to 1 and 7 so every block
 seam is crossed.  ``PowerEstimator.estimate_many``, which streams several
 sets side by side through one pass, must grade each set exactly as the
 dense reference of that set alone, with the node-block and product-row
@@ -44,9 +45,8 @@ from repro.circuit.gates import GateType
 from repro.circuit.generator import CircuitSpec, generate_circuit
 from repro.circuit.library import b01_like_fsm, c17, ripple_counter
 from repro.circuit.netlist import Circuit
-from repro.circuit.simulator import LogicSimulator
 from repro.cubes.cube import TestSet
-from repro.engine import NaiveFaultSimulator, PackedFaultSimulator, PackedLogicSimulator, packed
+from repro.engine import PackedFaultSimulator, PackedLogicSimulator, packed
 from repro.engine.compile import compile_circuit
 from repro.engine.packed import boundary_flips, lanes_to_bytes, pack_lanes
 from repro.power import switching
@@ -54,11 +54,18 @@ from repro.power.capacitance import TechnologyParameters, extract_capacitances, 
 from repro.power.estimator import PowerEstimator
 from repro.scan.application import ScanTestApplication
 from tests.helpers import (
+    grading_kernel,
     lazy_program_fields,
     reference_capacitances,
     reference_compile_circuit,
     reference_switching,
     reference_topological_order,
+)
+from tests.reference_engines import (
+    LogicSimulator,
+    NaiveFaultSimulator,
+    naive_power_estimator,
+    pack_flips,
 )
 
 #: Pattern counts on either side of every packing and blocking seam.
@@ -125,8 +132,9 @@ def test_packed_grading_matches_naive(
     reference = NaiveFaultSimulator(circuit).run(patterns, faults, drop_detected=drop)
     cones = {}
     for mode in ("lanes", "faults", "auto"):
-        simulator = PackedFaultSimulator(circuit, mode=mode)
-        result = simulator.run(patterns, faults, drop_detected=drop)
+        simulator = PackedFaultSimulator(circuit)
+        with grading_kernel(mode):
+            result = simulator.run(patterns, faults, drop_detected=drop)
         assert list(result.detected.items()) == list(reference.detected.items()), mode
         assert result.undetected == reference.undetected, mode
         cones[mode] = simulator.last_run_stats["cone_evaluations"]
@@ -324,7 +332,7 @@ def test_switching_profile_matches_dense(table, block):
     values, caps = table
     n_boundaries = max(values.shape[1] - 1, 0)
     toggles, switched = reference_switching(values, caps)
-    naive_flips = switching.pack_flips(values)
+    naive_flips = pack_flips(values)
     n_patterns = values.shape[1]
     packed_flips = boundary_flips(lanes_to_bytes(pack_lanes(values.T), n_patterns), n_patterns)
     _assert_identical(packed_flips, naive_flips, "packed flips")
@@ -351,12 +359,12 @@ def test_power_and_scan_toggles_match_dense(circuit, n_patterns, seed, block):
     caps = reference_capacitances(circuit, TechnologyParameters(), seed % 7)
     toggles, switched = reference_switching(values, np.array([caps[n] for n in nets]))
     with mock.patch.object(switching, "_BLOCK_ROWS", block):
-        for backend in ("naive", "packed"):
-            estimator = PowerEstimator(circuit, seed=seed % 7, backend=backend)
+        for engine, make in (("naive", naive_power_estimator), ("packed", PowerEstimator)):
+            estimator = make(circuit, seed=seed % 7)
             for __ in range(2):  # the second estimate reuses the resolved caps
                 activity = estimator.estimate(patterns).activity
-                _assert_identical(activity.toggles_per_boundary, toggles, backend)
-                _assert_identical(activity.switched_capacitance_ff, switched, backend)
+                _assert_identical(activity.toggles_per_boundary, toggles, engine)
+                _assert_identical(activity.switched_capacitance_ff, switched, engine)
         trace = ScanTestApplication(circuit).apply(patterns, simulate_circuit=True)
     assert [cycle.circuit_toggles for cycle in trace.capture_cycles] == toggles.tolist()
 
@@ -402,14 +410,14 @@ def test_batched_power_matches_each_set_alone(circuit, lengths, seed, node_block
     with mock.patch.object(packed, "_NODE_BLOCK", node_block), mock.patch.object(
         switching, "_BLOCK_ROWS", product_rows
     ):
-        for backend in ("naive", "packed"):
-            reports = PowerEstimator(circuit, seed=seed % 7, backend=backend).estimate_many(sets)
+        for engine, make in (("naive", naive_power_estimator), ("packed", PowerEstimator)):
+            reports = make(circuit, seed=seed % 7).estimate_many(sets)
             assert len(reports) == len(sets)
             for patterns, report, (toggles, switched) in zip(sets, reports, references):
                 activity = report.activity
-                _assert_identical(activity.toggles_per_boundary, toggles, backend)
-                _assert_identical(activity.switched_capacitance_ff, switched, backend)
-                assert activity.switched_capacitance_ff.tobytes() == switched.tobytes(), backend
+                _assert_identical(activity.toggles_per_boundary, toggles, engine)
+                _assert_identical(activity.switched_capacitance_ff, switched, engine)
+                assert activity.switched_capacitance_ff.tobytes() == switched.tobytes(), engine
                 matrix = patterns.matrix
                 pins = np.count_nonzero(matrix[1:] != matrix[:-1], axis=1).astype(np.int64)
-                _assert_identical(activity.input_toggles_per_boundary, pins, backend)
+                _assert_identical(activity.input_toggles_per_boundary, pins, engine)

@@ -1,11 +1,12 @@
 """Tests for the compiled bit-packed simulation engine (``repro.engine``).
 
 The contract under test is *bit-for-bit parity*: on any circuit and any
-fully specified pattern set, the packed backend must produce exactly the
+fully specified pattern set, the packed engine must produce exactly the
 same net values, fault-detection maps (including first-detecting pattern
-indices) and power figures as the naive reference implementation — across
-both packed grading kernels (``lanes`` and ``faults``) and including pattern
-counts that straddle the byte and fault-dropping block seams.
+indices) and power figures as the naive references of
+``tests/reference_engines.py`` — across both grading kernels (``lanes`` and
+``faults``) and including pattern counts that straddle the byte and
+fault-dropping block seams.
 """
 
 from __future__ import annotations
@@ -18,27 +19,19 @@ from repro.atpg.fault_sim import FaultSimulator
 from repro.atpg.faults import StuckAtFault, full_fault_list
 from repro.circuit.generator import CircuitSpec, generate_circuit
 from repro.circuit.library import b01_like_fsm, c17
-from repro.circuit.simulator import LogicSimulator
 from repro.cubes.cube import TestSet
 from repro.engine import (
     DROP_BLOCK_PATTERNS,
-    FAULT_MODE_ENV_VAR,
     FAULTS_MODE_MAX_PATTERNS,
-    NaiveFaultSimulator,
     PackedFaultSimulator,
     PackedLogicSimulator,
-    SimulationBackend,
-    available_backends,
     compile_circuit,
-    default_backend_name,
-    get_backend,
-    register_backend,
-    resolve_fault_mode,
-    set_default_backend,
+    compiled_program,
 )
-from repro.engine.backend import BACKEND_ENV_VAR, _REGISTRY
 from repro.engine.packed import evaluate_lanes, lanes_to_matrix, pack_lanes
 from repro.power.estimator import PowerEstimator
+from tests.helpers import grading_kernel
+from tests.reference_engines import LogicSimulator, NaiveFaultSimulator, naive_power_estimator
 
 def all_gate_types_circuit():
     """A hand-built circuit containing every opcode the engine dispatches.
@@ -229,7 +222,7 @@ class TestTailMasking:
 
 
 class TestFaultModes:
-    """Every packed grading mode must be bit-identical to the naive reference.
+    """Every grading kernel must be bit-identical to the naive reference.
 
     Pattern counts cover the 64-pattern edges (1, 63, 64, 65) and a wide
     set (4097) with a ragged last fault-dropping block.
@@ -255,9 +248,10 @@ class TestFaultModes:
         reference = NaiveFaultSimulator(circuit).run(patterns, faults)
         results = {}
         for mode in ("lanes", "faults", "auto"):
-            results[f"packed-{mode}"] = PackedFaultSimulator(circuit, mode=mode).run(
-                patterns, faults
-            )
+            with grading_kernel(mode):
+                results[f"packed-{mode}"] = PackedFaultSimulator(circuit).run(
+                    patterns, faults
+                )
         for key, result in results.items():
             assert (
                 list(result.detected.items()) == list(reference.detected.items())
@@ -265,9 +259,9 @@ class TestFaultModes:
             assert result.undetected == reference.undetected, (key, n_patterns)
 
     def test_auto_mode_switches_at_lane_threshold(self):
-        # Above FAULTS_MODE_MAX_PATTERNS, auto grades on lanes at any width.
+        # Above FAULTS_MODE_MAX_PATTERNS, a run grades on lanes at any width.
         circuit = generate_circuit(CircuitSpec("auto_switch", 6, 4, 60, seed=11))
-        simulator = PackedFaultSimulator(circuit, mode="auto")
+        simulator = PackedFaultSimulator(circuit)
         faults = full_fault_list(circuit)
         for n_patterns, kernel in [
             (FAULTS_MODE_MAX_PATTERNS, "faults"),
@@ -283,38 +277,16 @@ class TestFaultModes:
         circuit = generate_circuit(CircuitSpec("word_drop", 8, 6, 120, seed=1))
         patterns = TestSet.from_matrix(_random_patterns(circuit, 300, seed=1))
         faults = full_fault_list(circuit)
-        simulator = PackedFaultSimulator(circuit, mode="faults", block_patterns=64)
-        result = simulator.run(patterns, faults, drop_detected=True)
+        simulator = PackedFaultSimulator(circuit, block_patterns=64)
+        with grading_kernel("faults"):
+            result = simulator.run(patterns, faults, drop_detected=True)
         stats = dict(simulator.last_run_stats)
+        assert stats["fault_mode"] == "faults"
         assert stats["blocks"] > 1
         assert stats["dropped_block_evaluations"] > 0
-        reference = PackedFaultSimulator(circuit, mode="lanes").run(patterns, faults)
+        with grading_kernel("lanes"):
+            reference = PackedFaultSimulator(circuit).run(patterns, faults)
         assert list(result.detected.items()) == list(reference.detected.items())
-
-    def test_env_var_forces_mode(self, monkeypatch):
-        # Two faults would resolve to lanes under auto.
-        monkeypatch.setenv(FAULT_MODE_ENV_VAR, "faults")
-        simulator = PackedFaultSimulator(c17())
-        assert simulator.mode == "faults"
-        patterns = TestSet.from_matrix(_random_patterns(c17(), 8, seed=0))
-        simulator.run(patterns, full_fault_list(c17())[:2])
-        assert simulator.last_run_stats["fault_mode"] == "faults"
-
-    def test_explicit_mode_beats_env(self, monkeypatch):
-        monkeypatch.setenv(FAULT_MODE_ENV_VAR, "faults")
-        assert PackedFaultSimulator(c17(), mode="lanes").mode == "lanes"
-
-    def test_unknown_mode_rejected(self, monkeypatch):
-        # "words" (the retired uint64 word-table kernel) stays rejected.
-        for mode in ("simd", "words"):
-            with pytest.raises(ValueError, match="unknown fault mode"):
-                PackedFaultSimulator(c17(), mode=mode)
-            with pytest.raises(ValueError, match="unknown fault mode"):
-                FaultSimulator(c17(), backend="packed", fault_mode=mode)
-        for mode in ("turbo", "words"):
-            monkeypatch.setenv(FAULT_MODE_ENV_VAR, mode)
-            with pytest.raises(ValueError, match="unknown fault mode"):
-                resolve_fault_mode()
 
 
 class TestDuplicateFaults:
@@ -326,12 +298,10 @@ class TestDuplicateFaults:
         patterns = TestSet.from_matrix(_random_patterns(circuit, 40, seed=5))
         base = full_fault_list(circuit)
         duplicated = base + base[:5] + [base[0]]
-        for simulator in (
-            NaiveFaultSimulator(circuit),
-            PackedFaultSimulator(circuit, mode=mode),
-        ):
-            res_dup = simulator.run(patterns, duplicated)
-            res_base = simulator.run(patterns, base)
+        for simulator in (NaiveFaultSimulator(circuit), PackedFaultSimulator(circuit)):
+            with grading_kernel(mode):
+                res_dup = simulator.run(patterns, duplicated)
+                res_base = simulator.run(patterns, base)
             assert list(res_dup.detected.items()) == list(res_base.detected.items())
             assert res_dup.undetected == res_base.undetected
             assert res_dup.coverage == res_base.coverage
@@ -382,8 +352,8 @@ class TestFaultParity:
         circuit = generate_circuit(CircuitSpec("parity", 8, 6, 200, seed=21))
         patterns = TestSet.from_matrix(_random_patterns(circuit, 70, seed=2))
         faults = collapse_faults(circuit)
-        res_naive = FaultSimulator(circuit, backend="naive").run(patterns, faults)
-        res_packed = FaultSimulator(circuit, backend="packed").run(patterns, faults)
+        res_naive = NaiveFaultSimulator(circuit).run(patterns, faults)
+        res_packed = FaultSimulator(circuit).run(patterns, faults)
         assert list(res_naive.detected.items()) == list(res_packed.detected.items())
         assert res_naive.undetected == res_packed.undetected
 
@@ -414,8 +384,8 @@ class TestFaultParity:
         circuit = c17()
         patterns = TestSet.from_matrix(_random_patterns(circuit, 8, seed=0))
         ghost = StuckAtFault("no_such_net", 0)
-        for backend in ("naive", "packed"):
-            result = FaultSimulator(circuit, backend=backend).run(patterns, [ghost])
+        for simulator in (NaiveFaultSimulator(circuit), FaultSimulator(circuit)):
+            result = simulator.run(patterns, [ghost])
             assert result.undetected == [ghost]
 
 
@@ -473,8 +443,8 @@ class TestPowerParity:
     def test_power_reports_identical(self, make_circuit):
         circuit = make_circuit()
         patterns = TestSet.from_matrix(_random_patterns(circuit, 65, seed=8))
-        naive = PowerEstimator(circuit, backend="naive").estimate(patterns)
-        packed = PowerEstimator(circuit, backend="packed").estimate(patterns)
+        naive = naive_power_estimator(circuit).estimate(patterns)
+        packed = PowerEstimator(circuit).estimate(patterns)
         assert naive.peak_power_uw == packed.peak_power_uw  # exact, not approx
         assert naive.average_power_uw == packed.average_power_uw
         assert naive.peak_boundary == packed.peak_boundary
@@ -488,73 +458,30 @@ class TestPowerParity:
 
 
 class TestBackendRegistry:
-    def test_builtin_backends_registered(self):
-        assert {"naive", "packed"} <= set(available_backends())
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(KeyError, match="unknown backend"):
-            get_backend("no_such_backend")
-
-    def test_env_var_selects_default(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "naive")
-        assert default_backend_name() == "naive"
-        assert get_backend().name == "naive"
-
-    def test_set_default_backend_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "naive")
-        set_default_backend("packed")
-        try:
-            assert default_backend_name() == "packed"
-        finally:
-            set_default_backend(None)
-        assert default_backend_name() == "naive"
-
-    def test_register_custom_backend(self):
-        class DummyBackend(SimulationBackend):
-            name = "dummy_for_test"
-
-            def logic_simulator(self, circuit):
-                return LogicSimulator(circuit)
-
-            def fault_simulator(self, circuit):
-                return NaiveFaultSimulator(circuit)
-
-        backend = DummyBackend()
-        register_backend(backend)
-        try:
-            assert get_backend("dummy_for_test") is backend
-            with pytest.raises(ValueError, match="already registered"):
-                register_backend(DummyBackend())
-            simulator = FaultSimulator(c17(), backend="dummy_for_test")
-            assert isinstance(simulator._impl, NaiveFaultSimulator)
-        finally:
-            _REGISTRY.pop("dummy_for_test", None)
-
-    def test_backend_instance_passthrough(self):
-        backend = get_backend("naive")
-        assert get_backend(backend) is backend
+    """The process-wide compiled-program cache (:func:`compiled_program`)."""
 
     def test_packed_backend_compiles_once_per_circuit(self):
         circuit = c17()
-        backend = get_backend("packed")
-        first = backend.fault_simulator(circuit)
-        second = backend.logic_simulator(circuit)
-        assert first.program is second.program
+        program = compiled_program(circuit)
+        assert compiled_program(circuit) is program
+        assert PackedFaultSimulator(circuit).program is program
+        assert PackedLogicSimulator(circuit).program is program
+        assert FaultSimulator(circuit).program is program
 
     def test_packed_program_cache_invalidated_on_mutation(self):
         from repro.circuit.gates import GateType
 
         circuit = generate_circuit(CircuitSpec("mutant", 4, 0, 20, seed=0))
-        backend = get_backend("packed")
-        before = backend.fault_simulator(circuit).program
+        before = PackedFaultSimulator(circuit).program
         circuit.add_gate("late_gate", GateType.NOT, [circuit.primary_inputs[0]])
         circuit.add_output("late_gate")
-        after = backend.fault_simulator(circuit).program
+        after = PackedFaultSimulator(circuit).program
         assert after is not before
+        assert after is compiled_program(circuit)
         assert "late_gate" in after.net_index
         # The recompiled program simulates the mutated netlist correctly.
         patterns = _random_patterns(circuit, 65, seed=0)
         naive = LogicSimulator(circuit).simulate(patterns)
-        packed = backend.logic_simulator(circuit).simulate(patterns)
+        packed = PackedLogicSimulator(circuit).simulate(patterns)
         for net in naive:
             assert np.array_equal(naive[net], packed[net]), net

@@ -71,8 +71,7 @@ class TestRegistry:
 
     def test_known_knobs_present(self):
         expected = {
-            "REPRO_BACKEND", "REPRO_JOBS", "REPRO_FAULT_MODE",
-            "REPRO_ATPG_MODE", "REPRO_TRACE", "REPRO_TIMELINE",
+            "REPRO_JOBS", "REPRO_TRACE", "REPRO_TIMELINE",
             "REPRO_METRICS", "REPRO_CACHE_DIR", "REPRO_INCLUDE_LARGE",
             "REPRO_FULL_SCALE", "REPRO_BENCH_FULL",
         }

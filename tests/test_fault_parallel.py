@@ -1,4 +1,4 @@
-"""Tests for the fault-parallel grading kernel (``mode="faults"``).
+"""Tests for the fault-parallel grading kernel (``faults``).
 
 The kernel packs 64 faults per big-int word, one bit-lane each, and
 replays each pattern once over the union of the packed faults' cones, so
@@ -20,11 +20,9 @@ from repro.atpg.tpg import generate_test_cubes
 from repro.circuit.generator import CircuitSpec, generate_circuit
 from repro.cubes.cube import TestSet
 from repro.engine import (
-    FAULT_MODE_ENV_VAR,
     FAULT_WORD_LANES,
     FAULTS_MODE_MAX_PATTERNS,
     FAULTS_MODE_FAULTS_PER_PATTERN,
-    NaiveFaultSimulator,
     PackedFaultSimulator,
     fault_lane_mask,
     resolve_grading_kernel,
@@ -35,6 +33,8 @@ from repro.experiments.workloads import (
     build_workload,
     default_workload_names,
 )
+from tests.helpers import grading_kernel
+from tests.reference_engines import NaiveFaultSimulator
 
 
 #: The default profiles whose cubes come from the PODEM flow.
@@ -85,30 +85,24 @@ class TestFaultLaneMask:
 
 
 class TestKernelResolution:
-    """The auto heuristic picks the kernel from the run's (patterns, faults) shape."""
-
-    @pytest.mark.parametrize("mode", ["lanes", "faults"])
-    def test_explicit_mode_passes_through(self, mode):
-        assert resolve_grading_kernel(mode, 1, 10_000) == mode
-        assert resolve_grading_kernel(mode, 10_000, 1) == mode
+    """The kernel comes from the run's (patterns, faults) shape alone."""
 
     def test_wide_pattern_sets_stay_on_lanes(self):
-        assert resolve_grading_kernel("auto", 4097, 100_000) == "lanes"
+        assert resolve_grading_kernel(4097, 100_000) == "lanes"
 
     def test_many_faults_few_patterns_goes_to_faults(self):
         assert (
             resolve_grading_kernel(
-                "auto",
                 FAULTS_MODE_MAX_PATTERNS,
                 FAULTS_MODE_FAULTS_PER_PATTERN * FAULTS_MODE_MAX_PATTERNS,
             )
             == "faults"
         )
         # PODEM's drop sweep shape: one filled cube, the whole remaining list.
-        assert resolve_grading_kernel("auto", 1, 1000) == "faults"
+        assert resolve_grading_kernel(1, 1000) == "faults"
 
     def test_middle_ground_stays_on_lanes(self):
-        assert resolve_grading_kernel("auto", FAULTS_MODE_MAX_PATTERNS + 1, 1000) == "lanes"
+        assert resolve_grading_kernel(FAULTS_MODE_MAX_PATTERNS + 1, 1000) == "lanes"
 
     @pytest.mark.parametrize(
         "n_patterns, n_faults, kernel",
@@ -123,18 +117,19 @@ class TestKernelResolution:
     def test_per_pattern_crossover(self, n_patterns, n_faults, kernel):
         # At least 8 faults per pattern, up to 8 patterns: a one-pattern
         # drop check goes to fault words from 8 remaining faults on.
-        assert resolve_grading_kernel("auto", n_patterns, n_faults) == kernel
+        assert resolve_grading_kernel(n_patterns, n_faults) == kernel
 
     def test_auto_run_reports_faults_kernel(self):
         circuit = generate_circuit(CircuitSpec("auto_faults", 8, 6, 120, seed=2))
         faults = full_fault_list(circuit)
         assert len(faults) >= FAULTS_MODE_FAULTS_PER_PATTERN * FAULTS_MODE_MAX_PATTERNS
-        simulator = PackedFaultSimulator(circuit, mode="auto")
+        simulator = PackedFaultSimulator(circuit)
         result = simulator.run(_patterns(circuit, FAULTS_MODE_MAX_PATTERNS), faults)
         assert simulator.last_run_stats["fault_mode"] == "faults"
-        reference = PackedFaultSimulator(circuit, mode="lanes").run(
-            _patterns(circuit, FAULTS_MODE_MAX_PATTERNS), faults
-        )
+        with grading_kernel("lanes"):
+            reference = PackedFaultSimulator(circuit).run(
+                _patterns(circuit, FAULTS_MODE_MAX_PATTERNS), faults
+            )
         _assert_same(reference, result)
 
 
@@ -153,9 +148,10 @@ class TestBenchmarkProfileParity:
         reference = NaiveFaultSimulator(circuit).run(patterns, faults)
         for mode in ("lanes", "faults", "auto"):
             for drop in (True, False):
-                result = PackedFaultSimulator(circuit, mode=mode).run(
-                    patterns, faults, drop_detected=drop
-                )
+                with grading_kernel(mode):
+                    result = PackedFaultSimulator(circuit).run(
+                        patterns, faults, drop_detected=drop
+                    )
                 _assert_same(reference, result, (name, mode, drop))
 
 
@@ -170,16 +166,15 @@ class TestPodemFaultPackedDrop:
         assert a.aborted_faults == b.aborted_faults, context
         assert a.total_faults == b.total_faults, context
 
-    def test_atpg_result_byte_identical_across_drop_modes(self, monkeypatch):
+    def test_atpg_result_byte_identical_across_drop_modes(self):
         kwargs = dict(max_faults=150, backtrack_limit=15, seed=0)
         for name in PODEM_PROFILES:
             circuit = build_workload(name).circuit
-            monkeypatch.delenv(FAULT_MODE_ENV_VAR, raising=False)
             default = generate_test_cubes(circuit, **kwargs)
-            monkeypatch.setenv(FAULT_MODE_ENV_VAR, "lanes")
-            lanes = generate_test_cubes(circuit, **kwargs)
-            monkeypatch.setenv(FAULT_MODE_ENV_VAR, "faults")
-            faults_mode = generate_test_cubes(circuit, **kwargs)
+            with grading_kernel("lanes"):
+                lanes = generate_test_cubes(circuit, **kwargs)
+            with grading_kernel("faults"):
+                faults_mode = generate_test_cubes(circuit, **kwargs)
             assert len(lanes.cubes) >= 1, name
             self._assert_results_identical(lanes, faults_mode, (name, "lanes vs faults"))
             self._assert_results_identical(lanes, default, (name, "lanes vs default"))

@@ -3,8 +3,8 @@
 The files under ``tests/data/`` hold the report body (every rendered table,
 i.e. the text between the header and the runtime line) for the default
 profiles and for ``REPRO_INCLUDE_LARGE=1`` (the large profiles, scaled).
-A change that moves every backend together cannot hide from this test the
-way it can from the cross-backend parity suites.  On the default profiles
+A change that moves the engine and its references together cannot hide
+from this test the way it can from the parity suites.  On the default profiles
 the same file also locks the multi-process path: ``--jobs 2`` with the cells
 on the worker pool, and ``--jobs 2`` on an in-process fake pool that runs
 them newest-first, so out-of-order cell merging is locked on any machine.  A change that alters the report on purpose regenerates both files
@@ -25,37 +25,34 @@ from tests.helpers import NewestFirstPool
 DATA = Path(__file__).parent / "data"
 
 
-PACKED = ["--backend", "packed"]
-
-
 @pytest.mark.parametrize(
     "golden, include_large, args, lifo",
     [
         pytest.param(
             "golden_report_default.txt",
             False,
-            PACKED,
+            [],
             False,
             id="golden_report_default.txt-False",
         ),
         pytest.param(
             "golden_report_large.txt",
             True,
-            PACKED,
+            [],
             False,
             id="golden_report_large.txt-True",
         ),
         pytest.param(
             "golden_report_default.txt",
             False,
-            PACKED + ["--jobs", "2"],
+            ["--jobs", "2"],
             False,
             id="golden_report_default.txt-jobs2",
         ),
         pytest.param(
             "golden_report_default.txt",
             False,
-            PACKED + ["--jobs", "2"],
+            ["--jobs", "2"],
             True,
             id="golden_report_default.txt-jobs2-lifo",
         ),

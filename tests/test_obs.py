@@ -3,8 +3,8 @@
 The observability contract mirrors the engine's determinism contract: with
 tracing on, the *scheduling-independent* counters — cone evaluations, run /
 pattern / fault / detection totals, PODEM backtracks and decisions — must
-sum to identical values whichever backend executed the run
-(naive / packed).  Scheduling-dependent counters
+sum to identical values whichever simulator executed the run (the
+packed engine or the naive reference).  Scheduling-dependent counters
 (``fault_sim.blocks``, ``fault_sim.dropped_block_evaluations``) are
 deliberately outside that set.
 
@@ -16,6 +16,7 @@ cells and their inline fallback record.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -25,13 +26,14 @@ from repro.atpg.collapse import collapse_faults
 from repro.atpg.podem import PodemEngine
 from repro.circuit.generator import CircuitSpec, generate_circuit
 from repro.circuit.library import b01_like_fsm
-from repro.engine import NaiveFaultSimulator, PackedBackend, PackedFaultSimulator
-from repro.engine import backend as engine_backend
+from repro.benchmarks_data import profiles
+from repro.engine import PackedFaultSimulator
 from repro.engine.pool import worker_pool
 from repro.obs import manifest as obs_manifest
 from repro.obs import metrics as obs_metrics
 from repro.obs import recorder as obs
-from tests.helpers import NewestFirstPool
+from tests.helpers import NewestFirstPool, grading_kernel
+from tests.reference_engines import DictPodemEngine, NaiveFaultSimulator
 
 
 @pytest.fixture(autouse=True)
@@ -55,7 +57,7 @@ def _patterns(circuit, n=160, seed=1):
     )
 
 
-#: Counters that must be exactly equal across both backends —
+#: Counters that must be exactly equal across the engine and its reference —
 #: sourced from the declared manifest so the parity contract and the static
 #: analyzer's R5 rule cannot drift apart.  Scheduling-dependent counters
 #: (blocks, dropped_block_evaluations) are outside DETERMINISTIC by design;
@@ -253,11 +255,10 @@ class TestEngineTelemetry:
         reference = _traced_counters(
             lambda: PackedFaultSimulator(circuit).run(patterns, faults)
         )
-        counters = _traced_counters(
-            lambda: PackedFaultSimulator(circuit, mode=fault_mode).run(
-                patterns, faults
+        with grading_kernel(fault_mode):
+            counters = _traced_counters(
+                lambda: PackedFaultSimulator(circuit).run(patterns, faults)
             )
-        )
         assert {k: counters.get(k) for k in keys} == {
             k: reference.get(k) for k in keys
         }
@@ -266,13 +267,11 @@ class TestEngineTelemetry:
     def test_podem_counters_match_results(self):
         circuit = b01_like_fsm()
         faults = collapse_faults(circuit)[:24]
-        engine = PodemEngine(circuit, backtrack_limit=15, mode="compiled")
+        engine = PodemEngine(circuit, backtrack_limit=15)
         results = [engine.generate(fault) for fault in faults]
         counters = _traced_counters(
             lambda: [
-                PodemEngine(circuit, backtrack_limit=15, mode="compiled").generate(
-                    fault
-                )
+                PodemEngine(circuit, backtrack_limit=15).generate(fault)
                 for fault in faults
             ]
         )
@@ -281,14 +280,22 @@ class TestEngineTelemetry:
         assert counters["podem.decisions"] == sum(r.decisions for r in results)
 
     def test_podem_dict_matches_compiled(self):
+        # The reference records no telemetry of its own: the compiled
+        # engine's podem.* counters must equal the sums of its results.
         circuit = b01_like_fsm()
         faults = collapse_faults(circuit)[:24]
-
-        def run(mode):
-            engine = PodemEngine(circuit, backtrack_limit=15, mode=mode)
-            return lambda: [engine.generate(fault) for fault in faults]
-
-        assert _traced_counters(run("dict")) == _traced_counters(run("compiled"))
+        reference = DictPodemEngine(circuit, backtrack_limit=15)
+        results = [reference.generate(fault) for fault in faults]
+        engine = PodemEngine(circuit, backtrack_limit=15)
+        counters = _traced_counters(lambda: [engine.generate(fault) for fault in faults])
+        expected = {
+            "podem.faults": len(faults),
+            "podem.backtracks": sum(r.backtracks for r in results),
+            "podem.decisions": sum(r.decisions for r in results),
+        }
+        for status in {r.status for r in results}:
+            expected[f"podem.status.{status}"] = sum(r.status == status for r in results)
+        assert {k: v for k, v in counters.items() if k.startswith("podem.")} == expected
 
     def test_disabled_run_records_nothing(self):
         circuit = b01_like_fsm()
@@ -334,28 +341,28 @@ class TestDistributedTelemetryParity:
 
 
 # -- pool failure events -----------------------------------------------------
-class ParentOnlyBackend(PackedBackend):
-    """A backend registered in this process only: spawned workers never
-    import it, so every cell that asks for it raises in its worker."""
-
-    name = "parent_only"
-
-
 class TestQueueEvents:
     def test_poisoned_task_event_carries_traceback(self, monkeypatch):
         from repro.experiments import runner
         from repro.experiments.report import render_table
+        from repro.experiments.workloads import build_workload
 
         if worker_pool(2) is None:
             pytest.skip("worker pool unavailable in this environment")
-        serial = runner.run_all(["1"], ["b01"], seed=0, jobs=1)
-        monkeypatch.setitem(engine_backend._REGISTRY, "parent_only", ParentOnlyBackend())
-        previous = engine_backend.set_default_backend("parent_only")
-        obs.enable()
+        # A benchmark profile added in this process only: spawned workers
+        # never see it, so its cell raises in the worker and re-runs here.
+        monkeypatch.setitem(
+            profiles._PROFILES,
+            "parent_only",
+            dataclasses.replace(profiles.get_profile("b01"), name="parent_only"),
+        )
+        build_workload.cache_clear()
         try:
-            result = runner.run_all(["1"], ["b01"], seed=0, jobs=2)
+            serial = runner.run_all(["1"], ["parent_only"], seed=0, jobs=1)
+            obs.enable()
+            result = runner.run_all(["1"], ["parent_only"], seed=0, jobs=2)
         finally:
-            engine_backend.set_default_backend(previous)
+            build_workload.cache_clear()
         failures = [
             event
             for event in obs.snapshot()["events"]
@@ -363,8 +370,8 @@ class TestQueueEvents:
         ]
         assert len(failures) == 1
         assert failures[0]["task_id"] == "t000000"
-        assert "unknown backend 'parent_only'" in failures[0]["traceback"]
-        # The cell re-ran in process with the parent's backend.
+        assert "unknown benchmark 'parent_only'" in failures[0]["traceback"]
+        # The cell re-ran in process, where the profile exists.
         assert [render_table(t) for t in result["1"]] == [
             render_table(t) for t in serial["1"]
         ]

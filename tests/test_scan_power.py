@@ -10,7 +10,7 @@ import pytest
 from repro.circuit.library import b01_like_fsm, c17, itc99_like, ripple_counter
 from repro.cubes.cube import TestSet
 from repro.cubes.generator import generate_cube_set_like, random_fully_specified_set
-from repro.engine.backend import get_backend
+from repro.engine.compile import compiled_program
 from repro.filling import get_filler
 from repro.power.capacitance import TechnologyParameters, extract_capacitances, row_capacitances
 from repro.power.estimator import PowerEstimator
@@ -218,7 +218,7 @@ class TestSwitchingAndPower:
 
     @pytest.mark.parametrize("n_patterns", [512, 2048])
     def test_packed_estimate_builds_no_value_table(self, n_patterns):
-        """On the packed backend an estimate streams packed boundary flips a
+        """An estimate streams packed boundary flips a
         node block at a time and drops each lane after its last reader: its
         traced peak stays below a fifth of the bool value table it never
         builds (measured ~0.16x and ~0.10x; a full flips table, the lanes of
@@ -226,7 +226,7 @@ class TestSwitchingAndPower:
         circuit = itc99_like("b14")
         n_nets = len(circuit.nets())
         patterns = random_fully_specified_set(circuit.n_test_pins, n_patterns, seed=1)
-        estimator = PowerEstimator(circuit, backend="packed")
+        estimator = PowerEstimator(circuit)
         estimator.estimate(patterns)  # compile: not the estimate's cost
         tracemalloc.start()
         try:
@@ -244,7 +244,7 @@ class TestSwitchingAndPower:
         circuit = itc99_like("b14")
         sets = [random_fully_specified_set(circuit.n_test_pins, 256, seed=seed) for seed in range(5)]
         flips_table = len(circuit.nets()) * ((5 * 256 - 1 + 7) // 8)
-        estimator = PowerEstimator(circuit, backend="packed")
+        estimator = PowerEstimator(circuit)
         estimator.estimate_many(sets)  # compile: not the grading's cost
         tracemalloc.start()
         try:
@@ -259,8 +259,8 @@ class TestSwitchingAndPower:
         program's PODEM and fault-simulation fields stay unbuilt."""
         circuit = itc99_like("b10")
         patterns = random_fully_specified_set(circuit.n_test_pins, 16, seed=3)
-        PowerEstimator(circuit, backend="packed").estimate(patterns)
-        program = get_backend("packed").compiled_program(circuit)
+        PowerEstimator(circuit).estimate(patterns)
+        program = compiled_program(circuit)
         lazy = lazy_program_fields()
         assert lazy and not set(lazy) & set(program.__dict__)
         program.reader_lists  # noqa: B018 - forcing one builds it

@@ -3,13 +3,14 @@
 Every ``jobs > 1`` run in the package is the experiment runner's cells over
 the shared spawn pool of :mod:`repro.engine.pool`; fault grading and PODEM
 always run in process.  The detection-map contract the multi-process
-grading path used to carry is now the in-process facade's alone:
+grading path used to carry is now the in-process fault simulator's alone:
 *bit-for-bit parity* with the naive reference — same detection maps, same
 first-detecting pattern indices, same fault order — for every grading
 kernel, 64-pattern boundary and dropping setting.  On top of
 parity, the suite checks worker-count resolution, that the pool refuses a
-single worker, that the retired ``sharded`` and ``cluster`` backend names
-are rejected, and the runner's ``--jobs`` cells: ``jobs=1`` never asks for
+single worker, that the retired ``--backend`` flag is rejected and the
+retired engine variables are inert, and the runner's ``--jobs`` cells:
+``jobs=1`` never asks for
 a pool, the merged tables equal a serial run for any worker count, on the
 real pool (whose cells must all run on workers) and on the newest-first
 fake pool of ``tests/helpers.py``, a lost pool is retired so later runs go
@@ -26,12 +27,8 @@ from repro.atpg.fault_sim import FaultSimulator
 from repro.atpg.faults import StuckAtFault, full_fault_list
 from repro.circuit.generator import CircuitSpec, generate_circuit
 from repro.circuit.library import b01_like_fsm, c17
+from repro import envvars
 from repro.cubes.cube import TestSet
-from repro.engine import (
-    NaiveFaultSimulator,
-    available_backends,
-    get_backend,
-)
 from repro.engine.pool import (
     JOBS_ENV_VAR,
     default_jobs,
@@ -42,7 +39,8 @@ from repro.engine.pool import (
 )
 from repro.experiments.report import render_table
 from repro.obs import recorder as obs
-from tests.helpers import NewestFirstPool
+from tests.helpers import NewestFirstPool, grading_kernel
+from tests.reference_engines import NaiveFaultSimulator
 
 #: Two independent runner cells (artefact 1 is graded per benchmark).
 ARTIFACTS = ["1"]
@@ -101,8 +99,9 @@ class TestShardedParity:
         patterns = TestSet.from_matrix(_random_patterns(circuit, n_patterns, seed=9))
         faults = full_fault_list(circuit)
         naive = NaiveFaultSimulator(circuit).run(patterns, faults, drop_detected=drop)
-        simulator = FaultSimulator(circuit, backend="packed", fault_mode=fault_mode)
-        result = simulator.run(patterns, faults, drop_detected=drop)
+        simulator = FaultSimulator(circuit)
+        with grading_kernel(fault_mode):
+            result = simulator.run(patterns, faults, drop_detected=drop)
         assert simulator.last_run_stats["fault_mode"] == fault_mode
         # Bit-for-bit: same faults, same first-detecting indices, same order.
         assert list(naive.detected.items()) == list(result.detected.items())
@@ -110,11 +109,11 @@ class TestShardedParity:
         assert naive.coverage == result.coverage
 
     def test_wide_pattern_set_grades_on_lanes_in_auto_mode(self):
-        # Wider than any workload's pattern set; auto still grades on lanes.
+        # Wider than any workload's pattern set; the run grades on lanes.
         circuit = c17()
         patterns = TestSet.from_matrix(_random_patterns(circuit, 4160, seed=3))
         faults = full_fault_list(circuit)
-        simulator = FaultSimulator(circuit, backend="packed", fault_mode="auto")
+        simulator = FaultSimulator(circuit)
         result = simulator.run(patterns, faults)
         assert simulator.last_run_stats["fault_mode"] == "lanes"
         reference = NaiveFaultSimulator(circuit).run(patterns, faults)
@@ -124,7 +123,7 @@ class TestShardedParity:
     def test_empty_pattern_set(self):
         circuit = c17()
         faults = full_fault_list(circuit)
-        result = FaultSimulator(circuit, backend="packed").run(TestSet([]), faults)
+        result = FaultSimulator(circuit).run(TestSet([]), faults)
         assert result.detected_count == 0
         assert result.undetected == list(faults)
 
@@ -132,7 +131,7 @@ class TestShardedParity:
         circuit = c17()
         patterns = TestSet.from_matrix(_random_patterns(circuit, 8, seed=0))
         ghost = StuckAtFault("no_such_net", 0)
-        result = FaultSimulator(circuit, backend="packed").run(patterns, [ghost])
+        result = FaultSimulator(circuit).run(patterns, [ghost])
         assert result.undetected == [ghost]
 
 
@@ -154,7 +153,7 @@ class TestFallbacks:
         circuit = generate_circuit(CircuitSpec("dropflag", 8, 6, 150, seed=7))
         patterns = TestSet.from_matrix(_random_patterns(circuit, 200, seed=7))
         faults = collapse_faults(circuit)
-        simulator = FaultSimulator(circuit, backend="packed")
+        simulator = FaultSimulator(circuit)
         with_drop = simulator.run(patterns, faults, drop_detected=True)
         without_drop = simulator.run(patterns, faults, drop_detected=False)
         assert list(with_drop.detected.items()) == list(without_drop.detected.items())
@@ -205,28 +204,55 @@ class TestJobsResolution:
         assert parse_jobs(3) == 3
 
 
+#: The engine knobs that were retired with the simulation-backend registry.
+RETIRED_ENGINE_VARS = {
+    "REPRO_BACKEND": "naive",
+    "REPRO_FAULT_MODE": "faults",
+    "REPRO_ATPG_MODE": "dict",
+}
+
+
 class TestBackendRegistration:
-    @pytest.mark.parametrize("name", ["sharded", "cluster"])
-    def test_sharded_backend_name_rejected(self, name, monkeypatch, capsys):
-        # Fault grading runs in process on naive/packed; the retired
-        # multi-process backend names fail with the registry's ordinary
-        # unknown-backend error, at the CLI before any output.
-        from repro.engine.backend import BACKEND_ENV_VAR
+    """One simulation engine: no flag or variable selects another."""
+
+    @pytest.mark.parametrize("name", ["sharded", "cluster", "naive"])
+    def test_sharded_backend_name_rejected(self, name, capsys):
+        # The --backend flag is gone: any value is argparse's usage error,
+        # before any output.
         from repro.experiments.runner import main
 
-        assert name not in available_backends()
-        with pytest.raises(KeyError, match=f"unknown backend '{name}'"):
-            get_backend(name)
-        monkeypatch.setenv(BACKEND_ENV_VAR, name)
-        assert main(["--artifacts", "1", "--benchmarks", "b01"]) == 2
-        captured = capsys.readouterr()
-        assert f"unknown backend '{name}'" in captured.err
-        assert captured.out == ""
-        monkeypatch.delenv(BACKEND_ENV_VAR)
         with pytest.raises(SystemExit) as excinfo:
             main(["--backend", name, "--artifacts", "1", "--benchmarks", "b01"])
         assert excinfo.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --backend" in captured.err
+        assert captured.out == ""
+
+    def test_retired_engine_variables_change_nothing(self, monkeypatch):
+        """The retired variables are read by nothing: the tables of a run
+        with them set equal a clean run's, and a metrics snapshot leaves
+        them out."""
+        from repro.experiments import memo
+        from repro.experiments.runner import run_all
+        from repro.experiments.workloads import build_workload
+
+        artifacts = ["1", "6"]
+        for name in RETIRED_ENGINE_VARS:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("REPRO_CACHE_DIR", "off")
+        build_workload.cache_clear()
+        try:
+            clean = _rendered(run_all(artifacts, BENCHMARKS, seed=0, jobs=1))
+            for name, value in RETIRED_ENGINE_VARS.items():
+                monkeypatch.setenv(name, value)
+            build_workload.cache_clear()
+            memo.clear()
+            stale = _rendered(run_all(artifacts, BENCHMARKS, seed=0, jobs=1))
+        finally:
+            build_workload.cache_clear()
+        assert stale == clean
+        assert not set(RETIRED_ENGINE_VARS) & set(envvars.env_snapshot())
+        assert not set(RETIRED_ENGINE_VARS) & set(envvars.REGISTRY)
 
 
 class TestRunnerJobs:

@@ -19,15 +19,14 @@ from hypothesis import strategies as st
 from repro.atpg.collapse import collapse_faults
 from repro.atpg.fault_sim import FaultSimulator
 from repro.atpg.faults import StuckAtFault, full_fault_list
-from repro.atpg.podem import DictPodemEngine, PodemEngine
+from repro.atpg.podem import PodemEngine
 from repro.circuit.gates import GateType
 from repro.circuit.generator import CircuitSpec, generate_circuit
 from repro.circuit.library import b01_like_fsm, c17, ripple_counter
 from repro.circuit.netlist import Circuit
 from repro.cubes.bits import ONE, X, ZERO
-from repro.engine.backend import get_backend
+from repro.engine.compile import compiled_program
 from repro.engine.ternary import (
-    ATPG_MODE_ENV_VAR,
     CODE_BLOCKS,
     CODE_HAS_X,
     CODE_IS_D,
@@ -41,9 +40,9 @@ from repro.engine.ternary import (
     T_ZERO,
     bit_of_code,
     code_of_bit,
-    resolve_atpg_mode,
 )
 from repro.experiments.workloads import build_workload, default_workload_names
+from tests.reference_engines import DictPodemEngine
 
 
 def _all_gates_circuit() -> Circuit:
@@ -182,7 +181,7 @@ class TestImplicationParity:
     def test_machines_match_dict_imply(self, make_circuit, rng):
         circuit = make_circuit()
         reference = DictPodemEngine(circuit)
-        program = get_backend("packed").compiled_program(circuit)
+        program = compiled_program(circuit)
         engine = CompiledTernaryPodem(program)
         pins = circuit.combinational_inputs
         for fault in _sample_faults(circuit, 10):
@@ -210,7 +209,7 @@ class TestImplicationParity:
     def test_d_frontier_and_objective_match(self, make_circuit, rng):
         circuit = make_circuit()
         reference = DictPodemEngine(circuit)
-        program = get_backend("packed").compiled_program(circuit)
+        program = compiled_program(circuit)
         engine = CompiledTernaryPodem(program)
         node_prog = program.node_prog
         pins = circuit.combinational_inputs
@@ -267,7 +266,7 @@ class TestTrailUndo:
     def test_lifo_sequences_match_replay_and_reference(self, make_circuit, rng):
         circuit = make_circuit()
         reference = DictPodemEngine(circuit)
-        program = get_backend("packed").compiled_program(circuit)
+        program = compiled_program(circuit)
         engine = CompiledTernaryPodem(program)
         replay = CompiledTernaryPodem(program)
         pins = [program.net_index[pin] for pin in circuit.combinational_inputs]
@@ -310,8 +309,8 @@ def test_podem_dict_and_compiled_agree_on_random_circuits(n_inputs, n_ffs, n_gat
     circuit = generate_circuit(CircuitSpec("fuzz", n_inputs, n_ffs, n_gates, seed=seed))
     faults = collapse_faults(circuit)
     for limit in (0, 1, 15):
-        dict_engine = PodemEngine(circuit, backtrack_limit=limit, mode="dict")
-        compiled = PodemEngine(circuit, backtrack_limit=limit, mode="compiled")
+        dict_engine = DictPodemEngine(circuit, backtrack_limit=limit)
+        compiled = PodemEngine(circuit, backtrack_limit=limit)
         for fault in faults:
             _assert_same_result(
                 dict_engine.generate(fault), compiled.generate(fault), (limit, fault)
@@ -322,8 +321,8 @@ class TestPodemParity:
     @pytest.mark.parametrize("make_circuit", CIRCUITS)
     def test_full_fault_list_small_circuits(self, make_circuit):
         circuit = make_circuit()
-        dict_engine = PodemEngine(circuit, mode="dict")
-        compiled = PodemEngine(circuit, mode="compiled")
+        dict_engine = DictPodemEngine(circuit)
+        compiled = PodemEngine(circuit)
         faults = full_fault_list(circuit)
         if len(faults) > 64:  # keep the dict reference's share of the runtime sane
             stride = len(faults) / 64
@@ -340,8 +339,8 @@ class TestPodemParity:
         circuit = workload.circuit
         cap = 16 if circuit.n_gates <= 650 else 8
         faults = _sample_faults(circuit, cap)
-        dict_engine = PodemEngine(circuit, backtrack_limit=15, mode="dict")
-        compiled = PodemEngine(circuit, backtrack_limit=15, mode="compiled")
+        dict_engine = DictPodemEngine(circuit, backtrack_limit=15)
+        compiled = PodemEngine(circuit, backtrack_limit=15)
         simulator = FaultSimulator(circuit)
         statuses = set()
         for fault in faults:
@@ -372,8 +371,8 @@ class TestBacktrackLimits:
     def test_redundant_fault_at_tiny_limits(self, limit):
         circuit = self._redundant_circuit()
         fault = StuckAtFault("y", ONE)
-        reference = PodemEngine(circuit, backtrack_limit=limit, mode="dict").generate(fault)
-        result = PodemEngine(circuit, backtrack_limit=limit, mode="compiled").generate(fault)
+        reference = DictPodemEngine(circuit, backtrack_limit=limit).generate(fault)
+        result = PodemEngine(circuit, backtrack_limit=limit).generate(fault)
         _assert_same_result(reference, result, limit)
         # Proving redundancy needs one backtrack: limit 0 aborts, limits >= 1
         # exhaust the (single-pin) search space.
@@ -382,7 +381,7 @@ class TestBacktrackLimits:
     def test_exact_limit_boundary(self):
         """A run that used B backtracks must survive limit B and abort at B-1."""
         circuit = b01_like_fsm()
-        unlimited = PodemEngine(circuit, backtrack_limit=10_000, mode="compiled")
+        unlimited = PodemEngine(circuit, backtrack_limit=10_000)
         fault = next(
             (
                 f
@@ -394,8 +393,8 @@ class TestBacktrackLimits:
         assert fault is not None, "expected at least one backtracking fault"
         backtracks = unlimited.generate(fault).backtracks
         for limit, mode in ((backtracks, "exact"), (backtracks - 1, "below")):
-            reference = PodemEngine(circuit, backtrack_limit=limit, mode="dict").generate(fault)
-            result = PodemEngine(circuit, backtrack_limit=limit, mode="compiled").generate(fault)
+            reference = DictPodemEngine(circuit, backtrack_limit=limit).generate(fault)
+            result = PodemEngine(circuit, backtrack_limit=limit).generate(fault)
             _assert_same_result(reference, result, (fault, mode))
             if mode == "below":
                 assert result.status == "aborted"
@@ -405,8 +404,8 @@ class TestBacktrackLimits:
     @pytest.mark.parametrize("limit", [0, 1])
     def test_tiny_limits_across_fault_list(self, limit):
         circuit = b01_like_fsm()
-        dict_engine = PodemEngine(circuit, backtrack_limit=limit, mode="dict")
-        compiled = PodemEngine(circuit, backtrack_limit=limit, mode="compiled")
+        dict_engine = DictPodemEngine(circuit, backtrack_limit=limit)
+        compiled = PodemEngine(circuit, backtrack_limit=limit)
         for fault in collapse_faults(circuit):
             _assert_same_result(
                 dict_engine.generate(fault), compiled.generate(fault), (limit, fault)
@@ -414,37 +413,12 @@ class TestBacktrackLimits:
 
 
 class TestModeResolution:
-    def test_backend_preferences(self, monkeypatch):
-        monkeypatch.delenv(ATPG_MODE_ENV_VAR, raising=False)
-        circuit = c17()
-        assert PodemEngine(circuit, backend="naive").implementation == "dict"
-        assert PodemEngine(circuit, backend="packed").implementation == "compiled"
-
-    def test_explicit_mode_beats_backend(self):
-        circuit = c17()
-        assert PodemEngine(circuit, backend="naive", mode="compiled").implementation == "compiled"
-        assert PodemEngine(circuit, backend="packed", mode="dict").implementation == "dict"
-
-    def test_env_var_forces_mode(self, monkeypatch):
-        circuit = c17()
-        monkeypatch.setenv(ATPG_MODE_ENV_VAR, "dict")
-        assert PodemEngine(circuit, backend="packed").implementation == "dict"
-        monkeypatch.setenv(ATPG_MODE_ENV_VAR, "compiled")
-        assert PodemEngine(circuit, backend="naive").implementation == "compiled"
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_atpg_mode("vectorised")
-        with pytest.raises(ValueError):
-            PodemEngine(c17(), mode="nope")
-
     def test_compiled_engine_shares_backend_program(self):
         circuit = c17()
-        backend = get_backend("packed")
-        engine = PodemEngine(circuit, backend=backend)
-        assert engine.program is backend.compiled_program(circuit)
+        engine = PodemEngine(circuit)
+        assert engine.program is compiled_program(circuit)
 
     def test_unknown_fault_net_raises(self):
-        engine = PodemEngine(c17(), mode="compiled")
+        engine = PodemEngine(c17())
         with pytest.raises(KeyError):
             engine.generate(StuckAtFault("no_such_net", ZERO))
