@@ -116,8 +116,3 @@ def write_bench(circuit: Circuit) -> str:
         lines.append(f"{gate.output} = {keyword}({', '.join(gate.inputs)})")
     lines.append("")
     return "\n".join(lines)
-
-
-def write_bench_file(circuit: Circuit, path: Union[str, Path]) -> None:
-    """Write a circuit to a ``.bench`` file on disk."""
-    Path(path).write_text(write_bench(circuit))

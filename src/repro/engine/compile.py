@@ -11,9 +11,8 @@ id, so no gate object or name lookup is involved:
   followed by flip-flop outputs) occupy rows ``0 .. n_inputs-1``, then every
   combinational gate output in :meth:`Circuit.topological_order` (Kahn's
   algorithm with a name-sorted ready queue).  This row order is a contract:
-  it fixes the float summation order of the power layer and the compiled
-  PODEM's tie-breaks, so compiling in generation order instead would change
-  reported numbers;
+  it fixes the compiled PODEM's tie-breaks, so compiling in generation order
+  instead would change reported numbers;
 * every evaluated gate becomes a *node*: an opcode (``ops``, int8) and a
   run of fan-in rows (``fanin_rows[node_offsets[p]:node_offsets[p + 1]]``,
   int32); node ``p`` writes row ``n_inputs + p``;

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 __all__ = [
     "EnvVar",
@@ -36,7 +36,6 @@ __all__ = [
     "render_table",
     "parse_jobs",
     "parse_flag",
-    "parse_choice",
 ]
 
 
@@ -91,30 +90,6 @@ def parse_flag(value: object, source: str = "flag") -> bool:
         f"{source} must be a boolean flag (1/0/true/false/yes/no/on/off), "
         f"got {value!r}"
     )
-
-
-def parse_choice(
-    choices: Tuple[str, ...], label: str
-) -> Callable[[object, str], str]:
-    """Build a parser accepting exactly the given choice tokens.
-
-    Args:
-        choices: the valid values.
-        label: noun used in the error message (``"widget"``).
-    """
-
-    def parser(value: object, source: str = label) -> str:
-        token = str(value).strip()
-        if token not in choices:
-            origin = f"{source}: " if source != label else ""
-            raise ValueError(
-                f"{origin}unknown {label} {token!r}; choose from {choices}"
-            )
-        return token
-
-    parser.__name__ = f"parse_{label.replace(' ', '_')}"
-    parser.choices = choices  # type: ignore[attr-defined]
-    return parser
 
 
 def parse_string(value: object, source: str = "value") -> str:

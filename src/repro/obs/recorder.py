@@ -173,10 +173,6 @@ class Recorder:
         """Anchored wall time: the wall anchor plus a monotonic offset."""
         return self._anchor_wall + (time.perf_counter() - self._anchor_perf)
 
-    def wall_of(self, perf: float) -> float:
-        """Map a ``perf_counter()`` reading onto the anchored wall axis."""
-        return self._anchor_wall + (perf - self._anchor_perf)
-
     def set_worker(self, label: Optional[str]) -> None:
         """Attribute subsequent intervals to ``label`` (a worker id)."""
         with self._lock:

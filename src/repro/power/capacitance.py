@@ -65,11 +65,6 @@ class CapacitanceModel:
     technology: TechnologyParameters
     net_capacitance_ff: Dict[str, float]
 
-    @property
-    def total_capacitance_ff(self) -> float:
-        """Sum of all net capacitances."""
-        return float(sum(self.net_capacitance_ff.values()))
-
     def capacitance_of(self, net: str) -> float:
         """Capacitance of one net in fF."""
         return self.net_capacitance_ff[net]
@@ -79,6 +74,16 @@ class CapacitanceModel:
         return np.array([self.net_capacitance_ff[n] for n in nets], dtype=np.float64)
 
 
+#: Every capacitance is a whole multiple of this quantum (fF).
+CAPACITANCE_QUANTUM_FF = 2.0 ** -24
+
+#: A circuit's total capacitance must stay below this bound (fF).  Below it,
+#: every sum of its capacitances is a whole number of quanta under ``2**53``,
+#: which float64 holds exactly, so a switched-capacitance sum is exact in any
+#: order.
+MAX_TOTAL_CAPACITANCE_FF = 2.0 ** 53 * CAPACITANCE_QUANTUM_FF
+
+
 def _capacitances(
     readers: np.ndarray, technology: TechnologyParameters, seed: int
 ) -> np.ndarray:
@@ -86,6 +91,11 @@ def _capacitances(
 
     The per-net wire-length lottery is drawn in that order, so it must be
     :meth:`Circuit.nets` order for every caller to see the same weights.
+    Each capacitance is rounded to a multiple of
+    :data:`CAPACITANCE_QUANTUM_FF`.
+
+    Raises:
+        ValueError: if the total reaches :data:`MAX_TOTAL_CAPACITANCE_FF`.
     """
     rng = np.random.default_rng(seed)
     readers = np.maximum(readers, 1)
@@ -100,7 +110,15 @@ def _capacitances(
     wire_load = (
         technology.base_wire_cap_ff + technology.wire_cap_per_fanout_ff * spread
     ) * wire_lottery
-    return gate_load + wire_load
+    quanta = np.round((gate_load + wire_load) / CAPACITANCE_QUANTUM_FF)
+    capacitances = quanta * CAPACITANCE_QUANTUM_FF
+    total = float(capacitances.sum())
+    if total >= MAX_TOTAL_CAPACITANCE_FF:
+        raise ValueError(
+            f"total capacitance {total:.4g} fF reaches the exact-sum bound "
+            f"{MAX_TOTAL_CAPACITANCE_FF:.4g} fF"
+        )
+    return capacitances
 
 
 def extract_capacitances(

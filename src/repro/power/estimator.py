@@ -110,8 +110,9 @@ class PowerEstimator:
         """Estimate capture power for several ordered, filled pattern sets.
 
         The sets are simulated in one pass (see
-        :func:`~repro.power.switching.switching_profiles`); each report is
-        bit-identical to that of :meth:`estimate` on its set alone.
+        :func:`~repro.power.switching.switching_profiles`); the power sums
+        are exact, so each report equals that of :meth:`estimate` on its set
+        alone.
         """
         activities = switching_activities(self.circuit, sets, self._caps, self._simulator)
         return [self._report(activity) for activity in activities]

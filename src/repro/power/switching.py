@@ -7,11 +7,13 @@ dynamic power is proportional to.
 
 The toggles arrive *packed*: one ``uint8`` row per net, bit ``j`` (little
 endian) set when the net flips between pattern ``j`` and ``j + 1``.  One
-fold, :class:`SwitchingFold`, grades them block by block in row order.  The
-engine streams the flips straight from its big-int lanes, a node block at a
-time (:meth:`~repro.engine.packed.PackedLogicSimulator.fold_flips`), and
-grades several pattern sets in one simulation pass
-(:func:`switching_profiles`); no value table is ever built.
+fold, :class:`SwitchingFold`, grades them block by block.  The capacitances
+are dyadic (see :mod:`repro.power.capacitance`), so its sums are exact in
+any order.  The engine streams the flips straight from its big-int lanes, a
+node block at a time
+(:meth:`~repro.engine.packed.PackedLogicSimulator.fold_flips`), and grades
+several pattern sets in one simulation pass (:func:`switching_profiles`);
+no value table is ever built.
 """
 
 from __future__ import annotations
@@ -75,23 +77,21 @@ _BLOCK_ROWS = 16
 
 
 class SwitchingFold:
-    """Per-boundary toggle counts and switched capacitance, folded in row order.
+    """Per-boundary toggle counts and switched capacitance of packed flips.
 
-    Call the fold with ``(first_row, flips)`` for consecutive row blocks of
-    packed flips (the layout of :func:`~repro.engine.packed.boundary_flips`;
-    bits at and above ``n_boundaries`` are zero), then read :meth:`result`.
+    Call the fold with ``(first_row, flips)`` for row blocks of packed flips
+    (the layout of :func:`~repro.engine.packed.boundary_flips`; bits at and
+    above ``n_boundaries`` are zero), then read :attr:`toggles` (int64 nets
+    toggling at each boundary) and :attr:`switched` (their capacitance-weighted
+    sum, float64, or ``None`` without capacitances).
 
     Rows with no toggle are dropped, and the rest are unpacked and weighted
-    ``_BLOCK_ROWS`` rows at a time into one product buffer, so no table of
-    toggles or products as large as the value table is ever built.  The
-    result is bit-identical to the dense ``(T * caps[:, None]).sum(axis=0)``
-    over the unpacked toggle table ``T``, however the rows are blocked:
-    NumPy sums axis 0 of a C-ordered table row by row, so each block adds
-    the running total into its first product row and then sums its rows in
-    the same order, and a dropped row only adds ``+0.0`` to a non-negative
-    running sum.  A single boundary column is summed pairwise instead, so
-    its flips (one byte per row) are kept and taken whole, zero rows
-    included, when the result is read.
+    ``_BLOCK_ROWS`` rows at a time, so no table of toggles or products as
+    large as the value table is ever built.  The capacitances are multiples
+    of :data:`~repro.power.capacitance.CAPACITANCE_QUANTUM_FF` whose total
+    stays below :data:`~repro.power.capacitance.MAX_TOTAL_CAPACITANCE_FF`,
+    so every partial sum is exact: the result equals the dense ``caps @ T``
+    over the unpacked toggle table ``T`` whatever the blocks or row order.
 
     Args:
         n_boundaries: number of pattern boundaries (columns of the flips).
@@ -104,109 +104,55 @@ class SwitchingFold:
         self.caps = caps
         self.toggles = np.zeros(n_boundaries, dtype=np.int64)
         self.switched = None if caps is None else np.zeros(n_boundaries, dtype=np.float64)
-        self._products: Optional[np.ndarray] = None
-        self._column: List[np.ndarray] = []
 
     def __call__(self, first_row: int, flips: np.ndarray) -> None:
-        if self.n_boundaries == 1:
-            self._column.append(flips)
-        elif self.n_boundaries:
-            self._add(first_row, flips, np.flatnonzero(flips.any(axis=1)), _BLOCK_ROWS)
-
-    def _add(self, first_row: int, flips: np.ndarray, rows: np.ndarray, height: int) -> None:
-        for lo in range(0, rows.size, height):
-            picked = rows[lo : lo + height]
+        rows = np.flatnonzero(flips.any(axis=1))
+        for lo in range(0, rows.size, _BLOCK_ROWS):
+            picked = rows[lo : lo + _BLOCK_ROWS]
             block = np.unpackbits(flips[picked], axis=1, count=self.n_boundaries, bitorder="little")
             self.toggles += block.sum(axis=0, dtype=np.int64)
-            if self.caps is None:
-                continue
-            if self._products is None:
-                # One buffer serves every block, so a block's products never
-                # coexist with the previous block's.
-                self._products = np.empty((height, self.n_boundaries))
-            # Widen the bytes in place, then weight them float by float: the
-            # same products as a mixed uint8 x float64 multiply, made faster.
-            weighted = self._products[: picked.size]
-            np.copyto(weighted, block, casting="unsafe")
-            np.multiply(weighted, self.caps[first_row + picked, None], out=weighted)
-            weighted[0] += self.switched
-            self.switched = weighted.sum(axis=0)
-
-    def result(self) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """``(toggles, switched)``: int64 nets toggling at each boundary and
-        the capacitance-weighted toggles, float64 or ``None``."""
-        if self._column:
-            flips = np.concatenate(self._column)
-            self._column = []
-            self._add(0, flips, np.arange(flips.shape[0]), max(flips.shape[0], 1))
-        return self.toggles, self.switched
-
-
-def switching_profile(
-    flips: np.ndarray, n_boundaries: int, caps: Optional[np.ndarray] = None
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Per-boundary toggle counts and switched capacitance of packed flips.
-
-    Args:
-        flips: ``(n_nets, ceil(n_boundaries / 8))`` ``uint8`` packed boundary
-            flips, one row per net (see
-            :func:`~repro.engine.packed.boundary_flips`); bits at and above
-            ``n_boundaries`` are zero.
-        n_boundaries: number of pattern boundaries (``n_patterns - 1``).
-        caps: per-row capacitances (fF); the switched capacitance is skipped
-            (``None``) when omitted.
-
-    Returns:
-        ``(toggles, switched)`` of :meth:`SwitchingFold.result`, folded over
-        the whole table at once.
-    """
-    n_rows = flips.shape[0]
-    if caps is not None and caps.shape[0] != n_rows:
-        raise ValueError(f"{caps.shape[0]} capacitances for {n_rows} rows")
-    fold = SwitchingFold(n_boundaries, caps)
-    fold(0, flips)
-    return fold.result()
+            if self.switched is not None:
+                self.switched += self.caps[first_row + picked] @ block
 
 
 def switching_profiles(
     simulator: object, matrices: Sequence[np.ndarray], caps: Optional[np.ndarray] = None
 ) -> List[Tuple[np.ndarray, Optional[np.ndarray]]]:
-    """:func:`switching_profile` of several pattern matrices, simulated together.
+    """Per-boundary toggle counts and switched capacitance of several pattern
+    matrices, simulated together.
 
-    Sets of more than two patterns share one simulation pass: their patterns
-    are laid side by side, the fold runs over every boundary of the joint
-    set, and each set's columns are sliced out; the seam column between two
-    sets is dropped.  Every column is summed over the same rows in the same
-    order as the set's own table would be (a row the joint pass keeps but
-    the set alone would drop adds ``+0.0``), so each profile is bit-identical
-    to grading its set alone.  A two-pattern set keeps a pass of its own,
-    since its single column is summed pairwise over every row (see
-    :class:`SwitchingFold`); a set of at most one pattern has no boundary and
-    is not simulated.
+    Every set of at least two patterns is laid side by side in one
+    simulation pass, the fold runs over every boundary of the joint set and
+    each set's columns are sliced out; the seam column between two sets
+    belongs to neither.  The fold's sums are exact, so each profile equals
+    that of its set graded alone.  A set of at most one pattern has no
+    boundary and is not simulated.
 
     Args:
         simulator: a logic simulator of the circuit with ``fold_flips``
             (:class:`~repro.engine.packed.PackedLogicSimulator`).
         matrices: fully specified pattern matrices over the test pins.
         caps: per-row capacitances (fF), or ``None`` for toggles only.
+
+    Returns:
+        One ``(toggles, switched)`` per matrix: the :attr:`SwitchingFold.toggles`
+        and :attr:`SwitchingFold.switched` of its boundaries.
     """
     profiles = [(np.zeros(0, dtype=np.int64), None if caps is None else np.zeros(0)) for _ in matrices]
-    shared = [k for k, matrix in enumerate(matrices) if len(matrix) > 2]
-    passes = [shared] if shared else []
-    passes += [[k] for k, matrix in enumerate(matrices) if len(matrix) == 2]
-    for group in passes:
-        widths = [len(matrices[k]) for k in group]
-        fold = SwitchingFold(sum(widths) - 1, caps)
-        simulator.fold_flips([matrices[k] for k in group], fold)
-        toggles, switched = fold.result()
-        start = 0
-        for k, width in zip(group, widths):
-            columns = slice(start, start + width - 1)
-            profiles[k] = (
-                toggles[columns].copy(),
-                None if switched is None else switched[columns].copy(),
-            )
-            start += width
+    group = [k for k, matrix in enumerate(matrices) if len(matrix) >= 2]
+    if not group:
+        return profiles
+    widths = [len(matrices[k]) for k in group]
+    fold = SwitchingFold(sum(widths) - 1, caps)
+    simulator.fold_flips([matrices[k] for k in group], fold)
+    start = 0
+    for k, width in zip(group, widths):
+        columns = slice(start, start + width - 1)
+        profiles[k] = (
+            fold.toggles[columns].copy(),
+            None if fold.switched is None else fold.switched[columns].copy(),
+        )
+        start += width
     return profiles
 
 
@@ -246,12 +192,12 @@ def switching_activities(
 ) -> List[SwitchingActivity]:
     """:func:`weighted_switching_activity` of several pattern sets, simulated together.
 
-    The sets share simulation passes (see :func:`switching_profiles`); each
-    activity is bit-identical to that of its set alone.  ``capacitance`` is
-    a model (``None``: extracted with defaults), resolved in value-table row
-    order (test pins, then :meth:`Circuit.topological_order`), or an array
-    already in that order, which :class:`~repro.power.estimator.PowerEstimator`
-    resolves once.
+    The sets share one simulation pass (see :func:`switching_profiles`); with
+    extracted (dyadic) capacitances each activity equals that of its set
+    alone exactly.  ``capacitance`` is a model (``None``: extracted with
+    defaults), resolved in value-table row order (test pins, then
+    :meth:`Circuit.topological_order`), or an array already in that order,
+    which :class:`~repro.power.estimator.PowerEstimator` resolves once.
 
     Raises:
         ValueError: if a pattern set still contains X bits.

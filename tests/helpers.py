@@ -817,7 +817,8 @@ def reference_capacitances(
     """Per-net scalar loop of the synthetic extraction: one ``rng.random()`` per net.
 
     Fan-out counts come from :meth:`Circuit.fanout_map` (reader lists, plus
-    one per primary output) rather than :meth:`Circuit.fanout_counts`.
+    one per primary output) rather than :meth:`Circuit.fanout_counts`.  Each
+    capacitance is rounded to a whole number of 2**-24 fF quanta.
     """
     rng = np.random.default_rng(seed)
     fanout = {net: len(readers) for net, readers in circuit.fanout_map().items()}
@@ -832,7 +833,7 @@ def reference_capacitances(
             technology.base_wire_cap_ff
             + technology.wire_cap_per_fanout_ff * (readers ** 1.15)
         ) * wire_lottery
-        capacitances[net] = gate_load + wire_load
+        capacitances[net] = float(np.round((gate_load + wire_load) * 2**24) / 2**24)
     return capacitances
 
 
@@ -840,7 +841,7 @@ def reference_switching(values: np.ndarray, caps: np.ndarray) -> Tuple[np.ndarra
     """Dense toggle table and its capacitance-weighted column sums.
 
     Returns ``(toggles, switched)`` per boundary, the quantities
-    :func:`repro.power.switching.switching_profile` computes in row blocks.
+    :class:`repro.power.switching.SwitchingFold` computes in row blocks.
     """
     toggles = values[:, 1:] != values[:, :-1]
     return toggles.sum(axis=0).astype(np.int64), (toggles * caps[:, None]).sum(axis=0)

@@ -377,7 +377,7 @@ NETLIST_DIGESTS = {
 
 #: blake2b-16 of ``"|".join(itc99_like(name, seed=0).topological_order())``
 #: for full-size circuits.  The order fixes the compiled row order, hence
-#: the float summation order of the power layer and PODEM's tie-breaks.
+#: PODEM's tie-breaks.
 TOPO_ORDER_DIGESTS = {
     "b14": "fe3b774b6a26bdc691350d85a184b4dd",
     "b17": "f314314696921e2d7a75b32009e1645c",

@@ -18,8 +18,8 @@ in ``tests/helpers.py``: the topological order against the name-keyed Kahn,
 the compiled program field for field, the capacitance extraction net for
 net, and the blocked switching kernel against the dense toggle table, fed
 the packed flips of both simulators (the packed shift-xor and ``np.packbits``
-of the naive value table), with the block height forced to 1 and 7 so every block
-seam is crossed.  ``PowerEstimator.estimate_many``, which streams several
+of the naive value table) with the rows shuffled and the block height forced
+to 1 and 7 so every block seam is crossed.  ``PowerEstimator.estimate_many``, which streams several
 sets side by side through one pass, must grade each set exactly as the
 dense reference of that set alone, with the node-block and product-row
 sizes forced small.  The
@@ -323,27 +323,37 @@ def value_tables(draw):
     values = rng.random((n_rows, n_patterns)) < rng.random()
     constant = rng.random(n_rows) < draw(st.sampled_from([0.0, 0.3, 1.0]))
     values[constant] = rng.random((int(constant.sum()), 1)) < 0.5
-    return values, rng.random(n_rows) * 10.0
+    # Multiples of 2**-24 fF below 10 fF, like extracted capacitances.
+    return values, np.round(rng.random(n_rows) * 10.0 * 2**24) / 2**24
 
 
 @settings(max_examples=200, deadline=None)
-@given(table=value_tables(), block=BLOCK_ROWS)
-def test_switching_profile_matches_dense(table, block):
+@given(table=value_tables(), block=BLOCK_ROWS, order_seed=SEEDS)
+def test_switching_profile_matches_dense(table, block, order_seed):
+    """The fold over the rows shuffled, fed in ragged calls and unpacked in
+    blocks of any height, equals the dense ``caps @ T`` byte for byte."""
     values, caps = table
-    n_boundaries = max(values.shape[1] - 1, 0)
+    n_rows, n_patterns = values.shape
+    n_boundaries = max(n_patterns - 1, 0)
     toggles, switched = reference_switching(values, caps)
     naive_flips = pack_flips(values)
-    n_patterns = values.shape[1]
     packed_flips = boundary_flips(lanes_to_bytes(pack_lanes(values.T), n_patterns), n_patterns)
     _assert_identical(packed_flips, naive_flips, "packed flips")
+    rng = np.random.default_rng(order_seed)
+    order = rng.permutation(n_rows)
+    cuts = [0, *np.sort(rng.integers(0, n_rows + 1, size=3)).tolist(), n_rows]
     with mock.patch.object(switching, "_BLOCK_ROWS", block):
         for flips in (naive_flips, packed_flips):
-            got_toggles, got_switched = switching.switching_profile(flips, n_boundaries, caps)
-            only_toggles, none = switching.switching_profile(flips, n_boundaries)
-            _assert_identical(got_toggles, toggles, "toggles")
-            _assert_identical(got_switched, switched, "switched")
-            _assert_identical(only_toggles, toggles, "toggles without caps")
-            assert none is None
+            weighted = switching.SwitchingFold(n_boundaries, caps[order])
+            unweighted = switching.SwitchingFold(n_boundaries)
+            for lo, hi in zip(cuts, cuts[1:]):
+                weighted(lo, flips[order[lo:hi]])
+                unweighted(lo, flips[order[lo:hi]])
+            _assert_identical(weighted.toggles, toggles, "toggles")
+            _assert_identical(weighted.switched, switched, "switched")
+            assert weighted.switched.tobytes() == switched.tobytes()
+            _assert_identical(unweighted.toggles, toggles, "toggles without caps")
+            assert unweighted.switched is None
 
 
 @settings(max_examples=100, deadline=None)

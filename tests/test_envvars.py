@@ -41,12 +41,6 @@ class TestParsers:
         with pytest.raises(ValueError, match="REPRO_TRACE"):
             envvars.parse_flag("maybe", "REPRO_TRACE")
 
-    def test_parse_choice_rejects_unknown(self):
-        parser = envvars.parse_choice(("a", "b"), "widget")
-        assert parser(" b ", "SRC") == "b"
-        with pytest.raises(ValueError, match="unknown widget"):
-            parser("c", "SRC")
-
 
 class TestRegistry:
     def test_all_declarations_are_repro_prefixed(self):

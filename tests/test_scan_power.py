@@ -12,7 +12,13 @@ from repro.cubes.cube import TestSet
 from repro.cubes.generator import generate_cube_set_like, random_fully_specified_set
 from repro.engine.compile import compiled_program
 from repro.filling import get_filler
-from repro.power.capacitance import TechnologyParameters, extract_capacitances, row_capacitances
+from repro.power.capacitance import (
+    CAPACITANCE_QUANTUM_FF,
+    MAX_TOTAL_CAPACITANCE_FF,
+    TechnologyParameters,
+    extract_capacitances,
+    row_capacitances,
+)
 from repro.power.estimator import PowerEstimator
 from repro.power import switching
 from repro.power.switching import weighted_switching_activity
@@ -149,6 +155,19 @@ class TestCapacitanceModel:
         assert "capacitance" not in estimator.__dict__
         rows = circuit.combinational_inputs + circuit.topological_order()
         assert estimator._caps.tobytes() == estimator.capacitance.as_array(rows).tobytes()
+
+    def test_capacitances_are_dyadic_and_bounded(self):
+        """Every capacitance is a whole number of 2**-24 fF quanta, so power
+        sums are exact in any order; a total at the exact-sum bound raises."""
+        assert CAPACITANCE_QUANTUM_FF == 2.0 ** -24
+        assert MAX_TOTAL_CAPACITANCE_FF == 2.0 ** 29
+        caps = row_capacitances(itc99_like("b14", seed=0), TechnologyParameters(wire_variation=0.5))
+        quanta = caps * 2 ** 24
+        assert np.array_equal(quanta, np.round(quanta))
+        huge = TechnologyParameters(gate_input_cap_ff=MAX_TOTAL_CAPACITANCE_FF / 4)
+        for extract in (extract_capacitances, row_capacitances):
+            with pytest.raises(ValueError, match="exact-sum bound"):
+                extract(c17(), huge)
 
     def test_invalid_technology_parameters(self):
         with pytest.raises(ValueError):
