@@ -5,8 +5,8 @@ The package implements the paper's optimal X-filling algorithm (DP-fill), the
 interleaved test-vector ordering (I-Ordering), every baseline fill/ordering
 the paper compares against, and the full substrate needed to regenerate the
 evaluation: a gate-level netlist library with an ISCAS ``.bench`` front end,
-a PODEM ATPG, fault simulation, scan-chain/LOS test application and a
-capacitance-weighted switching-power model.
+a PODEM ATPG, fault simulation and a capacitance-weighted capture-power
+model.
 
 Quickstart
 ----------

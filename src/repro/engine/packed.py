@@ -16,7 +16,7 @@ bit beyond the pattern count.  The fault-grading kernels in
 :mod:`repro.engine.fault` evaluate the good machine with the same
 :func:`evaluate_lanes`.
 
-Toggle consumers (the power model's switching fold, scan capture activity,
+Toggle consumers (the power model's switching fold,
 :meth:`PackedLogicSimulator.gate_activity`) never see a value table:
 :meth:`PackedLogicSimulator.fold_flips` evaluates the program a node block
 at a time (:func:`evaluate_lanes` with a consumer), writes each block's

@@ -32,7 +32,6 @@ from repro.obs.recorder import (
     enabled,
     event,
     reset,
-    set_worker,
     snapshot,
     span,
     task_capture,
@@ -61,7 +60,6 @@ __all__ = [
     "metrics_payload",
     "reset",
     "resolve_metrics_path",
-    "set_worker",
     "snapshot",
     "span",
     "task_capture",

@@ -3,11 +3,11 @@
 Subcommands:
 
 * ``export-trace METRICS.json -o trace.json`` — Chrome trace-event JSON
-  from a schema-2 metrics artifact; open at https://ui.perfetto.dev (one
-  track per worker, task ids in the event args).
+  from a metrics artifact; open at https://ui.perfetto.dev (one track per
+  process, task ids in the event args).
 * ``report METRICS.json`` — human run report: per-kernel span table,
-  per-worker utilization/idle gaps, straggler and critical-path summary,
-  and a recap of transport failures and their fallbacks.
+  per-process utilization/idle gaps, straggler and critical-path summary,
+  and a recap of lost pools and their in-process fallbacks.
 * ``history append|compare`` — fold ``BENCH_engine.json`` into the
   ``BENCH_history.jsonl`` ledger / flag per-profile speedup regressions.
 """
@@ -84,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
         "export-trace",
         help="write Chrome trace-event JSON from a metrics artifact",
     )
-    export.add_argument("metrics", help="metrics JSON file (schema 2)")
+    export.add_argument("metrics", help="metrics JSON file")
     export.add_argument(
         "-o", "--out", default="trace.json", help="output path (default trace.json)"
     )

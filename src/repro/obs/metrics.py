@@ -5,10 +5,10 @@ file — the roofline input the ROADMAP asks for.  The path comes from an
 explicit ``--metrics PATH`` flag or the ``REPRO_METRICS`` environment
 variable (:func:`resolve_metrics_path`).
 
-Schema (``"schema": 2``)::
+Schema (``"schema": 3``)::
 
     {
-      "schema": 2,
+      "schema": 3,
       "enabled": true,              # was tracing on when written?
       "truncated": false,           # did a ring buffer drop events/intervals?
       "counters": {"fault_sim.cone_evaluations": 123, ...},
@@ -17,13 +17,13 @@ Schema (``"schema": 2``)::
          "count": 4, "total_s": 1.25, "max_s": 0.42},
         ...
       ],
-      "events": [{"ts": ..., "kind": "transport_failed", ...}, ...],
+      "events": [{"ts": ..., "kind": "transport_lost", ...}, ...],
       "intervals": [                # timeline tier (REPRO_TIMELINE/--trace-out)
         {"path": ..., "start_s": ..., "dur_s": ...,
-         "pid": ..., "worker": ..., "task": ...},
+         "pid": ..., "task": ...},
         ...
       ],
-      "clock": {"wall_anchor_s": ..., "pid": ..., "worker": ...},
+      "clock": {"wall_anchor_s": ..., "pid": ...},
       "meta": {                     # caller-provided context, plus:
         "env": {"REPRO_TRACE": "1", ...}   # every *set* REPRO_* knob
       }
@@ -34,6 +34,8 @@ Schema history: 1 lacked ``truncated``/``intervals``/``clock`` and the
 file self-describing — which knobs shaped the run rides with the run — and
 ``truncated`` surfaces the ``obs.events_dropped`` / ``obs.intervals_dropped``
 ring-buffer counters so a capped artifact cannot masquerade as complete.
+2 also carried a ``worker`` label on every interval and on ``clock``; no
+process set one, so 3 dropped it and timeline tracks key on the pid alone.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from repro import envvars
 from repro.obs import recorder
 
 METRICS_ENV_VAR = envvars.METRICS.name
-METRICS_SCHEMA = 2
+METRICS_SCHEMA = 3
 
 
 def resolve_metrics_path(explicit: Optional[str] = None) -> Optional[str]:

@@ -38,7 +38,7 @@ axis.
 
 **Timeline tier.**  With the timeline on (``REPRO_TIMELINE=1`` or
 :func:`enable_timeline`; requires tracing), every closed span additionally
-appends one *interval* — ``{path, start_s, dur_s, pid, worker}`` — to a
+appends one *interval* — ``{path, start_s, dur_s, pid}`` — to a
 ring-buffer capped list (:data:`MAX_INTERVALS`, overflow counted in
 ``obs.intervals_dropped``).  Intervals ride :func:`task_capture` snapshots
 back to the parent exactly like counters, get stamped with the absorbing
@@ -109,9 +109,6 @@ class NullRecorder:
     def reset(self) -> None:
         return None
 
-    def set_worker(self, label: Optional[str]) -> None:
-        return None
-
     def enable_timeline(self, on: bool = True) -> None:
         return None
 
@@ -139,11 +136,7 @@ class Recorder:
 
     enabled = True
 
-    def __init__(
-        self,
-        timeline: Optional[bool] = None,
-        worker: Optional[str] = None,
-    ) -> None:
+    def __init__(self, timeline: Optional[bool] = None) -> None:
         self._lock = threading.Lock()
         self._counters: Dict[str, int] = {}
         # path -> [count, total_s, max_s]
@@ -157,7 +150,6 @@ class Recorder:
         self._anchor_wall = time.time()
         self._anchor_perf = time.perf_counter()
         self._pid = os.getpid()
-        self._worker = worker
         #: Timeline tier on/off; defaults from ``REPRO_TIMELINE``.
         self.timeline = (
             bool(envvars.TIMELINE.read()) if timeline is None else bool(timeline)
@@ -172,11 +164,6 @@ class Recorder:
     def now(self) -> float:
         """Anchored wall time: the wall anchor plus a monotonic offset."""
         return self._anchor_wall + (time.perf_counter() - self._anchor_perf)
-
-    def set_worker(self, label: Optional[str]) -> None:
-        """Attribute subsequent intervals to ``label`` (a worker id)."""
-        with self._lock:
-            self._worker = label
 
     def enable_timeline(self, on: bool = True) -> None:
         """Switch the timeline tier on/off for this recorder."""
@@ -245,7 +232,6 @@ class Recorder:
                     "start_s": self._anchor_wall + (start - self._anchor_perf),
                     "dur_s": dur,
                     "pid": self._pid,
-                    "worker": self._worker,
                 }
                 for path, start, dur in self._intervals
             ]
@@ -255,11 +241,7 @@ class Recorder:
                 "spans": {path: list(row) for path, row in self._spans.items()},
                 "events": [dict(record) for record in self._events],
                 "intervals": intervals,
-                "clock": {
-                    "wall_anchor_s": self._anchor_wall,
-                    "pid": self._pid,
-                    "worker": self._worker,
-                },
+                "clock": {"wall_anchor_s": self._anchor_wall, "pid": self._pid},
             }
 
     def absorb_task(self, task_id: object, snapshot: Optional[Mapping[str, Any]]) -> bool:
@@ -394,11 +376,6 @@ def reset() -> None:
     _active.reset()
 
 
-def set_worker(label: Optional[str]) -> None:
-    """Attribute the active recorder's intervals to a worker id."""
-    _active.set_worker(label)
-
-
 def enable_timeline(on: bool = True) -> None:
     """Switch the active recorder's timeline tier on/off (no-op when
     tracing is off — enable tracing first)."""
@@ -418,9 +395,8 @@ class task_capture:
     ``cap.snapshot()`` then yields the task's own counters/spans/events,
     ready to ship back in a result payload.  Captures nest (LIFO).
 
-    The capture recorder inherits worker attribution (:func:`set_worker`)
-    and (unless ``timeline`` forces it) the timeline tier from the recorder
-    it displaces."""
+    Unless ``timeline`` forces it, the capture recorder inherits the
+    timeline tier from the recorder it displaces."""
 
     def __init__(self, timeline: Optional[bool] = None) -> None:
         self._recorder = Recorder(timeline=timeline)
@@ -430,11 +406,8 @@ class task_capture:
         global _active
         with _state_lock:
             prev = _active
-            if prev.enabled:
-                if self._recorder._worker is None:
-                    self._recorder._worker = prev._worker
-                if self._force_timeline is None and prev.timeline:
-                    self._recorder.timeline = True
+            if prev.enabled and self._force_timeline is None and prev.timeline:
+                self._recorder.timeline = True
             _capture_stack.append(prev)
             _active = self._recorder
         return self._recorder

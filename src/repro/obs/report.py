@@ -1,9 +1,9 @@
 """Human run reports from a metrics payload (``python -m repro.obs report``).
 
 Answers the questions a slow pooled run raises: where did wall-clock go
-per kernel, which worker was the straggler, how long did the parent sit
-idle, and which transports failed and fell back in process.  Input is a
-schema-2 metrics artifact (``--metrics`` / ``REPRO_METRICS``).
+per kernel, which process was the straggler, how long did the parent sit
+idle, and whether the pool was lost and the run fell back in process.
+Input is a metrics artifact (``--metrics`` / ``REPRO_METRICS``).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import Any, Dict, List, Mapping, Sequence
 from repro.obs import timeline
 
 #: Event kinds recapped in detail (the fallback machinery's decisions).
-RECAP_KINDS = ("transport_failed", "transport_lost")
+RECAP_KINDS = ("transport_lost",)
 
 #: Cap per-kind detail lines so a failure-heavy run stays readable.
 MAX_DETAIL_LINES = 8
@@ -43,10 +43,9 @@ def _describe(record: Mapping[str, Any]) -> str:
     task_id = record.get("task_id")
     if task_id is not None:
         parts.append(f"task {task_id}")
-    for field in ("transport", "detail"):
-        value = record.get(field)
-        if value is not None:
-            parts.append(f"{field}={value}")
+    detail = record.get("detail")
+    if detail is not None:
+        parts.append(f"detail={detail}")
     return ", ".join(parts) if parts else "(no detail)"
 
 
@@ -55,7 +54,7 @@ def _timeline_section(payload: Mapping[str, Any], lines: List[str]) -> None:
     if not intervals:
         lines.append(
             "timeline: no intervals recorded (set REPRO_TIMELINE=1 or pass "
-            "--trace-out to capture per-worker tracks)"
+            "--trace-out to capture per-process tracks)"
         )
         return
     bounds = timeline.span_bounds(intervals)
@@ -67,7 +66,7 @@ def _timeline_section(payload: Mapping[str, Any], lines: List[str]) -> None:
     grouped = timeline.tracks(intervals)
 
     clock = payload.get("clock") or {}
-    parent_key = (clock.get("pid"), clock.get("worker"))
+    parent_key = clock.get("pid")
 
     lines.append("timeline")
     lines.append(
@@ -83,12 +82,12 @@ def _timeline_section(payload: Mapping[str, Any], lines: List[str]) -> None:
     lines.append("  " + "-" * (len(header) - 2))
     last_end_by_track = {}
     for key, rows in grouped.items():
-        label = timeline.track_label(*key)
+        label = timeline.track_label(key)
         busy, gaps = timeline.merged_busy(rows)
         start = min(float(r["start_s"]) for r in rows)
         end = max(float(r["start_s"]) + float(r["dur_s"]) for r in rows)
         last_end_by_track[key] = end
-        # Boundary idle counts too: a worker that joined late or went quiet
+        # Boundary idle counts too: a process that joined late or went quiet
         # early was idle relative to the run, not just between its own spans.
         all_gaps = [(t_min, start)] + list(gaps) + [(end, t_max)]
         widest = max(all_gaps, key=lambda g: g[1] - g[0])
@@ -107,7 +106,7 @@ def _timeline_section(payload: Mapping[str, Any], lines: List[str]) -> None:
         )
     straggler_key = max(last_end_by_track, key=lambda k: last_end_by_track[k])
     lines.append(
-        f"  straggler: {timeline.track_label(*straggler_key)} "
+        f"  straggler: {timeline.track_label(straggler_key)} "
         f"(finished last, at +{_fmt_s(last_end_by_track[straggler_key] - t_min)})"
     )
     if parent_key in grouped:
@@ -153,7 +152,7 @@ def _events_section(
 
 def render_report(payload: Mapping[str, Any]) -> str:
     """Render the run report for one metrics payload (a metrics artifact
-    dict of schema 1 or 2, or a recorder snapshot)."""
+    dict of any schema, or a recorder snapshot)."""
     lines: List[str] = ["repro.obs run report", "=" * 21]
     meta = payload.get("meta") or {}
     for key in ("tool", "circuit", "artifacts", "benchmarks", "jobs", "seed", "elapsed_s"):

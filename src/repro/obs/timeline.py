@@ -1,15 +1,15 @@
-"""Timeline tier: per-worker interval tracks and Chrome trace export.
+"""Timeline tier: per-process interval tracks and Chrome trace export.
 
 The recorder's timeline (see :mod:`repro.obs.recorder`) produces a flat
-list of wall-anchored intervals — ``{path, start_s, dur_s, pid, worker,
-task?}`` — merged across every process that contributed a task snapshot.
-This module turns that list into
+list of wall-anchored intervals — ``{path, start_s, dur_s, pid, task?}`` —
+merged across every process that contributed a task snapshot.  This module
+turns that list into
 
-* **tracks**: one per ``(pid, worker)`` pair, with union busy time, idle
-  gaps, utilization and makespan math (consumed by the run report), and
+* **tracks**: one per pid, with union busy time, idle gaps, utilization
+  and makespan math (consumed by the run report), and
 * **Chrome trace-event JSON** (:func:`write_trace`): the ``traceEvents``
   array Perfetto / ``chrome://tracing`` render, one thread track per
-  worker, span paths as complete (``"X"``) events with task ids in
+  process, span paths as complete (``"X"``) events with task ids in
   ``args``, and the run's event log as instant (``"i"``) events on a
   dedicated track — events and intervals share one axis because both are
   stamped through the same per-recorder clock anchor.
@@ -26,14 +26,9 @@ import json
 import os
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-#: Track key: (pid, worker label) — one trace thread per pair.
-TrackKey = Tuple[Optional[int], Optional[str]]
 
-
-def track_label(pid: Optional[int], worker: Optional[str]) -> str:
-    """Human label for one track: the worker id, else the bare pid."""
-    if worker:
-        return str(worker)
+def track_label(pid: Optional[int]) -> str:
+    """Human label for one track: the bare pid."""
     if pid:
         return f"pid-{pid}"
     return "main"
@@ -41,21 +36,18 @@ def track_label(pid: Optional[int], worker: Optional[str]) -> str:
 
 def tracks(
     intervals: Sequence[Mapping[str, Any]],
-) -> "Dict[TrackKey, List[Dict[str, Any]]]":
-    """Group intervals into per-``(pid, worker)`` tracks, sorted by start.
+) -> "Dict[Optional[int], List[Dict[str, Any]]]":
+    """Group intervals into per-pid tracks, sorted by start.
 
     Track order is deterministic: sorted by label, so reports and traces
     are stable across dict/arrival order.
     """
-    grouped: Dict[TrackKey, List[Dict[str, Any]]] = {}
+    grouped: Dict[Optional[int], List[Dict[str, Any]]] = {}
     for record in intervals:
-        key = (record.get("pid"), record.get("worker"))
-        grouped.setdefault(key, []).append(dict(record))
+        grouped.setdefault(record.get("pid"), []).append(dict(record))
     for rows in grouped.values():
         rows.sort(key=lambda r: (r.get("start_s", 0.0), r.get("path", "")))
-    return dict(
-        sorted(grouped.items(), key=lambda item: track_label(*item[0]))
-    )
+    return dict(sorted(grouped.items(), key=lambda item: track_label(item[0])))
 
 
 def merged_busy(
@@ -121,7 +113,7 @@ def _us(seconds: float) -> float:
 def trace_events(payload: Mapping[str, Any]) -> List[Dict[str, Any]]:
     """Build the Chrome trace-event array from a metrics payload.
 
-    Accepts a schema-2 metrics payload (or a raw recorder snapshot): reads
+    Accepts a metrics payload (or a raw recorder snapshot): reads
     ``intervals`` and ``events``.  Returns metadata (``"M"``) records
     naming each process/track, one complete (``"X"``) record per interval
     with the task id in ``args``, and one instant (``"i"``) record per
@@ -134,42 +126,34 @@ def trace_events(payload: Mapping[str, Any]) -> List[Dict[str, Any]]:
 
     grouped = tracks(intervals)
     out: List[Dict[str, Any]] = []
-    # Stable tid assignment: per pid, tracks in label order starting at 1.
-    tids: Dict[TrackKey, int] = {}
-    per_pid_next: Dict[int, int] = {}
-    pids_named = set()
+    # One track per process, on thread 1; the event log takes the parent
+    # process's next thread.
     clock = payload.get("clock") or {}
     parent_pid = clock.get("pid")
     for key in grouped:
-        pid = key[0] or 0
-        tid = per_pid_next.get(pid, 1)
-        per_pid_next[pid] = tid + 1
-        tids[key] = tid
-        if pid not in pids_named:
-            pids_named.add(pid)
-            role = "parent" if pid == parent_pid else "worker"
-            out.append(
-                {
-                    "ph": "M",
-                    "name": "process_name",
-                    "pid": pid,
-                    "tid": 0,
-                    "args": {"name": f"repro {role} {pid}"},
-                }
-            )
+        pid = key or 0
+        role = "parent" if pid == parent_pid else "worker"
+        out.append(
+            {
+                "ph": "M",
+                "name": "process_name",
+                "pid": pid,
+                "tid": 0,
+                "args": {"name": f"repro {role} {pid}"},
+            }
+        )
         out.append(
             {
                 "ph": "M",
                 "name": "thread_name",
                 "pid": pid,
-                "tid": tid,
-                "args": {"name": track_label(*key)},
+                "tid": 1,
+                "args": {"name": track_label(key)},
             }
         )
 
     for key, rows in grouped.items():
-        pid = key[0] or 0
-        tid = tids[key]
+        pid = key or 0
         for record in rows:
             entry: Dict[str, Any] = {
                 "name": record.get("path", "?"),
@@ -178,7 +162,7 @@ def trace_events(payload: Mapping[str, Any]) -> List[Dict[str, Any]]:
                 "ts": _us(float(record.get("start_s", 0.0)) - t0),
                 "dur": _us(float(record.get("dur_s", 0.0))),
                 "pid": pid,
-                "tid": tid,
+                "tid": 1,
             }
             task = record.get("task")
             if task is not None:
@@ -187,7 +171,7 @@ def trace_events(payload: Mapping[str, Any]) -> List[Dict[str, Any]]:
 
     if events:
         event_pid = parent_pid or 0
-        event_tid = per_pid_next.get(event_pid, 1)
+        event_tid = 2 if event_pid in {key or 0 for key in grouped} else 1
         out.append(
             {
                 "ph": "M",

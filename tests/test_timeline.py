@@ -4,7 +4,7 @@ run reports, and the bench-history ledger.
 The timeline contract extends the counter-parity contract one axis further:
 span *intervals* recorded in pool workers must merge onto the parent's
 wall-clock axis (per-recorder clock anchor), dedupe by task id like
-counters, and export as Chrome trace-event JSON whose per-worker tracks a
+counters, and export as Chrome trace-event JSON whose per-process tracks a
 viewer can read directly.  The run report is a pure consumer of the same
 payloads, and the history ledger turns ``BENCH_engine.json`` overwrites
 into an append-only trajectory.
@@ -29,7 +29,7 @@ GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data")
 #: The synthetic payload behind ``tests/data/golden_trace.json`` — fixed
 #: wall times so the exported trace is byte-stable.
 GOLDEN_PAYLOAD = {
-    "schema": 2,
+    "schema": 3,
     "enabled": True,
     "truncated": False,
     "counters": {},
@@ -49,14 +49,12 @@ GOLDEN_PAYLOAD = {
             "start_s": 1000.0,
             "dur_s": 0.020,
             "pid": 10,
-            "worker": None,
         },
         {
             "path": "fault_sim/b12/lanes/grade",
             "start_s": 1000.001,
             "dur_s": 0.008,
             "pid": 11,
-            "worker": "w-aa11",
             "task": "t-1",
         },
         {
@@ -64,11 +62,10 @@ GOLDEN_PAYLOAD = {
             "start_s": 1000.011,
             "dur_s": 0.006,
             "pid": 11,
-            "worker": "w-aa11",
             "task": "t-2",
         },
     ],
-    "clock": {"wall_anchor_s": 1000.0, "pid": 10, "worker": None},
+    "clock": {"wall_anchor_s": 1000.0, "pid": 10},
     "meta": {"tool": "golden"},
 }
 
@@ -135,20 +132,19 @@ class TestTimelineRecorder:
     def test_enable_timeline_records_attributed_intervals(self):
         obs.enable()
         obs.enable_timeline()
-        obs.set_worker("w-test")
         with obs.span("fault_sim/c/grade"):
             pass
         (interval,) = obs.snapshot()["intervals"]
+        assert sorted(interval) == ["dur_s", "path", "pid", "start_s"]
         assert interval["path"] == "fault_sim/c/grade"
         assert interval["pid"] == os.getpid()
-        assert interval["worker"] == "w-test"
         assert interval["dur_s"] >= 0.0
 
     def test_clock_block_names_the_process(self):
         obs.enable()
         clock = obs.snapshot()["clock"]
+        assert sorted(clock) == ["pid", "wall_anchor_s"]
         assert clock["pid"] == os.getpid()
-        assert clock["worker"] is None
         assert isinstance(clock["wall_anchor_s"], float)
 
     def test_interval_cap_counts_drops(self):
@@ -173,7 +169,6 @@ class TestTimelineRecorder:
                     "start_s": 5.0,
                     "dur_s": 0.5,
                     "pid": 999,
-                    "worker": "w-else",
                 }
             ],
         }
@@ -181,18 +176,18 @@ class TestTimelineRecorder:
         assert obs.absorb_task("t1", foreign) is False  # duplicate delivery
         (interval,) = obs.snapshot()["intervals"]
         assert interval["task"] == "t1"
-        assert interval["worker"] == "w-else"
+        assert interval["pid"] == 999
 
-    def test_task_capture_inherits_worker_and_timeline(self):
+    def test_task_capture_inherits_timeline(self):
         obs.enable()
         obs.enable_timeline()
-        obs.set_worker("w-outer")
         capture = obs.task_capture()
         with capture:
             with obs.span("fault_sim/c/grade"):
                 pass
         (interval,) = capture.snapshot()["intervals"]
-        assert interval["worker"] == "w-outer"
+        assert interval["path"] == "fault_sim/c/grade"
+        assert obs.snapshot()["intervals"] == []  # the capture kept its own
 
     def test_reset_clears_intervals(self):
         obs.enable()
@@ -215,11 +210,11 @@ class TestTrackMath:
         assert busy == pytest.approx(2.5)
         assert gaps == [(1.5, 3.0)]
 
-    def test_tracks_group_by_pid_and_worker(self):
+    def test_tracks_group_by_pid(self):
         grouped = timeline.tracks(GOLDEN_PAYLOAD["intervals"])
-        labels = [timeline.track_label(*key) for key in grouped]
-        assert labels == ["pid-10", "w-aa11"]
-        assert len(grouped[(11, "w-aa11")]) == 2
+        labels = [timeline.track_label(key) for key in grouped]
+        assert labels == ["pid-10", "pid-11"]
+        assert len(grouped[11]) == 2
 
     def test_span_bounds_cover_events_too(self):
         bounds = timeline.span_bounds(
@@ -250,13 +245,13 @@ class TestTraceExport:
                 assert isinstance(entry["ts"], float)
                 assert isinstance(entry["dur"], float)
                 assert entry["ts"] >= 0.0
-        # One thread-name track per (pid, worker) pair plus the events track.
+        # One thread-name track per pid plus the events track.
         threads = [
             e["args"]["name"]
             for e in trace["traceEvents"]
             if e["ph"] == "M" and e["name"] == "thread_name"
         ]
-        assert threads == ["pid-10", "w-aa11", "events"]
+        assert threads == ["pid-10", "pid-11", "events"]
         # Task attribution survives into the viewer args.
         tasks = {
             e["args"]["task"]
@@ -278,7 +273,7 @@ class TestRunReport:
         assert "tool: golden" in text
         assert "timeline" in text
         assert "makespan" in text
-        assert "w-aa11" in text
+        assert "pid-11" in text
         assert "<- parent" in text  # clock pid matches the pid-10 track
         assert "task_retried" in text
 
