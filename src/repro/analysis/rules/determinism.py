@@ -40,7 +40,6 @@ CRITICAL_PACKAGES = {
     "orderings",
     "circuit",
     "power",
-    "scan",
     "core",
 }
 

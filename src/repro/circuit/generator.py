@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -94,7 +94,65 @@ def _gate_cdf() -> List[float]:
 _GATE_CDF = _gate_cdf()
 
 
-def _sample_gate_type(rng: np.random.Generator) -> GateType:
+#: Raw PCG64 words fetched per refill of a :class:`_Draws` replay.
+_BLOCK = 4096
+
+
+def _raw_words(seed: int) -> Iterator[int]:
+    bitgen = np.random.PCG64(seed)
+    while True:
+        yield from bitgen.random_raw(_BLOCK).tolist()
+
+
+class _Draws:
+    """``np.random.default_rng(seed)``'s ``random()`` and ``integers(lo, hi)``,
+    replayed draw for draw from raw PCG64 words without the per-call NumPy
+    overhead (the generator loop makes hundreds of thousands of scalar draws).
+
+    ``default_rng(seed)`` wraps ``PCG64(seed)``, so both read one word stream.
+    ``random()`` is ``(w >> 11) * 2**-53``.  ``integers(lo, hi)`` with
+    ``hi - lo <= 2**32`` is NumPy's 32-bit Lemire draw: each 32-bit draw
+    takes a word's low half and keeps its high half for the next 32-bit
+    draw, which ``random()`` leaves alone.  The netlists thus depend only on
+    PCG64's raw stream and ``SeedSequence``, not on ``Generator``'s
+    bounded-integer algorithm.  Stand-in inputs v2 (ROADMAP) drops the
+    scalar loop and this replay with it.
+    """
+
+    __slots__ = ("_next_word", "_half")
+
+    def __init__(self, seed: int) -> None:
+        self._next_word = _raw_words(seed).__next__
+        self._half: Optional[int] = None
+
+    def random(self) -> float:
+        return (self._next_word() >> 11) * 2.0**-53
+
+    def _uint32(self) -> int:
+        half = self._half
+        if half is None:
+            word = self._next_word()
+            self._half = word >> 32
+            return word & 0xFFFFFFFF
+        self._half = None
+        return half
+
+    def integers(self, lo: int, hi: int) -> int:
+        n = hi - lo
+        if not 1 <= n <= 1 << 32:
+            raise ValueError(f"integers({lo}, {hi}) needs 1 <= hi - lo <= 2**32")
+        if n == 1:
+            return lo  # NumPy draws nothing for a one-value range
+        # n == 2**32 needs no branch: nothing is rejected, m >> 32 is the draw.
+        m = self._uint32() * n
+        if m & 0xFFFFFFFF < n:
+            threshold = ((1 << 32) - n) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = self._uint32() * n
+        return lo + (m >> 32)
+
+
+def _sample_gate_type(rng: _Draws) -> GateType:
     return _GATE_TYPES[bisect_right(_GATE_CDF, rng.random())]
 
 
@@ -105,7 +163,7 @@ def generate_circuit(spec: CircuitSpec) -> Circuit:
     flip-flop outputs, then gate outputs in creation order — and hands the
     finished columns to :meth:`Circuit.from_columns`, which checks them once.
     """
-    rng = np.random.default_rng(spec.seed)
+    rng = _Draws(spec.seed)
     n_sources = spec.n_primary_inputs + spec.n_flip_flops
     net_names = (
         [f"pi{i}" for i in range(spec.n_primary_inputs)]
@@ -141,7 +199,7 @@ def generate_circuit(spec: CircuitSpec) -> Circuit:
         if gate_type in (GateType.NOT, GateType.BUF):
             fanin = 1
         else:
-            fanin = int(rng.integers(2, 5)) if rng.random() < 0.25 else 2
+            fanin = rng.integers(2, 5) if rng.random() < 0.25 else 2
         inputs: List[int] = []
         # First, consume completed-layer nets nobody reads yet so nothing is
         # left floating.
@@ -157,7 +215,7 @@ def generate_circuit(spec: CircuitSpec) -> Circuit:
                 pool = previous_layer
             else:
                 pool = available
-            candidate = pool[int(rng.integers(0, len(pool)))]
+            candidate = pool[rng.integers(0, len(pool))]
             if candidate not in inputs:
                 inputs.append(candidate)
         if len(inputs) == 1 and gate_type not in (GateType.NOT, GateType.BUF):
@@ -182,7 +240,7 @@ def generate_circuit(spec: CircuitSpec) -> Circuit:
     gate_ids = range(n_sources, n_sources + spec.n_gates)
     tail = gate_ids[-max(spec.n_flip_flops * 2, 8):]
     for __ in ff_ids:
-        source = tail[int(rng.integers(0, len(tail)))]
+        source = tail[rng.integers(0, len(tail))]
         gate_types.append(GateType.DFF)
         gate_fanins.append((source,))
         unused.pop(source, None)

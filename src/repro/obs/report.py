@@ -13,7 +13,7 @@ from typing import Any, Dict, List, Mapping, Sequence
 from repro.obs import timeline
 
 #: Event kinds recapped in detail (the fallback machinery's decisions).
-RECAP_KINDS = ("transport_lost",)
+RECAP_KINDS = ("pool_unavailable", "task_failed", "transport_lost")
 
 #: Cap per-kind detail lines so a failure-heavy run stays readable.
 MAX_DETAIL_LINES = 8
@@ -43,6 +43,9 @@ def _describe(record: Mapping[str, Any]) -> str:
     task_id = record.get("task_id")
     if task_id is not None:
         parts.append(f"task {task_id}")
+    error = record.get("error")
+    if error is not None:
+        parts.append(f"error={error}")
     detail = record.get("detail")
     if detail is not None:
         parts.append(f"detail={detail}")

@@ -353,10 +353,9 @@ class TestCircuitConstruction:
         assert [ff.output for ff in circuit.flip_flops] == ["q"]
 
 
-#: ``itc99_like(name, seed=0).structure_digest()`` pinned for every default
-#: profile and for full-scale b17 and b18: circuit generation must reproduce
-#: every netlist gate for gate (the cube cache and the golden report depend
-#: on it).
+#: ``itc99_like(name, seed=0).structure_digest()`` pinned for every profile
+#: at full size: circuit generation must reproduce every netlist gate for
+#: gate (the cube cache and the golden report depend on it).
 NETLIST_DIGESTS = {
     "b01": "8c2571466eb7b74e0e84876e05278a7a",
     "b02": "e88233acdc932b9a9ac8ae77ebb445c7",
@@ -371,8 +370,14 @@ NETLIST_DIGESTS = {
     "b11": "499b796be80980efd6a2bc93fe9cc3fc",
     "b12": "d4462f4fbbecb12d0d2843398d1ae90c",
     "b13": "7f2d9423fb856252ba78b4a2360f0c2a",
+    "b14": "24370dc4ffd25d2ec9c1cabed8971417",
+    "b15": "1ca64893e877c710d997ebac0bd8edf5",
     "b17": "86b528ac3d32c3bf6b2f4d8bf93a004a",
     "b18": "11e70646778ad7985df3440111be9006",
+    "b19": "8928cd18455fcf45c33f380c9f7cab90",
+    "b20": "daea6768a66cd08959eba2dac9857eab",
+    "b21": "29df4255453e25cade15d486f6b1416b",
+    "b22": "f9d4a694b8524a0c856eb3c7ed0877b2",
 }
 
 #: blake2b-16 of ``"|".join(itc99_like(name, seed=0).topological_order())``
@@ -392,7 +397,7 @@ def _generated(name: str) -> Circuit:
 
 
 def test_netlist_digests_cover_every_default_profile():
-    assert set(default_benchmark_names()) <= set(NETLIST_DIGESTS)
+    assert {profile.name for profile in all_profiles()} == set(NETLIST_DIGESTS)
 
 
 @pytest.mark.parametrize("name", sorted(NETLIST_DIGESTS))

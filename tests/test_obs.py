@@ -32,6 +32,7 @@ from repro.engine.pool import worker_pool
 from repro.obs import manifest as obs_manifest
 from repro.obs import metrics as obs_metrics
 from repro.obs import recorder as obs
+from repro.obs import report as obs_report
 from tests.helpers import NewestFirstPool, grading_kernel
 from tests.reference_engines import DictPodemEngine, NaiveFaultSimulator
 
@@ -406,6 +407,31 @@ class TestQueueEvents:
         assert [render_table(t) for t in result["1"]] == [
             render_table(t) for t in serial["1"]
         ]
+
+    def test_report_details_every_fallback_event(self):
+        payload = {
+            "events": [
+                {"ts": 1.0, "kind": "pool_unavailable", "detail": "OSError('no fork')"},
+                {
+                    "ts": 2.0,
+                    "kind": "task_failed",
+                    "task_id": "t000003",
+                    "error": "KeyError('b99')",
+                    "traceback": "Traceback (most recent call last): ...",
+                },
+                {"ts": 3.0, "kind": "transport_lost", "detail": "task t000004 lost"},
+            ]
+        }
+        lines = obs_report.render_report(payload).splitlines()
+        for detail in (
+            "  pool_unavailable (1):",
+            "    - detail=OSError('no fork')",
+            "  task_failed (1):",
+            "    - task t000003, error=KeyError('b99')",
+            "  transport_lost (1):",
+            "    - detail=task t000004 lost",
+        ):
+            assert detail in lines
 
 
 # -- runner integration ------------------------------------------------------
