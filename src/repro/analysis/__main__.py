@@ -19,7 +19,7 @@ from repro.analysis.core import run_analysis
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="Project-specific static analyzer (rules R1, R3-R6).",
+        description="Project-specific static analyzer (rules R1, R3, R5, R6).",
     )
     parser.add_argument(
         "paths",

@@ -1,7 +1,7 @@
 """R1 — determinism lint for result-bearing modules.
 
-The paper's reproduction contract is bit-identical output across engines,
-worker counts and task arrival orders.  Three static patterns break that contract
+The paper's reproduction contract is bit-identical output from run to run
+and machine to machine.  Three static patterns break that contract
 and all have slipped into similar codebases before:
 
 * drawing from the **unseeded global RNG** (``random.shuffle`` /
@@ -9,13 +9,13 @@ and all have slipped into similar codebases before:
   ``np.random.default_rng`` instance;
 * letting **wall-clock or entropy sources** (``time.time``,
   ``datetime.now``, ``os.urandom``, ``uuid.uuid4``) flow into result
-  payloads or merge order;
+  payloads or their order;
 * **iterating a set** into ordered protocol output — hash order is
   process-dependent under ``PYTHONHASHSEED``.
 
 The rule is scoped to the modules whose output is part of the determinism
 contract (engine, cubes, ATPG, fill/ordering/power pipeline, circuit
-generation, and the experiment runner that merges pooled cells).
+generation, and the experiment runner).
 Telemetry and forensic timestamps live outside that scope on purpose:
 ``repro.obs`` event timestamps never feed result payloads.
 

@@ -1,7 +1,7 @@
 """R6 — no silent broad exception handlers.
 
 A bare ``except:`` or ``except Exception:`` that swallows the error is
-how pooled runs turn into silent hangs or quietly-wrong answers: the
+how runs turn into quietly-wrong answers: the
 failure evidence evaporates exactly when it is needed.  Inside
 ``src/repro`` every broad handler must do one of:
 

@@ -16,9 +16,8 @@ instead of looping the python interpreter over every fault; shorter lists
 stay on the pattern-parallel ``lanes`` kernel, which is faster there (see
 :func:`~repro.engine.fault.resolve_grading_kernel`).
 
-PODEM runs serially, in fault-list order, in the calling process: the
-experiment runner's ``--jobs N`` parallelises whole (artifact x benchmark)
-cells instead, so one circuit's cubes are always generated by one engine.
+PODEM runs serially, in fault-list order, in the calling process, so one
+circuit's cubes are always generated by one engine.
 """
 
 from __future__ import annotations

@@ -10,9 +10,7 @@ word (``faults``), whichever the run's shape calls for
 (:mod:`repro.engine.fault`).  It is the only simulation engine: the ATPG,
 power and experiment layers all run on it, and the straightforward
 references it is checked against live in ``tests/reference_engines.py``.
-:mod:`repro.engine.pool` sizes and owns the shared spawn pool that the
-experiment runner's ``--jobs N`` cells run on (see
-:mod:`repro.experiments.runner`).
+Everything runs in the calling process.
 """
 
 from repro.engine.compile import CompiledCircuit, compile_circuit, compiled_program
@@ -28,22 +26,12 @@ from repro.engine.fault import (
 )
 from repro.engine.packed import PackedLogicSimulator
 from repro.engine.ternary import CompiledTernaryPodem
-from repro.engine.pool import (
-    JOBS_ENV_VAR,
-    default_jobs,
-    parse_jobs,
-    resolve_jobs,
-    set_default_jobs,
-    shutdown_worker_pool,
-    worker_pool,
-)
 
 __all__ = [
     "DROP_BLOCK_PATTERNS",
     "FAULT_WORD_LANES",
     "FAULTS_MODE_MAX_PATTERNS",
     "FAULTS_MODE_FAULTS_PER_PATTERN",
-    "JOBS_ENV_VAR",
     "CompiledCircuit",
     "CompiledTernaryPodem",
     "FaultSimulationResult",
@@ -51,12 +39,6 @@ __all__ = [
     "PackedLogicSimulator",
     "compile_circuit",
     "compiled_program",
-    "default_jobs",
     "fault_lane_mask",
-    "parse_jobs",
     "resolve_grading_kernel",
-    "resolve_jobs",
-    "set_default_jobs",
-    "shutdown_worker_pool",
-    "worker_pool",
 ]

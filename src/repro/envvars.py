@@ -3,13 +3,12 @@
 Every knob the package reads from the environment is declared here as an
 :class:`EnvVar` carrying its name, strict parser, documented default and a
 one-line doc string.  Modules read through the declaration
-(``envvars.JOBS.read()``) instead of touching ``os.environ`` directly —
+(``envvars.TRACE.read()``) instead of touching ``os.environ`` directly —
 rule R3 of the static analyzer (:mod:`repro.analysis`) enforces that no
 ``REPRO_*`` name is read anywhere else, so a new variable cannot ship
 without a declaration, a parser and a docs-table entry.
 
-Parsing is strict in the style of :func:`parse_jobs`: a garbage value
-(``REPRO_JOBS=-4``, ``REPRO_TRACE=maybe``) raises a :class:`ValueError`
+Parsing is strict: a garbage value (``REPRO_TRACE=maybe``) raises a :class:`ValueError`
 naming the variable and the offending value at configuration time, never an
 opaque failure deep inside a run.  Unset (or empty) variables resolve to the
 declared default without touching the parser.
@@ -34,38 +33,11 @@ __all__ = [
     "declare",
     "env_snapshot",
     "render_table",
-    "parse_jobs",
     "parse_flag",
 ]
 
 
 # -- strict parsers ----------------------------------------------------------
-def parse_jobs(value: object, source: str = "jobs") -> int:
-    """Parse a worker count, rejecting anything but an integer >= 1.
-
-    Worker counts reach the pool from several surfaces (``--jobs``,
-    ``REPRO_JOBS``, python callers); validating here gives every one of them
-    the same clear error instead of an opaque traceback deep inside pool
-    construction (or a silent clamp hiding a typo like ``--jobs -4``).
-
-    Args:
-        value: the raw value (string or number).
-        source: label naming the offending surface in the error message.
-
-    Raises:
-        ValueError: for non-integer or non-positive values.
-    """
-    try:
-        jobs = int(str(value).strip())
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"{source} must be a positive integer, got {value!r}"
-        ) from None
-    if jobs < 1:
-        raise ValueError(f"{source} must be a positive integer, got {value!r}")
-    return jobs
-
-
 _TRUE_TOKENS = frozenset({"1", "true", "yes", "on"})
 _FALSE_TOKENS = frozenset({"0", "false", "no", "off", ""})
 
@@ -206,15 +178,6 @@ def env_snapshot() -> Dict[str, str]:
 
 
 # -- declarations ------------------------------------------------------------
-JOBS = declare(
-    "REPRO_JOBS",
-    parse_jobs,
-    "Worker count for the shared spawn pool that the experiment runner's "
-    "cells ride (integer >= 1).",
-    default=None,
-    default_doc="`os.cpu_count()`",
-)
-
 TRACE = declare(
     "REPRO_TRACE",
     parse_flag,

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional
 from repro.cubes.metrics import StretchStats, stretch_histogram
 from repro.experiments import memo
 from repro.experiments.report import TableResult
-from repro.experiments.workloads import Workload, build_workload, build_workloads
+from repro.experiments.workloads import build_workloads
 
 
 @dataclass
@@ -71,62 +71,46 @@ class Figure2Result:
     panel_c: List[Figure2cSeries] = field(default_factory=list)
 
 
-def run(
-    names: Optional[List[str]] = None,
-    seed: int = 0,
-    stretch_circuit: Optional[str] = None,
-    panels: str = "abc",
-) -> Figure2Result:
+def run(names: Optional[List[str]] = None, seed: int = 0) -> Figure2Result:
     """Reproduce all three panels of Fig. 2.
 
     Args:
         names: benchmarks to include (default benchmark list).
         seed: workload seed.
-        stretch_circuit: circuit used for panel (c); defaults to the largest
-            workload in ``names`` (the paper uses b19).
-        panels: which panels to compute (any subset of ``"abc"``).  Panels
-            (a) and (b) share the per-benchmark ordering run, so they are
-            requested together or not at all; the parallel experiment
-            scheduler uses this to split the per-benchmark work (``"ab"``)
-            from the single cross-benchmark panel (``"c"``).
+
+    Panel (c) is drawn for the workload in ``names`` with the most test
+    pins (the paper uses b19).
     """
     workloads = build_workloads(names, seed=seed)
     result = Figure2Result()
+    for workload in workloads:
+        ordering = memo.ordering("i-ordering", workload.cubes)
+        result.panel_a.append(
+            Figure2aSeries(
+                circuit=workload.name,
+                k_values=[step.k for step in ordering.trace],
+                peak_values=[step.peak for step in ordering.trace],
+            )
+        )
+        result.panel_b.append(
+            Figure2bPoint(
+                circuit=workload.name,
+                n_patterns=len(workload.cubes),
+                log2_n=math.log2(max(len(workload.cubes), 2)),
+                iterations=ordering.iterations,
+            )
+        )
 
-    if "a" in panels or "b" in panels:
-        for workload in workloads:
-            ordering = memo.ordering("i-ordering", workload.cubes)
-            result.panel_a.append(
-                Figure2aSeries(
-                    circuit=workload.name,
-                    k_values=[step.k for step in ordering.trace],
-                    peak_values=[step.peak for step in ordering.trace],
-                )
+    target = max(workloads, key=lambda w: w.circuit.n_test_pins)
+    for ordering_name in ("tool", "xstat", "i-ordering"):
+        ordered = memo.ordering(ordering_name, target.cubes).ordered
+        result.panel_c.append(
+            Figure2cSeries(
+                circuit=target.name,
+                ordering=ordering_name,
+                stats=stretch_histogram(ordered),
             )
-            result.panel_b.append(
-                Figure2bPoint(
-                    circuit=workload.name,
-                    n_patterns=len(workload.cubes),
-                    log2_n=math.log2(max(len(workload.cubes), 2)),
-                    iterations=ordering.iterations,
-                )
-            )
-
-    if "c" in panels:
-        target: Workload
-        if stretch_circuit is not None:
-            target = build_workload(stretch_circuit, seed=seed)
-        else:
-            target = max(workloads, key=lambda w: w.circuit.n_test_pins)
-        for ordering_name in ("tool", "xstat", "i-ordering"):
-            ordered = memo.ordering(ordering_name, target.cubes).ordered
-            result.panel_c.append(
-                Figure2cSeries(
-                    circuit=target.name,
-                    ordering=ordering_name,
-                    stats=stretch_histogram(ordered),
-                )
-            )
+        )
     return result
 
 

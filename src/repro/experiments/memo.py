@@ -31,8 +31,7 @@ and filled sets themselves raised the full-scale b17+b18 peak RSS by 7% and
 made the 2048-cube b14 run's RSS land on one of two levels from run to run.
 
 The memo is bounded by :data:`MAX_ENTRIES` (least recently used out first)
-and has no switch: every entry is a pure function of its key.  Worker
-processes each keep their own.
+and has no switch: every entry is a pure function of its key.
 """
 
 from __future__ import annotations

@@ -132,8 +132,8 @@ def _store_cached_cubes(key: str, cubes: TestSet) -> None:
     directory = _cache_dir()
     if directory is None:
         return
-    # Write-to-temp + atomic rename: parallel experiment cells may build the
-    # same workload concurrently, and a torn .npz must never be observable
+    # Write-to-temp + atomic rename: two processes sharing the cache
+    # directory, or a crash mid-write, must never leave a torn .npz behind
     # (a half-written file would otherwise poison every later run).
     path = directory / f"{key}.npz"
     temp = directory / f".{key}.{os.getpid()}.tmp.npz"

@@ -2,8 +2,7 @@
 
 Off by default and near-free when off: a module-level no-op recorder takes
 every call until ``REPRO_TRACE=1`` or :func:`enable` swaps in a real one.
-See :mod:`repro.obs.recorder` for the primitives and the cross-process
-snapshot/absorb protocol, and :mod:`repro.obs.metrics` for the JSON
+See :mod:`repro.obs.recorder` for the primitives and :mod:`repro.obs.metrics` for the JSON
 artifact written by ``--metrics PATH`` / ``REPRO_METRICS``.
 """
 
@@ -22,7 +21,6 @@ from repro.obs.recorder import (
     Recorder,
     TIMELINE_ENV_VAR,
     TRACE_ENV_VAR,
-    absorb_task,
     active,
     add_counters,
     counter,
@@ -34,7 +32,6 @@ from repro.obs.recorder import (
     reset,
     snapshot,
     span,
-    task_capture,
     timeline_enabled,
 )
 
@@ -47,7 +44,6 @@ __all__ = [
     "Recorder",
     "TIMELINE_ENV_VAR",
     "TRACE_ENV_VAR",
-    "absorb_task",
     "active",
     "add_counters",
     "counter",
@@ -62,7 +58,6 @@ __all__ = [
     "resolve_metrics_path",
     "snapshot",
     "span",
-    "task_capture",
     "timeline_enabled",
     "write_metrics",
 ]

@@ -4,10 +4,10 @@ Subcommands:
 
 * ``export-trace METRICS.json -o trace.json`` — Chrome trace-event JSON
   from a metrics artifact; open at https://ui.perfetto.dev (one track per
-  process, task ids in the event args).
+  process).
 * ``report METRICS.json`` — human run report: per-kernel span table,
   per-process utilization/idle gaps, straggler and critical-path summary,
-  and a recap of lost pools and their in-process fallbacks.
+  and a count of the recorded events by kind.
 * ``history append|compare`` — fold ``BENCH_engine.json`` into the
   ``BENCH_history.jsonl`` ledger / flag per-profile speedup regressions.
 """

@@ -5,10 +5,10 @@ file — the roofline input the ROADMAP asks for.  The path comes from an
 explicit ``--metrics PATH`` flag or the ``REPRO_METRICS`` environment
 variable (:func:`resolve_metrics_path`).
 
-Schema (``"schema": 3``)::
+Schema (``"schema": 4``)::
 
     {
-      "schema": 3,
+      "schema": 4,
       "enabled": true,              # was tracing on when written?
       "truncated": false,           # did a ring buffer drop events/intervals?
       "counters": {"fault_sim.cone_evaluations": 123, ...},
@@ -17,10 +17,9 @@ Schema (``"schema": 3``)::
          "count": 4, "total_s": 1.25, "max_s": 0.42},
         ...
       ],
-      "events": [{"ts": ..., "kind": "transport_lost", ...}, ...],
+      "events": [{"ts": ..., "kind": ..., ...}, ...],
       "intervals": [                # timeline tier (REPRO_TIMELINE/--trace-out)
-        {"path": ..., "start_s": ..., "dur_s": ...,
-         "pid": ..., "task": ...},
+        {"path": ..., "start_s": ..., "dur_s": ..., "pid": ...},
         ...
       ],
       "clock": {"wall_anchor_s": ..., "pid": ...},
@@ -36,6 +35,9 @@ file self-describing — which knobs shaped the run rides with the run — and
 ring-buffer counters so a capped artifact cannot masquerade as complete.
 2 also carried a ``worker`` label on every interval and on ``clock``; no
 process set one, so 3 dropped it and timeline tracks key on the pid alone.
+3 also stamped the absorbing task id on intervals merged in from worker
+processes, and the runner's ``meta`` carried its ``jobs`` count; the runner
+has no worker processes any more, so 4 has neither.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from repro import envvars
 from repro.obs import recorder
 
 METRICS_ENV_VAR = envvars.METRICS.name
-METRICS_SCHEMA = 3
+METRICS_SCHEMA = 4
 
 
 def resolve_metrics_path(explicit: Optional[str] = None) -> Optional[str]:

@@ -1,9 +1,9 @@
 """Human run reports from a metrics payload (``python -m repro.obs report``).
 
-Answers the questions a slow pooled run raises: where did wall-clock go
-per kernel, which process was the straggler, how long did the parent sit
-idle, and whether the pool was lost and the run fell back in process.
-Input is a metrics artifact (``--metrics`` / ``REPRO_METRICS``).
+Answers the questions a slow run raises: where did wall-clock go per
+kernel, how busy each process's track was and where its largest idle gap
+sat, and which events the run recorded.  Input is a metrics artifact
+(``--metrics`` / ``REPRO_METRICS``).
 """
 
 from __future__ import annotations
@@ -11,12 +11,6 @@ from __future__ import annotations
 from typing import Any, Dict, List, Mapping, Sequence
 
 from repro.obs import timeline
-
-#: Event kinds recapped in detail (the fallback machinery's decisions).
-RECAP_KINDS = ("pool_unavailable", "task_failed", "transport_lost")
-
-#: Cap per-kind detail lines so a failure-heavy run stays readable.
-MAX_DETAIL_LINES = 8
 
 
 def _span_rows(payload: Mapping[str, Any]) -> List[Dict[str, Any]]:
@@ -36,20 +30,6 @@ def _fmt_s(seconds: float) -> str:
     if seconds >= 1.0:
         return f"{seconds:.2f}s"
     return f"{seconds * 1000.0:.1f}ms"
-
-
-def _describe(record: Mapping[str, Any]) -> str:
-    parts: List[str] = []
-    task_id = record.get("task_id")
-    if task_id is not None:
-        parts.append(f"task {task_id}")
-    error = record.get("error")
-    if error is not None:
-        parts.append(f"error={error}")
-    detail = record.get("detail")
-    if detail is not None:
-        parts.append(f"detail={detail}")
-    return ", ".join(parts) if parts else "(no detail)"
 
 
 def _timeline_section(payload: Mapping[str, Any], lines: List[str]) -> None:
@@ -112,20 +92,6 @@ def _timeline_section(payload: Mapping[str, Any], lines: List[str]) -> None:
         f"  straggler: {timeline.track_label(straggler_key)} "
         f"(finished last, at +{_fmt_s(last_end_by_track[straggler_key] - t_min)})"
     )
-    if parent_key in grouped:
-        busy, gaps = timeline.merged_busy(grouped[parent_key])
-        start = min(float(r["start_s"]) for r in grouped[parent_key])
-        end = max(
-            float(r["start_s"]) + float(r["dur_s"]) for r in grouped[parent_key]
-        )
-        all_gaps = [(t_min, start)] + list(gaps) + [(end, t_max)]
-        widest = max(all_gaps, key=lambda g: g[1] - g[0])
-        if widest[1] - widest[0] > 1e-9:
-            lines.append(
-                f"  parent idle gap: {_fmt_s(widest[1] - widest[0])} "
-                f"starting at +{_fmt_s(max(widest[0] - t_min, 0.0))} "
-                "(parent waiting on workers)"
-            )
 
 
 def _events_section(
@@ -142,15 +108,6 @@ def _events_section(
         "events: "
         + ", ".join(f"{kind} x{n}" for kind, n in sorted(counts.items()))
     )
-    for kind in RECAP_KINDS:
-        matching = [r for r in events if r.get("kind") == kind]
-        if not matching:
-            continue
-        lines.append(f"  {kind} ({len(matching)}):")
-        for record in matching[:MAX_DETAIL_LINES]:
-            lines.append(f"    - {_describe(record)}")
-        if len(matching) > MAX_DETAIL_LINES:
-            lines.append(f"    ... and {len(matching) - MAX_DETAIL_LINES} more")
 
 
 def render_report(payload: Mapping[str, Any]) -> str:
@@ -158,7 +115,7 @@ def render_report(payload: Mapping[str, Any]) -> str:
     dict of any schema, or a recorder snapshot)."""
     lines: List[str] = ["repro.obs run report", "=" * 21]
     meta = payload.get("meta") or {}
-    for key in ("tool", "circuit", "artifacts", "benchmarks", "jobs", "seed", "elapsed_s"):
+    for key in ("tool", "circuit", "artifacts", "benchmarks", "seed", "elapsed_s"):
         if key in meta:
             lines.append(f"{key}: {meta[key]}")
     lines.append(

@@ -1,18 +1,17 @@
 """Timeline tier: per-process interval tracks and Chrome trace export.
 
 The recorder's timeline (see :mod:`repro.obs.recorder`) produces a flat
-list of wall-anchored intervals — ``{path, start_s, dur_s, pid, task?}`` —
-merged across every process that contributed a task snapshot.  This module
-turns that list into
+list of wall-anchored intervals — ``{path, start_s, dur_s, pid}``.  This
+module turns that list into
 
 * **tracks**: one per pid, with union busy time, idle gaps, utilization
   and makespan math (consumed by the run report), and
 * **Chrome trace-event JSON** (:func:`write_trace`): the ``traceEvents``
   array Perfetto / ``chrome://tracing`` render, one thread track per
-  process, span paths as complete (``"X"``) events with task ids in
-  ``args``, and the run's event log as instant (``"i"``) events on a
-  dedicated track — events and intervals share one axis because both are
-  stamped through the same per-recorder clock anchor.
+  process, span paths as complete (``"X"``) events, and the run's event
+  log as instant (``"i"``) events on a dedicated track — events and
+  intervals share one axis because both are stamped through the same
+  per-recorder clock anchor.
 
 Timestamps in the exported trace are microseconds relative to the earliest
 record (``t0``), which keeps the JSON small, stable for golden-file tests,
@@ -116,8 +115,8 @@ def trace_events(payload: Mapping[str, Any]) -> List[Dict[str, Any]]:
     Accepts a metrics payload (or a raw recorder snapshot): reads
     ``intervals`` and ``events``.  Returns metadata (``"M"``) records
     naming each process/track, one complete (``"X"``) record per interval
-    with the task id in ``args``, and one instant (``"i"``) record per
-    event-log entry on a dedicated ``events`` track.
+    and one instant (``"i"``) record per event-log entry on a dedicated
+    ``events`` track.
     """
     intervals = payload.get("intervals") or []
     events = payload.get("events") or []
@@ -126,20 +125,19 @@ def trace_events(payload: Mapping[str, Any]) -> List[Dict[str, Any]]:
 
     grouped = tracks(intervals)
     out: List[Dict[str, Any]] = []
-    # One track per process, on thread 1; the event log takes the parent
-    # process's next thread.
+    # One track per process, on thread 1; the event log takes the
+    # recording process's next thread.
     clock = payload.get("clock") or {}
-    parent_pid = clock.get("pid")
+    recorder_pid = clock.get("pid")
     for key in grouped:
         pid = key or 0
-        role = "parent" if pid == parent_pid else "worker"
         out.append(
             {
                 "ph": "M",
                 "name": "process_name",
                 "pid": pid,
                 "tid": 0,
-                "args": {"name": f"repro {role} {pid}"},
+                "args": {"name": f"repro {pid}"},
             }
         )
         out.append(
@@ -155,22 +153,20 @@ def trace_events(payload: Mapping[str, Any]) -> List[Dict[str, Any]]:
     for key, rows in grouped.items():
         pid = key or 0
         for record in rows:
-            entry: Dict[str, Any] = {
-                "name": record.get("path", "?"),
-                "cat": "span",
-                "ph": "X",
-                "ts": _us(float(record.get("start_s", 0.0)) - t0),
-                "dur": _us(float(record.get("dur_s", 0.0))),
-                "pid": pid,
-                "tid": 1,
-            }
-            task = record.get("task")
-            if task is not None:
-                entry["args"] = {"task": task}
-            out.append(entry)
+            out.append(
+                {
+                    "name": record.get("path", "?"),
+                    "cat": "span",
+                    "ph": "X",
+                    "ts": _us(float(record.get("start_s", 0.0)) - t0),
+                    "dur": _us(float(record.get("dur_s", 0.0))),
+                    "pid": pid,
+                    "tid": 1,
+                }
+            )
 
     if events:
-        event_pid = parent_pid or 0
+        event_pid = recorder_pid or 0
         event_tid = 2 if event_pid in {key or 0 for key in grouped} else 1
         out.append(
             {

@@ -3,9 +3,9 @@
 import os
 
 
-def jobs_from_env():
+def cache_dir_from_env():
     # Declared variable, but read directly: its parser/default are bypassed.
-    return int(os.environ.get("REPRO_JOBS", "1"))
+    return os.environ.get("REPRO_CACHE_DIR", ".repro_cache")
 
 
 def rogue_knob():

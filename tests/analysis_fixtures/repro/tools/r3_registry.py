@@ -5,8 +5,8 @@ import os
 from repro import envvars
 
 
-def jobs_from_env():
-    return envvars.JOBS.read() or 1
+def cache_dir_from_env():
+    return envvars.CACHE_DIR.read()
 
 
 def trace_from_env():

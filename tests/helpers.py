@@ -23,8 +23,7 @@ per-gate loops the netlist's array passes replaced — the
 (:func:`reference_compile_columns`), the node tuples built from the
 compiled arrays (:func:`reference_node_prog`), the lane release schedule and
 the capacitance rows — are the oracles of ``test_circuit_netlist.py``.
-:class:`NewestFirstPool` stands in for the experiment runner's worker pool,
-and :func:`grading_kernel` pins the fault simulator's kernel.  The reference
+:func:`grading_kernel` pins the fault simulator's kernel.  The reference
 simulators and the dict PODEM are in ``tests/reference_engines.py``.
 """
 
@@ -33,12 +32,10 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
-import multiprocessing
 from array import array
 from collections import deque
 from contextlib import contextmanager
 from itertools import chain
-from types import SimpleNamespace
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 from unittest import mock
 
@@ -845,36 +842,6 @@ def reference_switching(values: np.ndarray, caps: np.ndarray) -> Tuple[np.ndarra
     """
     toggles = values[:, 1:] != values[:, :-1]
     return toggles.sum(axis=0).astype(np.int64), (toggles * caps[:, None]).sum(axis=0)
-
-
-class NewestFirstPool:
-    """In-process stand-in for the runner's worker pool.
-
-    ``apply_async`` defers each call; the first ``get`` runs every queued
-    call newest-first, so results finish in reverse submission order and a
-    merge that followed arrival order would show.  With ``lose_tasks`` every
-    ``get`` times out, like a pool whose workers died.
-    """
-
-    def __init__(self, lose_tasks: bool = False) -> None:
-        self.lose_tasks = lose_tasks
-        self.submitted = 0
-        self._queued: List[tuple] = []
-        self._done: Dict[int, object] = {}
-
-    def apply_async(self, func, args=()):
-        index = self.submitted
-        self.submitted += 1
-        self._queued.append((index, func, args))
-        return SimpleNamespace(get=lambda timeout=None: self._get(index))
-
-    def _get(self, index: int) -> object:
-        if self.lose_tasks:
-            raise multiprocessing.TimeoutError
-        while self._queued:
-            queued, func, args = self._queued.pop()
-            self._done[queued] = func(*args)
-        return self._done[index]
 
 
 @contextmanager

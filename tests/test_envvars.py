@@ -16,19 +16,6 @@ from repro import envvars
 
 
 class TestParsers:
-    def test_parse_jobs_accepts_positive(self):
-        assert envvars.parse_jobs("4") == 4
-        assert envvars.parse_jobs(2) == 2
-
-    @pytest.mark.parametrize("bad", ["0", "-1", "x", "1.5", ""])
-    def test_parse_jobs_rejects(self, bad):
-        with pytest.raises(ValueError, match="positive integer"):
-            envvars.parse_jobs(bad, source="REPRO_JOBS")
-
-    def test_parse_jobs_names_its_source(self):
-        with pytest.raises(ValueError, match="REPRO_JOBS"):
-            envvars.parse_jobs("zero", source="REPRO_JOBS")
-
     @pytest.mark.parametrize(
         "token,expected",
         [("1", True), ("true", True), ("YES", True), ("on", True),
@@ -60,12 +47,12 @@ class TestRegistry:
             envvars.declare(existing, envvars.parse_string, doc="x")
 
     def test_is_declared(self):
-        assert envvars.is_declared("REPRO_JOBS")
+        assert envvars.is_declared("REPRO_TRACE")
         assert not envvars.is_declared("REPRO_NOT_A_THING")
 
     def test_known_knobs_present(self):
         expected = {
-            "REPRO_JOBS", "REPRO_TRACE", "REPRO_TIMELINE",
+            "REPRO_TRACE", "REPRO_TIMELINE",
             "REPRO_METRICS", "REPRO_CACHE_DIR", "REPRO_INCLUDE_LARGE",
             "REPRO_FULL_SCALE", "REPRO_BENCH_FULL",
         }
@@ -74,20 +61,20 @@ class TestRegistry:
 
 class TestResolution:
     def test_unset_returns_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        assert envvars.JOBS.read() is None
-        assert not envvars.JOBS.is_set()
+        monkeypatch.delenv("REPRO_METRICS", raising=False)
+        assert envvars.METRICS.read() is None
+        assert not envvars.METRICS.is_set()
 
     def test_set_value_is_parsed(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", " 3 ")
-        assert envvars.JOBS.read() == 3
-        assert envvars.JOBS.is_set()
-        assert envvars.JOBS.raw() == "3"
+        monkeypatch.setenv("REPRO_TRACE", " on ")
+        assert envvars.TRACE.read() is True
+        assert envvars.TRACE.is_set()
+        assert envvars.TRACE.raw() == "on"
 
     def test_bad_value_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "zero")
-        with pytest.raises(ValueError, match="REPRO_JOBS"):
-            envvars.JOBS.read()
+        monkeypatch.setenv("REPRO_TRACE", "zero")
+        with pytest.raises(ValueError, match="REPRO_TRACE"):
+            envvars.TRACE.read()
 
     def test_empty_string_means_unset_by_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE", "")

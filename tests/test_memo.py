@@ -71,7 +71,7 @@ def test_every_artifact_reuses_orderings_and_fills(spied):
     calls, phase = spied
     for artifact in runner.ARTIFACTS:
         phase[0] = artifact
-        runner.run_all([artifact], ["b05"], seed=0, jobs=1)
+        runner.run_all([artifact], ["b05"], seed=0)
 
     # One ordering run per (cube set, ordering), whichever artefact asks.
     orderings = Counter(call[1:] for call in calls if call[1] in ("order", "interleaved_ordering"))

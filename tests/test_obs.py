@@ -9,14 +9,12 @@ packed engine or the naive reference).  Scheduling-dependent counters
 deliberately outside that set.
 
 On top of parity, the suite checks the recorder itself (null/enabled paths,
-span merging, task-snapshot dedupe), the metrics artifact writer, the
-runner's ``--metrics`` flag and the failure events the runner's pooled
-cells and their inline fallback record.
+span merging, the event cap), the metrics artifact writer and the runner's
+``--metrics`` flag.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import numpy as np
@@ -26,14 +24,11 @@ from repro.atpg.collapse import collapse_faults
 from repro.atpg.podem import PodemEngine
 from repro.circuit.generator import CircuitSpec, generate_circuit
 from repro.circuit.library import b01_like_fsm
-from repro.benchmarks_data import profiles
 from repro.engine import PackedFaultSimulator
-from repro.engine.pool import worker_pool
 from repro.obs import manifest as obs_manifest
 from repro.obs import metrics as obs_metrics
 from repro.obs import recorder as obs
-from repro.obs import report as obs_report
-from tests.helpers import NewestFirstPool, grading_kernel
+from tests.helpers import grading_kernel
 from tests.reference_engines import DictPodemEngine, NaiveFaultSimulator
 
 
@@ -118,7 +113,7 @@ class TestRecorder:
     def test_add_counters_skips_labels(self):
         obs.enable()
         obs.add_counters(
-            {"cone_evaluations": 7, "mode": "lanes", "pooled": True},
+            {"cone_evaluations": 7, "mode": "lanes", "dropped": True},
             prefix="fault_sim.",
         )
         counters = obs.snapshot()["counters"]
@@ -131,43 +126,6 @@ class TestRecorder:
                 pass
         count, total, peak = obs.snapshot()["spans"]["k"]
         assert count == 3 and total >= peak >= 0.0
-
-    def test_absorb_task_dedupes_by_task_id(self):
-        obs.enable()
-        snap = {
-            "counters": {"c": 2},
-            "spans": {"s": [1, 0.5, 0.5]},
-            "events": [{"ts": 0.0, "kind": "e"}],
-        }
-        assert obs.absorb_task("t1", snap) is True
-        assert obs.absorb_task("t1", snap) is False  # duplicate delivery
-        assert obs.absorb_task("t2", snap) is True
-        merged = obs.snapshot()
-        assert merged["counters"]["c"] == 4
-        assert merged["spans"]["s"] == [2, 1.0, 0.5]
-        assert len(merged["events"]) == 2
-
-    def test_absorb_empty_snapshot_is_false(self):
-        obs.enable()
-        assert obs.absorb_task("t1", None) is False
-        assert obs.absorb_task("t1", {}) is False
-        # An empty absorb must not consume the task id.
-        assert obs.absorb_task("t1", {"counters": {"c": 1}}) is True
-
-    def test_task_capture_isolates_and_restores(self):
-        outer = obs.enable()
-        obs.counter("outer")
-        capture = obs.task_capture()
-        with capture:
-            obs.counter("inner")
-            nested = obs.task_capture()
-            with nested:
-                obs.counter("deepest")
-            assert obs.active() is not outer
-        assert obs.active() is outer
-        assert capture.snapshot()["counters"] == {"inner": 1}
-        assert nested.snapshot()["counters"] == {"deepest": 1}
-        assert obs.snapshot()["counters"] == {"outer": 1}
 
     def test_event_cap_counts_drops(self):
         recorder = obs.enable()
@@ -189,7 +147,7 @@ class TestMetrics:
     def test_write_metrics_schema(self, tmp_path):
         obs.enable()
         obs.counter("fault_sim.runs")
-        obs.event("transport_lost", detail="t9")
+        obs.event("cache_write_failed", detail="t9")
         with obs.span("fault_sim/c/grade"):
             pass
         path = tmp_path / "sub" / "metrics.json"
@@ -201,7 +159,7 @@ class TestMetrics:
         assert on_disk["counters"] == {"fault_sim.runs": 1}
         (span,) = on_disk["spans"]
         assert span["path"] == "fault_sim/c/grade" and span["count"] == 1
-        assert on_disk["events"][0]["kind"] == "transport_lost"
+        assert on_disk["events"][0]["kind"] == "cache_write_failed"
         assert on_disk["meta"]["tool"] == "test"
         # Since schema 2, the meta block snapshots every set REPRO_* knob, and
         # truncated records whether any ring-buffer cap dropped data.
@@ -305,133 +263,6 @@ class TestEngineTelemetry:
         PackedFaultSimulator(circuit).run(patterns, faults)
         obs.enable()
         assert obs.snapshot()["counters"] == {}
-
-
-# -- distributed counters ----------------------------------------------------
-class TestDistributedTelemetryParity:
-    """Runner cells on a pool report the serial run's counters.
-
-    Each run starts from an empty cube cache, so the cells do real ATPG and
-    fault grading.  The pool's workers keep cube caches of their own (their
-    work depends on cache warmth), so counter parity is pinned on the
-    in-process fake pool, which still returns each cell's snapshot for the
-    runner's per-task absorb.
-    """
-
-    def _cold_counters(self, tmp_path, monkeypatch, tag, jobs):
-        from repro.experiments.runner import run_all
-        from repro.experiments.workloads import build_workload
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / tag))
-        build_workload.cache_clear()
-        try:
-            return _traced_counters(
-                lambda: run_all(["1"], ["b01", "b03"], seed=0, jobs=jobs)
-            )
-        finally:
-            build_workload.cache_clear()
-
-    def test_pooled_counters_match_serial(self, tmp_path, monkeypatch):
-        from repro.experiments import runner
-
-        reference = self._cold_counters(tmp_path, monkeypatch, "serial", 1)
-        assert reference.get("fault_sim.runs", 0) >= 2
-        monkeypatch.setattr(runner, "worker_pool", lambda jobs: NewestFirstPool())
-        counters = self._cold_counters(tmp_path, monkeypatch, "cells", 2)
-        assert _parity_subset(counters) == _parity_subset(reference)
-
-
-# -- pool failure events -----------------------------------------------------
-class TestQueueEvents:
-    def test_poisoned_task_event_carries_traceback(self, monkeypatch):
-        from repro.experiments import runner
-        from repro.experiments.report import render_table
-        from repro.experiments.workloads import build_workload
-
-        if worker_pool(2) is None:
-            pytest.skip("worker pool unavailable in this environment")
-        # A benchmark profile added in this process only: spawned workers
-        # never see it, so its cell raises in the worker and re-runs here.
-        monkeypatch.setitem(
-            profiles._PROFILES,
-            "parent_only",
-            dataclasses.replace(profiles.get_profile("b01"), name="parent_only"),
-        )
-        build_workload.cache_clear()
-        try:
-            serial = runner.run_all(["1"], ["parent_only"], seed=0, jobs=1)
-            obs.enable()
-            result = runner.run_all(["1"], ["parent_only"], seed=0, jobs=2)
-        finally:
-            build_workload.cache_clear()
-        failures = [
-            event
-            for event in obs.snapshot()["events"]
-            if event["kind"] == "task_failed"
-        ]
-        assert len(failures) == 1
-        assert failures[0]["task_id"] == "t000000"
-        assert "unknown benchmark 'parent_only'" in failures[0]["traceback"]
-        # The cell re-ran in process, where the profile exists.
-        assert [render_table(t) for t in result["1"]] == [
-            render_table(t) for t in serial["1"]
-        ]
-        # A cell that raised leaves the pool up for the next run.
-        obs.reset()
-        runner.run_all(["1"], ["b01"], seed=0, jobs=2)
-        assert worker_pool(2) is not None
-        assert obs.snapshot()["events"] == []
-
-    def test_transport_failure_event_before_inline_fallback(self, monkeypatch):
-        from repro.engine import pool
-        from repro.experiments import runner
-        from repro.experiments.report import render_table
-
-        serial = runner.run_all(["1"], ["b01"], seed=0, jobs=1)
-        # Retire nothing real: the broken flag is restored after the test.
-        monkeypatch.setattr(pool, "_pools", {})
-        monkeypatch.setattr(pool, "_pool_broken", False)
-        monkeypatch.setattr(
-            runner, "worker_pool", lambda jobs: NewestFirstPool(lose_tasks=True)
-        )
-        obs.enable()
-        result = runner.run_all(["1"], ["b01"], seed=0, jobs=2)
-        failures = [
-            event
-            for event in obs.snapshot()["events"]
-            if event["kind"] == "transport_lost"
-        ]
-        assert len(failures) == 1
-        assert "t000000 returned no result" in failures[0]["detail"]
-        # Every pending cell re-ran inline: the tables are the serial ones.
-        assert [render_table(t) for t in result["1"]] == [
-            render_table(t) for t in serial["1"]
-        ]
-
-    def test_report_details_every_fallback_event(self):
-        payload = {
-            "events": [
-                {"ts": 1.0, "kind": "pool_unavailable", "detail": "OSError('no fork')"},
-                {
-                    "ts": 2.0,
-                    "kind": "task_failed",
-                    "task_id": "t000003",
-                    "error": "KeyError('b99')",
-                    "traceback": "Traceback (most recent call last): ...",
-                },
-                {"ts": 3.0, "kind": "transport_lost", "detail": "task t000004 lost"},
-            ]
-        }
-        lines = obs_report.render_report(payload).splitlines()
-        for detail in (
-            "  pool_unavailable (1):",
-            "    - detail=OSError('no fork')",
-            "  task_failed (1):",
-            "    - task t000003, error=KeyError('b99')",
-            "  transport_lost (1):",
-            "    - detail=task t000004 lost",
-        ):
-            assert detail in lines
 
 
 # -- runner integration ------------------------------------------------------

@@ -2,9 +2,8 @@
 run reports, and the bench-history ledger.
 
 The timeline contract extends the counter-parity contract one axis further:
-span *intervals* recorded in pool workers must merge onto the parent's
-wall-clock axis (per-recorder clock anchor), dedupe by task id like
-counters, and export as Chrome trace-event JSON whose per-process tracks a
+span *intervals* and events share one wall-clock axis (per-recorder clock
+anchor), and export as Chrome trace-event JSON whose per-process tracks a
 viewer can read directly.  The run report is a pure consumer of the same
 payloads, and the history ledger turns ``BENCH_engine.json`` overwrites
 into an append-only trajectory.
@@ -29,7 +28,7 @@ GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data")
 #: The synthetic payload behind ``tests/data/golden_trace.json`` — fixed
 #: wall times so the exported trace is byte-stable.
 GOLDEN_PAYLOAD = {
-    "schema": 3,
+    "schema": 4,
     "enabled": True,
     "truncated": False,
     "counters": {},
@@ -55,14 +54,12 @@ GOLDEN_PAYLOAD = {
             "start_s": 1000.001,
             "dur_s": 0.008,
             "pid": 11,
-            "task": "t-1",
         },
         {
             "path": "fault_sim/b12/lanes/grade",
             "start_s": 1000.011,
             "dur_s": 0.006,
             "pid": 11,
-            "task": "t-2",
         },
     ],
     "clock": {"wall_anchor_s": 1000.0, "pid": 10},
@@ -159,36 +156,6 @@ class TestTimelineRecorder:
         # The span table itself is uncapped: every repeat still folded.
         assert snap["spans"]["k"][0] == obs.MAX_INTERVALS + 25
 
-    def test_absorb_stamps_task_and_dedupes(self):
-        obs.enable()
-        foreign = {
-            "counters": {},
-            "intervals": [
-                {
-                    "path": "fault_sim/c/grade",
-                    "start_s": 5.0,
-                    "dur_s": 0.5,
-                    "pid": 999,
-                }
-            ],
-        }
-        assert obs.absorb_task("t1", foreign) is True
-        assert obs.absorb_task("t1", foreign) is False  # duplicate delivery
-        (interval,) = obs.snapshot()["intervals"]
-        assert interval["task"] == "t1"
-        assert interval["pid"] == 999
-
-    def test_task_capture_inherits_timeline(self):
-        obs.enable()
-        obs.enable_timeline()
-        capture = obs.task_capture()
-        with capture:
-            with obs.span("fault_sim/c/grade"):
-                pass
-        (interval,) = capture.snapshot()["intervals"]
-        assert interval["path"] == "fault_sim/c/grade"
-        assert obs.snapshot()["intervals"] == []  # the capture kept its own
-
     def test_reset_clears_intervals(self):
         obs.enable()
         obs.enable_timeline()
@@ -252,13 +219,16 @@ class TestTraceExport:
             if e["ph"] == "M" and e["name"] == "thread_name"
         ]
         assert threads == ["pid-10", "pid-11", "events"]
-        # Task attribution survives into the viewer args.
-        tasks = {
-            e["args"]["task"]
+        # Span records carry no args; process names carry the bare pid.
+        assert not any(
+            "args" in e for e in trace["traceEvents"] if e["ph"] == "X"
+        )
+        processes = [
+            e["args"]["name"]
             for e in trace["traceEvents"]
-            if e["ph"] == "X" and "args" in e
-        }
-        assert tasks == {"t-1", "t-2"}
+            if e["ph"] == "M" and e["name"] == "process_name"
+        ]
+        assert processes == ["repro 10", "repro 11"]
 
     def test_empty_payload_exports_cleanly(self, tmp_path):
         out = tmp_path / "trace.json"
